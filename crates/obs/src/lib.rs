@@ -405,15 +405,18 @@ pub fn emit_heartbeat(mut hb: Heartbeat) {
 pub enum Metric {
     /// Wall time of one SAT restart segment, in microseconds.
     RestartSegmentUs = 0,
-    /// Wall time of one DPLL(T) theory round, in microseconds.
+    /// Wall time of one DPLL(T) theory round, in microseconds: the theory
+    /// work that produced one verdict for the SAT core (in the online loop,
+    /// the fixpoint sync that found a conflict, or one final check).
     TheoryRoundUs = 1,
     /// Simplex pivots performed in one theory round.
     PivotsPerRound = 2,
     /// Wall time between consecutive SAT conflicts, in microseconds.
     ConflictGapUs = 3,
     /// Literals asserted plus retracted by the persistent theory session in
-    /// one DPLL(T) round (the trail delta against the previous model; a
-    /// rebuild round counts every literal).
+    /// one propagation-fixpoint sync that changed its state (the online
+    /// loop samples once per such fixpoint; a rebuild would count every
+    /// literal).
     TheoryDeltaLits = 4,
     /// Hypotheses a successful unsat-core slice never asserted for one VC
     /// check (the per-hit saving of `--slice-hyps` re-verification).

@@ -23,14 +23,19 @@
 //!   template and linear forms are *extended* as new atoms appear instead of
 //!   being rebuilt per query.
 //! * **Theory state** — a persistent trail-based theory session
-//!   (`crate::trail::TheorySession`): congruence closure and the simplex
-//!   tableau survive across DPLL(T) rounds, and each round asserts/retracts
-//!   only the literals that changed since the previous propositional model
-//!   instead of reconstructing both solvers from scratch.
+//!   (`crate::trail::TheorySession`) driven *online* from inside the CDCL
+//!   search ([`crate::sat::SatSolver::solve_under_with`]): at every
+//!   propagation fixpoint it retracts what the SAT core backtracked over,
+//!   asserts the EUF part of the new theory literals and checks the
+//!   disequalities; on a complete assignment it also loads the simplex
+//!   bounds, propagates EUF-derived equalities and runs the simplex. A
+//!   theory conflict is learned and analysed at the level where it arose,
+//!   so one check is one search, not a loop of searches.
 //!
 //! Model soundness with retraction: atoms that only occur in popped scopes
 //! are *dead* — their propositional values are unconstrained don't-cares. The
-//! theory check therefore runs on the live atoms only; a consistent live
+//! theory check therefore runs on the live atoms only (a var-indexed table
+//! built once per check); a consistent live
 //! assignment is a genuine model of the active assertions because every
 //! remaining clause mentioning dead atoms is either deactivated (by the
 //! popped activation literal) or a valid lemma, satisfied by the dead atoms'
@@ -94,11 +99,11 @@ use crate::cnf::{encode_root, AtomMap};
 use crate::lower::LowerCtx;
 use crate::model::Model;
 use crate::quant::contains_forall;
-use crate::sat::{Lit, SatResult, SatSolver, Var};
+use crate::sat::{Lit, SatResult, SatSolver, TheoryHook, TheoryVerdict, Var};
 use crate::solver::{SolverConfig, SolverStats};
 use crate::term::{Op, Sort, TermId, TermManager};
-use crate::theory::TheoryChecker;
-use crate::trail::{SessionCheck, TheorySession};
+use crate::theory::{TheoryCheck, TheoryChecker};
+use crate::trail::{LiveAtom, SessionCheck, TheorySession};
 
 /// Where an atom has been used so far: in a permanent assertion (or a derived
 /// fact), or only inside the listed push scopes.
@@ -156,8 +161,8 @@ pub struct IncrementalSolver {
     lower: LowerCtx,
     checker: Option<TheoryChecker>,
     /// Persistent trail-based theory state (EUF + simplex), kept across
-    /// DPLL(T) rounds and checks; snapshotted/restored with the checker at
-    /// method-scope boundaries so the two stay consistent.
+    /// the search and across checks; snapshotted/restored with the checker
+    /// at method-scope boundaries so the two stay consistent.
     session: TheorySession,
     /// Atoms encoded since the checker was last grown.
     pending_atoms: Vec<TermId>,
@@ -593,136 +598,61 @@ impl IncrementalSolver {
         }
         assumptions.extend(self.scopes.iter().map(|s| Lit::new(s.act, true)));
 
-        // Split borrows: the loop reads the checker while mutating the SAT
-        // core, the theory session and the stats.
         let checker = self.checker.as_ref().expect("checker built above");
-        let sat = &mut self.sat;
-        let stats = &mut self.stats;
-        let session = &mut self.session;
-        let last_core = &mut self.last_core;
-        let snapshot = |stats: &mut SolverStats, sat: &SatSolver| {
-            stats.sat_conflicts = sat.conflicts - base.0;
-            stats.sat_decisions = sat.decisions - base.1;
-            stats.sat_propagations = sat.propagations - base.2;
-            stats.restarts = sat.restarts - base.3;
-            stats.learned_deleted = sat.learned_deleted - base.4;
-            stats.learned_kept = sat.num_learned() as u64;
-            stats.max_lbd = sat.max_lbd as u64;
+        self.session.prepare(checker);
+        let live = live_atoms(
+            &self.atom_map,
+            &self.atom_scope,
+            &self.scopes,
+            &self.session,
+            checker,
+            self.sat.num_vars(),
+        );
+        let mut theory = OnlineTheory {
+            tm,
+            checker,
+            session: &mut self.session,
+            live: &live,
+            stats: &mut self.stats,
+            max_rounds: self.config.max_theory_rounds as u64,
+            pivot: self.config.pivot,
+            // Differential oracle for the trail session: when
+            // IDS_TRAIL_ORACLE is set, every theory conflict and every
+            // Consistent final check is re-checked against the stateless
+            // batch checker, which must agree.
+            oracle: std::env::var_os("IDS_TRAIL_ORACLE").is_some(),
         };
-
-        // Differential oracle for debugging the trail session: when
-        // IDS_TRAIL_ORACLE is set, every Consistent verdict is re-checked
-        // against the stateless batch checker, which must agree.
-        let oracle = std::env::var_os("IDS_TRAIL_ORACLE").is_some();
-
-        for round in 0..self.config.max_theory_rounds {
-            stats.theory_rounds = round as u64 + 1;
-            let sat_start = std::time::Instant::now();
-            let sat_result = if round == 0 || !self.config.incremental_sat {
-                sat.solve_under(&assumptions)
-            } else {
-                sat.solve_continue_under(&assumptions)
-            };
-            stats.sat_time += sat_start.elapsed();
-            match sat_result {
-                SatResult::Unsat | SatResult::Unknown => {
-                    snapshot(stats, sat);
-                    if sat_result == SatResult::Unsat {
-                        // The refutation's assumption core was extracted by
-                        // the SAT core's final-conflict analysis.
-                        stats.unsat_cores = 1;
-                        stats.unsat_core_size = sat.unsat_core.len() as u64;
-                        let mut core: Vec<u32> = sat
-                            .unsat_core
-                            .iter()
-                            .filter_map(|l| tag_of_act.get(&l.var()).copied())
-                            .collect();
-                        core.sort_unstable();
-                        core.dedup();
-                        *last_core = core;
-                    }
-                    return sat_result;
-                }
-                SatResult::Sat => {}
+        let search_start = std::time::Instant::now();
+        let result = self.sat.solve_under_with(&assumptions, &mut theory);
+        let stats = &mut self.stats;
+        stats.sat_time = search_start.elapsed().saturating_sub(stats.theory_time);
+        let sat = &self.sat;
+        stats.sat_conflicts = sat.conflicts - base.0;
+        stats.sat_decisions = sat.decisions - base.1;
+        stats.sat_propagations = sat.propagations - base.2;
+        stats.restarts = sat.restarts - base.3;
+        stats.learned_deleted = sat.learned_deleted - base.4;
+        stats.learned_kept = sat.num_learned() as u64;
+        stats.max_lbd = sat.max_lbd as u64;
+        match result {
+            SatResult::Sat => self.model = Some(Model::new(self.session.literals())),
+            SatResult::Unsat => {
+                // The refutation's assumption core was extracted by the SAT
+                // core's final-conflict analysis.
+                stats.unsat_cores = 1;
+                stats.unsat_core_size = sat.unsat_core.len() as u64;
+                let mut core: Vec<u32> = sat
+                    .unsat_core
+                    .iter()
+                    .filter_map(|l| tag_of_act.get(&l.var()).copied())
+                    .collect();
+                core.sort_unstable();
+                core.dedup();
+                self.last_core = core;
             }
-            // Literals in SAT-trail (assignment) order: CDCL backjumps keep a
-            // long trail prefix, so consecutive rounds share a long literal
-            // prefix and the theory session only processes the delta.
-            let literals = live_literals(&self.atom_map, sat, &self.atom_scope, &self.scopes);
-            let theory_start = std::time::Instant::now();
-            let (theory_result, theory_tel, delta_lits) =
-                session.check_round(tm, checker, &literals);
-            let theory_elapsed = theory_start.elapsed();
-            stats.theory_time += theory_elapsed;
-            stats.pivots += theory_tel.pivots;
-            stats.euf_time += theory_tel.euf_time;
-            stats.simplex_time += theory_tel.simplex_time;
-            if ids_obs::metrics_active() {
-                ids_obs::record_metric(
-                    ids_obs::Metric::TheoryRoundUs,
-                    theory_elapsed.as_micros() as u64,
-                );
-                ids_obs::record_metric(ids_obs::Metric::PivotsPerRound, theory_tel.pivots);
-                ids_obs::record_metric(ids_obs::Metric::TheoryDeltaLits, delta_lits);
-            }
-            if ids_obs::heartbeat_interval() != 0 {
-                ids_obs::emit_heartbeat(ids_obs::Heartbeat {
-                    conflicts: sat.conflicts,
-                    decisions: sat.decisions,
-                    propagations: sat.propagations,
-                    restarts: sat.restarts,
-                    learned: sat.num_learned() as u64,
-                    theory_rounds: stats.theory_rounds,
-                    pivots: stats.pivots,
-                    ..ids_obs::Heartbeat::default()
-                });
-            }
-            match theory_result {
-                SessionCheck::Consistent => {
-                    if oracle {
-                        let (batch, _) = checker.check_with(tm, &literals, self.config.pivot);
-                        assert!(
-                            matches!(batch, crate::theory::TheoryCheck::Consistent),
-                            "trail session said Consistent; batch checker says {:?}\n\
-                             literals: {:?}",
-                            batch,
-                            literals
-                        );
-                    }
-                    snapshot(stats, sat);
-                    self.model = Some(Model::new(literals));
-                    return SatResult::Sat;
-                }
-                SessionCheck::Unknown => {
-                    snapshot(stats, sat);
-                    return SatResult::Unknown;
-                }
-                SessionCheck::Conflict(lits) => {
-                    let clause: Vec<Lit> = lits
-                        .iter()
-                        .map(|&(atom, positive)| self.atom_map.lit_of(atom, !positive))
-                        .collect();
-                    if clause.is_empty() {
-                        // The theories rejected the empty literal set — the
-                        // axioms alone are inconsistent. Impossible, but be
-                        // safe.
-                        snapshot(stats, sat);
-                        return SatResult::Unsat;
-                    }
-                    let clause_ok = if self.config.incremental_sat {
-                        sat.add_theory_conflict(clause)
-                    } else {
-                        sat.add_clause(clause)
-                    };
-                    if !clause_ok {
-                        snapshot(stats, sat);
-                        return SatResult::Unsat;
-                    }
-                }
-            }
+            SatResult::Unknown => {}
         }
-        snapshot(stats, sat);
-        SatResult::Unknown
+        result
     }
 
     /// Number of literals currently held by the persistent theory session's
@@ -752,40 +682,147 @@ impl IncrementalSolver {
     }
 }
 
-/// The asserted theory literals of the current SAT model, restricted to live
-/// atoms (see the module documentation for why dead atoms must be excluded
-/// from theory checking).
-///
-/// Literals come back in SAT-trail (assignment) order, not term order: CDCL
-/// backjumps retract only a trail suffix, so consecutive models agree on a
-/// long prefix under this ordering, which is what lets the persistent theory
-/// session assert/retract only the per-round delta. Callers needing a
-/// canonical order (the model) sort separately.
-fn live_literals(
+/// The var-indexed live-atom table of one check: each SAT variable that
+/// encodes a *live* theory atom maps to the atom, resolved for the theory
+/// session; dead atoms (see the module documentation for why they must be
+/// excluded from theory checking), Tseitin and activation variables map to
+/// `None`. Built once per check, so the search never hashes a trail literal.
+fn live_atoms(
     atom_map: &AtomMap,
-    sat: &SatSolver,
     atom_scope: &HashMap<TermId, AtomScope>,
     scopes: &[Scope],
-) -> Vec<(TermId, bool)> {
-    let live_ids: std::collections::HashSet<u64> = scopes.iter().map(|s| s.id).collect();
+    session: &TheorySession,
+    checker: &TheoryChecker,
+    num_vars: usize,
+) -> Vec<Option<LiveAtom>> {
     let is_live = |t: &TermId| match atom_scope.get(t) {
         Some(AtomScope::Base) => true,
-        Some(AtomScope::Scopes(ids)) => ids.iter().any(|id| live_ids.contains(id)),
+        Some(AtomScope::Scopes(ids)) => ids.iter().any(|id| scopes.iter().any(|s| s.id == *id)),
         // Unmarked atoms have a SAT encoding but no live registration: they
         // were only ever used inside a method scope that has since been
         // popped and rolled back. The restored theory checker does not know
         // them, and every live clause mentioning them is deactivated.
         None => false,
     };
-    let mut out = Vec::new();
-    for &lit in sat.trail() {
-        if let Some(&atom) = atom_map.atom_of_var.get(&lit.var()) {
-            if is_live(&atom) {
-                out.push((atom, lit.is_positive()));
-            }
+    let mut live = vec![None; num_vars];
+    for (&var, atom) in &atom_map.atom_of_var {
+        if is_live(atom) {
+            live[var as usize] = Some(session.live_atom(checker, *atom));
         }
     }
-    out
+    live
+}
+
+/// The theory side of one check, plugged into the SAT search: the
+/// persistent session synced at every propagation fixpoint and
+/// final-checked on complete assignments.
+///
+/// One *theory round* is one verdict handed back to the SAT core — a theory
+/// conflict found at a fixpoint, or a final check whatever its verdict —
+/// which is what one round of the lazy loop was; `max_rounds` bounds their
+/// number.
+struct OnlineTheory<'a> {
+    tm: &'a TermManager,
+    checker: &'a TheoryChecker,
+    session: &'a mut TheorySession,
+    live: &'a [Option<LiveAtom>],
+    stats: &'a mut SolverStats,
+    max_rounds: u64,
+    pivot: crate::simplex::PivotRule,
+    oracle: bool,
+}
+
+impl OnlineTheory<'_> {
+    /// Counts one theory round and records its telemetry.
+    fn round(&mut self, elapsed: std::time::Duration, pivots: u64) {
+        self.stats.theory_rounds += 1;
+        if ids_obs::metrics_active() {
+            ids_obs::record_metric(ids_obs::Metric::TheoryRoundUs, elapsed.as_micros() as u64);
+            ids_obs::record_metric(ids_obs::Metric::PivotsPerRound, pivots);
+        }
+    }
+
+    /// Hands a conflict back to the SAT core as a clause (or stops the
+    /// search once the round budget is spent).
+    fn conflict(&mut self, lits: Vec<Lit>) -> TheoryVerdict {
+        if self.oracle {
+            let pairs: Vec<(TermId, bool)> = lits
+                .iter()
+                .map(|l| (self.atom_of(*l), l.is_positive()))
+                .collect();
+            let batch = self.checker.check(self.tm, &pairs);
+            assert!(
+                matches!(batch, TheoryCheck::Conflict(_)),
+                "trail session reported a conflict; batch checker says {:?}\n\
+                 conflict: {:?}",
+                batch,
+                pairs
+            );
+        }
+        if self.stats.theory_rounds >= self.max_rounds {
+            return TheoryVerdict::Unknown;
+        }
+        TheoryVerdict::Conflict(lits.into_iter().map(Lit::negate).collect())
+    }
+
+    fn atom_of(&self, l: Lit) -> TermId {
+        self.live[l.var() as usize]
+            .expect("session literals are live atoms")
+            .atom()
+    }
+}
+
+impl TheoryHook for OnlineTheory<'_> {
+    fn fixpoint(&mut self, trail: &[Lit], low_water: usize) -> TheoryVerdict {
+        let start = std::time::Instant::now();
+        let (verdict, delta) = self.session.sync(self.tm, trail, low_water, self.live);
+        let elapsed = start.elapsed();
+        self.stats.euf_time += elapsed;
+        self.stats.theory_time += elapsed;
+        if delta > 0 && ids_obs::metrics_active() {
+            ids_obs::record_metric(ids_obs::Metric::TheoryDeltaLits, delta);
+        }
+        match verdict {
+            SessionCheck::Consistent => TheoryVerdict::Consistent,
+            SessionCheck::Conflict(lits) => {
+                self.round(elapsed, 0);
+                self.conflict(lits)
+            }
+            SessionCheck::Unknown => TheoryVerdict::Unknown,
+        }
+    }
+
+    fn final_check(&mut self, _trail: &[Lit]) -> TheoryVerdict {
+        let start = std::time::Instant::now();
+        let (verdict, pivots) = self.session.final_check(self.tm, self.checker);
+        let elapsed = start.elapsed();
+        self.stats.simplex_time += elapsed;
+        self.stats.theory_time += elapsed;
+        self.stats.pivots += pivots;
+        self.round(elapsed, pivots);
+        match verdict {
+            SessionCheck::Consistent => {
+                if self.oracle {
+                    let literals = self.session.literals();
+                    let (batch, _) = self.checker.check_with(self.tm, &literals, self.pivot);
+                    assert!(
+                        matches!(batch, TheoryCheck::Consistent),
+                        "trail session said Consistent; batch checker says {:?}\n\
+                         literals: {:?}",
+                        batch,
+                        literals
+                    );
+                }
+                TheoryVerdict::Consistent
+            }
+            SessionCheck::Conflict(lits) => self.conflict(lits),
+            SessionCheck::Unknown => TheoryVerdict::Unknown,
+        }
+    }
+
+    fn progress(&self) -> (u64, u64) {
+        (self.stats.theory_rounds, self.stats.pivots)
+    }
 }
 
 #[cfg(test)]

@@ -3,9 +3,13 @@
 //! (Luby or geometric) restarts and LBD-based learned-clause database
 //! management.
 //!
-//! The solver is used incrementally by the lazy DPLL(T) loop in
-//! [`crate::solver`]: after each propositionally satisfying assignment, theory
-//! conflict clauses are added and `solve` is called again.
+//! Two DPLL(T) integrations use it. The batch loop in [`crate::solver`] is
+//! offline: after each propositionally satisfying assignment, theory conflict
+//! clauses are added and `solve_continue` is called again. The incremental
+//! solver ([`crate::incremental`]) is online: it plugs a [`TheoryHook`] into
+//! the search loop itself ([`SatSolver::solve_under_with`]), so the theory
+//! sees every propagation fixpoint, and a theory conflict clause is learned
+//! and analysed like a Boolean conflict, at the level where it arose.
 //!
 //! # Learned-clause deletion and soundness
 //!
@@ -16,10 +20,11 @@
 //!
 //! * **input clauses** (including the activation-literal-guarded scope
 //!   clauses of [`crate::incremental`]) — they define the problem;
-//! * **theory conflict clauses** ([`SatSolver::add_theory_conflict`]) — they
-//!   carry theory facts the SAT core cannot re-derive, and the termination
-//!   argument of the lazy DPLL(T) loop (every propositional model is refuted
-//!   at most once) depends on them persisting;
+//! * **theory conflict clauses** ([`SatSolver::add_theory_conflict`], and
+//!   the conflicts a [`TheoryHook`] returns) — they carry theory facts the
+//!   SAT core cannot re-derive, and the termination argument of DPLL(T)
+//!   (every theory-inconsistent assignment is refuted at most once) depends
+//!   on them persisting;
 //! * **locked clauses** — the current reason of an assigned literal — and
 //!   **glue clauses** (LBD ≤ [`ClauseDbOptions::glue_lbd`]), following the
 //!   Glucose heuristic that low-LBD clauses are worth keeping forever.
@@ -172,6 +177,83 @@ pub enum SatResult {
     Unknown,
 }
 
+/// A theory's answer about the current (partial or complete) assignment.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TheoryVerdict {
+    /// Consistent as far as the theory checked.
+    Consistent,
+    /// Inconsistent: a clause every literal of which is false under the
+    /// current assignment (the negation of an inconsistent subset of the
+    /// trail). The solver learns it as a non-deletable clause.
+    Conflict(Vec<Lit>),
+    /// Stop the search with [`SatResult::Unknown`] (the theory cannot decide,
+    /// or its round budget is spent).
+    Unknown,
+}
+
+/// A theory solver plugged into the CDCL search loop by
+/// [`SatSolver::solve_under_with`] (DPLL(T) in the style of Nieuwenhuis,
+/// Oliveras & Tinelli, JACM 2006).
+///
+/// The solver calls [`TheoryHook::fixpoint`] whenever unit propagation
+/// reaches a fixpoint without a Boolean conflict, and
+/// [`TheoryHook::final_check`] once every variable is assigned. Between two
+/// calls it only ever backtracks or extends the trail; `low_water` tells the
+/// theory how far the trail it saw last is still intact, so the theory can
+/// bind its own undo to the SAT trail instead of diffing assignments.
+pub trait TheoryHook {
+    /// Called at every propagation fixpoint without a Boolean conflict.
+    /// Trail positions below `low_water` hold the literals the previous call
+    /// saw; positions at or above it may have changed (backtracking lowers
+    /// the mark). The first call of a solve passes `0`.
+    fn fixpoint(&mut self, trail: &[Lit], low_water: usize) -> TheoryVerdict;
+
+    /// Called on a complete assignment, right after `fixpoint` accepted it.
+    fn final_check(&mut self, trail: &[Lit]) -> TheoryVerdict;
+
+    /// Theory counters reported in the search's liveness heartbeats:
+    /// `(theory rounds, simplex pivots)`.
+    fn progress(&self) -> (u64, u64) {
+        (0, 0)
+    }
+}
+
+/// The empty theory: plain propositional search.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NoTheory;
+
+impl TheoryHook for NoTheory {
+    fn fixpoint(&mut self, _trail: &[Lit], _low_water: usize) -> TheoryVerdict {
+        TheoryVerdict::Consistent
+    }
+
+    fn final_check(&mut self, _trail: &[Lit]) -> TheoryVerdict {
+        TheoryVerdict::Consistent
+    }
+}
+
+/// What [`SatSolver::learn_theory_conflict`] made of a theory conflict.
+enum TheoryLemma {
+    /// The clause is falsified at level 0: unsatisfiable.
+    Unsat,
+    /// The clause had one literal at its highest level: the solver
+    /// backjumped and asserted it (the clause is its own first UIP).
+    Asserted,
+    /// The clause is falsified at the (new) current level with at least two
+    /// literals there; first-UIP analysis must run on this clause index.
+    Analyze(usize),
+}
+
+/// What [`SatSolver::decide`] did.
+enum Decision {
+    /// A decision literal was put on the trail.
+    Made,
+    /// Every variable is assigned.
+    Complete,
+    /// An assumption is implied false; `unsat_core` holds the core.
+    AssumptionFailed,
+}
+
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Value {
     True,
@@ -241,10 +323,10 @@ pub struct SatSolver {
     /// Conflict count that triggers the next `reduce_db` run.
     reduce_limit: u64,
     /// Restarts performed since the current `solve` began. Persisted across
-    /// `solve_continue`/`solve_continue_under` rounds of one solve so the
-    /// Luby sequence keeps advancing on theory-bound problems (each theory
-    /// round used to rewind the schedule to its beginning, so restarts — and
-    /// with them the `reduce_db` cadence — barely ever fired).
+    /// the `solve_continue` rounds of one batch DPLL(T) solve so the Luby
+    /// sequence keeps advancing on theory-bound problems (each theory round
+    /// used to rewind the schedule to its beginning, so restarts — and with
+    /// them the `reduce_db` cadence — barely ever fired).
     restarts_this_solve: u64,
     /// Conflict count that triggers the next restart (advances along the
     /// schedule with `restarts_this_solve`; `0` means "not yet initialised").
@@ -252,8 +334,12 @@ pub struct SatSolver {
     /// Conflicts since the last restart, persisted across continuation
     /// rounds like `restarts_this_solve`.
     conflicts_since_restart: u64,
+    /// Trail length below which nothing changed since the last
+    /// [`TheoryHook::fixpoint`] call: reset to the trail length after each
+    /// call, lowered by every backtrack, and `0` at the start of a solve.
+    theory_low: usize,
     /// The unsat core of the most recent [`SatResult::Unsat`] answer from
-    /// [`SatSolver::solve_under`] / [`SatSolver::solve_continue_under`]: a
+    /// [`SatSolver::solve_under`] / [`SatSolver::solve_under_with`]: a
     /// subset of the assumption literals sufficient for unsatisfiability.
     /// Empty when the clause set is unsatisfiable on its own.
     pub unsat_core: Vec<Lit>,
@@ -326,14 +412,6 @@ impl SatSolver {
                 }
             }
         }
-    }
-
-    /// The assignment trail: every currently assigned literal in assignment
-    /// order. Consecutive solver rounds share a long trail prefix (CDCL
-    /// backjumps only undo a suffix), which the incremental theory session
-    /// exploits to retract/assert only the delta between models.
-    pub fn trail(&self) -> &[Lit] {
-        &self.trail
     }
 
     /// The current value of a variable, if assigned.
@@ -597,6 +675,7 @@ impl SatSolver {
         }
         self.trail_lim.truncate(level as usize);
         self.prop_head = self.trail.len();
+        self.theory_low = self.theory_low.min(target);
     }
 
     fn pick_branch_var(&mut self) -> Option<Var> {
@@ -627,7 +706,7 @@ impl SatSolver {
             self.ok = false;
             return SatResult::Unsat;
         }
-        self.search(max_conflicts)
+        self.search(max_conflicts, &mut NoTheory)
     }
 
     /// Rewinds the restart schedule (and with it the `reduce_db` cadence's
@@ -652,7 +731,7 @@ impl SatSolver {
         if !self.ok {
             return SatResult::Unsat;
         }
-        self.search(u64::MAX)
+        self.search(u64::MAX, &mut NoTheory)
     }
 
     /// Solves under temporary assumptions: the given literals are decided
@@ -665,6 +744,21 @@ impl SatSolver {
     /// clauses carry a negated activation literal, and the scope is enabled by
     /// assuming the activation literal here.
     pub fn solve_under(&mut self, assumptions: &[Lit]) -> SatResult {
+        self.solve_under_with(assumptions, &mut NoTheory)
+    }
+
+    /// [`SatSolver::solve_under`] with a theory in the loop: one CDCL search
+    /// that consults `theory` at every propagation fixpoint and on the
+    /// complete assignment (see [`TheoryHook`]). A theory conflict clause is
+    /// attached as a non-deletable clause after backtracking to its highest
+    /// level, then analysed like a Boolean conflict (first UIP). `Sat` means
+    /// the final check accepted the assignment; `Unsat` is reported with an
+    /// assumption core exactly as for propositional conflicts.
+    pub fn solve_under_with<H: TheoryHook>(
+        &mut self,
+        assumptions: &[Lit],
+        theory: &mut H,
+    ) -> SatResult {
         self.unsat_core.clear();
         if !self.ok {
             return SatResult::Unsat;
@@ -675,22 +769,9 @@ impl SatSolver {
             self.ok = false;
             return SatResult::Unsat;
         }
+        self.theory_low = 0;
         self.assumptions = assumptions.to_vec();
-        let r = self.search(u64::MAX);
-        self.assumptions.clear();
-        r
-    }
-
-    /// The assumption-aware analogue of [`SatSolver::solve_continue`]: keeps
-    /// the current trail (used between theory rounds) while re-establishing
-    /// any assumption a backjump may have undone.
-    pub fn solve_continue_under(&mut self, assumptions: &[Lit]) -> SatResult {
-        self.unsat_core.clear();
-        if !self.ok {
-            return SatResult::Unsat;
-        }
-        self.assumptions = assumptions.to_vec();
-        let r = self.search(u64::MAX);
+        let r = self.search(u64::MAX, theory);
         self.assumptions.clear();
         r
     }
@@ -771,8 +852,9 @@ impl SatSolver {
         true
     }
 
-    /// The CDCL search loop over the current trail.
-    fn search(&mut self, max_conflicts: u64) -> SatResult {
+    /// The CDCL search loop over the current trail, with `theory` consulted
+    /// at every propagation fixpoint and on the complete assignment.
+    fn search<H: TheoryHook>(&mut self, max_conflicts: u64, theory: &mut H) -> SatResult {
         // The restart schedule lives on the solver, not in this call: a fresh
         // `solve` rewinds it via `reset_search_schedule`, while theory-round
         // continuations keep advancing the same Luby/geometric sequence (and
@@ -793,26 +875,50 @@ impl SatSolver {
         let mut seg_start = metrics.then(std::time::Instant::now);
         let mut last_conflict: Option<std::time::Instant> = None;
         loop {
-            if let Some(conf) = self.propagate() {
-                self.conflicts += 1;
-                self.conflicts_since_reduce += 1;
-                conflicts_here += 1;
-                self.conflicts_since_restart += 1;
-                if metrics {
-                    let now = std::time::Instant::now();
-                    if let Some(prev) = last_conflict.replace(now) {
-                        ids_obs::record_metric(
-                            ids_obs::Metric::ConflictGapUs,
-                            now.duration_since(prev).as_micros() as u64,
-                        );
-                    }
+            // A conflict to analyse: a falsified clause at the current level.
+            // `None` after a theory lemma that asserted its literal directly.
+            let mut conflict = self.propagate();
+            if conflict.is_none() {
+                let low_water = std::mem::replace(&mut self.theory_low, self.trail.len());
+                let clause = match theory.fixpoint(&self.trail, low_water) {
+                    TheoryVerdict::Unknown => return SatResult::Unknown,
+                    TheoryVerdict::Conflict(clause) => clause,
+                    TheoryVerdict::Consistent => match self.decide() {
+                        Decision::Made => continue,
+                        Decision::AssumptionFailed => return SatResult::Unsat,
+                        Decision::Complete => match theory.final_check(&self.trail) {
+                            TheoryVerdict::Consistent => return SatResult::Sat,
+                            TheoryVerdict::Unknown => return SatResult::Unknown,
+                            TheoryVerdict::Conflict(clause) => clause,
+                        },
+                    },
+                };
+                match self.learn_theory_conflict(clause) {
+                    TheoryLemma::Unsat => return SatResult::Unsat,
+                    TheoryLemma::Asserted => {}
+                    TheoryLemma::Analyze(ci) => conflict = Some(ci),
                 }
-                if heartbeat_every != 0 && self.conflicts.is_multiple_of(heartbeat_every) {
-                    self.emit_heartbeat();
+            }
+            self.conflicts += 1;
+            self.conflicts_since_reduce += 1;
+            conflicts_here += 1;
+            self.conflicts_since_restart += 1;
+            if metrics {
+                let now = std::time::Instant::now();
+                if let Some(prev) = last_conflict.replace(now) {
+                    ids_obs::record_metric(
+                        ids_obs::Metric::ConflictGapUs,
+                        now.duration_since(prev).as_micros() as u64,
+                    );
                 }
-                if conflicts_here > max_conflicts {
-                    return SatResult::Unknown;
-                }
+            }
+            if heartbeat_every != 0 && self.conflicts.is_multiple_of(heartbeat_every) {
+                self.emit_heartbeat(theory.progress());
+            }
+            if conflicts_here > max_conflicts {
+                return SatResult::Unknown;
+            }
+            if let Some(conf) = conflict {
                 if self.decision_level() == 0 {
                     self.ok = false;
                     return SatResult::Unsat;
@@ -833,74 +939,124 @@ impl SatSolver {
                     self.bump_clause(ci);
                     self.enqueue(learned[0], Some(ci));
                 }
-                if self.conflicts_since_restart > self.restart_limit {
-                    self.conflicts_since_restart = 0;
-                    self.restarts_this_solve += 1;
-                    self.restarts += 1;
-                    let restarts_here = self.restarts_this_solve;
-                    obs_span.restart(|| format!("restart {restarts_here}"));
-                    if let Some(start) = seg_start.replace(std::time::Instant::now()) {
-                        ids_obs::record_metric(
-                            ids_obs::Metric::RestartSegmentUs,
-                            start.elapsed().as_micros() as u64,
-                        );
-                    }
-                    if heartbeat_every != 0 {
-                        self.emit_heartbeat();
-                    }
-                    self.restart_limit = match self.options.restart {
-                        RestartPolicy::Luby { unit } => {
-                            unit.max(1) * luby(self.restarts_this_solve + 1)
-                        }
-                        RestartPolicy::Geometric { .. } => {
-                            self.restart_limit + self.restart_limit / 2
-                        }
-                    };
-                    self.backtrack(0);
-                    if self.options.clause_db.enabled
-                        && self.conflicts_since_reduce >= self.reduce_limit
-                    {
-                        self.reduce_db();
-                    }
-                }
             } else {
-                // Assumptions are (re-)decided before any free decision; a
-                // backjump or restart may have undone some of them.
-                let mut assumed = None;
-                for i in 0..self.assumptions.len() {
-                    let a = self.assumptions[i];
-                    match self.lit_value(a) {
-                        Value::True => continue,
-                        // Implied false by clauses and earlier assumptions
-                        // alone: unsatisfiable under the assumptions. The
-                        // clause set itself stays consistent (`ok` untouched).
-                        Value::False => {
-                            self.unsat_core = self.analyze_final(a);
-                            return SatResult::Unsat;
-                        }
-                        Value::Unassigned => {
-                            assumed = Some(a);
-                            break;
-                        }
-                    }
+                self.act_inc *= 1.05;
+                self.cla_inc *= 1.001;
+            }
+            if self.conflicts_since_restart > self.restart_limit {
+                self.conflicts_since_restart = 0;
+                self.restarts_this_solve += 1;
+                self.restarts += 1;
+                let restarts_here = self.restarts_this_solve;
+                obs_span.restart(|| format!("restart {restarts_here}"));
+                if let Some(start) = seg_start.replace(std::time::Instant::now()) {
+                    ids_obs::record_metric(
+                        ids_obs::Metric::RestartSegmentUs,
+                        start.elapsed().as_micros() as u64,
+                    );
                 }
-                if let Some(a) = assumed {
-                    self.decisions += 1;
-                    self.trail_lim.push(self.trail.len());
-                    self.enqueue(a, None);
-                    continue;
+                if heartbeat_every != 0 {
+                    self.emit_heartbeat(theory.progress());
                 }
-                match self.pick_branch_var() {
-                    None => return SatResult::Sat,
-                    Some(v) => {
-                        self.decisions += 1;
-                        self.trail_lim.push(self.trail.len());
-                        let phase = self.phase[v as usize];
-                        self.enqueue(Lit::new(v, phase), None);
+                self.restart_limit = match self.options.restart {
+                    RestartPolicy::Luby { unit } => {
+                        unit.max(1) * luby(self.restarts_this_solve + 1)
                     }
+                    RestartPolicy::Geometric { .. } => self.restart_limit + self.restart_limit / 2,
+                };
+                self.backtrack(0);
+                if self.options.clause_db.enabled
+                    && self.conflicts_since_reduce >= self.reduce_limit
+                {
+                    self.reduce_db();
                 }
             }
         }
+    }
+
+    /// Puts the next decision on the trail. Assumptions are (re-)decided
+    /// before any free decision; a backjump or restart may have undone some
+    /// of them.
+    fn decide(&mut self) -> Decision {
+        for i in 0..self.assumptions.len() {
+            let a = self.assumptions[i];
+            match self.lit_value(a) {
+                Value::True => continue,
+                // Implied false by clauses and earlier assumptions alone:
+                // unsatisfiable under the assumptions. The clause set itself
+                // stays consistent (`ok` untouched).
+                Value::False => {
+                    self.unsat_core = self.analyze_final(a);
+                    return Decision::AssumptionFailed;
+                }
+                Value::Unassigned => {
+                    self.decisions += 1;
+                    self.trail_lim.push(self.trail.len());
+                    self.enqueue(a, None);
+                    return Decision::Made;
+                }
+            }
+        }
+        match self.pick_branch_var() {
+            None => Decision::Complete,
+            Some(v) => {
+                self.decisions += 1;
+                self.trail_lim.push(self.trail.len());
+                let phase = self.phase[v as usize];
+                self.enqueue(Lit::new(v, phase), None);
+                Decision::Made
+            }
+        }
+    }
+
+    /// Learns a theory conflict clause (every literal false under the
+    /// current assignment). The clause is attached as a non-deletable learned
+    /// clause after backtracking to its highest level `h`:
+    ///
+    /// * with two or more literals at `h` the clause is an ordinary conflict
+    ///   at the (new) current level and goes through first-UIP analysis;
+    /// * with exactly one literal at `h` the clause is its own first UIP: the
+    ///   solver backjumps to the second-highest level and asserts it there
+    ///   (a unit clause asserts at level 0);
+    /// * falsified at level 0 it proves unsatisfiability.
+    fn learn_theory_conflict(&mut self, mut lits: Vec<Lit>) -> TheoryLemma {
+        lits.sort();
+        lits.dedup();
+        debug_assert!(
+            lits.iter().all(|&l| self.lit_value(l) == Value::False),
+            "theory conflict clause {lits:?} is not falsified"
+        );
+        // Highest level first (stable: literal order within a level): the two
+        // watched positions must be the last literals to become unassigned.
+        lits.sort_by_key(|l| std::cmp::Reverse(self.level[l.var() as usize]));
+        let top = match lits.first() {
+            None => 0,
+            Some(l) => self.level[l.var() as usize],
+        };
+        if top == 0 {
+            self.ok = false;
+            return TheoryLemma::Unsat;
+        }
+        if lits.len() == 1 {
+            self.bump(lits[0].var());
+            self.backtrack(0);
+            self.enqueue(lits[0], None);
+            return TheoryLemma::Asserted;
+        }
+        let second = self.level[lits[1].var() as usize];
+        if second < top {
+            for &l in &lits {
+                if self.level[l.var() as usize] > 0 {
+                    self.bump(l.var());
+                }
+            }
+            self.backtrack(second);
+            let ci = self.attach_clause(lits.clone(), true, false, 0);
+            self.enqueue(lits[0], Some(ci));
+            return TheoryLemma::Asserted;
+        }
+        self.backtrack(top);
+        TheoryLemma::Analyze(self.attach_clause(lits, true, false, 0))
     }
 
     /// MiniSat-style `analyzeFinal`: given an assumption literal found false
@@ -996,16 +1152,19 @@ impl SatSolver {
             .count()
     }
 
-    /// Delivers a liveness heartbeat with the core's cumulative counters to
-    /// the observer registered with [`ids_obs`] (called from the search loop
-    /// every [`ids_obs::heartbeat_interval`] conflicts and at each restart).
-    fn emit_heartbeat(&self) {
+    /// Delivers a liveness heartbeat with the core's cumulative counters and
+    /// the theory's `(rounds, pivots)` to the observer registered with
+    /// [`ids_obs`] (called from the search loop every
+    /// [`ids_obs::heartbeat_interval`] conflicts and at each restart).
+    fn emit_heartbeat(&self, (theory_rounds, pivots): (u64, u64)) {
         ids_obs::emit_heartbeat(ids_obs::Heartbeat {
             conflicts: self.conflicts,
             decisions: self.decisions,
             propagations: self.propagations,
             restarts: self.restarts,
             learned: self.num_learned() as u64,
+            theory_rounds,
+            pivots,
             ..ids_obs::Heartbeat::default()
         });
     }
@@ -1243,8 +1402,7 @@ mod tests {
                 .collect();
             s.add_clause(c);
         }
-        let act = s.new_var();
-        assert_eq!(s.solve_under(&[lit(act, true)]), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
         let mut continued = 0u64;
         for _ in 0..60 {
             // Refute the current model the way a theory conflict would, then
@@ -1255,7 +1413,7 @@ mod tests {
                 .map(|&v| lit(v, s.value(v) != Some(true)))
                 .collect();
             s.add_theory_conflict(blocking);
-            if s.solve_continue_under(&[lit(act, true)]) != SatResult::Sat {
+            if s.solve_continue() != SatResult::Sat {
                 break;
             }
             continued += 1;
@@ -1305,5 +1463,318 @@ mod tests {
         // could advance it again.
         let _ = s.solve_with_budget(0);
         assert_eq!(s.restarts_this_solve, 0);
+    }
+
+    /// A toy theory for the SAT–theory seam: pairwise at-most-one groups
+    /// plus *forbidden* variables (which must be false). The eager variant
+    /// checks at every propagation fixpoint with state bound to the trail
+    /// through the low-water mark; the lazy variant only checks complete
+    /// assignments, so its conflicts sit below the current decision level.
+    struct AtMostOne {
+        group_of: Vec<Option<usize>>,
+        forbidden: Vec<bool>,
+        eager: bool,
+        /// `(trail position, var)` of the true group members read so far.
+        members: Vec<(usize, Var)>,
+        /// The true member of each group, if any.
+        holder: Vec<Option<Var>>,
+        seen: usize,
+        conflicts: usize,
+    }
+
+    impl AtMostOne {
+        fn new(num_vars: usize, groups: &[Vec<Var>], forbidden: &[Var], eager: bool) -> AtMostOne {
+            let mut group_of = vec![None; num_vars];
+            for (g, vars) in groups.iter().enumerate() {
+                for &v in vars {
+                    group_of[v as usize] = Some(g);
+                }
+            }
+            let mut forbid = vec![false; num_vars];
+            for &v in forbidden {
+                forbid[v as usize] = true;
+            }
+            AtMostOne {
+                group_of,
+                forbidden: forbid,
+                eager,
+                members: Vec::new(),
+                holder: vec![None; groups.len()],
+                seen: 0,
+                conflicts: 0,
+            }
+        }
+
+        /// Reads `trail[from..]` into the state; the first violation found
+        /// comes back as a falsified clause.
+        fn read(&mut self, trail: &[Lit], from: usize) -> TheoryVerdict {
+            for (pos, &l) in trail.iter().enumerate().skip(from) {
+                if !l.is_positive() {
+                    continue;
+                }
+                let v = l.var();
+                let clause = if self.forbidden[v as usize] {
+                    Some(vec![l.negate()])
+                } else if let Some(g) = self.group_of[v as usize] {
+                    match self.holder[g] {
+                        Some(u) => Some(vec![Lit::new(u, false), l.negate()]),
+                        None => {
+                            self.holder[g] = Some(v);
+                            self.members.push((pos, v));
+                            None
+                        }
+                    }
+                } else {
+                    None
+                };
+                if let Some(clause) = clause {
+                    self.seen = pos;
+                    self.conflicts += 1;
+                    return TheoryVerdict::Conflict(clause);
+                }
+            }
+            self.seen = trail.len();
+            TheoryVerdict::Consistent
+        }
+    }
+
+    impl TheoryHook for AtMostOne {
+        fn fixpoint(&mut self, trail: &[Lit], low_water: usize) -> TheoryVerdict {
+            if !self.eager {
+                return TheoryVerdict::Consistent;
+            }
+            let low = self.seen.min(low_water);
+            while let Some(&(pos, v)) = self.members.last() {
+                if pos < low {
+                    break;
+                }
+                self.members.pop();
+                self.holder[self.group_of[v as usize].expect("member")] = None;
+            }
+            let verdict = self.read(trail, low);
+            if verdict == TheoryVerdict::Consistent {
+                // The incremental state matches a rescan of the whole trail:
+                // the low-water contract held.
+                let mut fresh = AtMostOne {
+                    members: Vec::new(),
+                    holder: vec![None; self.holder.len()],
+                    seen: 0,
+                    group_of: self.group_of.clone(),
+                    forbidden: self.forbidden.clone(),
+                    eager: true,
+                    conflicts: 0,
+                };
+                assert_eq!(fresh.read(trail, 0), TheoryVerdict::Consistent);
+                assert_eq!(fresh.holder, self.holder, "state drifted from the trail");
+            }
+            verdict
+        }
+
+        fn final_check(&mut self, trail: &[Lit]) -> TheoryVerdict {
+            if self.eager {
+                return TheoryVerdict::Consistent;
+            }
+            self.members.clear();
+            self.holder.iter_mut().for_each(|h| *h = None);
+            self.read(trail, 0)
+        }
+    }
+
+    /// The theory's constraints as plain clauses, for the reference solver.
+    fn amo_clauses(groups: &[Vec<Var>], forbidden: &[Var]) -> Vec<Vec<Lit>> {
+        let mut out = Vec::new();
+        for g in groups {
+            for (i, &a) in g.iter().enumerate() {
+                for &b in &g[i + 1..] {
+                    out.push(vec![lit(a, false), lit(b, false)]);
+                }
+            }
+        }
+        out.extend(forbidden.iter().map(|&v| vec![lit(v, false)]));
+        out
+    }
+
+    /// Directed: the lazy theory finds `a ∧ b` (both at level 1) only on the
+    /// complete assignment at level 3 — a conflict below the current level
+    /// with two literals at its highest level, so it is analysed (first UIP
+    /// `¬a`, learned as a unit) — and the failed assumption's core is `{a}`.
+    #[test]
+    fn theory_conflict_below_the_current_level_is_analysed() {
+        let mut s = SatSolver::new();
+        let [a, b, c, d] = [0; 4].map(|_| s.new_var());
+        s.add_clause(vec![lit(a, false), lit(b, true)]);
+        let mut theory = AtMostOne::new(4, &[vec![a, b]], &[], false);
+        let assumptions = [lit(a, true), lit(c, true), lit(d, true)];
+        assert_eq!(
+            s.solve_under_with(&assumptions, &mut theory),
+            SatResult::Unsat
+        );
+        assert_eq!(theory.conflicts, 1);
+        assert_eq!(s.unsat_core, vec![lit(a, true)]);
+        // The learned unit ¬a lives at level 0 now.
+        assert_eq!(s.value(a), Some(false));
+        // Without the culprit assumption the problem is satisfiable.
+        assert_eq!(
+            s.solve_under_with(&[lit(c, true)], &mut theory),
+            SatResult::Sat
+        );
+        assert_eq!(s.value(a), Some(false));
+    }
+
+    /// Directed: an asserting theory clause (one literal at its highest
+    /// level) backjumps to the second-highest level and propagates there,
+    /// and the assumption core names both culprits.
+    #[test]
+    fn asserting_theory_clause_blames_both_assumptions() {
+        let mut s = SatSolver::new();
+        let [a, b, c] = [0; 3].map(|_| s.new_var());
+        let mut theory = AtMostOne::new(3, &[vec![a, b]], &[], false);
+        let assumptions = [lit(a, true), lit(b, true), lit(c, true)];
+        assert_eq!(
+            s.solve_under_with(&assumptions, &mut theory),
+            SatResult::Unsat
+        );
+        assert_eq!(s.unsat_core, vec![lit(a, true), lit(b, true)]);
+        assert!(
+            s.ok,
+            "an assumption conflict leaves the clause set consistent"
+        );
+        assert_eq!(
+            s.solve_under_with(&[lit(b, true)], &mut theory),
+            SatResult::Sat
+        );
+        assert_eq!(s.value(a), Some(false));
+    }
+
+    /// Directed: a unit theory lemma (`f` is forbidden) is asserted at level
+    /// 0 and propagates there: assuming `a` (which implies `f`) fails with
+    /// core `{a}`, and `¬a` stays a root-level fact.
+    #[test]
+    fn unit_theory_lemma_asserts_at_level_zero() {
+        let mut s = SatSolver::new();
+        let [a, f] = [0; 2].map(|_| s.new_var());
+        s.add_clause(vec![lit(a, false), lit(f, true)]);
+        let mut theory = AtMostOne::new(2, &[], &[f], true);
+        assert_eq!(
+            s.solve_under_with(&[lit(a, true)], &mut theory),
+            SatResult::Unsat
+        );
+        assert_eq!(s.unsat_core, vec![lit(a, true)]);
+        assert_eq!(s.value(f), Some(false));
+        assert_eq!(s.value(a), Some(false));
+        assert_eq!(s.level[f as usize], 0);
+        assert_eq!(s.solve_under_with(&[], &mut theory), SatResult::Sat);
+    }
+
+    /// Directed: a theory conflict among level-0 literals is unsatisfiable
+    /// outright, with an empty core, and stays so.
+    #[test]
+    fn level_zero_theory_conflict_is_unsat() {
+        let mut s = SatSolver::new();
+        let [f, x] = [0; 2].map(|_| s.new_var());
+        s.add_clause(vec![lit(f, true)]);
+        let mut theory = AtMostOne::new(2, &[], &[f], true);
+        assert_eq!(
+            s.solve_under_with(&[lit(x, true)], &mut theory),
+            SatResult::Unsat
+        );
+        assert!(s.unsat_core.is_empty());
+        assert!(!s.ok);
+        assert_eq!(s.solve(), SatResult::Unsat);
+    }
+
+    /// Differential: random seeded CNFs with at-most-one groups and
+    /// forbidden variables, solved with the theory in the loop (eager and
+    /// lazy) and with the same constraints given as clauses, under random
+    /// assumptions. Verdicts agree, models satisfy everything, and cores are
+    /// sufficient assumption subsets.
+    #[test]
+    fn toy_theory_agrees_with_its_clausal_encoding() {
+        let mut state = 0x51_7e_a5_ed_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let n = 14usize;
+        let (mut sat, mut unsat, mut theory_conflicts) = (0, 0, 0);
+        for instance in 0..120 {
+            let cnf: Vec<Vec<Lit>> = (0..34)
+                .map(|_| {
+                    (0..3)
+                        .map(|_| lit((next() % n as u64) as Var, next() % 2 == 0))
+                        .collect()
+                })
+                .collect();
+            let mut vars: Vec<Var> = (0..n as Var).collect();
+            for i in (1..vars.len()).rev() {
+                vars.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            let groups: Vec<Vec<Var>> = vars[..9].chunks(3).map(|c| c.to_vec()).collect();
+            let forbidden = vec![vars[9]];
+            let assumptions: Vec<Lit> = (0..next() % 4)
+                .map(|_| lit((next() % n as u64) as Var, next() % 3 != 0))
+                .collect();
+
+            let mut reference = SatSolver::new();
+            (0..n).for_each(|_| {
+                reference.new_var();
+            });
+            for c in cnf.iter().chain(&amo_clauses(&groups, &forbidden)) {
+                reference.add_clause(c.clone());
+            }
+            let want = reference.solve_under(&assumptions);
+
+            for eager in [true, false] {
+                let mut s = SatSolver::new();
+                (0..n).for_each(|_| {
+                    s.new_var();
+                });
+                for c in &cnf {
+                    s.add_clause(c.clone());
+                }
+                let mut theory = AtMostOne::new(n, &groups, &forbidden, eager);
+                let got = s.solve_under_with(&assumptions, &mut theory);
+                theory_conflicts += theory.conflicts;
+                assert_eq!(got, want, "instance {instance} (eager {eager})");
+                match got {
+                    SatResult::Sat => {
+                        let value = |l: &Lit| s.value(l.var()) == Some(l.is_positive());
+                        for c in cnf.iter().chain(&amo_clauses(&groups, &forbidden)) {
+                            assert!(
+                                c.iter().any(value),
+                                "instance {instance}: model breaks {c:?}"
+                            );
+                        }
+                        assert!(assumptions.iter().all(value));
+                    }
+                    SatResult::Unsat => {
+                        let core = s.unsat_core.clone();
+                        assert!(core.iter().all(|l| assumptions.contains(l)));
+                        if s.ok {
+                            assert_eq!(
+                                s.solve_under_with(&core, &mut theory),
+                                SatResult::Unsat,
+                                "instance {instance}: core {core:?} is not sufficient"
+                            );
+                        }
+                    }
+                    SatResult::Unknown => panic!("no budget was set"),
+                }
+            }
+            match want {
+                SatResult::Sat => sat += 1,
+                _ => unsat += 1,
+            }
+        }
+        assert!(
+            sat >= 20 && unsat >= 20,
+            "unbalanced corpus: {sat} sat, {unsat} unsat"
+        );
+        assert!(
+            theory_conflicts >= 100,
+            "theory too quiet: {theory_conflicts}"
+        );
     }
 }

@@ -12,7 +12,7 @@ use crate::cnf::{tseitin, AtomMap};
 use crate::lower::lower;
 use crate::model::Model;
 use crate::quant::{contains_forall, eliminate_quantifiers, QuantConfig};
-use crate::sat::{SatOptions, SatResult, SatSolver};
+use crate::sat::{SatOptions, SatResult, SatSolver, Var};
 use crate::simplex::PivotRule;
 use crate::term::{TermId, TermManager};
 use crate::theory::{TheoryCheck, TheoryChecker};
@@ -55,16 +55,22 @@ impl SolverProfile {
 /// Tuning knobs of the solver.
 #[derive(Clone, Copy, Debug)]
 pub struct SolverConfig {
-    /// Maximum number of theory-check/conflict-clause rounds.
+    /// Maximum number of theory rounds (see [`SolverStats::theory_rounds`]):
+    /// the one hard stop of both DPLL(T) loops, answered with
+    /// [`SatResult::Unknown`] once exhausted. In the online loop of
+    /// [`crate::IncrementalSolver`] a round is one theory verdict handed back
+    /// to the SAT core — a theory conflict or a final check — which is what
+    /// one round of the batch loop is.
     pub max_theory_rounds: usize,
     /// Whether quantifiers are allowed (RQ3 quantified mode); if false, a
     /// formula containing `forall` yields `Unknown`.
     pub allow_quantifiers: bool,
     /// Quantifier instantiation configuration (quantified mode only).
     pub quant: QuantConfig,
-    /// If true (the default), the CDCL search is continued across theory
-    /// rounds instead of being restarted from scratch after every theory
-    /// conflict clause. The `ablation_bench` bench compares both modes.
+    /// If true (the default), the batch [`Solver`] continues the CDCL search
+    /// across theory rounds instead of restarting it from scratch after
+    /// every theory conflict clause. [`crate::IncrementalSolver`] does not
+    /// read it: its theory runs inside one CDCL search.
     pub incremental_sat: bool,
     /// SAT-core options: restart policy and learned-clause database.
     pub sat: SatOptions,
@@ -130,7 +136,12 @@ impl SolverConfig {
 /// added field fails compilation until its rule is pinned.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SolverStats {
-    /// Theory check rounds performed. Merge: **sum**.
+    /// Theory rounds: verdicts the theory handed back to the SAT core. In
+    /// the batch loop, one per propositional model; in the online loop of
+    /// [`crate::IncrementalSolver`], one per theory conflict found at a
+    /// propagation fixpoint plus one per final check (whatever its verdict),
+    /// so a check refuted by Boolean propagation alone has none.
+    /// Merge: **sum**.
     pub theory_rounds: u64,
     /// SAT conflicts. Merge: **sum**.
     pub sat_conflicts: u64,
@@ -322,8 +333,14 @@ impl Solver {
 
         // The expensive per-atom setup (term universe, congruence template,
         // linearized arithmetic forms) is done once; every theory round below
-        // only resets the cheap mutable state.
-        let atoms: Vec<TermId> = atom_map.atom_of_var.values().copied().collect();
+        // only resets the cheap mutable state. Atoms go in SAT-variable
+        // order: the template's node numbering steers union-by-size ties and
+        // explanations, so a hash-map order would make the search differ
+        // from one `Solver` to the next.
+        let mut by_var: Vec<(Var, TermId)> =
+            atom_map.atom_of_var.iter().map(|(&v, &t)| (v, t)).collect();
+        by_var.sort_unstable();
+        let atoms: Vec<TermId> = by_var.into_iter().map(|(_, t)| t).collect();
         let checker = TheoryChecker::new(tm, &atoms);
 
         for round in 0..self.config.max_theory_rounds {

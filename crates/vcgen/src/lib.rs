@@ -640,7 +640,7 @@ mod tests {
             let (fresh, _) = check_formula(&mut tm, vc.formula, Encoding::Decidable);
             let (inc, inc_stats) = session.check_vc(&mut tm, &method.hypotheses, vc);
             assert_eq!(inc, fresh, "verdict diverged on: {}", vc.description);
-            assert!(inc_stats.theory_rounds > 0);
+            assert!(inc_stats.sat_propagations > 0);
             saw_refuted |= inc == SatResult::Unsat;
         }
         assert!(saw_refuted, "the test method should have a refuted VC");

@@ -166,11 +166,18 @@ fn pool_modes_report_identically_across_structures() {
     }
     // Stats-consistency: every mode did real solving work. (Cancellation
     // timing under concurrency may make the exact query counts differ; the
-    // *reported* rows above may not.)
+    // *reported* rows above may not.) Every solve propagates; theory rounds
+    // count theory verdicts only, and a VC refuted by Boolean propagation
+    // alone has none.
     for batch in [&structure, &method, &fresh] {
         for r in &batch.reports {
             if r.outcome.is_verified() {
-                assert!(r.solver.theory_rounds > 0, "{}: {:?}", r.method, r.solver);
+                assert!(
+                    r.solver.sat_propagations > 0,
+                    "{}: {:?}",
+                    r.method,
+                    r.solver
+                );
             }
         }
     }

@@ -152,3 +152,39 @@ fn smt_backend_is_usable_directly() {
     let mut solver2 = Solver::new();
     assert_eq!(solver2.check(&mut tm, &[bad]), SatResult::Unsat);
 }
+
+/// The batch solver is deterministic: two fresh `Solver`s on one quantified
+/// VC (SLL `set_key`, VC 1) make the same search. Its theory checker's atom
+/// order must not follow a hash map's iteration order, which differs per
+/// map even within one process.
+#[test]
+fn batch_solver_searches_identically_on_a_quantified_vc() {
+    use intrinsic_verify::core::pipeline::{load_methods, prepare_method_in};
+    use intrinsic_verify::structures::lists;
+
+    let ids = lists::singly_linked_list();
+    let merged = load_methods(&ids, lists::SINGLY_LINKED_LIST_METHODS).unwrap();
+    let config = PipelineConfig {
+        encoding: Encoding::Quantified,
+        ..PipelineConfig::default()
+    };
+    let task = prepare_method_in(&ids, &merged, "set_key", config).unwrap();
+    let run = || {
+        let r = task.check_vc(1);
+        let s = r.stats;
+        (
+            r.verdict,
+            s.sat_decisions,
+            s.sat_conflicts,
+            s.theory_rounds,
+            s.pivots,
+        )
+    };
+    let first = run();
+    assert!(first.1 > 0, "the VC must need a search: {first:?}");
+    assert_eq!(
+        first,
+        run(),
+        "(verdict, decisions, conflicts, rounds, pivots)"
+    );
+}
