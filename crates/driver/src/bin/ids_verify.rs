@@ -57,7 +57,7 @@ OPTIONS:
                                     the shared hypothesis prelude lowered
                                     once at structure scope (default)
                          method     one incremental session per method
-                         none       a fresh solver per VC
+                         none       a fresh one-shot solver per VC
     --no-incremental   deprecated alias for --pool-mode none
     --solver-profile P solver search heuristics (verdicts are identical in
                        every profile):

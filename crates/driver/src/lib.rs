@@ -85,7 +85,8 @@ pub enum PoolMode {
     /// One incremental session per *method* (the PR-3 behaviour): a method's
     /// VCs share its lowered prelude, methods share nothing.
     Method,
-    /// A fresh solver per VC (the PR-2 behaviour, `--pool-mode none`).
+    /// A fresh one-shot solver per VC (`--pool-mode none`): the same online
+    /// DPLL(T) loop, sharing nothing across VCs.
     None,
 }
 
@@ -719,7 +720,7 @@ mod tests {
     #[test]
     fn pool_modes_match_each_other() {
         // The same batch through structure pools (default), per-method
-        // sessions and fresh per-VC jobs: verdict kind, VC counts and
+        // sessions and a fresh one-shot solver per VC: verdict kind, VC counts and
         // failing VC must be byte-identical; only solver-internal statistics
         // may differ. Includes a refuted method so the early-stop paths are
         // compared too, and a two-method structure so the structure pool
@@ -772,15 +773,19 @@ mod tests {
         // strictly exceeds the per-method session's within-method reuse
         // (re-asserted guards), because the structure-common hypothesis
         // prelude is answered from structure scope on top of that. Fresh
-        // per-VC solving reuses nothing at all.
+        // per-VC solving reuses nothing at all: each one-shot check lowers
+        // its one formula.
         assert!(
             structure.reports[1].solver.prelude_reused > method.reports[1].solver.prelude_reused,
             "structure {:?} vs method {:?}",
             structure.reports[1].solver,
             method.reports[1].solver
         );
-        assert_eq!(fresh.reports[1].solver.prelude_reused, 0);
-        assert_eq!(fresh.reports[1].solver.prelude_lowered, 0);
+        let fresh_find = &fresh.reports[1];
+        let solved = fresh_find.vc_reports.iter().filter(|vc| !vc.cached).count() as u64;
+        assert!(solved > 0);
+        assert_eq!(fresh_find.solver.prelude_reused, 0);
+        assert_eq!(fresh_find.solver.prelude_lowered, solved);
     }
 
     #[test]

@@ -6,15 +6,16 @@
 //! an opaque *tag* identifying the asserted literal it came from), it either
 //! produces the equivalence classes of the congruence closure or a conflict
 //! explanation — a subset of tags whose literals are jointly inconsistent.
-//! Explanations are what make the learned theory clauses of the lazy DPLL(T)
-//! loop short enough to be useful.
+//! Explanations are what make the learned theory clauses of DPLL(T) short
+//! enough to be useful.
 //!
-//! The lazy DPLL(T) loop re-runs congruence closure once per propositional
-//! model, so the parts of the setup that only depend on the universe of terms
-//! (sub-term collection, node numbering, operator interning, the list of
-//! congruence-eligible application nodes) are factored into an immutable
-//! [`EufTemplate`] that is built once per solver call and shared by every
-//! round via [`Euf::with_template`].
+//! The stateless [`crate::theory::TheoryChecker`] re-runs congruence closure
+//! once per check, so the parts of the setup that only depend on the universe
+//! of terms (sub-term collection, node numbering, operator interning, the
+//! list of congruence-eligible application nodes) are factored into an
+//! immutable [`EufTemplate`] that is built once per checker and shared by
+//! every check via [`Euf::with_template`]. The online theory session builds
+//! its undo-trail EUF from the same template.
 
 use std::collections::HashMap;
 
@@ -148,7 +149,7 @@ impl<'a> Euf<'a> {
     }
 
     /// Creates a solver that shares a pre-built template. This is the cheap
-    /// constructor used once per theory-check round by the lazy DPLL(T) loop.
+    /// constructor used once per check by the stateless theory checker.
     pub fn with_template(tm: &'a TermManager, template: &'a EufTemplate) -> Euf<'a> {
         Euf::from_cow(tm, std::borrow::Cow::Borrowed(template))
     }

@@ -1,11 +1,12 @@
 //! The push/pop incremental solver: shared solver state across a sequence of
 //! related queries.
 //!
-//! The batch [`crate::Solver`] re-lowers, re-converts and re-analyzes the
-//! whole assertion set on every `check` — the right shape for one-shot VC
-//! discharge, but wasteful when dozens of queries share a large prelude (a
-//! method's typing hypotheses, heap axioms and local-condition definitions).
-//! [`IncrementalSolver`] keeps every layer of that work alive across checks:
+//! This is the crate's one DPLL(T) loop. [`crate::Solver`] runs it one-shot:
+//! a fresh session per query, its assertions at base scope, one check — the
+//! right shape for a lone VC, but wasteful when dozens of queries share a
+//! large prelude (a method's typing hypotheses, heap axioms and
+//! local-condition definitions). A long-lived [`IncrementalSolver`] keeps
+//! every layer of that work alive across checks:
 //!
 //! * **Lowering** — a persistent [`crate::lower::LowerCtx`] instantiates the
 //!   set/array axioms once per (trigger, element) pair, no matter how many
@@ -72,8 +73,9 @@
 //!   permanent (sound — and gone with the method snapshot, if one is open).
 //!
 //! Quantified formulas are not supported: asserting one puts the solver into
-//! a degraded mode where every check answers [`SatResult::Unknown`] (the
-//! quantified RQ3 encoding keeps using the batch solver).
+//! a degraded mode where every check answers [`SatResult::Unknown`]. The
+//! quantified RQ3 encoding goes through [`crate::Solver`], which eliminates
+//! quantifiers before asserting.
 //!
 //! # Example
 //!
@@ -148,6 +150,29 @@ struct MethodRollback {
     pending_reused: u64,
     pending_lowered: u64,
     pending_lower_time: std::time::Duration,
+    credited: SatCounters,
+}
+
+/// The SAT core's cumulative effort counters at one moment.
+#[derive(Clone, Copy, Debug, Default)]
+struct SatCounters {
+    conflicts: u64,
+    decisions: u64,
+    propagations: u64,
+    restarts: u64,
+    learned_deleted: u64,
+}
+
+impl SatCounters {
+    fn of(sat: &SatSolver) -> SatCounters {
+        SatCounters {
+            conflicts: sat.conflicts,
+            decisions: sat.decisions,
+            propagations: sat.propagations,
+            restarts: sat.restarts,
+            learned_deleted: sat.learned_deleted,
+        }
+    }
 }
 
 /// An SMT solver with persistent state and a push/pop assertion stack.
@@ -193,6 +218,11 @@ pub struct IncrementalSolver {
     /// (assertions happen between checks; `check` claims the accumulated
     /// time as its `lower_time`).
     pending_lower_time: std::time::Duration,
+    /// SAT counters already credited to a check. A check reports the work
+    /// done since, so the unit propagation `assert`, `assert_tracked` and
+    /// `pop` do at level 0 (a refutation found while asserting included)
+    /// counts toward the next check.
+    credited: SatCounters,
 }
 
 impl Default for IncrementalSolver {
@@ -233,12 +263,14 @@ impl IncrementalSolver {
             pending_reused: 0,
             pending_lowered: 0,
             pending_lower_time: std::time::Duration::ZERO,
+            credited: SatCounters::default(),
         }
     }
 
     /// Statistics of the last [`IncrementalSolver::check`] call. SAT counters
     /// (conflicts, decisions, propagations, restarts, `learned_deleted`) are
-    /// per-check deltas; `initial_clauses`, `atoms`, `learned_kept` and
+    /// per-check deltas that include the assertion-time work since the
+    /// previous check; `initial_clauses`, `atoms`, `learned_kept` and
     /// `max_lbd` report the cumulative session state at the time of the
     /// check.
     pub fn stats(&self) -> SolverStats {
@@ -308,6 +340,7 @@ impl IncrementalSolver {
             pending_reused: self.pending_reused,
             pending_lowered: self.pending_lowered,
             pending_lower_time: self.pending_lower_time,
+            credited: self.credited,
         });
     }
 
@@ -339,6 +372,7 @@ impl IncrementalSolver {
         self.pending_reused = m.pending_reused;
         self.pending_lowered = m.pending_lowered;
         self.pending_lower_time = m.pending_lower_time;
+        self.credited = m.credited;
         self.model = None;
         self.last_core.clear();
     }
@@ -574,13 +608,6 @@ impl IncrementalSolver {
 
         self.stats.initial_clauses = self.sat.num_clauses() as u64;
         self.stats.atoms = self.atom_map.atom_of_var.len() as u64;
-        let base = (
-            self.sat.conflicts,
-            self.sat.decisions,
-            self.sat.propagations,
-            self.sat.restarts,
-            self.sat.learned_deleted,
-        );
         // Assumption order: tracked assertions first (selection-filtered),
         // then the open scopes' activation literals.
         let mut assumptions: Vec<Lit> = Vec::with_capacity(self.tracked.len() + self.scopes.len());
@@ -619,7 +646,7 @@ impl IncrementalSolver {
             // Differential oracle for the trail session: when
             // IDS_TRAIL_ORACLE is set, every theory conflict and every
             // Consistent final check is re-checked against the stateless
-            // batch checker, which must agree.
+            // checker, which must agree.
             oracle: std::env::var_os("IDS_TRAIL_ORACLE").is_some(),
         };
         let search_start = std::time::Instant::now();
@@ -627,11 +654,13 @@ impl IncrementalSolver {
         let stats = &mut self.stats;
         stats.sat_time = search_start.elapsed().saturating_sub(stats.theory_time);
         let sat = &self.sat;
-        stats.sat_conflicts = sat.conflicts - base.0;
-        stats.sat_decisions = sat.decisions - base.1;
-        stats.sat_propagations = sat.propagations - base.2;
-        stats.restarts = sat.restarts - base.3;
-        stats.learned_deleted = sat.learned_deleted - base.4;
+        let (now, base) = (SatCounters::of(sat), self.credited);
+        self.credited = now;
+        stats.sat_conflicts = now.conflicts - base.conflicts;
+        stats.sat_decisions = now.decisions - base.decisions;
+        stats.sat_propagations = now.propagations - base.propagations;
+        stats.restarts = now.restarts - base.restarts;
+        stats.learned_deleted = now.learned_deleted - base.learned_deleted;
         stats.learned_kept = sat.num_learned() as u64;
         stats.max_lbd = sat.max_lbd as u64;
         match result {
@@ -718,9 +747,8 @@ fn live_atoms(
 /// final-checked on complete assignments.
 ///
 /// One *theory round* is one verdict handed back to the SAT core — a theory
-/// conflict found at a fixpoint, or a final check whatever its verdict —
-/// which is what one round of the lazy loop was; `max_rounds` bounds their
-/// number.
+/// conflict found at a fixpoint, or a final check whatever its verdict;
+/// `max_rounds` bounds their number.
 struct OnlineTheory<'a> {
     tm: &'a TermManager,
     checker: &'a TheoryChecker,
@@ -753,7 +781,7 @@ impl OnlineTheory<'_> {
             let batch = self.checker.check(self.tm, &pairs);
             assert!(
                 matches!(batch, TheoryCheck::Conflict(_)),
-                "trail session reported a conflict; batch checker says {:?}\n\
+                "trail session reported a conflict; stateless checker says {:?}\n\
                  conflict: {:?}",
                 batch,
                 pairs
@@ -804,10 +832,10 @@ impl TheoryHook for OnlineTheory<'_> {
             SessionCheck::Consistent => {
                 if self.oracle {
                     let literals = self.session.literals();
-                    let (batch, _) = self.checker.check_with(self.tm, &literals, self.pivot);
+                    let batch = self.checker.check_with(self.tm, &literals, self.pivot);
                     assert!(
                         matches!(batch, TheoryCheck::Consistent),
-                        "trail session said Consistent; batch checker says {:?}\n\
+                        "trail session said Consistent; stateless checker says {:?}\n\
                          literals: {:?}",
                         batch,
                         literals
@@ -1179,5 +1207,41 @@ mod tests {
         // Counters are per-check deltas, not cumulative: the second check
         // starts its round count from scratch.
         assert!(second.theory_rounds >= 1);
+    }
+
+    #[test]
+    fn assertion_time_propagation_is_credited_to_the_next_check() {
+        // `p` and `p -> q` are settled by unit propagation while asserting:
+        // the check itself has nothing left to propagate.
+        let mut tm = TermManager::new();
+        let p = tm.var("p", Sort::Bool);
+        let q = tm.var("q", Sort::Bool);
+        let p_implies_q = tm.implies(p, q);
+        let mut s = IncrementalSolver::new();
+        s.assert(&mut tm, p);
+        s.assert(&mut tm, p_implies_q);
+        assert_eq!(s.check(&mut tm), SatResult::Sat);
+        let first = s.stats().sat_propagations;
+        assert!(first >= 2, "assertion-time propagation uncredited: {first}");
+        // Credited once: a second check reports only its own work.
+        assert_eq!(s.check(&mut tm), SatResult::Sat);
+        assert_eq!(s.stats().sat_propagations, 0);
+
+        // A refutation found by propagation while asserting is credited
+        // too, and a method scope rollback restores the credited snapshot
+        // with the SAT core.
+        let a = tm.var("a", Sort::Bool);
+        let b = tm.var("b", Sort::Bool);
+        let a_implies_b = tm.implies(a, b);
+        let nb = tm.not(b);
+        let a_and_nb = tm.and2(a, nb);
+        s.push_method_scope();
+        s.assert(&mut tm, a_implies_b);
+        s.assert(&mut tm, a_and_nb);
+        assert_eq!(s.check(&mut tm), SatResult::Unsat);
+        assert!(s.stats().sat_propagations > 0, "{:?}", s.stats());
+        s.pop_method_scope();
+        assert_eq!(s.check(&mut tm), SatResult::Sat);
+        assert_eq!(s.stats().sat_propagations, 0);
     }
 }

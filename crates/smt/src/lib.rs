@@ -21,8 +21,9 @@
 //!    VSIDS-style activities, restarts),
 //! 4. [`euf`] (congruence closure with explanations) and [`simplex`] (general
 //!    simplex over delta-rationals with branch-and-bound for integers) check
-//!    the theory consistency of propositional models and learn conflict
-//!    clauses — an *offline lazy* DPLL(T) loop driven by [`solver`].
+//!    theory consistency and explain conflicts — an *online* DPLL(T) loop in
+//!    [`incremental`], where the theory runs at every propagation fixpoint of
+//!    the CDCL search. [`solver`] is its one-shot wrapper.
 //!
 //! A bounded quantifier-instantiation engine ([`quant`]) supports the
 //! *quantified* (Dafny-style) encoding used only for the paper's RQ3
@@ -71,7 +72,6 @@ pub use simplex::PivotRule;
 pub use smtlib::to_smtlib;
 pub use solver::{Solver, SolverConfig, SolverProfile, SolverStats};
 pub use term::{Op, Sort, Term, TermId, TermManager};
-pub use theory::TheoryTelemetry;
 
 /// Parses the zero-padded lowercase-hex `u64` emitted by the build script.
 /// (`u64::from_str_radix` is not yet usable in const items; this is the

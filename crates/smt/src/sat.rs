@@ -3,13 +3,11 @@
 //! (Luby or geometric) restarts and LBD-based learned-clause database
 //! management.
 //!
-//! Two DPLL(T) integrations use it. The batch loop in [`crate::solver`] is
-//! offline: after each propositionally satisfying assignment, theory conflict
-//! clauses are added and `solve_continue` is called again. The incremental
-//! solver ([`crate::incremental`]) is online: it plugs a [`TheoryHook`] into
-//! the search loop itself ([`SatSolver::solve_under_with`]), so the theory
-//! sees every propagation fixpoint, and a theory conflict clause is learned
-//! and analysed like a Boolean conflict, at the level where it arose.
+//! The DPLL(T) integration is online: the incremental solver
+//! ([`crate::incremental`]) plugs a [`TheoryHook`] into the search loop
+//! itself ([`SatSolver::solve_under_with`]), so the theory sees every
+//! propagation fixpoint, and a theory conflict clause is learned and analysed
+//! like a Boolean conflict, at the level where it arose.
 //!
 //! # Learned-clause deletion and soundness
 //!
@@ -20,9 +18,9 @@
 //!
 //! * **input clauses** (including the activation-literal-guarded scope
 //!   clauses of [`crate::incremental`]) — they define the problem;
-//! * **theory conflict clauses** ([`SatSolver::add_theory_conflict`], and
-//!   the conflicts a [`TheoryHook`] returns) — they carry theory facts the
-//!   SAT core cannot re-derive, and the termination argument of DPLL(T)
+//! * **theory conflict clauses** (the conflicts a [`TheoryHook`] returns) —
+//!   they carry theory facts the SAT core cannot re-derive, and the
+//!   termination argument of DPLL(T)
 //!   (every theory-inconsistent assignment is refuted at most once) depends
 //!   on them persisting;
 //! * **locked clauses** — the current reason of an assigned literal — and
@@ -322,18 +320,6 @@ pub struct SatSolver {
     conflicts_since_reduce: u64,
     /// Conflict count that triggers the next `reduce_db` run.
     reduce_limit: u64,
-    /// Restarts performed since the current `solve` began. Persisted across
-    /// the `solve_continue` rounds of one batch DPLL(T) solve so the Luby
-    /// sequence keeps advancing on theory-bound problems (each theory round
-    /// used to rewind the schedule to its beginning, so restarts — and with
-    /// them the `reduce_db` cadence — barely ever fired).
-    restarts_this_solve: u64,
-    /// Conflict count that triggers the next restart (advances along the
-    /// schedule with `restarts_this_solve`; `0` means "not yet initialised").
-    restart_limit: u64,
-    /// Conflicts since the last restart, persisted across continuation
-    /// rounds like `restarts_this_solve`.
-    conflicts_since_restart: u64,
     /// Trail length below which nothing changed since the last
     /// [`TheoryHook::fixpoint`] call: reset to the trail length after each
     /// call, lowered by every backtrack, and `0` at the start of a solve.
@@ -700,38 +686,12 @@ impl SatSolver {
         if !self.ok {
             return SatResult::Unsat;
         }
-        self.reset_search_schedule();
         self.backtrack(0);
         if self.propagate().is_some() {
             self.ok = false;
             return SatResult::Unsat;
         }
         self.search(max_conflicts, &mut NoTheory)
-    }
-
-    /// Rewinds the restart schedule (and with it the `reduce_db` cadence's
-    /// trigger points) to its beginning. Called by the fresh-solve entry
-    /// points only; continuation rounds keep advancing the same schedule.
-    fn reset_search_schedule(&mut self) {
-        self.restarts_this_solve = 0;
-        self.conflicts_since_restart = 0;
-        self.restart_limit = match self.options.restart {
-            RestartPolicy::Luby { unit } => unit.max(1) * luby(1),
-            RestartPolicy::Geometric { start } => start.max(1),
-        };
-    }
-
-    /// Continues the search from the current trail without resetting it. Used
-    /// by the lazy DPLL(T) driver after [`SatSolver::add_theory_conflict`] so
-    /// that each theory round only repairs the part of the assignment the new
-    /// clause invalidates instead of re-enumerating the whole model.
-    pub fn solve_continue(&mut self) -> SatResult {
-        self.assumptions.clear();
-        self.unsat_core.clear();
-        if !self.ok {
-            return SatResult::Unsat;
-        }
-        self.search(u64::MAX, &mut NoTheory)
     }
 
     /// Solves under temporary assumptions: the given literals are decided
@@ -763,7 +723,6 @@ impl SatSolver {
         if !self.ok {
             return SatResult::Unsat;
         }
-        self.reset_search_schedule();
         self.backtrack(0);
         if self.propagate().is_some() {
             self.ok = false;
@@ -776,93 +735,17 @@ impl SatSolver {
         r
     }
 
-    /// Adds a clause learned from a theory conflict while a (complete)
-    /// assignment is in place. Backtracks just far enough for the clause to
-    /// stop being falsified, attaches it, and enqueues its asserting literal
-    /// when it is unit. Returns `false` if the clause system became
-    /// unsatisfiable.
-    pub fn add_theory_conflict(&mut self, mut lits: Vec<Lit>) -> bool {
-        if !self.ok {
-            return false;
-        }
-        lits.sort();
-        lits.dedup();
-        if lits.is_empty() {
-            self.ok = false;
-            return false;
-        }
-        // If some literal is already true the clause is satisfied; attach it
-        // for completeness (it may matter after backtracking) and move on.
-        if lits.iter().any(|&l| self.lit_value(l) == Value::True) {
-            if lits.len() >= 2 {
-                self.attach_clause(lits, true, false, 0);
-            }
-            return true;
-        }
-        // Level of each (false) literal; unassigned literals count as the
-        // current level so that we do not backtrack past them.
-        let level_of = |s: &Self, l: Lit| -> u32 {
-            match s.lit_value(l) {
-                Value::Unassigned => s.decision_level(),
-                _ => s.level[l.var() as usize],
-            }
-        };
-        let highest = lits.iter().map(|&l| level_of(self, l)).max().unwrap_or(0);
-        if highest == 0 {
-            // Falsified at the root level: unsatisfiable.
-            self.ok = false;
-            return false;
-        }
-        self.backtrack(highest - 1);
-        // Order the literals so that unassigned ones come first, then false
-        // literals by decreasing level — the two watched positions must be the
-        // last literals of the clause to become false.
-        lits.sort_by_key(|&l| match self.lit_value(l) {
-            Value::Unassigned => (0u8, 0i64),
-            _ => (1u8, -(self.level[l.var() as usize] as i64)),
-        });
-        let unassigned = lits
-            .iter()
-            .filter(|&&l| self.lit_value(l) == Value::Unassigned)
-            .count();
-        if lits.len() == 1 {
-            // Unit at the root of its level; assert it at level 0.
-            self.backtrack(0);
-            match self.lit_value(lits[0]) {
-                Value::True => {}
-                Value::False => {
-                    self.ok = false;
-                    return false;
-                }
-                Value::Unassigned => {
-                    self.enqueue(lits[0], None);
-                    if self.propagate().is_some() {
-                        self.ok = false;
-                        return false;
-                    }
-                }
-            }
-            return true;
-        }
-        let ci = self.attach_clause(lits.clone(), true, false, 0);
-        if unassigned == 1 {
-            // The clause is asserting: propagate its only unassigned literal.
-            self.enqueue(lits[0], Some(ci));
-        }
-        true
-    }
-
     /// The CDCL search loop over the current trail, with `theory` consulted
-    /// at every propagation fixpoint and on the complete assignment.
+    /// at every propagation fixpoint and on the complete assignment. Every
+    /// search starts the restart schedule at its beginning; the
+    /// clause-deletion cadence (`reduce_limit`) persists across searches.
     fn search<H: TheoryHook>(&mut self, max_conflicts: u64, theory: &mut H) -> SatResult {
-        // The restart schedule lives on the solver, not in this call: a fresh
-        // `solve` rewinds it via `reset_search_schedule`, while theory-round
-        // continuations keep advancing the same Luby/geometric sequence (and
-        // with it the clause-deletion cadence, which only fires at restarts).
-        if self.restart_limit == 0 {
-            // Direct `solve_continue` without a preceding fresh solve.
-            self.reset_search_schedule();
-        }
+        let mut restarts_here = 0u64;
+        let mut conflicts_since_restart = 0u64;
+        let mut restart_limit = match self.options.restart {
+            RestartPolicy::Luby { unit } => unit.max(1) * luby(1),
+            RestartPolicy::Geometric { start } => start.max(1),
+        };
         let mut conflicts_here = 0u64;
         // One trace span per search call, segmented at restarts; the guard's
         // drop keeps Begin/End matched on every return path below.
@@ -902,7 +785,7 @@ impl SatSolver {
             self.conflicts += 1;
             self.conflicts_since_reduce += 1;
             conflicts_here += 1;
-            self.conflicts_since_restart += 1;
+            conflicts_since_restart += 1;
             if metrics {
                 let now = std::time::Instant::now();
                 if let Some(prev) = last_conflict.replace(now) {
@@ -943,11 +826,10 @@ impl SatSolver {
                 self.act_inc *= 1.05;
                 self.cla_inc *= 1.001;
             }
-            if self.conflicts_since_restart > self.restart_limit {
-                self.conflicts_since_restart = 0;
-                self.restarts_this_solve += 1;
+            if conflicts_since_restart > restart_limit {
+                conflicts_since_restart = 0;
+                restarts_here += 1;
                 self.restarts += 1;
-                let restarts_here = self.restarts_this_solve;
                 obs_span.restart(|| format!("restart {restarts_here}"));
                 if let Some(start) = seg_start.replace(std::time::Instant::now()) {
                     ids_obs::record_metric(
@@ -958,11 +840,9 @@ impl SatSolver {
                 if heartbeat_every != 0 {
                     self.emit_heartbeat(theory.progress());
                 }
-                self.restart_limit = match self.options.restart {
-                    RestartPolicy::Luby { unit } => {
-                        unit.max(1) * luby(self.restarts_this_solve + 1)
-                    }
-                    RestartPolicy::Geometric { .. } => self.restart_limit + self.restart_limit / 2,
+                restart_limit = match self.options.restart {
+                    RestartPolicy::Luby { unit } => unit.max(1) * luby(restarts_here + 1),
+                    RestartPolicy::Geometric { .. } => restart_limit + restart_limit / 2,
                 };
                 self.backtrack(0);
                 if self.options.clause_db.enabled
@@ -1366,103 +1246,45 @@ mod tests {
         assert!(s.unsat_core.is_empty());
     }
 
-    /// The satellite pin of the cross-round schedule fix: continuation
-    /// rounds (as the DPLL(T) loop issues between theory checks) must keep
-    /// advancing the restart schedule instead of rewinding it, so the
-    /// clause-deletion cadence actually fires on multi-round problems. Each
-    /// round here contributes only a few conflicts — under the old per-call
-    /// schedule no single round ever reached a restart, so `reduce_db`
-    /// (which only runs at restarts) never fired.
-    #[test]
-    fn schedule_persists_across_continuation_rounds() {
-        let options = SatOptions {
-            restart: RestartPolicy::Luby { unit: 2 },
-            clause_db: ClauseDbOptions {
-                enabled: true,
-                first_reduce: 8,
-                reduce_inc: 0,
-                glue_lbd: 1,
-            },
-        };
-        let mut s = SatSolver::with_options(options);
-        // A conflict-rich but solution-rich random 3-SAT instance
-        // (deterministic xorshift, as in `random_3sat_consistency`).
-        let n = 24;
-        let vars: Vec<Var> = (0..n).map(|_| s.new_var()).collect();
-        let mut state = 7u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..72 {
-            let c: Vec<Lit> = (0..3)
-                .map(|_| lit(vars[next() as usize % n], next() % 2 == 0))
-                .collect();
-            s.add_clause(c);
-        }
-        assert_eq!(s.solve(), SatResult::Sat);
-        let mut continued = 0u64;
-        for _ in 0..60 {
-            // Refute the current model the way a theory conflict would, then
-            // continue the same solve.
-            let blocking: Vec<Lit> = vars
-                .iter()
-                .take(8)
-                .map(|&v| lit(v, s.value(v) != Some(true)))
-                .collect();
-            s.add_theory_conflict(blocking);
-            if s.solve_continue() != SatResult::Sat {
-                break;
-            }
-            continued += 1;
-        }
-        assert!(continued > 5, "need a genuinely multi-round run");
-        assert!(
-            s.restarts > 0,
-            "continuation rounds must reach the restart schedule (conflicts {})",
-            s.conflicts
-        );
-        assert!(
-            s.learned_deleted > 0,
-            "clause deletion must fire across continuation rounds \
-             (restarts {}, conflicts {})",
-            s.restarts,
-            s.conflicts
-        );
-    }
-
-    /// The flip side of cross-round persistence: a *fresh* solve rewinds the
-    /// restart schedule to its beginning.
+    /// Every solve starts the restart schedule at its beginning. Under Luby
+    /// unit 1 a segment restarts after its second conflict, so a run of
+    /// one-conflict-budget solves never restarts however many conflicts it
+    /// adds up to, while one long solve of the same instance does.
     #[test]
     fn fresh_solve_rewinds_restart_schedule() {
         let options = SatOptions {
             restart: RestartPolicy::Luby { unit: 1 },
             ..SatOptions::default()
         };
-        let mut s = SatSolver::with_options(options);
-        let n = 24;
-        let vars: Vec<Var> = (0..n).map(|_| s.new_var()).collect();
-        let mut state = 7u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..72 {
-            let c: Vec<Lit> = (0..3)
-                .map(|_| lit(vars[next() as usize % n], next() % 2 == 0))
+        // Pigeonhole 6 into 5: unsatisfiable, and far from refuted after a
+        // few dozen conflicts.
+        let pigeonhole = || {
+            let mut s = SatSolver::with_options(options);
+            let p: Vec<Vec<Var>> = (0..6)
+                .map(|_| (0..5).map(|_| s.new_var()).collect())
                 .collect();
-            s.add_clause(c);
+            for row in &p {
+                s.add_clause(row.iter().map(|&v| lit(v, true)).collect());
+            }
+            for j in 0..5 {
+                let hole: Vec<Var> = p.iter().map(|row| row[j]).collect();
+                for (i, &a) in hole.iter().enumerate() {
+                    for &b in &hole[i + 1..] {
+                        s.add_clause(vec![lit(a, false), lit(b, false)]);
+                    }
+                }
+            }
+            s
+        };
+        let mut short = pigeonhole();
+        for _ in 0..20 {
+            assert_eq!(short.solve_with_budget(1), SatResult::Unknown);
         }
-        assert_eq!(s.solve(), SatResult::Sat);
-        assert!(s.restarts_this_solve > 0, "conflicts {}", s.conflicts);
-        // A zero-budget fresh solve resets the schedule before any restart
-        // could advance it again.
-        let _ = s.solve_with_budget(0);
-        assert_eq!(s.restarts_this_solve, 0);
+        assert!(short.conflicts >= 20, "conflicts {}", short.conflicts);
+        assert_eq!(short.restarts, 0);
+        let mut long = pigeonhole();
+        assert_eq!(long.solve(), SatResult::Unsat);
+        assert!(long.restarts > 0, "conflicts {}", long.conflicts);
     }
 
     /// A toy theory for the SAT–theory seam: pairwise at-most-one groups

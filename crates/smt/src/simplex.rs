@@ -630,9 +630,6 @@ impl Simplex {
             None => return ArithOutcome::Sat(assignment),
             Some(v) => v,
         };
-        if std::env::var("IDS_SMT_DEBUG").is_ok() {
-            eprintln!("BB depth={} var={} val={}", depth, v, assignment[v]);
-        }
         if depth >= MAX_DEPTH {
             return ArithOutcome::Unknown;
         }

@@ -1,21 +1,21 @@
-//! The lazy DPLL(T) driver tying together lowering, CNF conversion, the CDCL
-//! SAT core and the combined theory checker.
+//! The one-shot SMT solver facade: quantifier elimination as preprocessing,
+//! then one check of a fresh [`IncrementalSolver`].
 //!
-//! The loop is the classic *offline lazy SMT* scheme: find a propositional
-//! model of the lowered formula, check it against the theories, and if the
-//! theories reject it add the (negated) conflict explanation as a new clause
-//! and repeat. Because the lowering pass already instantiated all the set and
-//! array structure, termination is guaranteed for the decidable FWYB fragment
-//! (finitely many propositional models, each rejected at most once).
+//! The crate has one DPLL(T) loop, the online loop of [`IncrementalSolver`]
+//! (theory checked at every propagation fixpoint, theory undo bound to the
+//! SAT trail). [`Solver`] only adds what a one-shot query needs on top of
+//! it: quantifier elimination for the quantified RQ3 encoding, dropping the
+//! quantified assertions instantiation could not eliminate, and reporting a
+//! Sat answer of an approximate elimination as Unknown. Because the lowering
+//! pass already instantiated all the set and array structure, termination is
+//! guaranteed for the decidable FWYB fragment.
 
-use crate::cnf::{tseitin, AtomMap};
-use crate::lower::lower;
+use crate::incremental::IncrementalSolver;
 use crate::model::Model;
 use crate::quant::{contains_forall, eliminate_quantifiers, QuantConfig};
-use crate::sat::{SatOptions, SatResult, SatSolver, Var};
+use crate::sat::{SatOptions, SatResult};
 use crate::simplex::PivotRule;
 use crate::term::{TermId, TermManager};
-use crate::theory::{TheoryCheck, TheoryChecker};
 
 /// A named bundle of search-heuristic settings (restart policy, clause
 /// database management, simplex pivot rule).
@@ -56,22 +56,15 @@ impl SolverProfile {
 #[derive(Clone, Copy, Debug)]
 pub struct SolverConfig {
     /// Maximum number of theory rounds (see [`SolverStats::theory_rounds`]):
-    /// the one hard stop of both DPLL(T) loops, answered with
-    /// [`SatResult::Unknown`] once exhausted. In the online loop of
-    /// [`crate::IncrementalSolver`] a round is one theory verdict handed back
-    /// to the SAT core — a theory conflict or a final check — which is what
-    /// one round of the batch loop is.
+    /// the one hard stop of the DPLL(T) loop, answered with
+    /// [`SatResult::Unknown`] once exhausted. A round is one theory verdict
+    /// handed back to the SAT core: a theory conflict or a final check.
     pub max_theory_rounds: usize,
     /// Whether quantifiers are allowed (RQ3 quantified mode); if false, a
     /// formula containing `forall` yields `Unknown`.
     pub allow_quantifiers: bool,
     /// Quantifier instantiation configuration (quantified mode only).
     pub quant: QuantConfig,
-    /// If true (the default), the batch [`Solver`] continues the CDCL search
-    /// across theory rounds instead of restarting it from scratch after
-    /// every theory conflict clause. [`crate::IncrementalSolver`] does not
-    /// read it: its theory runs inside one CDCL search.
-    pub incremental_sat: bool,
     /// SAT-core options: restart policy and learned-clause database.
     pub sat: SatOptions,
     /// Simplex pivot rule used by the theory checker.
@@ -84,7 +77,6 @@ impl Default for SolverConfig {
             max_theory_rounds: 200_000,
             allow_quantifiers: false,
             quant: QuantConfig::default(),
-            incremental_sat: true,
             sat: SatOptions::default(),
             pivot: PivotRule::hybrid(),
         }
@@ -136,18 +128,17 @@ impl SolverConfig {
 /// added field fails compilation until its rule is pinned.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SolverStats {
-    /// Theory rounds: verdicts the theory handed back to the SAT core. In
-    /// the batch loop, one per propositional model; in the online loop of
-    /// [`crate::IncrementalSolver`], one per theory conflict found at a
-    /// propagation fixpoint plus one per final check (whatever its verdict),
-    /// so a check refuted by Boolean propagation alone has none.
-    /// Merge: **sum**.
+    /// Theory rounds: verdicts the theory handed back to the SAT core, one
+    /// per theory conflict found at a propagation fixpoint plus one per final
+    /// check (whatever its verdict), so a check refuted by Boolean
+    /// propagation alone has none. Merge: **sum**.
     pub theory_rounds: u64,
     /// SAT conflicts. Merge: **sum**.
     pub sat_conflicts: u64,
     /// SAT decisions. Merge: **sum**.
     pub sat_decisions: u64,
-    /// SAT unit propagations. Merge: **sum**.
+    /// SAT unit propagations, including those made at assertion time (unit
+    /// clauses propagate at level 0 as they are added). Merge: **sum**.
     pub sat_propagations: u64,
     /// Number of clauses after CNF conversion (before learning).
     /// Merge: **sum**.
@@ -170,11 +161,13 @@ pub struct SolverStats {
     pub simplex_time: std::time::Duration,
     /// Assertions answered from already-lowered session state (a warm solver
     /// pool's structure-scope prelude, or any re-asserted formula whose
-    /// lowering and CNF encoding were still live). Always 0 for the batch
-    /// solver. Merge: **sum**.
+    /// lowering and CNF encoding were still live). A one-shot [`Solver`]
+    /// check starts from an empty session, so only an assertion repeated in
+    /// its input counts here. Merge: **sum**.
     pub prelude_reused: u64,
-    /// Assertions lowered and clause-converted fresh. Always 0 for the batch
-    /// solver (which does not count per-assertion reuse). Merge: **sum**.
+    /// Assertions lowered and clause-converted fresh: for a one-shot
+    /// [`Solver`] check, its distinct assertions (one for
+    /// [`Solver::check_valid`]). Merge: **sum**.
     pub prelude_lowered: u64,
     /// SAT-core restarts. Merge: **sum**.
     pub restarts: u64,
@@ -189,10 +182,9 @@ pub struct SolverStats {
     /// Simplex pivots performed across all theory rounds. Merge: **sum**.
     pub pivots: u64,
     /// Unsatisfiable cores extracted from the activation-literal assumption
-    /// mechanism (at most one per check; summing over a run counts how many
-    /// VCs closed with a core). Always 0 for the batch solver, which asserts
-    /// clauses directly instead of assuming activation literals. Merge:
-    /// **sum**.
+    /// mechanism: one per Unsat check (summing over a run counts how many VCs
+    /// closed with a core). A one-shot [`Solver`] check assumes no activation
+    /// literal, so its core is empty. Merge: **sum**.
     pub unsat_cores: u64,
     /// Size of the largest extracted unsat core (number of assumption
     /// literals the refutation actually used; 0 when no core was extracted
@@ -200,17 +192,17 @@ pub struct SolverStats {
     /// Merge: **max**.
     pub unsat_core_size: u64,
     /// Checks discharged from a *sliced* hypothesis selection (a cached unsat
-    /// core) without needing the full hypothesis set. Always 0 for the batch
-    /// solver. Merge: **sum**.
+    /// core) without needing the full hypothesis set. Always 0 for a
+    /// one-shot [`Solver`] check. Merge: **sum**.
     pub slice_hits: u64,
     /// Sliced checks that were inconclusive and fell back to the full
     /// hypothesis set (the sound fallback: dropping hypotheses only weakens
     /// the antecedent, so only a Valid slice verdict is conclusive). Always 0
-    /// for the batch solver. Merge: **sum**.
+    /// for a one-shot [`Solver`] check. Merge: **sum**.
     pub slice_fallbacks: u64,
     /// Hypotheses that a successful slice never asserted (summed over all
-    /// slice hits; the saving the cached cores bought). Always 0 for the
-    /// batch solver. Merge: **sum**.
+    /// slice hits; the saving the cached cores bought). Always 0 for a
+    /// one-shot [`Solver`] check. Merge: **sum**.
     pub slice_dropped_hyps: u64,
 }
 
@@ -245,7 +237,7 @@ impl SolverStats {
     }
 }
 
-/// The SMT solver facade.
+/// The one-shot SMT solver facade (see the [module documentation](self)).
 ///
 /// # Example
 /// ```
@@ -291,175 +283,42 @@ impl Solver {
         self.model.as_ref()
     }
 
-    /// Checks satisfiability of the conjunction of `assertions`.
+    /// Checks satisfiability of the conjunction of `assertions`: quantifiers
+    /// are eliminated first (quantified mode only), then the assertions go
+    /// into a fresh [`IncrementalSolver`] at base scope for one check.
     pub fn check(&mut self, tm: &mut TermManager, assertions: &[TermId]) -> SatResult {
         self.stats = SolverStats::default();
         self.model = None;
 
-        let has_quant = assertions.iter().any(|&a| contains_forall(tm, a));
+        let mut assertions = assertions.to_vec();
         let mut approximate = false;
-        let assertions: Vec<TermId> = if has_quant {
+        if assertions.iter().any(|&a| contains_forall(tm, a)) {
             if !self.config.allow_quantifiers {
                 return SatResult::Unknown;
             }
-            let (out, approx) = eliminate_quantifiers(tm, assertions, self.config.quant);
+            let (out, approx) = eliminate_quantifiers(tm, &assertions, self.config.quant);
             approximate = approx;
-            out
-        } else {
-            assertions.to_vec()
-        };
-        // If instantiation could not eliminate every quantifier we can still
-        // be sound for Unsat by dropping the remaining quantified assertions
-        // (weakening); a Sat answer is then reported as Unknown.
-        let assertions: Vec<TermId> = assertions
-            .into_iter()
-            .filter(|&a| !contains_forall(tm, a))
-            .collect();
-
-        let lower_start = std::time::Instant::now();
-        let roots = {
-            let _obs = ids_obs::span("lower");
-            lower(tm, &assertions)
-        };
-        self.stats.lower_time = lower_start.elapsed();
-
-        let mut sat = SatSolver::with_options(self.config.sat);
-        let atom_map: AtomMap = {
-            let _obs = ids_obs::span("cnf");
-            tseitin(tm, &roots, &mut sat)
-        };
-        self.stats.initial_clauses = sat.num_clauses() as u64;
-        self.stats.atoms = atom_map.atom_of_var.len() as u64;
-
-        // The expensive per-atom setup (term universe, congruence template,
-        // linearized arithmetic forms) is done once; every theory round below
-        // only resets the cheap mutable state. Atoms go in SAT-variable
-        // order: the template's node numbering steers union-by-size ties and
-        // explanations, so a hash-map order would make the search differ
-        // from one `Solver` to the next.
-        let mut by_var: Vec<(Var, TermId)> =
-            atom_map.atom_of_var.iter().map(|(&v, &t)| (v, t)).collect();
-        by_var.sort_unstable();
-        let atoms: Vec<TermId> = by_var.into_iter().map(|(_, t)| t).collect();
-        let checker = TheoryChecker::new(tm, &atoms);
-
-        for round in 0..self.config.max_theory_rounds {
-            self.stats.theory_rounds = round as u64 + 1;
-            let sat_start = std::time::Instant::now();
-            // The first round builds a full model; later rounds continue the
-            // search from wherever the last theory conflict clause left it.
-            let sat_result = if round == 0 || !self.config.incremental_sat {
-                sat.solve()
-            } else {
-                sat.solve_continue()
-            };
-            self.stats.sat_time += sat_start.elapsed();
-            match sat_result {
-                SatResult::Unsat => {
-                    self.snapshot_sat(&sat);
-                    return SatResult::Unsat;
-                }
-                SatResult::Unknown => {
-                    self.snapshot_sat(&sat);
-                    return SatResult::Unknown;
-                }
-                SatResult::Sat => {}
-            }
-            let literals = atom_map.model_literals(&sat);
-            let theory_start = std::time::Instant::now();
-            let (theory_result, theory_tel) = checker.check_with(tm, &literals, self.config.pivot);
-            let theory_elapsed = theory_start.elapsed();
-            self.stats.theory_time += theory_elapsed;
-            self.stats.pivots += theory_tel.pivots;
-            self.stats.euf_time += theory_tel.euf_time;
-            self.stats.simplex_time += theory_tel.simplex_time;
-            if ids_obs::metrics_active() {
-                ids_obs::record_metric(
-                    ids_obs::Metric::TheoryRoundUs,
-                    theory_elapsed.as_micros() as u64,
-                );
-                ids_obs::record_metric(ids_obs::Metric::PivotsPerRound, theory_tel.pivots);
-            }
-            if ids_obs::heartbeat_interval() != 0 {
-                ids_obs::emit_heartbeat(ids_obs::Heartbeat {
-                    conflicts: sat.conflicts,
-                    decisions: sat.decisions,
-                    propagations: sat.propagations,
-                    restarts: sat.restarts,
-                    learned: sat.num_learned() as u64,
-                    theory_rounds: self.stats.theory_rounds,
-                    pivots: self.stats.pivots,
-                    ..ids_obs::Heartbeat::default()
-                });
-            }
-            match theory_result {
-                TheoryCheck::Consistent => {
-                    self.snapshot_sat(&sat);
-                    self.model = Some(Model::new(literals));
-                    // Positive-forall instantiation is incomplete: a model of
-                    // the instances is not necessarily a model of the original
-                    // formula, so report Unknown in that case.
-                    return if approximate {
-                        SatResult::Unknown
-                    } else {
-                        SatResult::Sat
-                    };
-                }
-                TheoryCheck::Unknown => {
-                    if std::env::var("IDS_SMT_DEBUG").is_ok() {
-                        for (t, b) in &literals {
-                            eprintln!(
-                                "UNKNOWN-LIT {} {}",
-                                b,
-                                crate::smtlib::term_to_smtlib(tm, *t)
-                            );
-                        }
-                    }
-                    self.snapshot_sat(&sat);
-                    return SatResult::Unknown;
-                }
-                TheoryCheck::Conflict(indices) => {
-                    // Add the blocking clause: the negation of the conflicting
-                    // literal subset.
-                    let clause: Vec<_> = indices
-                        .iter()
-                        .map(|&i| {
-                            let (atom, positive) = literals[i];
-                            atom_map.lit_of(atom, !positive)
-                        })
-                        .collect();
-                    if clause.is_empty() {
-                        // Theories rejected the empty set: the axioms alone
-                        // are inconsistent — impossible, but be safe.
-                        self.snapshot_sat(&sat);
-                        return SatResult::Unsat;
-                    }
-                    let clause_ok = if self.config.incremental_sat {
-                        sat.add_theory_conflict(clause)
-                    } else {
-                        sat.add_clause(clause)
-                    };
-                    if !clause_ok {
-                        self.snapshot_sat(&sat);
-                        return SatResult::Unsat;
-                    }
-                }
-            }
+            // If instantiation could not eliminate every quantifier we can
+            // still be sound for Unsat by dropping the remaining quantified
+            // assertions (weakening); a Sat answer is then reported as
+            // Unknown.
+            assertions = out
+                .into_iter()
+                .filter(|&a| !contains_forall(tm, a))
+                .collect();
         }
-        // Theory-round budget exhausted.
-        self.snapshot_sat(&sat);
-        SatResult::Unknown
-    }
 
-    /// Copies the SAT core's counters into the stats record.
-    fn snapshot_sat(&mut self, sat: &SatSolver) {
-        self.stats.sat_conflicts = sat.conflicts;
-        self.stats.sat_decisions = sat.decisions;
-        self.stats.sat_propagations = sat.propagations;
-        self.stats.restarts = sat.restarts;
-        self.stats.learned_kept = sat.num_learned() as u64;
-        self.stats.learned_deleted = sat.learned_deleted;
-        self.stats.max_lbd = sat.max_lbd as u64;
+        let mut session = IncrementalSolver::with_config(self.config);
+        session.assert_all(tm, &assertions);
+        let result = session.check(tm);
+        self.stats = session.stats();
+        self.model = session.model().cloned();
+        match result {
+            // Positive-forall instantiation is incomplete: a model of the
+            // instances is not necessarily a model of the original formula.
+            SatResult::Sat if approximate => SatResult::Unknown,
+            other => other,
+        }
     }
 
     /// Convenience wrapper: checks whether `formula` is valid (its negation is

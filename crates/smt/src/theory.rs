@@ -13,10 +13,13 @@
 //! needed for FWYB verification conditions and is intentionally omitted; the
 //! trichotomy lemmas added by the lowering pass cover the common cases.
 //!
-//! The lazy DPLL(T) loop calls the checker once per propositional model, so
-//! everything that only depends on the *atoms* (term universe, congruence
-//! template, linearized arithmetic forms) is precomputed once per solver call
-//! in a [`TheoryChecker`] and reused across rounds.
+//! Everything that only depends on the *atoms* (term universe, congruence
+//! template, linearized arithmetic forms) is precomputed once in a
+//! [`TheoryChecker`]. The online theory session of
+//! [`crate::IncrementalSolver`] builds its state from that, and
+//! [`TheoryChecker::check`] is the stateless reference decision: the oracle
+//! the `IDS_TRAIL_ORACLE` hook and the trail fuzzes check the session
+//! against.
 
 use crate::euf::{Euf, EufOutcome, EufTemplate};
 use crate::fxmap::FxHashMap;
@@ -155,24 +158,19 @@ impl TheoryChecker {
     /// Checks the conjunction of `literals` (atom term, polarity) for
     /// consistency in EUF + linear arithmetic, using Bland's pivot rule.
     pub fn check(&self, tm: &TermManager, literals: &[(TermId, bool)]) -> TheoryCheck {
-        self.check_with(tm, literals, PivotRule::Bland).0
+        self.check_with(tm, literals, PivotRule::Bland)
     }
 
-    /// Like [`TheoryChecker::check`], but with an explicit simplex pivot rule
-    /// and returning the per-theory telemetry of the check (the `pivots` and
-    /// `euf_time`/`simplex_time` fields of [`crate::SolverStats`]).
+    /// Like [`TheoryChecker::check`], but with an explicit simplex pivot rule.
     pub fn check_with(
         &self,
         tm: &TermManager,
         literals: &[(TermId, bool)],
         pivot: PivotRule,
-    ) -> (TheoryCheck, TheoryTelemetry) {
+    ) -> TheoryCheck {
         let (tru, fls) = (self.tru, self.fls);
-        let mut tel = TheoryTelemetry::default();
 
         // ------------------------------------------------------------- EUF pass
-        let euf_start = std::time::Instant::now();
-        let euf_span = ids_obs::span("euf");
         let mut euf = Euf::with_template(tm, &self.template);
         euf.assert_neq(tru, fls, AXIOM_TAG);
 
@@ -236,23 +234,15 @@ impl TheoryChecker {
             }
         }
 
-        match euf.check() {
-            EufOutcome::Conflict(tags) => {
-                tel.euf_time = euf_start.elapsed();
-                return (TheoryCheck::Conflict(clean_tags(tags)), tel);
-            }
-            EufOutcome::Consistent => {}
+        if let EufOutcome::Conflict(tags) = euf.check() {
+            return TheoryCheck::Conflict(clean_tags(tags));
         }
-        drop(euf_span);
-        tel.euf_time = euf_start.elapsed();
 
         // ------------------------------------------------------ arithmetic pass
         if arith_lits.is_empty() {
-            return (TheoryCheck::Consistent, tel);
+            return TheoryCheck::Consistent;
         }
 
-        let simplex_start = std::time::Instant::now();
-        let mut simplex_span = ids_obs::span("simplex");
         let mut simplex = Simplex::with_rule(pivot);
         let mut var_of_term: FxHashMap<TermId, usize> = FxHashMap::default();
         // Tags >= DERIVED_BASE refer to EUF-derived equalities; their explanation
@@ -299,10 +289,7 @@ impl TheoryChecker {
             }
         }
         if let Some(tags) = load_error {
-            simplex_span.note(|| format!("pivots={}", simplex.pivots));
-            tel.pivots = simplex.pivots;
-            tel.simplex_time = simplex_start.elapsed();
-            return (conflict_from(tags, &derived_explanations), tel);
+            return conflict_from(tags, &derived_explanations);
         }
 
         // Propagate EUF-derived equalities between numeric atom terms.
@@ -325,43 +312,23 @@ impl TheoryChecker {
                 let mut expr = LinExpr::variable(var_of_term[&a]);
                 expr.add_term(-Rat::ONE, var_of_term[&b]);
                 if let Err(tags) = simplex.add_constraint(&expr, Rel::Eq, derived_tag) {
-                    simplex_span.note(|| format!("pivots={}", simplex.pivots));
-                    tel.pivots = simplex.pivots;
-                    tel.simplex_time = simplex_start.elapsed();
-                    return (conflict_from(tags, &derived_explanations), tel);
+                    return conflict_from(tags, &derived_explanations);
                 }
             }
         }
 
-        let outcome = match simplex.check() {
+        match simplex.check() {
             ArithOutcome::Sat(_) => TheoryCheck::Consistent,
             ArithOutcome::Conflict(tags) => conflict_from(tags, &derived_explanations),
             ArithOutcome::Unknown => TheoryCheck::Unknown,
-        };
-        simplex_span.note(|| format!("pivots={}", simplex.pivots));
-        tel.pivots = simplex.pivots;
-        tel.simplex_time = simplex_start.elapsed();
-        (outcome, tel)
+        }
     }
-}
-
-/// Per-theory telemetry of one [`TheoryChecker::check_with`] call, folded
-/// into [`crate::SolverStats`] by the DPLL(T) loops.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TheoryTelemetry {
-    /// Simplex pivots performed (0 when the arithmetic pass did not run).
-    pub pivots: u64,
-    /// Wall-clock time of the EUF congruence pass.
-    pub euf_time: std::time::Duration,
-    /// Wall-clock time of the simplex pass (zero when it did not run).
-    pub simplex_time: std::time::Duration,
 }
 
 /// Checks the conjunction of `literals` (atom term, polarity) for consistency.
 ///
-/// This is the one-shot convenience wrapper around [`TheoryChecker`]; the lazy
-/// DPLL(T) loop builds the checker once and calls [`TheoryChecker::check`]
-/// directly.
+/// This is the one-shot convenience wrapper around [`TheoryChecker`], which
+/// answers any number of literal sets over its atoms once built.
 pub fn check_literals(tm: &mut TermManager, literals: &[(TermId, bool)]) -> TheoryCheck {
     let atoms: Vec<TermId> = literals.iter().map(|&(t, _)| t).collect();
     let checker = TheoryChecker::new(tm, &atoms);

@@ -1140,7 +1140,7 @@ mod tests {
             sat.evolve(&mut rng);
             let (got, _) = sat.check(&mut session, &tm, &checker);
             let literals = sat.pairs(&sat.trail);
-            let (want, _) = checker.check_with(&tm, &literals, PivotRule::Bland);
+            let want = checker.check_with(&tm, &literals, PivotRule::Bland);
             assert_eq!(
                 verdict_name(&got),
                 batch_verdict_name(&want),
@@ -1191,7 +1191,7 @@ mod tests {
                 }
                 other => panic!("step {step}: verdicts diverged: {other:?}"),
             }
-            let (want, _) = checker.check_with(&tm, &literals, PivotRule::Bland);
+            let want = checker.check_with(&tm, &literals, PivotRule::Bland);
             assert_eq!(verdict_name(&got), batch_verdict_name(&want), "step {step}");
         }
         assert!(

@@ -1,14 +1,68 @@
 //! Property tests for the incremental solver: on randomly generated
 //! assertion/goal sequences over the decidable fragment (EUF + arithmetic +
-//! sets), a push/pop session must return exactly the verdicts of a fresh
-//! batch solver run on the equivalent one-shot query — after any number of
-//! earlier checks and retractions have warmed the session's state.
+//! sets), a push/pop session must return exactly the verdicts of a reference
+//! decision procedure on the equivalent one-shot query — after any number of
+//! earlier checks and retractions have warmed the session's state. The
+//! reference is the textbook offline lazy loop ([`reference_check`]), not
+//! [`Solver`], which runs the same online loop as the session.
 
-use ids_smt::sat::{ClauseDbOptions, RestartPolicy, SatOptions};
+use ids_smt::sat::{ClauseDbOptions, RestartPolicy, SatOptions, SatSolver};
+use ids_smt::theory::{TheoryCheck, TheoryChecker};
 use ids_smt::{
-    IncrementalSolver, PivotRule, Solver, SolverConfig, SolverProfile, Sort, TermId, TermManager,
+    cnf, lower, IncrementalSolver, PivotRule, SatResult, Solver, SolverConfig, SolverProfile, Sort,
+    TermId, TermManager,
 };
 use proptest::prelude::*;
+
+/// The reference decision procedure: the restart-from-scratch offline lazy
+/// DPLL(T) loop over public building blocks. Lower and Tseitin-encode the
+/// assertions, find a propositional model, check its theory literals with
+/// the stateless checker, and on a conflict add the blocking clause and
+/// solve again from scratch. Every blocked model is a distinct assignment of
+/// finitely many atoms, so the loop ends.
+fn reference_check(tm: &mut TermManager, assertions: &[TermId]) -> SatResult {
+    let roots = lower::lower(tm, assertions);
+    let mut sat = SatSolver::new();
+    let atom_map = cnf::tseitin(tm, &roots, &mut sat);
+    let mut by_var: Vec<_> = atom_map.atom_of_var.iter().map(|(&v, &t)| (v, t)).collect();
+    by_var.sort_unstable();
+    let atoms: Vec<TermId> = by_var.into_iter().map(|(_, t)| t).collect();
+    let checker = TheoryChecker::new(tm, &atoms);
+    loop {
+        match sat.solve() {
+            SatResult::Sat => {}
+            other => return other,
+        }
+        let literals = atom_map.model_literals(&sat);
+        match checker.check(tm, &literals) {
+            TheoryCheck::Consistent => return SatResult::Sat,
+            TheoryCheck::Unknown => return SatResult::Unknown,
+            TheoryCheck::Conflict(indices) => {
+                let blocking = indices
+                    .iter()
+                    .map(|&i| {
+                        let (atom, positive) = literals[i];
+                        atom_map.lit_of(atom, !positive)
+                    })
+                    .collect();
+                if !sat.add_clause(blocking) {
+                    return SatResult::Unsat;
+                }
+            }
+        }
+    }
+}
+
+/// [`reference_check`] in validity terms, like [`Solver::check_valid`]:
+/// `Sat` means `formula` is valid.
+fn reference_valid(tm: &mut TermManager, formula: TermId) -> SatResult {
+    let negated = tm.not(formula);
+    match reference_check(tm, &[negated]) {
+        SatResult::Unsat => SatResult::Sat,
+        SatResult::Sat => SatResult::Unsat,
+        SatResult::Unknown => SatResult::Unknown,
+    }
+}
 
 /// The solver configurations the session properties cycle through: both
 /// shipped profiles, plus the tuned profile with the deletion/restart knobs
@@ -136,10 +190,10 @@ fn random_formula(rng: &mut XorShift, tm: &mut TermManager, u: &Universe, depth:
 
 proptest! {
     /// A session interleaving permanent assertions with scoped goal checks
-    /// answers every check exactly like a fresh solver on the one-shot
+    /// answers every check exactly like the reference on the one-shot
     /// conjunction of the live assertions.
     #[test]
-    fn session_checks_match_fresh_solver(seed in 0u64..48) {
+    fn session_checks_match_reference(seed in 0u64..48) {
         let mut rng = XorShift::new(seed);
         let mut tm = TermManager::new();
         let universe = Universe::new(&mut tm);
@@ -164,7 +218,7 @@ proptest! {
 
             let mut fresh_query = permanent.clone();
             fresh_query.push(goal);
-            let fresh = Solver::new().check(&mut tm, &fresh_query);
+            let fresh = reference_check(&mut tm, &fresh_query);
             prop_assert_eq!(
                 incremental,
                 fresh,
@@ -176,7 +230,7 @@ proptest! {
             // The session must also agree on the permanent set alone after
             // the pop (retraction really retracts).
             let after_pop = session.check(&mut tm);
-            let fresh_base = Solver::new().check(&mut tm, &permanent);
+            let fresh_base = reference_check(&mut tm, &permanent);
             prop_assert_eq!(after_pop, fresh_base, "seed {} diverged after pop", seed);
         }
     }
@@ -184,12 +238,12 @@ proptest! {
     /// The two-level scope discipline of a structure-scoped warm pool:
     /// random "methods" (a residue assertion set plus scoped goal checks)
     /// run inside method scopes over a shared random structure prelude. Every
-    /// check must match a fresh solver on prelude ∪ residue ∪ goal, no
+    /// check must match the reference on prelude ∪ residue ∪ goal, no
     /// matter how many earlier method scopes were opened, checked and rolled
-    /// back — and the prelude alone must still answer like a fresh solver
+    /// back — and the prelude alone must still answer like the reference
     /// after each rollback.
     #[test]
-    fn method_scopes_match_fresh_solver(seed in 0u64..48) {
+    fn method_scopes_match_reference(seed in 0u64..48) {
         let mut rng = XorShift::new(seed);
         let mut tm = TermManager::new();
         let universe = Universe::new(&mut tm);
@@ -218,7 +272,7 @@ proptest! {
                 let mut fresh_query = prelude.clone();
                 fresh_query.extend(&residue);
                 fresh_query.push(goal);
-                let fresh = Solver::new().check(&mut tm, &fresh_query);
+                let fresh = reference_check(&mut tm, &fresh_query);
                 prop_assert_eq!(
                     pooled,
                     fresh,
@@ -230,7 +284,7 @@ proptest! {
             }
             pool.pop_method_scope();
             let after = pool.check(&mut tm);
-            let fresh_base = Solver::new().check(&mut tm, &prelude);
+            let fresh_base = reference_check(&mut tm, &prelude);
             prop_assert_eq!(after, fresh_base, "seed {} diverged after rollback", seed);
         }
     }
@@ -272,10 +326,10 @@ proptest! {
         }
     }
 
-    /// `check_valid_scoped` agrees with the batch solver's `check_valid` on
+    /// `check_valid_scoped` agrees with the reference's validity verdict on
     /// hypothesis-entailment queries (the VC shape).
     #[test]
-    fn scoped_validity_matches_check_valid(seed in 0u64..48) {
+    fn scoped_validity_matches_reference(seed in 0u64..48) {
         let mut rng = XorShift::new(seed);
         let mut tm = TermManager::new();
         let universe = Universe::new(&mut tm);
@@ -293,8 +347,35 @@ proptest! {
                 let ante = tm.and(hyps.clone());
                 tm.implies(ante, goal)
             };
-            let fresh = Solver::new().check_valid(&mut tm, formula);
+            let fresh = reference_valid(&mut tm, formula);
             prop_assert_eq!(scoped, fresh, "seed {} diverged", seed);
+        }
+    }
+
+    /// The one-shot [`Solver`] wrapper agrees with the reference on random
+    /// conjunctions, as a satisfiability check and as a validity check of
+    /// their implication shape, under every session configuration.
+    #[test]
+    fn solver_wrapper_matches_reference(seed in 0u64..48) {
+        let mut rng = XorShift::new(seed.wrapping_add(211));
+        let mut tm = TermManager::new();
+        let universe = Universe::new(&mut tm);
+        let mut solver = Solver::with_config(session_config(seed));
+        for _ in 0..(1 + rng.below(3)) {
+            let assertions: Vec<TermId> = (0..(1 + rng.below(4)))
+                .map(|_| random_formula(&mut rng, &mut tm, &universe, 2))
+                .collect();
+            let got = solver.check(&mut tm, &assertions);
+            let want = reference_check(&mut tm, &assertions);
+            prop_assert_eq!(got, want, "seed {} diverged on check", seed);
+
+            let formula = {
+                let ante = tm.and(assertions[1..].to_vec());
+                tm.implies(ante, assertions[0])
+            };
+            let got = solver.check_valid(&mut tm, formula);
+            let want = reference_valid(&mut tm, formula);
+            prop_assert_eq!(got, want, "seed {} diverged on check_valid", seed);
         }
     }
 }

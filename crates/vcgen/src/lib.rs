@@ -836,7 +836,7 @@ mod tests {
         // Three methods of one "structure" — including one with a refuted VC
         // in the middle — checked through ONE structure-pool session over a
         // shared imported term manager: every verdict must match a fresh
-        // batch solver on the self-contained formula, and the prelude must
+        // one-shot solver on the self-contained formula, and the prelude must
         // be visibly reused from the second method on.
         let program = parse_program(
             r#"
