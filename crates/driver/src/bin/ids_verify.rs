@@ -1008,6 +1008,7 @@ fn solver_json(j: &mut Json, s: &SolverStats) {
     j.num_field("decisions", s.sat_decisions as f64);
     j.num_field("conflicts", s.sat_conflicts as f64);
     j.num_field("propagations", s.sat_propagations as f64);
+    j.num_field("theory_propagations", s.theory_propagations as f64);
     j.num_field("theory_rounds", s.theory_rounds as f64);
     j.num_field("sat_time_s", s.sat_time.as_secs_f64());
     j.num_field("theory_time_s", s.theory_time.as_secs_f64());

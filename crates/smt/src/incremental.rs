@@ -31,7 +31,13 @@
 //!   disequalities; on a complete assignment it also loads the simplex
 //!   bounds, propagates EUF-derived equalities and runs the simplex. A
 //!   theory conflict is learned and analysed at the level where it arose,
-//!   so one check is one search, not a loop of searches.
+//!   so one check is one search, not a loop of searches. A consistent
+//!   fixpoint also hands back the atom literals congruence already decides
+//!   (equalities whose sides are merged, predicates whose class holds
+//!   `true`/`false`, equalities an asserted disequality separates); the SAT
+//!   core enqueues them with a theory reason and asks
+//!   [`crate::sat::TheoryHook::explain`] for their antecedents only when
+//!   conflict analysis resolves on one.
 //!
 //! Model soundness with retraction: atoms that only occur in popped scopes
 //! are *dead* — their propositional values are unconstrained don't-cares. The
@@ -159,6 +165,7 @@ struct SatCounters {
     conflicts: u64,
     decisions: u64,
     propagations: u64,
+    theory_propagations: u64,
     restarts: u64,
     learned_deleted: u64,
 }
@@ -169,6 +176,7 @@ impl SatCounters {
             conflicts: sat.conflicts,
             decisions: sat.decisions,
             propagations: sat.propagations,
+            theory_propagations: sat.theory_propagations,
             restarts: sat.restarts,
             learned_deleted: sat.learned_deleted,
         }
@@ -268,9 +276,9 @@ impl IncrementalSolver {
     }
 
     /// Statistics of the last [`IncrementalSolver::check`] call. SAT counters
-    /// (conflicts, decisions, propagations, restarts, `learned_deleted`) are
-    /// per-check deltas that include the assertion-time work since the
-    /// previous check; `initial_clauses`, `atoms`, `learned_kept` and
+    /// (conflicts, decisions, propagations, theory propagations, restarts,
+    /// `learned_deleted`) are per-check deltas that include the
+    /// assertion-time work since the previous check; `initial_clauses`, `atoms`, `learned_kept` and
     /// `max_lbd` report the cumulative session state at the time of the
     /// check.
     pub fn stats(&self) -> SolverStats {
@@ -635,6 +643,7 @@ impl IncrementalSolver {
             checker,
             self.sat.num_vars(),
         );
+        self.session.watch(&live);
         let mut theory = OnlineTheory {
             tm,
             checker,
@@ -644,9 +653,10 @@ impl IncrementalSolver {
             max_rounds: self.config.max_theory_rounds as u64,
             pivot: self.config.pivot,
             // Differential oracle for the trail session: when
-            // IDS_TRAIL_ORACLE is set, every theory conflict and every
-            // Consistent final check is re-checked against the stateless
-            // checker, which must agree.
+            // IDS_TRAIL_ORACLE is set, every theory conflict, every
+            // explanation of an implied literal and every Consistent final
+            // check is re-checked against the stateless checker, which must
+            // agree.
             oracle: std::env::var_os("IDS_TRAIL_ORACLE").is_some(),
         };
         let search_start = std::time::Instant::now();
@@ -659,6 +669,7 @@ impl IncrementalSolver {
         stats.sat_conflicts = now.conflicts - base.conflicts;
         stats.sat_decisions = now.decisions - base.decisions;
         stats.sat_propagations = now.propagations - base.propagations;
+        stats.theory_propagations = now.theory_propagations - base.theory_propagations;
         stats.restarts = now.restarts - base.restarts;
         stats.learned_deleted = now.learned_deleted - base.learned_deleted;
         stats.learned_kept = sat.num_learned() as u64;
@@ -743,8 +754,8 @@ fn live_atoms(
 }
 
 /// The theory side of one check, plugged into the SAT search: the
-/// persistent session synced at every propagation fixpoint and
-/// final-checked on complete assignments.
+/// persistent session synced at every propagation fixpoint (handing back the
+/// literals it implies) and final-checked on complete assignments.
 ///
 /// One *theory round* is one verdict handed back to the SAT core — a theory
 /// conflict found at a fixpoint, or a final check whatever its verdict;
@@ -770,22 +781,25 @@ impl OnlineTheory<'_> {
         }
     }
 
+    /// Asserts that the stateless checker finds `lits` inconsistent.
+    fn oracle_conflict(&self, lits: &[Lit], what: &str) {
+        let pairs: Vec<(TermId, bool)> = lits
+            .iter()
+            .map(|l| (self.atom_of(*l), l.is_positive()))
+            .collect();
+        let batch = self.checker.check(self.tm, &pairs);
+        assert!(
+            matches!(batch, TheoryCheck::Conflict(_)),
+            "trail session reported {what}; stateless checker says {batch:?}\n\
+             literals: {pairs:?}"
+        );
+    }
+
     /// Hands a conflict back to the SAT core as a clause (or stops the
     /// search once the round budget is spent).
     fn conflict(&mut self, lits: Vec<Lit>) -> TheoryVerdict {
         if self.oracle {
-            let pairs: Vec<(TermId, bool)> = lits
-                .iter()
-                .map(|l| (self.atom_of(*l), l.is_positive()))
-                .collect();
-            let batch = self.checker.check(self.tm, &pairs);
-            assert!(
-                matches!(batch, TheoryCheck::Conflict(_)),
-                "trail session reported a conflict; stateless checker says {:?}\n\
-                 conflict: {:?}",
-                batch,
-                pairs
-            );
+            self.oracle_conflict(&lits, "a conflict");
         }
         if self.stats.theory_rounds >= self.max_rounds {
             return TheoryVerdict::Unknown;
@@ -801,9 +815,16 @@ impl OnlineTheory<'_> {
 }
 
 impl TheoryHook for OnlineTheory<'_> {
-    fn fixpoint(&mut self, trail: &[Lit], low_water: usize) -> TheoryVerdict {
+    fn fixpoint(
+        &mut self,
+        trail: &[Lit],
+        low_water: usize,
+        implied: &mut Vec<Lit>,
+    ) -> TheoryVerdict {
         let start = std::time::Instant::now();
-        let (verdict, delta) = self.session.sync(self.tm, trail, low_water, self.live);
+        let (verdict, delta) = self
+            .session
+            .sync(self.tm, trail, low_water, self.live, implied);
         let elapsed = start.elapsed();
         self.stats.euf_time += elapsed;
         self.stats.theory_time += elapsed;
@@ -818,6 +839,20 @@ impl TheoryHook for OnlineTheory<'_> {
             }
             SessionCheck::Unknown => TheoryVerdict::Unknown,
         }
+    }
+
+    fn explain(&mut self, lit: Lit) -> Vec<Lit> {
+        let start = std::time::Instant::now();
+        let antecedents = self.session.explain(self.tm, lit);
+        let elapsed = start.elapsed();
+        self.stats.euf_time += elapsed;
+        self.stats.theory_time += elapsed;
+        if self.oracle {
+            let mut lits = antecedents.clone();
+            lits.push(lit.negate());
+            self.oracle_conflict(&lits, &format!("an explanation of {lit:?}"));
+        }
+        antecedents
     }
 
     fn final_check(&mut self, _trail: &[Lit]) -> TheoryVerdict {
@@ -1207,6 +1242,32 @@ mod tests {
         // Counters are per-check deltas, not cumulative: the second check
         // starts its round count from scratch.
         assert!(second.theory_rounds >= 1);
+    }
+
+    /// `x = y` and `p(x)` decide `p(y)` by congruence. The theory implies
+    /// it at the first fixpoint, so `¬p(y) ∨ q` propagates `q` and the
+    /// scoped `¬q` is refuted without any theory conflict.
+    #[test]
+    fn congruence_implies_the_atoms_it_decides() {
+        let mut tm = TermManager::new();
+        let x = tm.var("x", Sort::Loc);
+        let y = tm.var("y", Sort::Loc);
+        let q = tm.var("q", Sort::Bool);
+        let px = tm.app("p", vec![x], Sort::Bool);
+        let py = tm.app("p", vec![y], Sort::Bool);
+        let eq_xy = tm.eq(x, y);
+        let not_py = tm.not(py);
+        let clause = tm.or2(not_py, q);
+        let not_q = tm.not(q);
+        let mut s = IncrementalSolver::new();
+        s.assert_all(&mut tm, &[eq_xy, px, clause]);
+        s.push();
+        s.assert(&mut tm, not_q);
+        assert_eq!(s.check(&mut tm), SatResult::Unsat);
+        assert_eq!(s.stats().theory_rounds, 0, "{:?}", s.stats());
+        assert!(s.stats().theory_propagations >= 1, "{:?}", s.stats());
+        s.pop();
+        assert_eq!(s.check(&mut tm), SatResult::Sat);
     }
 
     #[test]

@@ -9,6 +9,14 @@
 //! propagation fixpoint, and a theory conflict clause is learned and analysed
 //! like a Boolean conflict, at the level where it arose.
 //!
+//! The theory also *propagates*: a fixpoint may hand back literals the
+//! theory implies, which the search enqueues with a theory-reason marker
+//! instead of a clause index. Their reason clauses are built lazily: only
+//! when conflict analysis (or the final-conflict analysis that extracts an
+//! assumption core) resolves on such a literal does it ask
+//! [`TheoryHook::explain`] for the antecedents, and the clause
+//! `lit ∨ ¬antecedents` is used for that one resolution step and dropped.
+//!
 //! # Learned-clause deletion and soundness
 //!
 //! Clauses learned by first-UIP analysis are resolvents of input and learned
@@ -199,12 +207,33 @@ pub enum TheoryVerdict {
 /// calls it only ever backtracks or extends the trail; `low_water` tells the
 /// theory how far the trail it saw last is still intact, so the theory can
 /// bind its own undo to the SAT trail instead of diffing assignments.
+///
+/// Every literal one `fixpoint` call reads sits at the current decision
+/// level, and literals the theory implies are enqueued at that level too,
+/// so a backjump never separates an implied literal from the trail
+/// literals whose reading implied it.
 pub trait TheoryHook {
     /// Called at every propagation fixpoint without a Boolean conflict.
     /// Trail positions below `low_water` hold the literals the previous call
     /// saw; positions at or above it may have changed (backtracking lowers
     /// the mark). The first call of a solve passes `0`.
-    fn fixpoint(&mut self, trail: &[Lit], low_water: usize) -> TheoryVerdict;
+    ///
+    /// On [`TheoryVerdict::Consistent`] the theory may push unassigned
+    /// literals it implies onto `implied` (handed in empty); the solver
+    /// enqueues them with a theory reason and propagates again. Each one
+    /// must stay explainable by [`TheoryHook::explain`] for as long as it
+    /// stays on the trail.
+    fn fixpoint(
+        &mut self,
+        trail: &[Lit],
+        low_water: usize,
+        implied: &mut Vec<Lit>,
+    ) -> TheoryVerdict;
+
+    /// The antecedents of a literal the theory implied at a fixpoint: trail
+    /// literals, each assigned before `lit`, that imply it in the theory.
+    /// Called only while `lit` is on the trail with its theory reason.
+    fn explain(&mut self, lit: Lit) -> Vec<Lit>;
 
     /// Called on a complete assignment, right after `fixpoint` accepted it.
     fn final_check(&mut self, trail: &[Lit]) -> TheoryVerdict;
@@ -221,14 +250,24 @@ pub trait TheoryHook {
 pub struct NoTheory;
 
 impl TheoryHook for NoTheory {
-    fn fixpoint(&mut self, _trail: &[Lit], _low_water: usize) -> TheoryVerdict {
+    fn fixpoint(&mut self, _trail: &[Lit], _low_water: usize, _: &mut Vec<Lit>) -> TheoryVerdict {
         TheoryVerdict::Consistent
+    }
+
+    fn explain(&mut self, lit: Lit) -> Vec<Lit> {
+        unreachable!("the empty theory implies nothing, yet {lit:?} has a theory reason")
     }
 
     fn final_check(&mut self, _trail: &[Lit]) -> TheoryVerdict {
         TheoryVerdict::Consistent
     }
 }
+
+/// The `reason` of a literal the theory implied at a fixpoint: its reason
+/// clause is built on demand from [`TheoryHook::explain`]. Never a clause
+/// index (the clause database cannot grow that large), so clause-activity
+/// bumps never see it and it locks no clause against deletion.
+const THEORY_REASON: usize = usize::MAX;
 
 /// What [`SatSolver::learn_theory_conflict`] made of a theory conflict.
 enum TheoryLemma {
@@ -335,6 +374,9 @@ pub struct SatSolver {
     pub decisions: u64,
     /// Number of unit propagations performed (for statistics).
     pub propagations: u64,
+    /// Number of theory-implied literals enqueued at fixpoints (for
+    /// statistics).
+    pub theory_propagations: u64,
     /// Number of restarts performed (for statistics).
     pub restarts: u64,
     /// Learned clauses deleted by database reductions (for statistics).
@@ -586,20 +628,37 @@ impl SatSolver {
         self.order.push((self.activity[v as usize].to_bits(), v));
     }
 
+    /// The reason clause of the assigned literal `l`: its clause, or for a
+    /// theory-implied literal `l ∨ ¬antecedents` built from
+    /// [`TheoryHook::explain`]. Bumps a clause's activity.
+    fn reason_clause<H: TheoryHook>(&mut self, l: Lit, theory: &mut H) -> Vec<Lit> {
+        match self.reason[l.var() as usize].expect("reason for implied lit") {
+            THEORY_REASON => {
+                let antecedents = theory.explain(l);
+                std::iter::once(l)
+                    .chain(antecedents.into_iter().map(Lit::negate))
+                    .collect()
+            }
+            ci => {
+                self.bump_clause(ci);
+                self.clauses[ci].lits.clone()
+            }
+        }
+    }
+
     /// First-UIP conflict analysis. Returns the learned clause and the level
     /// to backjump to.
-    fn analyze(&mut self, conflict: usize) -> (Vec<Lit>, u32) {
+    fn analyze<H: TheoryHook>(&mut self, conflict: usize, theory: &mut H) -> (Vec<Lit>, u32) {
         let mut learned: Vec<Lit> = vec![];
         let mut seen = vec![false; self.num_vars()];
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
-        let mut clause_idx = conflict;
         let mut trail_pos = self.trail.len();
         let cur_level = self.decision_level();
+        self.bump_clause(conflict);
+        let mut lits: Vec<Lit> = self.clauses[conflict].lits.clone();
 
         loop {
-            self.bump_clause(clause_idx);
-            let lits: Vec<Lit> = self.clauses[clause_idx].lits.clone();
             for &q in &lits {
                 // Skip the literal we are currently resolving on (it occurs in
                 // its own reason clause with the opposite polarity).
@@ -628,7 +687,7 @@ impl SatSolver {
                     if counter == 0 {
                         break;
                     }
-                    clause_idx = self.reason[l.var() as usize].expect("reason for implied lit");
+                    lits = self.reason_clause(l, theory);
                     break;
                 }
             }
@@ -757,16 +816,19 @@ impl SatSolver {
         let metrics = ids_obs::metrics_active();
         let mut seg_start = metrics.then(std::time::Instant::now);
         let mut last_conflict: Option<std::time::Instant> = None;
+        let mut implied: Vec<Lit> = Vec::new();
         loop {
             // A conflict to analyse: a falsified clause at the current level.
             // `None` after a theory lemma that asserted its literal directly.
             let mut conflict = self.propagate();
             if conflict.is_none() {
                 let low_water = std::mem::replace(&mut self.theory_low, self.trail.len());
-                let clause = match theory.fixpoint(&self.trail, low_water) {
+                implied.clear();
+                let clause = match theory.fixpoint(&self.trail, low_water, &mut implied) {
                     TheoryVerdict::Unknown => return SatResult::Unknown,
                     TheoryVerdict::Conflict(clause) => clause,
-                    TheoryVerdict::Consistent => match self.decide() {
+                    TheoryVerdict::Consistent if self.enqueue_implied(&implied) => continue,
+                    TheoryVerdict::Consistent => match self.decide(theory) {
                         Decision::Made => continue,
                         Decision::AssumptionFailed => return SatResult::Unsat,
                         Decision::Complete => match theory.final_check(&self.trail) {
@@ -806,7 +868,7 @@ impl SatSolver {
                     self.ok = false;
                     return SatResult::Unsat;
                 }
-                let (learned, bj) = self.analyze(conf);
+                let (learned, bj) = self.analyze(conf, theory);
                 self.backtrack(bj);
                 self.act_inc *= 1.05;
                 self.cla_inc *= 1.001;
@@ -854,10 +916,26 @@ impl SatSolver {
         }
     }
 
+    /// Enqueues the unassigned literals a consistent theory fixpoint
+    /// implied, with the theory-reason marker; true if any was.
+    fn enqueue_implied(&mut self, implied: &[Lit]) -> bool {
+        let before = self.trail.len();
+        for &l in implied {
+            match self.lit_value(l) {
+                Value::Unassigned => self.enqueue(l, Some(THEORY_REASON)),
+                Value::True => {}
+                Value::False => debug_assert!(false, "consistent theory implied false {l:?}"),
+            }
+        }
+        let enqueued = (self.trail.len() - before) as u64;
+        self.theory_propagations += enqueued;
+        enqueued > 0
+    }
+
     /// Puts the next decision on the trail. Assumptions are (re-)decided
     /// before any free decision; a backjump or restart may have undone some
     /// of them.
-    fn decide(&mut self) -> Decision {
+    fn decide<H: TheoryHook>(&mut self, theory: &mut H) -> Decision {
         for i in 0..self.assumptions.len() {
             let a = self.assumptions[i];
             match self.lit_value(a) {
@@ -866,7 +944,7 @@ impl SatSolver {
                 // unsatisfiable under the assumptions. The clause set itself
                 // stays consistent (`ok` untouched).
                 Value::False => {
-                    self.unsat_core = self.analyze_final(a);
+                    self.unsat_core = self.analyze_final(a, theory);
                     return Decision::AssumptionFailed;
                 }
                 Value::Unassigned => {
@@ -948,8 +1026,9 @@ impl SatSolver {
     /// only be on the trail while *every* assumption is assigned true — so
     /// when an assumption evaluates false, every `reason == None` ancestor
     /// above level 0 is itself an assumption. Level-0 implications hold
-    /// unconditionally and contribute nothing.
-    fn analyze_final(&self, failed: Lit) -> Vec<Lit> {
+    /// unconditionally and contribute nothing. A theory-implied ancestor is
+    /// expanded through its explanation like a clause reason.
+    fn analyze_final<H: TheoryHook>(&self, failed: Lit, theory: &mut H) -> Vec<Lit> {
         let mut core = vec![failed];
         let mut seen = vec![false; self.num_vars()];
         seen[failed.var() as usize] = true;
@@ -964,6 +1043,13 @@ impl SatSolver {
             }
             match self.reason[v] {
                 None => core.push(l),
+                Some(THEORY_REASON) => {
+                    for q in theory.explain(l) {
+                        if self.level[q.var() as usize] > 0 {
+                            seen[q.var() as usize] = true;
+                        }
+                    }
+                }
                 Some(ci) => {
                     for &q in &self.clauses[ci].lits {
                         if q.var() as usize != v && self.level[q.var() as usize] > 0 {
@@ -1287,25 +1373,43 @@ mod tests {
         assert!(long.restarts > 0, "conflicts {}", long.conflicts);
     }
 
+    /// When the toy theory checks and what it hands back.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Mode {
+        /// Complete assignments only.
+        Lazy,
+        /// Every propagation fixpoint.
+        Eager,
+        /// Every propagation fixpoint, implying the other members of a group
+        /// with a true member false.
+        Implying,
+    }
+
     /// A toy theory for the SAT–theory seam: pairwise at-most-one groups
     /// plus *forbidden* variables (which must be false). The eager variant
     /// checks at every propagation fixpoint with state bound to the trail
     /// through the low-water mark; the lazy variant only checks complete
-    /// assignments, so its conflicts sit below the current decision level.
+    /// assignments, so its conflicts sit below the current decision level;
+    /// the implying variant is eager and also implies, once a group member
+    /// is true, every other member false, explained by that member.
     struct AtMostOne {
         group_of: Vec<Option<usize>>,
+        groups: Vec<Vec<Var>>,
         forbidden: Vec<bool>,
-        eager: bool,
+        mode: Mode,
         /// `(trail position, var)` of the true group members read so far.
         members: Vec<(usize, Var)>,
         /// The true member of each group, if any.
         holder: Vec<Option<Var>>,
+        /// Per variable: the member whose truth implied it false.
+        implied_by: Vec<Option<Var>>,
         seen: usize,
         conflicts: usize,
+        explained: usize,
     }
 
     impl AtMostOne {
-        fn new(num_vars: usize, groups: &[Vec<Var>], forbidden: &[Var], eager: bool) -> AtMostOne {
+        fn new(num_vars: usize, groups: &[Vec<Var>], forbidden: &[Var], mode: Mode) -> AtMostOne {
             let mut group_of = vec![None; num_vars];
             for (g, vars) in groups.iter().enumerate() {
                 for &v in vars {
@@ -1318,12 +1422,15 @@ mod tests {
             }
             AtMostOne {
                 group_of,
+                groups: groups.to_vec(),
                 forbidden: forbid,
-                eager,
+                mode,
                 members: Vec::new(),
                 holder: vec![None; groups.len()],
+                implied_by: vec![None; num_vars],
                 seen: 0,
                 conflicts: 0,
+                explained: 0,
             }
         }
 
@@ -1361,8 +1468,13 @@ mod tests {
     }
 
     impl TheoryHook for AtMostOne {
-        fn fixpoint(&mut self, trail: &[Lit], low_water: usize) -> TheoryVerdict {
-            if !self.eager {
+        fn fixpoint(
+            &mut self,
+            trail: &[Lit],
+            low_water: usize,
+            implied: &mut Vec<Lit>,
+        ) -> TheoryVerdict {
+            if self.mode == Mode::Lazy {
                 return TheoryVerdict::Consistent;
             }
             let low = self.seen.min(low_water);
@@ -1377,23 +1489,38 @@ mod tests {
             if verdict == TheoryVerdict::Consistent {
                 // The incremental state matches a rescan of the whole trail:
                 // the low-water contract held.
-                let mut fresh = AtMostOne {
-                    members: Vec::new(),
-                    holder: vec![None; self.holder.len()],
-                    seen: 0,
-                    group_of: self.group_of.clone(),
-                    forbidden: self.forbidden.clone(),
-                    eager: true,
-                    conflicts: 0,
-                };
+                let mut fresh = AtMostOne::new(self.group_of.len(), &self.groups, &[], Mode::Eager);
+                fresh.forbidden = self.forbidden.clone();
                 assert_eq!(fresh.read(trail, 0), TheoryVerdict::Consistent);
                 assert_eq!(fresh.holder, self.holder, "state drifted from the trail");
+            }
+            if verdict == TheoryVerdict::Consistent && self.mode == Mode::Implying {
+                let mut assigned = vec![false; self.group_of.len()];
+                for l in trail {
+                    assigned[l.var() as usize] = true;
+                }
+                for (g, holder) in self.holder.iter().enumerate() {
+                    let Some(h) = *holder else { continue };
+                    for &u in &self.groups[g] {
+                        if !assigned[u as usize] {
+                            self.implied_by[u as usize] = Some(h);
+                            implied.push(Lit::new(u, false));
+                        }
+                    }
+                }
             }
             verdict
         }
 
+        fn explain(&mut self, lit: Lit) -> Vec<Lit> {
+            assert!(!lit.is_positive(), "only falsehoods are implied: {lit:?}");
+            self.explained += 1;
+            let h = self.implied_by[lit.var() as usize].expect("implied literal");
+            vec![Lit::new(h, true)]
+        }
+
         fn final_check(&mut self, trail: &[Lit]) -> TheoryVerdict {
-            if self.eager {
+            if self.mode != Mode::Lazy {
                 return TheoryVerdict::Consistent;
             }
             self.members.clear();
@@ -1425,7 +1552,7 @@ mod tests {
         let mut s = SatSolver::new();
         let [a, b, c, d] = [0; 4].map(|_| s.new_var());
         s.add_clause(vec![lit(a, false), lit(b, true)]);
-        let mut theory = AtMostOne::new(4, &[vec![a, b]], &[], false);
+        let mut theory = AtMostOne::new(4, &[vec![a, b]], &[], Mode::Lazy);
         let assumptions = [lit(a, true), lit(c, true), lit(d, true)];
         assert_eq!(
             s.solve_under_with(&assumptions, &mut theory),
@@ -1450,7 +1577,7 @@ mod tests {
     fn asserting_theory_clause_blames_both_assumptions() {
         let mut s = SatSolver::new();
         let [a, b, c] = [0; 3].map(|_| s.new_var());
-        let mut theory = AtMostOne::new(3, &[vec![a, b]], &[], false);
+        let mut theory = AtMostOne::new(3, &[vec![a, b]], &[], Mode::Lazy);
         let assumptions = [lit(a, true), lit(b, true), lit(c, true)];
         assert_eq!(
             s.solve_under_with(&assumptions, &mut theory),
@@ -1476,7 +1603,7 @@ mod tests {
         let mut s = SatSolver::new();
         let [a, f] = [0; 2].map(|_| s.new_var());
         s.add_clause(vec![lit(a, false), lit(f, true)]);
-        let mut theory = AtMostOne::new(2, &[], &[f], true);
+        let mut theory = AtMostOne::new(2, &[], &[f], Mode::Eager);
         assert_eq!(
             s.solve_under_with(&[lit(a, true)], &mut theory),
             SatResult::Unsat
@@ -1495,7 +1622,7 @@ mod tests {
         let mut s = SatSolver::new();
         let [f, x] = [0; 2].map(|_| s.new_var());
         s.add_clause(vec![lit(f, true)]);
-        let mut theory = AtMostOne::new(2, &[], &[f], true);
+        let mut theory = AtMostOne::new(2, &[], &[f], Mode::Eager);
         assert_eq!(
             s.solve_under_with(&[lit(x, true)], &mut theory),
             SatResult::Unsat
@@ -1505,11 +1632,61 @@ mod tests {
         assert_eq!(s.solve(), SatResult::Unsat);
     }
 
+    /// Directed: first-UIP analysis resolves through a theory-implied
+    /// literal. Assuming `a` propagates `d`; the theory implies `¬b` (group
+    /// `{a, b}`), which propagates `e` and falsifies `b ∨ ¬e ∨ ¬d`. The
+    /// analysis walks `e`, then `¬b` through its lazy reason `¬b ∨ ¬a`, then
+    /// `d`, and stops at the UIP `¬a`, learned as a unit: no theory conflict
+    /// is ever needed.
+    #[test]
+    fn analysis_resolves_through_a_theory_implied_literal() {
+        let mut s = SatSolver::new();
+        let [a, b, d, e] = [0; 4].map(|_| s.new_var());
+        s.add_clause(vec![lit(a, false), lit(d, true)]);
+        s.add_clause(vec![lit(b, true), lit(e, true)]);
+        s.add_clause(vec![lit(b, true), lit(e, false), lit(d, false)]);
+        let mut theory = AtMostOne::new(4, &[vec![a, b]], &[], Mode::Implying);
+        assert_eq!(
+            s.solve_under_with(&[lit(a, true)], &mut theory),
+            SatResult::Unsat
+        );
+        assert_eq!(theory.conflicts, 0);
+        assert_eq!(theory.explained, 1);
+        assert!(s.theory_propagations >= 1);
+        assert_eq!(s.unsat_core, vec![lit(a, true)]);
+        assert_eq!(s.value(a), Some(false));
+        assert_eq!(s.level[a as usize], 0, "¬a is the learned unit");
+    }
+
+    /// Directed: the final-conflict analysis expands a theory-implied
+    /// literal through its explanation. Assuming `a` implies `¬b`, so the
+    /// assumption `b` is already false when it is decided, and the core
+    /// names both assumptions without any theory conflict.
+    #[test]
+    fn assumption_core_resolves_through_a_theory_implied_literal() {
+        let mut s = SatSolver::new();
+        let [a, b, c] = [0; 3].map(|_| s.new_var());
+        let mut theory = AtMostOne::new(3, &[vec![a, b]], &[], Mode::Implying);
+        let assumptions = [lit(a, true), lit(b, true), lit(c, true)];
+        assert_eq!(
+            s.solve_under_with(&assumptions, &mut theory),
+            SatResult::Unsat
+        );
+        assert_eq!(theory.conflicts, 0);
+        assert_eq!(theory.explained, 1);
+        assert_eq!(s.unsat_core, vec![lit(a, true), lit(b, true)]);
+        assert_eq!(
+            s.solve_under_with(&[lit(b, true)], &mut theory),
+            SatResult::Sat
+        );
+        assert_eq!(s.value(a), Some(false));
+    }
+
     /// Differential: random seeded CNFs with at-most-one groups and
-    /// forbidden variables, solved with the theory in the loop (eager and
-    /// lazy) and with the same constraints given as clauses, under random
-    /// assumptions. Verdicts agree, models satisfy everything, and cores are
-    /// sufficient assumption subsets.
+    /// forbidden variables, solved with the theory in the loop (eager, lazy
+    /// and implying) and with the same constraints given as clauses, under
+    /// random assumptions. Verdicts agree, models satisfy everything, and
+    /// cores are sufficient assumption subsets.
     #[test]
     fn toy_theory_agrees_with_its_clausal_encoding() {
         let mut state = 0x51_7e_a5_ed_u64;
@@ -1520,7 +1697,7 @@ mod tests {
             state
         };
         let n = 14usize;
-        let (mut sat, mut unsat, mut theory_conflicts) = (0, 0, 0);
+        let (mut sat, mut unsat, mut theory_conflicts, mut explained) = (0, 0, 0, 0);
         for instance in 0..120 {
             let cnf: Vec<Vec<Lit>> = (0..34)
                 .map(|_| {
@@ -1548,7 +1725,7 @@ mod tests {
             }
             let want = reference.solve_under(&assumptions);
 
-            for eager in [true, false] {
+            for mode in [Mode::Eager, Mode::Lazy, Mode::Implying] {
                 let mut s = SatSolver::new();
                 (0..n).for_each(|_| {
                     s.new_var();
@@ -1556,10 +1733,10 @@ mod tests {
                 for c in &cnf {
                     s.add_clause(c.clone());
                 }
-                let mut theory = AtMostOne::new(n, &groups, &forbidden, eager);
+                let mut theory = AtMostOne::new(n, &groups, &forbidden, mode);
                 let got = s.solve_under_with(&assumptions, &mut theory);
                 theory_conflicts += theory.conflicts;
-                assert_eq!(got, want, "instance {instance} (eager {eager})");
+                assert_eq!(got, want, "instance {instance} ({mode:?})");
                 match got {
                     SatResult::Sat => {
                         let value = |l: &Lit| s.value(l.var()) == Some(l.is_positive());
@@ -1584,6 +1761,10 @@ mod tests {
                     }
                     SatResult::Unknown => panic!("no budget was set"),
                 }
+                explained += theory.explained;
+                if mode != Mode::Implying {
+                    assert_eq!(s.theory_propagations, 0);
+                }
             }
             match want {
                 SatResult::Sat => sat += 1,
@@ -1597,6 +1778,10 @@ mod tests {
         assert!(
             theory_conflicts >= 100,
             "theory too quiet: {theory_conflicts}"
+        );
+        assert!(
+            explained >= 20,
+            "implied literals too rarely explained: {explained}"
         );
     }
 }

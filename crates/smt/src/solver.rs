@@ -140,6 +140,10 @@ pub struct SolverStats {
     /// SAT unit propagations, including those made at assertion time (unit
     /// clauses propagate at level 0 as they are added). Merge: **sum**.
     pub sat_propagations: u64,
+    /// Theory-implied literals the SAT core enqueued at propagation
+    /// fixpoints (atoms congruence already decided, so the search never
+    /// guessed them). Merge: **sum**.
+    pub theory_propagations: u64,
     /// Number of clauses after CNF conversion (before learning).
     /// Merge: **sum**.
     pub initial_clauses: u64,
@@ -215,6 +219,7 @@ impl SolverStats {
         self.sat_conflicts += other.sat_conflicts;
         self.sat_decisions += other.sat_decisions;
         self.sat_propagations += other.sat_propagations;
+        self.theory_propagations += other.theory_propagations;
         self.initial_clauses += other.initial_clauses;
         self.atoms += other.atoms;
         self.sat_time += other.sat_time;
@@ -489,6 +494,7 @@ mod tests {
             sat_conflicts: seed + 1,
             sat_decisions: seed + 2,
             sat_propagations: seed + 3,
+            theory_propagations: seed + 23,
             initial_clauses: seed + 4,
             atoms: seed + 5,
             sat_time: ms(seed + 6),
@@ -517,6 +523,7 @@ mod tests {
             sat_conflicts,
             sat_decisions,
             sat_propagations,
+            theory_propagations,
             initial_clauses,
             atoms,
             sat_time,
@@ -542,6 +549,10 @@ mod tests {
         assert_eq!(sat_conflicts, a.sat_conflicts + b.sat_conflicts);
         assert_eq!(sat_decisions, a.sat_decisions + b.sat_decisions);
         assert_eq!(sat_propagations, a.sat_propagations + b.sat_propagations);
+        assert_eq!(
+            theory_propagations,
+            a.theory_propagations + b.theory_propagations
+        );
         assert_eq!(initial_clauses, a.initial_clauses + b.initial_clauses);
         assert_eq!(atoms, a.atoms + b.atoms);
         assert_eq!(sat_time, a.sat_time + b.sat_time);

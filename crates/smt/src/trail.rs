@@ -18,6 +18,11 @@
 //!   too, so a merge finds the disequalities it violates directly: a
 //!   consistency check at a propagation fixpoint costs nothing when no merge
 //!   since the last one broke a disequality.
+//! * EUF also *propagates*: per-node watch lists of the check's live atoms
+//!   ([`TheorySession::watch`]) and circular class-member links let a merge
+//!   or an asserted disequality find the atom literals it decides, and a
+//!   consistent sync hands them back to the SAT core with a reason recorded
+//!   for lazy explanation ([`TheorySession::explain`]).
 //! * Simplex keeps its tableau, basis and slack variables for the whole
 //!   search (warm restart); bounds are loaded only on complete assignments
 //!   ([`TheorySession::final_check`]) and retraction rolls back bound
@@ -40,7 +45,7 @@ use std::collections::HashMap;
 use crate::euf::{EufTemplate, Reason};
 use crate::fxmap::FxHashMap;
 use crate::rational::Rat;
-use crate::sat::Lit;
+use crate::sat::{Lit, Var};
 use crate::simplex::{ArithOutcome, LinExpr, PivotRule, Rel, Simplex};
 use crate::term::{TermId, TermManager};
 use crate::theory::{AtomKind, TheoryChecker, AXIOM_TAG};
@@ -62,12 +67,46 @@ enum SigKey {
     Heap(Box<[u32]>),
 }
 
+/// The `other` side of a predicate atom's [`Watch`].
+const PRED: u32 = u32::MAX;
+
+/// A live atom watched on one of its EUF nodes: an equality atom is watched
+/// on both sides (`other` is the opposite side), a predicate atom on its own
+/// node (`other` is [`PRED`]).
+#[derive(Clone, Copy, Debug)]
+struct Watch {
+    var: Var,
+    other: u32,
+}
+
+/// Why the congruence state implies a literal, recorded when it is implied
+/// and turned into antecedent literals only on demand
+/// ([`TheorySession::explain`]).
+#[derive(Clone, Copy, Debug)]
+enum Why {
+    /// The two nodes are in one class: the literal is their equality, or a
+    /// predicate's value (the second node a Boolean constant).
+    Equal(usize, usize),
+    /// `x ~ dx`, `y ~ dy` and the asserted disequality `dx ≠ dy` (tag
+    /// `tag`): the literal is `x ≠ y`. The orientation is fixed when the
+    /// literal is implied, because later merges may join more classes before
+    /// the session retracts them.
+    Apart {
+        x: usize,
+        dx: usize,
+        y: usize,
+        dy: usize,
+        tag: usize,
+    },
+}
+
 /// One reversible mutation of [`EufState`], undone in reverse order.
 #[derive(Clone, Debug)]
 enum UndoOp {
-    /// A class merge: `loser_root`'s class was absorbed into `winner_root`'s,
-    /// and the proof-forest edge `pf_child -> …` was added after re-rooting
-    /// `pf_child`'s tree (whose old root is recorded for the reverse re-root).
+    /// A class merge: `loser_root`'s class was absorbed into `winner_root`'s
+    /// (their member links swapped), and the proof-forest edge
+    /// `pf_child -> …` was added after re-rooting `pf_child`'s tree (whose
+    /// old root is recorded for the reverse re-root).
     Merge {
         pf_child: usize,
         old_pf_root: usize,
@@ -92,6 +131,15 @@ enum UndoOp {
 /// on every assertion (use-list driven), so there is no fixpoint pass over
 /// all application nodes, and violated disequalities are recorded as the
 /// merges that violate them happen.
+///
+/// Theory propagation rides on the same events. A merge scans the watches
+/// of the absorbed class's members and implies every equality atom whose
+/// other side is in the absorbing class, and every predicate atom whose
+/// value the absorbing class holds (when the absorbed class holds `true` or
+/// `false`, the absorbing class's predicate watches are scanned instead).
+/// Asserting `a ≠ b` scans the smaller of the two classes and implies false
+/// every equality atom between them. Candidates collect in `implied` until
+/// the end of the sync.
 #[derive(Clone, Debug)]
 pub(crate) struct EufState {
     template: EufTemplate,
@@ -128,6 +176,21 @@ pub(crate) struct EufState {
     /// Nodes of the Boolean constants (predicate atoms are equated with one).
     tru: usize,
     fls: usize,
+    /// Circular class-member links: following `next` from any node visits
+    /// its whole class once. A merge swaps the links of the two roots, and
+    /// its undo swaps them back.
+    next: Vec<usize>,
+    /// The check's live atoms watched per node, in one flat list:
+    /// `watch_list[watch_start[n]..watch_start[n + 1]]` are node `n`'s
+    /// watches. Rebuilt once per check ([`EufState::watch`]); empty
+    /// (nothing implied) until then.
+    watch_start: Vec<u32>,
+    watch_list: Vec<Watch>,
+    /// Per SAT variable: whether its literal is on the session trail (such
+    /// literals are never implied).
+    on_trail: Vec<bool>,
+    /// Scratch: literals implied since the sync began, with their reasons.
+    implied: Vec<(Lit, Why)>,
 }
 
 impl EufState {
@@ -153,6 +216,11 @@ impl EufState {
             explain_incomplete: false,
             tru,
             fls,
+            next: (0..n).collect(),
+            watch_start: Vec::new(),
+            watch_list: Vec::new(),
+            on_trail: Vec::new(),
+            implied: Vec::new(),
             template,
         };
         for (ai, app) in st.template.app_nodes.iter().enumerate() {
@@ -213,6 +281,115 @@ impl EufState {
         }
     }
 
+    /// Rebuilds the per-node watch lists from the check's live-atom table
+    /// (indexed by SAT variable) and clears the trail flags.
+    fn watch(&mut self, live: &[Option<LiveAtom>]) {
+        let mut watches: Vec<(usize, Watch)> = Vec::new();
+        for (var, la) in live.iter().enumerate() {
+            let var = var as Var;
+            match la.map(|la| la.euf) {
+                Some(EufAtom::Eq(a, b)) if a != b => {
+                    watches.push((
+                        a,
+                        Watch {
+                            var,
+                            other: b as u32,
+                        },
+                    ));
+                    watches.push((
+                        b,
+                        Watch {
+                            var,
+                            other: a as u32,
+                        },
+                    ));
+                }
+                Some(EufAtom::Pred(n)) => watches.push((n, Watch { var, other: PRED })),
+                _ => {}
+            }
+        }
+        watches.sort_by_key(|&(n, _)| n);
+        self.watch_start = (0..=self.parent.len())
+            .map(|n| watches.partition_point(|&(m, _)| m < n) as u32)
+            .collect();
+        self.watch_list = watches.into_iter().map(|(_, w)| w).collect();
+        self.on_trail = vec![false; live.len()];
+    }
+
+    /// The watches on the members of the class rooted at `r`, each with the
+    /// member it is on (none before [`EufState::watch`]).
+    fn class_watches(&self, r: usize) -> impl Iterator<Item = (usize, Watch)> + '_ {
+        let mut member = Some(r);
+        let members = std::iter::from_fn(move || {
+            let m = member?;
+            member = Some(self.next[m]).filter(|&n| n != r);
+            Some(m)
+        });
+        members.flat_map(move |m| {
+            let watches = match self.watch_start.get(m..m + 2) {
+                Some(&[from, to]) => &self.watch_list[from as usize..to as usize],
+                _ => &[],
+            };
+            watches.iter().map(move |&w| (m, w))
+        })
+    }
+
+    /// The Boolean value the class rooted at `r` holds, if any.
+    fn class_value(&self, r: usize) -> Option<bool> {
+        if r == self.find(self.tru) {
+            Some(true)
+        } else if r == self.find(self.fls) {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    /// Records the literals implied by absorbing the class rooted at
+    /// `loser` into the one rooted at `winner` (called before the union).
+    fn imply_on_merge(&mut self, winner: usize, loser: usize) {
+        let mut implied = std::mem::take(&mut self.implied);
+        let winner_value = self.class_value(winner);
+        let constant = |v: bool| if v { self.tru } else { self.fls };
+        for (m, w) in self.class_watches(loser) {
+            if self.on_trail[w.var as usize] {
+                continue;
+            }
+            if w.other != PRED && self.find(w.other as usize) == winner {
+                implied.push((Lit::new(w.var, true), Why::Equal(m, w.other as usize)));
+            } else if let (PRED, Some(v)) = (w.other, winner_value) {
+                implied.push((Lit::new(w.var, v), Why::Equal(m, constant(v))));
+            }
+        }
+        if let (None, Some(v)) = (winner_value, self.class_value(loser)) {
+            for (m, w) in self.class_watches(winner) {
+                if w.other == PRED && !self.on_trail[w.var as usize] {
+                    implied.push((Lit::new(w.var, v), Why::Equal(m, constant(v))));
+                }
+            }
+        }
+        self.implied = implied;
+    }
+
+    /// Records the equality atoms implied false by asserting `a ≠ b` (tag
+    /// `tag`) while `a` and `b` are in the distinct classes `ra`, `rb`.
+    fn imply_apart(&mut self, (a, ra): (usize, usize), (b, rb): (usize, usize), tag: usize) {
+        let ((small, dx), (big, dy)) = if self.size[ra] <= self.size[rb] {
+            ((ra, a), (rb, b))
+        } else {
+            ((rb, b), (ra, a))
+        };
+        let mut implied = std::mem::take(&mut self.implied);
+        for (x, w) in self.class_watches(small) {
+            let y = w.other as usize;
+            if w.other != PRED && !self.on_trail[w.var as usize] && self.find(y) == big {
+                let why = Why::Apart { x, dx, y, dy, tag };
+                implied.push((Lit::new(w.var, false), why));
+            }
+        }
+        self.implied = implied;
+    }
+
     fn pf_root(&self, mut x: usize) -> usize {
         while let Some((p, _)) = &self.pf_parent[x] {
             x = *p;
@@ -240,6 +417,7 @@ impl EufState {
                     self.diseq_lists[winner_root].truncate(winner_diseq_len);
                     self.size[winner_root] -= self.size[loser_root];
                     self.parent[loser_root] = loser_root;
+                    self.next.swap(loser_root, winner_root);
                     self.pf_parent[pf_child] = None;
                     self.reroot(old_pf_root);
                 }
@@ -278,6 +456,8 @@ impl EufState {
         if ra == rb {
             self.violations.push(k);
             self.undo.push(UndoOp::Violation);
+        } else if !self.watch_list.is_empty() {
+            self.imply_apart((a, ra), (b, rb), tag);
         }
     }
 
@@ -319,10 +499,14 @@ impl EufState {
                     self.undo.push(UndoOp::Violation);
                 }
             }
+            if !self.watch_list.is_empty() {
+                self.imply_on_merge(winner, loser);
+            }
             self.reroot(pf_child);
             self.pf_parent[pf_child] = Some((pf_other, reason));
             self.parent[loser] = winner;
             self.size[winner] += self.size[loser];
+            self.next.swap(loser, winner);
             // Re-hash every application with an argument in the absorbed
             // class: a signature-table hit is a true congruence (exact keys),
             // a miss records the new signature. The loser's lists are kept
@@ -531,6 +715,15 @@ pub(crate) enum SessionCheck {
     Unknown,
 }
 
+/// A literal the session implied at the end of a consistent sync, with its
+/// reason and the sync that recorded it.
+#[derive(Clone, Copy, Debug)]
+struct Implied {
+    lit: Lit,
+    why: Why,
+    sync: u64,
+}
+
 /// Persistent theory state for one [`crate::IncrementalSolver`]: EUF and
 /// simplex survive the whole search (and checks), with undo bound to the SAT
 /// trail.
@@ -550,6 +743,13 @@ pub(crate) struct TheorySession {
     /// or a method scope popped) and the session rebuilds from the template.
     known_atoms: usize,
     pivot: PivotRule,
+    /// Per SAT variable: the last implication recorded for it. Valid while
+    /// the literal sits on the SAT trail with its theory reason: a reason is
+    /// recorded only for a variable off the session trail at the end of a
+    /// consistent sync, which the SAT core then has unassigned.
+    reasons: Vec<Option<Implied>>,
+    /// Syncs that handed back implications so far (stamps `reasons`).
+    syncs: u64,
 }
 
 impl TheorySession {
@@ -564,6 +764,8 @@ impl TheorySession {
             loaded: 0,
             known_atoms: 0,
             pivot,
+            reasons: Vec::new(),
+            syncs: 0,
         }
     }
 
@@ -600,6 +802,19 @@ impl TheorySession {
         self.known_atoms = checker.kinds.len();
     }
 
+    /// Starts a check over the live-atom table `live` (indexed by SAT
+    /// variable; see [`TheorySession::sync`]): rebuilds the EUF watch lists
+    /// from it and forgets the previous check's implications.
+    pub(crate) fn watch(&mut self, live: &[Option<LiveAtom>]) {
+        let euf = self.euf.as_mut().expect("session prepared");
+        euf.watch(live);
+        for e in &self.trail {
+            euf.on_trail[e.lit.var() as usize] = true;
+        }
+        self.reasons.clear();
+        self.reasons.resize(live.len(), None);
+    }
+
     /// Resolves a theory atom of `checker` for [`TheorySession::sync`].
     /// Valid until the next rebuild ([`TheorySession::prepare`] after the
     /// checker grew).
@@ -631,7 +846,10 @@ impl TheorySession {
     /// `low_water` (see [`crate::sat::TheoryHook::fixpoint`]), asserts the
     /// EUF part of the live theory literals read from there on (`live` maps
     /// a SAT variable to its live atom; dead and non-theory variables map to
-    /// `None`), and checks the disequalities.
+    /// `None`; the table [`TheorySession::watch`] was given), and checks the
+    /// disequalities. On a consistent verdict it pushes onto `implied` the
+    /// literals the assertions implied that are not on the trail, each
+    /// explainable by [`TheorySession::explain`] until it is retracted.
     ///
     /// Returns the verdict (never [`SessionCheck::Unknown`]) and the number
     /// of entries retracted plus asserted.
@@ -641,6 +859,7 @@ impl TheorySession {
         trail: &[Lit],
         low_water: usize,
         live: &[Option<LiveAtom>],
+        implied: &mut Vec<Lit>,
     ) -> (SessionCheck, u64) {
         let low = self.seen.min(low_water);
         self.seen = trail.len();
@@ -663,6 +882,7 @@ impl TheorySession {
             let idx = self.trail.len();
             let euf_mark = euf.mark();
             let positive = lit.is_positive();
+            euf.on_trail[lit.var() as usize] = true;
             match la.euf {
                 EufAtom::Eq(a, b) if positive => euf.assert_eq(a, b, idx),
                 EufAtom::Eq(a, b) => euf.assert_neq(a, b, idx),
@@ -682,7 +902,56 @@ impl TheorySession {
             });
         }
         let delta = (retracted + self.trail.len() - keep) as u64;
-        (self.euf_verdict(tm), delta)
+        let verdict = self.euf_verdict(tm);
+        let euf = self.euf.as_mut().expect("session prepared");
+        if matches!(verdict, SessionCheck::Consistent) && !euf.implied.is_empty() {
+            self.syncs += 1;
+            for (lit, why) in euf.implied.drain(..) {
+                let v = lit.var() as usize;
+                // A literal read later in this sync is on the trail now, and
+                // one implied twice keeps its first reason.
+                if euf.on_trail[v] || self.reasons[v].is_some_and(|r| r.sync == self.syncs) {
+                    continue;
+                }
+                self.reasons[v] = Some(Implied {
+                    lit,
+                    why,
+                    sync: self.syncs,
+                });
+                implied.push(lit);
+            }
+        }
+        euf.implied.clear();
+        (verdict, delta)
+    }
+
+    /// The antecedents of a literal a consistent sync implied: the trail
+    /// literals its recorded reason rests on, in trail order.
+    ///
+    /// Exact while the literal is on the SAT trail: until then the proof
+    /// forest only gains edges between distinct trees, so the path that
+    /// explains two nodes equal is the one that existed when the literal
+    /// was implied, and it runs through entries read before it.
+    pub(crate) fn explain(&mut self, tm: &TermManager, lit: Lit) -> Vec<Lit> {
+        let implied = self.reasons[lit.var() as usize]
+            .filter(|r| r.lit == lit)
+            .unwrap_or_else(|| panic!("{lit:?} was not implied by the theory session"));
+        let euf = self.euf.as_mut().expect("session prepared");
+        euf.explain_incomplete = false;
+        let tags = match implied.why {
+            Why::Equal(a, b) => euf.explain(tm, a, b),
+            Why::Apart { x, dx, y, dy, tag } => {
+                let mut tags = euf.explain(tm, x, dx);
+                tags.extend(euf.explain(tm, y, dy));
+                tags.push(tag);
+                tags
+            }
+        };
+        assert!(
+            !euf.explain_incomplete,
+            "incomplete explanation of implied {lit:?}"
+        );
+        conflict_lits(&self.trail, &tags, &[])
     }
 
     /// The EUF verdict on the asserted entries: the earliest-asserted
@@ -701,10 +970,11 @@ impl TheorySession {
         let Some(first) = self.trail.get(keep) else {
             return;
         };
-        self.euf
-            .as_mut()
-            .expect("session prepared")
-            .undo_to(first.euf_mark);
+        let euf = self.euf.as_mut().expect("session prepared");
+        euf.undo_to(first.euf_mark);
+        for e in &self.trail[keep..] {
+            euf.on_trail[e.lit.var() as usize] = false;
+        }
         if keep < self.loaded {
             self.simplex.undo_to(first.simplex_mark);
             self.loaded = keep;
@@ -924,10 +1194,29 @@ mod tests {
     /// A stand-in for the SAT side of the seam: atom `i` is SAT variable
     /// `i`, the trail is a literal list, and `low` is the low-water mark the
     /// next sync receives (lowered by every backtrack, reset by every sync).
+    ///
+    /// A *propagating* driver also plays the SAT core's part in theory
+    /// propagation: after a consistent sync it audits the implied literals
+    /// ([`Driver::audit`]), pushes them and syncs again until nothing new is
+    /// implied, and its random backjumps ([`Driver::evolve`]) land only on
+    /// *level boundaries* (trail lengths after a consistent sync), so a
+    /// backjump never separates an implied literal from the literals whose
+    /// reading implied it, and always pops a conflicting sync's literals.
     struct Driver {
         atoms: Vec<TermId>,
         trail: Vec<Lit>,
         low: usize,
+        propagating: bool,
+        /// Level boundaries, ascending (`0` is implicit).
+        levels: Vec<usize>,
+        /// Whether the last sync found a conflict.
+        conflicted: bool,
+        /// Trail positions of the implied literals pushed.
+        implied_at: Vec<usize>,
+        /// Whether the session's watch lists were built for this driver.
+        watched: bool,
+        /// Implied literals audited so far.
+        implied_total: usize,
     }
 
     impl Driver {
@@ -936,6 +1225,19 @@ mod tests {
                 atoms: atoms.to_vec(),
                 trail: Vec::new(),
                 low: 0,
+                propagating: false,
+                levels: Vec::new(),
+                conflicted: false,
+                implied_at: Vec::new(),
+                watched: false,
+                implied_total: 0,
+            }
+        }
+
+        fn propagating(atoms: &[TermId]) -> Driver {
+            Driver {
+                propagating: true,
+                ..Driver::new(atoms)
             }
         }
 
@@ -947,6 +1249,8 @@ mod tests {
         fn backtrack(&mut self, keep: usize) {
             self.trail.truncate(keep);
             self.low = self.low.min(keep);
+            self.levels.retain(|&b| b <= keep);
+            self.implied_at.retain(|&p| p < keep);
         }
 
         fn push(&mut self, atom: TermId, positive: bool) {
@@ -954,12 +1258,25 @@ mod tests {
             self.trail.push(l);
         }
 
-        /// Pops a random suffix and appends random fresh literals (each atom
-        /// at most once), once or twice before the next sync, like CDCL
-        /// backjumps followed by propagation and decisions.
+        /// Backjumps and appends random fresh literals (each atom at most
+        /// once), once or twice before the next sync, like CDCL backjumps
+        /// followed by propagation and decisions. The first backjump lands
+        /// on a level boundary (often the last one: no pop, unless the last
+        /// sync conflicted); a second one may also land among the literals
+        /// pushed since the last sync.
         fn evolve(&mut self, rng: &mut Rng) {
-            for _ in 0..1 + rng.below(2) {
-                let keep = rng.below(self.trail.len() + 1);
+            for round in 0..1 + rng.below(2) {
+                let synced = self.levels.last().copied().unwrap_or(0);
+                let keep = if round > 0 && rng.chance(50) {
+                    synced + rng.below(self.trail.len() - synced + 1)
+                } else if rng.chance(30) {
+                    synced
+                } else {
+                    match rng.below(self.levels.len() + 1) {
+                        0 => 0,
+                        i => self.levels[i - 1],
+                    }
+                };
                 self.backtrack(keep);
                 let mut candidates: Vec<usize> = (0..self.atoms.len())
                     .filter(|&v| self.trail.iter().all(|l| l.var() as usize != v))
@@ -978,20 +1295,25 @@ mod tests {
         }
 
         fn live(
-            &self,
+            &mut self,
             session: &mut TheorySession,
             checker: &TheoryChecker,
         ) -> Vec<Option<LiveAtom>> {
             session.prepare(checker);
-            self.atoms
+            let live: Vec<Option<LiveAtom>> = self
+                .atoms
                 .iter()
                 .map(|&a| Some(session.live_atom(checker, a)))
-                .collect()
+                .collect();
+            if !std::mem::replace(&mut self.watched, true) {
+                session.watch(&live);
+            }
+            live
         }
 
-        /// One fixpoint sync, then (when consistent) the complete-assignment
-        /// check, as the SAT loop runs them. Returns the verdict and the sync
-        /// delta.
+        /// Fixpoint syncs, then (when consistent) the complete-assignment
+        /// check, as the SAT loop runs them. Returns the verdict and the
+        /// summed sync deltas.
         fn check(
             &mut self,
             session: &mut TheorySession,
@@ -999,11 +1321,87 @@ mod tests {
             checker: &TheoryChecker,
         ) -> (SessionCheck, u64) {
             let live = self.live(session, checker);
-            let (verdict, delta) = session.sync(tm, &self.trail, self.low, &live);
-            self.low = self.trail.len();
-            match verdict {
-                SessionCheck::Consistent => (session.final_check(tm, checker).0, delta),
-                other => (other, delta),
+            let mut total = 0;
+            loop {
+                let mut implied = Vec::new();
+                let (verdict, delta) = session.sync(tm, &self.trail, self.low, &live, &mut implied);
+                self.low = self.trail.len();
+                total += delta;
+                self.conflicted = !matches!(verdict, SessionCheck::Consistent);
+                if self.conflicted {
+                    return (verdict, total);
+                }
+                if !self.propagating || implied.is_empty() {
+                    break;
+                }
+                self.audit(session, tm, checker, &live, &implied);
+                for l in implied {
+                    self.implied_at.push(self.trail.len());
+                    self.trail.push(l);
+                }
+            }
+            self.levels.push(self.trail.len());
+            (session.final_check(tm, checker).0, total)
+        }
+
+        /// Audits the literals a consistent sync implied, and re-explains
+        /// those implied earlier that are still on the trail:
+        ///
+        /// * a fresh implied literal is not on the trail;
+        /// * every implied literal is entailed (its explanation plus its
+        ///   negation is a conflict for the stateless checker), and is
+        ///   explained only by literals earlier on the trail;
+        /// * positive completeness: every equality atom whose sides share a
+        ///   class, and every predicate atom whose class holds `true` or
+        ///   `false`, is on the trail or freshly implied.
+        fn audit(
+            &mut self,
+            session: &mut TheorySession,
+            tm: &TermManager,
+            checker: &TheoryChecker,
+            live: &[Option<LiveAtom>],
+            implied: &[Lit],
+        ) {
+            let mut pos_of = vec![None; self.atoms.len()];
+            for (p, l) in self.trail.iter().enumerate() {
+                pos_of[l.var() as usize] = Some(p);
+            }
+            let end = self.trail.len();
+            let old = self.implied_at.iter().map(|&p| (self.trail[p], p));
+            let fresh = implied.iter().map(|&l| (l, end));
+            for (l, at) in old.chain(fresh).collect::<Vec<_>>() {
+                if at == end {
+                    assert_eq!(
+                        pos_of[l.var() as usize],
+                        None,
+                        "{l:?} implied while on the trail"
+                    );
+                }
+                let antecedents = session.explain(tm, l);
+                for a in &antecedents {
+                    let p = pos_of[a.var() as usize].expect("antecedent on the trail");
+                    assert!(p < at, "{a:?} at {p} explains {l:?} at {at}");
+                    assert_eq!(self.trail[p], *a);
+                }
+                let mut lits = antecedents;
+                lits.push(l.negate());
+                assert_conflict_valid(tm, checker, &self.pairs(&lits), "implied literal");
+            }
+            self.implied_total += implied.len();
+            let euf = session.euf.as_ref().expect("euf");
+            for (v, la) in live.iter().enumerate() {
+                let entailed = match la.expect("all atoms live").euf {
+                    EufAtom::Eq(a, b) if a != b && euf.find(a) == euf.find(b) => Some(true),
+                    EufAtom::Pred(n) => euf.class_value(euf.find(n)),
+                    _ => None,
+                };
+                if let Some(value) = entailed {
+                    let l = Lit::new(v as u32, value);
+                    assert!(
+                        pos_of[v].is_some() || implied.contains(&l),
+                        "{l:?} is entailed but neither on the trail nor implied"
+                    );
+                }
             }
         }
 
@@ -1127,7 +1525,7 @@ mod tests {
     /// (a) the batch rebuild-per-model checker and (b) a fresh session
     /// syncing the same trail in one shot, on every step of a long random
     /// schedule; every conflict either engine reports must be independently
-    /// valid.
+    /// valid, and every implied literal passes [`Driver::audit`].
     #[test]
     fn fuzz_session_agrees_with_rebuild_mixed() {
         let (tm, atoms) = mixed_universe();
@@ -1135,7 +1533,7 @@ mod tests {
         let checker = TheoryChecker::new(&mut tm, &atoms);
         let mut rng = Rng(0x5eed_cafe_f00d_0001);
         let mut session = TheorySession::new(PivotRule::Bland);
-        let mut sat = Driver::new(&atoms);
+        let mut sat = Driver::propagating(&atoms);
         for step in 0..400 {
             sat.evolve(&mut rng);
             let (got, _) = sat.check(&mut session, &tm, &checker);
@@ -1163,11 +1561,17 @@ mod tests {
                 }
             }
         }
+        assert!(
+            sat.implied_total >= 100,
+            "too few implied literals: {}",
+            sat.implied_total
+        );
     }
 
     /// Differential fuzz, EUF only: with no simplex involved the persistent
     /// session and a fresh rebuild are bit-exact, so verdicts AND conflict
-    /// explanations must be identical on every step.
+    /// explanations must be identical on every step; every implied literal
+    /// passes [`Driver::audit`].
     #[test]
     fn fuzz_euf_explanations_identical_to_rebuild() {
         let (tm, atoms) = euf_universe();
@@ -1175,7 +1579,7 @@ mod tests {
         let checker = TheoryChecker::new(&mut tm, &atoms);
         let mut rng = Rng(0xdead_beef_0000_0042);
         let mut session = TheorySession::new(PivotRule::Bland);
-        let mut sat = Driver::new(&atoms);
+        let mut sat = Driver::propagating(&atoms);
         let mut conflicts_seen = 0;
         for step in 0..400 {
             sat.evolve(&mut rng);
@@ -1198,6 +1602,11 @@ mod tests {
             conflicts_seen >= 20,
             "fuzz schedule too tame: only {conflicts_seen} conflicts"
         );
+        assert!(
+            sat.implied_total >= 100,
+            "too few implied literals: {}",
+            sat.implied_total
+        );
     }
 
     /// Exact-undo check on the internals: sync an extension of a consistent
@@ -1211,7 +1620,7 @@ mod tests {
         let checker = TheoryChecker::new(&mut tm, &atoms);
         let mut rng = Rng(0x0123_4567_89ab_cdef);
         let mut session = TheorySession::new(PivotRule::Bland);
-        let mut sat = Driver::new(&atoms);
+        let mut sat = Driver::propagating(&atoms);
         let mut compared = 0;
         for _ in 0..400 {
             sat.evolve(&mut rng);
@@ -1235,7 +1644,7 @@ mod tests {
             sat.check(&mut session, &tm, &checker);
             sat.backtrack(base);
             let live = sat.live(&mut session, &checker);
-            session.sync(&tm, &sat.trail, sat.low, &live);
+            session.sync(&tm, &sat.trail, sat.low, &live, &mut Vec::new());
             sat.low = sat.trail.len();
             let (a, b) = (
                 session.euf.as_ref().expect("euf"),
@@ -1243,6 +1652,8 @@ mod tests {
             );
             assert_eq!(a.parent, b.parent, "union-find links");
             assert_eq!(a.size, b.size, "class sizes");
+            assert_eq!(a.next, b.next, "class-member links");
+            assert_eq!(a.on_trail, b.on_trail, "trail flags");
             assert_eq!(a.use_lists, b.use_lists, "use lists");
             assert_eq!(a.sig_table, b.sig_table, "signature table");
             assert_eq!(a.diseqs, b.diseqs, "disequalities");
