@@ -91,9 +91,11 @@ OPTIONS:
                        (default on; verdicts are identical either way)
     --no-slice-hyps    disable slice hints: --recheck re-solves every VC from
                        the full hypothesis set
-    --vc-timeout SECS  watchdog: when a VC is in flight longer than SECS,
-                       dump a stuck-VC dossier to stderr (current phase,
-                       heartbeat trail, histogram snapshot) — once per VC
+    --vc-timeout SECS  watchdog: when a VC is in flight longer than SECS
+                       (fractional, e.g. 0.25; at least the watchdog's 0.2 s
+                       tick), dump a stuck-VC dossier to stderr (current
+                       phase, heartbeat trail, histogram snapshot) — once
+                       per VC
     --threshold-pct P  (compare) noise gate: a solve-time delta counts only
                        past P percent of the base time (default 25)
     --threshold-ms MS  (compare) ...and past MS absolute milliseconds
@@ -122,7 +124,7 @@ struct Options {
     no_ledger: bool,
     recheck: bool,
     slice_hyps: bool,
-    vc_timeout: Option<u64>,
+    vc_timeout: Option<Duration>,
     threshold_pct: Option<f64>,
     threshold_ms: Option<f64>,
     advisory_timing: bool,
@@ -215,11 +217,12 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--no-slice-hyps" => o.slice_hyps = false,
             "--vc-timeout" => {
                 let v = value_of("--vc-timeout")?;
-                o.vc_timeout = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| format!("invalid --vc-timeout value '{}'", v))?
-                        .max(1),
-                );
+                let secs = v
+                    .parse::<f64>()
+                    .ok()
+                    .and_then(|s| Duration::try_from_secs_f64(s).ok())
+                    .ok_or_else(|| format!("invalid --vc-timeout value '{}'", v))?;
+                o.vc_timeout = Some(secs.max(SUPERVISOR_TICK));
             }
             "--threshold-pct" => {
                 let v = value_of("--threshold-pct")?;
@@ -355,6 +358,9 @@ fn install_observability(o: &Options, config: &DriverConfig) {
     install_flush_guards(o);
 }
 
+/// How often the supervisor thread wakes up; also the finest `--vc-timeout`.
+const SUPERVISOR_TICK: Duration = Duration::from_millis(200);
+
 /// Serializes every write of the `--trace` file: the supervisor thread
 /// flushes partial snapshots while the run is still in flight, and the main
 /// thread writes the final timeline at exit.
@@ -429,7 +435,7 @@ fn dump_flight_dossiers(reason: &str) {
 /// asked for --trace or --vc-timeout.
 fn install_flush_guards(o: &Options) {
     let trace = o.trace.clone();
-    let vc_timeout = o.vc_timeout.map(Duration::from_secs);
+    let vc_timeout = o.vc_timeout;
     if trace.is_none() && vc_timeout.is_none() {
         return;
     }
@@ -451,11 +457,10 @@ fn install_flush_guards(o: &Options) {
     std::thread::Builder::new()
         .name("obs-supervisor".to_string())
         .spawn(move || {
-            const TICK: Duration = Duration::from_millis(200);
             const TRACE_FLUSH_EVERY: Duration = Duration::from_secs(5);
             let mut last_trace_flush = Instant::now();
             loop {
-                std::thread::sleep(TICK);
+                std::thread::sleep(SUPERVISOR_TICK);
                 if INTERRUPTED.load(Ordering::SeqCst) {
                     dump_flight_dossiers("interrupted");
                     if let Some(path) = &trace {
@@ -1010,6 +1015,7 @@ fn solver_json(j: &mut Json, s: &SolverStats) {
     j.num_field("propagations", s.sat_propagations as f64);
     j.num_field("theory_propagations", s.theory_propagations as f64);
     j.num_field("theory_rounds", s.theory_rounds as f64);
+    j.num_field("final_checks", s.final_checks as f64);
     j.num_field("sat_time_s", s.sat_time.as_secs_f64());
     j.num_field("theory_time_s", s.theory_time.as_secs_f64());
     j.num_field("lower_time_s", s.lower_time.as_secs_f64());

@@ -27,17 +27,18 @@
 //!   (`crate::trail::TheorySession`) driven *online* from inside the CDCL
 //!   search ([`crate::sat::SatSolver::solve_under_with`]): at every
 //!   propagation fixpoint it retracts what the SAT core backtracked over,
-//!   asserts the EUF part of the new theory literals and checks the
-//!   disequalities; on a complete assignment it also loads the simplex
-//!   bounds, propagates EUF-derived equalities and runs the simplex. A
-//!   theory conflict is learned and analysed at the level where it arose,
-//!   so one check is one search, not a loop of searches. A consistent
-//!   fixpoint also hands back the atom literals congruence already decides
-//!   (equalities whose sides are merged, predicates whose class holds
-//!   `true`/`false`, equalities an asserted disequality separates); the SAT
-//!   core enqueues them with a theory reason and asks
-//!   [`crate::sat::TheoryHook::explain`] for their antecedents only when
-//!   conflict analysis resolves on one.
+//!   asserts the EUF part of the new theory literals, checks the
+//!   disequalities, then asserts their simplex bounds and runs the rational
+//!   simplex check; on a complete assignment it only adds what needs one,
+//!   the EUF-derived equalities between numeric terms and integer
+//!   branch-and-bound. A theory conflict is learned and analysed at the
+//!   level where it arose, so one check is one search, not a loop of
+//!   searches. A consistent fixpoint also hands back the atom literals
+//!   congruence already decides (equalities whose sides are merged,
+//!   predicates whose class holds `true`/`false`, equalities an asserted
+//!   disequality separates); the SAT core enqueues them with a theory reason
+//!   and asks [`crate::sat::TheoryHook::explain`] for their antecedents only
+//!   when conflict analysis resolves on one.
 //!
 //! Model soundness with retraction: atoms that only occur in popped scopes
 //! are *dead* — their propositional values are unconstrained don't-cares. The
@@ -758,8 +759,10 @@ fn live_atoms(
 /// literals it implies) and final-checked on complete assignments.
 ///
 /// One *theory round* is one verdict handed back to the SAT core — a theory
-/// conflict found at a fixpoint, or a final check whatever its verdict;
-/// `max_rounds` bounds their number.
+/// conflict found at a fixpoint (by EUF or by the simplex), or a final check
+/// whatever its verdict; `max_rounds` bounds their number. Fixpoint time
+/// spent on simplex bounds and checks counts as `simplex_time`, the rest as
+/// `euf_time`.
 struct OnlineTheory<'a> {
     tm: &'a TermManager,
     checker: &'a TheoryChecker,
@@ -822,19 +825,21 @@ impl TheoryHook for OnlineTheory<'_> {
         implied: &mut Vec<Lit>,
     ) -> TheoryVerdict {
         let start = std::time::Instant::now();
-        let (verdict, delta) = self
-            .session
-            .sync(self.tm, trail, low_water, self.live, implied);
+        let (verdict, work) =
+            self.session
+                .sync(self.tm, self.checker, trail, low_water, self.live, implied);
         let elapsed = start.elapsed();
-        self.stats.euf_time += elapsed;
+        self.stats.euf_time += elapsed.saturating_sub(work.simplex_time);
+        self.stats.simplex_time += work.simplex_time;
         self.stats.theory_time += elapsed;
-        if delta > 0 && ids_obs::metrics_active() {
-            ids_obs::record_metric(ids_obs::Metric::TheoryDeltaLits, delta);
+        self.stats.pivots += work.pivots;
+        if work.delta > 0 && ids_obs::metrics_active() {
+            ids_obs::record_metric(ids_obs::Metric::TheoryDeltaLits, work.delta);
         }
         match verdict {
             SessionCheck::Consistent => TheoryVerdict::Consistent,
             SessionCheck::Conflict(lits) => {
-                self.round(elapsed, 0);
+                self.round(elapsed, work.pivots);
                 self.conflict(lits)
             }
             SessionCheck::Unknown => TheoryVerdict::Unknown,
@@ -859,6 +864,7 @@ impl TheoryHook for OnlineTheory<'_> {
         let start = std::time::Instant::now();
         let (verdict, pivots) = self.session.final_check(self.tm, self.checker);
         let elapsed = start.elapsed();
+        self.stats.final_checks += 1;
         self.stats.simplex_time += elapsed;
         self.stats.theory_time += elapsed;
         self.stats.pivots += pivots;
@@ -1268,6 +1274,31 @@ mod tests {
         assert!(s.stats().theory_propagations >= 1, "{:?}", s.stats());
         s.pop();
         assert_eq!(s.check(&mut tm), SatResult::Sat);
+    }
+
+    /// `x <= 5`, `p ∨ q`, `p -> x >= 7`, `q -> x >= 8`: whichever of `p`,
+    /// `q` the search tries, the bound it implies clashes with `x <= 5` at
+    /// the fixpoint, so the query is refuted without a complete assignment.
+    #[test]
+    fn arithmetic_refutes_at_fixpoints_without_a_final_check() {
+        let mut tm = TermManager::new();
+        let p = tm.var("p", Sort::Bool);
+        let q = tm.var("q", Sort::Bool);
+        let x = tm.var("x", Sort::Int);
+        let five = tm.int(5);
+        let seven = tm.int(7);
+        let eight = tm.int(8);
+        let le5 = tm.le(x, five);
+        let ge7 = tm.ge(x, seven);
+        let ge8 = tm.ge(x, eight);
+        let p_or_q = tm.or2(p, q);
+        let p_ge7 = tm.implies(p, ge7);
+        let q_ge8 = tm.implies(q, ge8);
+        let mut s = IncrementalSolver::new();
+        s.assert_all(&mut tm, &[le5, p_or_q, p_ge7, q_ge8]);
+        assert_eq!(s.check(&mut tm), SatResult::Unsat);
+        assert_eq!(s.stats().final_checks, 0, "{:?}", s.stats());
+        assert!(s.stats().theory_rounds >= 1, "{:?}", s.stats());
     }
 
     #[test]

@@ -1,11 +1,21 @@
 //! Linear arithmetic over rationals and integers: a general simplex solver in
-//! the style of Dutertre–de Moura, using delta-rationals for strict
-//! inequalities, plus branch-and-bound for integer variables.
+//! the style of Dutertre–de Moura ("A Fast Linear-Arithmetic Solver for
+//! DPLL(T)", CAV 2006), using delta-rationals for strict inequalities, plus
+//! branch-and-bound for integer variables.
 //!
-//! The solver is used in batch mode by the theory layer: all bounds derived
-//! from the asserted arithmetic literals are loaded (each carrying a literal
-//! *tag*), then [`Simplex::check`] either produces a satisfying assignment or
-//! a conflict — a set of tags of jointly inconsistent bounds.
+//! Every constraint is normalized into bounds on one variable (a slack
+//! variable with its own tableau row for a form of two or more terms), each
+//! bound carrying a literal *tag*; [`Simplex::check`] then either produces a
+//! satisfying assignment or a conflict — a set of tags of jointly
+//! inconsistent bounds.
+//!
+//! The solver is incremental, which is how the online theory session drives
+//! it: bounds are asserted as their literals arrive (each constraint is
+//! normalized once and re-asserted from that form after a retraction),
+//! [`Simplex::undo_to`] retracts them, and [`Simplex::check_rational`]
+//! re-checks from the current basis. Only the basic variables a bound or an
+//! assignment change touched since can be violated, so a check looks at that
+//! candidate set instead of every row.
 
 use std::collections::HashMap;
 
@@ -93,6 +103,21 @@ pub enum ArithOutcome {
     Unknown,
 }
 
+/// A constraint normalized into bounds on one variable by
+/// [`Simplex::compile`], ready to be asserted — and asserted again after a
+/// retraction — without normalizing it again.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Compiled {
+    /// A constraint without variables, and whether it holds.
+    Constant(bool),
+    /// `lower <= var <= upper`; a missing side is unbounded.
+    Bounds {
+        var: usize,
+        upper: Option<DeltaRat>,
+        lower: Option<DeltaRat>,
+    },
+}
+
 const NO_TAG: usize = usize::MAX;
 
 /// How the simplex picks its pivots.
@@ -135,6 +160,24 @@ struct Bound {
     tag: usize,
 }
 
+/// The basic variables that may violate a bound: a superset of the violated
+/// ones, in no particular order.
+#[derive(Clone, Debug, Default)]
+struct Candidates {
+    list: Vec<usize>,
+    /// Per variable: whether it is in `list`.
+    member: Vec<bool>,
+}
+
+impl Candidates {
+    fn insert(&mut self, b: usize) {
+        if !self.member[b] {
+            self.member[b] = true;
+            self.list.push(b);
+        }
+    }
+}
+
 /// The simplex solver.
 ///
 /// Variables are dense indices `0..num_vars`; the caller declares which are
@@ -166,6 +209,13 @@ pub struct Simplex {
     /// the solver after one check, keeps its historical one-slack-per-call
     /// behaviour byte for byte).
     slack_of: Option<FxHashMap<Vec<(usize, Rat)>, usize>>,
+    /// Every violated basic variable, and possibly more. A basic variable
+    /// enters when its value changes ([`Simplex::update_nonbasic`],
+    /// [`Simplex::pivot_and_update`]), when a bound on it is tightened past
+    /// its value, and when a pivot makes it basic. Undo only relaxes bounds,
+    /// so it cannot create a violation. Entries found nonbasic or within
+    /// bounds are pruned by [`Simplex::violated_basic`].
+    candidates: Candidates,
     /// Pivot-count statistic.
     pub pivots: u64,
 }
@@ -201,6 +251,7 @@ impl Simplex {
         self.lower.push(None);
         self.upper.push(None);
         self.assignment.push(DeltaRat::ZERO);
+        self.candidates.member.push(false);
         v
     }
 
@@ -212,9 +263,9 @@ impl Simplex {
     /// Turns on slack-variable reuse: later constraints whose linear part
     /// matches an earlier one share its slack variable (and therefore combine
     /// their bounds on it) instead of allocating a fresh variable and row.
-    /// Used by persistent theory sessions, where the same literal is asserted
-    /// again after a retraction and must not grow the tableau each round.
-    pub(crate) fn enable_slack_reuse(&mut self) {
+    /// For long-lived instances, where the same constraint is asserted again
+    /// after a retraction and must not grow the tableau each time.
+    pub fn enable_slack_reuse(&mut self) {
         if self.slack_of.is_none() {
             self.slack_of = Some(FxHashMap::default());
         }
@@ -222,7 +273,7 @@ impl Simplex {
 
     /// A restore point for [`Simplex::undo_to`]: the current length of the
     /// bound-undo trail.
-    pub(crate) fn mark(&self) -> usize {
+    pub fn mark(&self) -> usize {
         self.bound_trail.len()
     }
 
@@ -231,7 +282,7 @@ impl Simplex {
     /// mark are kept: a slack with no bounds can never participate in a
     /// conflict, and the assignment only becomes *more* feasible as bounds
     /// relax.
-    pub(crate) fn undo_to(&mut self, mark: usize) {
+    pub fn undo_to(&mut self, mark: usize) {
         while self.bound_trail.len() > mark {
             let (x, is_upper, old) = self.bound_trail.pop().expect("trail above mark");
             if is_upper {
@@ -242,7 +293,8 @@ impl Simplex {
         }
     }
 
-    /// Adds the constraint `expr rel 0` tagged with `tag`.
+    /// Adds the constraint `expr rel 0` tagged with `tag`: normalizes it into
+    /// bounds on one variable and asserts them.
     /// Returns `Err(conflict)` on an immediately detected conflict.
     ///
     /// # Panics
@@ -253,80 +305,94 @@ impl Simplex {
         rel: Rel,
         tag: usize,
     ) -> Result<(), Vec<usize>> {
+        let compiled = self.compile(expr, rel);
+        self.assert_compiled(&compiled, tag)
+    }
+
+    /// Normalizes `expr rel 0` into bounds on a single variable:
+    /// `linear part rel -constant`, where a linear part of two or more terms
+    /// is a slack variable (created here with its defining row, or reused).
+    ///
+    /// # Panics
+    /// Panics if `rel` is [`Rel::Neq`] (the caller must case-split).
+    pub(crate) fn compile(&mut self, expr: &LinExpr, rel: Rel) -> Compiled {
         if rel == Rel::Neq {
             panic!("Neq must be split by the caller")
         }
         if expr.is_constant() {
             let c = expr.constant;
-            let ok = match rel {
+            return Compiled::Constant(match rel {
                 Rel::Le => c <= Rat::ZERO,
                 Rel::Lt => c < Rat::ZERO,
                 Rel::Eq => c.is_zero(),
                 Rel::Neq => unreachable!(),
-            };
-            return if ok { Ok(()) } else { Err(vec![tag]) };
+            });
         }
-        // Normalize to a bound on a single (possibly slack) variable:
-        //   expr = constant + linear_part ;  linear_part rel -constant
-        let var = if expr.terms.len() == 1 {
+        // The linear part is `scale * var`.
+        let (var, scale) = if expr.terms.len() == 1 {
             let (&v, &c) = expr.terms.iter().next().unwrap();
-            if c == Rat::ONE {
-                Some((v, Rat::ONE))
-            } else {
-                Some((v, c))
-            }
+            (v, c)
         } else {
-            None
+            (self.slack_for(expr), Rat::ONE)
         };
-        let (x, scale) = match var {
-            Some((v, c)) => (v, c),
-            None => {
-                let key: Option<Vec<(usize, Rat)>> = self.slack_of.is_some().then(|| {
-                    let mut k: Vec<(usize, Rat)> =
-                        expr.terms.iter().map(|(&v, &c)| (v, c)).collect();
-                    k.sort_unstable_by_key(|&(v, _)| v);
-                    k
-                });
-                let reused = key
-                    .as_ref()
-                    .and_then(|k| self.slack_of.as_ref().and_then(|m| m.get(k)).copied());
-                match reused {
-                    Some(s) => (s, Rat::ONE),
-                    None => {
-                        // Introduce a slack variable s = linear part.
-                        let s = self.new_var(false);
-                        let mut row = FxHashMap::default();
-                        for (&v, &c) in &expr.terms {
-                            row.insert(v, c);
-                        }
-                        // Substitute any basic variables appearing in the new row.
-                        let row = self.substitute_basics(row);
-                        self.assignment[s] = self.row_value(&row);
-                        self.rows.insert(s, row);
-                        if let (Some(k), Some(m)) = (key, self.slack_of.as_mut()) {
-                            m.insert(k, s);
-                        }
-                        (s, Rat::ONE)
-                    }
-                }
-            }
-        };
-        // linear part = scale * x ; constraint: scale*x rel -constant
-        let rhs = -expr.constant;
-        let bound = rhs / scale;
-        let flipped = scale.is_negative();
-        match (rel, flipped) {
-            (Rel::Eq, _) => {
-                self.assert_upper(x, DeltaRat::from_rat(bound), tag)?;
-                self.assert_lower(x, DeltaRat::from_rat(bound), tag)?;
-            }
-            (Rel::Le, false) => self.assert_upper(x, DeltaRat::from_rat(bound), tag)?,
-            (Rel::Le, true) => self.assert_lower(x, DeltaRat::from_rat(bound), tag)?,
-            (Rel::Lt, false) => self.assert_upper(x, DeltaRat::new(bound, -Rat::ONE), tag)?,
-            (Rel::Lt, true) => self.assert_lower(x, DeltaRat::new(bound, Rat::ONE), tag)?,
+        let bound = -expr.constant / scale;
+        let exact = Some(DeltaRat::from_rat(bound));
+        let (upper, lower) = match (rel, scale.is_negative()) {
+            (Rel::Eq, _) => (exact, exact),
+            (Rel::Le, false) => (exact, None),
+            (Rel::Le, true) => (None, exact),
+            (Rel::Lt, false) => (Some(DeltaRat::new(bound, -Rat::ONE)), None),
+            (Rel::Lt, true) => (None, Some(DeltaRat::new(bound, Rat::ONE))),
             (Rel::Neq, _) => unreachable!(),
+        };
+        Compiled::Bounds { var, upper, lower }
+    }
+
+    /// Asserts a compiled constraint tagged with `tag` (its upper bound
+    /// first). Returns `Err(conflict)` when a bound contradicts the opposite
+    /// bound of its variable, or the constant constraint is false; a
+    /// contradicted second bound leaves the first asserted.
+    pub(crate) fn assert_compiled(&mut self, c: &Compiled, tag: usize) -> Result<(), Vec<usize>> {
+        match *c {
+            Compiled::Constant(true) => Ok(()),
+            Compiled::Constant(false) => Err(vec![tag]),
+            Compiled::Bounds { var, upper, lower } => {
+                if let Some(u) = upper {
+                    self.assert_upper(var, u, tag)?;
+                }
+                if let Some(l) = lower {
+                    self.assert_lower(var, l, tag)?;
+                }
+                Ok(())
+            }
         }
-        Ok(())
+    }
+
+    /// The slack variable standing for the linear part of `expr` (two or
+    /// more terms): the one already defined for it when slack reuse is on,
+    /// else a fresh basic variable with its defining row.
+    fn slack_for(&mut self, expr: &LinExpr) -> usize {
+        let key: Option<Vec<(usize, Rat)>> = self.slack_of.is_some().then(|| {
+            let mut k: Vec<(usize, Rat)> = expr.terms.iter().map(|(&v, &c)| (v, c)).collect();
+            k.sort_unstable_by_key(|&(v, _)| v);
+            k
+        });
+        let reused = key
+            .as_ref()
+            .and_then(|k| self.slack_of.as_ref().and_then(|m| m.get(k)).copied());
+        if let Some(s) = reused {
+            return s;
+        }
+        let s = self.new_var(false);
+        let row: FxHashMap<usize, Rat> = expr.terms.iter().map(|(&v, &c)| (v, c)).collect();
+        // Substitute any basic variables appearing in the new row.
+        let row = self.substitute_basics(row);
+        self.assignment[s] = self.row_value(&row);
+        self.rows.insert(s, row);
+        if let (Some(k), Some(m)) = (key, self.slack_of.as_mut()) {
+            m.insert(k, s);
+        }
+        s
     }
 
     fn substitute_basics(&self, row: FxHashMap<usize, Rat>) -> FxHashMap<usize, Rat> {
@@ -367,8 +433,12 @@ impl Simplex {
         if tighter {
             self.bound_trail.push((x, true, self.upper[x].take()));
             self.upper[x] = Some(Bound { value: c, tag });
-            if !self.rows.contains_key(&x) && self.assignment[x] > c {
-                self.update_nonbasic(x, c);
+            if self.assignment[x] > c {
+                if self.rows.contains_key(&x) {
+                    self.candidates.insert(x);
+                } else {
+                    self.update_nonbasic(x, c);
+                }
             }
         }
         Ok(())
@@ -387,8 +457,12 @@ impl Simplex {
         if tighter {
             self.bound_trail.push((x, false, self.lower[x].take()));
             self.lower[x] = Some(Bound { value: c, tag });
-            if !self.rows.contains_key(&x) && self.assignment[x] < c {
-                self.update_nonbasic(x, c);
+            if self.assignment[x] < c {
+                if self.rows.contains_key(&x) {
+                    self.candidates.insert(x);
+                } else {
+                    self.update_nonbasic(x, c);
+                }
             }
         }
         Ok(())
@@ -397,59 +471,71 @@ impl Simplex {
     fn update_nonbasic(&mut self, x: usize, v: DeltaRat) {
         let delta = v - self.assignment[x];
         self.assignment[x] = v;
-        let basics: Vec<usize> = self.rows.keys().copied().collect();
-        for b in basics {
-            if let Some(&c) = self.rows[&b].get(&x) {
+        for (&b, row) in &self.rows {
+            if let Some(&c) = row.get(&x) {
                 self.assignment[b] = self.assignment[b] + delta.scale(c);
+                self.candidates.insert(b);
             }
+        }
+    }
+
+    /// Which bound of `x` its value violates, if any: `Some(true)` below its
+    /// lower bound, `Some(false)` above its upper bound.
+    fn violation(&self, x: usize) -> Option<bool> {
+        let value = self.assignment[x];
+        if self.lower[x].as_ref().is_some_and(|l| value < l.value) {
+            Some(true)
+        } else if self.upper[x].as_ref().is_some_and(|u| value > u.value) {
+            Some(false)
+        } else {
+            None
         }
     }
 
     /// Picks the violated basic variable to fix next: smallest index under
     /// Bland's rule, largest violation (ties to the smallest index) in the
     /// hybrid heuristic phase. Returns `(var, is_below_lower)`.
+    ///
+    /// Only the candidate set is scanned, pruned of the entries that are no
+    /// longer basic or violated on the way. It holds every violated basic
+    /// variable, so the choice is the one a scan of every row would make.
     /// The heuristic scan needs a *ranking*, not exact arithmetic: violation
     /// magnitudes are compared as lossy `f64` approximations (exact
     /// delta-rational subtraction would gcd-normalize on every candidate),
     /// with the smallest index breaking ties so the choice stays
-    /// deterministic regardless of hash-map iteration order. A wrong ranking
+    /// deterministic regardless of the candidates' order. A wrong ranking
     /// can only cost extra pivots, never correctness.
-    fn violated_basic(&self, heuristic: bool) -> Option<(usize, bool)> {
+    fn violated_basic(&mut self, heuristic: bool) -> Option<(usize, bool)> {
+        let mut i = 0;
+        while i < self.candidates.list.len() {
+            let b = self.candidates.list[i];
+            if self.rows.contains_key(&b) && self.violation(b).is_some() {
+                i += 1;
+            } else {
+                self.candidates.member[b] = false;
+                self.candidates.list.swap_remove(i);
+            }
+        }
+        debug_assert!(
+            self.rows
+                .keys()
+                .all(|&b| self.candidates.member[b] || self.violation(b).is_none()),
+            "a violated basic variable is missing from the candidate set"
+        );
         if !heuristic {
             // Bland: smallest violated index (the index order is what
-            // guarantees cycle-freedom, so keep the sort).
-            let mut basics: Vec<usize> = self.rows.keys().copied().collect();
-            basics.sort_unstable();
-            for b in basics {
-                if let Some(l) = &self.lower[b] {
-                    if self.assignment[b] < l.value {
-                        return Some((b, true));
-                    }
-                }
-                if let Some(u) = &self.upper[b] {
-                    if self.assignment[b] > u.value {
-                        return Some((b, false));
-                    }
-                }
-            }
-            return None;
+            // guarantees cycle-freedom).
+            let b = self.candidates.list.iter().copied().min()?;
+            return self.violation(b).map(|below| (b, below));
         }
         let approx = |v: DeltaRat| -> f64 { v.real.to_f64() + 1e-9 * v.delta.to_f64() };
         let mut best: Option<(usize, bool, f64)> = None;
-        for &b in self.rows.keys() {
-            let violation = if let Some(l) = self.lower[b]
-                .as_ref()
-                .filter(|l| self.assignment[b] < l.value)
-            {
-                Some((true, approx(l.value) - approx(self.assignment[b])))
+        for &b in &self.candidates.list {
+            let below = self.violation(b).expect("pruned to violated candidates");
+            let amount = if below {
+                approx(self.lower[b].as_ref().unwrap().value) - approx(self.assignment[b])
             } else {
-                self.upper[b]
-                    .as_ref()
-                    .filter(|u| self.assignment[b] > u.value)
-                    .map(|u| (false, approx(self.assignment[b]) - approx(u.value)))
-            };
-            let Some((below, amount)) = violation else {
-                continue;
+                approx(self.assignment[b]) - approx(self.upper[b].as_ref().unwrap().value)
             };
             let better = match best {
                 None => true,
@@ -468,15 +554,16 @@ impl Simplex {
         let theta = (v - self.assignment[xi]).scale(aij.recip());
         self.assignment[xi] = v;
         self.assignment[xj] = self.assignment[xj] + theta;
-        let basics: Vec<usize> = self.rows.keys().copied().collect();
-        for b in basics {
+        for (&b, row) in &self.rows {
             if b != xi {
-                if let Some(&c) = self.rows[&b].get(&xj) {
+                if let Some(&c) = row.get(&xj) {
                     self.assignment[b] = self.assignment[b] + theta.scale(c);
+                    self.candidates.insert(b);
                 }
             }
         }
         self.pivot(xi, xj);
+        self.candidates.insert(xj);
     }
 
     fn pivot(&mut self, xi: usize, xj: usize) {
@@ -512,26 +599,17 @@ impl Simplex {
     /// Runs the simplex algorithm, then branch-and-bound if integer variables
     /// have fractional values.
     pub fn check(&mut self) -> ArithOutcome {
-        match self.check_rational() {
-            ArithOutcome::Sat(_) => self.branch_and_bound(0),
-            other => other,
-        }
+        self.branch_and_bound(0)
     }
 
-    fn check_rational(&mut self) -> ArithOutcome {
+    /// Runs the simplex algorithm over the rationals only (no
+    /// branch-and-bound), from the current basis: `Ok(())` leaves a
+    /// satisfying assignment in place, `Err` carries the tags of a jointly
+    /// inconsistent subset of the asserted bounds. A rational conflict is
+    /// also an integer one.
+    pub fn check_rational(&mut self) -> Result<(), Vec<usize>> {
         let heartbeat_every = ids_obs::heartbeat_interval();
         loop {
-            // Liveness for pivot blow-ups: the conflict-based cadence is
-            // scaled up — pivots are much cheaper than SAT conflicts.
-            if heartbeat_every != 0
-                && self.pivots != 0
-                && self.pivots.is_multiple_of(heartbeat_every * 4)
-            {
-                ids_obs::emit_heartbeat(ids_obs::Heartbeat {
-                    pivots: self.pivots,
-                    ..ids_obs::Heartbeat::default()
-                });
-            }
             // Heuristic pivoting runs only while the hybrid rule's budget
             // lasts; afterwards every choice follows Bland's rule, which
             // cannot cycle, so the loop terminates under either rule.
@@ -539,9 +617,8 @@ impl Simplex {
                 PivotRule::Bland => false,
                 PivotRule::Hybrid { bland_after } => self.pivots < bland_after,
             };
-            let (xi, below) = match self.violated_basic(heuristic) {
-                None => return ArithOutcome::Sat(self.assignment.clone()),
-                Some(v) => v,
+            let Some((xi, below)) = self.violated_basic(heuristic) else {
+                return Ok(());
             };
             let row: Vec<(usize, Rat)> = {
                 let mut r: Vec<(usize, Rat)> =
@@ -589,51 +666,56 @@ impl Simplex {
                     pivot_var = Some((xj, a));
                 }
             }
-            match pivot_var {
-                Some((xj, _)) => self.pivot_and_update(xi, xj, target),
-                None => {
-                    // Conflict: the violated bound of xi plus, per column,
-                    // the bound that blocks the required movement.
-                    let own = if below {
-                        self.lower[xi].as_ref().unwrap().tag
+            let Some((xj, _)) = pivot_var else {
+                // Conflict: the violated bound of xi plus, per column, the
+                // bound that blocks the required movement.
+                let own = if below {
+                    self.lower[xi].as_ref().unwrap().tag
+                } else {
+                    self.upper[xi].as_ref().unwrap().tag
+                };
+                let mut tags = vec![own];
+                for &(xj, a) in &row {
+                    if needs_increase(a) {
+                        tags.push(self.upper[xj].as_ref().unwrap().tag);
                     } else {
-                        self.upper[xi].as_ref().unwrap().tag
-                    };
-                    let mut tags = vec![own];
-                    for &(xj, a) in &row {
-                        if needs_increase(a) {
-                            tags.push(self.upper[xj].as_ref().unwrap().tag);
-                        } else {
-                            tags.push(self.lower[xj].as_ref().unwrap().tag);
-                        }
+                        tags.push(self.lower[xj].as_ref().unwrap().tag);
                     }
-                    tags.retain(|&t| t != NO_TAG);
-                    tags.sort_unstable();
-                    tags.dedup();
-                    return ArithOutcome::Conflict(tags);
                 }
+                tags.retain(|&t| t != NO_TAG);
+                tags.sort_unstable();
+                tags.dedup();
+                return Err(tags);
+            };
+            self.pivot_and_update(xi, xj, target);
+            // Liveness for pivot blow-ups: the conflict-based cadence is
+            // scaled up — pivots are much cheaper than SAT conflicts.
+            if heartbeat_every != 0 && self.pivots.is_multiple_of(heartbeat_every * 4) {
+                ids_obs::emit_heartbeat(ids_obs::Heartbeat {
+                    pivots: self.pivots,
+                    ..ids_obs::Heartbeat::default()
+                });
             }
         }
     }
 
     fn branch_and_bound(&mut self, depth: usize) -> ArithOutcome {
         const MAX_DEPTH: usize = 60;
-        let assignment = match self.check_rational() {
-            ArithOutcome::Sat(a) => a,
-            other => return other,
-        };
+        if let Err(tags) = self.check_rational() {
+            return ArithOutcome::Conflict(tags);
+        }
         // Find an integer variable with a fractional (or infinitesimal) value.
         let frac = (0..self.num_vars).find(|&v| {
-            self.is_int[v] && (!assignment[v].delta.is_zero() || !assignment[v].real.is_integer())
+            let value = self.assignment[v];
+            self.is_int[v] && (!value.delta.is_zero() || !value.real.is_integer())
         });
-        let v = match frac {
-            None => return ArithOutcome::Sat(assignment),
-            Some(v) => v,
+        let Some(v) = frac else {
+            return ArithOutcome::Sat(self.assignment.clone());
         };
         if depth >= MAX_DEPTH {
             return ArithOutcome::Unknown;
         }
-        let val = assignment[v];
+        let val = self.assignment[v];
         // The two branches x <= floor(val) and x >= floor(val) + 1. For values
         // with a negative delta at an integer point, floor of the real part
         // still gives the right split.

@@ -133,6 +133,10 @@ pub struct SolverStats {
     /// check (whatever its verdict), so a check refuted by Boolean
     /// propagation alone has none. Merge: **sum**.
     pub theory_rounds: u64,
+    /// Final checks: theory checks of a complete assignment (EUF-derived
+    /// equalities and integer branch-and-bound on top of what every
+    /// fixpoint checks). Merge: **sum**.
+    pub final_checks: u64,
     /// SAT conflicts. Merge: **sum**.
     pub sat_conflicts: u64,
     /// SAT decisions. Merge: **sum**.
@@ -216,6 +220,7 @@ impl SolverStats {
     /// the `learned_kept` and `max_lbd` gauges take the maximum.
     pub fn merge(&mut self, other: &SolverStats) {
         self.theory_rounds += other.theory_rounds;
+        self.final_checks += other.final_checks;
         self.sat_conflicts += other.sat_conflicts;
         self.sat_decisions += other.sat_decisions;
         self.sat_propagations += other.sat_propagations;
@@ -398,8 +403,10 @@ mod tests {
         use crate::sat::{ClauseDbOptions, RestartPolicy, SatOptions};
 
         // A conflict-heavy propositional core (pigeonhole 5→4 over Bool
-        // vars) plus an arithmetic refutation, under restart/deletion knobs
-        // aggressive enough to fire on a test-sized query.
+        // vars) under restart/deletion knobs aggressive enough to fire on a
+        // test-sized query. It gets a solver of its own: arithmetic asserted
+        // alongside would be refuted at the first propagation fixpoint,
+        // before the search ever restarts.
         let mut tm = TermManager::new();
         let p: Vec<Vec<TermId>> = (0..5)
             .map(|i| {
@@ -408,9 +415,9 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mut assertions = Vec::new();
+        let mut pigeonhole = Vec::new();
         for row in &p {
-            assertions.push(tm.or(row.clone()));
+            pigeonhole.push(tm.or(row.clone()));
         }
         for j in 0..p[0].len() {
             for i in 0..p.len() {
@@ -418,21 +425,10 @@ mod tests {
                     let (a, b) = (p[i][j], p[k][j]);
                     let na = tm.not(a);
                     let nb = tm.not(b);
-                    assertions.push(tm.or2(na, nb));
+                    pigeonhole.push(tm.or2(na, nb));
                 }
             }
         }
-        // Arithmetic that needs simplex pivots: a chain with a contradiction.
-        let xs: Vec<TermId> = (0..4)
-            .map(|i| tm.var(&format!("x{}", i), Sort::Int))
-            .collect();
-        for w in xs.windows(2) {
-            assertions.push(tm.le(w[0], w[1]));
-        }
-        let one = tm.int(1);
-        let last_plus = tm.add(xs[3], one);
-        assertions.push(tm.le(last_plus, xs[0]));
-
         let config = SolverConfig {
             sat: SatOptions {
                 restart: RestartPolicy::Luby { unit: 1 },
@@ -446,15 +442,20 @@ mod tests {
             ..SolverConfig::default()
         };
         let mut s = Solver::with_config(config);
-        assert_eq!(s.check(&mut tm, &assertions), SatResult::Unsat);
+        assert_eq!(s.check(&mut tm, &pigeonhole), SatResult::Unsat);
         let stats = s.stats();
         assert!(stats.restarts > 0, "{:?}", stats);
         assert!(stats.learned_deleted > 0, "{:?}", stats);
         assert!(stats.max_lbd > 0, "{:?}", stats);
 
-        // Pivots need the arithmetic chain to actually reach the simplex: a
-        // pure-arithmetic query pins that counter deterministically.
-        let arith: Vec<TermId> = assertions[assertions.len() - 4..].to_vec();
+        // Arithmetic that needs simplex pivots: a chain with a contradiction.
+        let xs: Vec<TermId> = (0..4)
+            .map(|i| tm.var(&format!("x{}", i), Sort::Int))
+            .collect();
+        let mut arith: Vec<TermId> = xs.windows(2).map(|w| tm.le(w[0], w[1])).collect();
+        let one = tm.int(1);
+        let last_plus = tm.add(xs[3], one);
+        arith.push(tm.le(last_plus, xs[0]));
         let mut s2 = Solver::new();
         assert_eq!(s2.check(&mut tm, &arith), SatResult::Unsat);
         assert!(s2.stats().pivots > 0, "{:?}", s2.stats());
@@ -491,6 +492,7 @@ mod tests {
         let ms = Duration::from_millis;
         let mk = |seed: u64| SolverStats {
             theory_rounds: seed,
+            final_checks: seed + 24,
             sat_conflicts: seed + 1,
             sat_decisions: seed + 2,
             sat_propagations: seed + 3,
@@ -520,6 +522,7 @@ mod tests {
         merged.merge(&b);
         let SolverStats {
             theory_rounds,
+            final_checks,
             sat_conflicts,
             sat_decisions,
             sat_propagations,
@@ -546,6 +549,7 @@ mod tests {
         } = merged;
         // Sums: effort counters and wall-clock times.
         assert_eq!(theory_rounds, a.theory_rounds + b.theory_rounds);
+        assert_eq!(final_checks, a.final_checks + b.final_checks);
         assert_eq!(sat_conflicts, a.sat_conflicts + b.sat_conflicts);
         assert_eq!(sat_decisions, a.sat_decisions + b.sat_decisions);
         assert_eq!(sat_propagations, a.sat_propagations + b.sat_propagations);

@@ -24,29 +24,38 @@
 //!   consistent sync hands them back to the SAT core with a reason recorded
 //!   for lazy explanation ([`TheorySession::explain`]).
 //! * Simplex keeps its tableau, basis and slack variables for the whole
-//!   search (warm restart); bounds are loaded only on complete assignments
-//!   ([`TheorySession::final_check`]) and retraction rolls back bound
-//!   tightenings via [`crate::simplex::Simplex::undo_to`]. Slack variables
-//!   are reused across re-assertions of the same linear form so the tableau
-//!   does not grow with the number of checks.
+//!   search (warm restart). Arithmetic runs at every fixpoint too: after a
+//!   consistent EUF verdict, [`TheorySession::sync`] asserts the simplex
+//!   bounds of the literals it read and, when it asserted any, runs the
+//!   rational check from the current basis (Dutertre & de Moura, CAV 2006).
+//!   Each (atom, polarity) is normalized into bounds once and re-asserted
+//!   from that form. Retraction rolls back bound tightenings via
+//!   [`crate::simplex::Simplex::undo_to`]. Slack variables are reused across
+//!   re-assertions of the same linear form so the tableau does not grow
+//!   with the number of checks.
+//! * Only what needs a complete assignment waits for
+//!   [`TheorySession::final_check`]: the EUF-derived equalities between
+//!   numeric leaf terms, explained only when a conflict names them, and
+//!   integer branch-and-bound.
 //!
 //! Verdicts are identical to the batch path: congruence closure reaches the
 //! same fixpoint regardless of merge order, simplex verdicts are independent
-//! of pivot history, and the EUF-derived equality propagation is restricted
-//! to exactly the numeric leaf terms of the *currently asserted* literals
-//! (the same set the batch path derives per model). Conflict *explanations*
-//! may differ from the batch path's (different merge/pivot order picks a
-//! different valid inconsistent subset), which is fine for DPLL(T): any
-//! inconsistent subset yields a sound theory lemma.
+//! of pivot history, a rational conflict over a subset of the bounds is a
+//! conflict over all of them, and the EUF-derived equality propagation is
+//! restricted to exactly the numeric leaf terms of the *currently asserted*
+//! literals (the same set the batch path derives per model). Conflict
+//! *explanations* may differ from the batch path's (different merge/pivot
+//! order picks a different valid inconsistent subset), which is fine for
+//! DPLL(T): any inconsistent subset yields a sound theory lemma.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 use crate::euf::{EufTemplate, Reason};
 use crate::fxmap::FxHashMap;
 use crate::rational::Rat;
 use crate::sat::{Lit, Var};
-use crate::simplex::{ArithOutcome, LinExpr, PivotRule, Rel, Simplex};
+use crate::simplex::{ArithOutcome, Compiled, LinExpr, PivotRule, Rel, Simplex};
 use crate::term::{TermId, TermManager};
 use crate::theory::{AtomKind, TheoryChecker, AXIOM_TAG};
 
@@ -715,6 +724,18 @@ pub(crate) enum SessionCheck {
     Unknown,
 }
 
+/// The work one [`TheorySession::sync`] did, for telemetry.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct SyncWork {
+    /// Entries retracted plus asserted.
+    pub(crate) delta: u64,
+    /// Time spent asserting simplex bounds and checking the simplex (zero
+    /// when the sync asserted no bound).
+    pub(crate) simplex_time: Duration,
+    /// Simplex pivots taken.
+    pub(crate) pivots: u64,
+}
+
 /// A literal the session implied at the end of a consistent sync, with its
 /// reason and the sync that recorded it.
 #[derive(Clone, Copy, Debug)]
@@ -736,8 +757,13 @@ pub(crate) struct TheorySession {
     trail: Vec<TrailEntry>,
     /// Length of the SAT-trail prefix the session has read.
     seen: usize,
-    /// Entries whose simplex bounds are loaded (always a prefix of `trail`).
+    /// Entries whose simplex bounds are loaded (always a prefix of `trail`;
+    /// all of it after a consistent sync).
     loaded: usize,
+    /// The simplex bounds of each arithmetic (atom, polarity), compiled at
+    /// its first load and valid until [`TheorySession::prepare`] rebuilds
+    /// the simplex.
+    bounds: FxHashMap<(TermId, bool), Compiled>,
     /// Number of atoms the checker knew when the session state was built;
     /// a differing count means the atom universe changed (new atoms pushed,
     /// or a method scope popped) and the session rebuilds from the template.
@@ -762,6 +788,7 @@ impl TheorySession {
             trail: Vec::new(),
             seen: 0,
             loaded: 0,
+            bounds: FxHashMap::default(),
             known_atoms: 0,
             pivot,
             reasons: Vec::new(),
@@ -799,6 +826,7 @@ impl TheorySession {
         self.trail.clear();
         self.seen = 0;
         self.loaded = 0;
+        self.bounds.clear();
         self.known_atoms = checker.kinds.len();
     }
 
@@ -847,20 +875,25 @@ impl TheorySession {
     /// EUF part of the live theory literals read from there on (`live` maps
     /// a SAT variable to its live atom; dead and non-theory variables map to
     /// `None`; the table [`TheorySession::watch`] was given), and checks the
-    /// disequalities. On a consistent verdict it pushes onto `implied` the
-    /// literals the assertions implied that are not on the trail, each
-    /// explainable by [`TheorySession::explain`] until it is retracted.
+    /// disequalities. After a consistent EUF verdict it asserts the simplex
+    /// bounds of the new entries, so every entry is loaded after a
+    /// consistent sync, and when it asserted any it runs the rational
+    /// simplex check; a contradiction there is a conflict too. On a
+    /// consistent verdict it pushes onto `implied` the literals the
+    /// assertions implied that are not on the trail, each explainable by
+    /// [`TheorySession::explain`] until it is retracted.
     ///
-    /// Returns the verdict (never [`SessionCheck::Unknown`]) and the number
-    /// of entries retracted plus asserted.
+    /// Returns the verdict (never [`SessionCheck::Unknown`]) and the work
+    /// done.
     pub(crate) fn sync(
         &mut self,
         tm: &TermManager,
+        checker: &TheoryChecker,
         trail: &[Lit],
         low_water: usize,
         live: &[Option<LiveAtom>],
         implied: &mut Vec<Lit>,
-    ) -> (SessionCheck, u64) {
+    ) -> (SessionCheck, SyncWork) {
         let low = self.seen.min(low_water);
         self.seen = trail.len();
         let keep = self.trail.partition_point(|e| e.sat_pos < low);
@@ -868,41 +901,52 @@ impl TheorySession {
         let first = match trail[low..].iter().position(is_live) {
             Some(i) => low + i,
             // Nothing to retract or assert: no span, no work.
-            None if keep == self.trail.len() => return (self.euf_verdict(tm), 0),
+            None if keep == self.trail.len() => {
+                return (self.euf_verdict(tm), SyncWork::default());
+            }
             None => trail.len(),
         };
-        let _span = ids_obs::span("euf");
-        let retracted = self.trail.len() - keep;
-        self.retract_to(keep);
-        let euf = self.euf.as_mut().expect("session prepared");
-        for (pos, &lit) in trail.iter().enumerate().skip(first) {
-            let Some(Some(la)) = live.get(lit.var() as usize) else {
-                continue;
-            };
-            let idx = self.trail.len();
-            let euf_mark = euf.mark();
-            let positive = lit.is_positive();
-            euf.on_trail[lit.var() as usize] = true;
-            match la.euf {
-                EufAtom::Eq(a, b) if positive => euf.assert_eq(a, b, idx),
-                EufAtom::Eq(a, b) => euf.assert_neq(a, b, idx),
-                EufAtom::Pred(n) => {
-                    let target = if positive { euf.tru } else { euf.fls };
-                    euf.assert_eq(n, target, idx);
+        let mut work = SyncWork::default();
+        let verdict = {
+            let _span = ids_obs::span("euf");
+            let retracted = self.trail.len() - keep;
+            self.retract_to(keep);
+            let euf = self.euf.as_mut().expect("session prepared");
+            for (pos, &lit) in trail.iter().enumerate().skip(first) {
+                let Some(Some(la)) = live.get(lit.var() as usize) else {
+                    continue;
+                };
+                let idx = self.trail.len();
+                let euf_mark = euf.mark();
+                let positive = lit.is_positive();
+                euf.on_trail[lit.var() as usize] = true;
+                match la.euf {
+                    EufAtom::Eq(a, b) if positive => euf.assert_eq(a, b, idx),
+                    EufAtom::Eq(a, b) => euf.assert_neq(a, b, idx),
+                    EufAtom::Pred(n) => {
+                        let target = if positive { euf.tru } else { euf.fls };
+                        euf.assert_eq(n, target, idx);
+                    }
+                    EufAtom::Arith => {}
                 }
-                EufAtom::Arith => {}
+                self.trail.push(TrailEntry {
+                    lit,
+                    atom: la.atom,
+                    sat_pos: pos,
+                    euf_mark,
+                    simplex_mark: 0,
+                    has_arith: if positive { la.arith.0 } else { la.arith.1 },
+                });
             }
-            self.trail.push(TrailEntry {
-                lit,
-                atom: la.atom,
-                sat_pos: pos,
-                euf_mark,
-                simplex_mark: 0,
-                has_arith: if positive { la.arith.0 } else { la.arith.1 },
-            });
-        }
-        let delta = (retracted + self.trail.len() - keep) as u64;
-        let verdict = self.euf_verdict(tm);
+            work.delta = (retracted + self.trail.len() - keep) as u64;
+            self.euf_verdict(tm)
+        };
+        // An EUF conflict leaves the new entries unloaded: the backjump
+        // that follows retracts them.
+        let verdict = match verdict {
+            SessionCheck::Consistent => self.fixpoint_arith(checker, &mut work),
+            conflict => conflict,
+        };
         let euf = self.euf.as_mut().expect("session prepared");
         if matches!(verdict, SessionCheck::Consistent) && !euf.implied.is_empty() {
             self.syncs += 1;
@@ -922,7 +966,70 @@ impl TheorySession {
             }
         }
         euf.implied.clear();
-        (verdict, delta)
+        (verdict, work)
+    }
+
+    /// The arithmetic part of a sync, after a consistent EUF verdict: loads
+    /// the bounds of the entries not loaded yet and, when one of them
+    /// carries arithmetic, runs the rational simplex check under a `simplex`
+    /// span. Branch-and-bound waits for the final check: a rational conflict
+    /// is also an integer one, and strict integer bounds are already
+    /// tightened when they are compiled.
+    fn fixpoint_arith(&mut self, checker: &TheoryChecker, work: &mut SyncWork) -> SessionCheck {
+        if !self.trail[self.loaded..].iter().any(|e| e.has_arith) {
+            // No bound to assert: this only records the restore points.
+            let loaded = self.load_bounds(checker);
+            debug_assert!(loaded.is_ok());
+            return SessionCheck::Consistent;
+        }
+        let start = Instant::now();
+        let mut span = ids_obs::span("simplex");
+        let pivots_before = self.simplex.pivots;
+        let outcome = self
+            .load_bounds(checker)
+            .and_then(|()| self.simplex.check_rational());
+        work.pivots = self.simplex.pivots - pivots_before;
+        span.note(|| format!("pivots={}", work.pivots));
+        work.simplex_time = start.elapsed();
+        match outcome {
+            Ok(()) => SessionCheck::Consistent,
+            Err(tags) => SessionCheck::Conflict(conflict_lits(&self.trail, &tags)),
+        }
+    }
+
+    /// Loads the simplex bounds of the entries from `loaded` on, recording
+    /// each entry's restore point, and compiling the bounds of an (atom,
+    /// polarity) at its first load. On a contradiction between bounds it
+    /// returns their tags and leaves the failing entry unloaded: a literal
+    /// may assert two bounds (an equality), and failing halfway must not
+    /// leave it half loaded.
+    fn load_bounds(&mut self, checker: &TheoryChecker) -> Result<(), Vec<usize>> {
+        let TheorySession {
+            simplex,
+            var_of_term,
+            trail,
+            loaded,
+            bounds,
+            ..
+        } = self;
+        for (i, e) in trail.iter_mut().enumerate().skip(*loaded) {
+            let mark = simplex.mark();
+            e.simplex_mark = mark;
+            if !e.has_arith {
+                continue;
+            }
+            let key = (e.atom, e.lit.is_positive());
+            let bound = *bounds
+                .entry(key)
+                .or_insert_with(|| compile_bounds(checker, simplex, var_of_term, key));
+            if let Err(tags) = simplex.assert_compiled(&bound, i) {
+                simplex.undo_to(mark);
+                *loaded = i;
+                return Err(tags);
+            }
+        }
+        *loaded = trail.len();
+        Ok(())
     }
 
     /// The antecedents of a literal a consistent sync implied: the trail
@@ -951,7 +1058,7 @@ impl TheorySession {
             !euf.explain_incomplete,
             "incomplete explanation of implied {lit:?}"
         );
-        conflict_lits(&self.trail, &tags, &[])
+        conflict_lits(&self.trail, &tags)
     }
 
     /// The EUF verdict on the asserted entries: the earliest-asserted
@@ -959,7 +1066,7 @@ impl TheorySession {
     fn euf_verdict(&mut self, tm: &TermManager) -> SessionCheck {
         let euf = self.euf.as_mut().expect("session prepared");
         match euf.conflict(tm) {
-            Some(tags) => SessionCheck::Conflict(conflict_lits(&self.trail, &tags, &[])),
+            Some(tags) => SessionCheck::Conflict(conflict_lits(&self.trail, &tags)),
             None => SessionCheck::Consistent,
         }
     }
@@ -983,9 +1090,13 @@ impl TheorySession {
     }
 
     /// The check of a complete assignment, after a consistent
-    /// [`TheorySession::sync`]: loads the simplex bounds of the entries not
-    /// loaded yet, propagates the EUF-derived equalities between numeric
-    /// leaf terms into the simplex and runs it.
+    /// [`TheorySession::sync`] (so every entry's bounds are loaded and
+    /// rationally feasible): propagates the EUF-derived equalities between
+    /// numeric leaf terms into the simplex and runs it with branch-and-bound.
+    /// A conflict through a derived equality is explained only then, and
+    /// only for the derived equalities it names: congruence does not change
+    /// inside one final check, so the explanation is the one an eager
+    /// derivation would have computed.
     ///
     /// Returns the verdict and the pivots it took.
     pub(crate) fn final_check(
@@ -993,11 +1104,8 @@ impl TheorySession {
         tm: &TermManager,
         checker: &TheoryChecker,
     ) -> (SessionCheck, u64) {
+        debug_assert_eq!(self.loaded, self.trail.len(), "entries left unloaded");
         if !self.trail.iter().any(|e| e.has_arith) {
-            for e in &mut self.trail[self.loaded..] {
-                e.simplex_mark = self.simplex.mark();
-            }
-            self.loaded = self.trail.len();
             return (SessionCheck::Consistent, 0);
         }
         let TheorySession {
@@ -1005,82 +1113,18 @@ impl TheorySession {
             simplex,
             var_of_term,
             trail,
-            loaded,
             ..
         } = self;
         let euf = euf.as_mut().expect("session prepared");
         let pivots_before = simplex.pivots;
         let mut simplex_span = ids_obs::span("simplex");
 
-        for i in *loaded..trail.len() {
-            let mark = simplex.mark();
-            trail[i].simplex_mark = mark;
-            if !trail[i].has_arith {
-                continue;
-            }
-            let positive = trail[i].lit.is_positive();
-            let (form, rel, both_int) = match checker.kinds.get(&trail[i].atom) {
-                Some(AtomKind::Eq {
-                    lin: Some(form), ..
-                }) => (Cow::Borrowed(form), Rel::Eq, false),
-                Some(AtomKind::Ineq {
-                    lin,
-                    strict,
-                    both_int,
-                }) => {
-                    if positive {
-                        (
-                            Cow::Borrowed(lin),
-                            if *strict { Rel::Lt } else { Rel::Le },
-                            *both_int,
-                        )
-                    } else {
-                        (
-                            Cow::Owned(lin.negated()),
-                            if *strict { Rel::Le } else { Rel::Lt },
-                            *both_int,
-                        )
-                    }
-                }
-                _ => unreachable!("arithmetic entry without a linear form"),
-            };
-            let mut expr = LinExpr::zero();
-            expr.constant = form.constant;
-            for &(leaf, coeff) in &form.terms {
-                let v = *var_of_term.entry(leaf).or_insert_with(|| {
-                    simplex.new_var(*checker.leaf_is_int.get(&leaf).unwrap_or(&false))
-                });
-                expr.add_term(coeff, v);
-            }
-            // Strict integer inequalities are tightened to non-strict ones
-            // (`a < b` becomes `a + 1 <= b`), exactly like the batch path.
-            let rel = if rel == Rel::Lt && both_int {
-                expr.constant += Rat::ONE;
-                Rel::Le
-            } else {
-                rel
-            };
-            if let Err(tags) = simplex.add_constraint(&expr, rel, i) {
-                // A literal may assert two bounds (an equality); failing
-                // halfway through must not leave it half loaded.
-                simplex.undo_to(mark);
-                *loaded = i;
-                let pivots = simplex.pivots - pivots_before;
-                simplex_span.note(|| format!("pivots={}", pivots));
-                return (
-                    SessionCheck::Conflict(conflict_lits(trail, &tags, &[])),
-                    pivots,
-                );
-            }
-        }
-        *loaded = trail.len();
-
         // Propagate EUF-derived equalities between the numeric leaf terms of
         // the currently asserted literals. These are justified by the current
         // congruence classes, so they never outlive the check: they are
         // always popped below, whatever the verdict.
         let derived_mark = simplex.mark();
-        let mut derived_explanations: Vec<Vec<usize>> = Vec::new();
+        let mut derived: Vec<(TermId, TermId)> = Vec::new();
         let mut seen: FxHashMap<TermId, ()> = FxHashMap::default();
         let mut terms_in_order: Vec<TermId> = Vec::new();
         for e in trail.iter().filter(|e| e.has_arith) {
@@ -1107,9 +1151,8 @@ impl TheorySession {
         'groups: for (_, group) in by_class {
             for w in group.windows(2) {
                 let (a, b) = (w[0], w[1]);
-                let explanation = euf.explain_terms(tm, a, b);
-                let derived_tag = DERIVED_BASE + derived_explanations.len();
-                derived_explanations.push(explanation);
+                let derived_tag = DERIVED_BASE + derived.len();
+                derived.push((a, b));
                 let mut expr = LinExpr::variable(var_of_term[&a]);
                 expr.add_term(-Rat::ONE, var_of_term[&b]);
                 if let Err(tags) = simplex.add_constraint(&expr, Rel::Eq, derived_tag) {
@@ -1119,16 +1162,9 @@ impl TheorySession {
             }
         }
 
-        let outcome = if let Some(tags) = derived_error {
-            SessionCheck::Conflict(conflict_lits(trail, &tags, &derived_explanations))
-        } else {
-            match simplex.check() {
-                ArithOutcome::Sat(_) => SessionCheck::Consistent,
-                ArithOutcome::Conflict(tags) => {
-                    SessionCheck::Conflict(conflict_lits(trail, &tags, &derived_explanations))
-                }
-                ArithOutcome::Unknown => SessionCheck::Unknown,
-            }
+        let outcome = match derived_error {
+            Some(tags) => ArithOutcome::Conflict(tags),
+            None => simplex.check(),
         };
         // Retract the derived equalities; the trail literals themselves stay
         // loaded (also on Conflict/Unknown — the SAT core's backjump retracts
@@ -1136,31 +1172,81 @@ impl TheorySession {
         simplex.undo_to(derived_mark);
         let pivots = simplex.pivots - pivots_before;
         simplex_span.note(|| format!("pivots={}", pivots));
-        (outcome, pivots)
+        let verdict = match outcome {
+            ArithOutcome::Sat(_) => SessionCheck::Consistent,
+            ArithOutcome::Conflict(tags) => {
+                let mut idxs: Vec<usize> = Vec::with_capacity(tags.len());
+                for t in tags {
+                    match t.checked_sub(DERIVED_BASE) {
+                        Some(k) => {
+                            let (a, b) = derived[k];
+                            idxs.extend(euf.explain_terms(tm, a, b));
+                        }
+                        None => idxs.push(t),
+                    }
+                }
+                SessionCheck::Conflict(conflict_lits(trail, &idxs))
+            }
+            ArithOutcome::Unknown => SessionCheck::Unknown,
+        };
+        (verdict, pivots)
     }
 }
 
-/// Maps conflict tags (trail indices, derived tags, the axiom sentinel) back
-/// to the asserted SAT literals, in trail order.
-fn conflict_lits(trail: &[TrailEntry], tags: &[usize], derived: &[Vec<usize>]) -> Vec<Lit> {
-    let mut idxs: Vec<usize> = Vec::new();
-    for &t in tags {
-        if t == AXIOM_TAG {
-            continue;
-        }
-        if t >= DERIVED_BASE {
-            for &u in &derived[t - DERIVED_BASE] {
-                if u != AXIOM_TAG {
-                    idxs.push(u);
-                }
-            }
-        } else {
-            idxs.push(t);
-        }
-    }
+/// Maps conflict tags (trail indices, the axiom sentinel) back to the
+/// asserted SAT literals, in trail order.
+fn conflict_lits(trail: &[TrailEntry], tags: &[usize]) -> Vec<Lit> {
+    let mut idxs: Vec<usize> = tags.iter().copied().filter(|&t| t != AXIOM_TAG).collect();
     idxs.sort_unstable();
     idxs.dedup();
     idxs.into_iter().map(|t| trail[t].lit).collect()
+}
+
+/// Normalizes the arithmetic constraint of one (atom, polarity) into simplex
+/// bounds, creating the simplex variables of its leaf terms (and its slack
+/// row) as needed. Strict integer inequalities are tightened to non-strict
+/// ones (`a < b` becomes `a + 1 <= b`), exactly like the batch path.
+fn compile_bounds(
+    checker: &TheoryChecker,
+    simplex: &mut Simplex,
+    var_of_term: &mut FxHashMap<TermId, usize>,
+    (atom, positive): (TermId, bool),
+) -> Compiled {
+    // A negative inequality `¬(a ≤ b)` is `b − a < 0` (`¬(a < b)` is
+    // `b − a ≤ 0`); a negative equality carries no bound.
+    let (form, rel, both_int) = match checker.kinds.get(&atom) {
+        Some(AtomKind::Eq {
+            lin: Some(form), ..
+        }) if positive => (form, Rel::Eq, false),
+        Some(AtomKind::Ineq {
+            lin,
+            strict,
+            both_int,
+        }) => {
+            let rel = if *strict == positive {
+                Rel::Lt
+            } else {
+                Rel::Le
+            };
+            (lin, rel, *both_int)
+        }
+        _ => unreachable!("arithmetic entry without a linear form"),
+    };
+    let sign = if positive { Rat::ONE } else { -Rat::ONE };
+    let mut expr = LinExpr::constant(form.constant * sign);
+    for &(leaf, coeff) in &form.terms {
+        let v = *var_of_term
+            .entry(leaf)
+            .or_insert_with(|| simplex.new_var(*checker.leaf_is_int.get(&leaf).unwrap_or(&false)));
+        expr.add_term(coeff * sign, v);
+    }
+    let rel = if rel == Rel::Lt && both_int {
+        expr.constant += Rat::ONE;
+        Rel::Le
+    } else {
+        rel
+    };
+    simplex.compile(&expr, rel)
 }
 
 #[cfg(test)]
@@ -1320,17 +1406,40 @@ mod tests {
             tm: &TermManager,
             checker: &TheoryChecker,
         ) -> (SessionCheck, u64) {
+            match self.fixpoints(session, tm, checker) {
+                (SessionCheck::Consistent, total) => (session.final_check(tm, checker).0, total),
+                other => other,
+            }
+        }
+
+        /// The fixpoint syncs alone, as the SAT loop runs them before it
+        /// decides: sync, and on a propagating driver push what a consistent
+        /// sync implied and sync again, until nothing new is implied. Every
+        /// consistent sync must leave every entry's bounds loaded. Returns
+        /// the verdict and the summed sync deltas.
+        fn fixpoints(
+            &mut self,
+            session: &mut TheorySession,
+            tm: &TermManager,
+            checker: &TheoryChecker,
+        ) -> (SessionCheck, u64) {
             let live = self.live(session, checker);
             let mut total = 0;
             loop {
                 let mut implied = Vec::new();
-                let (verdict, delta) = session.sync(tm, &self.trail, self.low, &live, &mut implied);
+                let (verdict, work) =
+                    session.sync(tm, checker, &self.trail, self.low, &live, &mut implied);
                 self.low = self.trail.len();
-                total += delta;
+                total += work.delta;
                 self.conflicted = !matches!(verdict, SessionCheck::Consistent);
                 if self.conflicted {
                     return (verdict, total);
                 }
+                assert_eq!(
+                    session.loaded,
+                    session.trail_len(),
+                    "a consistent sync left entries unloaded"
+                );
                 if !self.propagating || implied.is_empty() {
                     break;
                 }
@@ -1341,7 +1450,7 @@ mod tests {
                 }
             }
             self.levels.push(self.trail.len());
-            (session.final_check(tm, checker).0, total)
+            (SessionCheck::Consistent, total)
         }
 
         /// Audits the literals a consistent sync implied, and re-explains
@@ -1525,7 +1634,9 @@ mod tests {
     /// (a) the batch rebuild-per-model checker and (b) a fresh session
     /// syncing the same trail in one shot, on every step of a long random
     /// schedule; every conflict either engine reports must be independently
-    /// valid, and every implied literal passes [`Driver::audit`].
+    /// valid, and every implied literal passes [`Driver::audit`]. Some steps
+    /// run the fixpoint syncs only ([`Driver::fixpoints`] checks that every
+    /// consistent sync loads every entry).
     #[test]
     fn fuzz_session_agrees_with_rebuild_mixed() {
         let (tm, atoms) = mixed_universe();
@@ -1534,8 +1645,22 @@ mod tests {
         let mut rng = Rng(0x5eed_cafe_f00d_0001);
         let mut session = TheorySession::new(PivotRule::Bland);
         let mut sat = Driver::propagating(&atoms);
+        let (mut skipped, mut fixpoint_conflicts) = (0, 0);
         for step in 0..400 {
             sat.evolve(&mut rng);
+            // Now and then the SAT side decides on without a final check,
+            // so bounds loaded at fixpoints are retracted by later
+            // backjumps with no final check in between. A fixpoint conflict
+            // must still be a genuine one.
+            if rng.chance(30) {
+                skipped += 1;
+                if let (SessionCheck::Conflict(c), _) = sat.fixpoints(&mut session, &tm, &checker) {
+                    fixpoint_conflicts += 1;
+                    let what = format!("step {step} fixpoint");
+                    assert_conflict_valid(&tm, &checker, &sat.pairs(&c), &what);
+                }
+                continue;
+            }
             let (got, _) = sat.check(&mut session, &tm, &checker);
             let literals = sat.pairs(&sat.trail);
             let want = checker.check_with(&tm, &literals, PivotRule::Bland);
@@ -1561,6 +1686,11 @@ mod tests {
                 }
             }
         }
+        assert!(
+            skipped >= 50 && fixpoint_conflicts >= 20,
+            "fuzz schedule too tame: {skipped} skipped final checks, \
+             {fixpoint_conflicts} fixpoint conflicts among them"
+        );
         assert!(
             sat.implied_total >= 100,
             "too few implied literals: {}",
@@ -1644,7 +1774,7 @@ mod tests {
             sat.check(&mut session, &tm, &checker);
             sat.backtrack(base);
             let live = sat.live(&mut session, &checker);
-            session.sync(&tm, &sat.trail, sat.low, &live, &mut Vec::new());
+            session.sync(&tm, &checker, &sat.trail, sat.low, &live, &mut Vec::new());
             sat.low = sat.trail.len();
             let (a, b) = (
                 session.euf.as_ref().expect("euf"),
@@ -1822,6 +1952,104 @@ mod tests {
         sat.backtrack(1);
         let (res, _) = sat.check(&mut session, &tm, &checker);
         assert!(matches!(res, SessionCheck::Consistent), "{res:?}");
+    }
+
+    /// Directed: two clashing bounds conflict at the fixpoint that reads the
+    /// second one, without waiting for a complete assignment. (A
+    /// non-propagating driver runs one sync per [`Driver::fixpoints`].)
+    #[test]
+    fn bound_clash_conflicts_at_the_fixpoint() {
+        let mut tm = TermManager::new();
+        let a = tm.var("a", Sort::Loc);
+        let ka = tm.app("key", vec![a], Sort::Int);
+        let five = tm.int(5);
+        let seven = tm.int(7);
+        let le5 = tm.le(ka, five);
+        let ge7 = tm.ge(ka, seven);
+        let checker = TheoryChecker::new(&mut tm, &[le5, ge7]);
+        let mut session = TheorySession::new(PivotRule::Bland);
+        let mut sat = Driver::new(&[le5, ge7]);
+        sat.push(le5, true);
+        let (res, _) = sat.fixpoints(&mut session, &tm, &checker);
+        assert!(matches!(res, SessionCheck::Consistent), "{res:?}");
+        sat.push(ge7, true);
+        match sat.fixpoints(&mut session, &tm, &checker).0 {
+            SessionCheck::Conflict(c) => {
+                assert_eq!(sat.pairs(&c), vec![(le5, true), (ge7, true)]);
+            }
+            other => panic!("expected a fixpoint conflict, got {other:?}"),
+        }
+    }
+
+    /// Directed: a strict integer cycle `k0 < k1 < k2 < k0` needs the
+    /// simplex (no two of its bounds clash), and conflicts at the sync that
+    /// reads its third literal.
+    #[test]
+    fn strict_int_cycle_conflicts_at_its_third_sync() {
+        let mut tm = TermManager::new();
+        let k: Vec<TermId> = (0..3)
+            .map(|i| tm.var(&format!("k{i}"), Sort::Int))
+            .collect();
+        let cycle: Vec<TermId> = (0..3).map(|i| tm.lt(k[i], k[(i + 1) % 3])).collect();
+        let checker = TheoryChecker::new(&mut tm, &cycle);
+        let mut session = TheorySession::new(PivotRule::Bland);
+        let mut sat = Driver::new(&cycle);
+        for &atom in &cycle[..2] {
+            sat.push(atom, true);
+            let (res, _) = sat.fixpoints(&mut session, &tm, &checker);
+            assert!(matches!(res, SessionCheck::Consistent), "{res:?}");
+        }
+        sat.push(cycle[2], true);
+        match sat.fixpoints(&mut session, &tm, &checker).0 {
+            SessionCheck::Conflict(c) => {
+                let all: Vec<(TermId, bool)> = cycle.iter().map(|&a| (a, true)).collect();
+                assert_eq!(sat.pairs(&c), all);
+            }
+            other => panic!("expected a fixpoint conflict, got {other:?}"),
+        }
+    }
+
+    /// Directed: a final-check conflict through an EUF-derived equality
+    /// (`key(a) = key(b)` from `a = c`, `c = b`) names the literals its
+    /// lazy explanation found, which are exactly those `explain_terms`
+    /// gives for the pair; the unrelated `x = y` stays out.
+    #[test]
+    fn derived_equality_conflict_is_explained_lazily() {
+        let mut tm = TermManager::new();
+        let [a, b, c, x, y] = ["a", "b", "c", "x", "y"].map(|n| tm.var(n, Sort::Loc));
+        let ka = tm.app("key", vec![a], Sort::Int);
+        let kb = tm.app("key", vec![b], Sort::Int);
+        let five = tm.int(5);
+        let seven = tm.int(7);
+        let eq_ac = tm.eq(a, c);
+        let eq_xy = tm.eq(x, y);
+        let eq_cb = tm.eq(c, b);
+        let le5 = tm.le(ka, five);
+        let ge7 = tm.ge(kb, seven);
+        let atoms = [eq_ac, eq_xy, le5, eq_cb, ge7];
+        let checker = TheoryChecker::new(&mut tm, &atoms);
+        let mut session = TheorySession::new(PivotRule::Bland);
+        let mut sat = Driver::new(&atoms);
+        for atom in atoms {
+            sat.push(atom, true);
+        }
+        let (res, _) = sat.fixpoints(&mut session, &tm, &checker);
+        assert!(matches!(res, SessionCheck::Consistent), "{res:?}");
+        let conflict = match session.final_check(&tm, &checker).0 {
+            SessionCheck::Conflict(c) => sat.pairs(&c),
+            other => panic!("expected a final-check conflict, got {other:?}"),
+        };
+        let euf = session.euf.as_mut().expect("euf");
+        let eager = euf.explain_terms(&tm, ka, kb);
+        let eager: Vec<(TermId, bool)> = eager
+            .iter()
+            .map(|&t| (session.trail[t].atom, session.trail[t].lit.is_positive()))
+            .collect();
+        assert_eq!(eager, vec![(eq_ac, true), (eq_cb, true)]);
+        assert_eq!(
+            conflict,
+            vec![(eq_ac, true), (le5, true), (eq_cb, true), (ge7, true)]
+        );
     }
 
     /// The session detects checker growth (new atoms pushed mid-scope) and

@@ -8,7 +8,10 @@
 //! a fresh Bland instance, which must still be infeasible. A crafted
 //! degenerate instance pins the fallback: with a tiny pivot budget the
 //! hybrid rule must hand over to Bland and still terminate with the same
-//! verdict.
+//! verdict. Warm instances, used the way the online theory session uses
+//! them (constraints added, retracted to restore points and re-checked from
+//! the current basis), must agree with a fresh instance on the constraints
+//! that survive.
 
 use ids_smt::rational::{DeltaRat, Rat};
 use ids_smt::simplex::{ArithOutcome, LinExpr, PivotRule, Rel, Simplex};
@@ -154,6 +157,133 @@ proptest! {
                     feasible, expected,
                     "seed {}: rule {} diverged on feasibility", seed, label
                 ),
+            }
+        }
+    }
+}
+
+/// A pool of constraints over `nv` rational variables that share a few
+/// linear parts (so a warm instance with slack reuse puts several bounds on
+/// one slack variable), plus single-variable bounds.
+fn shared_form_pool(rng: &mut XorShift, nv: usize) -> Vec<(LinExpr, Rel)> {
+    let forms: Vec<LinExpr> = (0..3)
+        .map(|_| {
+            let mut e = LinExpr::zero();
+            for v in 0..nv {
+                e.add_term(Rat::from_int(rng.coeff()), v);
+            }
+            e
+        })
+        .collect();
+    (0..12)
+        .map(|_| {
+            let mut e = match rng.below(3) {
+                0 => LinExpr::variable(rng.below(nv as u64) as usize),
+                _ => forms[rng.below(3) as usize].clone(),
+            };
+            e.constant = Rat::from_int(rng.below(13) as i128 - 6);
+            let rel = match rng.below(5) {
+                0 => Rel::Eq,
+                1 => Rel::Lt,
+                _ => Rel::Le,
+            };
+            (e, rel)
+        })
+        .collect()
+}
+
+/// Feasibility of `subset` of the system in a fresh Bland instance.
+fn fresh_feasible(system: &System, subset: &[usize]) -> bool {
+    matches!(
+        run_subset(system, subset, PivotRule::Bland).0,
+        ArithOutcome::Sat(_)
+    )
+}
+
+proptest! {
+    /// One warm instance per pivot rule, slack reuse on, takes a random
+    /// interleaving of constraint additions, restore points
+    /// ([`Simplex::mark`]), retractions to them ([`Simplex::undo_to`]) and
+    /// checks, rational-only ([`Simplex::check_rational`]) or full. An
+    /// addition rejected outright is rolled back to the mark taken before
+    /// it, as the theory session does. After every check the verdict must
+    /// match a fresh instance loaded with exactly the surviving
+    /// constraints; a conflict must name an infeasible subset of them, and a
+    /// model must satisfy all of them.
+    #[test]
+    fn warm_instance_agrees_with_fresh_on_surviving_constraints(seed in 0u64..150) {
+        let mut rng = XorShift::new(seed);
+        let nv = 2 + rng.below(3) as usize;
+        let system = System { nv, constraints: shared_form_pool(&mut rng, nv) };
+        let pool = &system.constraints;
+        for rule in [PivotRule::Bland, PivotRule::hybrid()] {
+            let mut warm = Simplex::with_rule(rule);
+            warm.enable_slack_reuse();
+            for _ in 0..nv {
+                warm.new_var(false);
+            }
+            let mut live: Vec<usize> = Vec::new();
+            let mut marks: Vec<(usize, usize)> = Vec::new();
+            for op in 0..48 {
+                match rng.below(10) {
+                    0..=3 => {
+                        let i = rng.below(pool.len() as u64) as usize;
+                        let (e, rel) = &pool[i];
+                        let before = warm.mark();
+                        match warm.add_constraint(e, *rel, i) {
+                            Ok(()) => live.push(i),
+                            Err(tags) => {
+                                warm.undo_to(before);
+                                let mut with = live.clone();
+                                with.push(i);
+                                prop_assert!(tags.iter().all(|t| with.contains(t)));
+                                prop_assert!(
+                                    !fresh_feasible(&system, &tags),
+                                    "seed {} op {}: rejected {} with feasible {:?}",
+                                    seed, op, i, tags
+                                );
+                            }
+                        }
+                    }
+                    4..=5 => marks.push((warm.mark(), live.len())),
+                    6 => {
+                        if let Some((mark, len)) = marks.pop() {
+                            warm.undo_to(mark);
+                            live.truncate(len);
+                        }
+                    }
+                    k => {
+                        let want = fresh_feasible(&system, &live);
+                        let got = if k < 8 {
+                            warm.check_rational().map_err(ArithOutcome::Conflict)
+                        } else {
+                            match warm.check() {
+                                ArithOutcome::Sat(a) => {
+                                    assert_model_satisfies(&system, &live, &a, "warm");
+                                    Ok(())
+                                }
+                                other => Err(other),
+                            }
+                        };
+                        match got {
+                            Ok(()) => prop_assert!(
+                                want,
+                                "seed {} op {}: warm feasible, fresh not, on {:?}",
+                                seed, op, live
+                            ),
+                            Err(ArithOutcome::Conflict(tags)) => {
+                                prop_assert!(
+                                    !want,
+                                    "seed {} op {}: warm infeasible, fresh not, on {:?}",
+                                    seed, op, live
+                                );
+                                prop_assert!(tags.iter().all(|t| live.contains(t)));
+                                prop_assert!(!fresh_feasible(&system, &tags));
+                            }
+                            Err(other) => prop_assert!(false, "unexpected {:?}", other),
+                        }
+                    }
+                }
             }
         }
     }
