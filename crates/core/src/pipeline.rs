@@ -143,8 +143,11 @@ pub struct VcReport {
     /// Wall-clock time spent *solving* this VC (zero for cached results);
     /// excludes queue time.
     pub wall_time: Duration,
-    /// Time the VC spent queued behind other work before its solve started
-    /// (zero in the sequential pipeline and for cached results).
+    /// Time the VC spent queued before a worker picked up its unit: its
+    /// structure or method pool, or the VC alone without pooling (zero in
+    /// the sequential pipeline and for cached results). Every VC of one unit
+    /// reports the same wait; a VC's wait behind earlier VCs of its own unit
+    /// is not queueing.
     pub queue_time: Duration,
     /// True if the result came from a cache instead of a solver run.
     pub cached: bool,
@@ -182,8 +185,9 @@ pub struct VcResult {
     pub stats: SolverStats,
     /// Wall-clock time of the solve itself.
     pub time: Duration,
-    /// Time spent queued before the solve started (filled in by the batch
-    /// driver; zero in the sequential pipeline).
+    /// Time spent queued before a worker picked up the VC's unit (filled in
+    /// by the batch driver, see [`VcReport::queue_time`]; zero in the
+    /// sequential pipeline).
     pub queue_time: Duration,
     /// True if the result came from a cache instead of a solver run.
     pub cached: bool,

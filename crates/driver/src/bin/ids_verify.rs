@@ -1021,6 +1021,8 @@ fn solver_json(j: &mut Json, s: &SolverStats) {
     j.num_field("lower_time_s", s.lower_time.as_secs_f64());
     j.num_field("euf_time_s", s.euf_time.as_secs_f64());
     j.num_field("simplex_time_s", s.simplex_time.as_secs_f64());
+    j.num_field("cnf_time_s", s.cnf_time.as_secs_f64());
+    j.num_field("setup_time_s", s.setup_time.as_secs_f64());
     j.num_field("prelude_reused", s.prelude_reused as f64);
     j.num_field("prelude_lowered", s.prelude_lowered as f64);
     j.num_field("restarts", s.restarts as f64);
@@ -1037,17 +1039,21 @@ fn solver_json(j: &mut Json, s: &SolverStats) {
 }
 
 /// The per-phase wall-clock breakdown advertised by the observability layer.
-/// `overhead_s` is everything the four instrumented phases do not cover
-/// (Tseitin conversion, clause management, scheduling) — clamped at zero
-/// because cached VCs have wall time without solver time.
+/// `overhead_s` is everything the six instrumented phases do not cover
+/// (scope and session management, scheduling) — clamped at zero because
+/// cached VCs have wall time without solver time.
 fn phases_json(j: &mut Json, s: &SolverStats, wall: Duration) {
     let lower = s.lower_time.as_secs_f64();
+    let cnf = s.cnf_time.as_secs_f64();
+    let setup = s.setup_time.as_secs_f64();
     let sat = s.sat_time.as_secs_f64();
     let euf = s.euf_time.as_secs_f64();
     let simplex = s.simplex_time.as_secs_f64();
-    let overhead = (wall.as_secs_f64() - lower - sat - euf - simplex).max(0.0);
+    let overhead = (wall.as_secs_f64() - lower - cnf - setup - sat - euf - simplex).max(0.0);
     j.begin_object();
     j.num_field("lower_s", lower);
+    j.num_field("cnf_s", cnf);
+    j.num_field("setup_s", setup);
     j.num_field("sat_s", sat);
     j.num_field("euf_s", euf);
     j.num_field("simplex_s", simplex);

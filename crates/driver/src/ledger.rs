@@ -94,7 +94,8 @@ pub struct VcLedgerEntry {
     pub verdict: String,
     /// True if answered from a cache instead of a solver run.
     pub cached: bool,
-    /// Milliseconds spent queued behind other work.
+    /// Milliseconds the VC's unit waited for a worker
+    /// (`ids_core::pipeline::VcReport::queue_time`).
     pub queue_ms: f64,
     /// Milliseconds of the solve itself.
     pub solve_ms: f64,

@@ -401,7 +401,8 @@ pub fn verify_tasks(mut tasks: Vec<MethodTask>, config: &DriverConfig) -> BatchR
     // sibling method that shares the formula.
     let solve_span = ids_obs::span("solve");
     // Every pending VC is enqueued now; the gap between this instant and the
-    // moment a worker actually starts a VC is that VC's queue time
+    // moment a worker picks up the VC's unit (its structure or method pool,
+    // or the VC itself without pooling) is that VC's queue time
     // (`VcResult::queue_time`) — scheduler imbalance, as opposed to solver
     // cost.
     let solve_start = Instant::now();
@@ -436,9 +437,12 @@ pub fn verify_tasks(mut tasks: Vec<MethodTask>, config: &DriverConfig) -> BatchR
     // Runs one method's pending VCs in index order (hypothesis prefixes are
     // monotone; cache-answered indices are simply skipped) through `check`,
     // honouring per-VC cancellation; a refuted VC cancels the method's rest —
-    // exactly the sequential pipeline's early stop.
+    // exactly the sequential pipeline's early stop. `picked_up` is when a
+    // worker picked up the unit the method belongs to: every VC of the unit
+    // stopped waiting in the queue then.
     let run_method_items = |ti: usize,
                             mut items: Vec<(u128, usize)>,
+                            picked_up: Instant,
                             out: &mut Vec<(u128, usize, usize, Option<VcResult>)>,
                             check: &mut dyn FnMut(usize) -> VcResult| {
         items.sort_by_key(|&(_, vi)| vi);
@@ -449,9 +453,8 @@ pub fn verify_tasks(mut tasks: Vec<MethodTask>, config: &DriverConfig) -> BatchR
                 out.push((key, ti, vi, None));
                 continue;
             }
-            let started = Instant::now();
             let mut result = check(vi);
-            result.queue_time = started.duration_since(solve_start);
+            result.queue_time = picked_up.duration_since(solve_start);
             if result.verdict == ids_core::pipeline::VcVerdict::Refuted {
                 cancelled_ref
                     .lock()
@@ -485,6 +488,7 @@ pub fn verify_tasks(mut tasks: Vec<MethodTask>, config: &DriverConfig) -> BatchR
             }
             let units: Vec<Vec<MethodItems>> = by_structure.into_values().collect();
             pool::run(config.jobs, units, move |unit| {
+                let picked_up = Instant::now();
                 let unit_tasks: Vec<&MethodTask> =
                     unit.iter().map(|&(ti, _)| &tasks_ref[ti]).collect();
                 // Quantified-encoding tasks fall back to fresh solvers
@@ -495,12 +499,13 @@ pub fn verify_tasks(mut tasks: Vec<MethodTask>, config: &DriverConfig) -> BatchR
                     match pool_session.as_mut() {
                         Some(s) => {
                             s.begin_method(slot);
-                            run_method_items(ti, items, &mut out, &mut |vi| s.check_vc(slot, vi));
+                            let mut check = |vi| s.check_vc(slot, vi);
+                            run_method_items(ti, items, picked_up, &mut out, &mut check);
                             s.end_method();
                         }
                         None => {
-                            let task = &tasks_ref[ti];
-                            run_method_items(ti, items, &mut out, &mut |vi| task.check_vc(vi));
+                            let mut check = |vi| tasks_ref[ti].check_vc(vi);
+                            run_method_items(ti, items, picked_up, &mut out, &mut check);
                         }
                     }
                 }
@@ -519,13 +524,15 @@ pub fn verify_tasks(mut tasks: Vec<MethodTask>, config: &DriverConfig) -> BatchR
             }
             let session_jobs: Vec<(usize, Vec<(u128, usize)>)> = by_task.into_iter().collect();
             pool::run(config.jobs, session_jobs, move |(ti, items)| {
+                let picked_up = Instant::now();
                 let task = &tasks_ref[ti];
                 let mut session = ids_core::pipeline::MethodSession::new(task);
                 let mut out = Vec::with_capacity(items.len());
-                run_method_items(ti, items, &mut out, &mut |vi| match session.as_mut() {
+                let mut check = |vi| match session.as_mut() {
                     Some(s) => s.check_vc(vi),
                     None => task.check_vc(vi),
-                });
+                };
+                run_method_items(ti, items, picked_up, &mut out, &mut check);
                 out
             })
             .into_iter()

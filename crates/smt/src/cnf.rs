@@ -6,19 +6,20 @@
 //! both directions is recorded in [`AtomMap`] so the theory layer can read the
 //! propositional model back as a set of theory literals.
 
-use std::collections::HashMap;
-
+use crate::fxmap::FxHashMap;
 use crate::sat::{Lit, SatSolver, Var};
 use crate::term::{Op, TermId, TermManager};
 
 /// Mapping between theory atoms (term ids) and SAT variables.
 #[derive(Clone, Debug, Default)]
 pub struct AtomMap {
-    /// Atom term of each SAT variable that represents an atom (not a Tseitin
-    /// definition variable).
-    pub atom_of_var: HashMap<Var, TermId>,
+    /// Atom term of each SAT variable, indexed by variable: `None` for a
+    /// variable that is not an atom (a Tseitin definition variable, an
+    /// activation variable). SAT variables are dense, so the table may end
+    /// before the solver's last variable.
+    pub atom_of_var: Vec<Option<TermId>>,
     /// SAT variable of each encoded term (atoms and internal nodes).
-    pub var_of_term: HashMap<TermId, Var>,
+    pub var_of_term: FxHashMap<TermId, Var>,
 }
 
 impl AtomMap {
@@ -26,12 +27,31 @@ impl AtomMap {
     /// term and its assigned polarity.
     pub fn model_literals(&self, sat: &SatSolver) -> Vec<(TermId, bool)> {
         let mut out: Vec<(TermId, bool)> = self
-            .atom_of_var
-            .iter()
-            .filter_map(|(&v, &t)| sat.value(v).map(|b| (t, b)))
+            .atoms()
+            .filter_map(|(v, t)| sat.value(v).map(|b| (t, b)))
             .collect();
         out.sort();
         out
+    }
+
+    /// The `(variable, atom)` pairs, in variable order.
+    pub fn atoms(&self) -> impl Iterator<Item = (Var, TermId)> + '_ {
+        (0..)
+            .zip(&self.atom_of_var)
+            .filter_map(|(v, t)| t.map(|t| (v, t)))
+    }
+
+    /// Number of atoms encoded.
+    pub fn num_atoms(&self) -> usize {
+        self.atom_of_var.iter().flatten().count()
+    }
+
+    fn add_atom(&mut self, v: Var, t: TermId) {
+        let i = v as usize;
+        if self.atom_of_var.len() <= i {
+            self.atom_of_var.resize(i + 1, None);
+        }
+        self.atom_of_var[i] = Some(t);
     }
 
     /// The SAT literal for asserting the given atom with the given polarity.
@@ -79,15 +99,14 @@ fn encode(tm: &TermManager, t: TermId, sat: &mut SatSolver, map: &mut AtomMap) -
         return Lit::new(v, true);
     }
     let term = tm.term(t);
-    let op = term.op.clone();
-    if !is_connective(&op) {
+    if !is_connective(&term.op) {
         // A theory atom.
         let v = sat.new_var();
         map.var_of_term.insert(t, v);
-        map.atom_of_var.insert(v, t);
+        map.add_atom(v, t);
         return Lit::new(v, true);
     }
-    match op {
+    match term.op {
         Op::True => {
             let v = sat.new_var();
             map.var_of_term.insert(t, v);
@@ -113,7 +132,7 @@ fn encode(tm: &TermManager, t: TermId, sat: &mut SatSolver, map: &mut AtomMap) -
             let v = sat.new_var();
             map.var_of_term.insert(t, v);
             let lv = Lit::new(v, true);
-            match op {
+            match term.op {
                 Op::And => {
                     // v <-> a1 & ... & an
                     for &a in &args {
@@ -234,7 +253,11 @@ mod tests {
         let f = tm.or2(le, eq);
         let mut sat = SatSolver::new();
         let map = tseitin(&tm, &[f], &mut sat);
-        assert_eq!(map.atom_of_var.len(), 2);
+        assert_eq!(map.num_atoms(), 2);
+        assert_eq!(
+            map.atoms().map(|(_, t)| t).collect::<Vec<_>>(),
+            vec![le, eq]
+        );
         assert!(map.var_of_term.contains_key(&le));
         assert!(map.var_of_term.contains_key(&eq));
     }

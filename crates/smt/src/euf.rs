@@ -64,7 +64,7 @@ pub struct EufTemplate {
     pub(crate) app_nodes: Vec<AppNode>,
     /// Interned operators, kept so the template can be extended with new
     /// terms later (incremental sessions) without renumbering.
-    op_ids: HashMap<Op, u32>,
+    op_ids: FxHashMap<Op, u32>,
 }
 
 impl EufTemplate {
@@ -82,15 +82,21 @@ impl EufTemplate {
     pub fn extend(&mut self, tm: &TermManager, universe: &[TermId]) {
         // Number every new term first (sub-term traversal yields parents
         // before children, so application nodes can only be built once all
-        // their arguments have indices).
+        // their arguments have indices). The traversal is
+        // `TermManager::subterms`' stack DFS, except that it does not descend
+        // into a known term: the template is closed under sub-terms, so a
+        // known term has only known sub-terms, and the new terms come in the
+        // same order.
         let mut new_terms = Vec::new();
-        for t in tm.subterms(universe) {
+        let mut stack: Vec<TermId> = universe.to_vec();
+        while let Some(t) = stack.pop() {
             if self.node_of_term.contains_key(&t) {
                 continue;
             }
             self.terms.push(t);
             self.node_of_term.insert(t, self.terms.len() - 1);
             new_terms.push(t);
+            stack.extend(tm.term(t).args.iter().copied());
         }
         for t in new_terms {
             let term = tm.term(t);
@@ -103,8 +109,14 @@ impl EufTemplate {
                 continue;
             }
             // Intern operators so signature comparison is integer comparison.
-            let next = self.op_ids.len() as u32;
-            let op = *self.op_ids.entry(term.op.clone()).or_insert(next);
+            let op = match self.op_ids.get(&term.op) {
+                Some(&op) => op,
+                None => {
+                    let op = self.op_ids.len() as u32;
+                    self.op_ids.insert(term.op.clone(), op);
+                    op
+                }
+            };
             let node = self.node_of_term[&t];
             let args = term.args.iter().map(|a| self.node_of_term[a]).collect();
             self.app_nodes.push(AppNode { node, op, args });
@@ -114,6 +126,21 @@ impl EufTemplate {
     /// Number of nodes (distinct sub-terms) in the universe.
     pub fn num_nodes(&self) -> usize {
         self.terms.len()
+    }
+
+    /// Appends the nodes and application nodes of `src` beyond this
+    /// template's own, of which this template must be a prefix (`src` grew
+    /// from it by [`EufTemplate::extend`]). The operator table is not copied:
+    /// a template grown this way follows `src` and is never extended itself.
+    pub(crate) fn append_from(&mut self, src: &EufTemplate) {
+        debug_assert!(self.terms.len() <= src.terms.len(), "not a prefix");
+        let new_terms = &src.terms[self.terms.len()..];
+        for (node, &t) in (self.terms.len()..).zip(new_terms) {
+            self.node_of_term.insert(t, node);
+        }
+        self.terms.extend_from_slice(new_terms);
+        self.app_nodes
+            .extend_from_slice(&src.app_nodes[self.app_nodes.len()..]);
     }
 }
 

@@ -8,18 +8,23 @@
 //! Solver-internal maps are never keyed by attacker-controlled data, so the
 //! classic Firefox multiply-rotate hash is the right trade.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 
 /// `HashMap` with the Fx hasher — a drop-in for solver-internal maps.
 pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
+/// `HashSet` with the Fx hasher.
+pub(crate) type FxHashSet<K> = HashSet<K, FxBuildHasher>;
+
 const SEED: u64 = 0x517c_c1b7_2722_0a95;
 
 /// Builder for [`FxHasher`] (zero-sized, `Default`-constructible so the map
-/// type works with `HashMap::default`).
+/// type works with `HashMap::default`). Public only so that public fields
+/// (`crate::cnf::AtomMap::var_of_term`) may hold Fx maps; the module stays
+/// private, so the type cannot be named outside the crate.
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct FxBuildHasher;
+pub struct FxBuildHasher;
 
 impl BuildHasher for FxBuildHasher {
     type Hasher = FxHasher;
@@ -30,7 +35,7 @@ impl BuildHasher for FxBuildHasher {
 
 /// The word-at-a-time multiply-rotate hasher.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct FxHasher(u64);
+pub struct FxHasher(u64);
 
 impl FxHasher {
     #[inline]

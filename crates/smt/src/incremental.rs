@@ -22,7 +22,8 @@
 //!   globally valid and are kept forever.
 //! * **Theory setup** — one [`crate::theory::TheoryChecker`] whose congruence
 //!   template and linear forms are *extended* as new atoms appear instead of
-//!   being rebuilt per query.
+//!   being rebuilt per query; the theory session's congruence state grows
+//!   in place with it.
 //! * **Theory state** — a persistent trail-based theory session
 //!   (`crate::trail::TheorySession`) driven *online* from inside the CDCL
 //!   search ([`crate::sat::SatSolver::solve_under_with`]): at every
@@ -102,9 +103,10 @@
 //! assert_eq!(s.check(&mut tm), SatResult::Sat); // the contradiction is gone
 //! ```
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::cnf::{encode_root, AtomMap};
+use crate::fxmap::{FxHashMap, FxHashSet};
 use crate::lower::LowerCtx;
 use crate::model::Model;
 use crate::quant::contains_forall;
@@ -147,8 +149,8 @@ struct MethodRollback {
     checker: Option<TheoryChecker>,
     session: TheorySession,
     pending_atoms: Vec<TermId>,
-    atom_scope: HashMap<TermId, AtomScope>,
-    asserted_roots: HashSet<TermId>,
+    atom_scope: FxHashMap<TermId, AtomScope>,
+    asserted_roots: FxHashSet<TermId>,
     tracked: Vec<(u32, Var)>,
     saw_quantifier: bool,
     /// Reuse counters not yet folded into a check's stats: restored on pop
@@ -157,6 +159,7 @@ struct MethodRollback {
     pending_reused: u64,
     pending_lowered: u64,
     pending_lower_time: std::time::Duration,
+    pending_cnf_time: std::time::Duration,
     credited: SatCounters,
 }
 
@@ -200,7 +203,10 @@ pub struct IncrementalSolver {
     session: TheorySession,
     /// Atoms encoded since the checker was last grown.
     pending_atoms: Vec<TermId>,
-    atom_scope: HashMap<TermId, AtomScope>,
+    atom_scope: FxHashMap<TermId, AtomScope>,
+    /// Scratch visited set of [`IncrementalSolver::mark_atoms`] (empty
+    /// between calls).
+    marked: FxHashSet<TermId>,
     scopes: Vec<Scope>,
     next_scope_id: u64,
     saw_quantifier: bool,
@@ -209,7 +215,7 @@ pub struct IncrementalSolver {
     /// The open method scope of a warm pool, if any (always `scopes[0]`).
     method: Option<MethodRollback>,
     /// Roots asserted so far, for the prelude-reuse counters.
-    asserted_roots: HashSet<TermId>,
+    asserted_roots: FxHashSet<TermId>,
     /// *Tracked* assertions ([`IncrementalSolver::assert_tracked`]), in
     /// assertion order: caller-chosen tag and the activation variable guarding
     /// the assertion's clauses. A check assumes a selection of these (all of
@@ -227,6 +233,9 @@ pub struct IncrementalSolver {
     /// (assertions happen between checks; `check` claims the accumulated
     /// time as its `lower_time`).
     pending_lower_time: std::time::Duration,
+    /// Wall-clock time spent encoding lowered assertions into clauses since
+    /// the last `check`, claimed as its `cnf_time`.
+    pending_cnf_time: std::time::Duration,
     /// SAT counters already credited to a check. A check reports the work
     /// done since, so the unit propagation `assert`, `assert_tracked` and
     /// `pop` do at level 0 (a refutation found while asserting included)
@@ -259,19 +268,21 @@ impl IncrementalSolver {
             checker: None,
             session: TheorySession::new(config.pivot),
             pending_atoms: Vec::new(),
-            atom_scope: HashMap::new(),
+            atom_scope: FxHashMap::default(),
+            marked: FxHashSet::default(),
             scopes: Vec::new(),
             next_scope_id: 0,
             saw_quantifier: false,
             stats: SolverStats::default(),
             model: None,
             method: None,
-            asserted_roots: HashSet::new(),
+            asserted_roots: FxHashSet::default(),
             tracked: Vec::new(),
             last_core: Vec::new(),
             pending_reused: 0,
             pending_lowered: 0,
             pending_lower_time: std::time::Duration::ZERO,
+            pending_cnf_time: std::time::Duration::ZERO,
             credited: SatCounters::default(),
         }
     }
@@ -349,6 +360,7 @@ impl IncrementalSolver {
             pending_reused: self.pending_reused,
             pending_lowered: self.pending_lowered,
             pending_lower_time: self.pending_lower_time,
+            pending_cnf_time: self.pending_cnf_time,
             credited: self.credited,
         });
     }
@@ -381,6 +393,7 @@ impl IncrementalSolver {
         self.pending_reused = m.pending_reused;
         self.pending_lowered = m.pending_lowered;
         self.pending_lower_time = m.pending_lower_time;
+        self.pending_cnf_time = m.pending_cnf_time;
         self.credited = m.credited;
         self.model = None;
         self.last_core.clear();
@@ -423,6 +436,7 @@ impl IncrementalSolver {
             self.lower.add(tm, &[t])
         };
         self.pending_lower_time += lower_start.elapsed();
+        let cnf_start = std::time::Instant::now();
         let _obs = ids_obs::span("cnf");
         for f in batch.facts {
             self.assert_lowered(tm, f, true);
@@ -430,6 +444,7 @@ impl IncrementalSolver {
         for r in batch.roots {
             self.assert_lowered(tm, r, false);
         }
+        self.pending_cnf_time += cnf_start.elapsed();
     }
 
     /// Asserts several formulas in order.
@@ -478,6 +493,7 @@ impl IncrementalSolver {
             self.lower.add(tm, &[t])
         };
         self.pending_lower_time += lower_start.elapsed();
+        let cnf_start = std::time::Instant::now();
         let _obs = ids_obs::span("cnf");
         for f in batch.facts {
             self.assert_lowered(tm, f, true);
@@ -495,6 +511,7 @@ impl IncrementalSolver {
             self.mark_atoms(tm, r, None);
             self.sat.add_clause(vec![Lit::new(act, false), lit]);
         }
+        self.pending_cnf_time += cnf_start.elapsed();
     }
 
     /// Tags of the tracked assertions the last check's unsat core used
@@ -529,7 +546,7 @@ impl IncrementalSolver {
     /// atoms) and queues new atoms for the theory checker. `scope_id` is the
     /// scope the enclosing assertion clause is guarded by (`None` = base).
     fn mark_atoms(&mut self, tm: &TermManager, root: TermId, scope_id: Option<u64>) {
-        let mut visited: std::collections::HashSet<TermId> = std::collections::HashSet::new();
+        let mut visited = std::mem::take(&mut self.marked);
         let mut stack = vec![root];
         while let Some(t) = stack.pop() {
             if !visited.insert(t) {
@@ -574,6 +591,8 @@ impl IncrementalSolver {
                 }
             }
         }
+        visited.clear();
+        self.marked = visited;
     }
 
     /// Checks satisfiability of the conjunction of all live assertions
@@ -602,21 +621,15 @@ impl IncrementalSolver {
         self.stats.prelude_reused = std::mem::take(&mut self.pending_reused);
         self.stats.prelude_lowered = std::mem::take(&mut self.pending_lowered);
         self.stats.lower_time = std::mem::take(&mut self.pending_lower_time);
+        self.stats.cnf_time = std::mem::take(&mut self.pending_cnf_time);
         self.model = None;
         self.last_core.clear();
         if self.saw_quantifier {
             return SatResult::Unknown;
         }
 
-        // Grow the theory checker to cover every encoded atom.
-        let pending = std::mem::take(&mut self.pending_atoms);
-        match &mut self.checker {
-            Some(c) => c.extend(tm, &pending),
-            None => self.checker = Some(TheoryChecker::new(tm, &pending)),
-        }
-
         self.stats.initial_clauses = self.sat.num_clauses() as u64;
-        self.stats.atoms = self.atom_map.atom_of_var.len() as u64;
+        self.stats.atoms = self.atom_map.num_atoms() as u64;
         // Assumption order: tracked assertions first (selection-filtered),
         // then the open scopes' activation literals.
         let mut assumptions: Vec<Lit> = Vec::with_capacity(self.tracked.len() + self.scopes.len());
@@ -634,6 +647,15 @@ impl IncrementalSolver {
         }
         assumptions.extend(self.scopes.iter().map(|s| Lit::new(s.act, true)));
 
+        // Setup: grow the theory checker to cover every encoded atom, ready
+        // the session for it, and build the check's live-atom table and
+        // watch lists.
+        let setup_start = std::time::Instant::now();
+        let pending = std::mem::take(&mut self.pending_atoms);
+        match &mut self.checker {
+            Some(c) => c.extend(tm, &pending),
+            None => self.checker = Some(TheoryChecker::new(tm, &pending)),
+        }
         let checker = self.checker.as_ref().expect("checker built above");
         self.session.prepare(checker);
         let live = live_atoms(
@@ -645,6 +667,7 @@ impl IncrementalSolver {
             self.sat.num_vars(),
         );
         self.session.watch(&live);
+        self.stats.setup_time = setup_start.elapsed();
         let mut theory = OnlineTheory {
             tm,
             checker,
@@ -727,10 +750,11 @@ impl IncrementalSolver {
 /// encodes a *live* theory atom maps to the atom, resolved for the theory
 /// session; dead atoms (see the module documentation for why they must be
 /// excluded from theory checking), Tseitin and activation variables map to
-/// `None`. Built once per check, so the search never hashes a trail literal.
+/// `None`. Built in one scan of the var-indexed atom table per check, so
+/// the search never hashes a trail literal.
 fn live_atoms(
     atom_map: &AtomMap,
-    atom_scope: &HashMap<TermId, AtomScope>,
+    atom_scope: &FxHashMap<TermId, AtomScope>,
     scopes: &[Scope],
     session: &TheorySession,
     checker: &TheoryChecker,
@@ -746,9 +770,9 @@ fn live_atoms(
         None => false,
     };
     let mut live = vec![None; num_vars];
-    for (&var, atom) in &atom_map.atom_of_var {
-        if is_live(atom) {
-            live[var as usize] = Some(session.live_atom(checker, *atom));
+    for (var, atom) in atom_map.atoms() {
+        if is_live(&atom) {
+            live[var as usize] = Some(session.live_atom(checker, atom));
         }
     }
     live

@@ -17,8 +17,7 @@
 //! * adds trichotomy lemmas `a = b ∨ a < b ∨ b < a` for numeric equality
 //!   atoms so that negated numeric equalities are visible to the simplex.
 
-use std::collections::{HashMap, HashSet};
-
+use crate::fxmap::{FxHashMap, FxHashSet};
 use crate::term::{Op, Sort, TermId, TermManager};
 
 /// Lowers the conjunction of `roots`; returns the new conjunction of roots
@@ -35,7 +34,7 @@ pub fn lower(tm: &mut TermManager, roots: &[TermId]) -> Vec<TermId> {
 fn rewrite(
     tm: &mut TermManager,
     t: TermId,
-    cache: &mut HashMap<TermId, TermId>,
+    cache: &mut FxHashMap<TermId, TermId>,
     side: &mut Vec<TermId>,
 ) -> TermId {
     if let Some(&r) = cache.get(&t) {
@@ -145,8 +144,8 @@ fn infer_sort(tm: &TermManager, op: &Op, args: &[TermId]) -> Sort {
 /// set covers every pool).
 #[derive(Clone, Debug, Default)]
 struct Pools {
-    by_sort: HashMap<Sort, Vec<TermId>>,
-    pooled: HashSet<TermId>,
+    by_sort: FxHashMap<Sort, Vec<TermId>>,
+    pooled: FxHashSet<TermId>,
 }
 
 impl Pools {
@@ -161,10 +160,10 @@ impl Pools {
     }
 }
 
-fn elem_sort_of_container(sort: &Sort) -> Option<Sort> {
+fn elem_sort_of_container(sort: &Sort) -> Option<&Sort> {
     match sort {
-        Sort::Set(e) => Some((**e).clone()),
-        Sort::Array(i, _) => Some((**i).clone()),
+        Sort::Set(e) => Some(e),
+        Sort::Array(i, _) => Some(i),
         _ => None,
     }
 }
@@ -202,9 +201,9 @@ pub struct LoweredBatch {
 /// spurious.
 #[derive(Clone, Debug, Default)]
 pub struct LowerCtx {
-    rewrite_cache: HashMap<TermId, TermId>,
+    rewrite_cache: FxHashMap<TermId, TermId>,
     /// Sub-terms already categorized into pools/triggers.
-    scanned: HashSet<TermId>,
+    scanned: FxHashSet<TermId>,
     pools: Pools,
     // Every trigger carries a *watermark*: how many elements of its pool it
     // has already been instantiated against. Pools are append-only, so each
@@ -216,12 +215,13 @@ pub struct LowerCtx {
     compound_sets: Vec<(TermId, usize)>,
     subset_atoms: Vec<(TermId, usize)>,
     container_eq_atoms: Vec<(TermId, usize)>,
-    subset_witness: HashMap<TermId, TermId>,
-    eq_witness: HashMap<TermId, TermId>,
-    /// Witness axioms already emitted (their trigger atoms may be revisited).
-    emitted: HashSet<TermId>,
+    /// Skolem witnesses whose axiom is not built yet.
+    subset_witness: FxHashMap<TermId, TermId>,
+    eq_witness: FxHashMap<TermId, TermId>,
+    /// Axioms already emitted, so that none is asserted twice.
+    emitted: FxHashSet<TermId>,
     /// Sub-terms already scanned for trichotomy lemmas.
-    trich_scanned: HashSet<TermId>,
+    trich_scanned: FxHashSet<TermId>,
 }
 
 impl LowerCtx {
@@ -272,18 +272,16 @@ impl LowerCtx {
             if !self.scanned.insert(t) {
                 continue;
             }
-            let term = tm.term(t).clone();
+            let term = tm.term(t);
             stack.extend(term.args.iter().copied());
             match &term.op {
                 Op::Member => {
                     let elem = term.args[0];
-                    let sort = tm.sort(elem).clone();
-                    self.pools.add(&sort, elem);
+                    self.pools.add(tm.sort(elem), elem);
                 }
                 Op::Singleton => {
                     let elem = term.args[0];
-                    let sort = tm.sort(elem).clone();
-                    self.pools.add(&sort, elem);
+                    self.pools.add(tm.sort(elem), elem);
                     self.compound_sets.push((t, 0));
                 }
                 Op::Union | Op::Inter | Op::Diff | Op::EmptySet(_) => {
@@ -291,13 +289,11 @@ impl LowerCtx {
                 }
                 Op::Select => {
                     let idx = term.args[1];
-                    let sort = tm.sort(idx).clone();
-                    self.pools.add(&sort, idx);
+                    self.pools.add(tm.sort(idx), idx);
                 }
                 Op::Store => {
                     let idx = term.args[1];
-                    let sort = tm.sort(idx).clone();
-                    self.pools.add(&sort, idx);
+                    self.pools.add(tm.sort(idx), idx);
                     self.stores.push((t, 0));
                 }
                 Op::MapIte => {
@@ -318,7 +314,7 @@ impl LowerCtx {
         // pools *before* instantiation.
         for a in new_subsets {
             let s = tm.term(a).args[0];
-            if let Some(elem_sort) = elem_sort_of_container(&tm.sort(s).clone()) {
+            if let Some(elem_sort) = elem_sort_of_container(tm.sort(s)).cloned() {
                 let w = tm.fresh_var("sub_w", elem_sort.clone());
                 self.pools.add(&elem_sort, w);
                 self.subset_witness.insert(a, w);
@@ -326,7 +322,7 @@ impl LowerCtx {
         }
         for a in new_eqs {
             let s = tm.term(a).args[0];
-            if let Some(elem_sort) = elem_sort_of_container(&tm.sort(s).clone()) {
+            if let Some(elem_sort) = elem_sort_of_container(tm.sort(s)).cloned() {
                 let w = tm.fresh_var("ext_w", elem_sort.clone());
                 self.pools.add(&elem_sort, w);
                 self.eq_witness.insert(a, w);
@@ -337,8 +333,8 @@ impl LowerCtx {
     /// Emits the axioms of every not-yet-covered (trigger, element) pair:
     /// each trigger consumes its pool from its watermark to the current end,
     /// so repeated `add` calls never re-construct candidate axiom terms for
-    /// pairs handled before. The per-atom Skolem witness axioms go through
-    /// the `emitted` set (one cheap candidate per atom per call).
+    /// pairs handled before. Each Skolem witness axiom is built once, by the
+    /// first call after its atom was scanned.
     fn emit_axioms(&mut self, tm: &mut TermManager, axioms: &mut Vec<TermId>) {
         let emitted = &mut self.emitted;
         let mut push = |tm: &mut TermManager, ax: TermId, axioms: &mut Vec<TermId>| {
@@ -346,11 +342,12 @@ impl LowerCtx {
                 axioms.push(ax);
             }
         };
-        // Snapshot of a trigger's uncovered pool tail (cloned so `tm` can be
-        // mutated while iterating), advancing the watermark to the end.
+        // Snapshot of a trigger's uncovered tail of the pool of `elem_sort`
+        // (cloned so `tm` can be mutated while iterating; empty when the
+        // trigger has no element sort), advancing the watermark to the end.
         let pools = &self.pools;
-        let tail = |mark: &mut usize, elem_sort: &Sort| -> Vec<TermId> {
-            let pool = pools.get(elem_sort);
+        let tail = |mark: &mut usize, elem_sort: Option<&Sort>| -> Vec<TermId> {
+            let pool = elem_sort.map_or(&[][..], |sort| pools.get(sort));
             let new = pool[*mark..].to_vec();
             *mark = pool.len();
             new
@@ -359,12 +356,12 @@ impl LowerCtx {
         // 1. Membership axioms for compound set terms, at every pooled element.
         for (s, mark) in self.compound_sets.iter_mut() {
             let s = *s;
+            let new = tail(mark, elem_sort_of_container(tm.sort(s)));
+            if new.is_empty() {
+                continue;
+            }
             let term = tm.term(s).clone();
-            let elem_sort = match elem_sort_of_container(&term.sort) {
-                Some(e) => e,
-                None => continue,
-            };
-            for e in tail(mark, &elem_sort) {
+            for e in new {
                 let mem = tm.member(e, s);
                 let def = match &term.op {
                     Op::EmptySet(_) => {
@@ -403,10 +400,9 @@ impl LowerCtx {
         // 2. Read-over-write axioms for stores, at every pooled index.
         for (st, mark) in self.stores.iter_mut() {
             let st = *st;
-            let term = tm.term(st).clone();
-            let (base, idx, val) = (term.args[0], term.args[1], term.args[2]);
-            let idx_sort = tm.sort(idx).clone();
-            for j in tail(mark, &idx_sort) {
+            let args = &tm.term(st).args;
+            let (base, idx, val) = (args[0], args[1], args[2]);
+            for j in tail(mark, Some(tm.sort(idx))) {
                 let sel = tm.select(st, j);
                 let eq_idx = tm.eq(j, idx);
                 let sel_val = tm.eq(sel, val);
@@ -423,13 +419,9 @@ impl LowerCtx {
         // 3. Pointwise frame-update axioms for MapIte, at every pooled index.
         for (mi, mark) in self.map_ites.iter_mut() {
             let mi = *mi;
-            let term = tm.term(mi).clone();
-            let (modset, m_new, m_old) = (term.args[0], term.args[1], term.args[2]);
-            let idx_sort = match elem_sort_of_container(&term.sort) {
-                Some(s) => s,
-                None => continue,
-            };
-            for j in tail(mark, &idx_sort) {
+            let args = &tm.term(mi).args;
+            let (modset, m_new, m_old) = (args[0], args[1], args[2]);
+            for j in tail(mark, elem_sort_of_container(tm.sort(mi))) {
                 let sel = tm.select(mi, j);
                 let in_mod = tm.member(j, modset);
                 let sel_new = tm.select(m_new, j);
@@ -448,20 +440,15 @@ impl LowerCtx {
         //    (Skolem witness).
         for (a, mark) in self.subset_atoms.iter_mut() {
             let a = *a;
-            let term = tm.term(a).clone();
-            let (s, t) = (term.args[0], term.args[1]);
-            let elem_sort = match elem_sort_of_container(&tm.sort(s).clone()) {
-                Some(e) => e,
-                None => continue,
-            };
-            for e in tail(mark, &elem_sort) {
+            let (s, t) = (tm.term(a).args[0], tm.term(a).args[1]);
+            for e in tail(mark, elem_sort_of_container(tm.sort(s))) {
                 let ms = tm.member(e, s);
                 let mt = tm.member(e, t);
                 let imp = tm.implies(ms, mt);
                 let ax = tm.implies(a, imp);
                 push(tm, ax, axioms);
             }
-            if let Some(&w) = self.subset_witness.get(&a) {
+            if let Some(w) = self.subset_witness.remove(&a) {
                 let ms = tm.member(w, s);
                 let mt = tm.member(w, t);
                 let nmt = tm.not(mt);
@@ -476,15 +463,9 @@ impl LowerCtx {
         //    extensionality witness for the negative side.
         for (a, mark) in self.container_eq_atoms.iter_mut() {
             let a = *a;
-            let term = tm.term(a).clone();
-            let (s, t) = (term.args[0], term.args[1]);
-            let sort = tm.sort(s).clone();
-            let elem_sort = match elem_sort_of_container(&sort) {
-                Some(e) => e,
-                None => continue,
-            };
-            let is_set = matches!(sort, Sort::Set(_));
-            for e in tail(mark, &elem_sort) {
+            let (s, t) = (tm.term(a).args[0], tm.term(a).args[1]);
+            let is_set = matches!(tm.sort(s), Sort::Set(_));
+            for e in tail(mark, elem_sort_of_container(tm.sort(s))) {
                 let (vs, vt) = if is_set {
                     (tm.member(e, s), tm.member(e, t))
                 } else {
@@ -494,7 +475,7 @@ impl LowerCtx {
                 let ax = tm.implies(a, eq);
                 push(tm, ax, axioms);
             }
-            if let Some(&w) = self.eq_witness.get(&a) {
+            if let Some(w) = self.eq_witness.remove(&a) {
                 let (vs, vt) = if is_set {
                     (tm.member(w, s), tm.member(w, t))
                 } else {
@@ -520,7 +501,7 @@ impl LowerCtx {
             if !self.trich_scanned.insert(t) {
                 continue;
             }
-            let term = tm.term(t).clone();
+            let term = tm.term(t);
             stack.extend(term.args.iter().copied());
             if term.op == Op::Eq && tm.sort(term.args[0]).is_numeric() {
                 let (a, b) = (term.args[0], term.args[1]);

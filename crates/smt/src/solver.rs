@@ -117,7 +117,7 @@ impl SolverConfig {
 /// * **sum** — effort counters and elapsed wall-clock times. Work done in two
 ///   checks is the total of both, regardless of whether the checks shared a
 ///   session; this includes `sat_time`/`theory_time` and the per-phase
-///   `lower_time`/`euf_time`/`simplex_time` splits.
+///   `lower_time`/`cnf_time`/`setup_time`/`euf_time`/`simplex_time` splits.
 /// * **max** — point-in-time gauges. `learned_kept` and `max_lbd` describe
 ///   solver *state*, not work; summing them across the checks of one warm
 ///   session would double-count the same live clauses once per check, so
@@ -167,6 +167,15 @@ pub struct SolverStats {
     /// Wall-clock time of the simplex passes (a component of `theory_time`).
     /// Merge: **sum**.
     pub simplex_time: std::time::Duration,
+    /// Wall-clock time spent encoding lowered assertions into clauses:
+    /// Tseitin encoding, adding the clauses, and recording each theory atom's
+    /// scope. Disjoint from `lower_time`. Merge: **sum**.
+    pub cnf_time: std::time::Duration,
+    /// Wall-clock time of a check's setup before the search: growing the
+    /// theory checker by the new atoms, readying the theory session for it,
+    /// and building the check's live-atom table and watch lists. Merge:
+    /// **sum**.
+    pub setup_time: std::time::Duration,
     /// Assertions answered from already-lowered session state (a warm solver
     /// pool's structure-scope prelude, or any re-asserted formula whose
     /// lowering and CNF encoding were still live). A one-shot [`Solver`]
@@ -232,6 +241,8 @@ impl SolverStats {
         self.lower_time += other.lower_time;
         self.euf_time += other.euf_time;
         self.simplex_time += other.simplex_time;
+        self.cnf_time += other.cnf_time;
+        self.setup_time += other.setup_time;
         self.prelude_reused += other.prelude_reused;
         self.prelude_lowered += other.prelude_lowered;
         self.restarts += other.restarts;
@@ -516,6 +527,8 @@ mod tests {
             slice_hits: seed + 20,
             slice_fallbacks: seed + 21,
             slice_dropped_hyps: seed + 22,
+            cnf_time: ms(seed + 25),
+            setup_time: ms(seed + 26),
         };
         let (a, b) = (mk(100), mk(5));
         let mut merged = a;
@@ -534,6 +547,8 @@ mod tests {
             lower_time,
             euf_time,
             simplex_time,
+            cnf_time,
+            setup_time,
             prelude_reused,
             prelude_lowered,
             restarts,
@@ -564,6 +579,8 @@ mod tests {
         assert_eq!(lower_time, a.lower_time + b.lower_time);
         assert_eq!(euf_time, a.euf_time + b.euf_time);
         assert_eq!(simplex_time, a.simplex_time + b.simplex_time);
+        assert_eq!(cnf_time, a.cnf_time + b.cnf_time);
+        assert_eq!(setup_time, a.setup_time + b.setup_time);
         assert_eq!(prelude_reused, a.prelude_reused + b.prelude_reused);
         assert_eq!(prelude_lowered, a.prelude_lowered + b.prelude_lowered);
         assert_eq!(restarts, a.restarts + b.restarts);

@@ -6,9 +6,12 @@
 //! structural equality and sub-term sharing cheap — both matter because FWYB
 //! verification conditions share large sub-formulas across asserts.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasher;
 
+use crate::fxmap::{FxBuildHasher, FxHashMap};
 use crate::rational::Rat;
 
 /// The sort (type) of a term.
@@ -175,13 +178,22 @@ impl fmt::Display for TermId {
 #[derive(Clone, Debug, Default)]
 pub struct TermManager {
     terms: Vec<Term>,
+    // Each term is stored once, in `terms`. The interning index maps the
+    // structural hash of a term's `(op, args, sort)` to the newest term with
+    // that hash, and `older[id]` chains to the next older one (`NO_TERM`
+    // ends the chain); a lookup compares the candidates against `terms`, so
+    // a hit allocates nothing.
     // The sort is part of the interning key so that terms that agree on
     // operator and arguments but differ in sort stay distinct — most
     // importantly `Op::Var` constants, where the sort is the only thing
     // distinguishing `x: Loc` from `x: Int`.
-    table: HashMap<(Op, Vec<TermId>, Sort), TermId>,
+    index: FxHashMap<u64, u32>,
+    older: Vec<u32>,
     fresh_counter: u64,
 }
+
+/// Ends a chain of [`TermManager`]'s interning index.
+const NO_TERM: u32 = u32::MAX;
 
 impl TermManager {
     /// Creates an empty term manager.
@@ -219,14 +231,32 @@ impl TermManager {
 
     /// Interns a term, reusing an existing identical term when possible.
     pub fn mk(&mut self, op: Op, args: Vec<TermId>, sort: Sort) -> TermId {
-        let key = (op.clone(), args.clone(), sort.clone());
-        if let Some(&id) = self.table.get(&key) {
-            return id;
+        self.intern(Cow::Owned(op), args, Cow::Owned(sort))
+    }
+
+    /// The id of the term `(op, args, sort)`: the interned one, or the next
+    /// id for a new term, which takes `args` and `op` and `sort` (cloned
+    /// only when borrowed).
+    fn intern(&mut self, op: Cow<'_, Op>, args: Vec<TermId>, sort: Cow<'_, Sort>) -> TermId {
+        let hash = FxBuildHasher.hash_one((&*op, &args, &*sort));
+        let newest = self.index.get(&hash).copied().unwrap_or(NO_TERM);
+        let mut id = newest;
+        while id != NO_TERM {
+            let t = &self.terms[id as usize];
+            if t.op == *op && t.args == args && t.sort == *sort {
+                return TermId(id);
+            }
+            id = self.older[id as usize];
         }
-        let id = TermId(self.terms.len() as u32);
-        self.terms.push(Term { op, args, sort });
-        self.table.insert(key, id);
-        id
+        let id = self.terms.len() as u32;
+        self.index.insert(hash, id);
+        self.older.push(newest);
+        self.terms.push(Term {
+            op: op.into_owned(),
+            args,
+            sort: sort.into_owned(),
+        });
+        TermId(id)
     }
 
     /// Returns a variable name guaranteed not to have been produced before by
@@ -261,7 +291,7 @@ impl TermManager {
 
     /// Boolean negation, with double-negation and constant folding.
     pub fn not(&mut self, t: TermId) -> TermId {
-        match self.term(t).op.clone() {
+        match self.term(t).op {
             Op::True => self.fls(),
             Op::False => self.tru(),
             Op::Not => self.term(t).args[0],
@@ -637,7 +667,7 @@ impl TermManager {
                     continue;
                 }
                 let args: Vec<TermId> = term.args.iter().map(|a| memo[a]).collect();
-                let id = self.mk(term.op.clone(), args, term.sort.clone());
+                let id = self.intern(Cow::Borrowed(&term.op), args, Cow::Borrowed(&term.sort));
                 memo.insert(t, id);
                 stack.pop();
             }
@@ -802,6 +832,155 @@ mod tests {
         let fresh = dst.fresh_var("w", Sort::Loc);
         assert_ne!(iv, fresh);
         assert_ne!(dst.term(iv).op, dst.term(fresh).op);
+    }
+
+    /// A xorshift draw below `n`.
+    fn below(rng: &mut u64, n: usize) -> usize {
+        *rng ^= *rng << 13;
+        *rng ^= *rng >> 7;
+        *rng ^= *rng << 17;
+        (*rng % n as u64) as usize
+    }
+
+    /// The interning key of the full-key table below: `(op, args, sort)`.
+    type Key = (Op, Vec<TermId>, Sort);
+
+    /// A random `mk` input over every `Op` shape, with arguments drawn from
+    /// the `existing` terms (structural interning does not check sorts).
+    /// Small name and literal pools make inputs repeat, and make `Var`s that
+    /// differ only by sort.
+    fn random_key(rng: &mut u64, existing: usize) -> Key {
+        let mut next = |n: usize| below(rng, n);
+        let sorts = [
+            Sort::Bool,
+            Sort::Int,
+            Sort::Real,
+            Sort::Loc,
+            Sort::set_of(Sort::Loc),
+            Sort::array_of(Sort::Loc, Sort::Int),
+        ];
+        let sort = sorts[next(sorts.len())].clone();
+        let names = ["x", "y", "next"];
+        let name = names[next(names.len())].to_string();
+        let k = i128::try_from(next(3)).expect("small") - 1;
+        let op = match next(31) {
+            0 => Op::True,
+            1 => Op::False,
+            2 => Op::Not,
+            3 => Op::And,
+            4 => Op::Or,
+            5 => Op::Implies,
+            6 => Op::Iff,
+            7 => Op::Ite,
+            8 => Op::Eq,
+            9 => Op::Distinct,
+            10 => Op::Var(name),
+            11 => Op::IntLit(k),
+            12 => Op::RealLit(Rat::new(k, 2)),
+            13 => Op::Add,
+            14 => Op::Sub,
+            15 => Op::Neg,
+            16 => Op::MulConst(Rat::new(k, 3)),
+            17 => Op::Le,
+            18 => Op::Lt,
+            19 => Op::Select,
+            20 => Op::Store,
+            21 => Op::EmptySet(sorts[next(sorts.len())].clone()),
+            22 => Op::Singleton,
+            23 => Op::Union,
+            24 => Op::Inter,
+            25 => Op::Diff,
+            26 => Op::Member,
+            27 => Op::Subset,
+            28 => Op::MapIte,
+            29 => Op::App(name),
+            _ => Op::Forall(vec![(name, sort.clone())]),
+        };
+        let arity = match op {
+            Op::True | Op::False | Op::Var(_) | Op::IntLit(_) | Op::RealLit(_) => 0,
+            Op::EmptySet(_) => 0,
+            _ if existing == 0 => 0,
+            _ => next(4),
+        };
+        let args = (0..arity).map(|_| TermId(next(existing) as u32)).collect();
+        (op, args, sort)
+    }
+
+    /// Interns `key` in `tm` and checks it against the full-key table of the
+    /// previous scheme: a known key gets its id back, a new key the next id.
+    fn check_mk(tm: &mut TermManager, table: &mut HashMap<Key, TermId>, key: &Key) {
+        let want = table
+            .get(key)
+            .copied()
+            .unwrap_or(TermId(table.len() as u32));
+        let got = tm.mk(key.0.clone(), key.1.clone(), key.2.clone());
+        assert_eq!(got, want, "{key:?}");
+        table.entry(key.clone()).or_insert(got);
+        assert_eq!(tm.len(), table.len());
+    }
+
+    /// Interning stores each term once yet answers exactly like the table
+    /// keyed by the whole `(op, args, sort)`: through `mk`, through a cloned
+    /// manager, and through `import`.
+    #[test]
+    fn interning_matches_a_full_key_table() {
+        let mut rng = 0x1357_9bdf_2468_ace0u64;
+        let mut tm = TermManager::new();
+        let mut table: HashMap<Key, TermId> = HashMap::new();
+        let mut keys: Vec<Key> = Vec::new();
+        for _ in 0..4000 {
+            let key = match keys.len() {
+                n if n > 0 && below(&mut rng, 3) == 0 => keys[below(&mut rng, n)].clone(),
+                _ => random_key(&mut rng, tm.len()),
+            };
+            check_mk(&mut tm, &mut table, &key);
+            keys.push(key);
+        }
+        assert!(
+            table.len() > 1000 && table.len() + 1000 < keys.len(),
+            "{} distinct of {} inputs",
+            table.len(),
+            keys.len()
+        );
+
+        // A clone answers every old input with the old id, and interns new
+        // ones exactly like the original.
+        let mut cloned = tm.clone();
+        let mut cloned_table = table.clone();
+        for key in &keys {
+            check_mk(&mut cloned, &mut cloned_table, key);
+        }
+        let mut rng_clone = rng;
+        for _ in 0..500 {
+            let key = random_key(&mut rng, tm.len());
+            check_mk(&mut tm, &mut table, &key);
+            let key = random_key(&mut rng_clone, cloned.len());
+            check_mk(&mut cloned, &mut cloned_table, &key);
+        }
+        assert_eq!(cloned.len(), tm.len());
+
+        // `import` interns through the same index: into a manager holding
+        // some of the terms already, in another order, each imported term
+        // gets the id the full-key table gives its translated key.
+        let mut dst = TermManager::new();
+        let mut dst_table: HashMap<Key, TermId> = HashMap::new();
+        for _ in 0..300 {
+            let key = random_key(&mut rng, dst.len());
+            check_mk(&mut dst, &mut dst_table, &key);
+        }
+        let mut memo = HashMap::new();
+        for (i, term) in tm.terms.clone().into_iter().enumerate() {
+            let args = term.args.iter().map(|a| memo[a]).collect();
+            let key = (term.op, args, term.sort);
+            let want = dst_table
+                .get(&key)
+                .copied()
+                .unwrap_or(TermId(dst_table.len() as u32));
+            let got = dst.import(&tm, &[TermId(i as u32)], &mut memo)[0];
+            assert_eq!(got, want, "{key:?}");
+            dst_table.entry(key).or_insert(got);
+            assert_eq!(dst.len(), dst_table.len());
+        }
     }
 
     #[test]

@@ -149,8 +149,9 @@ enum UndoOp {
 /// Asserting `a ≠ b` scans the smaller of the two classes and implies false
 /// every equality atom between them. Candidates collect in `implied` until
 /// the end of the sync.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct EufState {
+    /// The checker's template as of the last [`EufState::grow`].
     template: EufTemplate,
     /// Union-find links; no path compression so that [`EufState::undo_to`]
     /// can restore them exactly.
@@ -179,6 +180,8 @@ pub(crate) struct EufState {
     violations: Vec<u32>,
     eq_tags: Vec<usize>,
     undo: Vec<UndoOp>,
+    /// Undo-trail length at the base state ([`EufState::grow`]).
+    base: usize,
     /// Scratch stack of the congruence cascade (empty between calls).
     pending: Vec<(usize, usize, Reason)>,
     explain_incomplete: bool,
@@ -203,59 +206,59 @@ pub(crate) struct EufState {
 }
 
 impl EufState {
-    fn new(checker: &TheoryChecker) -> EufState {
-        let template = checker.template.clone();
-        let n = template.terms.len();
-        let (tru, fls) = (
-            template.node_of_term[&checker.tru],
-            template.node_of_term[&checker.fls],
-        );
-        let mut st = EufState {
-            parent: (0..n).collect(),
-            size: vec![1; n],
-            pf_parent: vec![None; n],
-            use_lists: vec![Vec::new(); n],
-            sig_table: FxHashMap::default(),
-            diseqs: Vec::new(),
-            diseq_lists: vec![Vec::new(); n],
-            violations: Vec::new(),
-            eq_tags: Vec::new(),
-            undo: Vec::new(),
-            pending: Vec::new(),
-            explain_incomplete: false,
-            tru,
-            fls,
-            next: (0..n).collect(),
-            watch_start: Vec::new(),
-            watch_list: Vec::new(),
-            on_trail: Vec::new(),
-            implied: Vec::new(),
-            template,
-        };
-        for (ai, app) in st.template.app_nodes.iter().enumerate() {
-            for &arg in &app.args {
-                st.use_lists[arg].push(ai as u32);
+    /// Grows the state to `checker`'s template: returns to the base state,
+    /// appends the template's new nodes with their use-list entries and
+    /// signatures, and takes the new base mark. The first growth, from the
+    /// empty state, is the build, and also asserts `true ≠ false`.
+    ///
+    /// At base every class is a singleton, each application's signature is
+    /// in the table and only `true ≠ false` is asserted: exactly what one
+    /// growth from the empty state builds, field for field, so a state grown
+    /// in steps equals one grown in one step.
+    fn grow(&mut self, checker: &TheoryChecker) {
+        self.undo_to(self.base);
+        // No watches while seeding: nothing is implied before the check's
+        // watch lists are built.
+        self.watch_start.clear();
+        self.watch_list.clear();
+        let (old_nodes, old_apps) = (self.parent.len(), self.template.app_nodes.len());
+        self.template.append_from(&checker.template);
+        let n = self.template.terms.len();
+        self.parent.extend(old_nodes..n);
+        self.next.extend(old_nodes..n);
+        self.size.resize(n, 1);
+        self.pf_parent.resize(n, None);
+        self.use_lists.resize(n, Vec::new());
+        self.diseq_lists.resize(n, Vec::new());
+        let new_apps = old_apps..self.template.app_nodes.len();
+        for ai in new_apps.clone() {
+            for &arg in &self.template.app_nodes[ai].args {
+                self.use_lists[arg].push(ai as u32);
             }
         }
         // Seed the signature table. Terms are hash-consed, so two distinct
         // application nodes cannot collide while every class is a singleton;
-        // the merge arm is defensive.
-        for ai in 0..st.template.app_nodes.len() {
-            let key = st.sig(ai);
-            match st.sig_table.get(&key).copied() {
+        // the merge arm is defensive. Entries below the base mark are never
+        // undone, so seeding records no undo.
+        for ai in new_apps {
+            let key = self.sig(ai);
+            match self.sig_table.get(&key).copied() {
                 Some(aj) => {
-                    let ni = st.template.app_nodes[ai].node;
-                    let nj = st.template.app_nodes[aj as usize].node;
-                    st.merge_classes(ni, nj, Reason::Congruence(ni, nj));
+                    let ni = self.template.app_nodes[ai].node;
+                    let nj = self.template.app_nodes[aj as usize].node;
+                    self.merge_classes(ni, nj, Reason::Congruence(ni, nj));
                 }
                 None => {
-                    st.undo.push(UndoOp::SigInsert(key.clone()));
-                    st.sig_table.insert(key, ai as u32);
+                    self.sig_table.insert(key, ai as u32);
                 }
             }
         }
-        st.assert_neq(tru, fls, AXIOM_TAG);
-        st
+        if old_nodes == 0 {
+            self.tru = self.node(checker.tru);
+            self.fls = self.node(checker.fls);
+            self.assert_neq(self.tru, self.fls, AXIOM_TAG);
+        }
+        self.base = self.mark();
     }
 
     fn node(&self, t: TermId) -> usize {
@@ -291,38 +294,42 @@ impl EufState {
     }
 
     /// Rebuilds the per-node watch lists from the check's live-atom table
-    /// (indexed by SAT variable) and clears the trail flags.
+    /// (indexed by SAT variable) and clears the trail flags. One counting
+    /// pass sizes each node's slice, and a second fills them in variable
+    /// order, so each node's watches are in ascending variable order.
     fn watch(&mut self, live: &[Option<LiveAtom>]) {
-        let mut watches: Vec<(usize, Watch)> = Vec::new();
+        let watched = |la: &Option<LiveAtom>| match la.map(|la| la.euf) {
+            Some(EufAtom::Eq(a, b)) if a != b => [Some((a, b as u32)), Some((b, a as u32))],
+            Some(EufAtom::Pred(n)) => [Some((n, PRED)), None],
+            _ => [None, None],
+        };
+        let mut start = std::mem::take(&mut self.watch_start);
+        start.clear();
+        start.resize(self.parent.len() + 1, 0);
+        for (n, _) in live.iter().flat_map(watched).flatten() {
+            start[n + 1] += 1;
+        }
+        for n in 0..self.parent.len() {
+            start[n + 1] += start[n];
+        }
+        let mut fill = start.clone();
+        let mut list = std::mem::take(&mut self.watch_list);
+        list.clear();
+        list.resize(
+            start[self.parent.len()] as usize,
+            Watch { var: 0, other: 0 },
+        );
         for (var, la) in live.iter().enumerate() {
-            let var = var as Var;
-            match la.map(|la| la.euf) {
-                Some(EufAtom::Eq(a, b)) if a != b => {
-                    watches.push((
-                        a,
-                        Watch {
-                            var,
-                            other: b as u32,
-                        },
-                    ));
-                    watches.push((
-                        b,
-                        Watch {
-                            var,
-                            other: a as u32,
-                        },
-                    ));
-                }
-                Some(EufAtom::Pred(n)) => watches.push((n, Watch { var, other: PRED })),
-                _ => {}
+            for (n, other) in watched(la).into_iter().flatten() {
+                let var = var as Var;
+                list[fill[n] as usize] = Watch { var, other };
+                fill[n] += 1;
             }
         }
-        watches.sort_by_key(|&(n, _)| n);
-        self.watch_start = (0..=self.parent.len())
-            .map(|n| watches.partition_point(|&(m, _)| m < n) as u32)
-            .collect();
-        self.watch_list = watches.into_iter().map(|(_, w)| w).collect();
-        self.on_trail = vec![false; live.len()];
+        self.watch_start = start;
+        self.watch_list = list;
+        self.on_trail.clear();
+        self.on_trail.resize(live.len(), false);
     }
 
     /// The watches on the members of the class rooted at `r`, each with the
@@ -764,9 +771,11 @@ pub(crate) struct TheorySession {
     /// its first load and valid until [`TheorySession::prepare`] rebuilds
     /// the simplex.
     bounds: FxHashMap<(TermId, bool), Compiled>,
-    /// Number of atoms the checker knew when the session state was built;
-    /// a differing count means the atom universe changed (new atoms pushed,
-    /// or a method scope popped) and the session rebuilds from the template.
+    /// Number of atoms the checker knew at the last
+    /// [`TheorySession::prepare`]; a differing count means new atoms were
+    /// pushed, and the session grows its EUF state by them. (A method-scope
+    /// pop restores the session with the checker, so the count never
+    /// shrinks below the state.)
     known_atoms: usize,
     pivot: PivotRule,
     /// Per SAT variable: the last implication recorded for it. Valid while
@@ -809,15 +818,16 @@ impl TheorySession {
             .collect()
     }
 
-    /// Readies the session for a check against `checker`: rebuilds from the
-    /// checker's template when its atom universe changed since the state was
-    /// built. The cumulative pivot counter is carried over so telemetry
-    /// deltas stay monotonic.
+    /// Readies the session for a check against `checker`: when its atom
+    /// universe grew since the last check, grows the EUF state in place by
+    /// the new nodes ([`EufState::grow`]) and starts a fresh simplex and
+    /// session trail. The cumulative pivot counter is carried over so
+    /// telemetry deltas stay monotonic.
     pub(crate) fn prepare(&mut self, checker: &TheoryChecker) {
         if self.euf.is_some() && checker.kinds.len() == self.known_atoms {
             return;
         }
-        self.euf = Some(EufState::new(checker));
+        self.euf.get_or_insert_with(EufState::default).grow(checker);
         let mut simplex = Simplex::with_rule(self.pivot);
         simplex.enable_slack_reuse();
         simplex.pivots = self.simplex.pivots;
@@ -844,8 +854,8 @@ impl TheorySession {
     }
 
     /// Resolves a theory atom of `checker` for [`TheorySession::sync`].
-    /// Valid until the next rebuild ([`TheorySession::prepare`] after the
-    /// checker grew).
+    /// Valid until the next [`TheorySession::prepare`] that grows the
+    /// session.
     pub(crate) fn live_atom(&self, checker: &TheoryChecker, atom: TermId) -> LiveAtom {
         let euf = self.euf.as_ref().expect("session prepared");
         match checker.kinds.get(&atom) {
@@ -1374,6 +1384,21 @@ mod tests {
             }
         }
 
+        /// Learns new atoms (a later assertion batch) and starts over like
+        /// the next check of a solver: the checker grows, so the session's
+        /// next prepare grows it and drops its trail, and the next sync
+        /// re-reads this trail from the start. The trail's implied literals
+        /// become plain ones (their reasons went with the session trail),
+        /// and the watch lists are built again for the larger atom table.
+        fn grow(&mut self, tm: &TermManager, checker: &mut TheoryChecker, atoms: &[TermId]) {
+            checker.extend(tm, atoms);
+            self.atoms.extend_from_slice(atoms);
+            self.levels.clear();
+            self.implied_at.clear();
+            self.low = 0;
+            self.watched = false;
+        }
+
         fn pairs(&self, lits: &[Lit]) -> Vec<(TermId, bool)> {
             lits.iter()
                 .map(|l| (self.atoms[l.var() as usize], l.is_positive()))
@@ -1637,16 +1662,27 @@ mod tests {
     /// valid, and every implied literal passes [`Driver::audit`]. Some steps
     /// run the fixpoint syncs only ([`Driver::fixpoints`] checks that every
     /// consistent sync loads every entry).
+    ///
+    /// The atom universe grows between checks: the checker starts with half
+    /// of the atoms and learns the rest in three batches
+    /// ([`Driver::grow`]), so the session's EUF state is grown in place
+    /// while the fresh replay builds it in one step.
     #[test]
     fn fuzz_session_agrees_with_rebuild_mixed() {
         let (tm, atoms) = mixed_universe();
         let mut tm = tm;
-        let checker = TheoryChecker::new(&mut tm, &atoms);
+        let half = atoms.len() / 2;
+        let mut checker = TheoryChecker::new(&mut tm, &atoms[..half]);
         let mut rng = Rng(0x5eed_cafe_f00d_0001);
         let mut session = TheorySession::new(PivotRule::Bland);
-        let mut sat = Driver::propagating(&atoms);
+        let mut sat = Driver::propagating(&atoms[..half]);
         let (mut skipped, mut fixpoint_conflicts) = (0, 0);
         for step in 0..400 {
+            if step % 100 == 99 {
+                let learned = sat.atoms.len();
+                let upto = (learned + (atoms.len() - half) / 3 + 1).min(atoms.len());
+                sat.grow(&tm, &mut checker, &atoms[learned..upto]);
+            }
             sat.evolve(&mut rng);
             // Now and then the SAT side decides on without a final check,
             // so bounds loaded at fixpoints are retracted by later
@@ -1696,6 +1732,7 @@ mod tests {
             "too few implied literals: {}",
             sat.implied_total
         );
+        assert_eq!(sat.atoms.len(), atoms.len(), "the universe did not grow");
     }
 
     /// Differential fuzz, EUF only: with no simplex involved the persistent
@@ -2053,9 +2090,9 @@ mod tests {
     }
 
     /// The session detects checker growth (new atoms pushed mid-scope) and
-    /// rebuilds instead of answering from a stale template.
+    /// grows instead of answering from a stale template.
     #[test]
-    fn rebuilds_when_checker_learns_new_atoms() {
+    fn grows_when_checker_learns_new_atoms() {
         let mut tm = TermManager::new();
         let x = tm.var("x", Sort::Loc);
         let y = tm.var("y", Sort::Loc);
@@ -2082,5 +2119,147 @@ mod tests {
             }
             other => panic!("expected congruence conflict, got {other:?}"),
         }
+    }
+
+    /// An atom universe for growing a checker in batches: equalities between
+    /// variables and between (nested, binary) applications, predicates, and
+    /// arithmetic atoms over applications, in random order.
+    fn growth_universe(rng: &mut Rng) -> (TermManager, Vec<TermId>) {
+        let mut tm = TermManager::new();
+        let locs: Vec<TermId> = ["a", "b", "c", "d"]
+            .iter()
+            .map(|n| tm.var(n, Sort::Loc))
+            .collect();
+        let fs: Vec<TermId> = locs
+            .iter()
+            .map(|&l| tm.app("f", vec![l], Sort::Loc))
+            .collect();
+        let ffs: Vec<TermId> = fs
+            .iter()
+            .map(|&l| tm.app("f", vec![l], Sort::Loc))
+            .collect();
+        let keys: Vec<TermId> = locs
+            .iter()
+            .map(|&l| tm.app("key", vec![l], Sort::Int))
+            .collect();
+        let five = tm.int(5);
+        let mut atoms = Vec::new();
+        for i in 0..locs.len() {
+            for j in (i + 1)..locs.len() {
+                atoms.push(tm.eq(locs[i], locs[j]));
+                atoms.push(tm.eq(fs[i], ffs[j]));
+                let g = tm.app("g", vec![locs[i], fs[j]], Sort::Loc);
+                atoms.push(tm.eq(g, ffs[i]));
+                atoms.push(tm.le(keys[i], keys[j]));
+                atoms.push(tm.eq(keys[i], keys[j]));
+            }
+            atoms.push(tm.app("p", vec![ffs[i]], Sort::Bool));
+            let fk = tm.app("h", vec![keys[i]], Sort::Int);
+            atoms.push(tm.lt(fk, five));
+        }
+        for i in (1..atoms.len()).rev() {
+            atoms.swap(i, rng.below(i + 1));
+        }
+        (tm, atoms)
+    }
+
+    /// The base state a growth must reach, built straight from `checker`'s
+    /// template without the growth path: every class a singleton, each
+    /// application in the use lists of its arguments (in application order)
+    /// and in the signature table under its signature, and only
+    /// `true ≠ false` asserted.
+    fn reference_base(checker: &TheoryChecker) -> EufState {
+        let template = &checker.template;
+        let n = template.terms.len();
+        let mut use_lists = vec![Vec::new(); n];
+        let mut sig_table = FxHashMap::default();
+        for (ai, app) in template.app_nodes.iter().enumerate() {
+            for &arg in &app.args {
+                use_lists[arg].push(ai as u32);
+            }
+            let mut key = [u32::MAX; 5];
+            key[0] = app.op;
+            for (slot, &arg) in key[1..].iter_mut().zip(&app.args) {
+                *slot = arg as u32;
+            }
+            let clash = sig_table.insert(SigKey::Inline(key), ai as u32);
+            assert_eq!(clash, None, "two applications share a signature");
+        }
+        let node = |t: TermId| template.node_of_term[&t];
+        let (tru, fls) = (node(checker.tru), node(checker.fls));
+        let mut diseq_lists = vec![Vec::new(); n];
+        diseq_lists[tru].push(0);
+        diseq_lists[fls].push(0);
+        EufState {
+            parent: (0..n).collect(),
+            size: vec![1; n],
+            pf_parent: vec![None; n],
+            use_lists,
+            sig_table,
+            diseqs: vec![(tru, fls, AXIOM_TAG)],
+            diseq_lists,
+            tru,
+            fls,
+            next: (0..n).collect(),
+            ..EufState::default()
+        }
+    }
+
+    /// A checker grown in random batches of atoms, with syncs, backjumps and
+    /// checks between the batches: after each growth the session's EUF
+    /// state equals, field for field, the base state built straight from
+    /// the grown checker's template ([`reference_base`]).
+    #[test]
+    fn grown_euf_state_equals_a_fresh_build() {
+        let mut rng = Rng(0x6a09_e667_f3bc_c908);
+        let (mut tm, atoms) = growth_universe(&mut rng);
+        let mut checker = TheoryChecker::new(&mut tm, &[]);
+        let mut session = TheorySession::new(PivotRule::Bland);
+        let (mut learned, mut growths, mut checks) = (0, 0, 0);
+        while learned < atoms.len() {
+            let upto = (learned + 1 + rng.below(8)).min(atoms.len());
+            checker.extend(&tm, &atoms[learned..upto]);
+            learned = upto;
+            session.prepare(&checker);
+            growths += 1;
+            let grown = session.euf.as_ref().expect("prepared");
+            let want = reference_base(&checker);
+            let apps = |t: &EufTemplate| -> Vec<(usize, u32, Vec<usize>)> {
+                let nodes = t.app_nodes.iter();
+                nodes.map(|a| (a.node, a.op, a.args.clone())).collect()
+            };
+            assert_eq!(grown.template.terms, checker.template.terms, "nodes");
+            assert_eq!(grown.template.node_of_term, checker.template.node_of_term);
+            assert_eq!(
+                apps(&grown.template),
+                apps(&checker.template),
+                "applications"
+            );
+            assert_eq!(grown.parent, want.parent, "union-find links");
+            assert_eq!(grown.size, want.size, "class sizes");
+            assert_eq!(grown.next, want.next, "class-member links");
+            assert!(grown.pf_parent.iter().all(Option::is_none), "proof forest");
+            assert_eq!(grown.pf_parent.len(), want.pf_parent.len());
+            assert_eq!(grown.use_lists, want.use_lists, "use lists");
+            assert_eq!(grown.sig_table, want.sig_table, "signature table");
+            assert_eq!(grown.diseqs, want.diseqs, "disequalities");
+            assert_eq!(grown.diseq_lists, want.diseq_lists, "disequality lists");
+            assert!(grown.violations.is_empty(), "violations");
+            assert!(grown.eq_tags.is_empty(), "equation tags");
+            assert_eq!((grown.tru, grown.fls), (want.tru, want.fls), "constants");
+            assert_eq!(session.trail_len(), 0, "session trail");
+            // Work the grown state before the next batch: syncs, backjumps
+            // and checks over everything learned so far.
+            let mut sat = Driver::propagating(&atoms[..learned]);
+            for _ in 0..rng.below(12) {
+                sat.evolve(&mut rng);
+                sat.check(&mut session, &tm, &checker);
+                checks += 1;
+            }
+        }
+        assert!(
+            growths >= 8 && checks >= 40,
+            "{growths} growths, {checks} checks"
+        );
     }
 }

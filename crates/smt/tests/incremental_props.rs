@@ -24,9 +24,8 @@ fn reference_check(tm: &mut TermManager, assertions: &[TermId]) -> SatResult {
     let roots = lower::lower(tm, assertions);
     let mut sat = SatSolver::new();
     let atom_map = cnf::tseitin(tm, &roots, &mut sat);
-    let mut by_var: Vec<_> = atom_map.atom_of_var.iter().map(|(&v, &t)| (v, t)).collect();
-    by_var.sort_unstable();
-    let atoms: Vec<TermId> = by_var.into_iter().map(|(_, t)| t).collect();
+    // The var-indexed table lists the atoms in variable order.
+    let atoms: Vec<TermId> = atom_map.atom_of_var.iter().flatten().copied().collect();
     let checker = TheoryChecker::new(tm, &atoms);
     loop {
         match sat.solve() {

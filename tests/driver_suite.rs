@@ -89,6 +89,31 @@ fn warm_cache_rerun_discharges_zero_smt_queries() {
     std::fs::remove_file(&cache).ok();
 }
 
+/// At `--jobs 1` in structure mode one worker picks up the structure's
+/// unit once, so every VC of the unit reports the same queue time, however
+/// long the unit's earlier VCs took to solve.
+#[test]
+fn vcs_of_one_unit_share_their_queue_time() {
+    let ids = lists::singly_linked_list();
+    let selections = vec![sll_selection(&ids)];
+    let config = DriverConfig {
+        jobs: 1,
+        pool_mode: PoolMode::Structure,
+        ..DriverConfig::default()
+    };
+    let batch = verify_selections(&selections, &config);
+    assert!(batch.errors.is_empty(), "{:?}", batch.errors);
+    let queued: Vec<std::time::Duration> = batch
+        .reports
+        .iter()
+        .flat_map(|r| &r.vc_reports)
+        .filter(|vc| !vc.cached)
+        .map(|vc| vc.queue_time)
+        .collect();
+    assert!(queued.len() >= 2, "too few solved VCs: {queued:?}");
+    assert!(queued.iter().all(|&q| q == queued[0]), "{queued:?}");
+}
+
 #[test]
 fn pool_modes_report_identically_across_structures() {
     // One batch spanning several structure families plus a refuted method,
