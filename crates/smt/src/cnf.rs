@@ -20,6 +20,8 @@ pub struct AtomMap {
     pub atom_of_var: Vec<Option<TermId>>,
     /// SAT variable of each encoded term (atoms and internal nodes).
     pub var_of_term: FxHashMap<TermId, Var>,
+    /// Number of `Some` entries of `atom_of_var`.
+    num_atoms: usize,
 }
 
 impl AtomMap {
@@ -43,7 +45,7 @@ impl AtomMap {
 
     /// Number of atoms encoded.
     pub fn num_atoms(&self) -> usize {
-        self.atom_of_var.iter().flatten().count()
+        self.num_atoms
     }
 
     fn add_atom(&mut self, v: Var, t: TermId) {
@@ -51,7 +53,9 @@ impl AtomMap {
         if self.atom_of_var.len() <= i {
             self.atom_of_var.resize(i + 1, None);
         }
-        self.atom_of_var[i] = Some(t);
+        if self.atom_of_var[i].replace(t).is_none() {
+            self.num_atoms += 1;
+        }
     }
 
     /// The SAT literal for asserting the given atom with the given polarity.
@@ -252,7 +256,7 @@ mod tests {
         let eq = tm.eq(x, y);
         let f = tm.or2(le, eq);
         let mut sat = SatSolver::new();
-        let map = tseitin(&tm, &[f], &mut sat);
+        let mut map = tseitin(&tm, &[f], &mut sat);
         assert_eq!(map.num_atoms(), 2);
         assert_eq!(
             map.atoms().map(|(_, t)| t).collect::<Vec<_>>(),
@@ -260,5 +264,11 @@ mod tests {
         );
         assert!(map.var_of_term.contains_key(&le));
         assert!(map.var_of_term.contains_key(&eq));
+        // Incremental encoding counts only the atoms it adds.
+        let lt = tm.lt(x, y);
+        let g = tm.and2(lt, eq);
+        encode_root(&tm, g, &mut sat, &mut map);
+        assert_eq!(map.num_atoms(), 3);
+        assert_eq!(map.num_atoms(), map.atom_of_var.iter().flatten().count());
     }
 }

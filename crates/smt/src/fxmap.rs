@@ -49,9 +49,24 @@ impl Hasher for FxHasher {
     fn finish(&self) -> u64 {
         self.0
     }
+    /// Mixes eight bytes per round, then the tail as one 4-, 2- and 1-byte
+    /// word each (the `rustc-hash` scheme), so a 20-byte EUF signature key
+    /// costs three rounds instead of twenty.
     #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
+    fn write(&mut self, mut bytes: &[u8]) {
+        while let Some((word, rest)) = bytes.split_first_chunk::<8>() {
+            self.add(u64::from_le_bytes(*word));
+            bytes = rest;
+        }
+        if let Some((word, rest)) = bytes.split_first_chunk::<4>() {
+            self.add(u64::from(u32::from_le_bytes(*word)));
+            bytes = rest;
+        }
+        if let Some((word, rest)) = bytes.split_first_chunk::<2>() {
+            self.add(u64::from(u16::from_le_bytes(*word)));
+            bytes = rest;
+        }
+        if let Some(&b) = bytes.first() {
             self.add(u64::from(b));
         }
     }

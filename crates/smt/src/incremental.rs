@@ -103,8 +103,6 @@
 //! assert_eq!(s.check(&mut tm), SatResult::Sat); // the contradiction is gone
 //! ```
 
-use std::collections::HashMap;
-
 use crate::cnf::{encode_root, AtomMap};
 use crate::fxmap::{FxHashMap, FxHashSet};
 use crate::lower::LowerCtx;
@@ -637,7 +635,8 @@ impl IncrementalSolver {
         // unsat-core extraction. Deselected acts are assumed false — their
         // guard clauses are satisfied outright, so they can never reach the
         // final conflict and must never be mapped into a core.
-        let mut tag_of_act: HashMap<Var, u32> = HashMap::with_capacity(self.tracked.len());
+        let mut tag_of_act: FxHashMap<Var, u32> =
+            FxHashMap::with_capacity_and_hasher(self.tracked.len(), Default::default());
         for &(tag, act) in &self.tracked {
             let selected = selection.is_none_or(|tags| tags.contains(&tag));
             assumptions.push(Lit::new(act, selected));

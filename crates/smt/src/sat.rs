@@ -36,10 +36,40 @@
 //!   Glucose heuristic that low-LBD clauses are worth keeping forever.
 //!
 //! Deletion is tombstone-based: a deleted clause keeps its index (indices are
-//! used as `reason` handles and in watch lists) but drops its literals; watch
-//! lists shed dead indices lazily during propagation.
+//! used as `reason` handles, in watch lists and in the incremental solver's
+//! method-scope snapshots) but drops its literals; watch lists shed dead
+//! indices lazily during propagation.
+//!
+//! # Data layout
+//!
+//! The search loop allocates nothing per step, following MiniSat's layout
+//! (Eén & Sörensson, "An Extensible SAT-solver", SAT 2003):
+//!
+//! * **One clause arena.** Every clause's literals sit back to back in one
+//!   `Vec<Lit>`, behind a fixed-size header (offset, length, flags, LBD,
+//!   activity) indexed by the clause index. Deleted clauses' literals are
+//!   reclaimed by compacting the arena once they make up half of it; headers
+//!   and indices never move.
+//! * **In-place watch lists** of `u32` clause indices: propagation compacts
+//!   the list of the literal it visits in place, keeping the clauses still
+//!   watched in their old order, followed by the unvisited tail after a
+//!   conflict.
+//! * **An indexed decision heap**: a binary max-heap of variables keyed by
+//!   `(activity bits, variable)` that knows each variable's position, so a
+//!   bump sifts the variable up in place and a backtrack inserts it at most
+//!   once. It picks the unassigned variable with the largest key.
+//! * **An assumption cursor**: the assumptions before it are known true, so
+//!   a decision does not rescan them; every backtrack rewinds it.
+//! * **Scratch buffers** for conflict analysis (the seen flags, the learned
+//!   clause, the levels of the LBD count) that live as long as the solver.
+//!
+//! None of this changes which literal the search picks: pinned counts in
+//! `tests/sat_props.rs` hold decisions, conflicts and propagations fixed on
+//! seeded instances.
 
 use std::fmt;
+
+use crate::fxmap::FxHashSet;
 
 /// The restart schedule of the CDCL search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -267,7 +297,7 @@ impl TheoryHook for NoTheory {
 /// clause is built on demand from [`TheoryHook::explain`]. Never a clause
 /// index (the clause database cannot grow that large), so clause-activity
 /// bumps never see it and it locks no clause against deletion.
-const THEORY_REASON: usize = usize::MAX;
+const THEORY_REASON: u32 = u32::MAX;
 
 /// What [`SatSolver::learn_theory_conflict`] made of a theory conflict.
 enum TheoryLemma {
@@ -278,7 +308,7 @@ enum TheoryLemma {
     Asserted,
     /// The clause is falsified at the (new) current level with at least two
     /// literals there; first-UIP analysis must run on this clause index.
-    Analyze(usize),
+    Analyze(u32),
 }
 
 /// What [`SatSolver::decide`] did.
@@ -298,21 +328,137 @@ enum Value {
     Unassigned,
 }
 
-#[derive(Clone, Debug)]
+/// A clause's fixed-size header. Its literals are
+/// `arena[start..start + len]` of the owning [`SatSolver`]; the watched
+/// literals are the first two.
+#[derive(Clone, Copy, Debug)]
 struct Clause {
-    lits: Vec<Lit>,
-    learned: bool,
+    start: u32,
+    len: u32,
     /// Learned clauses that [`SatSolver::reduce_db`] may delete: first-UIP
     /// resolvents only. Input and theory conflict clauses are protected (see
     /// the module documentation).
     deletable: bool,
     /// Tombstone: the clause is logically gone but keeps its index so that
-    /// `reason` handles and watch lists stay valid; `lits` is emptied.
+    /// `reason` handles and watch lists stay valid; `len` is 0.
     deleted: bool,
     /// Literal-block distance at learning time (0 for non-deletable clauses).
     lbd: u32,
     /// Bump-and-decay activity, the deletion tie-breaker within an LBD band.
     activity: f64,
+}
+
+impl Clause {
+    fn range(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// The decision order: a binary max-heap of variables keyed by
+/// `(activity bits, variable)`, with each variable's position in the heap.
+/// Every unassigned variable is in the heap; an assigned one may linger
+/// until it is popped and skipped. Activities are never negative, so their
+/// bit patterns order like their values.
+#[derive(Clone, Debug, Default)]
+struct VarHeap {
+    heap: Vec<Var>,
+    /// Each variable's index in `heap`, or [`VarHeap::ABSENT`].
+    pos: Vec<u32>,
+}
+
+impl VarHeap {
+    const ABSENT: u32 = u32::MAX;
+
+    fn key(activity: &[f64], v: Var) -> (u64, Var) {
+        (activity[v as usize].to_bits(), v)
+    }
+
+    /// Registers a new variable (not yet in the heap).
+    fn add_var(&mut self) {
+        self.pos.push(VarHeap::ABSENT);
+    }
+
+    /// Puts `v` in the heap unless it is there already.
+    fn insert(&mut self, v: Var, activity: &[f64]) {
+        if self.pos[v as usize] == VarHeap::ABSENT {
+            self.heap.push(v);
+            self.sift_up(self.heap.len() - 1, activity);
+        }
+    }
+
+    /// Restores the heap order after `v`'s activity grew.
+    fn increased(&mut self, v: Var, activity: &[f64]) {
+        let i = self.pos[v as usize];
+        if i != VarHeap::ABSENT {
+            self.sift_up(i as usize, activity);
+        }
+    }
+
+    /// Removes and returns the variable with the largest key.
+    fn pop(&mut self, activity: &[f64]) -> Option<Var> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("non-empty heap");
+        self.pos[top as usize] = VarHeap::ABSENT;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.sift_down(0, activity);
+        }
+        Some(top)
+    }
+
+    /// Re-establishes the heap order after every key changed at once (an
+    /// activity rescale may round distinct keys to equal ones).
+    fn rebuild(&mut self, activity: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        let key = VarHeap::key(activity, v);
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.heap[parent];
+            if VarHeap::key(activity, p) >= key {
+                break;
+            }
+            self.heap[i] = p;
+            self.pos[p as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        let key = VarHeap::key(activity, v);
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len()
+                && VarHeap::key(activity, self.heap[right])
+                    > VarHeap::key(activity, self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            let c = self.heap[child];
+            if VarHeap::key(activity, c) <= key {
+                break;
+            }
+            self.heap[i] = c;
+            self.pos[c as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
 }
 
 /// The CDCL SAT solver.
@@ -330,27 +476,33 @@ struct Clause {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SatSolver {
+    /// Clause headers, indexed by clause index.
     clauses: Vec<Clause>,
-    watches: Vec<Vec<usize>>, // indexed by literal
+    /// The literals of every clause, back to back (see [`Clause`]).
+    arena: Vec<Lit>,
+    /// Arena literals of deleted clauses, reclaimed by [`SatSolver::compact`].
+    wasted: usize,
+    /// Clauses not deleted, and the learned ones among them.
+    live_clauses: usize,
+    live_learned: usize,
+    watches: Vec<Vec<u32>>, // indexed by literal
     assign: Vec<Value>,
     level: Vec<u32>,
-    reason: Vec<Option<usize>>,
+    reason: Vec<Option<u32>>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     prop_head: usize,
     activity: Vec<f64>,
     act_inc: f64,
-    /// Max-heap of (activity bits, var) used to pick decision variables
-    /// without scanning every variable. Entries may be stale (the activity
-    /// may have changed since insertion); staleness only degrades the
-    /// heuristic, never correctness, because every unassigned variable is
-    /// guaranteed to have at least one entry.
-    order: std::collections::BinaryHeap<(u64, Var)>,
+    /// Picks decision variables without scanning every variable.
+    order: VarHeap,
     phase: Vec<bool>,
     /// Literals assumed true for the duration of one `solve_under` call.
     /// Assumptions are decided before any free decision; conflict analysis
     /// never resolves on them, so learned clauses stay globally valid.
     assumptions: Vec<Lit>,
+    /// Every assumption before this index is true on the trail.
+    assumption_head: usize,
     ok: bool,
     options: SatOptions,
     /// Clause-activity increment (decayed geometrically per conflict).
@@ -363,6 +515,11 @@ pub struct SatSolver {
     /// [`TheoryHook::fixpoint`] call: reset to the trail length after each
     /// call, lowered by every backtrack, and `0` at the start of a solve.
     theory_low: usize,
+    /// Scratch of conflict analysis: per-variable marks (all false between
+    /// calls), the learned clause and the levels of an LBD count.
+    seen: Vec<bool>,
+    learnt: Vec<Lit>,
+    levels: Vec<u32>,
     /// The unsat core of the most recent [`SatResult::Unsat`] answer from
     /// [`SatSolver::solve_under`] / [`SatSolver::solve_under_with`]: a
     /// subset of the assumption literals sufficient for unsatisfiability.
@@ -411,9 +568,11 @@ impl SatSolver {
         self.reason.push(None);
         self.activity.push(0.0);
         self.phase.push(false);
+        self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.order.push((0, v));
+        self.order.add_var();
+        self.order.insert(v, &self.activity);
         v
     }
 
@@ -493,42 +652,52 @@ impl SatSolver {
                 self.ok
             }
             _ => {
-                self.attach_clause(lits, false, false, 0);
+                self.attach_clause(&lits, false, false, 0);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learned: bool, deletable: bool, lbd: u32) -> usize {
-        let idx = self.clauses.len();
+    fn attach_clause(&mut self, lits: &[Lit], learned: bool, deletable: bool, lbd: u32) -> u32 {
+        let idx = u32::try_from(self.clauses.len()).expect("clause indices fit in u32");
+        let end = u32::try_from(self.arena.len() + lits.len()).expect("arena offsets fit in u32");
+        let len = lits.len() as u32; // at most `end`
         self.watches[lits[0].negate().index()].push(idx);
         self.watches[lits[1].negate().index()].push(idx);
         self.clauses.push(Clause {
-            lits,
-            learned,
+            start: end - len,
+            len,
             deletable,
             deleted: false,
             lbd,
             activity: 0.0,
         });
+        self.arena.extend_from_slice(lits);
+        self.live_clauses += 1;
+        self.live_learned += usize::from(learned);
         idx
     }
 
     /// The number of distinct decision levels among a clause's literals — the
     /// Glucose "literal block distance" quality measure (lower is better).
-    fn lbd_of(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits.iter().map(|l| self.level[l.var() as usize]).collect();
+    fn lbd_of(&mut self, lits: &[Lit]) -> u32 {
+        let mut levels = std::mem::take(&mut self.levels);
+        levels.clear();
+        levels.extend(lits.iter().map(|l| self.level[l.var() as usize]));
         levels.sort_unstable();
         levels.dedup();
-        levels.len() as u32
+        let lbd = levels.len() as u32;
+        self.levels = levels;
+        lbd
     }
 
-    fn bump_clause(&mut self, ci: usize) {
-        if !self.clauses[ci].deletable {
+    fn bump_clause(&mut self, ci: u32) {
+        let c = &mut self.clauses[ci as usize];
+        if !c.deletable {
             return;
         }
-        self.clauses[ci].activity += self.cla_inc;
-        if self.clauses[ci].activity > 1e20 {
+        c.activity += self.cla_inc;
+        if c.activity > 1e20 {
             for c in &mut self.clauses {
                 c.activity *= 1e-20;
             }
@@ -536,7 +705,7 @@ impl SatSolver {
         }
     }
 
-    fn enqueue(&mut self, l: Lit, reason: Option<usize>) {
+    fn enqueue(&mut self, l: Lit, reason: Option<u32>) {
         debug_assert_eq!(self.lit_value(l), Value::Unassigned);
         let v = l.var() as usize;
         self.assign[v] = if l.is_positive() {
@@ -551,41 +720,48 @@ impl SatSolver {
     }
 
     /// Unit propagation; returns the index of a conflicting clause if any.
-    fn propagate(&mut self) -> Option<usize> {
+    fn propagate(&mut self) -> Option<u32> {
         while self.prop_head < self.trail.len() {
             let l = self.trail[self.prop_head];
             self.prop_head += 1;
             self.propagations += 1;
             // Clauses watching ~l need attention (we store watches under the
             // literal that, when made true, might falsify the watched lit).
-            let watch_list = std::mem::take(&mut self.watches[l.index()]);
-            let mut keep = Vec::with_capacity(watch_list.len());
+            // The list is compacted in place: its first `kept` entries stay
+            // watched here, in their old order. It can be taken out of
+            // `watches` for the loop because no clause moves its watch onto
+            // `l`'s own list (that would mean watching `~l`, which is false).
+            let mut ws = std::mem::take(&mut self.watches[l.index()]);
+            let watched_false = l.negate();
+            let mut kept = 0;
+            let mut next = 0;
             let mut conflict = None;
-            let mut wi = 0;
-            while wi < watch_list.len() {
-                let ci = watch_list[wi];
-                wi += 1;
-                if self.clauses[ci].deleted {
+            while next < ws.len() {
+                let ci = ws[next];
+                next += 1;
+                let c = self.clauses[ci as usize];
+                if c.deleted {
                     // Lazy watch-list cleanup: dead indices are dropped the
                     // first time propagation visits them.
                     continue;
                 }
-                let watched_false = l.negate();
+                let s = c.start as usize;
                 // Ensure the false literal is at position 1.
-                if self.clauses[ci].lits[0] == watched_false {
-                    self.clauses[ci].lits.swap(0, 1);
+                if self.arena[s] == watched_false {
+                    self.arena.swap(s, s + 1);
                 }
-                let first = self.clauses[ci].lits[0];
+                let first = self.arena[s];
                 if self.lit_value(first) == Value::True {
-                    keep.push(ci);
+                    ws[kept] = ci;
+                    kept += 1;
                     continue;
                 }
                 // Find a new literal to watch.
                 let mut moved = false;
-                for k in 2..self.clauses[ci].lits.len() {
-                    let cand = self.clauses[ci].lits[k];
+                for k in s + 2..s + c.len as usize {
+                    let cand = self.arena[k];
                     if self.lit_value(cand) != Value::False {
-                        self.clauses[ci].lits.swap(1, k);
+                        self.arena.swap(s + 1, k);
                         self.watches[cand.negate().index()].push(ci);
                         moved = true;
                         break;
@@ -594,21 +770,21 @@ impl SatSolver {
                 if moved {
                     continue;
                 }
-                keep.push(ci);
+                ws[kept] = ci;
+                kept += 1;
                 if self.lit_value(first) == Value::False {
-                    // Conflict.
-                    keep.extend_from_slice(&watch_list[wi..]);
+                    // Conflict: the unvisited tail stays watched as it was.
+                    ws.copy_within(next.., kept);
+                    kept += ws.len() - next;
                     conflict = Some(ci);
                     break;
                 } else {
                     self.enqueue(first, Some(ci));
                 }
             }
-            self.watches[l.index()] = {
-                let mut w = keep;
-                w.extend(std::mem::take(&mut self.watches[l.index()]));
-                w
-            };
+            ws.truncate(kept);
+            debug_assert!(self.watches[l.index()].is_empty());
+            self.watches[l.index()] = ws;
             if conflict.is_some() {
                 self.prop_head = self.trail.len();
                 return conflict;
@@ -624,55 +800,63 @@ impl SatSolver {
                 *a *= 1e-100;
             }
             self.act_inc *= 1e-100;
+            self.order.rebuild(&self.activity);
         }
-        self.order.push((self.activity[v as usize].to_bits(), v));
+        self.order.increased(v, &self.activity);
     }
 
-    /// The reason clause of the assigned literal `l`: its clause, or for a
-    /// theory-implied literal `l ∨ ¬antecedents` built from
-    /// [`TheoryHook::explain`]. Bumps a clause's activity.
-    fn reason_clause<H: TheoryHook>(&mut self, l: Lit, theory: &mut H) -> Vec<Lit> {
-        match self.reason[l.var() as usize].expect("reason for implied lit") {
-            THEORY_REASON => {
-                let antecedents = theory.explain(l);
-                std::iter::once(l)
-                    .chain(antecedents.into_iter().map(Lit::negate))
-                    .collect()
-            }
-            ci => {
-                self.bump_clause(ci);
-                self.clauses[ci].lits.clone()
+    /// One literal of a clause resolved in first-UIP analysis: marks and
+    /// bumps its variable, counting it at the conflict level or adding it
+    /// to the learned clause below it. Level-0 literals are dropped.
+    fn analyze_lit(&mut self, q: Lit, cur_level: u32, counter: &mut usize, learned: &mut Vec<Lit>) {
+        let v = q.var() as usize;
+        if !self.seen[v] && self.level[v] > 0 {
+            self.seen[v] = true;
+            self.bump(q.var());
+            if self.level[v] == cur_level {
+                *counter += 1;
+            } else {
+                learned.push(q);
             }
         }
     }
 
-    /// First-UIP conflict analysis. Returns the learned clause and the level
-    /// to backjump to.
-    fn analyze<H: TheoryHook>(&mut self, conflict: usize, theory: &mut H) -> (Vec<Lit>, u32) {
-        let mut learned: Vec<Lit> = vec![];
-        let mut seen = vec![false; self.num_vars()];
+    /// First-UIP conflict analysis. Returns the learned clause, UIP first
+    /// (the solver's scratch buffer: hand it back through `self.learnt`),
+    /// and the level to backjump to.
+    ///
+    /// The reason of a theory-implied literal `l` is the clause
+    /// `l ∨ ¬antecedents` built from [`TheoryHook::explain`]; the clause of
+    /// a propagated literal has its activity bumped.
+    fn analyze<H: TheoryHook>(&mut self, conflict: u32, theory: &mut H) -> (Vec<Lit>, u32) {
+        let mut learned = std::mem::take(&mut self.learnt);
+        learned.clear();
+        learned.push(Lit(0)); // the UIP's slot
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut trail_pos = self.trail.len();
         let cur_level = self.decision_level();
         self.bump_clause(conflict);
-        let mut lits: Vec<Lit> = self.clauses[conflict].lits.clone();
+        let mut reason = conflict;
+        let mut antecedents: Vec<Lit> = Vec::new();
 
         loop {
-            for &q in &lits {
-                // Skip the literal we are currently resolving on (it occurs in
-                // its own reason clause with the opposite polarity).
-                if p.is_some_and(|pl| pl.var() == q.var()) {
-                    continue;
+            // Skip the literal we are currently resolving on (it occurs in
+            // its own reason clause with the opposite polarity).
+            let skip = |q: Lit| p.is_some_and(|pl| pl.var() == q.var());
+            if reason == THEORY_REASON {
+                for &a in &antecedents {
+                    debug_assert_eq!(self.lit_value(a), Value::True, "antecedent {a:?}");
+                    let q = a.negate();
+                    if !skip(q) {
+                        self.analyze_lit(q, cur_level, &mut counter, &mut learned);
+                    }
                 }
-                let v = q.var() as usize;
-                if !seen[v] && self.level[v] > 0 {
-                    seen[v] = true;
-                    self.bump(q.var());
-                    if self.level[v] == cur_level {
-                        counter += 1;
-                    } else {
-                        learned.push(q);
+            } else {
+                for k in self.clauses[reason as usize].range() {
+                    let q = self.arena[k];
+                    if !skip(q) {
+                        self.analyze_lit(q, cur_level, &mut counter, &mut learned);
                     }
                 }
             }
@@ -680,14 +864,18 @@ impl SatSolver {
             loop {
                 trail_pos -= 1;
                 let l = self.trail[trail_pos];
-                if seen[l.var() as usize] {
+                if self.seen[l.var() as usize] {
                     p = Some(l.negate());
-                    seen[l.var() as usize] = false;
+                    self.seen[l.var() as usize] = false;
                     counter -= 1;
-                    if counter == 0 {
-                        break;
+                    if counter > 0 {
+                        reason = self.reason[l.var() as usize].expect("reason for implied lit");
+                        if reason == THEORY_REASON {
+                            antecedents = theory.explain(l);
+                        } else {
+                            self.bump_clause(reason);
+                        }
                     }
-                    lits = self.reason_clause(l, theory);
                     break;
                 }
             }
@@ -695,8 +883,10 @@ impl SatSolver {
                 break;
             }
         }
-        let uip = p.expect("first UIP literal");
-        learned.insert(0, uip);
+        learned[0] = p.expect("first UIP literal");
+        for l in &learned[1..] {
+            self.seen[l.var() as usize] = false;
+        }
         // Backjump level = max level among the other literals.
         let bj = learned[1..]
             .iter()
@@ -716,15 +906,17 @@ impl SatSolver {
             let v = l.var() as usize;
             self.assign[v] = Value::Unassigned;
             self.reason[v] = None;
-            self.order.push((self.activity[v].to_bits(), l.var()));
+            self.order.insert(l.var(), &self.activity);
         }
         self.trail_lim.truncate(level as usize);
         self.prop_head = self.trail.len();
         self.theory_low = self.theory_low.min(target);
+        self.assumption_head = 0;
     }
 
+    /// The unassigned variable with the largest `(activity bits, index)`.
     fn pick_branch_var(&mut self) -> Option<Var> {
-        while let Some((_, v)) = self.order.pop() {
+        while let Some(v) = self.order.pop(&self.activity) {
             if self.assign[v as usize] == Value::Unassigned {
                 return Some(v);
             }
@@ -788,7 +980,9 @@ impl SatSolver {
             return SatResult::Unsat;
         }
         self.theory_low = 0;
-        self.assumptions = assumptions.to_vec();
+        self.assumptions.clear();
+        self.assumptions.extend_from_slice(assumptions);
+        self.assumption_head = 0;
         let r = self.search(u64::MAX, theory);
         self.assumptions.clear();
         r
@@ -880,10 +1074,11 @@ impl SatSolver {
                     // literal is about to be, at the backjump level).
                     let lbd = self.lbd_of(&learned[1..]).saturating_add(1);
                     self.max_lbd = self.max_lbd.max(lbd);
-                    let ci = self.attach_clause(learned.clone(), true, true, lbd);
+                    let ci = self.attach_clause(&learned, true, true, lbd);
                     self.bump_clause(ci);
                     self.enqueue(learned[0], Some(ci));
                 }
+                self.learnt = learned;
             } else {
                 self.act_inc *= 1.05;
                 self.cla_inc *= 1.001;
@@ -934,17 +1129,16 @@ impl SatSolver {
 
     /// Puts the next decision on the trail. Assumptions are (re-)decided
     /// before any free decision; a backjump or restart may have undone some
-    /// of them.
+    /// of them, and rewinds the assumption cursor.
     fn decide<H: TheoryHook>(&mut self, theory: &mut H) -> Decision {
-        for i in 0..self.assumptions.len() {
-            let a = self.assumptions[i];
+        while let Some(&a) = self.assumptions.get(self.assumption_head) {
             match self.lit_value(a) {
-                Value::True => continue,
+                Value::True => self.assumption_head += 1,
                 // Implied false by clauses and earlier assumptions alone:
                 // unsatisfiable under the assumptions. The clause set itself
                 // stays consistent (`ok` untouched).
                 Value::False => {
-                    self.unsat_core = self.analyze_final(a, theory);
+                    self.analyze_final(a, theory);
                     return Decision::AssumptionFailed;
                 }
                 Value::Unassigned => {
@@ -1009,17 +1203,17 @@ impl SatSolver {
                 }
             }
             self.backtrack(second);
-            let ci = self.attach_clause(lits.clone(), true, false, 0);
+            let ci = self.attach_clause(&lits, true, false, 0);
             self.enqueue(lits[0], Some(ci));
             return TheoryLemma::Asserted;
         }
         self.backtrack(top);
-        TheoryLemma::Analyze(self.attach_clause(lits, true, false, 0))
+        TheoryLemma::Analyze(self.attach_clause(&lits, true, false, 0))
     }
 
     /// MiniSat-style `analyzeFinal`: given an assumption literal found false
     /// under the current trail, walks the implication graph backwards and
-    /// collects the subset of assumptions responsible — the unsat core.
+    /// collects into `unsat_core` the subset of assumptions responsible.
     ///
     /// Soundness rests on the decision discipline of `search`: assumptions
     /// are (re-)decided before any free decision, and a free decision can
@@ -1027,17 +1221,20 @@ impl SatSolver {
     /// when an assumption evaluates false, every `reason == None` ancestor
     /// above level 0 is itself an assumption. Level-0 implications hold
     /// unconditionally and contribute nothing. A theory-implied ancestor is
-    /// expanded through its explanation like a clause reason.
-    fn analyze_final<H: TheoryHook>(&self, failed: Lit, theory: &mut H) -> Vec<Lit> {
-        let mut core = vec![failed];
-        let mut seen = vec![false; self.num_vars()];
-        seen[failed.var() as usize] = true;
-        for &l in self.trail.iter().rev() {
+    /// expanded through its explanation like a clause reason. The walk
+    /// covers the whole trail, so it clears every mark it sets.
+    fn analyze_final<H: TheoryHook>(&mut self, failed: Lit, theory: &mut H) {
+        let mut core = std::mem::take(&mut self.unsat_core);
+        core.clear();
+        core.push(failed);
+        self.seen[failed.var() as usize] = true;
+        for i in (0..self.trail.len()).rev() {
+            let l = self.trail[i];
             let v = l.var() as usize;
-            if !seen[v] {
+            if !self.seen[v] {
                 continue;
             }
-            seen[v] = false;
+            self.seen[v] = false;
             if self.level[v] == 0 {
                 continue;
             }
@@ -1045,15 +1242,17 @@ impl SatSolver {
                 None => core.push(l),
                 Some(THEORY_REASON) => {
                     for q in theory.explain(l) {
+                        debug_assert_eq!(self.lit_value(q), Value::True, "antecedent {q:?}");
                         if self.level[q.var() as usize] > 0 {
-                            seen[q.var() as usize] = true;
+                            self.seen[q.var() as usize] = true;
                         }
                     }
                 }
                 Some(ci) => {
-                    for &q in &self.clauses[ci].lits {
+                    for k in self.clauses[ci as usize].range() {
+                        let q = self.arena[k];
                         if q.var() as usize != v && self.level[q.var() as usize] > 0 {
-                            seen[q.var() as usize] = true;
+                            self.seen[q.var() as usize] = true;
                         }
                     }
                 }
@@ -1061,7 +1260,7 @@ impl SatSolver {
         }
         core.sort();
         core.dedup();
-        core
+        self.unsat_core = core;
     }
 
     /// Deletes the worst half of the deletable learned clauses: highest LBD
@@ -1075,15 +1274,15 @@ impl SatSolver {
         self.reduce_limit = self
             .reduce_limit
             .saturating_add(self.options.clause_db.reduce_inc);
-        let locked: std::collections::HashSet<usize> = self
+        let locked: FxHashSet<u32> = self
             .trail
             .iter()
             .filter_map(|l| self.reason[l.var() as usize])
             .collect();
         let glue = self.options.clause_db.glue_lbd;
-        let mut cands: Vec<usize> = (0..self.clauses.len())
+        let mut cands: Vec<u32> = (0..self.clauses.len() as u32)
             .filter(|&ci| {
-                let c = &self.clauses[ci];
+                let c = &self.clauses[ci as usize];
                 c.deletable && !c.deleted && c.lbd > glue && !locked.contains(&ci)
             })
             .collect();
@@ -1091,31 +1290,47 @@ impl SatSolver {
         // determinism — f64 activities of distinct clauses rarely tie, but
         // the sort must be total either way).
         cands.sort_unstable_by(|&a, &b| {
-            let (ca, cb) = (&self.clauses[a], &self.clauses[b]);
+            let (ca, cb) = (&self.clauses[a as usize], &self.clauses[b as usize]);
             cb.lbd
                 .cmp(&ca.lbd)
                 .then(ca.activity.total_cmp(&cb.activity))
                 .then(a.cmp(&b))
         });
         for &ci in &cands[..cands.len() / 2] {
-            let c = &mut self.clauses[ci];
+            let c = &mut self.clauses[ci as usize];
             c.deleted = true;
-            c.lits = Vec::new();
+            self.wasted += c.len as usize;
+            c.len = 0;
+            self.live_clauses -= 1;
+            self.live_learned -= 1;
             self.learned_deleted += 1;
         }
+        if 2 * self.wasted > self.arena.len() {
+            self.compact();
+        }
+    }
+
+    /// Slides every live clause's literals down over the deleted ones.
+    /// Clauses keep their indices and their order in the arena.
+    fn compact(&mut self) {
+        let mut end = 0;
+        for c in &mut self.clauses {
+            self.arena.copy_within(c.range(), end);
+            c.start = end as u32;
+            end += c.len as usize;
+        }
+        self.arena.truncate(end);
+        self.wasted = 0;
     }
 
     /// Number of live clauses currently stored (original + learned).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.deleted).count()
+        self.live_clauses
     }
 
     /// Number of live learned clauses currently stored.
     pub fn num_learned(&self) -> usize {
-        self.clauses
-            .iter()
-            .filter(|c| c.learned && !c.deleted)
-            .count()
+        self.live_learned
     }
 
     /// Delivers a liveness heartbeat with the core's cumulative counters and
@@ -1330,6 +1545,158 @@ mod tests {
         s.add_clause(vec![lit(x, false)]);
         assert_eq!(s.solve_under(&[lit(c, true)]), SatResult::Unsat);
         assert!(s.unsat_core.is_empty());
+    }
+
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// Asserts the heap order and the position index of the decision heap.
+    fn check_heap(s: &SatSolver) {
+        let order = &s.order;
+        for (i, &v) in order.heap.iter().enumerate() {
+            assert_eq!(order.pos[v as usize], i as u32, "position of v{v}");
+            if i > 0 {
+                let parent = order.heap[(i - 1) / 2];
+                assert!(
+                    VarHeap::key(&s.activity, parent) > VarHeap::key(&s.activity, v),
+                    "heap order at {i}"
+                );
+            }
+        }
+        let listed = order.pos.iter().filter(|&&p| p != VarHeap::ABSENT).count();
+        assert_eq!(listed, order.heap.len());
+    }
+
+    /// The decision heap always yields the unassigned variable with the
+    /// largest `(activity bits, index)`: checked against a brute-force scan
+    /// under random bumps, decisions, propagation-style assignments and
+    /// backtracks, with activity rescales forced along the way.
+    #[test]
+    fn decision_heap_pops_the_largest_unassigned_key() {
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
+        let mut s = SatSolver::new();
+        let n = 64u64;
+        for _ in 0..n {
+            s.new_var();
+        }
+        let (mut picks, mut rescales) = (0, 0);
+        for step in 0..20_000 {
+            match next() % 8 {
+                0..=3 => {
+                    if next().is_multiple_of(64) {
+                        s.act_inc *= 1e40;
+                    }
+                    let inc = s.act_inc;
+                    s.bump((next() % n) as Var);
+                    rescales += usize::from(s.act_inc < inc);
+                    s.act_inc *= 1.05;
+                }
+                4 | 5 => {
+                    let want = (0..n as Var)
+                        .filter(|&v| s.assign[v as usize] == Value::Unassigned)
+                        .max_by_key(|&v| (s.activity[v as usize].to_bits(), v));
+                    let got = s.pick_branch_var();
+                    assert_eq!(got, want, "step {step}");
+                    if let Some(v) = got {
+                        s.trail_lim.push(s.trail.len());
+                        s.enqueue(Lit::new(v, next().is_multiple_of(2)), None);
+                        picks += 1;
+                    }
+                }
+                6 => {
+                    // Assigned without a decision, as propagation does: the
+                    // variable stays in the heap until a pick skips it.
+                    let v = (next() % n) as Var;
+                    if s.decision_level() > 0 && s.assign[v as usize] == Value::Unassigned {
+                        s.enqueue(Lit::new(v, true), None);
+                    }
+                }
+                _ => {
+                    let level = next() % (u64::from(s.decision_level()) + 1);
+                    s.backtrack(level as u32);
+                }
+            }
+            check_heap(&s);
+        }
+        assert!(picks > 1000, "{picks} picks");
+        assert!(rescales > 0, "no activity rescale was exercised");
+    }
+
+    /// The running clause counts match a recount of the headers through
+    /// learning and deletion, and compacting the arena keeps every live
+    /// clause's literals, so the solver answers as an undeleting one does.
+    #[test]
+    fn clause_counts_and_arena_survive_deletion() {
+        let aggressive = SatOptions {
+            restart: RestartPolicy::Luby { unit: 1 },
+            clause_db: ClauseDbOptions {
+                enabled: true,
+                first_reduce: 1,
+                reduce_inc: 0,
+                glue_lbd: 1,
+            },
+        };
+        let mut next = xorshift(0x5eed);
+        let n = 60u64;
+        let clauses: Vec<Vec<Lit>> = (0..250)
+            .map(|_| {
+                (0..3)
+                    .map(|_| lit((next() % n) as Var, next().is_multiple_of(2)))
+                    .collect()
+            })
+            .collect();
+        let build = |options| {
+            let mut s = SatSolver::with_options(options);
+            (0..n).for_each(|_| {
+                s.new_var();
+            });
+            for c in &clauses {
+                s.add_clause(c.clone());
+            }
+            s
+        };
+        let (mut s, mut reference) = (build(aggressive), build(SatOptions::legacy()));
+        let live_lits = |s: &SatSolver| -> Vec<Vec<Lit>> {
+            s.clauses
+                .iter()
+                .map(|c| {
+                    let mut lits = s.arena[c.range()].to_vec();
+                    lits.sort();
+                    lits
+                })
+                .collect()
+        };
+        let mut verdicts = Vec::new();
+        for round in 0..12 {
+            let assumptions: Vec<Lit> = (0..6)
+                .map(|_| lit((next() % n) as Var, next().is_multiple_of(2)))
+                .collect();
+            let got = s.solve_under(&assumptions);
+            assert_eq!(got, reference.solve_under(&assumptions), "round {round}");
+            verdicts.push(got);
+            let live = s.clauses.iter().filter(|c| !c.deleted);
+            assert_eq!(s.num_clauses(), live.clone().count());
+            // No theory here, so the learned clauses are the deletable ones.
+            assert_eq!(s.num_learned(), live.filter(|c| c.deletable).count());
+            let live_len: usize = s.clauses.iter().map(|c| c.len as usize).sum();
+            assert_eq!(s.arena.len(), live_len + s.wasted);
+            let before = live_lits(&s);
+            s.compact();
+            assert_eq!(
+                live_lits(&s),
+                before,
+                "round {round}: compaction moved literals"
+            );
+            assert_eq!(s.arena.len(), live_len);
+        }
+        assert!(s.learned_deleted > 0, "no deletion was exercised");
+        assert!(verdicts.contains(&SatResult::Sat) && verdicts.contains(&SatResult::Unsat));
     }
 
     /// Every solve starts the restart schedule at its beginning. Under Luby

@@ -401,3 +401,150 @@ fn deletion_keeps_solver_reusable_after_unsat_subset_retracts() {
         }
     }
 }
+
+/// The effort counters `(decisions, conflicts, propagations)` of a solver.
+fn counts(s: &SatSolver) -> (u64, u64, u64) {
+    (s.decisions, s.conflicts, s.propagations)
+}
+
+/// A seeded random 3-SAT instance with distinct variables per clause.
+fn random_3sat(rng: &mut XorShift, num_vars: usize, num_clauses: usize) -> Vec<Vec<Lit>> {
+    (0..num_clauses)
+        .map(|_| {
+            let mut vars: Vec<Var> = Vec::with_capacity(3);
+            while vars.len() < 3 {
+                let v = rng.below(num_vars as u64) as Var;
+                if !vars.contains(&v) {
+                    vars.push(v);
+                }
+            }
+            vars.into_iter()
+                .map(|v| Lit::new(v, rng.below(2) == 0))
+                .collect()
+        })
+        .collect()
+}
+
+/// The search itself is pinned: on fixed instances the solver makes exactly
+/// these decisions, conflicts and propagations. Constant-factor work on the
+/// SAT core (data layout, allocation) must leave every number unchanged; a
+/// deliberate heuristic change updates them.
+#[test]
+fn search_counts_are_pinned_on_fixed_instances() {
+    let mut got = Vec::new();
+    // The small differential instances, under both shipped profiles.
+    for seed in [0u64, 1, 2, 3, 17, 42, 97, 1234] {
+        for options in [SatOptions::default(), SatOptions::legacy()] {
+            let mut rng = XorShift::new(seed);
+            let (num_vars, clauses) = random_instance(&mut rng);
+            let mut s = SatSolver::with_options(options);
+            for _ in 0..num_vars {
+                s.new_var();
+            }
+            for c in &clauses {
+                s.add_clause(c.clone());
+            }
+            s.solve();
+            got.push(counts(&s));
+        }
+    }
+    // Random 3-SAT near the threshold: enough conflicts for restarts and
+    // learned clauses to shape the search.
+    for seed in [5u64, 6, 7] {
+        for options in [SatOptions::default(), SatOptions::legacy()] {
+            let mut rng = XorShift::new(seed);
+            let mut s = SatSolver::with_options(options);
+            for _ in 0..80 {
+                s.new_var();
+            }
+            for c in random_3sat(&mut rng, 80, 340) {
+                s.add_clause(c);
+            }
+            s.solve();
+            got.push(counts(&s));
+        }
+    }
+    // Pigeonhole 6 into 5 under both profiles.
+    for options in [SatOptions::default(), SatOptions::legacy()] {
+        let mut s = SatSolver::with_options(options);
+        pigeonhole(&mut s, 6, 5);
+        assert_eq!(s.solve(), SatResult::Unsat);
+        got.push(counts(&s));
+    }
+    assert_eq!(got, PINNED_COUNTS);
+}
+
+/// [`search_counts_are_pinned_on_fixed_instances`], recorded before the SAT
+/// core moved to one clause arena and an indexed decision heap. Each row is
+/// one instance under `SatOptions::default()`, then `SatOptions::legacy()`.
+#[rustfmt::skip]
+const PINNED_COUNTS: &[(u64, u64, u64)] = &[
+    // `random_instance` seeds 0, 1, 2, 3, 17, 42, 97, 1234.
+    (5, 0, 10), (5, 0, 10),
+    (0, 0, 6), (0, 0, 6),
+    (0, 0, 10), (0, 0, 10),
+    (2, 0, 4), (2, 0, 4),
+    (0, 0, 4), (0, 0, 4),
+    (7, 0, 10), (7, 0, 10),
+    (0, 0, 2), (0, 0, 2),
+    (2, 0, 6), (2, 0, 6),
+    // Random 3-SAT, 80 variables, 340 clauses, seeds 5, 6, 7.
+    (342, 284, 5439), (252, 212, 4081),
+    (187, 134, 2475), (187, 134, 2475),
+    (230, 195, 3438), (230, 195, 3438),
+    // Pigeonhole 6 into 5.
+    (194, 151, 1759), (194, 151, 1759),
+];
+
+/// An assumption-heavy `solve_under` loop shaped like the incremental
+/// solver's checks: 48 activation variables, each guarding three clauses
+/// and assumed true with probability 2/3 in each of 30 calls on one solver.
+/// Verdicts, core sizes and the cumulative counters are pinned.
+#[test]
+fn assumption_loop_search_is_pinned() {
+    let (results, counters) = assumption_loop();
+    assert_eq!(results, PINNED_ASSUMPTION_RESULTS);
+    assert_eq!(counters, PINNED_ASSUMPTION_COUNTS);
+}
+
+/// Per call: `Some(core size)` for Unsat, `None` for Sat.
+#[rustfmt::skip]
+const PINNED_ASSUMPTION_RESULTS: &[Option<usize>] = &[
+    None, Some(27), Some(30), Some(33), Some(26), Some(31), None, None, Some(32), Some(34),
+    Some(32), Some(32), Some(32), None, Some(38), None, None, Some(35), None, Some(32),
+    None, Some(32), Some(34), Some(26), Some(33), Some(34), None, Some(33), Some(26), None,
+];
+const PINNED_ASSUMPTION_COUNTS: (u64, u64, u64) = (2864, 1070, 19013);
+
+fn assumption_loop() -> (Vec<Option<usize>>, (u64, u64, u64)) {
+    let mut rng = XorShift::new(2024);
+    let mut s = SatSolver::new();
+    let n = 60;
+    for _ in 0..n {
+        s.new_var();
+    }
+    for c in random_3sat(&mut rng, n, 170) {
+        s.add_clause(c);
+    }
+    let acts: Vec<Var> = (0..48).map(|_| s.new_var()).collect();
+    for &a in &acts {
+        for mut c in random_3sat(&mut rng, n, 3) {
+            c.push(Lit::new(a, false));
+            s.add_clause(c);
+        }
+    }
+    let mut results = Vec::new();
+    for _ in 0..30 {
+        let assumptions: Vec<Lit> = acts
+            .iter()
+            .map(|&a| Lit::new(a, rng.below(3) != 0))
+            .collect();
+        let verdict = s.solve_under(&assumptions);
+        results.push(match verdict {
+            SatResult::Sat => None,
+            SatResult::Unsat => Some(s.unsat_core.len()),
+            SatResult::Unknown => panic!("no budget was set"),
+        });
+    }
+    (results, counts(&s))
+}
