@@ -17,8 +17,6 @@
 //! every check via [`Euf::with_template`]. The online theory session builds
 //! its undo-trail EUF from the same template.
 
-use std::collections::HashMap;
-
 use crate::fxmap::FxHashMap;
 use crate::term::{Op, TermId, TermManager};
 
@@ -416,50 +414,65 @@ impl<'a> Euf<'a> {
             self.explain_incomplete = true;
             return;
         }
-        // Find common ancestor in the proof forest.
-        let mut ancestors_a = HashMap::new();
-        let mut cur = a;
-        let mut idx = 0usize;
-        ancestors_a.insert(cur, idx);
-        while let Some((p, _)) = &self.pf_parent[cur] {
-            cur = *p;
-            idx += 1;
-            ancestors_a.insert(cur, idx);
-        }
-        let mut lca = b;
-        while !ancestors_a.contains_key(&lca) {
-            match &self.pf_parent[lca] {
-                Some((p, _)) => lca = *p,
-                None => {
-                    // Not in the same proof tree — unexpected; be conservative
-                    // and blame all asserted equations.
-                    self.explain_incomplete = true;
-                    return;
+        let Some(lca) = self.pf_lca(a, b) else {
+            // Not in the same proof tree — unexpected; be conservative and
+            // blame all asserted equations.
+            self.explain_incomplete = true;
+            return;
+        };
+        // Walk a -> lca and b -> lca collecting edge reasons. The argument
+        // lists are borrowed from the term manager, not from `self`.
+        let tm = self.tm;
+        for start in [a, b] {
+            let mut x = start;
+            while x != lca {
+                match self.pf_parent[x] {
+                    Some((p, Reason::Asserted(t))) => {
+                        tags.push(t);
+                        x = p;
+                    }
+                    Some((p, Reason::Congruence(u, v))) => {
+                        let (tu, tv) = (self.template.terms[u], self.template.terms[v]);
+                        for (&x_arg, &y_arg) in tm.term(tu).args.iter().zip(&tm.term(tv).args) {
+                            let (nu, nv) = (self.node(x_arg), self.node(y_arg));
+                            self.explain_rec(nu, nv, tags, depth + 1);
+                        }
+                        x = p;
+                    }
+                    None => unreachable!("path to lca"),
                 }
             }
         }
-        // Walk a -> lca and b -> lca collecting edge reasons.
-        let walk =
-            |mut x: usize, stop: usize, this: &mut Self, tags: &mut Vec<usize>, depth: usize| {
-                while x != stop {
-                    let (p, reason) = this.pf_parent[x].clone().expect("path to lca");
-                    match reason {
-                        Reason::Asserted(t) => tags.push(t),
-                        Reason::Congruence(u, v) => {
-                            let (tu, tv) = (this.template.terms[u], this.template.terms[v]);
-                            let args_u = this.tm.term(tu).args.clone();
-                            let args_v = this.tm.term(tv).args.clone();
-                            for (x_arg, y_arg) in args_u.iter().zip(args_v.iter()) {
-                                let (nu, nv) = (this.node(*x_arg), this.node(*y_arg));
-                                this.explain_rec(nu, nv, tags, depth + 1);
-                            }
-                        }
-                    }
-                    x = p;
-                }
-            };
-        walk(a, lca, self, tags, depth);
-        walk(b, lca, self, tags, depth);
+    }
+
+    /// The nearest common ancestor of `a` and `b` in the proof forest, or
+    /// `None` when they are in different trees. Found by lifting the deeper
+    /// node to the other's depth and then both in step, so it needs no
+    /// ancestor set.
+    fn pf_lca(&self, mut a: usize, mut b: usize) -> Option<usize> {
+        let up = |x: usize| self.pf_parent[x].as_ref().map(|&(p, _)| p);
+        let depth = |mut x: usize| {
+            let mut d = 0usize;
+            while let Some(p) = up(x) {
+                x = p;
+                d += 1;
+            }
+            d
+        };
+        let (mut da, mut db) = (depth(a), depth(b));
+        while da > db {
+            a = up(a)?;
+            da -= 1;
+        }
+        while db > da {
+            b = up(b)?;
+            db -= 1;
+        }
+        while a != b {
+            a = up(a)?;
+            b = up(b)?;
+        }
+        Some(a)
     }
 }
 

@@ -29,10 +29,10 @@
 //!   search ([`crate::sat::SatSolver::solve_under_with`]): at every
 //!   propagation fixpoint it retracts what the SAT core backtracked over,
 //!   asserts the EUF part of the new theory literals, checks the
-//!   disequalities, then asserts their simplex bounds and runs the rational
-//!   simplex check; on a complete assignment it only adds what needs one,
-//!   the EUF-derived equalities between numeric terms and integer
-//!   branch-and-bound. A theory conflict is learned and analysed at the
+//!   disequalities, then asserts their simplex bounds and the equalities
+//!   between numeric terms that their merges implied, and runs the
+//!   rational simplex check; on a complete assignment it only adds what
+//!   needs one, integer branch-and-bound. A theory conflict is learned and analysed at the
 //!   level where it arose, so one check is one search, not a loop of
 //!   searches. A consistent fixpoint also hands back the atom literals
 //!   congruence already decides (equalities whose sides are merged,
@@ -856,6 +856,7 @@ impl TheoryHook for OnlineTheory<'_> {
         self.stats.simplex_time += work.simplex_time;
         self.stats.theory_time += elapsed;
         self.stats.pivots += work.pivots;
+        self.stats.shared_equalities += work.shared;
         if work.delta > 0 && ids_obs::metrics_active() {
             ids_obs::record_metric(ids_obs::Metric::TheoryDeltaLits, work.delta);
         }
@@ -885,7 +886,7 @@ impl TheoryHook for OnlineTheory<'_> {
 
     fn final_check(&mut self, _trail: &[Lit]) -> TheoryVerdict {
         let start = std::time::Instant::now();
-        let (verdict, pivots) = self.session.final_check(self.tm, self.checker);
+        let (verdict, pivots) = self.session.final_check(self.tm);
         let elapsed = start.elapsed();
         self.stats.final_checks += 1;
         self.stats.simplex_time += elapsed;
@@ -1322,6 +1323,37 @@ mod tests {
         assert_eq!(s.check(&mut tm), SatResult::Unsat);
         assert_eq!(s.stats().final_checks, 0, "{:?}", s.stats());
         assert!(s.stats().theory_rounds >= 1, "{:?}", s.stats());
+    }
+
+    /// `x = y`, `key(x) <= 5`, `p ∨ q`, `p -> key(y) >= 7`,
+    /// `q -> key(y) >= 8`: congruence makes `key(x) = key(y)`, and the
+    /// merge shares that equality with the simplex, so whichever bound the
+    /// search tries clashes with `key(x) <= 5` at its fixpoint and the query
+    /// is refuted without a complete assignment.
+    #[test]
+    fn euf_derived_arithmetic_refutes_without_a_final_check() {
+        let mut tm = TermManager::new();
+        let p = tm.var("p", Sort::Bool);
+        let q = tm.var("q", Sort::Bool);
+        let x = tm.var("x", Sort::Loc);
+        let y = tm.var("y", Sort::Loc);
+        let kx = tm.app("key", vec![x], Sort::Int);
+        let ky = tm.app("key", vec![y], Sort::Int);
+        let five = tm.int(5);
+        let seven = tm.int(7);
+        let eight = tm.int(8);
+        let eq_xy = tm.eq(x, y);
+        let le5 = tm.le(kx, five);
+        let ge7 = tm.ge(ky, seven);
+        let ge8 = tm.ge(ky, eight);
+        let p_or_q = tm.or2(p, q);
+        let p_ge7 = tm.implies(p, ge7);
+        let q_ge8 = tm.implies(q, ge8);
+        let mut s = IncrementalSolver::new();
+        s.assert_all(&mut tm, &[eq_xy, le5, p_or_q, p_ge7, q_ge8]);
+        assert_eq!(s.check(&mut tm), SatResult::Unsat);
+        assert_eq!(s.stats().final_checks, 0, "{:?}", s.stats());
+        assert!(s.stats().shared_equalities >= 1, "{:?}", s.stats());
     }
 
     #[test]

@@ -133,10 +133,14 @@ pub struct SolverStats {
     /// check (whatever its verdict), so a check refuted by Boolean
     /// propagation alone has none. Merge: **sum**.
     pub theory_rounds: u64,
-    /// Final checks: theory checks of a complete assignment (EUF-derived
-    /// equalities and integer branch-and-bound on top of what every
-    /// fixpoint checks). Merge: **sum**.
+    /// Final checks: theory checks of a complete assignment (integer
+    /// branch-and-bound on top of what every fixpoint checks). Merge:
+    /// **sum**.
     pub final_checks: u64,
+    /// Shared equalities loaded into the simplex: equalities between
+    /// numeric leaf terms that an EUF merge implied, each counted every
+    /// time a propagation fixpoint asserts it. Merge: **sum**.
+    pub shared_equalities: u64,
     /// SAT conflicts. Merge: **sum**.
     pub sat_conflicts: u64,
     /// SAT decisions. Merge: **sum**.
@@ -230,6 +234,7 @@ impl SolverStats {
     pub fn merge(&mut self, other: &SolverStats) {
         self.theory_rounds += other.theory_rounds;
         self.final_checks += other.final_checks;
+        self.shared_equalities += other.shared_equalities;
         self.sat_conflicts += other.sat_conflicts;
         self.sat_decisions += other.sat_decisions;
         self.sat_propagations += other.sat_propagations;
@@ -504,6 +509,7 @@ mod tests {
         let mk = |seed: u64| SolverStats {
             theory_rounds: seed,
             final_checks: seed + 24,
+            shared_equalities: seed + 27,
             sat_conflicts: seed + 1,
             sat_decisions: seed + 2,
             sat_propagations: seed + 3,
@@ -536,6 +542,7 @@ mod tests {
         let SolverStats {
             theory_rounds,
             final_checks,
+            shared_equalities,
             sat_conflicts,
             sat_decisions,
             sat_propagations,
@@ -565,6 +572,7 @@ mod tests {
         // Sums: effort counters and wall-clock times.
         assert_eq!(theory_rounds, a.theory_rounds + b.theory_rounds);
         assert_eq!(final_checks, a.final_checks + b.final_checks);
+        assert_eq!(shared_equalities, a.shared_equalities + b.shared_equalities);
         assert_eq!(sat_conflicts, a.sat_conflicts + b.sat_conflicts);
         assert_eq!(sat_decisions, a.sat_decisions + b.sat_decisions);
         assert_eq!(sat_propagations, a.sat_propagations + b.sat_propagations);

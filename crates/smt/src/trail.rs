@@ -33,20 +33,30 @@
 //!   [`crate::simplex::Simplex::undo_to`]. Slack variables are reused across
 //!   re-assertions of the same linear form so the tableau does not grow
 //!   with the number of checks.
-//! * Only what needs a complete assignment waits for
-//!   [`TheorySession::final_check`]: the EUF-derived equalities between
-//!   numeric leaf terms, explained only when a conflict names them, and
-//!   integer branch-and-bound.
+//! * EUF and the simplex share equalities at merges (Nelson & Oppen, TOPLAS
+//!   1979, done incrementally): each class keeps one numeric-leaf member as
+//!   its representative, and a merge that joins two classes with one each
+//!   shares the equality of the two representatives. The shared equalities
+//!   form a spanning forest over each class's numeric leaves, are trail
+//!   state undone with their merge, and load into the simplex with the
+//!   entry whose merge made them, as `x_a − x_b = 0` over one reused slack
+//!   per pair of simplex variables. A simplex conflict through one is
+//!   explained only then, by the proof-forest path between its pair.
+//! * Only integer branch-and-bound needs a complete assignment, and waits
+//!   for [`TheorySession::final_check`].
 //!
 //! Verdicts are identical to the batch path: congruence closure reaches the
 //! same fixpoint regardless of merge order, simplex verdicts are independent
-//! of pivot history, a rational conflict over a subset of the bounds is a
-//! conflict over all of them, and the EUF-derived equality propagation is
-//! restricted to exactly the numeric leaf terms of the *currently asserted*
-//! literals (the same set the batch path derives per model). Conflict
-//! *explanations* may differ from the batch path's (different merge/pivot
-//! order picks a different valid inconsistent subset), which is fine for
-//! DPLL(T): any inconsistent subset yields a sound theory lemma.
+//! of pivot history, and a rational conflict over a subset of the bounds is
+//! a conflict over all of them. The shared equalities are a superset of the
+//! batch path's derived ones, which join only the numeric leaves of the
+//! asserted arithmetic literals: a leaf no bound mentions is an alias of its
+//! class, and joins no constraint the batch path lacks. Every shared
+//! equality is entailed by the asserted EUF literals, and under
+//! `IDS_TRAIL_ORACLE` the stateless checker re-checks every conflict.
+//! Conflict *explanations* may differ from the batch path's (different
+//! merge/pivot order picks a different valid inconsistent subset), which is
+//! fine for DPLL(T): any inconsistent subset yields a sound theory lemma.
 
 use std::time::{Duration, Instant};
 
@@ -58,10 +68,11 @@ use crate::simplex::{ArithOutcome, Compiled, LinExpr, PivotRule, Rel, Simplex};
 use crate::term::{TermId, TermManager};
 use crate::theory::{AtomKind, TheoryChecker, AXIOM_TAG};
 
-/// Tags at or above this refer to EUF-derived equalities of one final check;
-/// their explanations (trail tags) replace them in conflicts. Trail indices
-/// are far below this for any conceivable literal count.
-const DERIVED_BASE: usize = usize::MAX / 2;
+/// Simplex tags at or above this stand for shared equalities:
+/// `SHARED_BASE + k` is [`EufState::shared`]`[k]`, whose explanation (trail
+/// tags) replaces it in conflicts. Trail indices are far below this for any
+/// conceivable literal count.
+const SHARED_BASE: usize = usize::MAX / 2;
 
 /// An exact congruence signature `[op, rep(arg0), rep(arg1), …]`, stored
 /// inline for arity ≤ 4 (every signature the lowering produces) so that
@@ -132,6 +143,11 @@ enum UndoOp {
     Violation,
     /// A pushed asserted-equation tag.
     EqTag,
+    /// A merge passed the absorbed class's numeric representative to this
+    /// winner root, which had none.
+    NumRep(usize),
+    /// A pushed shared equality.
+    Shared,
 }
 
 /// Backtrackable congruence closure: the incremental, exact-undo counterpart
@@ -202,6 +218,14 @@ pub(crate) struct EufState {
     on_trail: Vec<bool>,
     /// Scratch: literals implied since the sync began, with their reasons.
     implied: Vec<(Lit, Why)>,
+    /// Per class root: one numeric-leaf member (a node whose term is a leaf
+    /// of a linear form, [`TheoryChecker::leaf_is_int`]), or none.
+    num_rep: Vec<Option<u32>>,
+    /// The equalities shared with the simplex, one per merge that joined two
+    /// classes with numeric representatives: the pair of representatives.
+    /// Over each class they form a spanning tree of its numeric leaves, so
+    /// they imply every equality congruence derives between numeric leaves.
+    shared: Vec<(usize, usize)>,
 }
 
 impl EufState {
@@ -229,6 +253,14 @@ impl EufState {
         self.pf_parent.resize(n, None);
         self.use_lists.resize(n, Vec::new());
         self.diseq_lists.resize(n, Vec::new());
+        // Every class is a singleton at base, so each numeric leaf is its
+        // own class's representative. An old node becomes a leaf when a new
+        // atom puts it in a linear form, so every leaf is read again.
+        self.num_rep.resize(n, None);
+        for &t in checker.leaf_is_int.keys() {
+            let leaf = self.node(t);
+            self.num_rep[leaf] = Some(leaf as u32);
+        }
         let new_apps = old_apps..self.template.app_nodes.len();
         for ai in new_apps.clone() {
             for &arg in &self.template.app_nodes[ai].args {
@@ -451,6 +483,12 @@ impl EufState {
                 UndoOp::EqTag => {
                     self.eq_tags.pop();
                 }
+                UndoOp::NumRep(root) => {
+                    self.num_rep[root] = None;
+                }
+                UndoOp::Shared => {
+                    self.shared.pop();
+                }
             }
         }
     }
@@ -517,6 +555,17 @@ impl EufState {
             if !self.watch_list.is_empty() {
                 self.imply_on_merge(winner, loser);
             }
+            match (self.num_rep[winner], self.num_rep[loser]) {
+                (Some(w), Some(l)) => {
+                    self.shared.push((w as usize, l as usize));
+                    self.undo.push(UndoOp::Shared);
+                }
+                (None, Some(l)) => {
+                    self.num_rep[winner] = Some(l);
+                    self.undo.push(UndoOp::NumRep(winner));
+                }
+                _ => {}
+            }
             self.reroot(pf_child);
             self.pf_parent[pf_child] = Some((pf_other, reason));
             self.parent[loser] = winner;
@@ -571,30 +620,19 @@ impl EufState {
     fn conflict(&mut self, tm: &TermManager) -> Option<Vec<usize>> {
         let k = *self.violations.iter().min()?;
         let (a, b, tag) = self.diseqs[k as usize];
-        self.explain_incomplete = false;
-        let mut tags = self.explain(tm, a, b);
-        if self.explain_incomplete {
-            // Sound fallback: blame every asserted equation.
-            tags = self.eq_tags.clone();
-        }
+        let mut tags = self.explain_equal(tm, a, b);
         tags.push(tag);
         tags.sort_unstable();
         tags.dedup();
         Some(tags)
     }
 
-    /// A canonical class index for `t` (comparable only within one state).
-    fn class_index(&self, t: TermId) -> Option<usize> {
-        let n = *self.template.node_of_term.get(&t)?;
-        Some(self.find(n))
-    }
-
-    /// Explains why two equal terms are equal: the tags of the asserted
-    /// equations used (all of them if the explanation was incomplete).
-    fn explain_terms(&mut self, tm: &TermManager, a: TermId, b: TermId) -> Vec<usize> {
+    /// Explains why the nodes `a` and `b` of one class are equal: the tags
+    /// of the asserted equations used (all of them, the sound fallback, if
+    /// the explanation was incomplete).
+    fn explain_equal(&mut self, tm: &TermManager, a: usize, b: usize) -> Vec<usize> {
         self.explain_incomplete = false;
-        let (na, nb) = (self.node(a), self.node(b));
-        let tags = self.explain(tm, na, nb);
+        let tags = self.explain(tm, a, b);
         if self.explain_incomplete {
             self.eq_tags.clone()
         } else {
@@ -721,6 +759,10 @@ struct TrailEntry {
     sat_pos: usize,
     /// EUF undo-trail length before this literal's EUF assertions.
     euf_mark: usize,
+    /// Length of [`EufState::shared`] before this literal's EUF assertions:
+    /// the entry's shared equalities run from here to the next entry's
+    /// start.
+    shared_start: usize,
     /// Simplex bound-trail length before this literal's bound assertions
     /// (meaningful for the first `loaded` entries only).
     simplex_mark: usize,
@@ -754,6 +796,8 @@ pub(crate) struct SyncWork {
     pub(crate) simplex_time: Duration,
     /// Simplex pivots taken.
     pub(crate) pivots: u64,
+    /// Shared equalities asserted in the simplex.
+    pub(crate) shared: u64,
 }
 
 /// A literal the session implied at the end of a consistent sync, with its
@@ -784,6 +828,10 @@ pub(crate) struct TheorySession {
     /// its first load and valid until [`TheorySession::prepare`] rebuilds
     /// the simplex.
     bounds: FxHashMap<(TermId, bool), Compiled>,
+    /// The simplex equality of each pair of simplex variables, ordered,
+    /// that a shared equality joined: compiled at its first load (its slack
+    /// then serves every later load) and valid like `bounds`.
+    equalities: FxHashMap<(usize, usize), Compiled>,
     /// Number of atoms the checker knew at the last
     /// [`TheorySession::prepare`]; a differing count means new atoms were
     /// pushed, and the session grows its EUF state by them. (A method-scope
@@ -811,6 +859,7 @@ impl TheorySession {
             seen: 0,
             loaded: 0,
             bounds: FxHashMap::default(),
+            equalities: FxHashMap::default(),
             known_atoms: 0,
             pivot,
             reasons: Vec::new(),
@@ -850,6 +899,7 @@ impl TheorySession {
         self.seen = 0;
         self.loaded = 0;
         self.bounds.clear();
+        self.equalities.clear();
         self.known_atoms = checker.kinds.len();
     }
 
@@ -899,9 +949,9 @@ impl TheorySession {
     /// a SAT variable to its live atom; dead and non-theory variables map to
     /// `None`; the table [`TheorySession::watch`] was given), and checks the
     /// disequalities. After a consistent EUF verdict it asserts the simplex
-    /// bounds of the new entries, so every entry is loaded after a
-    /// consistent sync, and when it asserted any it runs the rational
-    /// simplex check; a contradiction there is a conflict too. On a
+    /// bounds and shared equalities of the new entries, so every entry is
+    /// loaded after a consistent sync, and when it asserted any it runs the
+    /// rational simplex check; a contradiction there is a conflict too. On a
     /// consistent verdict it pushes onto `implied` the literals the
     /// assertions implied that are not on the trail, each explainable by
     /// [`TheorySession::explain`] until it is retracted.
@@ -940,7 +990,7 @@ impl TheorySession {
                     continue;
                 };
                 let idx = self.trail.len();
-                let euf_mark = euf.mark();
+                let (euf_mark, shared_start) = (euf.mark(), euf.shared.len());
                 let positive = lit.is_positive();
                 euf.on_trail[lit.var() as usize] = true;
                 match la.euf {
@@ -957,6 +1007,7 @@ impl TheorySession {
                     atom: la.atom,
                     sat_pos: pos,
                     euf_mark,
+                    shared_start,
                     simplex_mark: 0,
                     has_arith: if positive { la.arith.0 } else { la.arith.1 },
                 });
@@ -967,7 +1018,7 @@ impl TheorySession {
         // An EUF conflict leaves the new entries unloaded: the backjump
         // that follows retracts them.
         let verdict = match verdict {
-            SessionCheck::Consistent => self.fixpoint_arith(checker, &mut work),
+            SessionCheck::Consistent => self.fixpoint_arith(tm, checker, &mut work),
             conflict => conflict,
         };
         let euf = self.euf.as_mut().expect("session prepared");
@@ -993,15 +1044,24 @@ impl TheorySession {
     }
 
     /// The arithmetic part of a sync, after a consistent EUF verdict: loads
-    /// the bounds of the entries not loaded yet and, when one of them
-    /// carries arithmetic, runs the rational simplex check under a `simplex`
-    /// span. Branch-and-bound waits for the final check: a rational conflict
-    /// is also an integer one, and strict integer bounds are already
-    /// tightened when they are compiled.
-    fn fixpoint_arith(&mut self, checker: &TheoryChecker, work: &mut SyncWork) -> SessionCheck {
-        if !self.trail[self.loaded..].iter().any(|e| e.has_arith) {
-            // No bound to assert: this only records the restore points.
-            let loaded = self.load_bounds(checker);
+    /// the bounds and shared equalities of the entries not loaded yet and,
+    /// when they bring any, runs the rational simplex check under a
+    /// `simplex` span. Branch-and-bound waits for the final check: a
+    /// rational conflict is also an integer one, and strict integer bounds
+    /// are already tightened when they are compiled.
+    fn fixpoint_arith(
+        &mut self,
+        tm: &TermManager,
+        checker: &TheoryChecker,
+        work: &mut SyncWork,
+    ) -> SessionCheck {
+        let shared = self.euf.as_ref().expect("session prepared").shared.len();
+        let unloaded = &self.trail[self.loaded..];
+        if unloaded.first().is_none_or(|e| e.shared_start == shared)
+            && !unloaded.iter().any(|e| e.has_arith)
+        {
+            // Nothing to assert: this only records the restore points.
+            let loaded = self.load_bounds(checker, &mut work.shared);
             debug_assert!(loaded.is_ok());
             return SessionCheck::Consistent;
         }
@@ -1009,43 +1069,73 @@ impl TheorySession {
         let mut span = ids_obs::span("simplex");
         let pivots_before = self.simplex.pivots;
         let outcome = self
-            .load_bounds(checker)
+            .load_bounds(checker, &mut work.shared)
             .and_then(|()| self.simplex.check_rational());
         work.pivots = self.simplex.pivots - pivots_before;
         span.note(|| format!("pivots={}", work.pivots));
+        drop(span);
         work.simplex_time = start.elapsed();
         match outcome {
             Ok(()) => SessionCheck::Consistent,
-            Err(tags) => SessionCheck::Conflict(conflict_lits(&self.trail, &tags)),
+            Err(tags) => SessionCheck::Conflict(self.arith_conflict(tm, &tags)),
         }
     }
 
-    /// Loads the simplex bounds of the entries from `loaded` on, recording
-    /// each entry's restore point, and compiling the bounds of an (atom,
-    /// polarity) at its first load. On a contradiction between bounds it
-    /// returns their tags and leaves the failing entry unloaded: a literal
-    /// may assert two bounds (an equality), and failing halfway must not
-    /// leave it half loaded.
-    fn load_bounds(&mut self, checker: &TheoryChecker) -> Result<(), Vec<usize>> {
+    /// Loads the simplex bounds of the entries from `loaded` on, each
+    /// followed by the entry's shared equalities, recording each entry's
+    /// restore point and counting the shared equalities in `shared`. The
+    /// bounds of an (atom, polarity), and the equality of a pair of simplex
+    /// variables, are compiled at their first load. On a contradiction
+    /// between bounds it returns their tags and leaves the failing entry
+    /// unloaded: a literal may assert several bounds, and failing halfway
+    /// must not leave it half loaded.
+    fn load_bounds(&mut self, checker: &TheoryChecker, shared: &mut u64) -> Result<(), Vec<usize>> {
         let TheorySession {
+            euf,
             simplex,
             var_of_term,
             trail,
             loaded,
             bounds,
+            equalities,
             ..
         } = self;
-        for (i, e) in trail.iter_mut().enumerate().skip(*loaded) {
+        let euf = euf.as_ref().expect("session prepared");
+        for i in *loaded..trail.len() {
             let mark = simplex.mark();
-            e.simplex_mark = mark;
-            if !e.has_arith {
-                continue;
-            }
-            let key = (e.atom, e.lit.is_positive());
-            let bound = *bounds
-                .entry(key)
-                .or_insert_with(|| compile_bounds(checker, simplex, var_of_term, key));
-            if let Err(tags) = simplex.assert_compiled(&bound, i) {
+            trail[i].simplex_mark = mark;
+            let e = &trail[i];
+            let own = if e.has_arith {
+                let key = (e.atom, e.lit.is_positive());
+                let bound = *bounds
+                    .entry(key)
+                    .or_insert_with(|| compile_bounds(checker, simplex, var_of_term, key));
+                simplex.assert_compiled(&bound, i)
+            } else {
+                Ok(())
+            };
+            let end = trail
+                .get(i + 1)
+                .map_or(euf.shared.len(), |n| n.shared_start);
+            let asserted = own.and_then(|()| {
+                for k in e.shared_start..end {
+                    let (a, b) = euf.shared[k];
+                    let [va, vb] = [a, b].map(|n| {
+                        let leaf = euf.template.terms[n];
+                        leaf_var(checker, simplex, var_of_term, leaf)
+                    });
+                    let pair = (va.min(vb), va.max(vb));
+                    let equal = *equalities.entry(pair).or_insert_with(|| {
+                        let mut expr = LinExpr::variable(pair.0);
+                        expr.add_term(-Rat::ONE, pair.1);
+                        simplex.compile(&expr, Rel::Eq)
+                    });
+                    simplex.assert_compiled(&equal, SHARED_BASE + k)?;
+                    *shared += 1;
+                }
+                Ok(())
+            });
+            if let Err(tags) = asserted {
                 simplex.undo_to(mark);
                 *loaded = i;
                 return Err(tags);
@@ -1053,6 +1143,26 @@ impl TheorySession {
         }
         *loaded = trail.len();
         Ok(())
+    }
+
+    /// Maps the tags of a simplex conflict back to trail literals: a shared
+    /// equality's tag becomes the explanation of its pair. That is the
+    /// explanation it had when its merge shared it: while the merge stands,
+    /// the proof-forest path between two members of one class does not
+    /// change.
+    fn arith_conflict(&mut self, tm: &TermManager, tags: &[usize]) -> Vec<Lit> {
+        let euf = self.euf.as_mut().expect("session prepared");
+        let mut idxs = Vec::with_capacity(tags.len());
+        for &t in tags {
+            match t.checked_sub(SHARED_BASE) {
+                Some(k) => {
+                    let (a, b) = euf.shared[k];
+                    idxs.extend(euf.explain_equal(tm, a, b));
+                }
+                None => idxs.push(t),
+            }
+        }
+        conflict_lits(&self.trail, &idxs)
     }
 
     /// The antecedents of a literal a consistent sync implied: the trail
@@ -1113,103 +1223,26 @@ impl TheorySession {
     }
 
     /// The check of a complete assignment, after a consistent
-    /// [`TheorySession::sync`] (so every entry's bounds are loaded and
-    /// rationally feasible): propagates the EUF-derived equalities between
-    /// numeric leaf terms into the simplex and runs it with branch-and-bound.
-    /// A conflict through a derived equality is explained only then, and
-    /// only for the derived equalities it names: congruence does not change
-    /// inside one final check, so the explanation is the one an eager
-    /// derivation would have computed.
+    /// [`TheorySession::sync`] (so every entry's bounds and shared
+    /// equalities are loaded and rationally feasible): integer
+    /// branch-and-bound, the one part of the theory that needs the whole
+    /// assignment.
     ///
     /// Returns the verdict and the pivots it took.
-    pub(crate) fn final_check(
-        &mut self,
-        tm: &TermManager,
-        checker: &TheoryChecker,
-    ) -> (SessionCheck, u64) {
+    pub(crate) fn final_check(&mut self, tm: &TermManager) -> (SessionCheck, u64) {
         debug_assert_eq!(self.loaded, self.trail.len(), "entries left unloaded");
         if !self.trail.iter().any(|e| e.has_arith) {
             return (SessionCheck::Consistent, 0);
         }
-        let TheorySession {
-            euf,
-            simplex,
-            var_of_term,
-            trail,
-            ..
-        } = self;
-        let euf = euf.as_mut().expect("session prepared");
-        let pivots_before = simplex.pivots;
+        let pivots_before = self.simplex.pivots;
         let mut simplex_span = ids_obs::span("simplex");
-
-        // Propagate EUF-derived equalities between the numeric leaf terms of
-        // the currently asserted literals. These are justified by the current
-        // congruence classes, so they never outlive the check: they are
-        // always popped below, whatever the verdict.
-        let derived_mark = simplex.mark();
-        let mut derived: Vec<(TermId, TermId)> = Vec::new();
-        let mut seen: FxHashMap<TermId, ()> = FxHashMap::default();
-        let mut terms_in_order: Vec<TermId> = Vec::new();
-        for e in trail.iter().filter(|e| e.has_arith) {
-            let form = match checker.kinds.get(&e.atom) {
-                Some(AtomKind::Eq {
-                    lin: Some(form), ..
-                }) => form,
-                Some(AtomKind::Ineq { lin, .. }) => lin,
-                _ => continue,
-            };
-            for &(t, _) in &form.terms {
-                if seen.insert(t, ()).is_none() {
-                    terms_in_order.push(t);
-                }
-            }
-        }
-        let mut by_class: FxHashMap<usize, Vec<TermId>> = FxHashMap::default();
-        for &t in &terms_in_order {
-            if let Some(c) = euf.class_index(t) {
-                by_class.entry(c).or_default().push(t);
-            }
-        }
-        let mut derived_error: Option<Vec<usize>> = None;
-        'groups: for (_, group) in by_class {
-            for w in group.windows(2) {
-                let (a, b) = (w[0], w[1]);
-                let derived_tag = DERIVED_BASE + derived.len();
-                derived.push((a, b));
-                let mut expr = LinExpr::variable(var_of_term[&a]);
-                expr.add_term(-Rat::ONE, var_of_term[&b]);
-                if let Err(tags) = simplex.add_constraint(&expr, Rel::Eq, derived_tag) {
-                    derived_error = Some(tags);
-                    break 'groups;
-                }
-            }
-        }
-
-        let outcome = match derived_error {
-            Some(tags) => ArithOutcome::Conflict(tags),
-            None => simplex.check(),
-        };
-        // Retract the derived equalities; the trail literals themselves stay
-        // loaded (also on Conflict/Unknown — the SAT core's backjump retracts
-        // whatever it undoes).
-        simplex.undo_to(derived_mark);
-        let pivots = simplex.pivots - pivots_before;
+        let outcome = self.simplex.check();
+        let pivots = self.simplex.pivots - pivots_before;
         simplex_span.note(|| format!("pivots={}", pivots));
+        drop(simplex_span);
         let verdict = match outcome {
             ArithOutcome::Sat(_) => SessionCheck::Consistent,
-            ArithOutcome::Conflict(tags) => {
-                let mut idxs: Vec<usize> = Vec::with_capacity(tags.len());
-                for t in tags {
-                    match t.checked_sub(DERIVED_BASE) {
-                        Some(k) => {
-                            let (a, b) = derived[k];
-                            idxs.extend(euf.explain_terms(tm, a, b));
-                        }
-                        None => idxs.push(t),
-                    }
-                }
-                SessionCheck::Conflict(conflict_lits(trail, &idxs))
-            }
+            ArithOutcome::Conflict(tags) => SessionCheck::Conflict(self.arith_conflict(tm, &tags)),
             ArithOutcome::Unknown => SessionCheck::Unknown,
         };
         (verdict, pivots)
@@ -1223,6 +1256,18 @@ fn conflict_lits(trail: &[TrailEntry], tags: &[usize]) -> Vec<Lit> {
     idxs.sort_unstable();
     idxs.dedup();
     idxs.into_iter().map(|t| trail[t].lit).collect()
+}
+
+/// The simplex variable of a numeric leaf term, created at its first use.
+fn leaf_var(
+    checker: &TheoryChecker,
+    simplex: &mut Simplex,
+    var_of_term: &mut FxHashMap<TermId, usize>,
+    leaf: TermId,
+) -> usize {
+    *var_of_term
+        .entry(leaf)
+        .or_insert_with(|| simplex.new_var(*checker.leaf_is_int.get(&leaf).unwrap_or(&false)))
 }
 
 /// Normalizes the arithmetic constraint of one (atom, polarity) into simplex
@@ -1258,9 +1303,7 @@ fn compile_bounds(
     let sign = if positive { Rat::ONE } else { -Rat::ONE };
     let mut expr = LinExpr::constant(form.constant * sign);
     for &(leaf, coeff) in &form.terms {
-        let v = *var_of_term
-            .entry(leaf)
-            .or_insert_with(|| simplex.new_var(*checker.leaf_is_int.get(&leaf).unwrap_or(&false)));
+        let v = leaf_var(checker, simplex, var_of_term, leaf);
         expr.add_term(coeff * sign, v);
     }
     let rel = if rel == Rel::Lt && both_int {
@@ -1445,7 +1488,7 @@ mod tests {
             checker: &TheoryChecker,
         ) -> (SessionCheck, u64) {
             match self.fixpoints(session, tm, checker) {
-                (SessionCheck::Consistent, total) => (session.final_check(tm, checker).0, total),
+                (SessionCheck::Consistent, total) => (session.final_check(tm).0, total),
                 other => other,
             }
         }
@@ -1579,9 +1622,12 @@ mod tests {
     }
 
     /// A mixed EUF + arithmetic atom universe exercising congruence chains,
-    /// predicates, derived-equality propagation and integer tightening.
+    /// predicates, equality sharing and integer tightening.
     fn mixed_universe() -> (TermManager, Vec<TermId>) {
         let mut tm = TermManager::new();
+        // The first term, so `0 = key(c)` keeps it on the left and its
+        // class absorbs `key(c)`'s, taking over a numeric representative.
+        let zero = tm.int(0);
         let locs: Vec<TermId> = ["a", "b", "c", "d"]
             .iter()
             .map(|n| tm.var(n, Sort::Loc))
@@ -1612,6 +1658,7 @@ mod tests {
         atoms.push(tm.ge(keys[1], seven));
         atoms.push(tm.lt(keys[2], keys[3]));
         atoms.push(tm.eq(keys[0], keys[3]));
+        atoms.push(tm.eq(zero, keys[2]));
         (tm, atoms)
     }
 
@@ -1678,8 +1725,9 @@ mod tests {
     ///
     /// The atom universe grows between checks: the checker starts with half
     /// of the atoms and learns the rest in three batches
-    /// ([`Driver::grow`]), so the session's EUF state is grown in place
-    /// while the fresh replay builds it in one step.
+    /// ([`Driver::grow`]; the growth points after those learn nothing and
+    /// only start the next check over), so the session's EUF state is grown
+    /// in place while the fresh replay builds it in one step.
     #[test]
     fn fuzz_session_agrees_with_rebuild_mixed() {
         let (tm, atoms) = mixed_universe();
@@ -1690,7 +1738,7 @@ mod tests {
         let mut session = TheorySession::new(PivotRule::Bland);
         let mut sat = Driver::propagating(&atoms[..half]);
         let (mut skipped, mut fixpoint_conflicts) = (0, 0);
-        for step in 0..400 {
+        for step in 0..600 {
             if step % 100 == 99 {
                 let learned = sat.atoms.len();
                 let upto = (learned + (atoms.len() - half) / 3 + 1).min(atoms.len());
@@ -1840,6 +1888,8 @@ mod tests {
             assert_eq!(a.diseq_lists, b.diseq_lists, "disequality lists");
             assert_eq!(a.violations, b.violations, "violations");
             assert_eq!(a.eq_tags, b.eq_tags, "equation tags");
+            assert_eq!(a.num_rep, b.num_rep, "numeric representatives");
+            assert_eq!(a.shared, b.shared, "shared equalities");
             assert_eq!(a.undo.len(), b.undo.len(), "undo trail length");
             assert_eq!(
                 session.trail_len(),
@@ -2059,12 +2109,14 @@ mod tests {
         }
     }
 
-    /// Directed: a final-check conflict through an EUF-derived equality
-    /// (`key(a) = key(b)` from `a = c`, `c = b`) names the literals its
-    /// lazy explanation found, which are exactly those `explain_terms`
-    /// gives for the pair; the unrelated `x = y` stays out.
+    /// Directed: the merge that makes `key(a) = key(b)` congruent (`c = b`
+    /// after `a = c`) shares that equality with the simplex, so the sync
+    /// that reads `key(b) >= 7` conflicts with `key(a) <= 5` at its
+    /// fixpoint. The conflict names exactly the merge's explanation and the
+    /// two bounds, not the unrelated `x = y`; a backjump that pops `c = b`
+    /// takes the shared equality with it.
     #[test]
-    fn derived_equality_conflict_is_explained_lazily() {
+    fn shared_equality_conflicts_at_the_sync() {
         let mut tm = TermManager::new();
         let [a, b, c, x, y] = ["a", "b", "c", "x", "y"].map(|n| tm.var(n, Sort::Loc));
         let ka = tm.app("key", vec![a], Sort::Int);
@@ -2083,23 +2135,64 @@ mod tests {
         for atom in atoms {
             sat.push(atom, true);
         }
+        match sat.fixpoints(&mut session, &tm, &checker).0 {
+            SessionCheck::Conflict(c) => assert_eq!(
+                sat.pairs(&c),
+                vec![(eq_ac, true), (le5, true), (eq_cb, true), (ge7, true)]
+            ),
+            other => panic!("expected a fixpoint conflict, got {other:?}"),
+        }
+        sat.backtrack(3);
+        sat.push(ge7, true);
         let (res, _) = sat.fixpoints(&mut session, &tm, &checker);
         assert!(matches!(res, SessionCheck::Consistent), "{res:?}");
-        let conflict = match session.final_check(&tm, &checker).0 {
-            SessionCheck::Conflict(c) => sat.pairs(&c),
-            other => panic!("expected a final-check conflict, got {other:?}"),
-        };
-        let euf = session.euf.as_mut().expect("euf");
-        let eager = euf.explain_terms(&tm, ka, kb);
-        let eager: Vec<(TermId, bool)> = eager
-            .iter()
-            .map(|&t| (session.trail[t].atom, session.trail[t].lit.is_positive()))
-            .collect();
-        assert_eq!(eager, vec![(eq_ac, true), (eq_cb, true)]);
-        assert_eq!(
-            conflict,
-            vec![(eq_ac, true), (le5, true), (eq_cb, true), (ge7, true)]
-        );
+        assert!(session.euf.as_ref().expect("euf").shared.is_empty());
+    }
+
+    /// Directed: `0 = key(a)` joins the class of `0`, which has no numeric
+    /// leaf, with that of `key(a)`; the winner (`0`'s class) takes over
+    /// `key(a)` as its representative, so the congruence `key(a) = key(b)`
+    /// that `a = b` makes later is still shared, and conflicts with
+    /// `key(b) >= 7`. Popping `0 = key(a)` hands the representative back.
+    #[test]
+    fn numeric_representative_moves_with_its_merge() {
+        let mut tm = TermManager::new();
+        let zero = tm.int(0);
+        let [a, b] = ["a", "b"].map(|n| tm.var(n, Sort::Loc));
+        let ka = tm.app("key", vec![a], Sort::Int);
+        let kb = tm.app("key", vec![b], Sort::Int);
+        let seven = tm.int(7);
+        let eq_0a = tm.eq(zero, ka);
+        let eq_ab = tm.eq(a, b);
+        let ge7 = tm.ge(kb, seven);
+        let atoms = [eq_0a, eq_ab, ge7];
+        let checker = TheoryChecker::new(&mut tm, &atoms);
+        let mut session = TheorySession::new(PivotRule::Bland);
+        let mut sat = Driver::new(&atoms);
+        sat.live(&mut session, &checker);
+        let base = session.euf.as_ref().expect("euf").num_rep.clone();
+        sat.push(eq_0a, true);
+        let (res, _) = sat.fixpoints(&mut session, &tm, &checker);
+        assert!(matches!(res, SessionCheck::Consistent), "{res:?}");
+        let euf = session.euf.as_ref().expect("euf");
+        let (n0, nka) = (euf.node(zero), euf.node(ka));
+        assert_eq!(euf.find(nka), n0, "the class of 0 absorbed key(a)'s");
+        assert_eq!(euf.num_rep[n0], Some(nka as u32));
+        sat.push(eq_ab, true);
+        sat.push(ge7, true);
+        match sat.fixpoints(&mut session, &tm, &checker).0 {
+            SessionCheck::Conflict(c) => {
+                assert_eq!(
+                    sat.pairs(&c),
+                    vec![(eq_0a, true), (eq_ab, true), (ge7, true)]
+                )
+            }
+            other => panic!("expected a fixpoint conflict, got {other:?}"),
+        }
+        sat.backtrack(0);
+        let (res, _) = sat.fixpoints(&mut session, &tm, &checker);
+        assert!(matches!(res, SessionCheck::Consistent), "{res:?}");
+        assert_eq!(session.euf.as_ref().expect("euf").num_rep, base);
     }
 
     /// The session detects checker growth (new atoms pushed mid-scope) and
@@ -2179,7 +2272,8 @@ mod tests {
     /// The base state a growth must reach, built straight from `checker`'s
     /// template without the growth path: every class a singleton, each
     /// application in the use lists of its arguments (in application order)
-    /// and in the signature table under its signature, and only
+    /// and in the signature table under its signature, each numeric leaf
+    /// its own class's representative, nothing shared, and only
     /// `true ≠ false` asserted.
     fn reference_base(checker: &TheoryChecker) -> EufState {
         let template = &checker.template;
@@ -2203,6 +2297,14 @@ mod tests {
         let mut diseq_lists = vec![Vec::new(); n];
         diseq_lists[tru].push(0);
         diseq_lists[fls].push(0);
+        let num_rep = (0..n)
+            .map(|i| {
+                checker
+                    .leaf_is_int
+                    .contains_key(&template.terms[i])
+                    .then_some(i as u32)
+            })
+            .collect();
         EufState {
             parent: (0..n).collect(),
             size: vec![1; n],
@@ -2214,6 +2316,7 @@ mod tests {
             tru,
             fls,
             next: (0..n).collect(),
+            num_rep,
             ..EufState::default()
         }
     }
@@ -2259,6 +2362,8 @@ mod tests {
             assert_eq!(grown.diseq_lists, want.diseq_lists, "disequality lists");
             assert!(grown.violations.is_empty(), "violations");
             assert!(grown.eq_tags.is_empty(), "equation tags");
+            assert_eq!(grown.num_rep, want.num_rep, "numeric representatives");
+            assert_eq!(grown.shared, want.shared, "shared equalities");
             assert_eq!((grown.tru, grown.fls), (want.tru, want.fls), "constants");
             assert_eq!(session.trail_len(), 0, "session trail");
             // Work the grown state before the next batch: syncs, backjumps

@@ -237,3 +237,29 @@ fn failing_methods_keep_failing_under_the_driver() {
     }
     assert!(!batch.all_verified());
 }
+
+/// `sorted_insert` (the recursive insertion into a sorted list) verifies,
+/// all 18 VCs. Its proofs need the equalities congruence derives between
+/// keys while the search runs: before EUF shared them with the simplex at
+/// each merge, the method returned no verdict within 1,200 s.
+#[test]
+fn sorted_insert_verifies() {
+    let ids = lists::sorted_list();
+    let selections = vec![Selection {
+        name: "Sorted List",
+        definition: &ids,
+        methods_src: lists::SORTED_LIST_METHODS,
+        methods: vec!["sorted_insert".into()],
+    }];
+    let config = DriverConfig {
+        jobs: 1,
+        ..DriverConfig::default()
+    };
+    let batch = verify_selections(&selections, &config);
+    assert!(batch.errors.is_empty(), "{:?}", batch.errors);
+    let [report] = &batch.reports[..] else {
+        panic!("one report expected: {:?}", batch.reports.len());
+    };
+    assert!(report.outcome.is_verified(), "{:?}", report.outcome);
+    assert_eq!(report.num_vcs, 18);
+}
