@@ -1017,6 +1017,8 @@ fn solver_json(j: &mut Json, s: &SolverStats) {
     j.num_field("theory_rounds", s.theory_rounds as f64);
     j.num_field("final_checks", s.final_checks as f64);
     j.num_field("shared_equalities", s.shared_equalities as f64);
+    j.num_field("initial_clauses", s.initial_clauses as f64);
+    j.num_field("atoms", s.atoms as f64);
     j.num_field("sat_time_s", s.sat_time.as_secs_f64());
     j.num_field("theory_time_s", s.theory_time.as_secs_f64());
     j.num_field("lower_time_s", s.lower_time.as_secs_f64());

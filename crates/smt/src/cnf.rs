@@ -1,10 +1,36 @@
-//! Tseitin conversion of ground Boolean term DAGs into CNF for the SAT core.
+//! Conversion of ground Boolean term DAGs into CNF for the SAT core.
 //!
 //! Every non-Boolean-connective sub-term of sort `Bool` (an equality, an
 //! arithmetic predicate, a membership literal, a Boolean field read, …)
 //! becomes a propositional *atom* with its own SAT variable; the mapping in
 //! both directions is recorded in [`AtomMap`] so the theory layer can read the
 //! propositional model back as a set of theory literals.
+//!
+//! Two encodings share one [`AtomMap`]:
+//!
+//! * **Facts become clauses.** [`assert_fact`] asserts a formula that holds
+//!   unconditionally — the lowering's axiom instances, `ite` definitions and
+//!   trichotomy lemmas — in clausal form (Plaisted & Greenbaum, "A
+//!   Structure-preserving Clause Form Translation", JSC 1986): it splits
+//!   conjunctions, flattens disjunctions and implications into one clause,
+//!   and turns `⇔` and a Boolean `ite` into two clauses. One conjunctive,
+//!   `⇔` or `ite` disjunct per clause is distributed when its arguments are
+//!   literals; every other sub-formula is named by its shared Tseitin
+//!   literal. A union-membership instance is three clauses and no variable,
+//!   a store hit one clause. Atoms get their SAT variables in formula
+//!   order, as the Tseitin encoder numbers them: the decision heap breaks
+//!   activity ties by variable, so the order steers the search.
+//! * **Asserted roots stay Tseitin.** [`encode_root`] returns a literal
+//!   equivalent to a root, defined in both directions, which the caller
+//!   asserts as a unit or behind an activation literal. Tracked hypotheses,
+//!   VC guards and negated goals go this way: their definition variables are
+//!   branching points the search uses, and clausifying them too measured
+//!   more decisions on the verification registry.
+//!
+//! [`tseitin`] encodes whole formulas the second way. It is the full-Tseitin
+//! reference: `tests/incremental_props.rs` checks sessions against a lazy
+//! loop built on it, and `tests/cnf_props.rs` checks [`assert_fact`]
+//! against it.
 
 use crate::fxmap::FxHashMap;
 use crate::sat::{Lit, SatSolver, Var};
@@ -89,6 +115,157 @@ pub fn tseitin(tm: &TermManager, roots: &[TermId], sat: &mut SatSolver) -> AtomM
 /// by earlier calls are shared.
 pub fn encode_root(tm: &TermManager, root: TermId, sat: &mut SatSolver, map: &mut AtomMap) -> Lit {
     encode(tm, root, sat, map)
+}
+
+/// Asserts `fact` as clauses over the atoms of its Boolean structure (see
+/// the [module documentation](self)). Sub-formulas that stay nested behind a
+/// clause get their shared [`encode_root`] literal, so the clauses are
+/// equisatisfiable with `fact` and every atom of `fact` is encoded.
+pub fn assert_fact(tm: &TermManager, fact: TermId, sat: &mut SatSolver, map: &mut AtomMap) {
+    assert_signed(tm, (fact, true), sat, map);
+}
+
+/// A sub-formula under a polarity: `(t, false)` stands for `¬t`.
+type Signed = (TermId, bool);
+
+/// Strips negations into the polarity.
+fn strip_not(tm: &TermManager, (mut t, mut pos): Signed) -> Signed {
+    while tm.term(t).op == Op::Not {
+        t = tm.term(t).args[0];
+        pos = !pos;
+    }
+    (t, pos)
+}
+
+/// Whether `(t, pos)` is a conjunction under its polarity: `∧`, `¬∨`, `¬⇒`,
+/// and `⇔` and Boolean `ite` (two binary clauses each, under either
+/// polarity).
+fn is_conjunctive(tm: &TermManager, (t, pos): Signed) -> bool {
+    matches!(
+        (&tm.term(t).op, pos),
+        (Op::And, true) | (Op::Or, false) | (Op::Implies, false) | (Op::Iff, _) | (Op::Ite, _)
+    )
+}
+
+/// Calls `f` on each conjunct of a conjunctive `(t, pos)`, as the
+/// disjunction of one or two signed sub-formulas.
+fn for_each_conjunct(tm: &TermManager, (t, pos): Signed, mut f: impl FnMut(&[Signed])) {
+    let term = tm.term(t);
+    let a = &term.args;
+    match term.op {
+        Op::And | Op::Or => a.iter().for_each(|&x| f(&[(x, pos)])),
+        Op::Implies => {
+            f(&[(a[0], true)]);
+            f(&[(a[1], false)]);
+        }
+        Op::Iff => {
+            f(&[(a[0], false), (a[1], pos)]);
+            f(&[(a[0], true), (a[1], !pos)]);
+        }
+        Op::Ite => {
+            f(&[(a[0], false), (a[1], pos)]);
+            f(&[(a[0], true), (a[2], pos)]);
+        }
+        _ => unreachable!("not a conjunctive connective"),
+    }
+}
+
+/// Whether `t` is an atom, a constant or a negated atom.
+fn is_literal(tm: &TermManager, t: TermId) -> bool {
+    let (t, _) = strip_not(tm, (t, true));
+    matches!(tm.term(t).op, Op::True | Op::False) || !is_connective(&tm.term(t).op)
+}
+
+/// Asserts `s`: a conjunction conjunct by conjunct, anything else as one
+/// disjunction.
+fn assert_signed(tm: &TermManager, s: Signed, sat: &mut SatSolver, map: &mut AtomMap) {
+    let s = strip_not(tm, s);
+    if is_conjunctive(tm, s) {
+        for_each_conjunct(tm, s, |c| match *c {
+            [one] => assert_signed(tm, one, sat, map),
+            _ => assert_disjunction(tm, c, sat, map),
+        });
+    } else {
+        assert_disjunction(tm, &[s], sat, map);
+    }
+}
+
+/// Asserts the disjunction of `disjuncts`, flattened, with at most one
+/// conjunctive disjunct over literals distributed into one clause per
+/// conjunct.
+fn assert_disjunction(
+    tm: &TermManager,
+    disjuncts: &[Signed],
+    sat: &mut SatSolver,
+    map: &mut AtomMap,
+) {
+    let mut lits = Vec::new();
+    let mut split = None;
+    let mut stack: Vec<Signed> = disjuncts.iter().rev().copied().collect();
+    let satisfied = flatten(tm, &mut stack, &mut lits, &mut split, sat, map);
+    match split {
+        None if !satisfied => {
+            sat.add_clause(lits);
+        }
+        None => {}
+        Some(conjunctive) => for_each_conjunct(tm, conjunctive, |c| {
+            // The conjuncts are literals, so nothing splits again.
+            let mut clause = lits.clone();
+            stack.extend(c.iter().rev());
+            if !flatten(tm, &mut stack, &mut clause, &mut split, sat, map) && !satisfied {
+                sat.add_clause(clause);
+            }
+        }),
+    }
+}
+
+/// Pops the signed disjuncts of `stack` (the first on top) into `lits`,
+/// flattening `∨`, `¬∧` and `⇒` and dropping false constants. While `split`
+/// is empty, the first conjunctive disjunct over literals goes there
+/// instead; every other compound disjunct gets its Tseitin literal. Atoms
+/// get their variables in formula order, as [`encode`] numbers them.
+/// Returns whether a true constant satisfies the disjunction (its atoms are
+/// encoded regardless).
+fn flatten(
+    tm: &TermManager,
+    stack: &mut Vec<Signed>,
+    lits: &mut Vec<Lit>,
+    split: &mut Option<Signed>,
+    sat: &mut SatSolver,
+    map: &mut AtomMap,
+) -> bool {
+    let mut satisfied = false;
+    while let Some(s) = stack.pop() {
+        let (t, pos) = strip_not(tm, s);
+        let term = tm.term(t);
+        match (&term.op, pos) {
+            (Op::True, true) | (Op::False, false) => satisfied = true,
+            (Op::True, false) | (Op::False, true) => {}
+            (Op::Or, true) | (Op::And, false) => {
+                stack.extend(term.args.iter().rev().map(|&x| (x, pos)));
+            }
+            (Op::Implies, true) => stack.extend([(term.args[1], true), (term.args[0], false)]),
+            _ if split.is_none()
+                && is_conjunctive(tm, (t, pos))
+                && term.args.iter().all(|&x| is_literal(tm, x)) =>
+            {
+                // Number its atoms here, in formula order; the conjuncts
+                // reuse their variables.
+                for &x in &term.args {
+                    let (x, _) = strip_not(tm, (x, true));
+                    if !matches!(tm.term(x).op, Op::True | Op::False) {
+                        encode(tm, x, sat, map);
+                    }
+                }
+                *split = Some((t, pos));
+            }
+            _ => {
+                let l = encode(tm, t, sat, map);
+                lits.push(if pos { l } else { l.negate() });
+            }
+        }
+    }
+    satisfied
 }
 
 fn is_connective(op: &Op) -> bool {

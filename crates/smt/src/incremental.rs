@@ -13,13 +13,16 @@
 //!   checks mention them. Axioms and Skolem definitions are *permanent facts*
 //!   (valid, or definitional over globally fresh symbols), so they survive
 //!   `pop` soundly.
-//! * **CNF/SAT** — one growing [`crate::sat::SatSolver`]. Assertions made
-//!   inside a [`IncrementalSolver::push`] scope carry a negated *activation
-//!   literal*; a check assumes the activation literals of the live scopes
-//!   ([`crate::sat::SatSolver::solve_under`]), and [`IncrementalSolver::pop`]
-//!   retracts the scope by permanently asserting the negated activation
-//!   literal. Learned clauses — including theory conflict clauses — are
-//!   globally valid and are kept forever.
+//! * **CNF/SAT** — one growing [`crate::sat::SatSolver`]. The lowering's
+//!   facts enter it as clauses ([`crate::cnf::assert_fact`]: a union
+//!   membership is three clauses, a store hit one), and each asserted root
+//!   as its Tseitin literal ([`crate::cnf::encode_root`]) behind a guard
+//!   clause. Assertions made inside a [`IncrementalSolver::push`] scope
+//!   carry a negated *activation literal*; a check assumes the activation
+//!   literals of the live scopes ([`crate::sat::SatSolver::solve_under`]),
+//!   and [`IncrementalSolver::pop`] retracts the scope by permanently
+//!   asserting the negated activation literal. Learned clauses — including
+//!   theory conflict clauses — are globally valid and are kept forever.
 //! * **Theory setup** — one [`crate::theory::TheoryChecker`] whose congruence
 //!   template and linear forms are *extended* as new atoms appear instead of
 //!   being rebuilt per query; the theory session's congruence state grows
@@ -103,7 +106,7 @@
 //! assert_eq!(s.check(&mut tm), SatResult::Sat); // the contradiction is gone
 //! ```
 
-use crate::cnf::{encode_root, AtomMap};
+use crate::cnf::{self, encode_root, AtomMap};
 use crate::fxmap::{FxHashMap, FxHashSet};
 use crate::lower::LowerCtx;
 use crate::model::Model;
@@ -437,10 +440,10 @@ impl IncrementalSolver {
         let cnf_start = std::time::Instant::now();
         let _obs = ids_obs::span("cnf");
         for f in batch.facts {
-            self.assert_lowered(tm, f, true);
+            self.assert_fact(tm, f);
         }
         for r in batch.roots {
-            self.assert_lowered(tm, r, false);
+            self.assert_root(tm, r);
         }
         self.pending_cnf_time += cnf_start.elapsed();
     }
@@ -494,7 +497,7 @@ impl IncrementalSolver {
         let cnf_start = std::time::Instant::now();
         let _obs = ids_obs::span("cnf");
         for f in batch.facts {
-            self.assert_lowered(tm, f, true);
+            self.assert_fact(tm, f);
         }
         let act = self.sat.new_var();
         self.tracked.push((tag, act));
@@ -520,17 +523,19 @@ impl IncrementalSolver {
         &self.last_core
     }
 
-    /// Encodes one lowered root and asserts it — permanently for derived
-    /// facts, guarded by the current scope's activation literal otherwise.
-    /// ("Permanent" is relative to the open method scope, if any: a method
-    /// snapshot restore discards everything asserted inside it.)
-    fn assert_lowered(&mut self, tm: &TermManager, root: TermId, fact: bool) {
+    /// Asserts one derived fact permanently, as clauses. ("Permanent" is
+    /// relative to the open method scope, if any: a method snapshot restore
+    /// discards everything asserted inside it.)
+    fn assert_fact(&mut self, tm: &TermManager, fact: TermId) {
+        cnf::assert_fact(tm, fact, &mut self.sat, &mut self.atom_map);
+        self.mark_atoms(tm, fact, None);
+    }
+
+    /// Encodes one lowered root to its Tseitin literal and asserts it,
+    /// guarded by the current scope's activation literal if one is open.
+    fn assert_root(&mut self, tm: &TermManager, root: TermId) {
         let lit = encode_root(tm, root, &mut self.sat, &mut self.atom_map);
-        let guard: Option<Scope> = if fact {
-            None
-        } else {
-            self.scopes.last().copied()
-        };
+        let guard = self.scopes.last().copied();
         self.mark_atoms(tm, root, guard.map(|s| s.id));
         let clause = match guard {
             Some(scope) => vec![Lit::new(scope.act, false), lit],
@@ -626,7 +631,7 @@ impl IncrementalSolver {
             return SatResult::Unknown;
         }
 
-        self.stats.initial_clauses = self.sat.num_clauses() as u64;
+        self.stats.initial_clauses = (self.sat.num_clauses() - self.sat.num_learned()) as u64;
         self.stats.atoms = self.atom_map.num_atoms() as u64;
         // Assumption order: tracked assertions first (selection-filtered),
         // then the open scopes' activation literals.
@@ -1027,6 +1032,43 @@ mod tests {
             let want = fresh.check_valid(&mut tm2, imp);
             assert_eq!(got, want);
         }
+    }
+
+    #[test]
+    fn initial_clauses_count_input_clauses_only() {
+        // Three pigeons in two holes, inside a scope: the first check learns
+        // clauses, and the second, with nothing asserted in between, must
+        // report the same input clauses.
+        let mut tm = TermManager::new();
+        let holes: Vec<Vec<TermId>> = (0..2)
+            .map(|h| {
+                (0..3)
+                    .map(|i| tm.var(&format!("p{i}{h}"), Sort::Bool))
+                    .collect()
+            })
+            .collect();
+        let mut s = IncrementalSolver::new();
+        s.push();
+        for i in 0..3 {
+            let some_hole = tm.or(holes.iter().map(|hole| hole[i]).collect());
+            s.assert(&mut tm, some_hole);
+        }
+        for hole in &holes {
+            for (i, &a) in hole.iter().enumerate() {
+                for &b in &hole[i + 1..] {
+                    let both = tm.and2(a, b);
+                    let not_both = tm.not(both);
+                    s.assert(&mut tm, not_both);
+                }
+            }
+        }
+        assert_eq!(s.check(&mut tm), SatResult::Unsat);
+        let first = s.stats();
+        assert_eq!(s.check(&mut tm), SatResult::Unsat);
+        let second = s.stats();
+        assert!(second.learned_kept > 0, "{second:?}");
+        assert_eq!(second.initial_clauses, first.initial_clauses);
+        assert_eq!(second.atoms, first.atoms);
     }
 
     #[test]

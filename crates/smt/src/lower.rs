@@ -73,7 +73,7 @@ fn rewrite(
             if args == term.args {
                 t
             } else {
-                rebuild(tm, &term.op, args)
+                rebuild(tm, &term.op, args, &term.sort)
             }
         }
     };
@@ -81,9 +81,10 @@ fn rewrite(
     result
 }
 
-/// Rebuilds a term with new arguments, going through the smart constructors so
-/// that folding/normalization stays consistent.
-fn rebuild(tm: &mut TermManager, op: &Op, args: Vec<TermId>) -> TermId {
+/// Rebuilds a term of sort `sort` with new arguments of the same sorts, going
+/// through the smart constructors so that folding/normalization stays
+/// consistent.
+fn rebuild(tm: &mut TermManager, op: &Op, args: Vec<TermId>, sort: &Sort) -> TermId {
     match op {
         Op::Not => tm.not(args[0]),
         Op::And => tm.and(args),
@@ -108,33 +109,7 @@ fn rebuild(tm: &mut TermManager, op: &Op, args: Vec<TermId>) -> TermId {
         Op::Member => tm.member(args[0], args[1]),
         Op::Subset => tm.subset(args[0], args[1]),
         Op::Forall(bound) => tm.forall(bound.clone(), args[0]),
-        _ => {
-            let sort = infer_sort(tm, op, &args);
-            tm.mk(op.clone(), args, sort)
-        }
-    }
-}
-
-fn infer_sort(tm: &TermManager, op: &Op, args: &[TermId]) -> Sort {
-    match op {
-        Op::App(_) => {
-            // Application result sorts cannot be inferred from arguments; look
-            // the original term up — rebuild is only called when an identical
-            // op already exists, so find any term with this op.
-            tm.iter()
-                .find(|(_, t)| &t.op == op)
-                .map(|(_, t)| t.sort.clone())
-                .unwrap_or(Sort::Bool)
-        }
-        Op::Var(_) | Op::IntLit(_) | Op::RealLit(_) | Op::EmptySet(_) => tm
-            .iter()
-            .find(|(_, t)| &t.op == op)
-            .map(|(_, t)| t.sort.clone())
-            .unwrap_or(Sort::Bool),
-        _ => args
-            .first()
-            .map(|&a| tm.sort(a).clone())
-            .unwrap_or(Sort::Bool),
+        _ => tm.mk(op.clone(), args, sort.clone()),
     }
 }
 
@@ -684,6 +659,26 @@ mod tests {
         let def = tm2.eq(y, ite);
         let ok = tm2.eq(y, two);
         assert_eq!(solve(&mut tm2, &[def, ok]), SatResult::Sat);
+    }
+
+    #[test]
+    fn rewriting_an_application_keeps_its_sort() {
+        // `f` is used at two sorts: rewriting `f(ite(c, a, b))` must keep
+        // this application's sort, not that of another `f` term.
+        let mut tm = TermManager::new();
+        let x = tm.var("x", Sort::Loc);
+        tm.app("f", vec![x], Sort::Bool);
+        let c = tm.var("c", Sort::Bool);
+        let a = tm.var("a", Sort::Loc);
+        let b = tm.var("b", Sort::Loc);
+        let ite = tm.ite(c, a, b);
+        let f = tm.app("f", vec![ite], Sort::Int);
+        let mut side = Vec::new();
+        let r = rewrite(&mut tm, f, &mut FxHashMap::default(), &mut side);
+        assert_ne!(r, f);
+        assert_eq!(tm.term(r).op, Op::App("f".into()));
+        assert_eq!(tm.sort(r), &Sort::Int);
+        assert_eq!(side.len(), 2, "two definitions of the ite's constant");
     }
 
     #[test]

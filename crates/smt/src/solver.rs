@@ -152,10 +152,13 @@ pub struct SolverStats {
     /// fixpoints (atoms congruence already decided, so the search never
     /// guessed them). Merge: **sum**.
     pub theory_propagations: u64,
-    /// Number of clauses after CNF conversion (before learning).
-    /// Merge: **sum**.
+    /// Input clauses the session's SAT core holds at the check (learned
+    /// clauses excluded): the session's size at each check, not the
+    /// clauses the check added, so a sum over the checks of one warm
+    /// session counts its shared prelude once per check. Merge: **sum**.
     pub initial_clauses: u64,
-    /// Number of theory atoms. Merge: **sum**.
+    /// Theory atoms the session has encoded at the check: like
+    /// `initial_clauses`, the session's size at each check. Merge: **sum**.
     pub atoms: u64,
     /// Wall-clock time spent inside the SAT core. Merge: **sum**.
     pub sat_time: std::time::Duration,
@@ -172,8 +175,9 @@ pub struct SolverStats {
     /// Merge: **sum**.
     pub simplex_time: std::time::Duration,
     /// Wall-clock time spent encoding lowered assertions into clauses:
-    /// Tseitin encoding, adding the clauses, and recording each theory atom's
-    /// scope. Disjoint from `lower_time`. Merge: **sum**.
+    /// clausifying the lowering's facts, Tseitin-encoding the asserted
+    /// roots, adding the clauses, and recording each theory atom's scope.
+    /// Disjoint from `lower_time`. Merge: **sum**.
     pub cnf_time: std::time::Duration,
     /// Wall-clock time of a check's setup before the search: growing the
     /// theory checker by the new atoms, readying the theory session for it,

@@ -221,14 +221,6 @@ impl TermManager {
         &self.terms[id.0 as usize].sort
     }
 
-    /// Iterates over all `(id, term)` pairs created so far.
-    pub fn iter(&self) -> impl Iterator<Item = (TermId, &Term)> {
-        self.terms
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (TermId(i as u32), t))
-    }
-
     /// Interns a term, reusing an existing identical term when possible.
     pub fn mk(&mut self, op: Op, args: Vec<TermId>, sort: Sort) -> TermId {
         self.intern(Cow::Owned(op), args, Cow::Owned(sort))
