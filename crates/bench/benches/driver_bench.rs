@@ -1,11 +1,11 @@
-//! Sequential vs. parallel batch driver, the three solver pool modes, and
+//! Sequential vs. parallel batch driver, the two solver pool modes, and
 //! cold vs. warm VC cache, on singly-linked-list slices (mid-size:
 //! `delete_front`, 8 real SMT queries, seconds of single-core solving;
 //! multi-method: `set_key` + `delete_front` + `find` for the
 //! structure-scoped warm pool). On a multicore host the parallel run
-//! approaches `1/jobs` of the sequential time; the per-method session
-//! amortizes a method's shared-prelude lowering across its VCs (≈3× on
-//! `delete_front`); the structure pool additionally shares the
+//! approaches `1/jobs` of the sequential time; the structure pool amortizes
+//! the shared-prelude lowering across a method's VCs (≈3× on
+//! `delete_front` against a fresh solver per VC) and shares the
 //! structure-common prelude across methods; the warm-cache run collapses to
 //! hashing + report assembly because every verdict is answered from the
 //! persisted cache. The `observer_off`/`observer_on` pair pins the cost of
@@ -67,29 +67,23 @@ fn bench_driver(c: &mut Criterion) {
         });
     });
 
-    // Structure pool vs per-method sessions on a *multi-method* slice of one
-    // structure: the pair isolates the win of keeping the structure-common
-    // hypothesis prelude warm across methods.
+    // The structure pool on a *multi-method* slice of one structure, which
+    // keeps the structure-common hypothesis prelude warm across methods.
     let pool_methods = ["set_key", "delete_front", "find"];
-    for (label, mode) in [
-        ("method_pool_3methods_jobs1", PoolMode::Method),
-        ("structure_pool_3methods_jobs1", PoolMode::Structure),
-    ] {
-        group.bench_function(label, |b| {
-            let selections = sll_selection(&ids, &pool_methods);
-            let config = DriverConfig {
-                jobs: 1,
-                cache_path: None,
-                pool_mode: mode,
-                ..DriverConfig::default()
-            };
-            b.iter(|| {
-                let batch = verify_selections(&selections, &config);
-                assert!(batch.errors.is_empty());
-                batch.reports.len()
-            });
+    group.bench_function("structure_pool_3methods_jobs1", |b| {
+        let selections = sll_selection(&ids, &pool_methods);
+        let config = DriverConfig {
+            jobs: 1,
+            cache_path: None,
+            pool_mode: PoolMode::Structure,
+            ..DriverConfig::default()
+        };
+        b.iter(|| {
+            let batch = verify_selections(&selections, &config);
+            assert!(batch.errors.is_empty());
+            batch.reports.len()
         });
-    }
+    });
 
     // Solver heuristics profiles on the same multi-method slice: `default`
     // (Luby restarts + LBD clause deletion + hybrid pivoting + fast hashing)

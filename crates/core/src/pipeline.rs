@@ -144,7 +144,7 @@ pub struct VcReport {
     /// excludes queue time.
     pub wall_time: Duration,
     /// Time the VC spent queued before a worker picked up its unit: its
-    /// structure or method pool, or the VC alone without pooling (zero in
+    /// structure pool, or the VC alone without pooling (zero in
     /// the sequential pipeline and for cached results). Every VC of one unit
     /// reports the same wait; a VC's wait behind earlier VCs of its own unit
     /// is not queueing.
@@ -255,14 +255,6 @@ pub struct MethodTask {
     pub wellbehaved_violations: Vec<Violation>,
     /// Ghost-code legality violations.
     pub ghost_violations: Vec<GhostViolation>,
-    /// Per-VC hypothesis-slice hints (one slot per VC, `None` = no hint):
-    /// positional hypothesis indices — a previously recorded unsat core — to
-    /// assert *first* when the VC is checked through a session. A Valid
-    /// verdict on the slice is sound as-is; anything else falls back to the
-    /// full hypothesis set, so hints can never change a verdict. Filled by
-    /// the batch driver from the VC cache on `--recheck`; empty hints
-    /// everywhere by default.
-    pub slice_hints: Vec<Option<Vec<u32>>>,
 }
 
 impl MethodTask {
@@ -476,22 +468,14 @@ impl<'a> MethodSession<'a> {
     }
 
     /// Discharges one VC inside the session. Semantics (verdict kind, per-VC
-    /// statistics shape) match [`MethodTask::check_vc`]. The task's
-    /// [`slice hint`](MethodTask::slice_hints) for this VC, if any, is tried
-    /// first (sound: a failed slice falls back to the full hypothesis set).
+    /// statistics shape) match [`MethodTask::check_vc`].
     pub fn check_vc(&mut self, vc_index: usize) -> VcResult {
         let _obs = VcObsScope::open(&self.task.vcs[vc_index].description);
         let start = Instant::now();
-        let hint = self
-            .task
-            .slice_hints
-            .get(vc_index)
-            .and_then(|h| h.as_deref());
-        let (result, stats, core) = self.session.check_vc_sliced(
+        let (result, stats, core) = self.session.check_vc(
             &mut self.tm,
             &self.task.hypotheses,
             &self.task.vcs[vc_index],
-            hint,
         );
         let verdict = match result {
             SatResult::Sat => VcVerdict::Valid,
@@ -541,9 +525,6 @@ pub struct StructureSession {
 struct ImportedMethod {
     hypotheses: Vec<TermId>,
     vcs: Vec<Vc>,
-    /// Slice hints are positional (hypothesis indices), so they survive the
-    /// import unchanged.
-    hints: Vec<Option<Vec<u32>>>,
 }
 
 impl StructureSession {
@@ -593,11 +574,7 @@ impl StructureSession {
                         goal: memo[&vc.goal],
                     })
                     .collect();
-                ImportedMethod {
-                    hypotheses,
-                    vcs,
-                    hints: task.slice_hints.clone(),
-                }
+                ImportedMethod { hypotheses, vcs }
             })
             .collect();
         // The prelude was identified by structural hash across managers;
@@ -654,13 +631,9 @@ impl StructureSession {
         let _obs = VcObsScope::open(&self.methods[method_idx].vcs[vc_index].description);
         let start = Instant::now();
         let method = &self.methods[method_idx];
-        let hint = method.hints.get(vc_index).and_then(|h| h.as_deref());
-        let (result, stats, core) = self.session.check_vc_sliced(
-            &mut self.tm,
-            &method.hypotheses,
-            &method.vcs[vc_index],
-            hint,
-        );
+        let (result, stats, core) =
+            self.session
+                .check_vc(&mut self.tm, &method.hypotheses, &method.vcs[vc_index]);
         let verdict = match result {
             SatResult::Sat => VcVerdict::Valid,
             SatResult::Unsat => VcVerdict::Refuted,
@@ -781,7 +754,6 @@ pub fn prepare_method_in(
         structure: ids.name.clone(),
         method: method.to_string(),
         tm,
-        slice_hints: vec![None; generated.vcs.len()],
         vcs: generated.vcs,
         hypotheses: generated.hypotheses,
         encoding: config.encoding,
@@ -822,7 +794,6 @@ pub fn prepare_plain(
         structure: structure.to_string(),
         method: method.to_string(),
         tm,
-        slice_hints: vec![None; generated.vcs.len()],
         vcs: generated.vcs,
         hypotheses: generated.hypotheses,
         encoding: config.encoding,

@@ -52,13 +52,12 @@ OPTIONS:
     --json             machine-readable JSON output
     --quantified       use the quantified (Dafny-style) encoding
     --pool-mode MODE   solver-state sharing across queries (verdicts are
-                       identical in every mode):
+                       identical in both modes):
                          structure  one warm solver pool per data structure,
                                     the shared hypothesis prelude lowered
                                     once at structure scope (default)
-                         method     one incremental session per method
-                         none       a fresh one-shot solver per VC
-    --no-incremental   deprecated alias for --pool-mode none
+                         none       a fresh one-shot solver per VC (the
+                                    cold baseline)
     --solver-profile P solver search heuristics (verdicts are identical in
                        every profile):
                          default    Luby restarts, LBD-based learned-clause
@@ -81,16 +80,10 @@ OPTIONS:
                        ids-verify compare / history. Defaults to
                        <cache>.ledger.jsonl whenever --cache is given
     --no-ledger        disable the implicit --cache ledger
-    --recheck          ignore cached verdicts and re-solve every VC; cached
-                       unsat cores still serve as hypothesis-slice hints
-                       (see --slice-hyps). Recomputed verdicts and cores are
-                       written back to the cache
-    --slice-hyps       on a --recheck, assert only each VC's previously
-                       recorded unsat-core hypothesis subset first, falling
-                       back to the full set when the slice is inconclusive
-                       (default on; verdicts are identical either way)
-    --no-slice-hyps    disable slice hints: --recheck re-solves every VC from
-                       the full hypothesis set
+    --recheck          ignore cached verdicts and re-solve every VC from its
+                       full hypothesis set (the same search as a cold run);
+                       recomputed verdicts and unsat cores are written back
+                       to the cache
     --vc-timeout SECS  watchdog: when a VC is in flight longer than SECS
                        (fractional, e.g. 0.25; at least the watchdog's 0.2 s
                        tick), dump a stuck-VC dossier to stderr (current
@@ -123,7 +116,6 @@ struct Options {
     ledger: Option<PathBuf>,
     no_ledger: bool,
     recheck: bool,
-    slice_hyps: bool,
     vc_timeout: Option<Duration>,
     threshold_pct: Option<f64>,
     threshold_ms: Option<f64>,
@@ -154,7 +146,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         ledger: None,
         no_ledger: false,
         recheck: false,
-        slice_hyps: true,
         vc_timeout: None,
         threshold_pct: None,
         threshold_ms: None,
@@ -186,13 +177,9 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--pool-mode" => {
                 let v = value_of("--pool-mode")?;
                 o.pool_mode = PoolMode::parse(&v).ok_or_else(|| {
-                    format!(
-                        "invalid --pool-mode '{}' (expected structure, method or none)",
-                        v
-                    )
+                    format!("invalid --pool-mode '{}' (expected structure or none)", v)
                 })?;
             }
-            "--no-incremental" => o.pool_mode = PoolMode::None,
             "--solver-profile" => {
                 let v = value_of("--solver-profile")?;
                 o.solver_profile = SolverProfile::parse(&v).ok_or_else(|| {
@@ -213,8 +200,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--ledger" => o.ledger = Some(PathBuf::from(value_of("--ledger")?)),
             "--no-ledger" => o.no_ledger = true,
             "--recheck" => o.recheck = true,
-            "--slice-hyps" => o.slice_hyps = true,
-            "--no-slice-hyps" => o.slice_hyps = false,
             "--vc-timeout" => {
                 let v = value_of("--vc-timeout")?;
                 let secs = v
@@ -262,7 +247,6 @@ fn driver_config(o: &Options) -> DriverConfig {
         solver_profile: o.solver_profile,
         ledger_path: ledger_path(o),
         recheck: o.recheck,
-        slice_hyps: o.slice_hyps,
         ..DriverConfig::default()
     };
     if let Some(jobs) = o.jobs {
@@ -1035,9 +1019,6 @@ fn solver_json(j: &mut Json, s: &SolverStats) {
     j.num_field("pivots", s.pivots as f64);
     j.num_field("unsat_cores", s.unsat_cores as f64);
     j.num_field("unsat_core_size", s.unsat_core_size as f64);
-    j.num_field("slice_hits", s.slice_hits as f64);
-    j.num_field("slice_fallbacks", s.slice_fallbacks as f64);
-    j.num_field("slice_dropped_hyps", s.slice_dropped_hyps as f64);
     j.end_object();
 }
 
@@ -1134,9 +1115,6 @@ fn to_json(batch: &BatchReport, config: &DriverConfig, command: &str) -> String 
             j.num_field("solve_ms", vc.wall_time.as_secs_f64() * 1e3);
             j.num_field("unsat_cores", vc.solver.unsat_cores as f64);
             j.num_field("unsat_core_size", vc.solver.unsat_core_size as f64);
-            j.num_field("slice_hits", vc.solver.slice_hits as f64);
-            j.num_field("slice_fallbacks", vc.solver.slice_fallbacks as f64);
-            j.num_field("slice_dropped_hyps", vc.solver.slice_dropped_hyps as f64);
             if let Some(core) = &vc.core {
                 j.key("core");
                 j.begin_array();

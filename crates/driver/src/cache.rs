@@ -24,9 +24,10 @@
 //! and an optional `#`-prefixed unsat core — the comma-separated positional
 //! hypothesis indices the refutation of the negated goal actually used. A
 //! bare `#` is an *empty* core (the goal needed no hypothesis); no third
-//! token means no core was recorded. Cores are slicing *hints* for
-//! re-verification, never trusted for verdicts. Undecided VCs are never
-//! cached (they should be re-attempted).
+//! token means no core was recorded. Cores are recorded as a diagnostic;
+//! the driver no longer reads them back (a `--recheck` re-solves every VC
+//! from its full hypothesis set), and they are never trusted for verdicts.
+//! Undecided VCs are never cached (they should be re-attempted).
 //!
 //! A file with an unknown header or a malformed line is ignored wholesale —
 //! a cache is always safe to delete or truncate. Because a VC's key hashes
@@ -63,8 +64,7 @@ fn header() -> String {
 }
 
 /// One cached VC: its verdict plus, when one was recorded, the unsat core —
-/// the positional hypothesis indices the refutation used, kept as a slicing
-/// hint for later re-verification.
+/// the positional hypothesis indices the refutation used.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct CacheEntry {
     verdict: VcVerdict,
@@ -300,8 +300,8 @@ impl VcCache {
     /// conflict (they are this run's freshly computed verdicts; a well-formed
     /// cache never disagrees on a key within one solver generation anyway) —
     /// except that a core-less entry is completed by the other side's core
-    /// when the verdicts agree, so a slicing hint computed by a concurrent
-    /// run is never discarded.
+    /// when the verdicts agree, so a core computed by a concurrent run is
+    /// never discarded.
     pub fn absorb(&mut self, other: VcCache) {
         for (key, entry) in other.entries {
             match self.entries.entry(key) {
@@ -326,16 +326,18 @@ impl VcCache {
         self.entries.get(&key).map(|e| e.verdict)
     }
 
-    /// Looks up the recorded unsat core (the hypothesis-slice hint), if any.
-    /// `Some(&[])` is a real (empty) core; `None` means none was recorded.
-    pub fn get_core(&self, key: u128) -> Option<&[u32]> {
+    /// Looks up the recorded unsat core, if any. `Some(&[])` is a real
+    /// (empty) core; `None` means none was recorded. Only the tests read
+    /// cores back.
+    #[cfg(test)]
+    fn get_core(&self, key: u128) -> Option<&[u32]> {
         self.entries.get(&key).and_then(|e| e.core.as_deref())
     }
 
     /// Records a verdict. `Unknown` verdicts are not cached. A core already
     /// recorded under the same verdict is kept — re-confirming a verdict
     /// (e.g. from a cache hit or a dedup within the batch) must not erase
-    /// the slicing hint.
+    /// the core.
     pub fn insert(&mut self, key: u128, verdict: VcVerdict) {
         if verdict == VcVerdict::Unknown {
             return;
@@ -456,7 +458,7 @@ mod tests {
         let mut cache = VcCache::new();
         cache.insert_core(1, VcVerdict::Valid, Some(vec![2, 5]));
         // A plain verdict re-insert (cache hit, dedup) must not erase the
-        // slicing hint...
+        // core...
         cache.insert(1, VcVerdict::Valid);
         assert_eq!(cache.get_core(1), Some(&[2, 5][..]));
         // ...and neither must an insert_core with no core to offer.

@@ -38,12 +38,14 @@ use crate::{DriverConfig, DriverStats};
 /// Current ledger schema version; bump when a field changes meaning.
 ///
 /// History: v2 appended the `unsat_cores` / `unsat_core_size` solver
-/// counters (assumption-core extraction). v3 appended the `slice_hits` /
-/// `slice_fallbacks` / `slice_dropped_hyps` counters (unsat-core-driven
-/// hypothesis slicing) and the optional per-VC `core` array (the positional
-/// hypothesis indices a Valid verdict's refutation used). Older lines still
-/// parse — the new counters read as zero, the core as absent — so pre-bump
-/// baselines remain comparable.
+/// counters (assumption-core extraction). v3 appended the optional per-VC
+/// `core` array (the positional hypothesis indices a Valid verdict's
+/// refutation used), and until hypothesis slicing was deleted also the
+/// `slice_hits` / `slice_fallbacks` / `slice_dropped_hyps` counters and a
+/// `slice_dropped_hyps` histogram. Counters and histograms are read by name,
+/// so older lines still parse: counters they lack read as zero, the core as
+/// absent, and the retired slice fields are skipped. Pre-bump baselines
+/// remain comparable.
 pub const LEDGER_SCHEMA: u64 = 3;
 
 /// Oldest schema version [`RunRecord::parse`] still accepts.
@@ -63,7 +65,8 @@ pub struct RunMeta {
     pub hostname: String,
     /// The invoking command line (argv minus the binary path).
     pub command: String,
-    /// Pool mode (`structure` / `method` / `none`).
+    /// Pool mode (`structure` / `none`; lines written while the driver still
+    /// had per-method pools may say `method`).
     pub pool_mode: String,
     /// Solver heuristics profile (`default` / `legacy`).
     pub profile: String,
@@ -115,7 +118,7 @@ pub struct VcLedgerEntry {
 pub const PHASES: [&str; 5] = ["lower", "sat", "euf", "simplex", "overhead"];
 
 /// The counter names of [`VcLedgerEntry::solver`], in storage order.
-pub const SOLVER_COUNTERS: [&str; 13] = [
+pub const SOLVER_COUNTERS: [&str; 10] = [
     "theory_rounds",
     "conflicts",
     "decisions",
@@ -126,9 +129,6 @@ pub const SOLVER_COUNTERS: [&str; 13] = [
     "max_lbd",
     "unsat_cores",
     "unsat_core_size",
-    "slice_hits",
-    "slice_fallbacks",
-    "slice_dropped_hyps",
 ];
 
 /// One run's ledger record: metadata plus one entry per discharged VC.
@@ -189,9 +189,6 @@ fn vc_entry(task: &MethodTask, vc: &VcReport) -> VcLedgerEntry {
             vc.solver.max_lbd,
             vc.solver.unsat_cores,
             vc.solver.unsat_core_size,
-            vc.solver.slice_hits,
-            vc.solver.slice_fallbacks,
-            vc.solver.slice_dropped_hyps,
         ],
         hists: vc.hists.clone(),
         core: vc.core.clone(),

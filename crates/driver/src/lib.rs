@@ -70,32 +70,30 @@ use crate::cache::VcCache;
 
 /// How solver state is shared across the batch's SMT queries.
 ///
-/// Verdicts, VC cache keys and batch-dedup behaviour are byte-identical
-/// across all three modes; only the amount of lowering/clause-conversion work
-/// shared between queries differs.
+/// Verdicts, VC cache keys and batch-dedup behaviour are byte-identical in
+/// both modes; only the amount of lowering/clause-conversion work shared
+/// between queries differs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PoolMode {
     /// One warm solver pool per *data structure*: all pending methods of a
     /// structure form one unit on a worker, the structure-common hypothesis
     /// prelude is lowered once at structure scope, and each method runs in a
     /// retractable method scope ([`ids_core::pipeline::StructureSession`]).
-    /// The default.
+    /// The default. (The repair pass, which fills the VCs before a method's
+    /// first non-valid one that the solve stage left empty, runs them
+    /// through one [`ids_core::pipeline::MethodSession`] per method.)
     #[default]
     Structure,
-    /// One incremental session per *method* (the PR-3 behaviour): a method's
-    /// VCs share its lowered prelude, methods share nothing.
-    Method,
     /// A fresh one-shot solver per VC (`--pool-mode none`): the same online
-    /// DPLL(T) loop, sharing nothing across VCs.
+    /// DPLL(T) loop, sharing nothing across VCs. The cold baseline.
     None,
 }
 
 impl PoolMode {
-    /// Parses a CLI value (`structure` / `method` / `none`).
+    /// Parses a CLI value (`structure` / `none`).
     pub fn parse(s: &str) -> Option<PoolMode> {
         match s {
             "structure" => Some(PoolMode::Structure),
-            "method" => Some(PoolMode::Method),
             "none" => Some(PoolMode::None),
             _ => None,
         }
@@ -105,7 +103,6 @@ impl PoolMode {
     pub fn as_str(&self) -> &'static str {
         match self {
             PoolMode::Structure => "structure",
-            PoolMode::Method => "method",
             PoolMode::None => "none",
         }
     }
@@ -131,16 +128,10 @@ pub struct DriverConfig {
     /// schema-versioned [`ledger::RunRecord`] line (see [`ledger`]). `None`
     /// disables longitudinal recording.
     pub ledger_path: Option<PathBuf>,
-    /// Re-verification mode (`--recheck`): cached *verdicts* are ignored —
-    /// every VC is re-solved — but cached unsat *cores* remain available as
-    /// hypothesis-slice hints. Recomputed verdicts and cores are stored back.
+    /// Re-verification mode (`--recheck`): cached verdicts are ignored and
+    /// every VC is re-solved from its full hypothesis set, the same search
+    /// as a cold run. Recomputed verdicts and unsat cores are stored back.
     pub recheck: bool,
-    /// Use cached unsat cores as hypothesis-slice hints on a re-check
-    /// (`--slice-hyps`, on by default): a hinted VC asserts only its cored
-    /// hypothesis subset first, falling back to the full set when the slice
-    /// is inconclusive. Never changes verdicts or cache keys; `false`
-    /// (`--no-slice-hyps`) re-solves everything from the full hypothesis set.
-    pub slice_hyps: bool,
 }
 
 impl Default for DriverConfig {
@@ -155,7 +146,6 @@ impl Default for DriverConfig {
             solver_profile: SolverProfile::default(),
             ledger_path: None,
             recheck: false,
-            slice_hyps: true,
         }
     }
 }
@@ -331,7 +321,7 @@ pub fn verify_selections(selections: &[Selection], config: &DriverConfig) -> Bat
 ///
 /// This is the lowest-level entry point; `ids-verify verify <file>` uses it
 /// with tasks built by [`ids_core::pipeline::prepare_plain`].
-pub fn verify_tasks(mut tasks: Vec<MethodTask>, config: &DriverConfig) -> BatchReport {
+pub fn verify_tasks(tasks: Vec<MethodTask>, config: &DriverConfig) -> BatchReport {
     let start = Instant::now();
     let mut cache = match &config.cache_path {
         Some(path) => VcCache::load(path).unwrap_or_else(|e| {
@@ -364,19 +354,7 @@ pub fn verify_tasks(mut tasks: Vec<MethodTask>, config: &DriverConfig) -> BatchR
         .iter()
         .map(|t| (0..t.num_vcs()).map(|vi| t.vc_key(vi)).collect())
         .collect();
-    // Re-check mode: cached verdicts are NOT replayed (the whole point is to
-    // re-solve), but cached unsat cores become hypothesis-slice hints — the
-    // sessions assert only the cored subset first, falling back soundly when
-    // the slice is inconclusive.
-    if config.recheck && config.slice_hyps {
-        for (ti, task_keys) in keys.iter().enumerate() {
-            for (vi, &key) in task_keys.iter().enumerate() {
-                if let Some(core) = cache.get_core(key) {
-                    tasks[ti].slice_hints[vi] = Some(core.to_vec());
-                }
-            }
-        }
-    }
+    // Re-check mode: cached verdicts are not replayed; every VC re-solves.
     for (ti, slots) in results.iter_mut().enumerate() {
         for (vi, slot) in slots.iter_mut().enumerate() {
             let key = keys[ti][vi];
@@ -401,8 +379,8 @@ pub fn verify_tasks(mut tasks: Vec<MethodTask>, config: &DriverConfig) -> BatchR
     // sibling method that shares the formula.
     let solve_span = ids_obs::span("solve");
     // Every pending VC is enqueued now; the gap between this instant and the
-    // moment a worker picks up the VC's unit (its structure or method pool,
-    // or the VC itself without pooling) is that VC's queue time
+    // moment a worker picks up the VC's unit (its structure pool, or the VC
+    // itself without pooling) is that VC's queue time
     // (`VcResult::queue_time`) — scheduler imbalance, as opposed to solver
     // cost.
     let solve_start = Instant::now();
@@ -509,30 +487,6 @@ pub fn verify_tasks(mut tasks: Vec<MethodTask>, config: &DriverConfig) -> BatchR
                         }
                     }
                 }
-                out
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        }
-        PoolMode::Method => {
-            // Method mode (PR 3): a method's pending VCs form one session
-            // unit on a worker; methods share nothing.
-            let mut by_task: BTreeMap<usize, Vec<(u128, usize)>> = BTreeMap::new();
-            for (key, ti, vi) in jobs {
-                by_task.entry(ti).or_default().push((key, vi));
-            }
-            let session_jobs: Vec<(usize, Vec<(u128, usize)>)> = by_task.into_iter().collect();
-            pool::run(config.jobs, session_jobs, move |(ti, items)| {
-                let picked_up = Instant::now();
-                let task = &tasks_ref[ti];
-                let mut session = ids_core::pipeline::MethodSession::new(task);
-                let mut out = Vec::with_capacity(items.len());
-                let mut check = |vi| match session.as_mut() {
-                    Some(s) => s.check_vc(vi),
-                    None => task.check_vc(vi),
-                };
-                run_method_items(ti, items, picked_up, &mut out, &mut check);
                 out
             })
             .into_iter()
@@ -726,12 +680,12 @@ mod tests {
 
     #[test]
     fn pool_modes_match_each_other() {
-        // The same batch through structure pools (default), per-method
-        // sessions and a fresh one-shot solver per VC: verdict kind, VC counts and
-        // failing VC must be byte-identical; only solver-internal statistics
-        // may differ. Includes a refuted method so the early-stop paths are
-        // compared too, and a two-method structure so the structure pool
-        // actually spans methods.
+        // The same batch through structure pools (default) and a fresh
+        // one-shot solver per VC: verdict kind, VC counts and failing VC must
+        // be byte-identical; only solver-internal statistics may differ.
+        // Includes a refuted method so the early-stop paths are compared
+        // too, and a two-method structure so the structure pool actually
+        // spans methods.
         let good = ids_structures::Benchmark {
             name: "Singly-Linked List",
             definition: lists::singly_linked_list(),
@@ -759,34 +713,28 @@ mod tests {
             )
         };
         let structure = run(PoolMode::Structure);
-        let method = run(PoolMode::Method);
         let fresh = run(PoolMode::None);
-        for batch in [&structure, &method, &fresh] {
+        for batch in [&structure, &fresh] {
             assert!(batch.errors.is_empty());
             assert_eq!(batch.reports.len(), structure.reports.len());
         }
-        for other in [&method, &fresh] {
-            for (a, b) in structure.reports.iter().zip(&other.reports) {
-                assert_eq!(a.method, b.method);
-                assert_eq!(a.outcome, b.outcome, "{} diverged", a.method);
-                assert_eq!(a.num_vcs, b.num_vcs);
-            }
+        for (a, b) in structure.reports.iter().zip(&fresh.reports) {
+            assert_eq!(a.method, b.method);
+            assert_eq!(a.outcome, b.outcome, "{} diverged", a.method);
+            assert_eq!(a.num_vcs, b.num_vcs);
         }
         assert!(structure.reports[0].outcome.is_verified());
         assert!(structure.reports[1].outcome.is_verified());
         assert!(!structure.reports[2].outcome.is_verified());
         // The structure pool's prelude reuse is observable in the second
-        // method's stats (methods of one structure run in task order): it
-        // strictly exceeds the per-method session's within-method reuse
-        // (re-asserted guards), because the structure-common hypothesis
-        // prelude is answered from structure scope on top of that. Fresh
-        // per-VC solving reuses nothing at all: each one-shot check lowers
-        // its one formula.
+        // method's stats (methods of one structure run in task order): the
+        // structure-common hypothesis prelude is answered from structure
+        // scope. Fresh per-VC solving reuses nothing at all: each one-shot
+        // check lowers its one formula.
         assert!(
-            structure.reports[1].solver.prelude_reused > method.reports[1].solver.prelude_reused,
-            "structure {:?} vs method {:?}",
-            structure.reports[1].solver,
-            method.reports[1].solver
+            structure.reports[1].solver.prelude_reused > 0,
+            "{:?}",
+            structure.reports[1].solver
         );
         let fresh_find = &fresh.reports[1];
         let solved = fresh_find.vc_reports.iter().filter(|vc| !vc.cached).count() as u64;
@@ -860,7 +808,7 @@ mod tests {
         // one is abandoned, and each abandonment is surfaced as a
         // cancellation. With jobs=1 the whole job list is enqueued before
         // the inline worker starts, so every trailing VC deterministically
-        // observes the refutation. In structure/method modes a session runs
+        // observes the refutation. In structure mode a session runs
         // its VCs in VC order, so exactly the skipped VCs are cancelled; in
         // none mode jobs run in cache-key order, so VCs *before* the
         // refutation can be cancelled too and then re-solved by the repair
@@ -872,7 +820,7 @@ mod tests {
             methods: vec![],
         };
         let sel = vec![Selection::methods_of(&b, &["insert_front_forgets_length"])];
-        for mode in [PoolMode::Structure, PoolMode::Method, PoolMode::None] {
+        for mode in [PoolMode::Structure, PoolMode::None] {
             let batch = verify_selections(
                 &sel,
                 &DriverConfig {
@@ -907,7 +855,11 @@ mod tests {
     }
 
     #[test]
-    fn recheck_replays_cached_cores_as_slice_hints() {
+    fn recheck_repeats_the_cold_search() {
+        // `--recheck` ignores cached verdicts and re-solves every VC from
+        // its full hypothesis set. The cores a run writes back must not
+        // steer the next one: two rechecks in a row from a cold run's cache
+        // make the cold run's search, VC for VC.
         let cache =
             std::env::temp_dir().join(format!("ids-driver-recheck-{}.cache", std::process::id()));
         std::fs::remove_file(&cache).ok();
@@ -919,97 +871,38 @@ mod tests {
         };
         let sel = vec![Selection::methods_of(&b, &["set_key", "find"])];
         let config = DriverConfig {
-            jobs: 2,
-            cache_path: Some(cache.clone()),
-            ..DriverConfig::default()
-        };
-        let cold = verify_selections(&sel, &config);
-        assert!(cold.all_verified(), "{:?}", cold.errors);
-        assert_eq!(cold.stats.solver.slice_hits, 0, "no hints on a cold run");
-
-        // --recheck ignores cached verdicts (everything re-solves) but uses
-        // the cached cores as slice hints: at least one VC must discharge
-        // from a strict hypothesis subset, with zero verdict changes.
-        let recheck = DriverConfig {
-            recheck: true,
-            ..config.clone()
-        };
-        let sliced = verify_selections(&sel, &recheck);
-        assert!(sliced.all_verified());
-        assert!(sliced.stats.smt_queries > 0, "recheck must re-solve");
-        assert!(
-            sliced.stats.solver.slice_hits > 0,
-            "cached cores must slice: {:?}",
-            sliced.stats.solver
-        );
-        assert!(sliced.stats.solver.slice_dropped_hyps > 0);
-
-        // --no-slice-hyps re-solves from the full hypothesis set; outcomes
-        // are identical either way.
-        let unsliced_config = DriverConfig {
-            slice_hyps: false,
-            ..recheck.clone()
-        };
-        let unsliced = verify_selections(&sel, &unsliced_config);
-        assert_eq!(unsliced.stats.solver.slice_hits, 0);
-        assert_eq!(unsliced.stats.solver.slice_fallbacks, 0);
-        for (a, b) in sliced.reports.iter().zip(&unsliced.reports) {
-            assert_eq!(a.outcome, b.outcome, "{} diverged under slicing", a.method);
-            assert_eq!(a.num_vcs, b.num_vcs);
-        }
-        std::fs::remove_file(&cache).ok();
-    }
-
-    #[test]
-    fn poisoned_cores_fall_back_without_changing_verdicts() {
-        // Rewrite every cached core to the empty slice: no goal can be
-        // discharged from zero hypotheses alone, so every hinted check must
-        // fall back to the full set — fallback counter fires, verdicts and
-        // outcomes stay byte-identical.
-        let cache =
-            std::env::temp_dir().join(format!("ids-driver-poison-{}.cache", std::process::id()));
-        std::fs::remove_file(&cache).ok();
-        let b = ids_structures::Benchmark {
-            name: "Singly-Linked List",
-            definition: lists::singly_linked_list(),
-            methods_src: lists::SINGLY_LINKED_LIST_METHODS,
-            methods: vec![],
-        };
-        let sel = vec![Selection::methods_of(&b, &["set_key"])];
-        let config = DriverConfig {
             jobs: 1,
             cache_path: Some(cache.clone()),
             ..DriverConfig::default()
         };
         let cold = verify_selections(&sel, &config);
-        assert!(cold.all_verified());
-
+        assert!(cold.all_verified(), "{:?}", cold.errors);
         let text = std::fs::read_to_string(&cache).unwrap();
-        assert!(text.contains(" #"), "cold run should have recorded cores");
-        let poisoned: String = text
-            .lines()
-            .map(|l| match l.split_once(" #") {
-                Some((pre, _)) => format!("{pre} #\n"),
-                None => format!("{l}\n"),
-            })
-            .collect();
-        std::fs::write(&cache, poisoned).unwrap();
+        assert!(text.contains(" V #"), "the cold run records cores");
 
         let recheck = DriverConfig {
             recheck: true,
-            ..config.clone()
+            ..config
         };
-        let warm = verify_selections(&sel, &recheck);
-        assert!(warm.all_verified(), "fallback must recover every verdict");
-        // VCs whose goal genuinely needs no hypothesis still hit on the
-        // empty slice; every other one must fall back.
-        assert!(
-            warm.stats.solver.slice_fallbacks > 0,
-            "empty slices must fall back on hypothesis-dependent VCs: {:?}",
-            warm.stats.solver
-        );
-        for (a, b) in cold.reports.iter().zip(&warm.reports) {
-            assert_eq!(a.outcome, b.outcome, "{} diverged", a.method);
+        for round in 1..=2 {
+            let again = verify_selections(&sel, &recheck);
+            assert!(again.all_verified(), "recheck {round}: {:?}", again.errors);
+            assert!(again.stats.smt_queries > 0, "recheck {round} must re-solve");
+            assert_eq!(again.stats.smt_queries, cold.stats.smt_queries);
+            assert_eq!(again.reports.len(), cold.reports.len());
+            for (a, c) in again.reports.iter().zip(&cold.reports) {
+                assert_eq!(a.outcome, c.outcome, "recheck {round}: {}", a.method);
+                assert_eq!(a.vc_reports.len(), c.vc_reports.len());
+                for (va, vc) in a.vc_reports.iter().zip(&c.vc_reports) {
+                    let at = format!("recheck {round}: {} {}", a.method, vc.description);
+                    assert_eq!(va.vc_key, vc.vc_key, "{at}");
+                    assert_eq!(va.verdict, vc.verdict, "{at}");
+                    assert_eq!(va.cached, vc.cached, "{at}");
+                    assert_eq!(va.solver.sat_decisions, vc.solver.sat_decisions, "{at}");
+                    assert_eq!(va.solver.sat_conflicts, vc.solver.sat_conflicts, "{at}");
+                    assert_eq!(va.core, vc.core, "{at}");
+                }
+            }
         }
         std::fs::remove_file(&cache).ok();
     }

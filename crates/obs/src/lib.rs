@@ -418,13 +418,10 @@ pub enum Metric {
     /// loop samples once per such fixpoint; a rebuild would count every
     /// literal).
     TheoryDeltaLits = 4,
-    /// Hypotheses a successful unsat-core slice never asserted for one VC
-    /// check (the per-hit saving of `--slice-hyps` re-verification).
-    SliceDroppedHyps = 5,
 }
 
 /// Number of [`Metric`] kinds (the arity of a [`HistogramSet`]).
-pub const METRIC_COUNT: usize = 6;
+pub const METRIC_COUNT: usize = 5;
 
 impl Metric {
     /// All metric kinds, in `HistogramSet` storage order.
@@ -434,7 +431,6 @@ impl Metric {
         Metric::PivotsPerRound,
         Metric::ConflictGapUs,
         Metric::TheoryDeltaLits,
-        Metric::SliceDroppedHyps,
     ];
 
     /// Stable snake_case name used in JSON/ledger output.
@@ -445,7 +441,6 @@ impl Metric {
             Metric::PivotsPerRound => "pivots_per_round",
             Metric::ConflictGapUs => "conflict_gap_us",
             Metric::TheoryDeltaLits => "theory_delta_lits",
-            Metric::SliceDroppedHyps => "slice_dropped_hyps",
         }
     }
 

@@ -219,9 +219,8 @@ pub struct IncrementalSolver {
     asserted_roots: FxHashSet<TermId>,
     /// *Tracked* assertions ([`IncrementalSolver::assert_tracked`]), in
     /// assertion order: caller-chosen tag and the activation variable guarding
-    /// the assertion's clauses. A check assumes a selection of these (all of
-    /// them by default), and an Unsat core maps back to tags through this
-    /// list.
+    /// the assertion's clauses. A check assumes all of them, and an Unsat
+    /// core maps back to tags through this list.
     tracked: Vec<(u32, Var)>,
     /// Tags of the tracked assertions in the last check's unsat core (empty
     /// unless the last check returned [`SatResult::Unsat`]).
@@ -302,11 +301,6 @@ impl IncrementalSolver {
     /// model covers the live atoms of the session.
     pub fn model(&self) -> Option<&Model> {
         self.model.as_ref()
-    }
-
-    /// Current scope depth (number of unmatched pushes).
-    pub fn depth(&self) -> usize {
-        self.scopes.len()
     }
 
     /// Opens a new assertion scope: assertions made until the matching
@@ -400,11 +394,6 @@ impl IncrementalSolver {
         self.last_core.clear();
     }
 
-    /// True if a method scope is currently open.
-    pub fn in_method_scope(&self) -> bool {
-        self.method.is_some()
-    }
-
     /// Credits `n` assertions as answered from warm structure-scope state
     /// without any re-assertion (used by session layers that skip an
     /// already-asserted shared prelude outright); surfaces in the next
@@ -456,17 +445,15 @@ impl IncrementalSolver {
     }
 
     /// Asserts a formula as a *tracked* assertion: its clauses are guarded by
-    /// a dedicated activation variable associated with `tag`, and a check
-    /// assumes a *selection* of the tracked assertions instead of taking them
-    /// as unconditional facts ([`IncrementalSolver::check_selected`]; the
-    /// plain [`IncrementalSolver::check`] selects all of them, which is
-    /// equivalent to having asserted the formula permanently). When a check
-    /// refutes, the tags of the tracked assertions its unsat core used are
-    /// reported by [`IncrementalSolver::last_core_tags`].
+    /// a dedicated activation variable associated with `tag`, which every
+    /// [`IncrementalSolver::check`] assumes true (equivalent to having
+    /// asserted the formula permanently). When a check refutes, the tags of
+    /// the tracked assertions its unsat core used are reported by
+    /// [`IncrementalSolver::last_core_tags`].
     ///
     /// Derived facts (axiom instantiations, Skolem definitions) stay
-    /// permanent — they are valid or definitional regardless of which tracked
-    /// assertions a check selects, so leaving them unguarded is sound.
+    /// permanent — they are valid or definitional, so leaving them unguarded
+    /// is sound.
     ///
     /// Tracked assertions live at the method/base level of the scope
     /// discipline: a method-scope rollback retracts those made inside it.
@@ -503,12 +490,7 @@ impl IncrementalSolver {
         self.tracked.push((tag, act));
         for r in batch.roots {
             let lit = encode_root(tm, r, &mut self.sat, &mut self.atom_map);
-            // Base-scope atoms: the assertion outlives every VC scope. An
-            // unselected tracked assertion leaves its atoms live but
-            // unconstrained — the theory then checks whatever values the SAT
-            // core picked for them, which costs nothing in soundness (its
-            // lemmas are valid) and a sliced check never reports Sat as
-            // final.
+            // Base-scope atoms: the assertion outlives every VC scope.
             self.mark_atoms(tm, r, None);
             self.sat.add_clause(vec![Lit::new(act, false), lit]);
         }
@@ -601,25 +583,6 @@ impl IncrementalSolver {
     /// Checks satisfiability of the conjunction of all live assertions
     /// (permanent ones, all tracked assertions, plus those of open scopes).
     pub fn check(&mut self, tm: &mut TermManager) -> SatResult {
-        self.check_selected(tm, None)
-    }
-
-    /// Like [`IncrementalSolver::check`], but under an explicit *selection*
-    /// of the tracked assertions: `None` selects all of them; `Some(tags)`
-    /// selects only those whose tag is listed and *deactivates* the rest —
-    /// their activation variables are assumed false, so unit propagation
-    /// satisfies every guard clause of a deselected hypothesis up front
-    /// instead of leaving its activation variable as a free decision.
-    ///
-    /// Deactivation is sound because activation variables occur only
-    /// negatively in the clause set (guards `¬act ∨ lit` and learned
-    /// consequences): flipping a deselected `act` to false maps any model to
-    /// a model, so Unsat under the selection implies Unsat with the
-    /// deselected hypotheses re-enabled — selecting a subset only ever
-    /// *weakens* the assertion set, and an Unsat answer under a subset
-    /// implies Unsat under the full set. A Sat/Unknown answer under a subset
-    /// implies nothing about the full set.
-    pub fn check_selected(&mut self, tm: &mut TermManager, selection: Option<&[u32]>) -> SatResult {
         self.stats = SolverStats::default();
         self.stats.prelude_reused = std::mem::take(&mut self.pending_reused);
         self.stats.prelude_lowered = std::mem::take(&mut self.pending_lowered);
@@ -633,21 +596,16 @@ impl IncrementalSolver {
 
         self.stats.initial_clauses = (self.sat.num_clauses() - self.sat.num_learned()) as u64;
         self.stats.atoms = self.atom_map.num_atoms() as u64;
-        // Assumption order: tracked assertions first (selection-filtered),
-        // then the open scopes' activation literals.
+        // Assumption order: tracked assertions first, then the open scopes'
+        // activation literals.
         let mut assumptions: Vec<Lit> = Vec::with_capacity(self.tracked.len() + self.scopes.len());
-        // Maps a *selected* activation variable back to its tracked tag, for
-        // unsat-core extraction. Deselected acts are assumed false — their
-        // guard clauses are satisfied outright, so they can never reach the
-        // final conflict and must never be mapped into a core.
+        // Maps a tracked activation variable back to its tag, for unsat-core
+        // extraction.
         let mut tag_of_act: FxHashMap<Var, u32> =
             FxHashMap::with_capacity_and_hasher(self.tracked.len(), Default::default());
         for &(tag, act) in &self.tracked {
-            let selected = selection.is_none_or(|tags| tags.contains(&tag));
-            assumptions.push(Lit::new(act, selected));
-            if selected {
-                tag_of_act.insert(act, tag);
-            }
+            assumptions.push(Lit::new(act, true));
+            tag_of_act.insert(act, tag);
         }
         assumptions.extend(self.scopes.iter().map(|s| Lit::new(s.act, true)));
 
@@ -1222,7 +1180,7 @@ mod tests {
     }
 
     #[test]
-    fn tracked_assertions_select_and_report_cores() {
+    fn tracked_assertions_report_cores() {
         // Tracked hypotheses: x >= 0 (tag 0), x <= 5 (tag 1), y >= 0 (tag 2).
         // Goal scope asserts x >= 10: refuting needs exactly tag 1.
         let mut tm = TermManager::new();
@@ -1241,20 +1199,16 @@ mod tests {
         s.assert_tracked(&mut tm, h2, 2);
         s.push();
         s.assert(&mut tm, goal_neg);
-        // Full selection refutes; the core names only the used hypothesis.
+        // The check refutes; the core names only the used hypothesis.
         assert_eq!(s.check(&mut tm), SatResult::Unsat);
         assert_eq!(s.last_core_tags(), &[1]);
         assert_eq!(s.stats().unsat_cores, 1);
         assert!(s.stats().unsat_core_size >= 1);
-        // The cored subset alone still refutes.
-        assert_eq!(s.check_selected(&mut tm, Some(&[1])), SatResult::Unsat);
-        assert_eq!(s.last_core_tags(), &[1]);
-        // Deselecting the load-bearing hypothesis weakens the set into Sat,
-        // and the stale core is cleared.
-        assert_eq!(s.check_selected(&mut tm, Some(&[0, 2])), SatResult::Sat);
-        assert!(s.last_core_tags().is_empty());
+        // Without the goal scope the hypotheses are satisfiable, and the
+        // stale core is cleared.
         s.pop();
         assert_eq!(s.check(&mut tm), SatResult::Sat);
+        assert!(s.last_core_tags().is_empty());
     }
 
     #[test]
@@ -1277,12 +1231,11 @@ mod tests {
         assert_eq!(s.last_core_tags(), &[1]);
         s.pop();
         s.pop_method_scope();
-        // Tag 1 fell with the method scope: the same goal scope is now Sat,
-        // and a selection naming the dead tag selects nothing extra.
+        // Tag 1 fell with the method scope: the same goal scope is now Sat.
         s.push();
         s.assert(&mut tm, ge10);
         assert_eq!(s.check(&mut tm), SatResult::Sat);
-        assert_eq!(s.check_selected(&mut tm, Some(&[1])), SatResult::Sat);
+        assert!(s.last_core_tags().is_empty());
         s.pop();
     }
 

@@ -369,6 +369,14 @@ struct VarHeap {
 impl VarHeap {
     const ABSENT: u32 = u32::MAX;
 
+    /// Orders by activity, and breaks ties toward the larger variable. The
+    /// newest variables are the newest atoms: the current VC's goal and
+    /// hypotheses, which get their variables after the prelude's and the
+    /// axiom instances'. Most variables are never bumped, so the tie-break
+    /// steers most decisions, and it is load-bearing: reversing it (oldest
+    /// first) took the whole registry, cold at `--jobs 1` on a 2-vCPU VM,
+    /// from 4–5 s to 171–187 s, and `sorted_insert` from 9,182 decisions to
+    /// 9.13M.
     fn key(activity: &[f64], v: Var) -> (u64, Var) {
         (activity[v as usize].to_bits(), v)
     }

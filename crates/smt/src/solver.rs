@@ -216,19 +216,6 @@ pub struct SolverStats {
     /// or the input was unsatisfiable without any assumption). A gauge.
     /// Merge: **max**.
     pub unsat_core_size: u64,
-    /// Checks discharged from a *sliced* hypothesis selection (a cached unsat
-    /// core) without needing the full hypothesis set. Always 0 for a
-    /// one-shot [`Solver`] check. Merge: **sum**.
-    pub slice_hits: u64,
-    /// Sliced checks that were inconclusive and fell back to the full
-    /// hypothesis set (the sound fallback: dropping hypotheses only weakens
-    /// the antecedent, so only a Valid slice verdict is conclusive). Always 0
-    /// for a one-shot [`Solver`] check. Merge: **sum**.
-    pub slice_fallbacks: u64,
-    /// Hypotheses that a successful slice never asserted (summed over all
-    /// slice hits; the saving the cached cores bought). Always 0 for a
-    /// one-shot [`Solver`] check. Merge: **sum**.
-    pub slice_dropped_hyps: u64,
 }
 
 impl SolverStats {
@@ -261,9 +248,6 @@ impl SolverStats {
         self.pivots += other.pivots;
         self.unsat_cores += other.unsat_cores;
         self.unsat_core_size = self.unsat_core_size.max(other.unsat_core_size);
-        self.slice_hits += other.slice_hits;
-        self.slice_fallbacks += other.slice_fallbacks;
-        self.slice_dropped_hyps += other.slice_dropped_hyps;
     }
 }
 
@@ -534,9 +518,6 @@ mod tests {
             pivots: seed + 17,
             unsat_cores: seed + 18,
             unsat_core_size: seed + 19,
-            slice_hits: seed + 20,
-            slice_fallbacks: seed + 21,
-            slice_dropped_hyps: seed + 22,
             cnf_time: ms(seed + 25),
             setup_time: ms(seed + 26),
         };
@@ -569,9 +550,6 @@ mod tests {
             pivots,
             unsat_cores,
             unsat_core_size,
-            slice_hits,
-            slice_fallbacks,
-            slice_dropped_hyps,
         } = merged;
         // Sums: effort counters and wall-clock times.
         assert_eq!(theory_rounds, a.theory_rounds + b.theory_rounds);
@@ -599,12 +577,6 @@ mod tests {
         assert_eq!(learned_deleted, a.learned_deleted + b.learned_deleted);
         assert_eq!(pivots, a.pivots + b.pivots);
         assert_eq!(unsat_cores, a.unsat_cores + b.unsat_cores);
-        assert_eq!(slice_hits, a.slice_hits + b.slice_hits);
-        assert_eq!(slice_fallbacks, a.slice_fallbacks + b.slice_fallbacks);
-        assert_eq!(
-            slice_dropped_hyps,
-            a.slice_dropped_hyps + b.slice_dropped_hyps
-        );
         // Gauges: merge must keep the maximum, in either merge order.
         assert_eq!(learned_kept, a.learned_kept.max(b.learned_kept));
         assert_eq!(max_lbd, a.max_lbd.max(b.max_lbd));

@@ -272,9 +272,15 @@ impl VcSession {
         self.asserted = self.prelude;
     }
 
-    /// Checks one VC against the session state. Returns the same
-    /// validity-oriented verdict as [`check_formula`] ([`SatResult::Sat`]
-    /// means *valid*) together with the per-query solver statistics.
+    /// Checks one VC against the session state, under the full hypothesis
+    /// prefix `hypotheses[..vc.n_hyps]`. Returns the same validity-oriented
+    /// verdict as [`check_formula`] ([`SatResult::Sat`] means *valid*)
+    /// together with the per-query solver statistics.
+    ///
+    /// The third return value reports which of the VC's `n_hyps` positional
+    /// hypotheses the refutation used — `Some` (possibly empty: the goal
+    /// needed no hypothesis at all) exactly when the verdict is Valid,
+    /// `None` otherwise.
     ///
     /// # Panics
     /// Panics if the VC's hypothesis prefix is shorter than what the session
@@ -284,32 +290,6 @@ impl VcSession {
         tm: &mut TermManager,
         hypotheses: &[TermId],
         vc: &Vc,
-    ) -> (SatResult, SolverStats) {
-        let (verdict, stats, _) = self.check_vc_sliced(tm, hypotheses, vc, None);
-        (verdict, stats)
-    }
-
-    /// [`VcSession::check_vc`] with an optional *hypothesis-slice hint*: the
-    /// positional hypothesis indices (a previously extracted unsat core) to
-    /// try first. The check runs under the sliced hypothesis subset; a Valid
-    /// verdict on the slice is sound as-is (dropping hypotheses only weakens
-    /// the antecedent), while any other outcome is inconclusive and falls
-    /// back to the full hypothesis set — so the returned verdict is always
-    /// identical to the unhinted check's. The `slice_hits` /
-    /// `slice_fallbacks` / `slice_dropped_hyps` counters of the returned
-    /// stats record which way the check went.
-    ///
-    /// The third return value reports which of the VC's `n_hyps` positional
-    /// hypotheses the final refutation used — `Some` (possibly empty: the
-    /// goal needed no hypothesis at all) exactly when the verdict is Valid,
-    /// `None` otherwise. Feeding it back as the hint of a later
-    /// re-verification of the same VC is the cache-driven slicing loop.
-    pub fn check_vc_sliced(
-        &mut self,
-        tm: &mut TermManager,
-        hypotheses: &[TermId],
-        vc: &Vc,
-        hint: Option<&[u32]>,
     ) -> (SatResult, SolverStats, Option<Vec<u32>>) {
         assert!(
             vc.n_hyps >= self.asserted,
@@ -322,53 +302,12 @@ impl VcSession {
                 .assert_tracked(tm, h, (self.asserted + i) as u32);
         }
         self.asserted = vc.n_hyps;
-        // A usable slice must be a strict subset of the VC's hypothesis
-        // prefix; anything else (stale out-of-range tags, a full-prefix hint)
-        // buys nothing and is checked the ordinary way.
-        let slice: Option<Vec<u32>> = hint.and_then(|tags| {
-            let mut s: Vec<u32> = tags
-                .iter()
-                .copied()
-                .filter(|&t| (t as usize) < vc.n_hyps)
-                .collect();
-            s.sort_unstable();
-            s.dedup();
-            (s.len() < vc.n_hyps).then_some(s)
-        });
         self.solver.push();
         self.solver.assert(tm, vc.guard);
         let neg_goal = tm.not(vc.goal);
         self.solver.assert(tm, neg_goal);
-        let (result, stats) = match &slice {
-            Some(s) => {
-                let sliced = self.solver.check_selected(tm, Some(s));
-                let mut stats = self.solver.stats();
-                if sliced == SatResult::Unsat {
-                    stats.slice_hits = 1;
-                    stats.slice_dropped_hyps = (vc.n_hyps - s.len()) as u64;
-                    if ids_obs::metrics_active() {
-                        ids_obs::record_metric(
-                            ids_obs::Metric::SliceDroppedHyps,
-                            stats.slice_dropped_hyps,
-                        );
-                    }
-                    (sliced, stats)
-                } else {
-                    // Sat/Unknown on a weakened antecedent proves nothing:
-                    // re-check under the full hypothesis set inside the same
-                    // goal scope.
-                    let full = self.solver.check_selected(tm, None);
-                    let mut full_stats = self.solver.stats();
-                    full_stats.merge(&stats);
-                    full_stats.slice_fallbacks = 1;
-                    (full, full_stats)
-                }
-            }
-            None => {
-                let r = self.solver.check_selected(tm, None);
-                (r, self.solver.stats())
-            }
-        };
+        let result = self.solver.check(tm);
+        let stats = self.solver.stats();
         let core = (result == SatResult::Unsat).then(|| self.solver.last_core_tags().to_vec());
         self.solver.pop();
         let verdict = match result {
@@ -638,7 +577,7 @@ mod tests {
         let mut saw_refuted = false;
         for vc in &method.vcs {
             let (fresh, _) = check_formula(&mut tm, vc.formula, Encoding::Decidable);
-            let (inc, inc_stats) = session.check_vc(&mut tm, &method.hypotheses, vc);
+            let (inc, inc_stats, _) = session.check_vc(&mut tm, &method.hypotheses, vc);
             assert_eq!(inc, fresh, "verdict diverged on: {}", vc.description);
             assert!(inc_stats.sat_propagations > 0);
             saw_refuted |= inc == SatResult::Unsat;
@@ -647,10 +586,9 @@ mod tests {
     }
 
     #[test]
-    fn slice_hint_discharges_with_fewer_hypotheses() {
+    fn valid_vcs_report_the_hypotheses_their_refutation_used() {
         // One assert that depends on exactly one of three requires: the
-        // first (unhinted) check reports a strict-subset core; replaying
-        // with that core as the hint discharges on the slice alone.
+        // check reports a strict-subset core. A refuted VC reports none.
         let program = parse_program(
             r#"
             procedure m(x: Loc, k: Int, j: Int)
@@ -659,6 +597,7 @@ mod tests {
               requires j < 0;
             {
               assert k > 5;
+              assert k > 100;
             }
             "#,
         )
@@ -668,13 +607,13 @@ mod tests {
         let method = VcGen::new(&program, Encoding::Decidable)
             .method_vcs(&mut tm, "m")
             .unwrap();
-        assert_eq!(method.vcs.len(), 1);
-        let vc = &method.vcs[0];
+        assert_eq!(method.vcs.len(), 2);
+        let mut session = VcSession::new(Encoding::Decidable);
 
-        let mut first = VcSession::new(Encoding::Decidable);
-        let (verdict, stats, core) = first.check_vc_sliced(&mut tm, &method.hypotheses, vc, None);
+        let vc = &method.vcs[0];
+        let (verdict, stats, core) = session.check_vc(&mut tm, &method.hypotheses, vc);
         assert_eq!(verdict, SatResult::Sat);
-        assert_eq!(stats.slice_hits + stats.slice_fallbacks, 0);
+        assert_eq!(stats.unsat_cores, 1);
         let core = core.expect("a Valid verdict must come with a core");
         assert!(
             !core.is_empty() && core.len() < vc.n_hyps,
@@ -682,90 +621,8 @@ mod tests {
             vc.n_hyps
         );
 
-        let mut hinted = VcSession::new(Encoding::Decidable);
-        let (verdict, stats, re_core) =
-            hinted.check_vc_sliced(&mut tm, &method.hypotheses, vc, Some(&core));
-        assert_eq!(
-            verdict,
-            SatResult::Sat,
-            "slicing must not change the verdict"
-        );
-        assert_eq!(stats.slice_hits, 1);
-        assert_eq!(stats.slice_fallbacks, 0);
-        assert_eq!(stats.slice_dropped_hyps, (vc.n_hyps - core.len()) as u64);
-        let re_core = re_core.unwrap();
-        assert!(
-            re_core.iter().all(|t| core.contains(t)),
-            "re-extracted core {re_core:?} escaped the asserted slice {core:?}"
-        );
-
-        // A full-prefix hint buys nothing and must be checked the plain way.
-        let all: Vec<u32> = (0..vc.n_hyps as u32).collect();
-        let mut plain = VcSession::new(Encoding::Decidable);
-        let (verdict, stats, _) =
-            plain.check_vc_sliced(&mut tm, &method.hypotheses, vc, Some(&all));
-        assert_eq!(verdict, SatResult::Sat);
-        assert_eq!(stats.slice_hits + stats.slice_fallbacks, 0);
-    }
-
-    #[test]
-    fn insufficient_slice_falls_back_to_the_full_set() {
-        // An empty hint can never refute the negated goal, so the sliced
-        // check comes back Sat and the session must re-check under the full
-        // hypothesis set — same verdict, fallback counter set.
-        let program = parse_program(
-            r#"
-            procedure m(k: Int)
-              requires k > 10;
-            {
-              assert k > 5;
-            }
-            "#,
-        )
-        .unwrap();
-        ids_ivl::check_program(&program).unwrap();
-        let mut tm = TermManager::new();
-        let method = VcGen::new(&program, Encoding::Decidable)
-            .method_vcs(&mut tm, "m")
-            .unwrap();
-        let vc = &method.vcs[0];
-
-        let mut session = VcSession::new(Encoding::Decidable);
-        let (verdict, stats, core) =
-            session.check_vc_sliced(&mut tm, &method.hypotheses, vc, Some(&[]));
-        assert_eq!(verdict, SatResult::Sat, "fallback must recover the verdict");
-        assert_eq!(stats.slice_hits, 0);
-        assert_eq!(stats.slice_fallbacks, 1);
-        assert_eq!(stats.slice_dropped_hyps, 0);
-        assert!(
-            core.is_some(),
-            "the full-set re-check still reports its core"
-        );
-
-        // A refuted VC under a (stale, out-of-range) hint: the sanitized
-        // hint still slices, the fallback still fires, and the verdict is
-        // the same counterexample the unhinted path finds.
-        let bad = parse_program(
-            r#"
-            procedure m(k: Int)
-              requires k > 10;
-            {
-              assert k > 100;
-            }
-            "#,
-        )
-        .unwrap();
-        ids_ivl::check_program(&bad).unwrap();
-        let mut tm2 = TermManager::new();
-        let bad_method = VcGen::new(&bad, Encoding::Decidable)
-            .method_vcs(&mut tm2, "m")
-            .unwrap();
-        let bad_vc = &bad_method.vcs[0];
-        let mut s2 = VcSession::new(Encoding::Decidable);
-        let (verdict, stats, core) =
-            s2.check_vc_sliced(&mut tm2, &bad_method.hypotheses, bad_vc, Some(&[0]));
+        let (verdict, _, core) = session.check_vc(&mut tm, &method.hypotheses, &method.vcs[1]);
         assert_eq!(verdict, SatResult::Unsat);
-        assert_eq!(stats.slice_fallbacks, 1);
         assert!(core.is_none(), "refuted VCs carry no core");
     }
 
@@ -920,7 +777,7 @@ mod tests {
         for (mi, (hyps, vcs)) in imported.iter().enumerate() {
             session.begin_method();
             for (vi, vc) in vcs.iter().enumerate() {
-                let (pool, stats) = session.check_vc(&mut shared, hyps, vc);
+                let (pool, stats, _) = session.check_vc(&mut shared, hyps, vc);
                 let (orig_tm, orig_mv) = &methods[mi];
                 let mut tm = orig_tm.clone();
                 let (fresh, _) =

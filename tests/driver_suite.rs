@@ -117,12 +117,12 @@ fn vcs_of_one_unit_share_their_queue_time() {
 #[test]
 fn pool_modes_report_identically_across_structures() {
     // One batch spanning several structure families plus a refuted method,
-    // run through all three `--pool-mode` values: structure-scoped warm
-    // pools (default), per-method sessions and fresh per-VC jobs. The
-    // *reports* must be byte-identical: outcome kind and failing-VC
-    // description, VC counts, cache accounting. Only solver-internal
-    // statistics (conflicts, propagations, times, prelude reuse) may differ
-    // between the solving strategies.
+    // run through both `--pool-mode` values: structure-scoped warm pools
+    // (default) and fresh per-VC jobs. The *reports* must be
+    // byte-identical: outcome kind and failing-VC description, VC counts,
+    // cache accounting. Only solver-internal statistics (conflicts,
+    // propagations, times, prelude reuse) may differ between the solving
+    // strategies.
     use intrinsic_verify::structures::trees;
     let sll = lists::singly_linked_list();
     let circ = lists::circular_list();
@@ -165,36 +165,29 @@ fn pool_modes_report_identically_across_structures() {
         )
     };
     let structure = run(PoolMode::Structure);
-    let method = run(PoolMode::Method);
     let fresh = run(PoolMode::None);
-    for (label, batch) in [
-        ("structure", &structure),
-        ("method", &method),
-        ("none", &fresh),
-    ] {
+    for (label, batch) in [("structure", &structure), ("none", &fresh)] {
         assert!(batch.errors.is_empty(), "{}: {:?}", label, batch.errors);
         assert_eq!(batch.reports.len(), structure.reports.len(), "{}", label);
         assert_eq!(batch.stats.vcs, structure.stats.vcs, "{}", label);
     }
-    for (label, other) in [("method", &method), ("none", &fresh)] {
-        for (a, b) in structure.reports.iter().zip(&other.reports) {
-            assert_eq!(a.structure, b.structure, "{}", label);
-            assert_eq!(a.method, b.method, "{}", label);
-            // Full outcome equality: kind *and* failing-VC description.
-            assert_eq!(
-                a.outcome, b.outcome,
-                "{}::{} diverged under pool mode {}",
-                a.structure, a.method, label
-            );
-            assert_eq!(a.num_vcs, b.num_vcs);
-        }
+    for (a, b) in structure.reports.iter().zip(&fresh.reports) {
+        assert_eq!(a.structure, b.structure);
+        assert_eq!(a.method, b.method);
+        // Full outcome equality: kind *and* failing-VC description.
+        assert_eq!(
+            a.outcome, b.outcome,
+            "{}::{} diverged under pool mode none",
+            a.structure, a.method
+        );
+        assert_eq!(a.num_vcs, b.num_vcs);
     }
     // Stats-consistency: every mode did real solving work. (Cancellation
     // timing under concurrency may make the exact query counts differ; the
     // *reported* rows above may not.) Every solve propagates; theory rounds
     // count theory verdicts only, and a VC refuted by Boolean propagation
     // alone has none.
-    for batch in [&structure, &method, &fresh] {
+    for batch in [&structure, &fresh] {
         for r in &batch.reports {
             if r.outcome.is_verified() {
                 assert!(

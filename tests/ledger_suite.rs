@@ -50,7 +50,7 @@ fn sample_vc(key: u128, solve_ms: f64, euf_s: f64) -> VcLedgerEntry {
         queue_ms: 0.25,
         solve_ms,
         phases: [0.001, 0.0625, euf_s, 0.03125, 0.015625],
-        solver: [9, 8, 7, 6, 5, 40, 3, 2, 1, 11, 2, 1, 6],
+        solver: [9, 8, 7, 6, 5, 40, 3, 2, 1, 11],
         core: None,
         hists,
     }
@@ -94,44 +94,38 @@ fn schema_round_trips_exactly() {
     assert_eq!(parsed.vcs[2].core.as_deref(), Some(&[][..]));
 }
 
-/// Schema-1 lines (pre unsat-core counters) and schema-2 lines (pre slice
-/// counters and per-VC cores) must keep parsing so the CI baseline and local
-/// history ledgers written before the v3 bump stay comparable; the fields
-/// they lack read back as zero / `None`.
+/// Schema-1 lines (pre unsat-core counters) and schema-2 lines (pre per-VC
+/// cores) must keep parsing so the CI baseline and local history ledgers
+/// written before the v3 bump stay comparable; the fields they lack read
+/// back as zero / `None`.
 #[test]
 fn older_schema_lines_still_parse_with_zeroed_new_fields() {
     let record = sample_record(7, 50.0, 0.01);
     let idx = |name: &str| SOLVER_COUNTERS.iter().position(|&c| c == name).unwrap();
-    const SLICE_TOKENS: &str = ",\"slice_hits\":2,\"slice_fallbacks\":1,\"slice_dropped_hyps\":6";
 
-    // Rewrite the line into its v2 form: old schema tag, no slice counters.
-    let mut v2 = record.to_json_line();
-    v2 = v2.replacen(&format!("\"schema\":{}", LEDGER_SCHEMA), "\"schema\":2", 1);
-    v2 = v2.replace(SLICE_TOKENS, "");
-    assert!(!v2.contains("slice_"), "v2 line built incorrectly");
+    let schema = format!("\"schema\":{}", LEDGER_SCHEMA);
+
+    // Rewrite the line into its v2 form: old schema tag, no cores.
+    let v2 = record.to_json_line().replacen(&schema, "\"schema\":2", 1);
+    assert!(!v2.contains("\"core\""), "v2 line built incorrectly");
     let parsed = RunRecord::parse(&v2).expect("v2 line parses");
     assert_eq!(parsed.schema, 2);
     for vc in &parsed.vcs {
-        assert_eq!(vc.solver[idx("slice_hits")], 0);
-        assert_eq!(vc.solver[idx("slice_fallbacks")], 0);
-        assert_eq!(vc.solver[idx("slice_dropped_hyps")], 0);
         assert_eq!(vc.core, None);
-        // The shared prefix of the counter array is intact.
-        assert_eq!(&vc.solver[..10], &record.vcs[0].solver[..10]);
+        assert_eq!(vc.solver, record.vcs[0].solver);
     }
 
     // The v1 form additionally lacks the unsat-core counters.
-    let mut v1 = record.to_json_line();
-    v1 = v1.replacen(&format!("\"schema\":{}", LEDGER_SCHEMA), "\"schema\":1", 1);
-    v1 = v1.replace(SLICE_TOKENS, "");
-    v1 = v1.replace(",\"unsat_cores\":1,\"unsat_core_size\":11", "");
+    let v1 = record
+        .to_json_line()
+        .replacen(&schema, "\"schema\":1", 1)
+        .replace(",\"unsat_cores\":1,\"unsat_core_size\":11", "");
     assert!(!v1.contains("core"), "v1 line built incorrectly");
     let parsed = RunRecord::parse(&v1).expect("v1 line parses");
     assert_eq!(parsed.schema, 1);
     for vc in &parsed.vcs {
         assert_eq!(vc.solver[idx("unsat_cores")], 0);
         assert_eq!(vc.solver[idx("unsat_core_size")], 0);
-        assert_eq!(vc.solver[idx("slice_hits")], 0);
         assert_eq!(vc.core, None);
         assert_eq!(&vc.solver[..8], &record.vcs[0].solver[..8]);
     }
@@ -143,6 +137,39 @@ fn older_schema_lines_still_parse_with_zeroed_new_fields() {
         1,
     );
     assert!(RunRecord::parse(&future).is_err());
+}
+
+/// v3 lines written while hypothesis slicing existed carry three more solver
+/// counters and, with metrics armed, a `slice_dropped_hyps` histogram. They
+/// must still parse: counters and histograms are read by name, so the
+/// retired fields are skipped and every remaining one reads as written.
+#[test]
+fn v3_lines_with_slice_counters_still_parse() {
+    let mut record = sample_record(9, 40.0, 0.02);
+    record.vcs[1].core = Some(vec![1, 2]);
+    let line = record.to_json_line();
+    const LAST_COUNTER: &str = ",\"unsat_core_size\":11";
+    const SLICE_COUNTERS: &str = ",\"slice_hits\":2,\"slice_fallbacks\":1,\"slice_dropped_hyps\":6";
+    const HISTS: &str = "\"hists\":{";
+    const SLICE_HIST: &str = "\"slice_dropped_hyps\":{\"count\":2,\"sum\":9,\"max\":6,\
+                              \"p50\":3,\"p90\":6,\"buckets\":[0,1,1]},";
+    assert_eq!(line.matches(LAST_COUNTER).count(), record.vcs.len());
+    assert_eq!(line.matches(HISTS).count(), record.vcs.len());
+    let old = line
+        .replace(LAST_COUNTER, &format!("{LAST_COUNTER}{SLICE_COUNTERS}"))
+        .replace(HISTS, &format!("{HISTS}{SLICE_HIST}"));
+    assert_eq!(
+        old.matches("\"slice_dropped_hyps\"").count(),
+        2 * record.vcs.len()
+    );
+    let parsed = RunRecord::parse(&old).expect("a v3 line with slice fields parses");
+    assert_eq!(parsed.schema, 3);
+    assert_eq!(parsed, record, "every remaining field reads as written");
+    // Spot-checks, so a silently-permissive PartialEq can't hide a bug.
+    assert_eq!(parsed.vcs[0].solver, [9, 8, 7, 6, 5, 40, 3, 2, 1, 11]);
+    assert_eq!(parsed.vcs[0].hists.get(Metric::TheoryRoundUs).count(), 4);
+    assert!(!SOLVER_COUNTERS.iter().any(|c| c.starts_with("slice_")));
+    assert_eq!(Metric::from_name("slice_dropped_hyps"), None);
 }
 
 #[test]

@@ -1,13 +1,13 @@
-//! Property test: the three solver pool modes are observationally identical.
+//! Property test: the two solver pool modes are observationally identical.
 //!
 //! On random subsets (and orders) of a structure's methods — including
 //! methods refuted at different VCs, so early-stop interleavings are
-//! exercised — `--pool-mode structure`, `--pool-mode method` and
-//! `--pool-mode none` must produce byte-identical reports: outcome kind,
-//! failing-VC description and VC counts. On subsets without refutations the
-//! number of discharged SMT queries must also be identical (each deduplicated
-//! VC is solved exactly once in every mode); with refutations the counts may
-//! differ only through cancellation timing, never the reports.
+//! exercised — `--pool-mode structure` and `--pool-mode none` must produce
+//! byte-identical reports: outcome kind, failing-VC description and VC
+//! counts. On subsets without refutations the number of discharged SMT
+//! queries must also be identical (each deduplicated VC is solved exactly
+//! once in both modes); with refutations the counts may differ only through
+//! cancellation timing, never the reports.
 
 use intrinsic_verify::core::IntrinsicDefinition;
 use intrinsic_verify::driver::{verify_selections, DriverConfig, PoolMode, Selection};
@@ -135,10 +135,9 @@ proptest! {
             )
         };
         let structure = run(PoolMode::Structure);
-        let method = run(PoolMode::Method);
         let fresh = run(PoolMode::None);
 
-        for (label, batch) in [("structure", &structure), ("method", &method), ("none", &fresh)] {
+        for (label, batch) in [("structure", &structure), ("none", &fresh)] {
             prop_assert!(batch.errors.is_empty(), "{}: {:?}", label, batch.errors);
             prop_assert_eq!(batch.reports.len(), methods.len(), "{}", label);
             // Accounting invariant: every VC is cached, solved or skipped.
@@ -150,22 +149,19 @@ proptest! {
                 batch.stats
             );
         }
-        for (label, other) in [("method", &method), ("none", &fresh)] {
-            for (a, b) in structure.reports.iter().zip(&other.reports) {
-                prop_assert_eq!(&a.method, &b.method);
-                prop_assert_eq!(
-                    &a.outcome,
-                    &b.outcome,
-                    "methods {:?} jobs {}: {} diverged under pool mode {}",
-                    &methods,
-                    jobs,
-                    &a.method,
-                    label
-                );
-                prop_assert_eq!(a.num_vcs, b.num_vcs);
-            }
-            prop_assert_eq!(structure.stats.vcs, other.stats.vcs);
+        for (a, b) in structure.reports.iter().zip(&fresh.reports) {
+            prop_assert_eq!(&a.method, &b.method);
+            prop_assert_eq!(
+                &a.outcome,
+                &b.outcome,
+                "methods {:?} jobs {}: {} diverged under pool mode none",
+                &methods,
+                jobs,
+                &a.method
+            );
+            prop_assert_eq!(a.num_vcs, b.num_vcs);
         }
+        prop_assert_eq!(structure.stats.vcs, fresh.stats.vcs);
         for (name, report) in methods.iter().zip(&structure.reports) {
             prop_assert_eq!(
                 report.outcome.is_verified(),
@@ -174,32 +170,28 @@ proptest! {
                 name
             );
         }
-        // Without refutations there is no cancellation: every mode solves
+        // Without refutations there is no cancellation: both modes solve
         // each deduplicated VC exactly once — query counts are identical.
         if !methods.iter().any(|m| REFUTED.contains(&m.as_str())) {
-            for (label, other) in [("method", &method), ("none", &fresh)] {
-                prop_assert_eq!(
-                    structure.stats.smt_queries,
-                    other.stats.smt_queries,
-                    "query counts diverged under pool mode {} (methods {:?})",
-                    label,
-                    &methods
-                );
-                prop_assert_eq!(structure.stats.cache_hits, other.stats.cache_hits);
-            }
+            prop_assert_eq!(
+                structure.stats.smt_queries,
+                fresh.stats.smt_queries,
+                "query counts diverged under pool mode none (methods {:?})",
+                &methods
+            );
+            prop_assert_eq!(structure.stats.cache_hits, fresh.stats.cache_hits);
         }
     }
 }
 
-// Slice parity: re-verification with `--slice-hyps` (cached unsat cores
-// replayed as hypothesis-slice hints) must be observationally identical to
-// `--no-slice-hyps` — same outcomes, per-VC verdicts, keys and counts — in
-// every pool mode and under both profiles. Slicing is a performance hint
-// with a sound fallback, never a semantics change.
+// Recheck parity: a `--recheck` from a cold run's cache re-solves every VC
+// and must be observationally identical to the cold run — same outcomes,
+// per-VC verdicts, keys and query counts — in both pool modes and under
+// both profiles.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
     #[test]
-    fn slice_on_and_off_produce_identical_reports(
+    fn recheck_and_cold_runs_produce_identical_reports(
         mask in 1usize..16,
         profile_idx in 0usize..2,
     ) {
@@ -225,15 +217,14 @@ proptest! {
             methods: methods.clone(),
         };
         let cache = std::env::temp_dir().join(format!(
-            "ids-slice-parity-{}-{}.cache",
+            "ids-recheck-parity-{}-{}.cache",
             std::process::id(),
             CASE.fetch_add(1, Ordering::Relaxed)
         ));
-        let _ = std::fs::remove_file(&cache);
 
-        for mode in [PoolMode::Structure, PoolMode::Method, PoolMode::None] {
+        for mode in [PoolMode::Structure, PoolMode::None] {
             let _ = std::fs::remove_file(&cache);
-            let run = |recheck: bool, slice_hyps: bool| {
+            let run = |recheck: bool| {
                 verify_selections(
                     std::slice::from_ref(&selection),
                     &DriverConfig {
@@ -242,70 +233,39 @@ proptest! {
                         cache_path: Some(cache.clone()),
                         solver_profile: profile,
                         recheck,
-                        slice_hyps,
                         ..DriverConfig::default()
                     },
                 )
             };
-            // Cold run populates the cache with verdicts and unsat cores.
-            let cold = run(false, true);
+            // The cold run populates the cache with verdicts and unsat cores.
+            let cold = run(false);
             prop_assert!(cold.errors.is_empty(), "{:?}: {:?}", mode, cold.errors);
-            // Warm re-verification, with and without core-driven slicing.
-            let sliced = run(true, true);
-            let full = run(true, false);
-            for (label, batch) in [("sliced", &sliced), ("full", &full)] {
-                prop_assert!(batch.errors.is_empty(), "{:?}/{}", mode, label);
-                prop_assert!(
-                    batch.stats.smt_queries > 0,
-                    "{:?}/{}: recheck must re-solve, not answer from cache",
-                    mode,
-                    label
-                );
-            }
-            prop_assert_eq!(
-                full.stats.solver.slice_hits + full.stats.solver.slice_fallbacks,
-                0,
-                "{:?}: --no-slice-hyps must never consult hints",
+            let again = run(true);
+            prop_assert!(again.errors.is_empty(), "{:?}: {:?}", mode, again.errors);
+            prop_assert!(
+                again.stats.smt_queries > 0,
+                "{:?}: recheck must re-solve, not answer from cache",
                 mode
             );
-            if mode == PoolMode::None {
-                // The fresh-solver path checks one monolithic formula per VC;
-                // there is nothing to slice.
+            prop_assert_eq!(again.stats.smt_queries, cold.stats.smt_queries);
+            prop_assert_eq!(again.stats.cache_hits, cold.stats.cache_hits);
+            prop_assert_eq!(again.reports.len(), cold.reports.len());
+            for (a, b) in again.reports.iter().zip(&cold.reports) {
+                prop_assert_eq!(&a.method, &b.method);
                 prop_assert_eq!(
-                    sliced.stats.solver.slice_hits + sliced.stats.solver.slice_fallbacks,
-                    0,
-                    "fresh path must not slice"
-                );
-            } else if methods.iter().any(|m| !REFUTED.contains(&m.as_str())) {
-                // At least one verified method means cached cores exist, so
-                // the sliced recheck must actually consume hints.
-                prop_assert!(
-                    sliced.stats.solver.slice_hits + sliced.stats.solver.slice_fallbacks > 0,
-                    "{:?}: no hint was ever consumed (methods {:?})",
+                    &a.outcome,
+                    &b.outcome,
+                    "{:?}: {} diverged between recheck and cold (methods {:?})",
                     mode,
+                    &a.method,
                     &methods
                 );
-            }
-            for (pair, other) in [("cold", &cold), ("full", &full)] {
-                prop_assert_eq!(sliced.reports.len(), other.reports.len());
-                for (a, b) in sliced.reports.iter().zip(&other.reports) {
-                    prop_assert_eq!(&a.method, &b.method);
-                    prop_assert_eq!(
-                        &a.outcome,
-                        &b.outcome,
-                        "{:?}: {} diverged between sliced and {} (methods {:?})",
-                        mode,
-                        &a.method,
-                        pair,
-                        &methods
-                    );
-                    prop_assert_eq!(a.num_vcs, b.num_vcs);
-                    prop_assert_eq!(a.vc_reports.len(), b.vc_reports.len());
-                    for (va, vb) in a.vc_reports.iter().zip(&b.vc_reports) {
-                        prop_assert_eq!(va.vc_key, vb.vc_key);
-                        prop_assert_eq!(&va.verdict, &vb.verdict);
-                        prop_assert_eq!(&va.description, &vb.description);
-                    }
+                prop_assert_eq!(a.num_vcs, b.num_vcs);
+                prop_assert_eq!(a.vc_reports.len(), b.vc_reports.len());
+                for (va, vb) in a.vc_reports.iter().zip(&b.vc_reports) {
+                    prop_assert_eq!(va.vc_key, vb.vc_key);
+                    prop_assert_eq!(&va.verdict, &vb.verdict);
+                    prop_assert_eq!(&va.description, &vb.description);
                 }
             }
         }
@@ -315,7 +275,7 @@ proptest! {
 
 /// Cross-profile parity: `--solver-profile default` and `legacy` must
 /// produce byte-identical reports (outcome kind, failing-VC description,
-/// VC/cache/query counts) in every pool mode, and byte-identical VC cache
+/// VC/cache/query counts) in both pool modes, and byte-identical VC cache
 /// keys — a profile change must never invalidate or split the cache.
 #[test]
 fn solver_profiles_agree_and_share_cache_keys() {
@@ -357,7 +317,7 @@ fn solver_profiles_agree_and_share_cache_keys() {
         methods_src: METHODS_SRC,
         methods,
     };
-    for mode in [PoolMode::Structure, PoolMode::Method, PoolMode::None] {
+    for mode in [PoolMode::Structure, PoolMode::None] {
         let run = |profile: SolverProfile| {
             verify_selections(
                 std::slice::from_ref(&selection),
@@ -394,7 +354,7 @@ fn solver_profiles_agree_and_share_cache_keys() {
 /// Observability parity: arming tracing, a heartbeat observer AND the
 /// metrics histograms must not change a single report field — verdicts,
 /// per-VC rows (including the stable `vc_key`) and every driver counter are
-/// identical with the observer on and off, in every pool mode and under both
+/// identical with the observer on and off, in both pool modes and under both
 /// solver profiles. Histograms are the one intentional difference: empty
 /// when disarmed, populated when armed — they are normalized out of the
 /// identity comparison and pinned separately. (Verdict parity is what
@@ -435,7 +395,7 @@ fn observer_on_and_off_produce_identical_reports() {
         )
     };
 
-    for mode in [PoolMode::Structure, PoolMode::Method, PoolMode::None] {
+    for mode in [PoolMode::Structure, PoolMode::None] {
         for profile in [SolverProfile::Default, SolverProfile::Legacy] {
             let off = run(mode, profile);
 
