@@ -1,20 +1,16 @@
-//! Sequential vs. parallel batch driver, the two solver pool modes, and
-//! cold vs. warm VC cache, on singly-linked-list slices (mid-size:
-//! `delete_front`, 8 real SMT queries, seconds of single-core solving;
-//! multi-method: `set_key` + `delete_front` + `find` for the
-//! structure-scoped warm pool). On a multicore host the parallel run
-//! approaches `1/jobs` of the sequential time; the structure pool amortizes
-//! the shared-prelude lowering across a method's VCs (≈3× on
-//! `delete_front` against a fresh solver per VC) and shares the
-//! structure-common prelude across methods; the warm-cache run collapses to
-//! hashing + report assembly because every verdict is answered from the
-//! persisted cache. The `observer_off`/`observer_on` pair pins the cost of
-//! the `ids-obs` instrumentation: disarmed it is one relaxed atomic load per
-//! would-be event, armed it buys the full `--trace` timeline.
+//! Sequential vs. parallel batch driver and cold vs. warm VC cache, on
+//! singly-linked-list slices (mid-size: `delete_front`, 8 real SMT queries,
+//! seconds of single-core solving; multi-method: `set_key`, `delete_front`
+//! and `find` for the structure-scoped warm pool). On a multicore host the
+//! parallel run approaches `1/jobs` of the sequential time; the structure
+//! pool shares the structure-common prelude across methods; the warm-cache
+//! run collapses to hashing + report assembly because every verdict is
+//! answered from the persisted cache. The `observer_off`/`observer_on` pair
+//! pins the cost of the `ids-obs` instrumentation: disarmed it is one relaxed
+//! atomic load per would-be event, armed it buys the full `--trace` timeline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ids_driver::{verify_selections, DriverConfig, PoolMode, Selection};
-use ids_smt::SolverProfile;
+use ids_driver::{verify_selections, DriverConfig, Selection};
 use ids_structures::lists;
 
 fn sll_selection<'a>(
@@ -49,24 +45,6 @@ fn bench_driver(c: &mut Criterion) {
         });
     });
 
-    // The PR-2 baseline: every VC in its own fresh solver (`--pool-mode
-    // none`). Comparing against `sequential_jobs1` above isolates the win of
-    // sharing one incremental solver session across a method's VCs.
-    group.bench_function("fresh_per_vc_jobs1", |b| {
-        let selections = sll_selection(&ids, &methods);
-        let config = DriverConfig {
-            jobs: 1,
-            cache_path: None,
-            pool_mode: PoolMode::None,
-            ..DriverConfig::default()
-        };
-        b.iter(|| {
-            let batch = verify_selections(&selections, &config);
-            assert!(batch.errors.is_empty());
-            batch.reports.len()
-        });
-    });
-
     // The structure pool on a *multi-method* slice of one structure, which
     // keeps the structure-common hypothesis prelude warm across methods.
     let pool_methods = ["set_key", "delete_front", "find"];
@@ -75,7 +53,6 @@ fn bench_driver(c: &mut Criterion) {
         let config = DriverConfig {
             jobs: 1,
             cache_path: None,
-            pool_mode: PoolMode::Structure,
             ..DriverConfig::default()
         };
         b.iter(|| {
@@ -84,30 +61,6 @@ fn bench_driver(c: &mut Criterion) {
             batch.reports.len()
         });
     });
-
-    // Solver heuristics profiles on the same multi-method slice: `default`
-    // (Luby restarts + LBD clause deletion + hybrid pivoting + fast hashing)
-    // vs `legacy` (the pre-tuning geometric/keep-everything/Bland solver).
-    // Verdicts are identical; this pair measures the heuristics alone.
-    for (label, profile) in [
-        ("profile_default_3methods_jobs1", SolverProfile::Default),
-        ("profile_legacy_3methods_jobs1", SolverProfile::Legacy),
-    ] {
-        group.bench_function(label, |b| {
-            let selections = sll_selection(&ids, &pool_methods);
-            let config = DriverConfig {
-                jobs: 1,
-                cache_path: None,
-                solver_profile: profile,
-                ..DriverConfig::default()
-            };
-            b.iter(|| {
-                let batch = verify_selections(&selections, &config);
-                assert!(batch.errors.is_empty());
-                batch.reports.len()
-            });
-        });
-    }
 
     // The observability overhead pair: the same single-method run with the
     // subsystem disarmed (the shipping default — one relaxed atomic load per

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use ids_ivl::{ast, parse_program, Procedure, Program};
 use ids_smt::{structural_hash, SatResult, SolverProfile, SolverStats, TermId, TermManager};
-use ids_vcgen::{check_formula_with, Encoding, StructureVcs, Vc, VcGen, VcSession, VerifyOutcome};
+use ids_vcgen::{check_formula, Encoding, StructureVcs, Vc, VcGen, VcSession, VerifyOutcome};
 
 use crate::fwyb::{expand_program, ExpandError};
 use crate::ghost::{check_ghost_legality, GhostViolation};
@@ -30,8 +30,8 @@ pub struct PipelineConfig {
     /// If true (default false), well-behavedness violations abort verification
     /// instead of only being reported.
     pub strict_wellbehaved: bool,
-    /// Solver heuristics profile. Never affects verdicts or VC cache keys —
-    /// only how fast the solver reaches them.
+    /// The solver's one heuristics profile. Nothing reads it; it stays
+    /// because the benchmark harness in `perfbench/` sets it.
     pub profile: SolverProfile,
 }
 
@@ -238,9 +238,6 @@ pub struct MethodTask {
     pub hypotheses: Vec<TermId>,
     /// The encoding the VCs were generated under.
     pub encoding: Encoding,
-    /// The solver heuristics profile the VCs will be discharged under
-    /// (irrelevant to `vc_key`: the profile cannot change verdicts).
-    pub profile: SolverProfile,
     /// Time spent expanding + generating VCs.
     pub prepare_time: Duration,
     /// Lines of executable code.
@@ -287,8 +284,7 @@ impl MethodTask {
     pub fn check_vc_in(&self, tm: &mut TermManager, vc_index: usize) -> VcResult {
         let _obs = VcObsScope::open(&self.vcs[vc_index].description);
         let start = Instant::now();
-        let (result, stats) =
-            check_formula_with(tm, self.vcs[vc_index].formula, self.encoding, self.profile);
+        let (result, stats) = check_formula(tm, self.vcs[vc_index].formula, self.encoding);
         let verdict = match result {
             SatResult::Sat => VcVerdict::Valid,
             SatResult::Unsat => VcVerdict::Refuted,
@@ -463,7 +459,7 @@ impl<'a> MethodSession<'a> {
         Some(MethodSession {
             task,
             tm: task.tm.clone(),
-            session: VcSession::with_profile(task.encoding, task.profile),
+            session: VcSession::new(task.encoding),
         })
     }
 
@@ -535,12 +531,7 @@ impl StructureSession {
         let mut obs_span = ids_obs::span("structure");
         obs_span.note(|| format!("methods={}", tasks.len()));
         let encoding = tasks.first()?.encoding;
-        let profile = tasks.first()?.profile;
-        if !VcSession::supports(encoding)
-            || tasks
-                .iter()
-                .any(|t| t.encoding != encoding || t.profile != profile)
-        {
+        if !VcSession::supports(encoding) || tasks.iter().any(|t| t.encoding != encoding) {
             return None;
         }
         let group = StructureVcs::group(
@@ -590,7 +581,7 @@ impl StructureSession {
                 }
             }
         }
-        let mut session = VcSession::with_profile(encoding, profile);
+        let mut session = VcSession::new(encoding);
         if let Some(first) = methods.iter().find(|m| !m.vcs.is_empty()) {
             session.assert_prelude(&mut tm, &first.hypotheses, group.prelude_len);
         }
@@ -757,7 +748,6 @@ pub fn prepare_method_in(
         vcs: generated.vcs,
         hypotheses: generated.hypotheses,
         encoding: config.encoding,
-        profile: config.profile,
         prepare_time,
         loc: ast::executable_loc(&proc),
         spec: ast::spec_lines(&proc),
@@ -797,7 +787,6 @@ pub fn prepare_plain(
         vcs: generated.vcs,
         hypotheses: generated.hypotheses,
         encoding: config.encoding,
-        profile: config.profile,
         prepare_time,
         loc: ast::executable_loc(&proc),
         spec: ast::spec_lines(&proc),

@@ -26,10 +26,8 @@ use std::time::{Duration, Instant};
 use ids_core::pipeline::{prepare_plain, PipelineConfig, VcVerdict};
 use ids_core::report::{format_table, Table2Row};
 use ids_driver::json::Json;
-use ids_driver::{
-    ledger, verify_selections, verify_tasks, BatchReport, DriverConfig, PoolMode, Selection,
-};
-use ids_smt::{SolverProfile, SolverStats};
+use ids_driver::{ledger, verify_selections, verify_tasks, BatchReport, DriverConfig, Selection};
+use ids_smt::SolverStats;
 use ids_structures::{all_benchmarks, quick_benchmarks};
 use ids_vcgen::Encoding;
 
@@ -50,20 +48,10 @@ OPTIONS:
     --jobs N           worker threads (default: available parallelism)
     --cache PATH       persistent VC cache file (created if missing)
     --json             machine-readable JSON output
-    --quantified       use the quantified (Dafny-style) encoding
-    --pool-mode MODE   solver-state sharing across queries (verdicts are
-                       identical in both modes):
-                         structure  one warm solver pool per data structure,
-                                    the shared hypothesis prelude lowered
-                                    once at structure scope (default)
-                         none       a fresh one-shot solver per VC (the
-                                    cold baseline)
-    --solver-profile P solver search heuristics (verdicts are identical in
-                       every profile):
-                         default    Luby restarts, LBD-based learned-clause
-                                    deletion, hybrid simplex pivoting
-                         legacy     geometric restarts, no clause deletion,
-                                    Bland pivoting (pre-tuning behaviour)
+    --quantified       use the quantified (Dafny-style) encoding, checked
+                       by a fresh one-shot solver per VC (the decidable
+                       encoding shares one warm solver pool per data
+                       structure)
     --trace PATH       write a Chrome trace_event JSON timeline of the run to
                        PATH (open in chrome://tracing or Perfetto): one lane
                        per worker thread, spans for each pipeline phase
@@ -109,8 +97,6 @@ struct Options {
     cache: Option<PathBuf>,
     json: bool,
     quantified: bool,
-    pool_mode: PoolMode,
-    solver_profile: SolverProfile,
     trace: Option<PathBuf>,
     heartbeat: Option<u64>,
     ledger: Option<PathBuf>,
@@ -139,8 +125,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         cache: None,
         json: false,
         quantified: false,
-        pool_mode: PoolMode::default(),
-        solver_profile: SolverProfile::default(),
         trace: None,
         heartbeat: None,
         ledger: None,
@@ -174,21 +158,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--cache" => o.cache = Some(PathBuf::from(value_of("--cache")?)),
             "--json" => o.json = true,
             "--quantified" => o.quantified = true,
-            "--pool-mode" => {
-                let v = value_of("--pool-mode")?;
-                o.pool_mode = PoolMode::parse(&v).ok_or_else(|| {
-                    format!("invalid --pool-mode '{}' (expected structure or none)", v)
-                })?;
-            }
-            "--solver-profile" => {
-                let v = value_of("--solver-profile")?;
-                o.solver_profile = SolverProfile::parse(&v).ok_or_else(|| {
-                    format!(
-                        "invalid --solver-profile '{}' (expected default or legacy)",
-                        v
-                    )
-                })?;
-            }
             "--trace" => o.trace = Some(PathBuf::from(value_of("--trace")?)),
             "--heartbeat" => {
                 let v = value_of("--heartbeat")?;
@@ -243,8 +212,6 @@ fn driver_config(o: &Options) -> DriverConfig {
             Encoding::Decidable
         },
         cache_path: o.cache.clone(),
-        pool_mode: o.pool_mode,
-        solver_profile: o.solver_profile,
         ledger_path: ledger_path(o),
         recheck: o.recheck,
         ..DriverConfig::default()
@@ -598,7 +565,6 @@ fn run_verify(options: &Options) -> ExitCode {
     install_observability(options, &config);
     let pipeline_config = PipelineConfig {
         encoding: config.encoding,
-        profile: config.solver_profile,
         ..PipelineConfig::default()
     };
 
@@ -966,7 +932,7 @@ fn emit(batch: &BatchReport, config: &DriverConfig, command: &str, json: bool) -
             .filter(|r| r.outcome.is_verified())
             .count();
         println!(
-            "\n{} methods ({} verified, {} failed), {} VCs | cache hits {}, SMT queries {}, skipped {} ({} cancelled in flight) | prelude reused {}, lowered {} | wall {:.2}s (jobs={}, pool={}, profile={})",
+            "\n{} methods ({} verified, {} failed), {} VCs | cache hits {}, SMT queries {}, skipped {} ({} cancelled in flight) | prelude reused {}, lowered {} | wall {:.2}s (jobs={})",
             s.methods,
             verified,
             s.methods - verified,
@@ -979,8 +945,6 @@ fn emit(batch: &BatchReport, config: &DriverConfig, command: &str, json: bool) -
             s.solver.prelude_lowered,
             s.wall.as_secs_f64(),
             config.jobs,
-            config.pool_mode.as_str(),
-            config.solver_profile.as_str(),
         );
     }
     if !batch.errors.is_empty() {

@@ -65,10 +65,13 @@ pub struct RunMeta {
     pub hostname: String,
     /// The invoking command line (argv minus the binary path).
     pub command: String,
-    /// Pool mode (`structure` / `none`; lines written while the driver still
-    /// had per-method pools may say `method`).
+    /// Pool mode: `structure`. Older lines may say `none` (a fresh one-shot
+    /// solver per VC) or `method` (a session per method), modes the driver
+    /// no longer has.
     pub pool_mode: String,
-    /// Solver heuristics profile (`default` / `legacy`).
+    /// Solver heuristics profile: `default`. Older lines may say `legacy`
+    /// (geometric restarts, no clause deletion, Bland pivoting), a profile
+    /// the solver no longer has.
     pub profile: String,
     /// Worker threads.
     pub jobs: u64,

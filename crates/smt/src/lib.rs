@@ -70,7 +70,7 @@ pub use hash::structural_hash;
 pub use incremental::IncrementalSolver;
 pub use model::Model;
 pub use rational::Rat;
-pub use sat::{ClauseDbOptions, RestartPolicy, SatOptions, SatResult};
+pub use sat::{ClauseDbOptions, SatOptions, SatResult};
 pub use simplex::PivotRule;
 pub use smtlib::to_smtlib;
 pub use solver::{Solver, SolverConfig, SolverProfile, SolverStats};

@@ -1,7 +1,6 @@
 //! A CDCL SAT solver: two-watched-literal propagation, first-UIP clause
-//! learning, VSIDS-style variable activities, phase saving, configurable
-//! (Luby or geometric) restarts and LBD-based learned-clause database
-//! management.
+//! learning, VSIDS-style variable activities, phase saving, Luby restarts
+//! and LBD-based learned-clause database management.
 //!
 //! The DPLL(T) integration is online: the incremental solver
 //! ([`crate::incremental`]) plugs a [`TheoryHook`] into the search loop
@@ -71,31 +70,10 @@ use std::fmt;
 
 use crate::fxmap::FxHashSet;
 
-/// The restart schedule of the CDCL search.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RestartPolicy {
-    /// Restart after `unit * luby(i)` conflicts, where `luby` is the Luby
-    /// sequence 1,1,2,1,1,2,4,… — the de-facto standard schedule: frequent
-    /// cheap restarts interleaved with exponentially growing deep dives.
-    Luby {
-        /// Base number of conflicts multiplied by the Luby sequence.
-        unit: u64,
-    },
-    /// The legacy schedule: first restart after `start` conflicts, each
-    /// subsequent limit 1.5× the previous.
-    Geometric {
-        /// Conflicts before the first restart.
-        start: u64,
-    },
-}
-
 /// Learned-clause database management knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClauseDbOptions {
-    /// Whether periodic deletion runs at all (off reproduces the legacy
-    /// keep-everything behaviour).
-    pub enabled: bool,
-    /// Conflicts before the first `reduce_db` run.
+    /// Conflicts before the first `reduce_db` run (`u64::MAX`: never).
     pub first_reduce: u64,
     /// How much the reduction interval grows after every reduction.
     pub reduce_inc: u64,
@@ -106,36 +84,23 @@ pub struct ClauseDbOptions {
 /// Tuning options of the SAT core (restart schedule + clause database).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SatOptions {
-    /// Restart schedule.
-    pub restart: RestartPolicy,
+    /// Restart after `restart_unit * luby(i)` conflicts, where `luby` is the
+    /// Luby sequence 1,1,2,1,1,2,4,…: frequent cheap restarts interleaved
+    /// with exponentially growing deep dives.
+    pub restart_unit: u64,
     /// Learned-clause database management.
     pub clause_db: ClauseDbOptions,
 }
 
 impl Default for SatOptions {
-    /// The tuned profile: Luby restarts and LBD-based clause deletion.
+    /// The solver's one configuration: Luby restarts and LBD-based clause
+    /// deletion.
     fn default() -> SatOptions {
         SatOptions {
-            restart: RestartPolicy::Luby { unit: 100 },
+            restart_unit: 100,
             clause_db: ClauseDbOptions {
-                enabled: true,
                 first_reduce: 2000,
                 reduce_inc: 300,
-                glue_lbd: 2,
-            },
-        }
-    }
-}
-
-impl SatOptions {
-    /// The pre-tuning behaviour: geometric restarts, no clause deletion.
-    pub fn legacy() -> SatOptions {
-        SatOptions {
-            restart: RestartPolicy::Geometric { start: 100 },
-            clause_db: ClauseDbOptions {
-                enabled: false,
-                first_reduce: u64::MAX,
-                reduce_inc: 0,
                 glue_lbd: 2,
             },
         }
@@ -1003,10 +968,7 @@ impl SatSolver {
     fn search<H: TheoryHook>(&mut self, max_conflicts: u64, theory: &mut H) -> SatResult {
         let mut restarts_here = 0u64;
         let mut conflicts_since_restart = 0u64;
-        let mut restart_limit = match self.options.restart {
-            RestartPolicy::Luby { unit } => unit.max(1) * luby(1),
-            RestartPolicy::Geometric { start } => start.max(1),
-        };
+        let mut restart_limit = self.options.restart_unit.max(1) * luby(1);
         let mut conflicts_here = 0u64;
         // One trace span per search call, segmented at restarts; the guard's
         // drop keeps Begin/End matched on every return path below.
@@ -1105,14 +1067,9 @@ impl SatSolver {
                 if heartbeat_every != 0 {
                     self.emit_heartbeat(theory.progress());
                 }
-                restart_limit = match self.options.restart {
-                    RestartPolicy::Luby { unit } => unit.max(1) * luby(restarts_here + 1),
-                    RestartPolicy::Geometric { .. } => restart_limit + restart_limit / 2,
-                };
+                restart_limit = self.options.restart_unit.max(1) * luby(restarts_here + 1);
                 self.backtrack(0);
-                if self.options.clause_db.enabled
-                    && self.conflicts_since_reduce >= self.reduce_limit
-                {
+                if self.conflicts_since_reduce >= self.reduce_limit {
                     self.reduce_db();
                 }
             }
@@ -1642,13 +1599,19 @@ mod tests {
     #[test]
     fn clause_counts_and_arena_survive_deletion() {
         let aggressive = SatOptions {
-            restart: RestartPolicy::Luby { unit: 1 },
+            restart_unit: 1,
             clause_db: ClauseDbOptions {
-                enabled: true,
                 first_reduce: 1,
                 reduce_inc: 0,
                 glue_lbd: 1,
             },
+        };
+        let undeleting = SatOptions {
+            clause_db: ClauseDbOptions {
+                first_reduce: u64::MAX,
+                ..aggressive.clause_db
+            },
+            ..aggressive
         };
         let mut next = xorshift(0x5eed);
         let n = 60u64;
@@ -1669,7 +1632,7 @@ mod tests {
             }
             s
         };
-        let (mut s, mut reference) = (build(aggressive), build(SatOptions::legacy()));
+        let (mut s, mut reference) = (build(aggressive), build(undeleting));
         let live_lits = |s: &SatSolver| -> Vec<Vec<Lit>> {
             s.clauses
                 .iter()
@@ -1714,7 +1677,7 @@ mod tests {
     #[test]
     fn fresh_solve_rewinds_restart_schedule() {
         let options = SatOptions {
-            restart: RestartPolicy::Luby { unit: 1 },
+            restart_unit: 1,
             ..SatOptions::default()
         };
         // Pigeonhole 6 into 5: unsatisfiable, and far from refuted after a

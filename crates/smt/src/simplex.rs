@@ -128,14 +128,24 @@ const NO_TAG: usize = usize::MAX;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PivotRule {
     /// Bland's rule: smallest-index violated basic variable, first eligible
-    /// entering variable. Never cycles, but blind to progress — the legacy
-    /// behaviour and the default for a bare [`Simplex`].
+    /// entering variable. Never cycles, but blind to progress — the rule of
+    /// the stateless theory checker and the default for a bare [`Simplex`].
     #[default]
     Bland,
     /// Largest-violation leaving variable + largest-coefficient (Dantzig
-    /// style) entering variable for the first `bland_after` pivots of the
-    /// instance, then permanent fallback to Bland's rule. The fallback bounds
-    /// the heuristic phase, so termination is inherited from Bland.
+    /// style) entering variable while the instance's pivot counter
+    /// ([`Simplex::pivots`]) is below `bland_after`, then Bland's rule. The
+    /// fallback bounds the heuristic phase, so termination is inherited from
+    /// Bland.
+    ///
+    /// The counter is not always the instance's own. The incremental
+    /// solver's theory session carries its cumulative count into every
+    /// simplex it rebuilds for a check that brings new atoms, so the
+    /// heuristic phase is spent once per session, and a method-scope pop
+    /// restores the count of the structure scope: in a structure pool each
+    /// method gets `bland_after` heuristic pivots in all, and every later
+    /// simplex of that method starts in Bland mode. A one-shot solver
+    /// checks once, so there the phase is per query.
     Hybrid {
         /// Pivot count after which the instance switches to Bland's rule.
         bland_after: u64,
@@ -143,7 +153,9 @@ pub enum PivotRule {
 }
 
 impl PivotRule {
-    /// The default heuristic phase length of the tuned profile.
+    /// The default heuristic phase length: pivots counted over a whole
+    /// theory session, or over one method scope of a structure pool (see
+    /// [`PivotRule::Hybrid`]), not per simplex instance.
     pub const DEFAULT_BLAND_AFTER: u64 = 512;
 
     /// The tuned hybrid rule with the default fallback threshold.
@@ -216,7 +228,8 @@ pub struct Simplex {
     /// so it cannot create a violation. Entries found nonbasic or within
     /// bounds are pruned by [`Simplex::violated_basic`].
     candidates: Candidates,
-    /// Pivot-count statistic.
+    /// Pivot-count statistic, and the count [`PivotRule::Hybrid`] compares
+    /// with its budget. A caller may seed it (the theory session does).
     pub pivots: u64,
 }
 

@@ -884,7 +884,11 @@ impl TheorySession {
     /// universe grew since the last check, grows the EUF state in place by
     /// the new nodes ([`EufState::grow`]) and starts a fresh simplex and
     /// session trail. The cumulative pivot counter is carried over so
-    /// telemetry deltas stay monotonic.
+    /// telemetry deltas stay monotonic. It is also the count the hybrid
+    /// pivot rule measures its heuristic phase by, so that phase is spent
+    /// once per session (per method scope in a structure pool, whose pop
+    /// restores the count): once spent, every rebuilt simplex starts in
+    /// Bland mode.
     pub(crate) fn prepare(&mut self, checker: &TheoryChecker) {
         if self.euf.is_some() && checker.kinds.len() == self.known_atoms {
             return;
@@ -2378,6 +2382,39 @@ mod tests {
         assert!(
             growths >= 8 && checks >= 40,
             "{growths} growths, {checks} checks"
+        );
+    }
+
+    /// The hybrid rule's heuristic phase is counted over the session, not
+    /// over one simplex instance: [`TheorySession::prepare`] carries the
+    /// session's cumulative pivot counter into every simplex it rebuilds,
+    /// so once a check has spent `bland_after` pivots, the simplex of the
+    /// next check starts in Bland mode.
+    #[test]
+    fn rebuilt_simplex_starts_with_the_spent_heuristic_phase() {
+        let mut tm = TermManager::new();
+        let [x, y, z] = ["x", "y", "z"].map(|n| tm.var(n, Sort::Int));
+        let one = tm.int(1);
+        let sum = tm.add(x, y);
+        // `x + y >= 1` is violated at the all-zero start: loading it pivots.
+        let first = tm.ge(sum, one);
+        let second = tm.ge(z, one);
+        let mut checker = TheoryChecker::new(&mut tm, &[first]);
+        let mut session = TheorySession::new(PivotRule::Hybrid { bland_after: 1 });
+        let mut sat = Driver::new(&[first]);
+        sat.push(first, true);
+        let (verdict, _) = sat.check(&mut session, &tm, &checker);
+        assert!(matches!(verdict, SessionCheck::Consistent));
+        assert!(session.simplex.pivots >= 1, "the first check must pivot");
+        assert!(session.simplex.mark() > 0, "the bound is loaded");
+
+        // A new atom: the next check's prepare rebuilds the simplex.
+        sat.grow(&tm, &mut checker, &[second]);
+        sat.live(&mut session, &checker);
+        assert_eq!(session.simplex.mark(), 0, "the simplex was rebuilt");
+        assert!(
+            session.simplex.in_bland_fallback(),
+            "a rebuilt simplex starts in Bland mode once the session spent its budget"
         );
     }
 }

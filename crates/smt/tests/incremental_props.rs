@@ -6,11 +6,11 @@
 //! reference is the textbook offline lazy loop ([`reference_check`]), not
 //! [`Solver`], which runs the same online loop as the session.
 
-use ids_smt::sat::{ClauseDbOptions, RestartPolicy, SatOptions, SatSolver};
+use ids_smt::sat::{ClauseDbOptions, SatOptions, SatSolver};
 use ids_smt::theory::{TheoryCheck, TheoryChecker};
 use ids_smt::{
-    cnf, lower, IncrementalSolver, PivotRule, SatResult, Solver, SolverConfig, SolverProfile, Sort,
-    TermId, TermManager,
+    cnf, lower, IncrementalSolver, PivotRule, SatResult, Solver, SolverConfig, Sort, TermId,
+    TermManager,
 };
 use proptest::prelude::*;
 
@@ -63,20 +63,18 @@ fn reference_valid(tm: &mut TermManager, formula: TermId) -> SatResult {
     }
 }
 
-/// The solver configurations the session properties cycle through: both
-/// shipped profiles, plus the tuned profile with the deletion/restart knobs
-/// turned aggressive so that clause-database reductions fire on test-sized
+/// The solver configurations the session properties cycle through: the
+/// default, and the same heuristics with the deletion/restart knobs turned
+/// aggressive so that clause-database reductions fire on test-sized
 /// instances (deletion inside scopes and method scopes must never change a
 /// verdict or survive a rollback).
 fn session_config(seed: u64) -> SolverConfig {
-    match seed % 3 {
-        0 => SolverConfig::with_profile(SolverProfile::Default),
-        1 => SolverConfig::with_profile(SolverProfile::Legacy),
+    match seed % 2 {
+        0 => SolverConfig::default(),
         _ => SolverConfig {
             sat: SatOptions {
-                restart: RestartPolicy::Luby { unit: 1 },
+                restart_unit: 1,
                 clause_db: ClauseDbOptions {
-                    enabled: true,
                     first_reduce: 1,
                     reduce_inc: 0,
                     glue_lbd: 1,

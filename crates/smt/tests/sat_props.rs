@@ -3,8 +3,9 @@
 //! Heuristic changes to a CDCL solver (restart schedules, clause deletion)
 //! are the classic place to ship a silent soundness bug: every individual
 //! verdict still *looks* plausible. This suite checks the production
-//! [`SatSolver`] — under every heuristics configuration the solver ships with
-//! — against an independent oracle: a deliberately naive reference DPLL with
+//! [`SatSolver`] — under its default options and under restart and deletion
+//! knobs turned aggressive — against an independent oracle: a deliberately
+//! naive reference DPLL with
 //! none of the machinery under test (no watched literals, no learning, no
 //! restarts, no deletion). On SAT answers the model is additionally checked
 //! against every clause, so the two implementations cannot agree by luck on
@@ -14,7 +15,7 @@
 //! failure reproduces exactly; any discrepancy ever found gets its instance
 //! added to the regression corpus at the bottom.
 
-use ids_smt::sat::{ClauseDbOptions, Lit, RestartPolicy, SatOptions, SatResult, SatSolver, Var};
+use ids_smt::sat::{ClauseDbOptions, Lit, SatOptions, SatResult, SatSolver, Var};
 use proptest::prelude::*;
 
 /// Deterministic xorshift so the tests are reproducible without an external
@@ -116,32 +117,22 @@ fn oracle_dpll(num_vars: usize, clauses: &[Vec<Lit>]) -> Option<Vec<bool>> {
     }
 }
 
-/// The heuristics configurations under differential test: the two shipped
-/// profiles plus the two off-diagonal combinations, with the deletion knobs
-/// turned aggressive so that clause-database reductions actually fire on
-/// test-sized instances.
+/// The heuristics configurations under differential test: the solver's
+/// configuration, and the same heuristics with the restart and deletion
+/// knobs turned aggressive so that restarts and clause-database reductions
+/// actually fire on test-sized instances.
 fn configs() -> Vec<(&'static str, SatOptions)> {
-    let aggressive_db = ClauseDbOptions {
-        enabled: true,
-        first_reduce: 2,
-        reduce_inc: 1,
-        glue_lbd: 1,
-    };
     vec![
         ("default", SatOptions::default()),
-        ("legacy", SatOptions::legacy()),
         (
             "luby1+aggressive-deletion",
             SatOptions {
-                restart: RestartPolicy::Luby { unit: 1 },
-                clause_db: aggressive_db,
-            },
-        ),
-        (
-            "geometric+aggressive-deletion",
-            SatOptions {
-                restart: RestartPolicy::Geometric { start: 2 },
-                clause_db: aggressive_db,
+                restart_unit: 1,
+                clause_db: ClauseDbOptions {
+                    first_reduce: 2,
+                    reduce_inc: 1,
+                    glue_lbd: 1,
+                },
             },
         ),
     ]
@@ -330,10 +321,8 @@ fn pigeonhole_unsat_under_every_config_and_deletion_fires() {
                 s.conflicts
             );
         }
-        if options.clause_db.enabled {
-            // Deletions must never exceed what was learned.
-            assert!(s.learned_deleted <= s.conflicts);
-        }
+        // Deletions must never exceed what was learned.
+        assert!(s.learned_deleted <= s.conflicts, "[{label}]");
     }
 }
 
@@ -342,9 +331,8 @@ fn sat_core_telemetry_is_populated() {
     // Tiny Luby unit + immediate reductions: restarts and deletions must
     // show up in the public counters on a conflict-heavy instance.
     let options = SatOptions {
-        restart: RestartPolicy::Luby { unit: 1 },
+        restart_unit: 1,
         clause_db: ClauseDbOptions {
-            enabled: true,
             first_reduce: 1,
             reduce_inc: 0,
             glue_lbd: 1,
@@ -365,9 +353,8 @@ fn deletion_keeps_solver_reusable_after_unsat_subset_retracts() {
     // most aggressive deletion config: verdict monotonicity (SAT may flip to
     // UNSAT, never back) and final parity with the oracle.
     let options = SatOptions {
-        restart: RestartPolicy::Luby { unit: 1 },
+        restart_unit: 1,
         clause_db: ClauseDbOptions {
-            enabled: true,
             first_reduce: 1,
             reduce_inc: 0,
             glue_lbd: 1,
@@ -432,68 +419,62 @@ fn random_3sat(rng: &mut XorShift, num_vars: usize, num_clauses: usize) -> Vec<V
 #[test]
 fn search_counts_are_pinned_on_fixed_instances() {
     let mut got = Vec::new();
-    // The small differential instances, under both shipped profiles.
+    // The small differential instances.
     for seed in [0u64, 1, 2, 3, 17, 42, 97, 1234] {
-        for options in [SatOptions::default(), SatOptions::legacy()] {
-            let mut rng = XorShift::new(seed);
-            let (num_vars, clauses) = random_instance(&mut rng);
-            let mut s = SatSolver::with_options(options);
-            for _ in 0..num_vars {
-                s.new_var();
-            }
-            for c in &clauses {
-                s.add_clause(c.clone());
-            }
-            s.solve();
-            got.push(counts(&s));
+        let mut rng = XorShift::new(seed);
+        let (num_vars, clauses) = random_instance(&mut rng);
+        let mut s = SatSolver::new();
+        for _ in 0..num_vars {
+            s.new_var();
         }
+        for c in &clauses {
+            s.add_clause(c.clone());
+        }
+        s.solve();
+        got.push(counts(&s));
     }
     // Random 3-SAT near the threshold: enough conflicts for restarts and
     // learned clauses to shape the search.
     for seed in [5u64, 6, 7] {
-        for options in [SatOptions::default(), SatOptions::legacy()] {
-            let mut rng = XorShift::new(seed);
-            let mut s = SatSolver::with_options(options);
-            for _ in 0..80 {
-                s.new_var();
-            }
-            for c in random_3sat(&mut rng, 80, 340) {
-                s.add_clause(c);
-            }
-            s.solve();
-            got.push(counts(&s));
+        let mut rng = XorShift::new(seed);
+        let mut s = SatSolver::new();
+        for _ in 0..80 {
+            s.new_var();
         }
-    }
-    // Pigeonhole 6 into 5 under both profiles.
-    for options in [SatOptions::default(), SatOptions::legacy()] {
-        let mut s = SatSolver::with_options(options);
-        pigeonhole(&mut s, 6, 5);
-        assert_eq!(s.solve(), SatResult::Unsat);
+        for c in random_3sat(&mut rng, 80, 340) {
+            s.add_clause(c);
+        }
+        s.solve();
         got.push(counts(&s));
     }
+    // Pigeonhole 6 into 5.
+    let mut s = SatSolver::new();
+    pigeonhole(&mut s, 6, 5);
+    assert_eq!(s.solve(), SatResult::Unsat);
+    got.push(counts(&s));
     assert_eq!(got, PINNED_COUNTS);
 }
 
 /// [`search_counts_are_pinned_on_fixed_instances`], recorded before the SAT
 /// core moved to one clause arena and an indexed decision heap. Each row is
-/// one instance under `SatOptions::default()`, then `SatOptions::legacy()`.
+/// one instance under `SatOptions::default()`.
 #[rustfmt::skip]
 const PINNED_COUNTS: &[(u64, u64, u64)] = &[
     // `random_instance` seeds 0, 1, 2, 3, 17, 42, 97, 1234.
-    (5, 0, 10), (5, 0, 10),
-    (0, 0, 6), (0, 0, 6),
-    (0, 0, 10), (0, 0, 10),
-    (2, 0, 4), (2, 0, 4),
-    (0, 0, 4), (0, 0, 4),
-    (7, 0, 10), (7, 0, 10),
-    (0, 0, 2), (0, 0, 2),
-    (2, 0, 6), (2, 0, 6),
+    (5, 0, 10),
+    (0, 0, 6),
+    (0, 0, 10),
+    (2, 0, 4),
+    (0, 0, 4),
+    (7, 0, 10),
+    (0, 0, 2),
+    (2, 0, 6),
     // Random 3-SAT, 80 variables, 340 clauses, seeds 5, 6, 7.
-    (342, 284, 5439), (252, 212, 4081),
-    (187, 134, 2475), (187, 134, 2475),
-    (230, 195, 3438), (230, 195, 3438),
+    (342, 284, 5439),
+    (187, 134, 2475),
+    (230, 195, 3438),
     // Pigeonhole 6 into 5.
-    (194, 151, 1759), (194, 151, 1759),
+    (194, 151, 1759),
 ];
 
 /// An assumption-heavy `solve_under` loop shaped like the incremental

@@ -538,34 +538,19 @@ mod tests {
         );
         let formerly_refuted = lc_asserts[1];
         assert!(precondition < formerly_refuted);
-        // Pin the verdicts under BOTH solver heuristics profiles: the tuned
-        // default (Luby restarts + clause deletion + hybrid pivoting) and
-        // the legacy profile — heuristics must never move a verdict.
-        for profile in [
-            ids_smt::SolverProfile::Default,
-            ids_smt::SolverProfile::Legacy,
-        ] {
-            let task = ids_core::pipeline::MethodTask {
-                profile,
-                ..task.clone()
-            };
-            let mut session =
-                ids_core::pipeline::MethodSession::new(&task).expect("decidable encoding");
-            for &i in &[precondition, formerly_refuted] {
-                let r = session.check_vc(i);
-                assert_eq!(
-                    r.verdict,
-                    ids_core::pipeline::VcVerdict::Valid,
-                    "VC still failing under profile {}: {}",
-                    profile.as_str(),
-                    task.vcs[i].description
-                );
-                if profile == ids_smt::SolverProfile::Default {
-                    // The decisive VCs are solver-heavy enough to exercise
-                    // the new telemetry end to end.
-                    assert!(r.stats.sat_decisions > 0, "{:?}", r.stats);
-                }
-            }
+        let mut session =
+            ids_core::pipeline::MethodSession::new(&task).expect("decidable encoding");
+        for &i in &[precondition, formerly_refuted] {
+            let r = session.check_vc(i);
+            assert_eq!(
+                r.verdict,
+                ids_core::pipeline::VcVerdict::Valid,
+                "VC still failing: {}",
+                task.vcs[i].description
+            );
+            // The decisive VCs are solver-heavy enough to exercise the
+            // solver telemetry end to end.
+            assert!(r.stats.sat_decisions > 0, "{:?}", r.stats);
         }
     }
 

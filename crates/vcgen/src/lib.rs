@@ -34,34 +34,22 @@ pub mod qfcheck;
 
 use ids_ivl::Program;
 use ids_smt::{
-    structural_hash, IncrementalSolver, SatResult, Solver, SolverConfig, SolverProfile,
-    SolverStats, TermId, TermManager,
+    structural_hash, IncrementalSolver, SatResult, Solver, SolverConfig, SolverStats, TermId,
+    TermManager,
 };
 
 pub use encode::sort_of_type;
 pub use qfcheck::{theory_profile, TheoryProfile};
 
-/// The solver configuration matching an encoding mode (default heuristics
-/// profile).
+/// The solver configuration matching an encoding mode.
 pub fn solver_config(encoding: Encoding) -> SolverConfig {
-    solver_config_for(encoding, SolverProfile::default())
-}
-
-/// The solver configuration matching an encoding mode and a heuristics
-/// profile. The profile never affects verdicts (or VC cache keys) — only the
-/// search heuristics of the SAT core and the simplex.
-pub fn solver_config_for(encoding: Encoding, profile: SolverProfile) -> SolverConfig {
-    let base = SolverConfig::with_profile(profile);
     match encoding {
-        Encoding::Decidable => base,
-        Encoding::Quantified => SolverConfig {
-            allow_quantifiers: true,
-            ..base
-        },
+        Encoding::Decidable => SolverConfig::default(),
+        Encoding::Quantified => SolverConfig::quantified(),
     }
 }
 
-/// Checks one VC formula for validity with a fresh solver (default profile).
+/// Checks one VC formula for validity with a fresh solver.
 ///
 /// This is the single-query building block the batch driver schedules across
 /// worker threads; [`VcGen::verify`] is the sequential loop over it. Returns
@@ -73,17 +61,7 @@ pub fn check_formula(
     formula: TermId,
     encoding: Encoding,
 ) -> (SatResult, SolverStats) {
-    check_formula_with(tm, formula, encoding, SolverProfile::default())
-}
-
-/// [`check_formula`] under an explicit solver heuristics profile.
-pub fn check_formula_with(
-    tm: &mut TermManager,
-    formula: TermId,
-    encoding: Encoding,
-    profile: SolverProfile,
-) -> (SatResult, SolverStats) {
-    let mut solver = Solver::with_config(solver_config_for(encoding, profile));
+    let mut solver = Solver::with_config(solver_config(encoding));
     let result = solver.check_valid(tm, formula);
     (result, solver.stats())
 }
@@ -193,27 +171,18 @@ impl VcSession {
         encoding == Encoding::Decidable
     }
 
-    /// Creates a session for the decidable encoding (default profile).
+    /// Creates a session for the decidable encoding.
     ///
     /// # Panics
     /// Panics if the encoding is unsupported — gate on
     /// [`VcSession::supports`] first.
     pub fn new(encoding: Encoding) -> VcSession {
-        VcSession::with_profile(encoding, SolverProfile::default())
-    }
-
-    /// Creates a session under an explicit solver heuristics profile.
-    ///
-    /// # Panics
-    /// Panics if the encoding is unsupported — gate on
-    /// [`VcSession::supports`] first.
-    pub fn with_profile(encoding: Encoding, profile: SolverProfile) -> VcSession {
         assert!(
             VcSession::supports(encoding),
             "incremental sessions require the decidable encoding"
         );
         VcSession {
-            solver: IncrementalSolver::with_config(solver_config_for(encoding, profile)),
+            solver: IncrementalSolver::with_config(solver_config(encoding)),
             asserted: 0,
             prelude: 0,
             methods_begun: 0,

@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 
 use intrinsic_verify::core::pipeline::{load_methods, verify_method_in, PipelineConfig};
-use intrinsic_verify::driver::{verify_selections, DriverConfig, PoolMode, Selection};
+use intrinsic_verify::driver::{verify_selections, DriverConfig, Selection};
 use intrinsic_verify::structures::lists;
 
 fn temp_cache(tag: &str) -> PathBuf {
@@ -89,16 +89,15 @@ fn warm_cache_rerun_discharges_zero_smt_queries() {
     std::fs::remove_file(&cache).ok();
 }
 
-/// At `--jobs 1` in structure mode one worker picks up the structure's
-/// unit once, so every VC of the unit reports the same queue time, however
-/// long the unit's earlier VCs took to solve.
+/// At `--jobs 1` one worker picks up the structure's unit once, so every VC
+/// of the unit reports the same queue time, however long the unit's earlier
+/// VCs took to solve.
 #[test]
 fn vcs_of_one_unit_share_their_queue_time() {
     let ids = lists::singly_linked_list();
     let selections = vec![sll_selection(&ids)];
     let config = DriverConfig {
         jobs: 1,
-        pool_mode: PoolMode::Structure,
         ..DriverConfig::default()
     };
     let batch = verify_selections(&selections, &config);
@@ -115,14 +114,14 @@ fn vcs_of_one_unit_share_their_queue_time() {
 }
 
 #[test]
-fn pool_modes_report_identically_across_structures() {
+fn structure_pools_report_like_the_one_shot_pipeline_across_structures() {
     // One batch spanning several structure families plus a refuted method,
-    // run through both `--pool-mode` values: structure-scoped warm pools
-    // (default) and fresh per-VC jobs. The *reports* must be
-    // byte-identical: outcome kind and failing-VC description, VC counts,
-    // cache accounting. Only solver-internal statistics (conflicts,
-    // propagations, times, prelude reuse) may differ between the solving
-    // strategies.
+    // run through the driver's structure-scoped warm pools and, method by
+    // method, through the sequential pipeline, which checks every VC with a
+    // fresh one-shot solver. The *reports* must be identical: outcome kind
+    // and failing-VC description, VC counts. Only solver-internal
+    // statistics (conflicts, propagations, times, prelude reuse) may differ
+    // between the two searches.
     use intrinsic_verify::structures::trees;
     let sll = lists::singly_linked_list();
     let circ = lists::circular_list();
@@ -154,52 +153,56 @@ fn pool_modes_report_identically_across_structures() {
             methods: methods(&["bst_find_min"]),
         },
     ];
-    let run = |mode: PoolMode| {
-        verify_selections(
-            &selections,
-            &DriverConfig {
-                jobs: 2,
-                pool_mode: mode,
-                ..DriverConfig::default()
-            },
-        )
-    };
-    let structure = run(PoolMode::Structure);
-    let fresh = run(PoolMode::None);
-    for (label, batch) in [("structure", &structure), ("none", &fresh)] {
-        assert!(batch.errors.is_empty(), "{}: {:?}", label, batch.errors);
-        assert_eq!(batch.reports.len(), structure.reports.len(), "{}", label);
-        assert_eq!(batch.stats.vcs, structure.stats.vcs, "{}", label);
-    }
-    for (a, b) in structure.reports.iter().zip(&fresh.reports) {
+    let batch = verify_selections(
+        &selections,
+        &DriverConfig {
+            jobs: 2,
+            ..DriverConfig::default()
+        },
+    );
+    assert!(batch.errors.is_empty(), "{:?}", batch.errors);
+    let one_shot: Vec<_> = selections
+        .iter()
+        .flat_map(|sel| {
+            let merged = load_methods(sel.definition, sel.methods_src).unwrap();
+            sel.methods
+                .iter()
+                .map(|m| {
+                    verify_method_in(sel.definition, &merged, m, PipelineConfig::default()).unwrap()
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    assert_eq!(batch.reports.len(), one_shot.len());
+    assert_eq!(
+        batch.stats.vcs,
+        one_shot.iter().map(|r| r.num_vcs).sum::<usize>()
+    );
+    for (a, b) in batch.reports.iter().zip(&one_shot) {
         assert_eq!(a.structure, b.structure);
         assert_eq!(a.method, b.method);
         // Full outcome equality: kind *and* failing-VC description.
         assert_eq!(
             a.outcome, b.outcome,
-            "{}::{} diverged under pool mode none",
+            "{}::{} diverged from the one-shot pipeline",
             a.structure, a.method
         );
         assert_eq!(a.num_vcs, b.num_vcs);
     }
-    // Stats-consistency: every mode did real solving work. (Cancellation
-    // timing under concurrency may make the exact query counts differ; the
-    // *reported* rows above may not.) Every solve propagates; theory rounds
-    // count theory verdicts only, and a VC refuted by Boolean propagation
-    // alone has none.
-    for batch in [&structure, &fresh] {
-        for r in &batch.reports {
-            if r.outcome.is_verified() {
-                assert!(
-                    r.solver.sat_propagations > 0,
-                    "{}: {:?}",
-                    r.method,
-                    r.solver
-                );
-            }
+    // Stats-consistency: both paths did real solving work. Every solve
+    // propagates; theory rounds count theory verdicts only, and a VC refuted
+    // by Boolean propagation alone has none.
+    for r in batch.reports.iter().chain(&one_shot) {
+        if r.outcome.is_verified() {
+            assert!(
+                r.solver.sat_propagations > 0,
+                "{}: {:?}",
+                r.method,
+                r.solver
+            );
         }
     }
-    assert!(!structure.all_verified(), "the buggy method must fail");
+    assert!(!batch.all_verified(), "the buggy method must fail");
 }
 
 #[test]

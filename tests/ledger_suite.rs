@@ -172,6 +172,47 @@ fn v3_lines_with_slice_counters_still_parse() {
     assert_eq!(Metric::from_name("slice_dropped_hyps"), None);
 }
 
+/// Lines written while the driver still had a fresh-solver pool mode and a
+/// legacy heuristics profile carry `"pool_mode":"none"` and
+/// `"profile":"legacy"` in their metadata. They must still parse, and
+/// `compare` and `history` must accept them next to a line of the one
+/// configuration left (`structure`, `default`).
+#[test]
+fn v3_lines_of_retired_pool_modes_and_profiles_still_parse() {
+    let current = sample_record(11, 80.0, 0.02);
+    let mut retired = sample_record(10, 90.0, 0.02);
+    retired.meta.pool_mode = "none".to_string();
+    retired.meta.profile = "legacy".to_string();
+    let line = retired.to_json_line();
+    assert!(line.contains("\"pool_mode\":\"none\""), "{line}");
+    assert!(line.contains("\"profile\":\"legacy\""), "{line}");
+    let parsed = RunRecord::parse(&line).expect("a line of a retired configuration parses");
+    assert_eq!(parsed.schema, 3);
+    assert_eq!(parsed, retired);
+
+    let opts = CompareOpts::default();
+    let report = compare(&parsed, &current, &opts);
+    assert_eq!(report.deltas.len(), current.vcs.len());
+    assert_eq!(report.verdict_mismatches, 0);
+    assert!(report.only_base.is_empty() && report.only_new.is_empty());
+    assert!(!report.failed(&opts));
+
+    let dir = temp_dir("retired");
+    let path = dir.join("ledger.jsonl");
+    std::fs::write(&path, format!("{line}\n")).expect("write");
+    append_run(&path, &current).expect("append");
+    let runs = load_runs(&path).expect("load");
+    assert_eq!(runs.len(), 2);
+    assert_eq!(runs[0], retired);
+    let lines = history_lines(&runs, None);
+    assert_eq!(lines.len(), current.vcs.len());
+    assert!(
+        lines.iter().all(|l| l.contains("90.0 -> 80.0")),
+        "{lines:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn parse_rejects_garbage_and_load_skips_it() {
     assert!(RunRecord::parse("not json").is_err());

@@ -10,7 +10,7 @@
 //! interleave its events into the capture.
 
 use intrinsic_verify::core::IntrinsicDefinition;
-use intrinsic_verify::driver::{verify_selections, DriverConfig, PoolMode, Selection};
+use intrinsic_verify::driver::{verify_selections, DriverConfig, Selection};
 use intrinsic_verify::obs;
 use std::collections::HashSet;
 
@@ -79,7 +79,6 @@ fn chrome_trace_schema_is_well_formed() {
         std::slice::from_ref(&selection),
         &DriverConfig {
             jobs: 1,
-            pool_mode: PoolMode::Structure,
             cache_path: None,
             ..DriverConfig::default()
         },
