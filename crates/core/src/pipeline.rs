@@ -11,10 +11,12 @@
 //!   → per-method report (Table 2 row shape)
 //! ```
 
+use std::borrow::Cow;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use ids_ivl::{ast, parse_program, Procedure, Program};
-use ids_smt::{structural_hash, SatResult, SolverProfile, SolverStats, TermId, TermManager};
+use ids_ivl::{ast, parse_program, Program};
+use ids_smt::{structural_hashes, SatResult, SolverProfile, SolverStats, TermId, TermManager};
 use ids_vcgen::{check_formula, Encoding, StructureVcs, Vc, VcGen, VcSession, VerifyOutcome};
 
 use crate::fwyb::{expand_program, ExpandError};
@@ -238,7 +240,10 @@ pub struct MethodTask {
     pub hypotheses: Vec<TermId>,
     /// The encoding the VCs were generated under.
     pub encoding: Encoding,
-    /// Time spent expanding + generating VCs.
+    /// Time spent generating the method's VCs. A method prepared alone
+    /// ([`prepare_method_in`]) also counts the FWYB expansion of its
+    /// program; methods prepared from one [`ExpandedStructure`] share that
+    /// expansion, which its `"expand"` trace span times.
     pub prepare_time: Duration,
     /// Lines of executable code.
     pub loc: usize,
@@ -252,6 +257,8 @@ pub struct MethodTask {
     pub wellbehaved_violations: Vec<Violation>,
     /// Ghost-code legality violations.
     pub ghost_violations: Vec<GhostViolation>,
+    /// The VC keys, computed on first use ([`MethodTask::vc_keys`]).
+    keys: OnceLock<Vec<u128>>,
 }
 
 impl MethodTask {
@@ -265,11 +272,25 @@ impl MethodTask {
     /// quantified encoding is a different solver problem). Stable across
     /// processes, so usable as an on-disk cache key.
     pub fn vc_key(&self, vc_index: usize) -> u128 {
-        let h = structural_hash(&self.tm, self.vcs[vc_index].formula);
-        match self.encoding {
-            Encoding::Decidable => h,
-            Encoding::Quantified => h ^ 0x9e37_79b9_7f4a_7c15_9e37_79b9_7f4a_7c15,
-        }
+        self.vc_keys()[vc_index]
+    }
+
+    /// Every VC's [`MethodTask::vc_key`], in VC order. The first call hashes
+    /// all the method's formulas in one pass, so the hypotheses they share
+    /// are hashed once, and stores the keys; later calls read them (so a
+    /// task whose `tm` or `vcs` are edited afterwards keeps the old keys).
+    pub fn vc_keys(&self) -> &[u128] {
+        self.keys.get_or_init(|| {
+            let salt = match self.encoding {
+                Encoding::Decidable => 0,
+                Encoding::Quantified => 0x9e37_79b9_7f4a_7c15_9e37_79b9_7f4a_7c15,
+            };
+            let formulas: Vec<TermId> = self.vcs.iter().map(|vc| vc.formula).collect();
+            structural_hashes(&self.tm, &formulas)
+                .into_iter()
+                .map(|h| h ^ salt)
+                .collect()
+        })
     }
 
     /// Discharges one VC on a private clone of the term manager; safe to call
@@ -318,26 +339,6 @@ impl MethodTask {
         out
     }
 
-    /// Like [`MethodTask::run_sequential`], but discharges the VCs through
-    /// one incremental solver session (shared prelude lowered once). Falls
-    /// back to the fresh-solver sequential loop when the encoding does not
-    /// support sessions. Verdicts are identical either way.
-    pub fn run_session(&self) -> Vec<VcResult> {
-        let Some(mut session) = MethodSession::new(self) else {
-            return self.run_sequential();
-        };
-        let mut out = Vec::with_capacity(self.vcs.len());
-        for i in 0..self.vcs.len() {
-            let r = session.check_vc(i);
-            let stop = r.verdict != VcVerdict::Valid;
-            out.push(r);
-            if stop {
-                break;
-            }
-        }
-        out
-    }
-
     /// Folds per-VC results into the method report.
     ///
     /// The outcome is derived by scanning the results in VC order, which gives
@@ -351,6 +352,7 @@ impl MethodTask {
         let mut solver = SolverStats::default();
         let mut cached_vcs = 0;
         let mut vc_reports = Vec::with_capacity(results.len());
+        let keys = self.vc_keys();
         let mut ordered: Vec<&VcResult> = results.iter().collect();
         ordered.sort_by_key(|r| r.vc_index);
         for r in &ordered {
@@ -361,7 +363,7 @@ impl MethodTask {
             }
             vc_reports.push(VcReport {
                 vc_index: r.vc_index,
-                vc_key: self.vc_key(r.vc_index),
+                vc_key: keys[r.vc_index],
                 description: self.vcs[r.vc_index].description.clone(),
                 verdict: r.verdict,
                 wall_time: r.time,
@@ -641,25 +643,6 @@ impl StructureSession {
             core,
         }
     }
-
-    /// Convenience: runs one method's VCs in order inside its own scope,
-    /// stopping at the first non-valid result (sequential early-stop
-    /// semantics).
-    pub fn run_method(&mut self, method_idx: usize) -> Vec<VcResult> {
-        let _obs = ids_obs::span("method");
-        self.begin_method(method_idx);
-        let mut out = Vec::with_capacity(self.methods[method_idx].vcs.len());
-        for i in 0..self.methods[method_idx].vcs.len() {
-            let r = self.check_vc(method_idx, i);
-            let stop = r.verdict != VcVerdict::Valid;
-            out.push(r);
-            if stop {
-                break;
-            }
-        }
-        self.end_method();
-        out
-    }
 }
 
 /// Parses a method file and merges it with the definition's field prelude.
@@ -697,142 +680,175 @@ pub fn verify_method_in(
     Ok(task.report(&results))
 }
 
-/// Checks the FWYB discipline of a procedure and expands nothing: the shared
-/// front half of [`prepare_method_in`] and [`prepare_plain`].
-fn check_discipline(
-    merged: &Program,
-    proc: &Procedure,
-    method: &str,
-    config: PipelineConfig,
-) -> Result<(Vec<Violation>, Vec<GhostViolation>), PipelineError> {
-    let wellbehaved_violations = crate::wellbehaved::check_procedure(proc);
-    if config.strict_wellbehaved && !wellbehaved_violations.is_empty() {
-        return Err(PipelineError::NotWellBehaved(wellbehaved_violations));
-    }
-    let ghost_violations = check_ghost_legality(merged)
-        .into_iter()
-        .filter(|v| v.procedure == method)
-        .collect();
-    Ok((wellbehaved_violations, ghost_violations))
+/// The once-per-structure half of preparing methods for verification: the
+/// merged program's FWYB expansion and ghost-legality check, which every
+/// method prepared from it shares. [`ExpandedStructure::prepare`] is the
+/// once-per-method half: discipline checks and VC generation.
+///
+/// Preparing a method here or alone ([`prepare_method_in`], the one-method
+/// case of this same path) yields the same task — VCs, hypotheses, keys and
+/// violations — or the same error.
+pub struct ExpandedStructure<'a> {
+    /// Reporting label of the prepared tasks.
+    structure: String,
+    /// The program as written: methods are looked up, discipline-checked and
+    /// measured here.
+    source: &'a Program,
+    /// What VC generation reads: the macro-free expansion of `source` (or
+    /// `source` itself for a plain program), or the error that stopped the
+    /// expansion, which every method then reports.
+    expanded: Result<Cow<'a, Program>, ExpandError>,
+    /// Ghost-legality violations of every procedure of `source`.
+    ghost_violations: Vec<GhostViolation>,
+    /// Size of the local condition in conjuncts (0 for a plain program).
+    lc_size: usize,
+    /// Time the FWYB expansion took (zero for a plain program).
+    expand_time: Duration,
 }
 
-/// Prepares one method of an already-parsed program for verification:
-/// discipline checks, macro expansion, VC generation — everything up to (but
-/// not including) the solver queries. The returned [`MethodTask`] owns its
-/// term manager and can be discharged VC by VC, on any thread.
+impl<'a> ExpandedStructure<'a> {
+    /// Ghost-checks and expands a merged program ([`load_methods`]) against
+    /// its intrinsic definition.
+    pub fn new(ids: &IntrinsicDefinition, merged: &'a Program) -> ExpandedStructure<'a> {
+        let _obs = ids_obs::span_with("expand", || ids.name.clone());
+        let ghost_violations = check_ghost_legality(merged);
+        let start = Instant::now();
+        let expanded = expand_program(ids, merged).map(Cow::Owned);
+        ExpandedStructure {
+            structure: ids.name.clone(),
+            source: merged,
+            expanded,
+            ghost_violations,
+            lc_size: ids.lc_size(),
+            expand_time: start.elapsed(),
+        }
+    }
+
+    /// A plain IVL program, with no intrinsic definition: the `ids-verify
+    /// verify <file>` path. FWYB macro statements are not expanded — a
+    /// program using them must be verified against a definition.
+    pub fn plain(structure: &str, program: &'a Program) -> ExpandedStructure<'a> {
+        ExpandedStructure {
+            structure: structure.to_string(),
+            source: program,
+            expanded: Ok(Cow::Borrowed(program)),
+            ghost_violations: check_ghost_legality(program),
+            lc_size: 0,
+            expand_time: Duration::ZERO,
+        }
+    }
+
+    /// Prepares one method for verification: discipline checks and VC
+    /// generation, everything up to (but not including) the solver queries.
+    /// The returned [`MethodTask`] owns its term manager and can be
+    /// discharged VC by VC, on any thread.
+    ///
+    /// Errors take precedence in this order: no such method, then (strict
+    /// mode) a well-behavedness violation, then the structure's expansion
+    /// error, then VC generation.
+    pub fn prepare(
+        &self,
+        method: &str,
+        config: PipelineConfig,
+    ) -> Result<MethodTask, PipelineError> {
+        let proc = self
+            .source
+            .procedure(method)
+            .ok_or_else(|| PipelineError::NoSuchMethod(method.to_string()))?;
+        let wellbehaved_violations = crate::wellbehaved::check_procedure(proc);
+        if config.strict_wellbehaved && !wellbehaved_violations.is_empty() {
+            return Err(PipelineError::NotWellBehaved(wellbehaved_violations));
+        }
+        let ghost_violations = self
+            .ghost_violations
+            .iter()
+            .filter(|v| v.procedure == method)
+            .cloned()
+            .collect();
+        let expanded = self
+            .expanded
+            .as_ref()
+            .map_err(|e| PipelineError::Expand(e.clone()))?;
+
+        let _obs = ids_obs::span_with("prepare", || method.to_string());
+        let start = Instant::now();
+        let mut tm = TermManager::new();
+        let generated = VcGen::new(expanded, config.encoding).method_vcs(&mut tm, method)?;
+        let prepare_time = start.elapsed();
+
+        Ok(MethodTask {
+            structure: self.structure.clone(),
+            method: method.to_string(),
+            tm,
+            vcs: generated.vcs,
+            hypotheses: generated.hypotheses,
+            encoding: config.encoding,
+            prepare_time,
+            loc: ast::executable_loc(proc),
+            spec: ast::spec_lines(proc),
+            annotations: ast::annotation_lines(proc),
+            lc_size: self.lc_size,
+            wellbehaved_violations,
+            ghost_violations,
+            keys: OnceLock::new(),
+        })
+    }
+}
+
+/// Prepares one method of an already-parsed program for verification: the
+/// one-method case of [`ExpandedStructure`], whose expansion the task's
+/// [`MethodTask::prepare_time`] then includes.
 pub fn prepare_method_in(
     ids: &IntrinsicDefinition,
     merged: &Program,
     method: &str,
     config: PipelineConfig,
 ) -> Result<MethodTask, PipelineError> {
-    let proc = merged
-        .procedure(method)
-        .ok_or_else(|| PipelineError::NoSuchMethod(method.to_string()))?
-        .clone();
-    let (wellbehaved_violations, ghost_violations) =
-        check_discipline(merged, &proc, method, config)?;
-
-    let _obs = ids_obs::span_with("prepare", || method.to_string());
-    let start = Instant::now();
-    let expanded = expand_program(ids, merged)?;
-    let vcgen = VcGen::new(&expanded, config.encoding);
-    let mut tm = TermManager::new();
-    let generated = vcgen.method_vcs(&mut tm, method)?;
-    let prepare_time = start.elapsed();
-
-    Ok(MethodTask {
-        structure: ids.name.clone(),
-        method: method.to_string(),
-        tm,
-        vcs: generated.vcs,
-        hypotheses: generated.hypotheses,
-        encoding: config.encoding,
-        prepare_time,
-        loc: ast::executable_loc(&proc),
-        spec: ast::spec_lines(&proc),
-        annotations: ast::annotation_lines(&proc),
-        lc_size: ids.lc_size(),
-        wellbehaved_violations,
-        ghost_violations,
-    })
-}
-
-/// Prepares one procedure of a plain IVL program (no intrinsic definition):
-/// the `ids-verify verify <file>` path. FWYB macro statements are not
-/// expanded — a program using them must be verified against a definition.
-pub fn prepare_plain(
-    structure: &str,
-    program: &Program,
-    method: &str,
-    config: PipelineConfig,
-) -> Result<MethodTask, PipelineError> {
-    let proc = program
-        .procedure(method)
-        .ok_or_else(|| PipelineError::NoSuchMethod(method.to_string()))?
-        .clone();
-    let (wellbehaved_violations, ghost_violations) =
-        check_discipline(program, &proc, method, config)?;
-
-    let start = Instant::now();
-    let vcgen = VcGen::new(program, config.encoding);
-    let mut tm = TermManager::new();
-    let generated = vcgen.method_vcs(&mut tm, method)?;
-    let prepare_time = start.elapsed();
-
-    Ok(MethodTask {
-        structure: structure.to_string(),
-        method: method.to_string(),
-        tm,
-        vcs: generated.vcs,
-        hypotheses: generated.hypotheses,
-        encoding: config.encoding,
-        prepare_time,
-        loc: ast::executable_loc(&proc),
-        spec: ast::spec_lines(&proc),
-        annotations: ast::annotation_lines(&proc),
-        lc_size: 0,
-        wellbehaved_violations,
-        ghost_violations,
-    })
-}
-
-/// Verifies every procedure with a body in the method file.
-pub fn verify_all(
-    ids: &IntrinsicDefinition,
-    methods_src: &str,
-    config: PipelineConfig,
-) -> Result<Vec<MethodReport>, PipelineError> {
-    let merged = load_methods(ids, methods_src)?;
-    let mut out = Vec::new();
-    let names: Vec<String> = merged
-        .procedures
-        .iter()
-        .filter(|p| p.body.is_some())
-        .map(|p| p.name.clone())
-        .collect();
-    for name in names {
-        out.push(verify_method_in(ids, &merged, &name, config)?);
-    }
-    Ok(out)
-}
-
-/// Full check of an intrinsic definition + benchmark file: impact sets first,
-/// then every method. Mirrors the workflow of §5.3 (impact sets are proved
-/// correct once per data structure, then each method is verified).
-pub fn verify_structure(
-    ids: &IntrinsicDefinition,
-    methods_src: &str,
-    config: PipelineConfig,
-) -> Result<(Vec<crate::impact::ImpactCheckResult>, Vec<MethodReport>), PipelineError> {
-    let impact = crate::impact::check_impact_sets(ids, config.encoding);
-    let methods = verify_all(ids, methods_src, config)?;
-    Ok((impact, methods))
+    let structure = ExpandedStructure::new(ids, merged);
+    let mut task = structure.prepare(method, config)?;
+    task.prepare_time += structure.expand_time;
+    Ok(task)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Discharges the task's VCs in order through one incremental session
+    /// (shared prelude lowered once), stopping at the first non-valid one;
+    /// the fresh-solver loop where the encoding has no sessions.
+    fn run_session(task: &MethodTask) -> Vec<VcResult> {
+        let Some(mut session) = MethodSession::new(task) else {
+            return task.run_sequential();
+        };
+        let mut out = Vec::with_capacity(task.vcs.len());
+        for i in 0..task.vcs.len() {
+            let r = session.check_vc(i);
+            let stop = r.verdict != VcVerdict::Valid;
+            out.push(r);
+            if stop {
+                break;
+            }
+        }
+        out
+    }
+
+    /// Runs one method of the pool in its own scope, in VC order, stopping
+    /// at the first non-valid result.
+    fn run_method(pool: &mut StructureSession, method_idx: usize) -> Vec<VcResult> {
+        pool.begin_method(method_idx);
+        let mut out = Vec::new();
+        for i in 0..pool.methods[method_idx].vcs.len() {
+            let r = pool.check_vc(method_idx, i);
+            let stop = r.verdict != VcVerdict::Valid;
+            out.push(r);
+            if stop {
+                break;
+            }
+        }
+        pool.end_method();
+        out
+    }
 
     fn list_ids() -> IntrinsicDefinition {
         IntrinsicDefinition::parse(
@@ -920,7 +936,7 @@ mod tests {
         let task =
             prepare_method_in(&ids, &merged, "insert_front", PipelineConfig::default()).unwrap();
         let seq = task.run_sequential();
-        let inc = task.run_session();
+        let inc = run_session(&task);
         assert_eq!(seq.len(), inc.len());
         for (s, i) in seq.iter().zip(&inc) {
             assert_eq!(s.vc_index, i.vc_index);
@@ -946,7 +962,7 @@ mod tests {
         let task =
             prepare_method_in(&ids, &merged, "detach_bad", PipelineConfig::default()).unwrap();
         let seq = task.run_sequential();
-        let inc = task.run_session();
+        let inc = run_session(&task);
         assert_eq!(seq.len(), inc.len());
         for (s, i) in seq.iter().zip(&inc) {
             assert_eq!(s.verdict, i.verdict, "vc#{} diverged", s.vc_index);
@@ -1005,9 +1021,9 @@ mod tests {
         let task_refs: Vec<&MethodTask> = tasks.iter().collect();
         let mut pool = StructureSession::new(&task_refs).expect("decidable encoding");
         for (mi, task) in tasks.iter().enumerate() {
-            let pooled = pool.run_method(mi);
+            let pooled = run_method(&mut pool, mi);
             let seq = task.run_sequential();
-            let inc = task.run_session();
+            let inc = run_session(task);
             assert_eq!(pooled.len(), seq.len(), "{}: early stop", task.method);
             assert_eq!(pooled.len(), inc.len());
             for ((p, s), i) in pooled.iter().zip(&seq).zip(&inc) {
@@ -1035,7 +1051,10 @@ mod tests {
                 );
             }
         }
-        assert!(!tasks[2].report(&pool.run_method(2)).outcome.is_verified());
+        assert!(!tasks[2]
+            .report(&run_method(&mut pool, 2))
+            .outcome
+            .is_verified());
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use ids_core::pipeline::{prepare_plain, PipelineConfig, VcVerdict};
+use ids_core::pipeline::{ExpandedStructure, PipelineConfig, VcVerdict};
 use ids_core::report::{format_table, Table2Row};
 use ids_driver::json::Json;
 use ids_driver::{ledger, verify_selections, verify_tasks, BatchReport, DriverConfig, Selection};
@@ -641,8 +641,9 @@ fn run_verify(options: &Options) -> ExitCode {
         }
         let mut tasks = Vec::new();
         let mut batch = BatchReport::default();
+        let structure = ExpandedStructure::plain(&label, &program);
         for name in selected {
-            match prepare_plain(&label, &program, name, pipeline_config) {
+            match structure.prepare(name, pipeline_config) {
                 Ok(task) => tasks.push(task),
                 Err(e) => batch.errors.push(ids_driver::BatchError {
                     structure: label.clone(),

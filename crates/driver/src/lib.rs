@@ -5,14 +5,21 @@
 //! one core idle on what is an embarrassingly parallel workload. This crate
 //! turns a suite into a batch job:
 //!
-//! 1. **Decompose** — every `(structure, method)` pair is prepared into a
-//!    [`MethodTask`] (parse, discipline checks, FWYB expansion, VC
-//!    generation), itself in parallel; every `(task, vc)` pair is then an
-//!    independent SMT query.
+//! 1. **Decompose** — the front end works at three grains:
+//!    - *once per structure*: the methods file is parsed and typechecked
+//!      against the definition's fields, and the merged program is
+//!      FWYB-expanded and ghost-checked
+//!      ([`ExpandedStructure`]);
+//!    - *once per method*, in parallel: discipline checks and VC generation
+//!      from the structure's expansion, into a [`MethodTask`];
+//!    - *once per VC*: nothing; every `(task, vc)` pair is an independent
+//!      SMT query.
 //! 2. **Memoize** — each VC is keyed by the stable structural hash of its
-//!    formula ([`MethodTask::vc_key`]). Identical VCs across the batch are
-//!    solved once, previously solved VCs are answered from a persistent
-//!    [`cache::VcCache`] file, so re-runs are incremental.
+//!    formula ([`MethodTask::vc_key`]). A task hashes all its formulas in
+//!    one pass, so the hypotheses they share are hashed once, and keeps the
+//!    keys for the cache, its report and the ledger. Identical VCs across
+//!    the batch are solved once, previously solved VCs are answered from a
+//!    persistent [`cache::VcCache`] file, so re-runs are incremental.
 //! 3. **Schedule** — remaining queries go through a channel-fed
 //!    [`pool`] of `std::thread` workers ([`DriverConfig::jobs`] wide). Once a
 //!    method's VC is refuted, its not-yet-started VCs are cancelled — the
@@ -56,10 +63,11 @@ pub mod pool;
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use ids_core::pipeline::{
-    load_methods, prepare_method_in, MethodReport, MethodTask, PipelineConfig, VcResult,
+    load_methods, ExpandedStructure, MethodReport, MethodTask, PipelineConfig, VcResult,
 };
 use ids_core::IntrinsicDefinition;
 use ids_smt::{SolverProfile, SolverStats};
@@ -267,32 +275,37 @@ pub fn verify_selections(selections: &[Selection], config: &DriverConfig) -> Bat
     }
 
     // ------------------------------------------------------- prepare stage
-    // One job per (structure, method): expansion + VC generation in parallel.
-    struct PrepJob<'a> {
-        sel: &'a Selection<'a>,
-        merged: &'a ids_ivl::Program,
-        method: &'a str,
-    }
-    let prep_jobs: Vec<PrepJob> = loaded
+    // One job per (structure, method), in parallel: discipline checks and VC
+    // generation. The structure's FWYB expansion and ghost-legality check
+    // run once, in the first of its jobs to start; the last of its jobs to
+    // finish drops them, so expansions do not pile up across structures.
+    type Expansion<'a> = Arc<OnceLock<ExpandedStructure<'a>>>;
+    let prep_jobs: Vec<(&Selection, &ids_ivl::Program, Expansion, &str)> = loaded
         .iter()
         .flat_map(|(sel, merged)| {
-            sel.methods.iter().map(move |m| PrepJob {
-                sel,
-                merged,
-                method: m,
-            })
+            let expansion = Expansion::default();
+            sel.methods
+                .iter()
+                .map(move |m| (*sel, merged, expansion.clone(), m.as_str()))
         })
         .collect();
     let pipeline_config = config.pipeline_config();
-    let prepared = pool::run(config.jobs, prep_jobs, |job| {
-        prepare_method_in(job.sel.definition, job.merged, job.method, pipeline_config).map_err(
-            |e| BatchError {
-                structure: job.sel.name.to_string(),
-                method: job.method.to_string(),
-                message: e.to_string(),
-            },
-        )
-    });
+    let prepared = pool::run(
+        config.jobs,
+        prep_jobs,
+        |(sel, merged, expansion, method)| {
+            expansion
+                .get_or_init(|| ExpandedStructure::new(sel.definition, merged))
+                .prepare(method, pipeline_config)
+                .map_err(|e| BatchError {
+                    structure: sel.name.to_string(),
+                    method: method.to_string(),
+                    message: e.to_string(),
+                })
+        },
+    );
+    // Tasks own everything they need; the programs are not kept for solving.
+    drop(loaded);
     let mut tasks = Vec::new();
     for res in prepared {
         match res {
@@ -310,7 +323,7 @@ pub fn verify_selections(selections: &[Selection], config: &DriverConfig) -> Bat
 /// Discharges already-prepared tasks through the cache and the worker pool.
 ///
 /// This is the lowest-level entry point; `ids-verify verify <file>` uses it
-/// with tasks built by [`ids_core::pipeline::prepare_plain`].
+/// with tasks prepared from [`ExpandedStructure::plain`].
 pub fn verify_tasks(tasks: Vec<MethodTask>, config: &DriverConfig) -> BatchReport {
     let start = Instant::now();
     let mut cache = match &config.cache_path {
@@ -338,12 +351,9 @@ pub fn verify_tasks(tasks: Vec<MethodTask>, config: &DriverConfig) -> BatchRepor
     // in.
     let mut refuted_tasks: std::collections::HashMap<usize, Instant> =
         std::collections::HashMap::new();
-    // Hash every VC once; the resolve and repair passes share the keys
-    // (structural hashing walks the whole formula DAG — not free).
-    let keys: Vec<Vec<u128>> = tasks
-        .iter()
-        .map(|t| (0..t.num_vcs()).map(|vi| t.vc_key(vi)).collect())
-        .collect();
+    // Hash every VC: one pass per task, which keeps the keys for the repair
+    // pass, its report and the ledger.
+    let keys: Vec<&[u128]> = tasks.iter().map(MethodTask::vc_keys).collect();
     // Re-check mode: cached verdicts are not replayed; every VC re-solves.
     for (ti, slots) in results.iter_mut().enumerate() {
         for (vi, slot) in slots.iter_mut().enumerate() {

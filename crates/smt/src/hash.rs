@@ -7,30 +7,40 @@
 //! order), of the process (no randomized hasher state), and of the platform
 //! (explicit little-endian byte serialization).
 //!
-//! [`structural_hash`] folds the term DAG bottom-up with memoization. Each
+//! [`structural_hash`] folds the term DAG bottom-up with memoization;
+//! [`structural_hashes`] does the same for many roots in one walk, so the
+//! sub-terms they share are hashed once. Each
 //! node's digest covers its operator (including payloads such as variable
 //! names, literals and sorts) and the digests of its arguments, mixed with two
 //! independently seeded FNV-1a streams that are concatenated into a 128-bit
 //! key — wide enough that accidental collisions across a realistic cache are
 //! not a concern.
 
-use crate::term::{Op, TermId, TermManager};
+use std::fmt;
 
-/// A single FNV-1a 64-bit stream.
-#[derive(Clone, Copy)]
-struct Fnv(u64);
+use crate::term::{Op, Sort, TermId, TermManager};
+
+/// The digest of one node: two independently seeded FNV-1a 64-bit streams
+/// fed the same bytes, whose concatenation is the 128-bit key.
+struct Digest {
+    lo: u64,
+    hi: u64,
+}
 
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
-impl Fnv {
-    fn new(seed: u64) -> Fnv {
-        Fnv(seed)
+impl Digest {
+    fn new() -> Digest {
+        Digest {
+            lo: 0xcbf2_9ce4_8422_2325,
+            hi: 0x8422_2325_cbf2_9ce4,
+        }
     }
 
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
+            self.lo = (self.lo ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            self.hi = (self.hi ^ u64::from(b)).wrapping_mul(FNV_PRIME);
         }
     }
 
@@ -38,15 +48,33 @@ impl Fnv {
         self.write(&v.to_le_bytes());
     }
 
-    fn write_str(&mut self, s: &str) {
+    fn write_name(&mut self, s: &str) {
         self.write(s.as_bytes());
         // Terminate strings so ("ab", "c") and ("a", "bc") differ.
         self.write(&[0xff]);
     }
+
+    /// Writes the sort's printed form, terminated like a name, without
+    /// building the string.
+    fn write_sort(&mut self, sort: &Sort) {
+        fmt::Write::write_fmt(self, format_args!("{}", sort)).expect("digest writes never fail");
+        self.write(&[0xff]);
+    }
+
+    fn finish(&self) -> u128 {
+        (u128::from(self.hi) << 64) | u128::from(self.lo)
+    }
+}
+
+impl fmt::Write for Digest {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Writes the operator tag and its payload (but not the arguments).
-fn write_op(h: &mut Fnv, op: &Op) {
+fn write_op(h: &mut Digest, op: &Op) {
     match op {
         Op::True => h.write(&[0]),
         Op::False => h.write(&[1]),
@@ -60,7 +88,7 @@ fn write_op(h: &mut Fnv, op: &Op) {
         Op::Distinct => h.write(&[9]),
         Op::Var(name) => {
             h.write(&[10]);
-            h.write_str(name);
+            h.write_name(name);
         }
         Op::IntLit(n) => {
             h.write(&[11]);
@@ -85,7 +113,7 @@ fn write_op(h: &mut Fnv, op: &Op) {
         Op::Store => h.write(&[20]),
         Op::EmptySet(sort) => {
             h.write(&[21]);
-            h.write_str(&sort.to_string());
+            h.write_sort(sort);
         }
         Op::Singleton => h.write(&[22]),
         Op::Union => h.write(&[23]),
@@ -96,14 +124,14 @@ fn write_op(h: &mut Fnv, op: &Op) {
         Op::MapIte => h.write(&[28]),
         Op::App(name) => {
             h.write(&[29]);
-            h.write_str(name);
+            h.write_name(name);
         }
         Op::Forall(bound) => {
             h.write(&[30]);
             h.write_u64(bound.len() as u64);
             for (name, sort) in bound {
-                h.write_str(name);
-                h.write_str(&sort.to_string());
+                h.write_name(name);
+                h.write_sort(sort);
             }
         }
     }
@@ -133,64 +161,82 @@ fn write_op(h: &mut Fnv, op: &Op) {
 /// assert_eq!(structural_hash(&tm1, s1), structural_hash(&tm2, s2));
 /// ```
 pub fn structural_hash(tm: &TermManager, root: TermId) -> u128 {
+    structural_hashes(tm, &[root])[0]
+}
+
+/// The [`structural_hash`] of every root, in order, from one walk of the
+/// term DAG: one memo serves all roots, so a sub-term they share (a VC
+/// formula's hypotheses, say) is hashed once. Each result is bit-identical
+/// to `structural_hash(tm, root)`.
+pub fn structural_hashes(tm: &TermManager, roots: &[TermId]) -> Vec<u128> {
     let mut memo: Vec<Option<u128>> = vec![None; tm.len()];
-    let mut stack: Vec<TermId> = vec![root];
-    while let Some(&t) = stack.last() {
-        if memo[t.0 as usize].is_some() {
-            stack.pop();
-            continue;
-        }
-        let term = tm.term(t);
-        let mut ready = true;
-        for &a in &term.args {
-            if memo[a.0 as usize].is_none() {
-                ready = false;
-                stack.push(a);
+    let mut stack: Vec<TermId> = Vec::new();
+    let mut children: Vec<u128> = Vec::new();
+    let mut out = Vec::with_capacity(roots.len());
+    for &root in roots {
+        stack.push(root);
+        while let Some(&t) = stack.last() {
+            if memo[t.0 as usize].is_some() {
+                stack.pop();
+                continue;
             }
-        }
-        if !ready {
-            continue;
-        }
-        // For commutative operators the child hashes are sorted before
-        // mixing: `eq` and friends normalize their argument order by TermId
-        // (a creation-order artifact), so an order-sensitive hash would leak
-        // id numbering back into the key. Sorting is sound exactly because
-        // the operator is commutative — equal keys still imply equivalent
-        // formulas.
-        let commutative = matches!(
-            term.op,
-            Op::And | Op::Or | Op::Eq | Op::Iff | Op::Distinct | Op::Add | Op::Union | Op::Inter
-        );
-        let mut children: Vec<u128> = term
-            .args
-            .iter()
-            .map(|a| memo[a.0 as usize].expect("child hashed"))
-            .collect();
-        if commutative {
-            children.sort_unstable();
-        }
-        // Two independently seeded streams; their concatenation is the key.
-        let mut lo = Fnv::new(0xcbf2_9ce4_8422_2325);
-        let mut hi = Fnv::new(0x8422_2325_cbf2_9ce4);
-        for h in [&mut lo, &mut hi] {
-            write_op(h, &term.op);
-            h.write_str(&term.sort.to_string());
+            let term = tm.term(t);
+            let mut ready = true;
+            for &a in &term.args {
+                if memo[a.0 as usize].is_none() {
+                    ready = false;
+                    stack.push(a);
+                }
+            }
+            if !ready {
+                continue;
+            }
+            // For commutative operators the child hashes are sorted before
+            // mixing: `eq` and friends normalize their argument order by
+            // TermId (a creation-order artifact), so an order-sensitive hash
+            // would leak id numbering back into the key. Sorting is sound
+            // exactly because the operator is commutative — equal keys still
+            // imply equivalent formulas.
+            let commutative = matches!(
+                term.op,
+                Op::And
+                    | Op::Or
+                    | Op::Eq
+                    | Op::Iff
+                    | Op::Distinct
+                    | Op::Add
+                    | Op::Union
+                    | Op::Inter
+            );
+            children.clear();
+            children.extend(
+                term.args
+                    .iter()
+                    .map(|a| memo[a.0 as usize].expect("child hashed")),
+            );
+            if commutative {
+                children.sort_unstable();
+            }
+            let mut h = Digest::new();
+            write_op(&mut h, &term.op);
+            h.write_sort(&term.sort);
             h.write_u64(children.len() as u64);
             for &child in &children {
                 h.write_u64(child as u64);
                 h.write_u64((child >> 64) as u64);
             }
+            memo[t.0 as usize] = Some(h.finish());
+            stack.pop();
         }
-        memo[t.0 as usize] = Some((u128::from(hi.0) << 64) | u128::from(lo.0));
-        stack.pop();
+        out.push(memo[root.0 as usize].expect("root hashed"));
     }
-    memo[root.0 as usize].expect("root hashed")
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::Sort;
+    use crate::rational::Rat;
 
     #[test]
     fn independent_of_creation_order_and_manager() {
@@ -276,6 +322,64 @@ mod tests {
         let h1 = structural_hash(&tm, t);
         let h2 = structural_hash(&tm, t);
         assert_eq!(h1, h2);
+    }
+
+    #[test]
+    fn keys_are_pinned() {
+        // Cache keys persist across runs and versions: a change of the
+        // digest (byte order, string terminators, how a sort is printed)
+        // would silently orphan every cached verdict, so one digest over
+        // every operator is pinned.
+        let mut tm = TermManager::new();
+        let all = every_op(&mut tm);
+        assert_eq!(
+            format!("{:032x}", structural_hash(&tm, all)),
+            "947151b08b72bb1862c871854ca9cc5d"
+        );
+    }
+
+    /// One term of every operator, with payloads and nested sorts.
+    fn every_op(tm: &mut TermManager) -> TermId {
+        let set_loc = Sort::set_of(Sort::Loc);
+        let map = Sort::array_of(Sort::Loc, Sort::Int);
+        let x = tm.mk(Op::Var("x".into()), vec![], Sort::Int);
+        let l = tm.mk(Op::Var("l".into()), vec![], Sort::Loc);
+        let m = tm.mk(Op::Var("m".into()), vec![], map.clone());
+        let one = tm.mk(Op::IntLit(1), vec![], Sort::Int);
+        let half = tm.mk(Op::RealLit(Rat::new(1, 2)), vec![], Sort::Real);
+        let t = tm.mk(Op::True, vec![], Sort::Bool);
+        let f = tm.mk(Op::False, vec![], Sort::Bool);
+        let not = tm.mk(Op::Not, vec![f], Sort::Bool);
+        let add = tm.mk(Op::Add, vec![x, one], Sort::Int);
+        let sub = tm.mk(Op::Sub, vec![add, one], Sort::Int);
+        let neg = tm.mk(Op::Neg, vec![sub], Sort::Int);
+        let scaled = tm.mk(Op::MulConst(Rat::new(-3, 4)), vec![neg], Sort::Int);
+        let le = tm.mk(Op::Le, vec![scaled, x], Sort::Bool);
+        let lt = tm.mk(Op::Lt, vec![x, half], Sort::Bool);
+        let sel = tm.mk(Op::Select, vec![m, l], Sort::Int);
+        let st = tm.mk(Op::Store, vec![m, l, sel], map.clone());
+        let empty = tm.mk(Op::EmptySet(Sort::Loc), vec![], set_loc.clone());
+        let single = tm.mk(Op::Singleton, vec![l], set_loc.clone());
+        let union = tm.mk(Op::Union, vec![empty, single], set_loc.clone());
+        let inter = tm.mk(Op::Inter, vec![union, single], set_loc.clone());
+        let diff = tm.mk(Op::Diff, vec![inter, empty], set_loc);
+        let member = tm.mk(Op::Member, vec![l, diff], Sort::Bool);
+        let subset = tm.mk(Op::Subset, vec![empty, diff], Sort::Bool);
+        let framed = tm.mk(Op::MapIte, vec![diff, st, m], map);
+        let same_map = tm.mk(Op::Eq, vec![framed, m], Sort::Bool);
+        let distinct = tm.mk(Op::Distinct, vec![x, one, sel], Sort::Bool);
+        let app = tm.mk(Op::App("p".into()), vec![l, x], Sort::Bool);
+        let ite = tm.mk(Op::Ite, vec![app, x, one], Sort::Int);
+        let same = tm.mk(Op::Eq, vec![ite, x], Sort::Bool);
+        let iff = tm.mk(Op::Iff, vec![same, t], Sort::Bool);
+        let implies = tm.mk(Op::Implies, vec![iff, not], Sort::Bool);
+        let or = tm.mk(Op::Or, vec![le, lt, member, subset], Sort::Bool);
+        let and = tm.mk(Op::And, vec![or, same_map, distinct, implies], Sort::Bool);
+        let bound = vec![
+            ("l".into(), Sort::Loc),
+            ("s".into(), Sort::set_of(Sort::Int)),
+        ];
+        tm.mk(Op::Forall(bound), vec![and], Sort::Bool)
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod term;
 pub mod theory;
 mod trail;
 
-pub use hash::structural_hash;
+pub use hash::{structural_hash, structural_hashes};
 pub use incremental::IncrementalSolver;
 pub use model::Model;
 pub use rational::Rat;

@@ -131,9 +131,9 @@ fn enc(
         Expr::Binary(op, a, b) => {
             // The polymorphic empty set `{}` adapts its element sort to the
             // other operand.
-            let (ea, eb) = coerce_empty(a, b);
-            let ta = enc(tm, program, env, old_env, &ea, side)?;
-            let tb = enc(tm, program, env, old_env, &eb, side)?;
+            let (ea, eb) = coerce_empty(tm, program, env, old_env, a, b);
+            let ta = enc(tm, program, env, old_env, ea, side)?;
+            let tb = enc(tm, program, env, old_env, eb, side)?;
             match op {
                 BinOp::Add => Ok(tm.add(ta, tb)),
                 BinOp::Sub => Ok(tm.sub(ta, tb)),
@@ -160,6 +160,7 @@ fn enc(
         }
         Expr::Ite(c, t, f) => {
             let ec = enc(tm, program, env, old_env, c, side)?;
+            let (t, f) = coerce_empty(tm, program, env, old_env, t, f);
             let et = enc(tm, program, env, old_env, t, side)?;
             let ef = enc(tm, program, env, old_env, f, side)?;
             Ok(tm.ite(ec, et, ef))
@@ -178,32 +179,83 @@ fn enc(
     }
 }
 
-/// If exactly one of the two operands is the polymorphic empty-set literal and
-/// the other is (syntactically) of a known integer-set type, rewrite the empty
-/// set literal to the matching element sort. This keeps the SMT encoding
-/// well-sorted without burdening the surface programs.
-fn coerce_empty(a: &Expr, b: &Expr) -> (Expr, Expr) {
-    fn is_int_setish(e: &Expr) -> bool {
-        match e {
-            Expr::Singleton(inner) => matches!(**inner, Expr::IntLit(_)),
-            Expr::EmptySet(Type::SetInt) => true,
-            Expr::Field(_, name) => name.contains("keys"),
-            Expr::Binary(BinOp::Union | BinOp::Inter | BinOp::Diff, x, y) => {
-                is_int_setish(x) || is_int_setish(y)
-            }
-            Expr::Old(inner) => is_int_setish(inner),
-            _ => false,
-        }
-    }
-    let mut ea = a.clone();
-    let mut eb = b.clone();
-    if matches!(ea, Expr::EmptySet(_)) && is_int_setish(b) {
-        ea = Expr::EmptySet(Type::SetInt);
-    }
-    if matches!(eb, Expr::EmptySet(_)) && is_int_setish(a) {
-        eb = Expr::EmptySet(Type::SetInt);
-    }
+/// The `Set<Int>` empty literal a polymorphic `{}` becomes next to an
+/// integer set.
+const EMPTY_INT_SET: Expr = Expr::EmptySet(Type::SetInt);
+
+/// If one of the two operands (or `ite` branches) is the polymorphic
+/// empty-set literal and the other is a `Set<Int>`, the empty set becomes
+/// [`EMPTY_INT_SET`]; otherwise the operands are returned as they are. This
+/// keeps the SMT encoding well-sorted without burdening the surface programs.
+fn coerce_empty<'e>(
+    tm: &TermManager,
+    program: &Program,
+    env: &Env,
+    old_env: &Env,
+    a: &'e Expr,
+    b: &'e Expr,
+) -> (&'e Expr, &'e Expr) {
+    let int_set = |e: &Expr| type_of(tm, program, env, old_env, e) == Some(Type::SetInt);
+    let ea = if matches!(a, Expr::EmptySet(_)) && int_set(b) {
+        &EMPTY_INT_SET
+    } else {
+        a
+    };
+    let eb = if matches!(b, Expr::EmptySet(_)) && int_set(a) {
+        &EMPTY_INT_SET
+    } else {
+        b
+    };
     (ea, eb)
+}
+
+/// The IVL type of an expression, read off declared types — the program's
+/// field types and the sorts of the environment's variables — without
+/// encoding anything. `None` for the polymorphic `{}` (and for a set
+/// operation on two of them), an unbound variable or an unknown field.
+fn type_of(
+    tm: &TermManager,
+    program: &Program,
+    env: &Env,
+    old_env: &Env,
+    e: &Expr,
+) -> Option<Type> {
+    let of = |e: &Expr| type_of(tm, program, env, old_env, e);
+    match e {
+        Expr::BoolLit(_) | Expr::App(..) | Expr::Unary(UnOp::Not, _) => Some(Type::Bool),
+        Expr::IntLit(_) => Some(Type::Int),
+        Expr::RealLit(..) => Some(Type::Real),
+        Expr::Nil => Some(Type::Loc),
+        Expr::EmptySet(Type::SetInt) => Some(Type::SetInt),
+        Expr::EmptySet(_) => None,
+        Expr::Var(name) => match tm.sort(*env.vars.get(name)?) {
+            Sort::Bool => Some(Type::Bool),
+            Sort::Int => Some(Type::Int),
+            Sort::Real => Some(Type::Real),
+            Sort::Loc => Some(Type::Loc),
+            Sort::Set(elem) if **elem == Sort::Int => Some(Type::SetInt),
+            Sort::Set(_) => Some(Type::SetLoc),
+            Sort::Array(..) => None,
+        },
+        Expr::Field(_, field) => program.field(field).map(|f| f.ty),
+        Expr::Old(inner) => type_of(tm, program, old_env, old_env, inner),
+        Expr::Unary(UnOp::Neg, inner) => of(inner),
+        Expr::Binary(op, a, b) => match op {
+            BinOp::Add | BinOp::Sub => match (of(a)?, of(b)?) {
+                (Type::Int, Type::Int) => Some(Type::Int),
+                _ => Some(Type::Real),
+            },
+            BinOp::Div => Some(Type::Real),
+            BinOp::Union | BinOp::Inter | BinOp::Diff => of(a).or_else(|| of(b)),
+            _ => Some(Type::Bool),
+        },
+        Expr::Ite(_, t, f) => of(t).or_else(|| of(f)),
+        Expr::Singleton(inner) => match of(inner)? {
+            Type::Int => Some(Type::SetInt),
+            Type::Loc => Some(Type::SetLoc),
+            _ => None,
+        },
+    }
 }
 
 #[cfg(test)]
@@ -218,6 +270,7 @@ mod tests {
             field key: Int;
             field ghost keys: Set<Int>;
             field ghost hslist: Set<Loc>;
+            field ghost vals: Set<Int>;
             procedure dummy(x: Loc);
             "#,
         )
@@ -267,6 +320,43 @@ mod tests {
         let term = tm.term(t).clone();
         let rhs = term.args[1];
         assert_eq!(tm.sort(rhs), &Sort::set_of(Sort::Int));
+    }
+
+    #[test]
+    fn empty_set_sort_comes_from_declared_types() {
+        // Not from field names: `vals` is a `Set<Int>` field, `ks` a
+        // `Set<Int>` variable, `k` an `Int` variable; `hslist` and `Alloc`
+        // are location sets.
+        let (mut tm, program, mut env) = setup();
+        let ks = tm.var("ks", Sort::set_of(Sort::Int));
+        env.vars.insert("ks".into(), ks);
+        let k = tm.var("k", Sort::Int);
+        env.vars.insert("k".into(), k);
+        let int_set = Sort::set_of(Sort::Int);
+        let loc_set = Sort::set_of(Sort::Loc);
+        for (src, empty_sort) in [
+            ("x.vals == {}", &int_set),
+            ("{} == old(x.vals)", &int_set),
+            ("ks == {}", &int_set),
+            ("{k + 1} == {}", &int_set),
+            ("union(ks, x.keys) == {}", &int_set),
+            ("{} == ite(k > 0, {}, ks)", &int_set),
+            ("x.hslist == {}", &loc_set),
+            ("{} == Alloc", &loc_set),
+            ("{x} == {}", &loc_set),
+        ] {
+            let e = parse_expr(src).unwrap();
+            let mut side = Vec::new();
+            let t = encode_expr(&mut tm, &program, &env, &env, &e, &mut side).unwrap();
+            let args = tm.term(t).args.clone();
+            assert!(
+                args.iter().all(|&a| tm.sort(a) == empty_sort),
+                "{src}: operands {:?}",
+                args.iter()
+                    .map(|&a| tm.sort(a).to_string())
+                    .collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod qfcheck;
 
 use ids_ivl::Program;
 use ids_smt::{
-    structural_hash, IncrementalSolver, SatResult, Solver, SolverConfig, SolverStats, TermId,
+    structural_hashes, IncrementalSolver, SatResult, Solver, SolverConfig, SolverStats, TermId,
     TermManager,
 };
 
@@ -104,10 +104,7 @@ impl StructureVcs {
             // No hypothesis beyond the first VC's prefix may be asserted at
             // structure scope for this method.
             let cap = first_vc.n_hyps.min(hypotheses.len());
-            let hashes: Vec<u128> = hypotheses[..cap]
-                .iter()
-                .map(|&h| structural_hash(tm, h))
-                .collect();
+            let hashes = structural_hashes(tm, &hypotheses[..cap]);
             prelude = Some(match prelude {
                 None => hashes,
                 Some(mut common) => {
@@ -512,6 +509,39 @@ mod tests {
     }
 
     #[test]
+    fn empty_set_takes_the_declared_element_sort() {
+        // `{}` next to a `Set<Int>` field whose name says nothing about
+        // keys, next to a `Set<Int>` parameter, and next to a singleton of
+        // an `Int` variable: each is the empty integer set, so nothing is a
+        // member of it.
+        let field = r#"
+            field ghost vals: Set<Int>;
+            procedure p(x: Loc)
+              requires x != nil && x.vals == {};
+              ensures !(3 in x.vals);
+            {
+            }
+        "#;
+        assert!(verify_src(field, "p").is_verified());
+        let param = r#"
+            procedure p(s: Set<Int>)
+              requires s == {};
+              ensures !(3 in s);
+            {
+            }
+        "#;
+        assert!(verify_src(param, "p").is_verified());
+        let singleton = r#"
+            procedure p(k: Int, s: Set<Int>)
+              requires s == {k} && union({}, s) != {};
+              ensures k in s;
+            {
+            }
+        "#;
+        assert!(verify_src(singleton, "p").is_verified());
+    }
+
+    #[test]
     fn session_verdicts_match_fresh_solver_per_vc() {
         // A method with branches, heap writes, set ghost state, a failing
         // assert in the middle and valid VCs after it: the incremental
@@ -643,8 +673,8 @@ mod tests {
         assert!(group.prelude_len <= mv2.vcs[0].n_hyps);
         // The prelude really is hash-identical across the managers.
         for (i, h) in group.prelude_hashes.iter().enumerate() {
-            assert_eq!(*h, structural_hash(&tm1, mv1.hypotheses[i]));
-            assert_eq!(*h, structural_hash(&tm2, mv2.hypotheses[i]));
+            assert_eq!(*h, ids_smt::structural_hash(&tm1, mv1.hypotheses[i]));
+            assert_eq!(*h, ids_smt::structural_hash(&tm2, mv2.hypotheses[i]));
         }
         // A method whose first VC precedes most hypotheses caps the prelude.
         let capped = StructureVcs::group(&[

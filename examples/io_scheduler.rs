@@ -10,7 +10,7 @@
 //! Run with: `cargo run --example io_scheduler --release`
 
 use intrinsic_verify::core::impact::check_impact_sets;
-use intrinsic_verify::core::pipeline::{verify_all, PipelineConfig};
+use intrinsic_verify::core::pipeline::{load_methods, ExpandedStructure, PipelineConfig};
 use intrinsic_verify::structures::overlaid;
 use intrinsic_verify::vcgen::Encoding;
 
@@ -50,12 +50,21 @@ fn main() {
     }
 
     println!("\n== method verification ==");
-    let reports = verify_all(
-        &ids,
-        overlaid::SCHEDULER_QUEUE_METHODS,
-        PipelineConfig::default(),
-    )
-    .expect("pipeline runs");
+    // The definition's macros are expanded once for all methods; each
+    // method then gets its own VCs, checked in order.
+    let merged = load_methods(&ids, overlaid::SCHEDULER_QUEUE_METHODS).expect("methods load");
+    let structure = ExpandedStructure::new(&ids, &merged);
+    let reports: Vec<_> = merged
+        .procedures
+        .iter()
+        .filter(|p| p.body.is_some())
+        .map(|p| {
+            let task = structure
+                .prepare(&p.name, PipelineConfig::default())
+                .expect("pipeline runs");
+            task.report(&task.run_sequential())
+        })
+        .collect();
     for r in &reports {
         println!(
             "  {:<28} -> {:<10} ({} VCs, {:.2}s)",
