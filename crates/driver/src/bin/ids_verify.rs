@@ -40,7 +40,10 @@ USAGE:
     ids-verify compare <BASE> <NEW>      join two run-ledger files per VC and
                                          report solve-time regressions with
                                          phase attribution (exit 1 on
-                                         regression or verdict change)
+                                         regression or verdict change) and
+                                         the VCs solved on both sides whose
+                                         search (solver counters, core)
+                                         differs
     ids-verify history <LEDGER>          per-VC solve-time trajectory across
                                          every run recorded in a ledger file
 
@@ -703,8 +706,9 @@ fn compare_opts(options: &Options) -> ledger::CompareOpts {
 }
 
 /// `ids-verify compare BASE NEW`: joins the most recent run of each ledger
-/// per VC key, reports timing deltas with phase attribution, and exits 1 on
-/// a regression or a verdict change (0 otherwise, 2 on usage/IO errors).
+/// per VC key, reports timing deltas with phase attribution and whether
+/// each VC solved on both sides searched identically, and exits 1 on a
+/// regression or a verdict change (0 otherwise, 2 on usage/IO errors).
 fn run_compare(options: &Options) -> ExitCode {
     let [base_path, new_path] = options.positional.as_slice() else {
         eprintln!(
@@ -767,6 +771,9 @@ fn run_compare(options: &Options) -> ExitCode {
         for label in &report.only_new {
             println!("  only in new: {}", label);
         }
+        for label in &report.search_changed {
+            println!("  SEARCH CHANGE {}", label);
+        }
         println!(
             "{} VCs joined | {} regressions{}, {} improvements, {} verdict changes",
             report.deltas.len(),
@@ -778,6 +785,11 @@ fn run_compare(options: &Options) -> ExitCode {
             },
             report.improvements,
             report.verdict_mismatches,
+        );
+        println!(
+            "search: identical on {} of {} solved VCs",
+            report.solved_both - report.search_changed.len(),
+            report.solved_both
         );
     }
     if report.failed(&opts) {
@@ -808,6 +820,7 @@ fn compare_json(report: &ledger::CompareReport, opts: &ledger::CompareOpts) -> S
         j.bool_field("regressed", d.regressed);
         j.bool_field("improved", d.improved);
         j.bool_field("cached", d.cached);
+        j.bool_field("search_changed", d.search_changed);
         if let Some(phase) = &d.attributed_phase {
             j.str_field("attributed_phase", phase);
         }
@@ -829,6 +842,13 @@ fn compare_json(report: &ledger::CompareReport, opts: &ledger::CompareOpts) -> S
         j.str_value(label);
     }
     j.end_array();
+    j.key("search_changed");
+    j.begin_array();
+    for label in &report.search_changed {
+        j.str_value(label);
+    }
+    j.end_array();
+    j.num_field("solved_both", report.solved_both as f64);
     j.num_field("regressions", report.regressions as f64);
     j.num_field("improvements", report.improvements as f64);
     j.num_field("verdict_changes", report.verdict_mismatches as f64);

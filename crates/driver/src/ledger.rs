@@ -535,8 +535,12 @@ pub struct VcDelta {
     pub regressed: bool,
     /// True when the solve time improved past both thresholds.
     pub improved: bool,
-    /// True when either side was answered from cache (timing not compared).
+    /// True when either side was answered from cache (timing and search
+    /// not compared).
     pub cached: bool,
+    /// True when the VC was solved on both sides with different solver
+    /// counters or a different core: the two runs searched differently.
+    pub search_changed: bool,
     /// Name of the phase the delta is attributed to (largest absolute phase
     /// movement in the delta's direction), when timing was compared.
     pub attributed_phase: Option<String>,
@@ -559,6 +563,11 @@ pub struct CompareReport {
     pub improvements: usize,
     /// Number of rows whose verdict changed.
     pub verdict_mismatches: usize,
+    /// Number of joined rows solved on both sides (neither a cache nor an
+    /// in-batch dedup hit): the rows whose search is compared.
+    pub solved_both: usize,
+    /// Labels of the rows solved on both sides whose search differs.
+    pub search_changed: Vec<String>,
 }
 
 impl CompareReport {
@@ -622,7 +631,10 @@ fn attribute(base: &VcLedgerEntry, new: &VcLedgerEntry, slower: bool) -> (Option
 
 /// Joins two runs per VC key and classifies every joined row against the
 /// thresholds. VCs answered from cache on either side join for verdict
-/// comparison but are excluded from timing classification.
+/// comparison but are excluded from timing classification and from the
+/// search comparison, which checks that a VC solved on both sides has the
+/// same solver counters and core: a change meant to keep the search shows
+/// here, whatever the timing. It never fails the comparison.
 pub fn compare(base: &RunRecord, new: &RunRecord, opts: &CompareOpts) -> CompareReport {
     let mut report = CompareReport::default();
     let base_by_key: std::collections::BTreeMap<u128, &VcLedgerEntry> =
@@ -644,6 +656,13 @@ pub fn compare(base: &RunRecord, new: &RunRecord, opts: &CompareOpts) -> Compare
             report.verdict_mismatches += 1;
         }
         let cached = b.cached || n.cached;
+        let search_changed = !cached && (b.solver != n.solver || b.core != n.core);
+        if !cached {
+            report.solved_both += 1;
+        }
+        if search_changed {
+            report.search_changed.push(label_of(n));
+        }
         let delta_ms = n.solve_ms - b.solve_ms;
         // A zero-ms baseline (fully cached, or a run predating per-VC
         // timing) makes the percentage gate vacuous — any delta would be
@@ -676,6 +695,7 @@ pub fn compare(base: &RunRecord, new: &RunRecord, opts: &CompareOpts) -> Compare
             regressed,
             improved,
             cached,
+            search_changed,
             attributed_phase,
             attribution,
         });

@@ -147,7 +147,7 @@ fn check_stmt(ctx: &mut Ctx<'_>, stmt: &Stmt) -> Result<(), TypeError> {
     match stmt {
         Stmt::VarDecl { name, ty, init, .. } => {
             if let Some(e) = init {
-                let et = infer(ctx, e)?;
+                let et = infer_as(ctx, e, *ty)?;
                 if !compatible(*ty, et) {
                     return ctx.err(format!(
                         "initializer of '{}' has type {} but the variable is {}",
@@ -171,7 +171,7 @@ fn check_stmt(ctx: &mut Ctx<'_>, stmt: &Stmt) -> Result<(), TypeError> {
                     }
                 }
             };
-            let vt = infer(ctx, rhs)?;
+            let vt = infer_as(ctx, rhs, target)?;
             if !compatible(target, vt) {
                 return ctx.err(format!(
                     "cannot assign value of type {} to target of type {}",
@@ -227,7 +227,7 @@ fn check_stmt(ctx: &mut Ctx<'_>, stmt: &Stmt) -> Result<(), TypeError> {
                 ));
             }
             for (param, arg) in callee.params.iter().zip(args.iter()) {
-                let at = infer(ctx, arg)?;
+                let at = infer_as(ctx, arg, param.ty)?;
                 if !compatible(param.ty, at) {
                     return ctx.err(format!(
                         "argument for '{}' of '{}' has type {}, expected {}",
@@ -273,7 +273,7 @@ fn check_stmt(ctx: &mut Ctx<'_>, stmt: &Stmt) -> Result<(), TypeError> {
                         Some(f) => f.ty,
                         None => return ctx.err(format!("unknown field '{}' in Mut", field)),
                     };
-                    let vt = infer(ctx, &args[2])?;
+                    let vt = infer_as(ctx, &args[2], fty)?;
                     if !compatible(fty, vt) {
                         return ctx.err(format!(
                             "Mut value has type {}, field '{}' has type {}",
@@ -307,7 +307,7 @@ fn check_stmt(ctx: &mut Ctx<'_>, stmt: &Stmt) -> Result<(), TypeError> {
 }
 
 fn expect_type(ctx: &mut Ctx<'_>, e: &Expr, expected: Type) -> Result<(), TypeError> {
-    let t = infer(ctx, e)?;
+    let t = infer_as(ctx, e, expected)?;
     if compatible(expected, t) {
         Ok(())
     } else {
@@ -315,9 +315,19 @@ fn expect_type(ctx: &mut Ctx<'_>, e: &Expr, expected: Type) -> Result<(), TypeEr
     }
 }
 
+/// The type of `e` where a value of type `expected` is wanted: the
+/// polymorphic empty set `{}` takes any set type, every other expression
+/// its inferred type.
+fn infer_as(ctx: &mut Ctx<'_>, e: &Expr, expected: Type) -> Result<Type, TypeError> {
+    match e {
+        Expr::EmptySet(_) if expected.is_set() => Ok(expected),
+        _ => infer(ctx, e),
+    }
+}
+
 /// Type compatibility: exact match or the Int-as-Real coercion. (The
-/// polymorphic empty set is handled structurally in `infer`, where the
-/// expression — not just its type — is visible.)
+/// polymorphic empty set is handled structurally, in `infer_as` and
+/// `infer`, where the expression — not just its type — is visible.)
 fn compatible(expected: Type, found: Type) -> bool {
     expected == found || (expected == Type::Real && found == Type::Int)
 }
@@ -420,7 +430,10 @@ fn infer(ctx: &mut Ctx<'_>, e: &Expr) -> Result<Type, TypeError> {
                         return ctx.err("'in' requires a set on the right");
                     }
                     let elem = tb.elem().unwrap();
-                    if !compatible(elem, ta) {
+                    // The polymorphic `{}` holds elements of either type.
+                    let any_elem =
+                        matches!(**b, Expr::EmptySet(_)) && matches!(ta, Type::Int | Type::Loc);
+                    if !compatible(elem, ta) && !any_elem {
                         return ctx.err(format!("member of type {} in {}", ta, tb));
                     }
                     Ok(Type::Bool)
@@ -437,6 +450,12 @@ fn infer(ctx: &mut Ctx<'_>, e: &Expr) -> Result<Type, TypeError> {
             expect_type(ctx, c, Type::Bool)?;
             let tt = infer(ctx, t)?;
             let tf = infer(ctx, f)?;
+            // The polymorphic `{}` takes the other branch's set type.
+            let (tt, tf) = match (&**t, &**f) {
+                (Expr::EmptySet(_), _) if tf.is_set() => (tf, tf),
+                (_, Expr::EmptySet(_)) if tt.is_set() => (tt, tt),
+                _ => (tt, tf),
+            };
             if compatible(tt, tf) {
                 Ok(tt)
             } else if compatible(tf, tt) {

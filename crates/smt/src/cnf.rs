@@ -6,18 +6,25 @@
 //! both directions is recorded in [`AtomMap`] so the theory layer can read the
 //! propositional model back as a set of theory literals.
 //!
-//! Two encodings share one [`AtomMap`]:
+//! Three encodings share one [`AtomMap`]:
 //!
+//! * **Axiom instances are clauses already.** [`assert_instance`] adds the
+//!   clauses of an instance's [`Kind`] ([`Kind::clauses`]) over its atoms:
+//!   a union-membership instance is three clauses and no variable, a store
+//!   hit one clause. No term is built or walked, and no definition
+//!   variable is made. The clauses, and the order in which the atoms get
+//!   new SAT variables, are those [`assert_fact`] makes of the instance's
+//!   formula ([`Kind::formula`]), which `tests/cnf_props.rs` checks kind by
+//!   kind.
 //! * **Facts become clauses.** [`assert_fact`] asserts a formula that holds
-//!   unconditionally — the lowering's axiom instances, `ite` definitions and
-//!   trichotomy lemmas — in clausal form (Plaisted & Greenbaum, "A
-//!   Structure-preserving Clause Form Translation", JSC 1986): it splits
-//!   conjunctions, flattens disjunctions and implications into one clause,
-//!   and turns `⇔` and a Boolean `ite` into two clauses. One conjunctive,
-//!   `⇔` or `ite` disjunct per clause is distributed when its arguments are
-//!   literals; every other sub-formula is named by its shared Tseitin
-//!   literal. A union-membership instance is three clauses and no variable,
-//!   a store hit one clause. Atoms get their SAT variables in formula
+//!   unconditionally — the lowering's `ite` definitions and the rare
+//!   instance a smart constructor folded — in clausal form (Plaisted &
+//!   Greenbaum, "A Structure-preserving Clause Form Translation", JSC
+//!   1986): it splits conjunctions, flattens disjunctions and implications
+//!   into one clause, and turns `⇔` and a Boolean `ite` into two clauses.
+//!   One conjunctive, `⇔` or `ite` disjunct per clause is distributed when
+//!   its arguments are literals; every other sub-formula is named by its
+//!   shared Tseitin literal. Atoms get their SAT variables in formula
 //!   order, as the Tseitin encoder numbers them: the decision heap breaks
 //!   activity ties by variable, so the order steers the search.
 //! * **Asserted roots stay Tseitin.** [`encode_root`] returns a literal
@@ -27,12 +34,13 @@
 //!   branching points the search uses, and clausifying them too measured
 //!   more decisions on the verification registry.
 //!
-//! [`tseitin`] encodes whole formulas the second way. It is the full-Tseitin
+//! [`tseitin`] encodes whole formulas the third way. It is the full-Tseitin
 //! reference: `tests/incremental_props.rs` checks sessions against a lazy
 //! loop built on it, and `tests/cnf_props.rs` checks [`assert_fact`]
 //! against it.
 
 use crate::fxmap::FxHashMap;
+use crate::lower::Kind;
 use crate::sat::{Lit, SatSolver, Var};
 use crate::term::{Op, TermId, TermManager};
 
@@ -268,11 +276,43 @@ fn flatten(
     satisfied
 }
 
-fn is_connective(op: &Op) -> bool {
+/// Asserts an axiom instance of `kind` over the distinct theory atoms
+/// `atoms` as the kind's clauses ([`Kind::clauses`]): the clauses
+/// [`assert_fact`] makes of [`Kind::formula`], literal for literal, with the
+/// atoms' new SAT variables numbered in atom order, as [`assert_fact`]
+/// numbers them. No term is built or walked.
+pub fn assert_instance(kind: Kind, atoms: &[TermId], sat: &mut SatSolver, map: &mut AtomMap) {
+    let mut vars: [Var; 3] = [0; 3];
+    for (v, &a) in vars.iter_mut().zip(atoms) {
+        *v = atom_var(a, sat, map);
+    }
+    for clause in kind.clauses() {
+        let mut lits = [Lit::new(0, true); 3];
+        for (lit, &l) in lits.iter_mut().zip(clause.iter()) {
+            *lit = Lit::new(vars[l.unsigned_abs() as usize - 1], l > 0);
+        }
+        sat.add_clause_from(&lits[..clause.len()]);
+    }
+}
+
+/// Whether `op` is a Boolean connective or constant, which the encoders
+/// look through; any other Boolean term is a theory atom.
+pub(crate) fn is_connective(op: &Op) -> bool {
     matches!(
         op,
         Op::Not | Op::And | Op::Or | Op::Implies | Op::Iff | Op::Ite | Op::True | Op::False
     )
+}
+
+/// The SAT variable of the theory atom `t`, a new one if `t` has none yet.
+fn atom_var(t: TermId, sat: &mut SatSolver, map: &mut AtomMap) -> Var {
+    if let Some(&v) = map.var_of_term.get(&t) {
+        return v;
+    }
+    let v = sat.new_var();
+    map.var_of_term.insert(t, v);
+    map.add_atom(v, t);
+    v
 }
 
 fn encode(tm: &TermManager, t: TermId, sat: &mut SatSolver, map: &mut AtomMap) -> Lit {
@@ -281,11 +321,7 @@ fn encode(tm: &TermManager, t: TermId, sat: &mut SatSolver, map: &mut AtomMap) -
     }
     let term = tm.term(t);
     if !is_connective(&term.op) {
-        // A theory atom.
-        let v = sat.new_var();
-        map.var_of_term.insert(t, v);
-        map.add_atom(v, t);
-        return Lit::new(v, true);
+        return Lit::new(atom_var(t, sat, map), true);
     }
     match term.op {
         Op::True => {

@@ -14,13 +14,18 @@
 //!   (valid, or definitional over globally fresh symbols), so they survive
 //!   `pop` soundly.
 //! * **CNF/SAT** — one growing [`crate::sat::SatSolver`]. The lowering's
-//!   facts enter it as clauses ([`crate::cnf::assert_fact`]: a union
-//!   membership is three clauses, a store hit one), and each asserted root
-//!   as its Tseitin literal ([`crate::cnf::encode_root`]) behind a guard
-//!   clause. Assertions made inside a [`IncrementalSolver::push`] scope
-//!   carry a negated *activation literal*; a check assumes the activation
-//!   literals of the live scopes ([`crate::sat::SatSolver::solve_under`]),
-//!   and [`IncrementalSolver::pop`] retracts the scope by permanently
+//!   axiom instances and trichotomy lemmas enter it as their kinds' clauses
+//!   ([`crate::cnf::assert_instance`]: a union membership is three clauses,
+//!   a store hit one), its `ite` definitions and folded instances as
+//!   clausal facts ([`crate::cnf::assert_fact`]), and each asserted root as
+//!   its Tseitin literal ([`crate::cnf::encode_root`]) behind a guard
+//!   clause. An instance's atoms are registered with the theory layer as
+//!   they are, right to left; only roots, `ite` definitions and folded
+//!   instances are walked for their atoms. Assertions made inside a
+//!   [`IncrementalSolver::push`] scope carry a negated *activation
+//!   literal*; a check assumes the activation literals of the live scopes
+//!   ([`crate::sat::SatSolver::solve_under`]), and
+//!   [`IncrementalSolver::pop`] retracts the scope by permanently
 //!   asserting the negated activation literal. Learned clauses — including
 //!   theory conflict clauses — are globally valid and are kept forever.
 //! * **Theory setup** — one [`crate::theory::TheoryChecker`] whose congruence
@@ -108,7 +113,7 @@
 
 use crate::cnf::{self, encode_root, AtomMap};
 use crate::fxmap::{FxHashMap, FxHashSet};
-use crate::lower::LowerCtx;
+use crate::lower::{Instance, LowerCtx, LoweredBatch};
 use crate::model::Model;
 use crate::quant::contains_forall;
 use crate::sat::{Lit, SatResult, SatSolver, TheoryHook, TheoryVerdict, Var};
@@ -428,9 +433,7 @@ impl IncrementalSolver {
         self.pending_lower_time += lower_start.elapsed();
         let cnf_start = std::time::Instant::now();
         let _obs = ids_obs::span("cnf");
-        for f in batch.facts {
-            self.assert_fact(tm, f);
-        }
+        self.assert_derived(tm, &batch);
         for r in batch.roots {
             self.assert_root(tm, r);
         }
@@ -483,9 +486,7 @@ impl IncrementalSolver {
         self.pending_lower_time += lower_start.elapsed();
         let cnf_start = std::time::Instant::now();
         let _obs = ids_obs::span("cnf");
-        for f in batch.facts {
-            self.assert_fact(tm, f);
-        }
+        self.assert_derived(tm, &batch);
         let act = self.sat.new_var();
         self.tracked.push((tag, act));
         for r in batch.roots {
@@ -505,9 +506,31 @@ impl IncrementalSolver {
         &self.last_core
     }
 
-    /// Asserts one derived fact permanently, as clauses. ("Permanent" is
-    /// relative to the open method scope, if any: a method snapshot restore
-    /// discards everything asserted inside it.)
+    /// Asserts a batch's derived facts and instances permanently, as
+    /// clauses, in emission order. ("Permanent" is relative to the open
+    /// method scope, if any: a method snapshot restore discards everything
+    /// asserted inside it.)
+    fn assert_derived(&mut self, tm: &TermManager, batch: &LoweredBatch) {
+        for &f in &batch.facts {
+            self.assert_fact(tm, f);
+        }
+        for inst in &batch.instances {
+            match *inst {
+                Instance::Clauses(kind, atoms) => {
+                    let atoms = &atoms[..kind.arity()];
+                    cnf::assert_instance(kind, atoms, &mut self.sat, &mut self.atom_map);
+                    // Right to left: the order a walk of the instance's
+                    // formula would register them in.
+                    for &a in atoms.iter().rev() {
+                        self.mark_atom(a, None);
+                    }
+                }
+                Instance::Formula(f) => self.assert_fact(tm, f),
+            }
+        }
+    }
+
+    /// Asserts one derived fact term permanently, as clauses.
     fn assert_fact(&mut self, tm: &TermManager, fact: TermId) {
         cnf::assert_fact(tm, fact, &mut self.sat, &mut self.atom_map);
         self.mark_atoms(tm, fact, None);
@@ -546,38 +569,41 @@ impl IncrementalSolver {
                 Op::Ite if term.sort == Sort::Bool => {
                     stack.extend(term.args.iter().copied());
                 }
-                _ => {
-                    // A theory atom.
-                    match self.atom_scope.get_mut(&t) {
-                        None => {
-                            self.pending_atoms.push(t);
-                            let scope = match scope_id {
-                                None => AtomScope::Base,
-                                Some(id) => AtomScope::Scopes(vec![id]),
-                            };
-                            self.atom_scope.insert(t, scope);
-                        }
-                        Some(AtomScope::Base) => {}
-                        Some(AtomScope::Scopes(ids)) => match scope_id {
-                            None => {
-                                self.atom_scope.insert(t, AtomScope::Base);
-                            }
-                            Some(id) => {
-                                // Popped ids can never become live again:
-                                // prune them here so a reused atom's list
-                                // stays bounded by the stack depth.
-                                ids.retain(|i| self.scopes.iter().any(|s| s.id == *i));
-                                if !ids.contains(&id) {
-                                    ids.push(id);
-                                }
-                            }
-                        },
-                    }
-                }
+                _ => self.mark_atom(t, scope_id),
             }
         }
         visited.clear();
         self.marked = visited;
+    }
+
+    /// Records that the theory atom `t` is used in scope `scope_id` (`None`
+    /// = base), queueing it for the theory checker if it is new.
+    fn mark_atom(&mut self, t: TermId, scope_id: Option<u64>) {
+        match self.atom_scope.get_mut(&t) {
+            None => {
+                self.pending_atoms.push(t);
+                let scope = match scope_id {
+                    None => AtomScope::Base,
+                    Some(id) => AtomScope::Scopes(vec![id]),
+                };
+                self.atom_scope.insert(t, scope);
+            }
+            Some(AtomScope::Base) => {}
+            Some(AtomScope::Scopes(ids)) => match scope_id {
+                None => {
+                    self.atom_scope.insert(t, AtomScope::Base);
+                }
+                Some(id) => {
+                    // Popped ids can never become live again: prune them
+                    // here so a reused atom's list stays bounded by the
+                    // stack depth.
+                    ids.retain(|i| self.scopes.iter().any(|s| s.id == *i));
+                    if !ids.contains(&id) {
+                        ids.push(id);
+                    }
+                }
+            },
+        }
     }
 
     /// Checks satisfiability of the conjunction of all live assertions

@@ -16,9 +16,10 @@
 //! 1. [`lower`] reduces array/set structure to EUF + arithmetic by *finite
 //!    instantiation* over the ground index/element terms of the query (plus one
 //!    Skolem witness per set/array equality atom, for extensionality),
-//! 2. [`cnf`] converts the result to CNF: the lowering's facts (axiom
-//!    instances, `ite` definitions, trichotomy lemmas) become one to three
-//!    clauses each, and asserted roots go through the Tseitin
+//! 2. [`cnf`] converts the result to CNF: the lowering's axiom instances
+//!    and trichotomy lemmas are fixed clause shapes over their atoms (one
+//!    to three clauses each, never a term), its `ite` definitions are
+//!    clausified, and asserted roots go through the Tseitin
 //!    transformation,
 //! 3. [`sat`] is a CDCL SAT solver (watched literals, first-UIP learning,
 //!    VSIDS-style activities, restarts),

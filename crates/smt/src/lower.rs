@@ -16,18 +16,229 @@
 //! * expands `distinct` into pairwise disequalities, and
 //! * adds trichotomy lemmas `a = b ∨ a < b ∨ b < a` for numeric equality
 //!   atoms so that negated numeric equalities are visible to the simplex.
+//!
+//! Axiom instances and trichotomy lemmas are not terms. Each is an
+//! [`Instance`]: a [`Kind`], whose fixed clause shape is defined once in
+//! [`Kind::clauses`], over at most three atom terms built with the
+//! [`TermManager`]'s smart constructors. [`crate::cnf::assert_instance`]
+//! adds those clauses to the SAT core directly, so no connective term is
+//! interned for an instance and nothing walks one. Only when a constructor
+//! folds an atom (to a constant, to an `iff`, or into another atom) does the
+//! instance keep the formula the constructors build ([`Instance::Formula`]),
+//! which then goes through [`crate::cnf::assert_fact`] like an `ite`
+//! definition.
 
 use crate::fxmap::{FxHashMap, FxHashSet};
 use crate::term::{Op, Sort, TermId, TermManager};
 
 /// Lowers the conjunction of `roots`; returns the new conjunction of roots
-/// (original assertions rewritten, plus instantiated axioms).
+/// (original assertions rewritten, plus instantiated axioms as formulas).
 pub fn lower(tm: &mut TermManager, roots: &[TermId]) -> Vec<TermId> {
     let mut ctx = LowerCtx::new();
     let batch = ctx.add(tm, roots);
     let mut out = batch.roots;
     out.extend(batch.facts);
+    out.extend(batch.instances.iter().map(|i| i.formula(tm)));
     out
+}
+
+/// The kinds of axiom instance and lemma the lowering emits. Each kind is a
+/// fixed formula over its atoms, given both as clauses ([`Kind::clauses`])
+/// and as the term the smart constructors build ([`Kind::formula`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// `e ∈ ∅ ⇔ false`, over `[e ∈ ∅]`.
+    EmptyMember,
+    /// `e ∈ {x} ⇔ e = x`, over `[e ∈ {x}, e = x]`.
+    SingletonMember,
+    /// `e ∈ S ∪ T ⇔ e ∈ S ∨ e ∈ T`, over `[e ∈ S ∪ T, e ∈ S, e ∈ T]`.
+    UnionMember,
+    /// `e ∈ S ∩ T ⇔ e ∈ S ∧ e ∈ T`, over `[e ∈ S ∩ T, e ∈ S, e ∈ T]`.
+    InterMember,
+    /// `e ∈ S ∖ T ⇔ e ∈ S ∧ e ∉ T`, over `[e ∈ S ∖ T, e ∈ S, e ∈ T]`.
+    DiffMember,
+    /// `j = i ⇒ m[i:=v][j] = v`, over `[j = i, m[i:=v][j] = v]`.
+    StoreHit,
+    /// `j ≠ i ⇒ m[i:=v][j] = m[j]`, over `[j = i, m[i:=v][j] = m[j]]`.
+    StoreMiss,
+    /// `j ∈ M ⇒ ite(M, n, o)[j] = n[j]`, over `[j ∈ M, … = n[j]]`.
+    MapIteHit,
+    /// `j ∉ M ⇒ ite(M, n, o)[j] = o[j]`, over `[j ∈ M, … = o[j]]`.
+    MapIteMiss,
+    /// `S ⊆ T ⇒ (e ∈ S ⇒ e ∈ T)`, over `[S ⊆ T, e ∈ S, e ∈ T]`.
+    SubsetPointwise,
+    /// `S ⊈ T ⇒ w ∈ S ∧ w ∉ T` for the atom's witness `w`, over
+    /// `[S ⊆ T, w ∈ S, w ∈ T]`.
+    SubsetWitness,
+    /// `S = T ⇒ (e ∈ S ⇔ e ∈ T)`, over `[S = T, e ∈ S, e ∈ T]`.
+    SetEqPointwise,
+    /// `S ≠ T ⇒ ¬(w ∈ S ⇔ w ∈ T)`, over `[S = T, w ∈ S, w ∈ T]`.
+    SetEqWitness,
+    /// `m = h ⇒ m[e] = h[e]`, over `[m = h, m[e] = h[e]]`.
+    ArrayEqPointwise,
+    /// `m ≠ h ⇒ m[w] ≠ h[w]`, over `[m = h, m[w] = h[w]]`.
+    ArrayEqWitness,
+    /// `a = b ∨ a < b ∨ b < a`, over `[a = b, a < b, b < a]`.
+    Trichotomy,
+}
+
+impl Kind {
+    /// Every kind, in declaration order.
+    pub const ALL: [Kind; 16] = [
+        Kind::EmptyMember,
+        Kind::SingletonMember,
+        Kind::UnionMember,
+        Kind::InterMember,
+        Kind::DiffMember,
+        Kind::StoreHit,
+        Kind::StoreMiss,
+        Kind::MapIteHit,
+        Kind::MapIteMiss,
+        Kind::SubsetPointwise,
+        Kind::SubsetWitness,
+        Kind::SetEqPointwise,
+        Kind::SetEqWitness,
+        Kind::ArrayEqPointwise,
+        Kind::ArrayEqWitness,
+        Kind::Trichotomy,
+    ];
+
+    /// The kind's clauses, in DIMACS notation over the atoms numbered from 1
+    /// (`-2` is the negation of the second atom). They are the clauses, in
+    /// order and literal for literal, that [`crate::cnf::assert_fact`] makes
+    /// of [`Kind::formula`] over distinct atoms, and an atom first occurs in
+    /// them in atom order.
+    pub fn clauses(self) -> &'static [&'static [i8]] {
+        match self {
+            Kind::EmptyMember => &[&[-1]],
+            Kind::SingletonMember => &[&[-1, 2], &[1, -2]],
+            Kind::UnionMember => &[&[-1, 2, 3], &[1, -2], &[1, -3]],
+            Kind::InterMember => &[&[-1, 2], &[-1, 3], &[1, -2, -3]],
+            Kind::DiffMember => &[&[-1, 2], &[-1, -3], &[1, -2, 3]],
+            Kind::StoreHit | Kind::MapIteHit | Kind::ArrayEqPointwise => &[&[-1, 2]],
+            Kind::StoreMiss | Kind::MapIteMiss => &[&[1, 2]],
+            Kind::SubsetPointwise => &[&[-1, -2, 3]],
+            Kind::SubsetWitness => &[&[1, 2], &[1, -3]],
+            Kind::SetEqPointwise => &[&[-1, -2, 3], &[-1, 2, -3]],
+            Kind::SetEqWitness => &[&[1, -2, -3], &[1, 2, 3]],
+            Kind::ArrayEqWitness => &[&[1, -2]],
+            Kind::Trichotomy => &[&[1, 2, 3]],
+        }
+    }
+
+    /// Number of atoms the kind is stated over.
+    pub fn arity(self) -> usize {
+        let atoms = self.clauses().iter().flat_map(|c| c.iter());
+        atoms.map(|l| l.unsigned_abs() as usize).max().unwrap_or(0)
+    }
+
+    /// The kind as a formula over `atoms`, built with the smart
+    /// constructors. Folded instances keep this term, and [`lower`] returns
+    /// it for every instance.
+    pub fn formula(self, tm: &mut TermManager, atoms: &[TermId]) -> TermId {
+        let a = atoms;
+        match self {
+            Kind::EmptyMember => {
+                let f = tm.fls();
+                tm.iff(a[0], f)
+            }
+            Kind::SingletonMember => tm.iff(a[0], a[1]),
+            Kind::UnionMember => {
+                let d = tm.or2(a[1], a[2]);
+                tm.iff(a[0], d)
+            }
+            Kind::InterMember => {
+                let c = tm.and2(a[1], a[2]);
+                tm.iff(a[0], c)
+            }
+            Kind::DiffMember => {
+                let n = tm.not(a[2]);
+                let c = tm.and2(a[1], n);
+                tm.iff(a[0], c)
+            }
+            Kind::StoreHit | Kind::MapIteHit | Kind::ArrayEqPointwise => tm.implies(a[0], a[1]),
+            Kind::StoreMiss | Kind::MapIteMiss => {
+                let n = tm.not(a[0]);
+                tm.implies(n, a[1])
+            }
+            Kind::SubsetPointwise => {
+                let imp = tm.implies(a[1], a[2]);
+                tm.implies(a[0], imp)
+            }
+            Kind::SubsetWitness => {
+                let n = tm.not(a[2]);
+                let both = tm.and2(a[1], n);
+                let na = tm.not(a[0]);
+                tm.implies(na, both)
+            }
+            Kind::SetEqPointwise => {
+                let eq = tm.eq(a[1], a[2]);
+                tm.implies(a[0], eq)
+            }
+            Kind::SetEqWitness => {
+                let ne = tm.neq(a[1], a[2]);
+                let na = tm.not(a[0]);
+                tm.implies(na, ne)
+            }
+            Kind::ArrayEqWitness => {
+                let ne = tm.not(a[1]);
+                let na = tm.not(a[0]);
+                tm.implies(na, ne)
+            }
+            Kind::Trichotomy => tm.or(a.to_vec()),
+        }
+    }
+}
+
+/// One axiom instance or trichotomy lemma.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Instance {
+    /// The kind's clauses over the first [`Kind::arity`] atoms, which are
+    /// distinct theory atoms.
+    Clauses(Kind, [TermId; 3]),
+    /// An instance whose atoms a smart constructor folded: the
+    /// [`Kind::formula`] the constructors built, which is not `true`.
+    Formula(TermId),
+}
+
+impl Instance {
+    /// The instance of `kind` over `atoms`, or `None` when its formula folds
+    /// to `true`.
+    pub fn new(tm: &mut TermManager, kind: Kind, atoms: &[TermId]) -> Option<Instance> {
+        debug_assert_eq!(atoms.len(), kind.arity());
+        // Over distinct theory atoms no smart constructor folds anything, so
+        // the formula has the kind's shape and its clauses are the kind's.
+        let distinct = (1..atoms.len()).all(|i| !atoms[..i].contains(&atoms[i]));
+        if distinct
+            && atoms
+                .iter()
+                .all(|&a| !crate::cnf::is_connective(&tm.term(a).op))
+        {
+            let mut padded = [atoms[0]; 3];
+            padded[..atoms.len()].copy_from_slice(atoms);
+            return Some(Instance::Clauses(kind, padded));
+        }
+        let f = kind.formula(tm, atoms);
+        (tm.term(f).op != Op::True).then_some(Instance::Formula(f))
+    }
+
+    /// The instance as a formula: what [`Kind::formula`] builds.
+    pub fn formula(&self, tm: &mut TermManager) -> TermId {
+        match *self {
+            Instance::Clauses(kind, atoms) => kind.formula(tm, &atoms[..kind.arity()]),
+            Instance::Formula(f) => f,
+        }
+    }
+
+    /// Pushes what the trichotomy scan visits of the instance: its atoms
+    /// left to right, or its formula. Popped from the back, they come in the
+    /// order a walk of the formula would visit them.
+    fn push_scan_roots(&self, stack: &mut Vec<TermId>) {
+        match *self {
+            Instance::Clauses(kind, atoms) => stack.extend_from_slice(&atoms[..kind.arity()]),
+            Instance::Formula(f) => stack.push(f),
+        }
+    }
 }
 
 /// Rewrites away non-Boolean `ite` and `distinct`.
@@ -147,16 +358,18 @@ fn elem_sort_of_container(sort: &Sort) -> Option<&Sort> {
 ///
 /// `roots` are the rewritten input assertions — they carry the *assertion*
 /// semantics and must be asserted in whatever scope the caller is in.
-/// `facts` are definitional side conditions, instantiated theory axioms and
-/// trichotomy lemmas: all of them are valid (or definitional over globally
-/// fresh symbols), so a push/pop solver may assert them permanently even when
-/// the triggering assertion later gets retracted.
+/// `facts` (definitional side conditions) and `instances` (instantiated
+/// theory axioms and trichotomy lemmas) are all valid, or definitional over
+/// globally fresh symbols, so a push/pop solver may assert them permanently
+/// even when the triggering assertion later gets retracted. The parts are
+/// asserted in the order facts, instances, roots.
 pub struct LoweredBatch {
     /// Rewritten input assertions, in input order.
     pub roots: Vec<TermId>,
-    /// Permanent facts: `ite` elimination definitions, instantiated axioms,
-    /// trichotomy lemmas — in emission order.
+    /// Permanent facts: `ite` elimination definitions, in emission order.
     pub facts: Vec<TermId>,
+    /// Instantiated axioms, then trichotomy lemmas, in emission order.
+    pub instances: Vec<Instance>,
 }
 
 /// A persistent, incremental lowering context.
@@ -193,8 +406,6 @@ pub struct LowerCtx {
     /// Skolem witnesses whose axiom is not built yet.
     subset_witness: FxHashMap<TermId, TermId>,
     eq_witness: FxHashMap<TermId, TermId>,
-    /// Axioms already emitted, so that none is asserted twice.
-    emitted: FxHashSet<TermId>,
     /// Sub-terms already scanned for trichotomy lemmas.
     trich_scanned: FxHashSet<TermId>,
 }
@@ -217,20 +428,21 @@ impl LowerCtx {
         scan_roots.extend(side.iter().copied());
         self.scan(tm, &scan_roots);
 
-        let mut axioms: Vec<TermId> = Vec::new();
-        self.emit_axioms(tm, &mut axioms);
+        let mut instances: Vec<Instance> = Vec::new();
+        self.emit_axioms(tm, &mut instances);
 
+        // The scan covers the roots, the side facts and the axioms just
+        // emitted, not the lemmas it adds.
         let mut trich_roots = scan_roots;
-        trich_roots.extend(axioms.iter().copied());
-        let mut lemmas: Vec<TermId> = Vec::new();
-        self.trichotomy(tm, &trich_roots, &mut lemmas);
+        for inst in &instances {
+            inst.push_scan_roots(&mut trich_roots);
+        }
+        self.trichotomy(tm, trich_roots, &mut instances);
 
-        let mut facts = side;
-        facts.extend(axioms);
-        facts.extend(lemmas);
         LoweredBatch {
             roots: rewritten,
-            facts,
+            facts: side,
+            instances,
         }
     }
 
@@ -307,15 +519,13 @@ impl LowerCtx {
 
     /// Emits the axioms of every not-yet-covered (trigger, element) pair:
     /// each trigger consumes its pool from its watermark to the current end,
-    /// so repeated `add` calls never re-construct candidate axiom terms for
+    /// so repeated `add` calls never re-construct candidate axiom atoms for
     /// pairs handled before. Each Skolem witness axiom is built once, by the
-    /// first call after its atom was scanned.
-    fn emit_axioms(&mut self, tm: &mut TermManager, axioms: &mut Vec<TermId>) {
-        let emitted = &mut self.emitted;
-        let mut push = |tm: &mut TermManager, ax: TermId, axioms: &mut Vec<TermId>| {
-            if tm.term(ax).op != Op::True && emitted.insert(ax) {
-                axioms.push(ax);
-            }
+    /// first call after its atom was scanned. The atoms of a pair are built
+    /// before its instances, in the order the instances list them.
+    fn emit_axioms(&mut self, tm: &mut TermManager, out: &mut Vec<Instance>) {
+        let mut emit = |tm: &mut TermManager, kind: Kind, atoms: &[TermId]| {
+            out.extend(Instance::new(tm, kind, atoms));
         };
         // Snapshot of a trigger's uncovered tail of the pool of `elem_sort`
         // (cloned so `tm` can be mutated while iterating; empty when the
@@ -338,37 +548,24 @@ impl LowerCtx {
             let term = tm.term(s).clone();
             for e in new {
                 let mem = tm.member(e, s);
-                let def = match &term.op {
-                    Op::EmptySet(_) => {
-                        let f = tm.fls();
-                        tm.iff(mem, f)
-                    }
+                match &term.op {
+                    Op::EmptySet(_) => emit(tm, Kind::EmptyMember, &[mem]),
                     Op::Singleton => {
                         let eq = tm.eq(e, term.args[0]);
-                        tm.iff(mem, eq)
+                        emit(tm, Kind::SingletonMember, &[mem, eq]);
                     }
-                    Op::Union => {
+                    Op::Union | Op::Inter | Op::Diff => {
                         let m1 = tm.member(e, term.args[0]);
                         let m2 = tm.member(e, term.args[1]);
-                        let d = tm.or2(m1, m2);
-                        tm.iff(mem, d)
-                    }
-                    Op::Inter => {
-                        let m1 = tm.member(e, term.args[0]);
-                        let m2 = tm.member(e, term.args[1]);
-                        let c = tm.and2(m1, m2);
-                        tm.iff(mem, c)
-                    }
-                    Op::Diff => {
-                        let m1 = tm.member(e, term.args[0]);
-                        let m2 = tm.member(e, term.args[1]);
-                        let nm2 = tm.not(m2);
-                        let c = tm.and2(m1, nm2);
-                        tm.iff(mem, c)
+                        let kind = match term.op {
+                            Op::Union => Kind::UnionMember,
+                            Op::Inter => Kind::InterMember,
+                            _ => Kind::DiffMember,
+                        };
+                        emit(tm, kind, &[mem, m1, m2]);
                     }
                     _ => unreachable!(),
-                };
-                push(tm, def, axioms);
+                }
             }
         }
 
@@ -381,13 +578,10 @@ impl LowerCtx {
                 let sel = tm.select(st, j);
                 let eq_idx = tm.eq(j, idx);
                 let sel_val = tm.eq(sel, val);
-                let hit = tm.implies(eq_idx, sel_val);
                 let sel_base = tm.select(base, j);
                 let sel_pass = tm.eq(sel, sel_base);
-                let ne = tm.not(eq_idx);
-                let miss = tm.implies(ne, sel_pass);
-                push(tm, hit, axioms);
-                push(tm, miss, axioms);
+                emit(tm, Kind::StoreHit, &[eq_idx, sel_val]);
+                emit(tm, Kind::StoreMiss, &[eq_idx, sel_pass]);
             }
         }
 
@@ -403,11 +597,8 @@ impl LowerCtx {
                 let sel_old = tm.select(m_old, j);
                 let eq_new = tm.eq(sel, sel_new);
                 let eq_old = tm.eq(sel, sel_old);
-                let hit = tm.implies(in_mod, eq_new);
-                let nm = tm.not(in_mod);
-                let miss = tm.implies(nm, eq_old);
-                push(tm, hit, axioms);
-                push(tm, miss, axioms);
+                emit(tm, Kind::MapIteHit, &[in_mod, eq_new]);
+                emit(tm, Kind::MapIteMiss, &[in_mod, eq_old]);
             }
         }
 
@@ -419,47 +610,48 @@ impl LowerCtx {
             for e in tail(mark, elem_sort_of_container(tm.sort(s))) {
                 let ms = tm.member(e, s);
                 let mt = tm.member(e, t);
-                let imp = tm.implies(ms, mt);
-                let ax = tm.implies(a, imp);
-                push(tm, ax, axioms);
+                emit(tm, Kind::SubsetPointwise, &[a, ms, mt]);
             }
             if let Some(w) = self.subset_witness.remove(&a) {
                 let ms = tm.member(w, s);
                 let mt = tm.member(w, t);
-                let nmt = tm.not(mt);
-                let both = tm.and2(ms, nmt);
-                let na = tm.not(a);
-                let ax = tm.implies(na, both);
-                push(tm, ax, axioms);
+                emit(tm, Kind::SubsetWitness, &[a, ms, mt]);
             }
         }
 
         // 5. Container equality atoms: guarded pointwise congruence plus
-        //    extensionality witness for the negative side.
+        //    extensionality witness for the negative side. Set members are
+        //    the atoms themselves; array reads are compared by an equality
+        //    atom.
         for (a, mark) in self.container_eq_atoms.iter_mut() {
             let a = *a;
             let (s, t) = (tm.term(a).args[0], tm.term(a).args[1]);
             let is_set = matches!(tm.sort(s), Sort::Set(_));
-            for e in tail(mark, elem_sort_of_container(tm.sort(s))) {
-                let (vs, vt) = if is_set {
-                    (tm.member(e, s), tm.member(e, t))
+            let mut emit_at = |tm: &mut TermManager, e: TermId, witness: bool| {
+                if is_set {
+                    let (vs, vt) = (tm.member(e, s), tm.member(e, t));
+                    let kind = if witness {
+                        Kind::SetEqWitness
+                    } else {
+                        Kind::SetEqPointwise
+                    };
+                    emit(tm, kind, &[a, vs, vt]);
                 } else {
-                    (tm.select(s, e), tm.select(t, e))
-                };
-                let eq = tm.eq(vs, vt);
-                let ax = tm.implies(a, eq);
-                push(tm, ax, axioms);
+                    let (vs, vt) = (tm.select(s, e), tm.select(t, e));
+                    let eq = tm.eq(vs, vt);
+                    let kind = if witness {
+                        Kind::ArrayEqWitness
+                    } else {
+                        Kind::ArrayEqPointwise
+                    };
+                    emit(tm, kind, &[a, eq]);
+                }
+            };
+            for e in tail(mark, elem_sort_of_container(tm.sort(s))) {
+                emit_at(tm, e, false);
             }
             if let Some(w) = self.eq_witness.remove(&a) {
-                let (vs, vt) = if is_set {
-                    (tm.member(w, s), tm.member(w, t))
-                } else {
-                    (tm.select(s, w), tm.select(t, w))
-                };
-                let ne = tm.neq(vs, vt);
-                let na = tm.not(a);
-                let ax = tm.implies(na, ne);
-                push(tm, ax, axioms);
+                emit_at(tm, w, true);
             }
         }
 
@@ -469,9 +661,14 @@ impl LowerCtx {
     }
 
     /// Adds `a = b ∨ a < b ∨ b < a` for every not-yet-seen numeric equality
-    /// atom among the sub-terms of `roots`.
-    fn trichotomy(&mut self, tm: &mut TermManager, roots: &[TermId], lemmas: &mut Vec<TermId>) {
-        let mut stack: Vec<TermId> = roots.to_vec();
+    /// atom among the sub-terms of `stack` (popped from the back), in the
+    /// order a depth-first walk discovers them.
+    fn trichotomy(
+        &mut self,
+        tm: &mut TermManager,
+        mut stack: Vec<TermId>,
+        lemmas: &mut Vec<Instance>,
+    ) {
         while let Some(t) = stack.pop() {
             if !self.trich_scanned.insert(t) {
                 continue;
@@ -482,8 +679,7 @@ impl LowerCtx {
                 let (a, b) = (term.args[0], term.args[1]);
                 let lt_ab = tm.lt(a, b);
                 let lt_ba = tm.lt(b, a);
-                let lemma = tm.or(vec![t, lt_ab, lt_ba]);
-                lemmas.push(lemma);
+                lemmas.extend(Instance::new(tm, Kind::Trichotomy, &[t, lt_ab, lt_ba]));
             }
         }
     }
@@ -690,6 +886,45 @@ mod tests {
         let d = tm.distinct(vec![a, b, c]);
         let eq = tm.eq(a, c);
         assert_eq!(solve(&mut tm, &[d, eq]), SatResult::Unsat);
+    }
+
+    /// The trichotomy scan starts from the instances' atoms, not from their
+    /// formulas, and must still find the numeric equalities in the order a
+    /// walk of the formulas finds them. Over an integer-indexed array every
+    /// read-over-write instance holds two numeric equalities.
+    #[test]
+    fn trichotomy_lemmas_come_in_the_order_of_a_walk_of_the_formulas() {
+        let mut tm = TermManager::new();
+        let arr = Sort::array_of(Sort::Int, Sort::Int);
+        let (m, h) = (tm.var("m", arr.clone()), tm.var("h", arr));
+        let [i, j, k, v, w] = ["i", "j", "k", "v", "w"].map(|n| tm.var(n, Sort::Int));
+        let st = tm.store(m, i, v);
+        let st2 = tm.store(h, j, w);
+        let (r1, r2) = (tm.select(st, k), tm.select(st2, i));
+        let roots = [tm.eq(r1, w), tm.lt(r2, v), tm.eq(m, h)];
+        let batch = LowerCtx::new().add(&mut tm, &roots);
+
+        let mut lemmas = Vec::new();
+        let mut walk: Vec<TermId> = batch.roots.iter().chain(&batch.facts).copied().collect();
+        for inst in &batch.instances {
+            match *inst {
+                Instance::Clauses(Kind::Trichotomy, atoms) => lemmas.push(atoms[0]),
+                _ => walk.push(inst.formula(&mut tm)),
+            }
+        }
+        let mut seen = FxHashSet::default();
+        let mut expected = Vec::new();
+        while let Some(t) = walk.pop() {
+            if seen.insert(t) {
+                let term = tm.term(t);
+                walk.extend(term.args.iter().copied());
+                if term.op == Op::Eq && tm.sort(term.args[0]).is_numeric() {
+                    expected.push(t);
+                }
+            }
+        }
+        assert!(expected.len() > 8, "{} numeric equalities", expected.len());
+        assert_eq!(lemmas, expected);
     }
 
     #[test]

@@ -493,6 +493,8 @@ pub struct SatSolver {
     seen: Vec<bool>,
     learnt: Vec<Lit>,
     levels: Vec<u32>,
+    /// Scratch of [`SatSolver::add_clause_from`] (empty between calls).
+    clause_buf: Vec<Lit>,
     /// The unsat core of the most recent [`SatResult::Unsat`] answer from
     /// [`SatSolver::solve_under`] / [`SatSolver::solve_under_with`]: a
     /// subset of the assumption literals sufficient for unsatisfiability.
@@ -590,6 +592,21 @@ impl SatSolver {
     /// Adds a clause. Returns `false` if the clause system became trivially
     /// unsatisfiable (empty clause at level 0).
     pub fn add_clause(&mut self, mut lits: Vec<Lit>) -> bool {
+        self.add_clause_in(&mut lits)
+    }
+
+    /// [`SatSolver::add_clause`] for a borrowed clause, which is copied into
+    /// a scratch buffer rather than a new vector.
+    pub(crate) fn add_clause_from(&mut self, lits: &[Lit]) -> bool {
+        let mut buf = std::mem::take(&mut self.clause_buf);
+        buf.extend_from_slice(lits);
+        let ok = self.add_clause_in(&mut buf);
+        buf.clear();
+        self.clause_buf = buf;
+        ok
+    }
+
+    fn add_clause_in(&mut self, lits: &mut Vec<Lit>) -> bool {
         if !self.ok {
             return false;
         }
@@ -625,7 +642,7 @@ impl SatSolver {
                 self.ok
             }
             _ => {
-                self.attach_clause(&lits, false, false, 0);
+                self.attach_clause(lits, false, false, 0);
                 true
             }
         }

@@ -130,8 +130,16 @@ fn enc(
         }
         Expr::Binary(op, a, b) => {
             // The polymorphic empty set `{}` adapts its element sort to the
-            // other operand.
-            let (ea, eb) = coerce_empty(tm, program, env, old_env, a, b);
+            // other operand, or, right of `in`, to the element.
+            let (ea, eb) = match op {
+                BinOp::Member => (
+                    &**a,
+                    empty_at(b, || {
+                        type_of(tm, program, env, old_env, a) == Some(Type::Int)
+                    }),
+                ),
+                _ => coerce_empty(tm, program, env, old_env, a, b),
+            };
             let ta = enc(tm, program, env, old_env, ea, side)?;
             let tb = enc(tm, program, env, old_env, eb, side)?;
             match op {
@@ -207,6 +215,19 @@ fn coerce_empty<'e>(
         b
     };
     (ea, eb)
+}
+
+/// `e` where a value is expected that `int_set` says is a `Set<Int>` (an
+/// assignment's target, a declared variable, a parameter, the right of `in`
+/// on an integer): the polymorphic `{}` becomes [`EMPTY_INT_SET`] there,
+/// and any other expression is returned as it is. `int_set` is asked only
+/// about a `{}`.
+pub(crate) fn empty_at(e: &Expr, int_set: impl FnOnce() -> bool) -> &Expr {
+    if matches!(e, Expr::EmptySet(_)) && int_set() {
+        &EMPTY_INT_SET
+    } else {
+        e
+    }
 }
 
 /// The IVL type of an expression, read off declared types — the program's

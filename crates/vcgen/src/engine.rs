@@ -4,7 +4,7 @@
 use ids_ivl::{Block, Expr, Lhs, Procedure, Program, Stmt, Type};
 use ids_smt::{Sort, TermId, TermManager};
 
-use crate::encode::{default_value, encode_expr, sort_of_type, Env};
+use crate::encode::{default_value, empty_at, encode_expr, sort_of_type, Env};
 use crate::{Encoding, MethodVcs, Vc, VcError};
 
 /// Generates the verification conditions of one procedure, together with the
@@ -213,14 +213,22 @@ impl<'a> Ctx<'a> {
         old_env: &Env,
     ) -> Result<Env, VcError> {
         match stmt {
-            Stmt::VarDecl { name, init, .. } => {
+            Stmt::VarDecl { name, ty, init, .. } => {
                 if let Some(e) = init {
+                    let e = empty_at(e, || *ty == Type::SetInt);
                     let t = self.encode(tm, &env, old_env, guard, e)?;
                     env.vars.insert(name.clone(), t);
                 }
                 Ok(env)
             }
             Stmt::Assign { lhs, rhs } => {
+                let rhs = empty_at(rhs, || match lhs {
+                    Lhs::Var(v) => env
+                        .vars
+                        .get(v)
+                        .is_some_and(|&t| matches!(tm.sort(t), Sort::Set(e) if **e == Sort::Int)),
+                    Lhs::Field(_, f) => self.program.field(f).is_some_and(|d| d.ty == Type::SetInt),
+                });
                 let value = self.encode(tm, &env, old_env, guard, rhs)?;
                 match lhs {
                     Lhs::Var(v) => {
@@ -413,6 +421,7 @@ impl<'a> Ctx<'a> {
         // Bind actuals (evaluated in the caller's pre-call state).
         let mut pre_env = env.clone();
         for (param, arg) in callee.params.iter().zip(args.iter()) {
+            let arg = empty_at(arg, || param.ty == Type::SetInt);
             let t = self.encode(tm, &env, old_env, guard, arg)?;
             pre_env.vars.insert(param.name.clone(), t);
         }

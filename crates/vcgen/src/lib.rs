@@ -542,6 +542,35 @@ mod tests {
     }
 
     #[test]
+    fn empty_set_fits_any_set_type() {
+        // `{}` right of `in` on an integer, as an `ite` branch beside a
+        // `Set<Int>`, and assigned to a `Set<Int>` result: each typechecks
+        // and is the empty integer set.
+        let member = r#"
+            procedure p(k: Int)
+              ensures !(k in {});
+            {
+            }
+        "#;
+        assert!(verify_src(member, "p").is_verified());
+        let ite = r#"
+            procedure q(k: Int, s: Set<Int>)
+              ensures ite(k > 0, {}, s) != {} ==> k <= 0;
+            {
+            }
+        "#;
+        assert!(verify_src(ite, "q").is_verified());
+        let assign = r#"
+            procedure r(k: Int) returns (t: Set<Int>)
+              ensures !(k in t);
+            {
+              t := {};
+            }
+        "#;
+        assert!(verify_src(assign, "r").is_verified());
+    }
+
+    #[test]
     fn session_verdicts_match_fresh_solver_per_vc() {
         // A method with branches, heap writes, set ghost state, a failing
         // assert in the middle and valid VCs after it: the incremental

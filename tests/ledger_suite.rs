@@ -371,6 +371,40 @@ fn compare_noise_gate_and_verdict_changes() {
     assert_eq!(report.only_new.len(), 3);
 }
 
+#[test]
+fn compare_reports_search_identity_on_rows_solved_on_both_sides() {
+    let base = sample_record(1, 100.0, 0.01);
+    let opts = CompareOpts::default();
+    let same = compare(&base, &sample_record(2, 180.0, 0.05), &opts);
+    assert_eq!((same.solved_both, same.search_changed.len()), (3, 0));
+    assert!(same.deltas.iter().all(|d| !d.search_changed));
+
+    // One more decision, and another core: two searches changed.
+    let mut moved = sample_record(3, 100.0, 0.01);
+    moved.vcs[0].solver[2] += 1;
+    moved.vcs[2].core = Some(vec![1]);
+    let report = compare(&base, &moved, &opts);
+    assert_eq!(report.solved_both, 3);
+    let mut changed = report.search_changed.clone();
+    changed.sort();
+    let mut expected = vec![label(&moved.vcs[0]), label(&moved.vcs[2])];
+    expected.sort();
+    assert_eq!(changed, expected);
+    assert!(!report.failed(&opts), "a changed search alone never fails");
+
+    // A row answered from cache (or deduplicated) on either side is not
+    // compared, whatever its counters.
+    let mut cached = moved.clone();
+    cached.vcs[0].cached = true;
+    let report = compare(&base, &cached, &opts);
+    assert_eq!(report.solved_both, 2);
+    assert_eq!(report.search_changed, vec![label(&moved.vcs[2])]);
+}
+
+fn label(vc: &VcLedgerEntry) -> String {
+    format!("{}/{}/{}", vc.structure, vc.method, vc.description)
+}
+
 /// Regression test: a baseline row with `solve_ms == 0` (a fully cached run,
 /// or a ledger predating per-VC timing) makes the percentage gate vacuous —
 /// every nonzero warm time is infinitely many percent over zero. Such rows
