@@ -629,6 +629,21 @@ fn attribute(base: &VcLedgerEntry, new: &VcLedgerEntry, slower: bool) -> (Option
     (Some(PHASES[phase_idx].to_string()), text)
 }
 
+/// Each key's row in one run: the first row that solved it, or the key's
+/// first row when every row of it was answered from cache. A run lists a VC
+/// once per occurrence, so a key solved once and deduplicated later in the
+/// same batch is represented by the row that solved it.
+fn rows_by_key(run: &RunRecord) -> std::collections::BTreeMap<u128, &VcLedgerEntry> {
+    let mut rows = std::collections::BTreeMap::new();
+    for vc in &run.vcs {
+        let kept: &mut &VcLedgerEntry = rows.entry(vc.key).or_insert(vc);
+        if kept.cached && !vc.cached {
+            *kept = vc;
+        }
+    }
+    rows
+}
+
 /// Joins two runs per VC key and classifies every joined row against the
 /// thresholds. VCs answered from cache on either side join for verdict
 /// comparison but are excluded from timing classification and from the
@@ -637,10 +652,8 @@ fn attribute(base: &VcLedgerEntry, new: &VcLedgerEntry, slower: bool) -> (Option
 /// here, whatever the timing. It never fails the comparison.
 pub fn compare(base: &RunRecord, new: &RunRecord, opts: &CompareOpts) -> CompareReport {
     let mut report = CompareReport::default();
-    let base_by_key: std::collections::BTreeMap<u128, &VcLedgerEntry> =
-        base.vcs.iter().map(|vc| (vc.key, vc)).collect();
-    let new_by_key: std::collections::BTreeMap<u128, &VcLedgerEntry> =
-        new.vcs.iter().map(|vc| (vc.key, vc)).collect();
+    let base_by_key = rows_by_key(base);
+    let new_by_key = rows_by_key(new);
     for (key, b) in &base_by_key {
         if !new_by_key.contains_key(key) {
             report.only_base.push(label_of(b));
@@ -712,14 +725,16 @@ pub fn compare(base: &RunRecord, new: &RunRecord, opts: &CompareOpts) -> Compare
 // ------------------------------------------------------------------- history
 
 /// Renders the per-VC solve-time trajectory across `runs` (oldest first) as
-/// display lines, one VC per line, most recent label wins. `filter` is an
+/// display lines, one VC per line, most recent label wins. Each run
+/// contributes its row for the key as [`compare`] picks it: the row that
+/// solved the VC, not a later dedup hit. `filter` is an
 /// optional case-insensitive substring match against the VC label.
 pub fn history_lines(runs: &[RunRecord], filter: Option<&str>) -> Vec<String> {
     use std::collections::BTreeMap;
     // key → (label, per-run Option<solve_ms>)
     let mut series: BTreeMap<u128, (String, Vec<Option<f64>>)> = BTreeMap::new();
     for (ri, run) in runs.iter().enumerate() {
-        for vc in &run.vcs {
+        for vc in rows_by_key(run).into_values() {
             let entry = series
                 .entry(vc.key)
                 .or_insert_with(|| (label_of(vc), vec![None; runs.len()]));

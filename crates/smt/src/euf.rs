@@ -14,14 +14,14 @@
 //! of terms (sub-term collection, node numbering, operator interning, the
 //! list of congruence-eligible application nodes) are factored into an
 //! immutable [`EufTemplate`] that is built once per checker and shared by
-//! every check via [`Euf::with_template`]. The online theory session builds
-//! its undo-trail EUF from the same template.
+//! every check via [`Euf::with_template`]. The online theory layer's
+//! undo-trail EUF reads the same template, owned by the layer's checker.
 
 use crate::fxmap::FxHashMap;
 use crate::term::{Op, TermId, TermManager};
 
-/// Why two nodes were merged. Shared with the trail-based incremental engine
-/// in [`crate::trail`], which maintains the same proof-forest shape.
+/// Why two nodes were merged. Shared with the online theory layer's
+/// undo-trail EUF, which maintains the same proof-forest shape.
 #[derive(Clone, Debug)]
 pub(crate) enum Reason {
     /// An input equation with the given tag.
@@ -126,19 +126,15 @@ impl EufTemplate {
         self.terms.len()
     }
 
-    /// Appends the nodes and application nodes of `src` beyond this
-    /// template's own, of which this template must be a prefix (`src` grew
-    /// from it by [`EufTemplate::extend`]). The operator table is not copied:
-    /// a template grown this way follows `src` and is never extended itself.
-    pub(crate) fn append_from(&mut self, src: &EufTemplate) {
-        debug_assert!(self.terms.len() <= src.terms.len(), "not a prefix");
-        let new_terms = &src.terms[self.terms.len()..];
-        for (node, &t) in (self.terms.len()..).zip(new_terms) {
-            self.node_of_term.insert(t, node);
-        }
-        self.terms.extend_from_slice(new_terms);
-        self.app_nodes
-            .extend_from_slice(&src.app_nodes[self.app_nodes.len()..]);
+    /// The node of a universe term.
+    ///
+    /// # Panics
+    /// Panics if `t` is not in the universe.
+    pub(crate) fn node(&self, t: TermId) -> usize {
+        *self
+            .node_of_term
+            .get(&t)
+            .unwrap_or_else(|| panic!("term {:?} not in EUF universe", t))
     }
 }
 
@@ -192,28 +188,20 @@ impl<'a> Euf<'a> {
         }
     }
 
-    fn node(&self, t: TermId) -> usize {
-        *self
-            .template
-            .node_of_term
-            .get(&t)
-            .unwrap_or_else(|| panic!("term {:?} not in EUF universe", t))
-    }
-
     fn find(&mut self, x: usize) -> usize {
         find_in(&mut self.parent, x)
     }
 
     /// Asserts `a = b`, justified by the literal with the given tag.
     pub fn assert_eq(&mut self, a: TermId, b: TermId, tag: usize) {
-        let (na, nb) = (self.node(a), self.node(b));
+        let (na, nb) = (self.template.node(a), self.template.node(b));
         self.eq_tags.push(tag);
         self.merge(na, nb, Reason::Asserted(tag));
     }
 
     /// Asserts `a != b`, justified by the literal with the given tag.
     pub fn assert_neq(&mut self, a: TermId, b: TermId, tag: usize) {
-        let (na, nb) = (self.node(a), self.node(b));
+        let (na, nb) = (self.template.node(a), self.template.node(b));
         self.diseqs.push((na, nb, tag));
     }
 
@@ -371,7 +359,7 @@ impl<'a> Euf<'a> {
     /// True if the two terms are currently in the same class. Intended for use
     /// after [`Euf::check`] returned [`EufOutcome::Consistent`].
     pub fn same(&mut self, a: TermId, b: TermId) -> bool {
-        let (na, nb) = (self.node(a), self.node(b));
+        let (na, nb) = (self.template.node(a), self.template.node(b));
         self.find(na) == self.find(nb)
     }
 
@@ -387,7 +375,7 @@ impl<'a> Euf<'a> {
     /// equations used. If the internal explanation is incomplete, all asserted
     /// equation tags are returned (sound but weaker).
     pub fn explain_terms(&mut self, a: TermId, b: TermId) -> Vec<usize> {
-        let (na, nb) = (self.node(a), self.node(b));
+        let (na, nb) = (self.template.node(a), self.template.node(b));
         let tags = self.explain(na, nb);
         if self.explain_incomplete {
             self.eq_tags.clone()
@@ -434,7 +422,7 @@ impl<'a> Euf<'a> {
                     Some((p, Reason::Congruence(u, v))) => {
                         let (tu, tv) = (self.template.terms[u], self.template.terms[v]);
                         for (&x_arg, &y_arg) in tm.term(tu).args.iter().zip(&tm.term(tv).args) {
-                            let (nu, nv) = (self.node(x_arg), self.node(y_arg));
+                            let (nu, nv) = (self.template.node(x_arg), self.template.node(y_arg));
                             self.explain_rec(nu, nv, tags, depth + 1);
                         }
                         x = p;

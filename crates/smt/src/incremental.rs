@@ -28,26 +28,26 @@
 //!   [`IncrementalSolver::pop`] retracts the scope by permanently
 //!   asserting the negated activation literal. Learned clauses — including
 //!   theory conflict clauses — are globally valid and are kept forever.
-//! * **Theory setup** — one [`crate::theory::TheoryChecker`] whose congruence
-//!   template and linear forms are *extended* as new atoms appear instead of
-//!   being rebuilt per query; the theory session's congruence state grows
-//!   in place with it.
-//! * **Theory state** — a persistent trail-based theory session
-//!   (`crate::trail::TheorySession`) driven *online* from inside the CDCL
-//!   search ([`crate::sat::SatSolver::solve_under_with`]): at every
-//!   propagation fixpoint it retracts what the SAT core backtracked over,
-//!   asserts the EUF part of the new theory literals, checks the
-//!   disequalities, then asserts their simplex bounds and the equalities
-//!   between numeric terms that their merges implied, and runs the
-//!   rational simplex check; on a complete assignment it only adds what
-//!   needs one, integer branch-and-bound. A theory conflict is learned and analysed at the
-//!   level where it arose, so one check is one search, not a loop of
-//!   searches. A consistent fixpoint also hands back the atom literals
-//!   congruence already decides (equalities whose sides are merged,
-//!   predicates whose class holds `true`/`false`, equalities an asserted
-//!   disequality separates); the SAT core enqueues them with a theory reason
-//!   and asks [`crate::sat::TheoryHook::explain`] for their antecedents only
-//!   when conflict analysis resolves on one.
+//! * **Theory** — one online theory layer (`crate::online`, EUF and
+//!   arithmetic under a combiner) driven from inside the CDCL search
+//!   ([`crate::sat::SatSolver::solve_under_with`]). Its atom registry, a
+//!   [`crate::theory::TheoryChecker`] whose congruence template and linear
+//!   forms are *extended* as new atoms appear, and its congruence state,
+//!   which grows in place with the registry, persist across checks; each
+//!   check hands it the newly encoded atoms and the live ones in one call.
+//!   At every propagation fixpoint it retracts what the SAT core
+//!   backtracked over, asserts the EUF part of the new theory literals,
+//!   checks the disequalities, then asserts their simplex bounds and the
+//!   equalities between numeric terms that their merges implied, and runs
+//!   the rational simplex check; on a complete assignment it only adds what
+//!   needs one, integer branch-and-bound. A theory conflict is learned and
+//!   analysed at the level where it arose, so one check is one search, not
+//!   a loop of searches. A consistent fixpoint also hands back the atom
+//!   literals congruence already decides (equalities whose sides are
+//!   merged, predicates whose class holds `true`/`false`, equalities an
+//!   asserted disequality separates); the SAT core enqueues them with a
+//!   theory reason and asks [`crate::sat::TheoryHook::explain`] for their
+//!   antecedents only when conflict analysis resolves on one.
 //!
 //! Model soundness with retraction: atoms that only occur in popped scopes
 //! are *dead* — their propositional values are unconstrained don't-cares. The
@@ -71,9 +71,9 @@
 //!   instantiated axioms and learned clauses are permanent — they survive
 //!   every method and VC pop, which is the whole point of the pool.
 //! * **Method scope**: [`IncrementalSolver::push_method_scope`] snapshots
-//!   *every* layer of solver state — the SAT core, the CNF atom map, the
-//!   lowering context, the theory checker and the atom bookkeeping — and
-//!   [`IncrementalSolver::pop_method_scope`] restores the snapshots
+//!   the whole solver — the SAT core, the CNF atom map, the lowering
+//!   context, the theory layer and the atom bookkeeping — and
+//!   [`IncrementalSolver::pop_method_scope`] restores the snapshot
 //!   wholesale. Inside the scope the solver behaves exactly like a plain
 //!   per-method session warm-started from the structure scope: residue
 //!   assertions are permanent *within the scope*, derived facts are
@@ -115,12 +115,12 @@ use crate::cnf::{self, encode_root, AtomMap};
 use crate::fxmap::{FxHashMap, FxHashSet};
 use crate::lower::{Instance, LowerCtx, LoweredBatch};
 use crate::model::Model;
+use crate::online::Theory;
 use crate::quant::contains_forall;
-use crate::sat::{Lit, SatResult, SatSolver, TheoryHook, TheoryVerdict, Var};
+use crate::sat::{Lit, SatResult, SatSolver, Var};
 use crate::solver::{SolverConfig, SolverStats};
 use crate::term::{Op, Sort, TermId, TermManager};
-use crate::theory::{TheoryCheck, TheoryChecker};
-use crate::trail::{LiveAtom, SessionCheck, TheorySession};
+use crate::theory::TheoryChecker;
 
 /// Where an atom has been used so far: in a permanent assertion (or a derived
 /// fact), or only inside the listed push scopes.
@@ -140,33 +140,6 @@ struct Scope {
     id: u64,
     /// Activation variable guarding the scope's assertion clauses.
     act: Var,
-}
-
-/// Snapshot taken at [`IncrementalSolver::push_method_scope`] and restored
-/// wholesale at the matching pop: the complete structure-scope solver state.
-/// Cloned at structure-scope size (the shared prelude), so a pool pays a
-/// small fixed copy per method instead of accumulating every method's SAT
-/// variables, clauses, pools and templates forever.
-#[derive(Debug)]
-struct MethodRollback {
-    sat: SatSolver,
-    atom_map: AtomMap,
-    lower: LowerCtx,
-    checker: Option<TheoryChecker>,
-    session: TheorySession,
-    pending_atoms: Vec<TermId>,
-    atom_scope: FxHashMap<TermId, AtomScope>,
-    asserted_roots: FxHashSet<TermId>,
-    tracked: Vec<(u32, Var)>,
-    saw_quantifier: bool,
-    /// Reuse counters not yet folded into a check's stats: restored on pop
-    /// so credit accrued inside a method that never checks (e.g. every VC
-    /// cancelled) cannot leak into the next method's statistics.
-    pending_reused: u64,
-    pending_lowered: u64,
-    pending_lower_time: std::time::Duration,
-    pending_cnf_time: std::time::Duration,
-    credited: SatCounters,
 }
 
 /// The SAT core's cumulative effort counters at one moment.
@@ -196,18 +169,16 @@ impl SatCounters {
 /// An SMT solver with persistent state and a push/pop assertion stack.
 ///
 /// See the [module documentation](self) for the architecture.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct IncrementalSolver {
     config: SolverConfig,
     sat: SatSolver,
     atom_map: AtomMap,
     lower: LowerCtx,
-    checker: Option<TheoryChecker>,
-    /// Persistent trail-based theory state (EUF + simplex), kept across
-    /// the search and across checks; snapshotted/restored with the checker
-    /// at method-scope boundaries so the two stay consistent.
-    session: TheorySession,
-    /// Atoms encoded since the checker was last grown.
+    /// The online theory layer (the atom registry, EUF and simplex), built
+    /// at the first check and kept across the search and across checks.
+    theory: Option<Theory>,
+    /// Atoms encoded since the last check.
     pending_atoms: Vec<TermId>,
     atom_scope: FxHashMap<TermId, AtomScope>,
     /// Scratch visited set of [`IncrementalSolver::mark_atoms`] (empty
@@ -218,8 +189,9 @@ pub struct IncrementalSolver {
     saw_quantifier: bool,
     stats: SolverStats,
     model: Option<Model>,
-    /// The open method scope of a warm pool, if any (always `scopes[0]`).
-    method: Option<MethodRollback>,
+    /// The solver as it was when the open method scope of a warm pool was
+    /// pushed, if one is open; its pop restores it.
+    method: Option<Box<IncrementalSolver>>,
     /// Roots asserted so far, for the prelude-reuse counters.
     asserted_roots: FxHashSet<TermId>,
     /// *Tracked* assertions ([`IncrementalSolver::assert_tracked`]), in
@@ -270,8 +242,7 @@ impl IncrementalSolver {
             sat: SatSolver::with_options(config.sat),
             atom_map: AtomMap::default(),
             lower: LowerCtx::new(),
-            checker: None,
-            session: TheorySession::new(config.pivot),
+            theory: None,
             pending_atoms: Vec::new(),
             atom_scope: FxHashMap::default(),
             marked: FxHashSet::default(),
@@ -333,7 +304,8 @@ impl IncrementalSolver {
 
     /// Opens a *method scope*: the second level of a warm pool's scope
     /// discipline (see the module documentation). Snapshots the complete
-    /// structure-scope solver state; until the matching
+    /// structure-scope solver state, a clone of the solver at structure-scope
+    /// size (the shared prelude); until the matching
     /// [`IncrementalSolver::pop_method_scope`] the solver behaves exactly
     /// like a per-method session warm-started from that state (assertions
     /// permanent, facts permanent, VC scopes nested inside as usual).
@@ -346,30 +318,16 @@ impl IncrementalSolver {
             self.scopes.is_empty() && self.method.is_none(),
             "a method scope must be the outermost open scope"
         );
-        self.method = Some(MethodRollback {
-            sat: self.sat.clone(),
-            atom_map: self.atom_map.clone(),
-            lower: self.lower.clone(),
-            checker: self.checker.clone(),
-            session: self.session.clone(),
-            pending_atoms: self.pending_atoms.clone(),
-            atom_scope: self.atom_scope.clone(),
-            asserted_roots: self.asserted_roots.clone(),
-            tracked: self.tracked.clone(),
-            saw_quantifier: self.saw_quantifier,
-            pending_reused: self.pending_reused,
-            pending_lowered: self.pending_lowered,
-            pending_lower_time: self.pending_lower_time,
-            pending_cnf_time: self.pending_cnf_time,
-            credited: self.credited,
-        });
+        self.method = Some(Box::new(self.clone()));
     }
 
     /// Closes the open method scope by restoring the structure-scope
     /// snapshot wholesale: the method's assertions, derived facts, SAT
     /// variables, learned clauses, axiom instantiations and theory-template
     /// growth all vanish, and the next method starts from a pool that holds
-    /// exactly the structure-scope prelude again.
+    /// exactly the structure-scope prelude again. Only the scope-id counter
+    /// (ids are never reused) and the last check's statistics carry over;
+    /// reuse credit a method never checked falls with it.
     ///
     /// # Panics
     /// Panics if no method scope is open or if VC scopes are still open
@@ -379,22 +337,11 @@ impl IncrementalSolver {
             self.scopes.is_empty(),
             "pop_method_scope with VC scopes still open"
         );
-        let m = self.method.take().expect("no method scope open");
-        self.sat = m.sat;
-        self.atom_map = m.atom_map;
-        self.lower = m.lower;
-        self.checker = m.checker;
-        self.session = m.session;
-        self.pending_atoms = m.pending_atoms;
-        self.atom_scope = m.atom_scope;
-        self.asserted_roots = m.asserted_roots;
-        self.tracked = m.tracked;
-        self.saw_quantifier = m.saw_quantifier;
-        self.pending_reused = m.pending_reused;
-        self.pending_lowered = m.pending_lowered;
-        self.pending_lower_time = m.pending_lower_time;
-        self.pending_cnf_time = m.pending_cnf_time;
-        self.credited = m.credited;
+        let snapshot = self.method.take().expect("no method scope open");
+        let (next_scope_id, stats) = (self.next_scope_id, self.stats);
+        *self = *snapshot;
+        self.next_scope_id = next_scope_id;
+        self.stats = stats;
         self.model = None;
         self.last_core.clear();
     }
@@ -635,44 +582,40 @@ impl IncrementalSolver {
         }
         assumptions.extend(self.scopes.iter().map(|s| Lit::new(s.act, true)));
 
-        // Setup: grow the theory checker to cover every encoded atom, ready
-        // the session for it, and build the check's live-atom table and
-        // watch lists.
-        let setup_start = std::time::Instant::now();
+        // Setup: hand the theory layer the atoms encoded since the last
+        // check and the live ones. An atom is live while a permanent
+        // assertion or an open scope uses it; the theory check runs on live
+        // atoms only (see the module documentation for why dead ones must
+        // be excluded). Atoms with no registration were only ever used
+        // inside a method scope that has since been rolled back: the
+        // restored registry does not know them, and every live clause
+        // mentioning them is deactivated.
         let pending = std::mem::take(&mut self.pending_atoms);
-        match &mut self.checker {
-            Some(c) => c.extend(tm, &pending),
-            None => self.checker = Some(TheoryChecker::new(tm, &pending)),
-        }
-        let checker = self.checker.as_ref().expect("checker built above");
-        self.session.prepare(checker);
-        let live = live_atoms(
-            &self.atom_map,
-            &self.atom_scope,
-            &self.scopes,
-            &self.session,
-            checker,
-            self.sat.num_vars(),
-        );
-        self.session.watch(&live);
-        self.stats.setup_time = setup_start.elapsed();
-        let mut theory = OnlineTheory {
+        let (atom_scope, scopes) = (&self.atom_scope, &self.scopes);
+        let live = self
+            .atom_map
+            .atoms()
+            .filter(|(_, atom)| match atom_scope.get(atom) {
+                Some(AtomScope::Base) => true,
+                Some(AtomScope::Scopes(ids)) => {
+                    ids.iter().any(|id| scopes.iter().any(|s| s.id == *id))
+                }
+                None => false,
+            });
+        let pivot = self.config.pivot;
+        let theory = self
+            .theory
+            .get_or_insert_with(|| Theory::new(TheoryChecker::new(tm, &[]), pivot));
+        let mut hook = theory.check(
             tm,
-            checker,
-            session: &mut self.session,
-            live: &live,
-            stats: &mut self.stats,
-            max_rounds: self.config.max_theory_rounds as u64,
-            pivot: self.config.pivot,
-            // Differential oracle for the trail session: when
-            // IDS_TRAIL_ORACLE is set, every theory conflict, every
-            // explanation of an implied literal and every Consistent final
-            // check is re-checked against the stateless checker, which must
-            // agree.
-            oracle: std::env::var_os("IDS_TRAIL_ORACLE").is_some(),
-        };
+            &pending,
+            live,
+            self.sat.num_vars(),
+            &mut self.stats,
+            self.config.max_theory_rounds as u64,
+        );
         let search_start = std::time::Instant::now();
-        let result = self.sat.solve_under_with(&assumptions, &mut theory);
+        let result = self.sat.solve_under_with(&assumptions, &mut hook);
         let stats = &mut self.stats;
         stats.sat_time = search_start.elapsed().saturating_sub(stats.theory_time);
         let sat = &self.sat;
@@ -687,7 +630,7 @@ impl IncrementalSolver {
         stats.learned_kept = sat.num_learned() as u64;
         stats.max_lbd = sat.max_lbd as u64;
         match result {
-            SatResult::Sat => self.model = Some(Model::new(self.session.literals())),
+            SatResult::Sat => self.model = Some(Model::new(theory.literals())),
             SatResult::Unsat => {
                 // The refutation's assumption core was extracted by the SAT
                 // core's final-conflict analysis.
@@ -707,12 +650,12 @@ impl IncrementalSolver {
         result
     }
 
-    /// Number of literals currently held by the persistent theory session's
+    /// Number of literals currently held by the persistent theory layer's
     /// trail. Exposed for the scope-leak property tests: rolling back a
     /// method scope must restore the trail to its pre-scope length.
     #[doc(hidden)]
     pub fn theory_trail_len(&self) -> usize {
-        self.session.trail_len()
+        self.theory.as_ref().map_or(0, Theory::trail_len)
     }
 
     /// Convenience wrapper for one goal check under the current assertions:
@@ -731,179 +674,6 @@ impl IncrementalSolver {
             SatResult::Sat => SatResult::Unsat, // counterexample exists
             SatResult::Unknown => SatResult::Unknown,
         }
-    }
-}
-
-/// The var-indexed live-atom table of one check: each SAT variable that
-/// encodes a *live* theory atom maps to the atom, resolved for the theory
-/// session; dead atoms (see the module documentation for why they must be
-/// excluded from theory checking), Tseitin and activation variables map to
-/// `None`. Built in one scan of the var-indexed atom table per check, so
-/// the search never hashes a trail literal.
-fn live_atoms(
-    atom_map: &AtomMap,
-    atom_scope: &FxHashMap<TermId, AtomScope>,
-    scopes: &[Scope],
-    session: &TheorySession,
-    checker: &TheoryChecker,
-    num_vars: usize,
-) -> Vec<Option<LiveAtom>> {
-    let is_live = |t: &TermId| match atom_scope.get(t) {
-        Some(AtomScope::Base) => true,
-        Some(AtomScope::Scopes(ids)) => ids.iter().any(|id| scopes.iter().any(|s| s.id == *id)),
-        // Unmarked atoms have a SAT encoding but no live registration: they
-        // were only ever used inside a method scope that has since been
-        // popped and rolled back. The restored theory checker does not know
-        // them, and every live clause mentioning them is deactivated.
-        None => false,
-    };
-    let mut live = vec![None; num_vars];
-    for (var, atom) in atom_map.atoms() {
-        if is_live(&atom) {
-            live[var as usize] = Some(session.live_atom(checker, atom));
-        }
-    }
-    live
-}
-
-/// The theory side of one check, plugged into the SAT search: the
-/// persistent session synced at every propagation fixpoint (handing back the
-/// literals it implies) and final-checked on complete assignments.
-///
-/// One *theory round* is one verdict handed back to the SAT core — a theory
-/// conflict found at a fixpoint (by EUF or by the simplex), or a final check
-/// whatever its verdict; `max_rounds` bounds their number. Fixpoint time
-/// spent on simplex bounds and checks counts as `simplex_time`, the rest as
-/// `euf_time`.
-struct OnlineTheory<'a> {
-    tm: &'a TermManager,
-    checker: &'a TheoryChecker,
-    session: &'a mut TheorySession,
-    live: &'a [Option<LiveAtom>],
-    stats: &'a mut SolverStats,
-    max_rounds: u64,
-    pivot: crate::simplex::PivotRule,
-    oracle: bool,
-}
-
-impl OnlineTheory<'_> {
-    /// Counts one theory round and records its telemetry.
-    fn round(&mut self, elapsed: std::time::Duration, pivots: u64) {
-        self.stats.theory_rounds += 1;
-        if ids_obs::metrics_active() {
-            ids_obs::record_metric(ids_obs::Metric::TheoryRoundUs, elapsed.as_micros() as u64);
-            ids_obs::record_metric(ids_obs::Metric::PivotsPerRound, pivots);
-        }
-    }
-
-    /// Asserts that the stateless checker finds `lits` inconsistent.
-    fn oracle_conflict(&self, lits: &[Lit], what: &str) {
-        let pairs: Vec<(TermId, bool)> = lits
-            .iter()
-            .map(|l| (self.atom_of(*l), l.is_positive()))
-            .collect();
-        let batch = self.checker.check(self.tm, &pairs);
-        assert!(
-            matches!(batch, TheoryCheck::Conflict(_)),
-            "trail session reported {what}; stateless checker says {batch:?}\n\
-             literals: {pairs:?}"
-        );
-    }
-
-    /// Hands a conflict back to the SAT core as a clause (or stops the
-    /// search once the round budget is spent).
-    fn conflict(&mut self, lits: Vec<Lit>) -> TheoryVerdict {
-        if self.oracle {
-            self.oracle_conflict(&lits, "a conflict");
-        }
-        if self.stats.theory_rounds >= self.max_rounds {
-            return TheoryVerdict::Unknown;
-        }
-        TheoryVerdict::Conflict(lits.into_iter().map(Lit::negate).collect())
-    }
-
-    fn atom_of(&self, l: Lit) -> TermId {
-        self.live[l.var() as usize]
-            .expect("session literals are live atoms")
-            .atom()
-    }
-}
-
-impl TheoryHook for OnlineTheory<'_> {
-    fn fixpoint(
-        &mut self,
-        trail: &[Lit],
-        low_water: usize,
-        implied: &mut Vec<Lit>,
-    ) -> TheoryVerdict {
-        let start = std::time::Instant::now();
-        let (verdict, work) =
-            self.session
-                .sync(self.tm, self.checker, trail, low_water, self.live, implied);
-        let elapsed = start.elapsed();
-        self.stats.euf_time += elapsed.saturating_sub(work.simplex_time);
-        self.stats.simplex_time += work.simplex_time;
-        self.stats.theory_time += elapsed;
-        self.stats.pivots += work.pivots;
-        self.stats.shared_equalities += work.shared;
-        if work.delta > 0 && ids_obs::metrics_active() {
-            ids_obs::record_metric(ids_obs::Metric::TheoryDeltaLits, work.delta);
-        }
-        match verdict {
-            SessionCheck::Consistent => TheoryVerdict::Consistent,
-            SessionCheck::Conflict(lits) => {
-                self.round(elapsed, work.pivots);
-                self.conflict(lits)
-            }
-            SessionCheck::Unknown => TheoryVerdict::Unknown,
-        }
-    }
-
-    fn explain(&mut self, lit: Lit) -> Vec<Lit> {
-        let start = std::time::Instant::now();
-        let antecedents = self.session.explain(self.tm, lit);
-        let elapsed = start.elapsed();
-        self.stats.euf_time += elapsed;
-        self.stats.theory_time += elapsed;
-        if self.oracle {
-            let mut lits = antecedents.clone();
-            lits.push(lit.negate());
-            self.oracle_conflict(&lits, &format!("an explanation of {lit:?}"));
-        }
-        antecedents
-    }
-
-    fn final_check(&mut self, _trail: &[Lit]) -> TheoryVerdict {
-        let start = std::time::Instant::now();
-        let (verdict, pivots) = self.session.final_check(self.tm);
-        let elapsed = start.elapsed();
-        self.stats.final_checks += 1;
-        self.stats.simplex_time += elapsed;
-        self.stats.theory_time += elapsed;
-        self.stats.pivots += pivots;
-        self.round(elapsed, pivots);
-        match verdict {
-            SessionCheck::Consistent => {
-                if self.oracle {
-                    let literals = self.session.literals();
-                    let batch = self.checker.check_with(self.tm, &literals, self.pivot);
-                    assert!(
-                        matches!(batch, TheoryCheck::Consistent),
-                        "trail session said Consistent; stateless checker says {:?}\n\
-                         literals: {:?}",
-                        batch,
-                        literals
-                    );
-                }
-                TheoryVerdict::Consistent
-            }
-            SessionCheck::Conflict(lits) => self.conflict(lits),
-            SessionCheck::Unknown => TheoryVerdict::Unknown,
-        }
-    }
-
-    fn progress(&self) -> (u64, u64) {
-        (self.stats.theory_rounds, self.stats.pivots)
     }
 }
 

@@ -25,9 +25,13 @@
 //!    VSIDS-style activities, restarts),
 //! 4. [`euf`] (congruence closure with explanations) and [`simplex`] (general
 //!    simplex over delta-rationals with branch-and-bound for integers) check
-//!    theory consistency and explain conflicts — an *online* DPLL(T) loop in
-//!    [`incremental`], where the theory runs at every propagation fixpoint of
-//!    the CDCL search. [`solver`] is its one-shot wrapper.
+//!    theory consistency and explain conflicts. [`theory`]'s checker combines
+//!    them statelessly; it is the atom registry and the reference oracle.
+//! 5. [`incremental`] is the *online* DPLL(T) loop: one theory layer, a
+//!    private module with an undo-trail EUF, the simplex glue and a
+//!    combiner that is the SAT core's theory hook, runs at every
+//!    propagation fixpoint of the CDCL search. [`solver`] is its one-shot
+//!    wrapper.
 //!
 //! A bounded quantifier-instantiation engine ([`quant`]) supports the
 //! *quantified* (Dafny-style) encoding used only for the paper's RQ3
@@ -57,6 +61,7 @@ pub mod hash;
 pub mod incremental;
 pub mod lower;
 pub mod model;
+mod online;
 pub mod quant;
 pub mod rational;
 pub mod sat;
@@ -65,7 +70,6 @@ pub mod smtlib;
 pub mod solver;
 pub mod term;
 pub mod theory;
-mod trail;
 
 pub use hash::{structural_hash, structural_hashes};
 pub use incremental::IncrementalSolver;

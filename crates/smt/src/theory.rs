@@ -15,11 +15,11 @@
 //!
 //! Everything that only depends on the *atoms* (term universe, congruence
 //! template, linearized arithmetic forms) is precomputed once in a
-//! [`TheoryChecker`]. The online theory session of
-//! [`crate::IncrementalSolver`] builds its state from that, and
-//! [`TheoryChecker::check`] is the stateless reference decision: the oracle
-//! the `IDS_TRAIL_ORACLE` hook and the trail fuzzes check the session
-//! against.
+//! [`TheoryChecker`]. The online theory layer of
+//! [`crate::IncrementalSolver`] owns one as its atom registry and builds its
+//! state over it, and [`TheoryChecker::check`] is the stateless reference
+//! decision: the oracle the `IDS_TRAIL_ORACLE` hook and the layer's fuzzes
+//! check the layer against.
 
 use crate::euf::{Euf, EufOutcome, EufTemplate};
 use crate::fxmap::FxHashMap;

@@ -458,24 +458,8 @@ impl<'a> VcGen<'a> {
     /// checked in order; the first refuted/undecided VC stops the run.
     pub fn verify(&self, tm: &mut TermManager, proc_name: &str) -> Result<VerifyOutcome, VcError> {
         let vcs = self.vcs_for(tm, proc_name)?;
-        let debug = std::env::var("IDS_VC_DEBUG").is_ok();
         for vc in &vcs {
-            let start = std::time::Instant::now();
-            let (result, s) = check_formula(tm, vc.formula, self.encoding);
-            if debug {
-                eprintln!(
-                    "[vc] {:>8.3}s sat={:.3}s theory={:.3}s rounds={} atoms={} clauses={} conflicts={} decisions={} :: {}",
-                    start.elapsed().as_secs_f64(),
-                    s.sat_time.as_secs_f64(),
-                    s.theory_time.as_secs_f64(),
-                    s.theory_rounds,
-                    s.atoms,
-                    s.initial_clauses,
-                    s.sat_conflicts,
-                    s.sat_decisions,
-                    vc.description
-                );
-            }
+            let (result, _) = check_formula(tm, vc.formula, self.encoding);
             match result {
                 SatResult::Sat => {}
                 SatResult::Unsat => {

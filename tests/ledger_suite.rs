@@ -401,6 +401,47 @@ fn compare_reports_search_identity_on_rows_solved_on_both_sides() {
     assert_eq!(report.search_changed, vec![label(&moved.vcs[2])]);
 }
 
+/// A run lists a VC once per occurrence: a key solved by one method and met
+/// again later in the same batch is answered from the first row (an
+/// in-batch dedup hit, `cached`). The solving row is the one compared, and
+/// the one `history` shows, wherever the dedup hit sits.
+#[test]
+fn compare_and_history_use_the_row_that_solved_a_key() {
+    let with_dedup_hit = |timestamp, solve_ms| {
+        let mut run = sample_record(timestamp, solve_ms, 0.01);
+        let mut hit = run.vcs[0].clone();
+        hit.method = "find".to_string();
+        hit.cached = true;
+        hit.solve_ms = 0.0;
+        run.vcs.push(hit);
+        run
+    };
+    let base = with_dedup_hit(1, 100.0);
+    let opts = CompareOpts::default();
+    let same = compare(&base, &with_dedup_hit(2, 100.0), &opts);
+    assert_eq!(same.deltas.len(), 3, "one row per key");
+    assert_eq!((same.solved_both, same.search_changed.len()), (3, 0));
+
+    // A changed counter on the solving row is a changed search.
+    let mut moved = with_dedup_hit(3, 100.0);
+    moved.vcs[0].solver[0] += 1;
+    let report = compare(&base, &moved, &opts);
+    assert_eq!(report.solved_both, 3);
+    assert_eq!(report.search_changed, vec![label(&moved.vcs[0])]);
+
+    // A key answered only from cache still joins, through a cached row.
+    let mut warm = with_dedup_hit(4, 100.0);
+    warm.vcs[0].cached = true;
+    let report = compare(&base, &warm, &opts);
+    assert_eq!((report.deltas.len(), report.solved_both), (3, 2));
+
+    let lines = history_lines(&[base, moved], Some("ensures#4096"));
+    assert_eq!(
+        lines,
+        [format!("{}: 100.0 -> 100.0 ms", label(&warm.vcs[0]))]
+    );
+}
+
 fn label(vc: &VcLedgerEntry) -> String {
     format!("{}/{}/{}", vc.structure, vc.method, vc.description)
 }
