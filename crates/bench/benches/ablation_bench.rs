@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ids_core::fwyb::expand_program;
 use ids_ivl::parse_program;
-use ids_smt::{SatResult, Solver, SolverConfig, TermManager};
+use ids_smt::{IncrementalSolver, SatResult, SolverConfig, TermManager};
 use ids_structures::lists;
 use ids_vcgen::{Encoding, VcGen};
 
@@ -28,9 +28,9 @@ fn vcs_of(method: &str) -> (TermManager, Vec<ids_smt::TermId>) {
 
 fn check_all_valid(tm: &mut TermManager, formulas: &[ids_smt::TermId], config: SolverConfig) {
     for &f in formulas {
-        let mut solver = Solver::with_config(config);
+        let mut solver = IncrementalSolver::with_config(config);
         assert_eq!(
-            solver.check_valid(tm, f),
+            solver.check_valid_scoped(tm, f),
             SatResult::Sat,
             "VC must be valid"
         );
@@ -51,8 +51,8 @@ fn split_vs_monolithic_vcs(c: &mut Criterion) {
         b.iter(|| {
             let mut tm = tm.clone();
             let conj = tm.and(formulas.clone());
-            let mut solver = Solver::new();
-            assert_eq!(solver.check_valid(&mut tm, conj), SatResult::Sat);
+            let mut solver = IncrementalSolver::new();
+            assert_eq!(solver.check_valid_scoped(&mut tm, conj), SatResult::Sat);
         })
     });
     g.finish();

@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ids_smt::sat::{Lit, SatSolver, Var};
-use ids_smt::{SatResult, Solver, Sort, TermManager};
+use ids_smt::{IncrementalSolver, SatResult, Sort, TermManager};
 
 /// A chain of store/select reasoning like the heap updates of a FWYB method.
 fn store_chain(depth: usize) -> (TermManager, Vec<ids_smt::TermId>) {
@@ -58,15 +58,17 @@ fn smt_workloads(c: &mut Criterion) {
     g.bench_function("store_chain_unsat_depth8", |b| {
         b.iter(|| {
             let (mut tm, asserts) = store_chain(8);
-            let mut s = Solver::new();
-            assert_eq!(s.check(&mut tm, &asserts), SatResult::Unsat);
+            let mut s = IncrementalSolver::new();
+            s.assert_all(&mut tm, &asserts);
+            assert_eq!(s.check(&mut tm), SatResult::Unsat);
         })
     });
     g.bench_function("euf_transitivity_chain_40", |b| {
         b.iter(|| {
             let (mut tm, asserts) = euf_chain(40);
-            let mut s = Solver::new();
-            assert_eq!(s.check(&mut tm, &asserts), SatResult::Unsat);
+            let mut s = IncrementalSolver::new();
+            s.assert_all(&mut tm, &asserts);
+            assert_eq!(s.check(&mut tm), SatResult::Unsat);
         })
     });
     g.bench_function("set_algebra_valid", |b| {
@@ -81,8 +83,9 @@ fn smt_workloads(c: &mut Criterion) {
             let bc = tm.union(bb, cset);
             let abc2 = tm.union(a, bc);
             let ne = tm.neq(abc, abc2);
-            let mut s = Solver::new();
-            assert_eq!(s.check(&mut tm, &[ne]), SatResult::Unsat);
+            let mut s = IncrementalSolver::new();
+            s.assert_all(&mut tm, &[ne]);
+            assert_eq!(s.check(&mut tm), SatResult::Unsat);
         })
     });
     g.finish();

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use ids_ivl::{ast, parse_program, Program};
 use ids_smt::{structural_hashes, SatResult, SolverProfile, SolverStats, TermId, TermManager};
-use ids_vcgen::{check_formula, Encoding, StructureVcs, Vc, VcGen, VcSession, VerifyOutcome};
+use ids_vcgen::{Encoding, StructureVcs, Vc, VcGen, VcSession, VerifyOutcome};
 
 use crate::fwyb::{expand_program, ExpandError};
 use crate::ghost::{check_ghost_legality, GhostViolation};
@@ -145,11 +145,10 @@ pub struct VcReport {
     /// Wall-clock time spent *solving* this VC (zero for cached results);
     /// excludes queue time.
     pub wall_time: Duration,
-    /// Time the VC spent queued before a worker picked up its unit: its
-    /// structure pool, or the VC alone without pooling (zero in
-    /// the sequential pipeline and for cached results). Every VC of one unit
-    /// reports the same wait; a VC's wait behind earlier VCs of its own unit
-    /// is not queueing.
+    /// Time the VC spent queued before a worker picked up its unit, its
+    /// structure pool (zero in the sequential pipeline and for cached
+    /// results). Every VC of one unit reports the same wait; a VC's wait
+    /// behind earlier VCs of its own unit is not queueing.
     pub queue_time: Duration,
     /// True if the result came from a cache instead of a solver run.
     pub cached: bool,
@@ -160,8 +159,7 @@ pub struct VcReport {
     pub hists: ids_obs::HistogramSet,
     /// The unsat core of a Valid verdict: which of the VC's positional
     /// hypotheses the refutation of the negated goal used (`Some(vec![])` if
-    /// none at all). `None` for refuted/unknown/cached VCs and on the
-    /// fresh-solver (non-session) path.
+    /// none at all). `None` for refuted/unknown/cached VCs.
     pub core: Option<Vec<u32>>,
 }
 
@@ -220,8 +218,8 @@ impl VcResult {
 ///
 /// This is the decomposition point the batch driver (`ids-driver`) schedules
 /// on: each `(task, vc_index)` pair is an independent SMT query — the owned
-/// [`TermManager`] makes the task `Send`, so VCs of one method can be
-/// discharged on different worker threads (each worker clones the manager,
+/// [`TermManager`] makes the task `Send`, so tasks can be discharged on
+/// different worker threads (each session clones or imports the manager,
 /// which shares no state). The sequential pipeline entry points below are
 /// thin wrappers over the same decomposition.
 #[derive(Clone, Debug)]
@@ -293,43 +291,14 @@ impl MethodTask {
         })
     }
 
-    /// Discharges one VC on a private clone of the term manager; safe to call
-    /// concurrently for different indices from different threads.
-    pub fn check_vc(&self, vc_index: usize) -> VcResult {
-        let mut tm = self.tm.clone();
-        self.check_vc_in(&mut tm, vc_index)
-    }
-
-    /// Discharges one VC inside the given term manager (the sequential path
-    /// reuses one manager across the method's VCs to avoid re-cloning).
-    pub fn check_vc_in(&self, tm: &mut TermManager, vc_index: usize) -> VcResult {
-        let _obs = VcObsScope::open(&self.vcs[vc_index].description);
-        let start = Instant::now();
-        let (result, stats) = check_formula(tm, self.vcs[vc_index].formula, self.encoding);
-        let verdict = match result {
-            SatResult::Sat => VcVerdict::Valid,
-            SatResult::Unsat => VcVerdict::Refuted,
-            SatResult::Unknown => VcVerdict::Unknown,
-        };
-        VcResult {
-            vc_index,
-            verdict,
-            stats,
-            time: start.elapsed(),
-            queue_time: Duration::ZERO,
-            hists: ids_obs::vc_take(),
-            cached: false,
-            core: None,
-        }
-    }
-
-    /// Discharges the VCs in order, stopping at the first refuted/undecided
-    /// one — the classic sequential pipeline behaviour.
+    /// Discharges the VCs in order through one [`MethodSession`], stopping
+    /// at the first refuted/undecided one — the classic sequential pipeline
+    /// behaviour.
     pub fn run_sequential(&self) -> Vec<VcResult> {
-        let mut tm = self.tm.clone();
+        let mut session = MethodSession::new(self).expect("every task opens a method session");
         let mut out = Vec::with_capacity(self.vcs.len());
         for i in 0..self.vcs.len() {
-            let r = self.check_vc_in(&mut tm, i);
+            let r = session.check_vc(i);
             let stop = r.verdict != VcVerdict::Valid;
             out.push(r);
             if stop {
@@ -452,21 +421,18 @@ pub struct MethodSession<'a> {
 }
 
 impl<'a> MethodSession<'a> {
-    /// Opens a session for the task, or `None` when the task's encoding
-    /// cannot be discharged incrementally (quantified RQ3 mode).
+    /// Opens a session for the task. Every task opens one, under either
+    /// encoding, so this is always `Some`; the `Option` stays because the
+    /// benchmark harness in `perfbench/` unwraps it.
     pub fn new(task: &'a MethodTask) -> Option<MethodSession<'a>> {
-        if !VcSession::supports(task.encoding) {
-            return None;
-        }
         Some(MethodSession {
             task,
             tm: task.tm.clone(),
-            session: VcSession::new(task.encoding),
+            session: VcSession::new(),
         })
     }
 
-    /// Discharges one VC inside the session. Semantics (verdict kind, per-VC
-    /// statistics shape) match [`MethodTask::check_vc`].
+    /// Discharges one VC inside the session.
     pub fn check_vc(&mut self, vc_index: usize) -> VcResult {
         let _obs = VcObsScope::open(&self.task.vcs[vc_index].description);
         let start = Instant::now();
@@ -511,7 +477,7 @@ impl<'a> MethodSession<'a> {
 /// [`StructureSession::end_method`]), in any order; each method's VCs must be
 /// checked in ascending index order (indices may be skipped, e.g. when a
 /// batch driver already answered some VCs from a cache). Verdicts are
-/// identical to [`MethodTask::check_vc`] and to a [`MethodSession`].
+/// identical to a [`MethodSession`]'s.
 pub struct StructureSession {
     tm: TermManager,
     session: VcSession,
@@ -527,15 +493,11 @@ struct ImportedMethod {
 
 impl StructureSession {
     /// Opens a warm pool over the given tasks (the methods of one structure),
-    /// or `None` when their encoding cannot be discharged incrementally
-    /// (quantified RQ3 mode — all tasks of a batch share one encoding).
+    /// or `None` when there are none.
     pub fn new(tasks: &[&MethodTask]) -> Option<StructureSession> {
         let mut obs_span = ids_obs::span("structure");
         obs_span.note(|| format!("methods={}", tasks.len()));
-        let encoding = tasks.first()?.encoding;
-        if !VcSession::supports(encoding) || tasks.iter().any(|t| t.encoding != encoding) {
-            return None;
-        }
+        tasks.first()?;
         let group = StructureVcs::group(
             &tasks
                 .iter()
@@ -583,7 +545,7 @@ impl StructureSession {
                 }
             }
         }
-        let mut session = VcSession::new(encoding);
+        let mut session = VcSession::new();
         if let Some(first) = methods.iter().find(|m| !m.vcs.is_empty()) {
             session.assert_prelude(&mut tm, &first.hypotheses, group.prelude_len);
         }
@@ -614,8 +576,7 @@ impl StructureSession {
         self.session.end_method();
     }
 
-    /// Discharges one VC of the open method. Semantics (verdict kind, per-VC
-    /// statistics shape) match [`MethodTask::check_vc`].
+    /// Discharges one VC of the open method.
     ///
     /// # Panics
     /// Panics if no method is open, or on out-of-order VC indices.
@@ -814,16 +775,12 @@ pub fn prepare_method_in(
 mod tests {
     use super::*;
 
-    /// Discharges the task's VCs in order through one incremental session
-    /// (shared prelude lowered once), stopping at the first non-valid one;
-    /// the fresh-solver loop where the encoding has no sessions.
-    fn run_session(task: &MethodTask) -> Vec<VcResult> {
-        let Some(mut session) = MethodSession::new(task) else {
-            return task.run_sequential();
-        };
+    /// Discharges the task's VCs in order, each through a fresh session that
+    /// shares nothing with the others, stopping at the first non-valid one.
+    fn run_fresh_per_vc(task: &MethodTask) -> Vec<VcResult> {
         let mut out = Vec::with_capacity(task.vcs.len());
         for i in 0..task.vcs.len() {
-            let r = session.check_vc(i);
+            let r = MethodSession::new(task).unwrap().check_vc(i);
             let stop = r.verdict != VcVerdict::Valid;
             out.push(r);
             if stop {
@@ -910,7 +867,7 @@ mod tests {
 
     #[test]
     fn session_runner_matches_sequential_pipeline() {
-        // The incremental session must reproduce the fresh-per-VC runner's
+        // The method's one session must reproduce the fresh-per-VC runner's
         // results exactly — same number of results (early stop included),
         // same verdict per VC — on a verifying FWYB method.
         let ids = list_ids();
@@ -935,8 +892,8 @@ mod tests {
         let merged = load_methods(&ids, methods).unwrap();
         let task =
             prepare_method_in(&ids, &merged, "insert_front", PipelineConfig::default()).unwrap();
-        let seq = task.run_sequential();
-        let inc = run_session(&task);
+        let seq = run_fresh_per_vc(&task);
+        let inc = task.run_sequential();
         assert_eq!(seq.len(), inc.len());
         for (s, i) in seq.iter().zip(&inc) {
             assert_eq!(s.vc_index, i.vc_index);
@@ -961,8 +918,8 @@ mod tests {
         let merged = load_methods(&ids, methods).unwrap();
         let task =
             prepare_method_in(&ids, &merged, "detach_bad", PipelineConfig::default()).unwrap();
-        let seq = task.run_sequential();
-        let inc = run_session(&task);
+        let seq = run_fresh_per_vc(&task);
+        let inc = task.run_sequential();
         assert_eq!(seq.len(), inc.len());
         for (s, i) in seq.iter().zip(&inc) {
             assert_eq!(s.verdict, i.verdict, "vc#{} diverged", s.vc_index);
@@ -1019,11 +976,11 @@ mod tests {
             .map(|m| prepare_method_in(&ids, &merged, m, PipelineConfig::default()).unwrap())
             .collect();
         let task_refs: Vec<&MethodTask> = tasks.iter().collect();
-        let mut pool = StructureSession::new(&task_refs).expect("decidable encoding");
+        let mut pool = StructureSession::new(&task_refs).expect("three tasks");
         for (mi, task) in tasks.iter().enumerate() {
             let pooled = run_method(&mut pool, mi);
-            let seq = task.run_sequential();
-            let inc = run_session(task);
+            let seq = run_fresh_per_vc(task);
+            let inc = task.run_sequential();
             assert_eq!(pooled.len(), seq.len(), "{}: early stop", task.method);
             assert_eq!(pooled.len(), inc.len());
             for ((p, s), i) in pooled.iter().zip(&seq).zip(&inc) {
@@ -1081,7 +1038,8 @@ mod tests {
         let last = task.num_vcs() - 1;
         let sparse = pool.check_vc(0, last);
         pool.end_method();
-        assert_eq!(sparse.verdict, task.check_vc(last).verdict);
+        let fresh = MethodSession::new(&task).unwrap().check_vc(last);
+        assert_eq!(sparse.verdict, fresh.verdict);
     }
 
     #[test]

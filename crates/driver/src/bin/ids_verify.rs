@@ -51,10 +51,11 @@ OPTIONS:
     --jobs N           worker threads (default: available parallelism)
     --cache PATH       persistent VC cache file (created if missing)
     --json             machine-readable JSON output
-    --quantified       use the quantified (Dafny-style) encoding, checked
-                       by a fresh one-shot solver per VC (the decidable
-                       encoding shares one warm solver pool per data
-                       structure)
+    --quantified       use the quantified (Dafny-style) encoding: call frames
+                       and Alloc growth become forall hypotheses, asserted
+                       as ground instances over each VC's terms, in the
+                       same warm solver pool per data structure as the
+                       decidable encoding
     --trace PATH       write a Chrome trace_event JSON timeline of the run to
                        PATH (open in chrome://tracing or Perfetto): one lane
                        per worker thread, spans for each pipeline phase

@@ -113,7 +113,8 @@ pub struct VcLedgerEntry {
     pub hists: HistogramSet,
     /// The unsat core of a Valid verdict: positional hypothesis indices the
     /// refutation used (`Some(vec![])` = none at all). Absent on pre-v3
-    /// lines, refuted/unknown/cached rows and the fresh-solver path.
+    /// lines, on refuted/unknown/cached rows, and on lines of older builds
+    /// whose quantified VCs were checked without a session.
     pub core: Option<Vec<u32>>,
 }
 

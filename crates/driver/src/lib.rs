@@ -67,7 +67,8 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use ids_core::pipeline::{
-    load_methods, ExpandedStructure, MethodReport, MethodTask, PipelineConfig, VcResult,
+    load_methods, ExpandedStructure, MethodReport, MethodSession, MethodTask, PipelineConfig,
+    StructureSession, VcResult,
 };
 use ids_core::IntrinsicDefinition;
 use ids_smt::{SolverProfile, SolverStats};
@@ -83,8 +84,7 @@ use crate::cache::VcCache;
 /// scope ([`ids_core::pipeline::StructureSession`]). The repair pass, which
 /// fills the VCs before a method's first non-valid one that the solve stage
 /// left empty, runs them through one [`ids_core::pipeline::MethodSession`]
-/// per method. Quantified-encoding tasks are checked by a fresh one-shot
-/// solver per VC ([`MethodTask::check_vc`]).
+/// per method. Both encodings take this path.
 ///
 /// There is one mode. The type stays, with this one value, because the
 /// benchmark harness in `perfbench/` names it; run ledgers and `--json`
@@ -398,46 +398,51 @@ pub fn verify_tasks(tasks: Vec<MethodTask>, config: &DriverConfig) -> BatchRepor
     let cancelled_ref = &cancelled;
     let cancellation_count = std::sync::atomic::AtomicUsize::new(0);
     // Runs one method's pending VCs in index order (hypothesis prefixes are
-    // monotone; cache-answered indices are simply skipped) through `check`,
-    // honouring per-VC cancellation; a refuted VC cancels the method's rest —
-    // exactly the sequential pipeline's early stop. `picked_up` is when a
-    // worker picked up the unit the method belongs to: every VC of the unit
-    // stopped waiting in the queue then.
-    let run_method_items = |ti: usize,
-                            mut items: Vec<(u128, usize)>,
-                            picked_up: Instant,
-                            out: &mut Vec<(u128, usize, usize, Option<VcResult>)>,
-                            check: &mut dyn FnMut(usize) -> VcResult| {
-        items.sort_by_key(|&(_, vi)| vi);
-        for (key, vi) in items {
-            let since = cancelled_ref.lock().expect("cancel set").get(&ti).copied();
-            if let Some(since) = since {
-                // A worker-observed early stop: the method was cancelled
-                // `since` ago.
-                cancellation_count.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                ids_obs::instant_with("cancelled", || {
-                    format!(
-                        "{} vc {} stopped {}us after refutation",
-                        tasks_ref[ti].method,
-                        vi,
-                        since.elapsed().as_micros()
-                    )
-                });
-                out.push((key, ti, vi, None));
-                continue;
+    // monotone; cache-answered indices are simply skipped) in its scope of
+    // the unit's pool, where it is method `slot`, honouring per-VC
+    // cancellation; a refuted VC cancels the method's rest — exactly the
+    // sequential pipeline's early stop. `picked_up` is when a worker picked
+    // up the unit the method belongs to: every VC of the unit stopped
+    // waiting in the queue then.
+    let run_method_items =
+        |pool: &mut StructureSession,
+         slot: usize,
+         ti: usize,
+         mut items: Vec<(u128, usize)>,
+         picked_up: Instant,
+         out: &mut Vec<(u128, usize, usize, Option<VcResult>)>| {
+            items.sort_by_key(|&(_, vi)| vi);
+            pool.begin_method(slot);
+            for (key, vi) in items {
+                let since = cancelled_ref.lock().expect("cancel set").get(&ti).copied();
+                if let Some(since) = since {
+                    // A worker-observed early stop: the method was cancelled
+                    // `since` ago.
+                    cancellation_count.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    ids_obs::instant_with("cancelled", || {
+                        format!(
+                            "{} vc {} stopped {}us after refutation",
+                            tasks_ref[ti].method,
+                            vi,
+                            since.elapsed().as_micros()
+                        )
+                    });
+                    out.push((key, ti, vi, None));
+                    continue;
+                }
+                let mut result = pool.check_vc(slot, vi);
+                result.queue_time = picked_up.duration_since(solve_start);
+                if result.verdict == ids_core::pipeline::VcVerdict::Refuted {
+                    cancelled_ref
+                        .lock()
+                        .expect("cancel set")
+                        .entry(ti)
+                        .or_insert_with(Instant::now);
+                }
+                out.push((key, ti, vi, Some(result)));
             }
-            let mut result = check(vi);
-            result.queue_time = picked_up.duration_since(solve_start);
-            if result.verdict == ids_core::pipeline::VcVerdict::Refuted {
-                cancelled_ref
-                    .lock()
-                    .expect("cancel set")
-                    .entry(ti)
-                    .or_insert_with(Instant::now);
-            }
-            out.push((key, ti, vi, Some(result)));
-        }
-    };
+            pool.end_method();
+        };
     // A method's share of the pending queue: its task index and the
     // (cache key, VC index) pairs to discharge.
     type MethodItems = (usize, Vec<(u128, usize)>);
@@ -462,23 +467,10 @@ pub fn verify_tasks(tasks: Vec<MethodTask>, config: &DriverConfig) -> BatchRepor
         pool::run(config.jobs, units, move |unit| {
             let picked_up = Instant::now();
             let unit_tasks: Vec<&MethodTask> = unit.iter().map(|&(ti, _)| &tasks_ref[ti]).collect();
-            // Quantified-encoding tasks fall back to fresh solvers inside
-            // the same unit.
-            let mut pool_session = ids_core::pipeline::StructureSession::new(&unit_tasks);
+            let mut pool = StructureSession::new(&unit_tasks).expect("a unit holds a method");
             let mut out = Vec::new();
             for (slot, (ti, items)) in unit.into_iter().enumerate() {
-                match pool_session.as_mut() {
-                    Some(s) => {
-                        s.begin_method(slot);
-                        let mut check = |vi| s.check_vc(slot, vi);
-                        run_method_items(ti, items, picked_up, &mut out, &mut check);
-                        s.end_method();
-                    }
-                    None => {
-                        let mut check = |vi| tasks_ref[ti].check_vc(vi);
-                        run_method_items(ti, items, picked_up, &mut out, &mut check);
-                    }
-                }
+                run_method_items(&mut pool, slot, ti, items, picked_up, &mut out);
             }
             out
         })
@@ -524,7 +516,7 @@ pub fn verify_tasks(tasks: Vec<MethodTask>, config: &DriverConfig) -> BatchRepor
         // Repaired VCs share one incremental session per method too (opened
         // lazily: most methods need no repair). Indices may be skipped —
         // sessions only require ascending order, which this walk guarantees.
-        let mut session: Option<ids_core::pipeline::MethodSession> = None;
+        let mut session: Option<MethodSession> = None;
         for (vi, slot) in slots.iter_mut().enumerate() {
             if let Some(present) = slot {
                 if present.verdict != ids_core::pipeline::VcVerdict::Valid {
@@ -538,13 +530,11 @@ pub fn verify_tasks(tasks: Vec<MethodTask>, config: &DriverConfig) -> BatchRepor
                 cache_hits += 1;
                 VcResult::from_cache(vi, verdict)
             } else {
-                if session.is_none() {
-                    session = ids_core::pipeline::MethodSession::new(task);
-                }
-                let result = match session.as_mut() {
-                    Some(s) => s.check_vc(vi),
-                    None => task.check_vc(vi),
-                };
+                let result = session
+                    .get_or_insert_with(|| {
+                        MethodSession::new(task).expect("every task opens a method session")
+                    })
+                    .check_vc(vi);
                 smt_queries += 1;
                 cache.insert_core(key, result.verdict, result.core.clone());
                 result
@@ -613,17 +603,41 @@ pub fn verify_tasks(tasks: Vec<MethodTask>, config: &DriverConfig) -> BatchRepor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ids_core::pipeline::VcVerdict;
     use ids_structures::lists;
+
+    /// The report of `method` when each of its VCs is checked, in order, by
+    /// a fresh session that shares nothing with the others, stopping at the
+    /// first non-valid one.
+    fn fresh_session_per_vc(sel: &Selection, method: &str) -> MethodReport {
+        let merged = load_methods(sel.definition, sel.methods_src).unwrap();
+        let task = ids_core::pipeline::prepare_method_in(
+            sel.definition,
+            &merged,
+            method,
+            PipelineConfig::default(),
+        )
+        .unwrap();
+        let mut results = Vec::new();
+        for vi in 0..task.num_vcs() {
+            let result = MethodSession::new(&task).unwrap().check_vc(vi);
+            let stop = result.verdict != VcVerdict::Valid;
+            results.push(result);
+            if stop {
+                break;
+            }
+        }
+        task.report(&results)
+    }
 
     #[test]
     fn structure_pool_matches_the_one_shot_pipeline() {
-        // The same methods through the driver's structure pools and through
-        // the sequential pipeline, which checks each VC with a fresh one-shot
-        // solver: outcome (kind and failing VC) and VC counts must be
-        // identical; only solver-internal statistics may differ. Includes a
-        // refuted method so the early-stop paths are compared too, and a
-        // two-method structure so the structure pool actually spans
-        // methods.
+        // The same methods through the driver's structure pools and with
+        // each VC checked one-shot, by a fresh session of its own: outcome
+        // (kind and failing VC) and VC counts must be identical; only
+        // solver-internal statistics may differ. Includes a refuted method
+        // so the early-stop paths are compared too, and a two-method
+        // structure so the structure pool actually spans methods.
         let good = ids_structures::Benchmark {
             name: "Singly-Linked List",
             definition: lists::singly_linked_list(),
@@ -650,21 +664,7 @@ mod tests {
         assert!(batch.errors.is_empty(), "{:?}", batch.errors);
         let sequential: Vec<MethodReport> = sel
             .iter()
-            .flat_map(|s| {
-                let merged = load_methods(s.definition, s.methods_src).unwrap();
-                s.methods
-                    .iter()
-                    .map(|m| {
-                        ids_core::pipeline::verify_method_in(
-                            s.definition,
-                            &merged,
-                            m,
-                            PipelineConfig::default(),
-                        )
-                        .unwrap()
-                    })
-                    .collect::<Vec<_>>()
-            })
+            .flat_map(|s| s.methods.iter().map(|m| fresh_session_per_vc(s, m)))
             .collect();
         assert_eq!(batch.reports.len(), sequential.len());
         for (a, b) in batch.reports.iter().zip(&sequential) {
@@ -678,17 +678,11 @@ mod tests {
         // The structure pool's prelude reuse is observable in the second
         // method's stats (methods of one structure run in task order): the
         // structure-common hypothesis prelude is answered from structure
-        // scope. A one-shot check reuses nothing: it lowers its one formula.
+        // scope.
         assert!(
             batch.reports[1].solver.prelude_reused > 0,
             "{:?}",
             batch.reports[1].solver
-        );
-        let one_shot_find = &sequential[1];
-        assert_eq!(one_shot_find.solver.prelude_reused, 0);
-        assert_eq!(
-            one_shot_find.solver.prelude_lowered,
-            one_shot_find.vc_reports.len() as u64
         );
     }
 

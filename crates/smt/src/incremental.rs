@@ -1,12 +1,11 @@
 //! The push/pop incremental solver: shared solver state across a sequence of
 //! related queries.
 //!
-//! This is the crate's one DPLL(T) loop. [`crate::Solver`] runs it one-shot:
-//! a fresh session per query, its assertions at base scope, one check — the
-//! right shape for a lone VC, but wasteful when dozens of queries share a
-//! large prelude (a method's typing hypotheses, heap axioms and
-//! local-condition definitions). A long-lived [`IncrementalSolver`] keeps
-//! every layer of that work alive across checks:
+//! This is the crate's one DPLL(T) loop. A fresh solver with its assertions
+//! at base scope and one check is the right shape for a lone query, but
+//! wasteful when dozens of queries share a large prelude (a method's typing
+//! hypotheses, heap axioms and local-condition definitions). A long-lived
+//! [`IncrementalSolver`] keeps every layer of that work alive across checks:
 //!
 //! * **Lowering** — a persistent [`crate::lower::LowerCtx`] instantiates the
 //!   set/array axioms once per (trigger, element) pair, no matter how many
@@ -90,8 +89,9 @@
 //!
 //! Quantified formulas are not supported: asserting one puts the solver into
 //! a degraded mode where every check answers [`SatResult::Unknown`]. The
-//! quantified RQ3 encoding goes through [`crate::Solver`], which eliminates
-//! quantifiers before asserting.
+//! quantified RQ3 encoding reaches the solver only as ground instances: its
+//! sessions hold each `forall` hypothesis back and assert the instances
+//! [`crate::quant::instantiate`] builds.
 //!
 //! # Example
 //!
@@ -116,8 +116,8 @@ use crate::fxmap::{FxHashMap, FxHashSet};
 use crate::lower::{Instance, LowerCtx, LoweredBatch};
 use crate::model::Model;
 use crate::online::Theory;
-use crate::quant::contains_forall;
 use crate::sat::{Lit, SatResult, SatSolver, Var};
+use crate::smtlib::is_quantifier_free;
 use crate::solver::{SolverConfig, SolverStats};
 use crate::term::{Op, Sort, TermId, TermManager};
 use crate::theory::TheoryChecker;
@@ -358,7 +358,7 @@ impl IncrementalSolver {
     /// open). Lowering, CNF conversion and axiom instantiation happen now,
     /// incrementally against everything asserted before.
     pub fn assert(&mut self, tm: &mut TermManager, t: TermId) {
-        if contains_forall(tm, t) {
+        if !is_quantifier_free(tm, &[t]) {
             // Not supported incrementally; degrade the whole session rather
             // than silently dropping an assertion (soundness first).
             self.saw_quantifier = true;
@@ -416,7 +416,7 @@ impl IncrementalSolver {
             self.scopes.is_empty(),
             "tracked assertions must be made outside push/pop scopes"
         );
-        if contains_forall(tm, t) {
+        if !is_quantifier_free(tm, &[t]) {
             self.saw_quantifier = true;
             return;
         }
@@ -661,8 +661,8 @@ impl IncrementalSolver {
     /// Convenience wrapper for one goal check under the current assertions:
     /// opens a scope, asserts the negated formula, checks, pops — and
     /// translates the result into validity terms ([`SatResult::Sat`] = the
-    /// formula is valid given the asserted hypotheses), mirroring
-    /// [`crate::Solver::check_valid`].
+    /// formula is valid given the asserted hypotheses). On a fresh solver
+    /// this is a one-shot validity check of `formula`.
     pub fn check_valid_scoped(&mut self, tm: &mut TermManager, formula: TermId) -> SatResult {
         self.push();
         let neg = tm.not(formula);
@@ -681,7 +681,6 @@ impl IncrementalSolver {
 mod tests {
     use super::*;
     use crate::sat::SatResult;
-    use crate::solver::Solver;
 
     #[test]
     fn push_pop_retracts_assertions() {
@@ -777,13 +776,13 @@ mod tests {
         inc.assert(&mut tm, h2);
         for (goal, _name) in [(goal1, "le"), (goal2, "lt")] {
             let got = inc.check_valid_scoped(&mut tm, goal);
-            let mut fresh = Solver::new();
+            let mut fresh = IncrementalSolver::new();
             let mut tm2 = tm.clone();
             let imp = {
                 let ante = tm2.and2(h1, h2);
                 tm2.implies(ante, goal)
             };
-            let want = fresh.check_valid(&mut tm2, imp);
+            let want = fresh.check_valid_scoped(&mut tm2, imp);
             assert_eq!(got, want);
         }
     }

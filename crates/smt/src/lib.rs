@@ -30,25 +30,27 @@
 //! 5. [`incremental`] is the *online* DPLL(T) loop: one theory layer, a
 //!    private module with an undo-trail EUF, the simplex glue and a
 //!    combiner that is the SAT core's theory hook, runs at every
-//!    propagation fixpoint of the CDCL search. [`solver`] is its one-shot
-//!    wrapper.
+//!    propagation fixpoint of the CDCL search. [`solver`] holds its
+//!    configuration and statistics.
 //!
-//! A bounded quantifier-instantiation engine ([`quant`]) supports the
-//! *quantified* (Dafny-style) encoding used only for the paper's RQ3
-//! comparison; the decidable pipeline never produces quantifiers.
+//! Bounded ground instantiation ([`quant`]) supports the *quantified*
+//! (Dafny-style) encoding used only for the paper's RQ3 comparison: a
+//! session holds its `forall` hypotheses back and asserts their ground
+//! instances. The decidable pipeline never produces quantifiers.
 //!
 //! # Example
 //!
 //! ```
-//! use ids_smt::{TermManager, Sort, Solver, SatResult};
+//! use ids_smt::{IncrementalSolver, SatResult, Sort, TermManager};
 //!
 //! let mut tm = TermManager::new();
 //! let x = tm.var("x", Sort::Int);
 //! let one = tm.int(1);
 //! let x_plus_1 = tm.add(x, one);
 //! let lt = tm.lt(x_plus_1, x); // x + 1 < x : unsatisfiable
-//! let mut solver = Solver::new();
-//! assert_eq!(solver.check(&mut tm, &[lt]), SatResult::Unsat);
+//! let mut solver = IncrementalSolver::new();
+//! solver.assert(&mut tm, lt);
+//! assert_eq!(solver.check(&mut tm), SatResult::Unsat);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -78,7 +80,7 @@ pub use rational::Rat;
 pub use sat::{ClauseDbOptions, SatOptions, SatResult};
 pub use simplex::PivotRule;
 pub use smtlib::to_smtlib;
-pub use solver::{Solver, SolverConfig, SolverProfile, SolverStats};
+pub use solver::{SolverConfig, SolverProfile, SolverStats};
 pub use term::{Op, Sort, Term, TermId, TermManager};
 
 /// Parses the zero-padded lowercase-hex `u64` emitted by the build script.

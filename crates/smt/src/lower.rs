@@ -688,12 +688,13 @@ impl LowerCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::IncrementalSolver;
     use crate::sat::SatResult;
-    use crate::solver::Solver;
 
     fn solve(tm: &mut TermManager, roots: &[TermId]) -> SatResult {
-        let mut s = Solver::new();
-        s.check(tm, roots)
+        let mut s = IncrementalSolver::new();
+        s.assert_all(tm, roots);
+        s.check(tm)
     }
 
     #[test]

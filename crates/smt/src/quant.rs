@@ -1,190 +1,129 @@
-//! Bounded quantifier handling for the *quantified* (Dafny-style) encoding
-//! used in the paper's RQ3 comparison.
+//! Ground instantiation for the *quantified* (Dafny-style) encoding used in
+//! the paper's RQ3 comparison.
 //!
 //! The decidable FWYB pipeline never produces quantifiers; this module exists
 //! only so the repository can reproduce the experiment that contrasts
 //! decidable verification conditions with the quantifier-laden conditions a
-//! Dafny-like frontend generates for allocation and frame reasoning.
+//! Dafny-like frontend generates for allocation and frame reasoning. There,
+//! each call frames the heap with positive, guarded hypotheses
+//! `guard ⇒ ∀i. …`, one per heap map and one for the growth of `Alloc`.
 //!
-//! Strategy: polarity-directed ground instantiation.
-//! * a `forall` in *negative* polarity is Skolemized (bound variables replaced
-//!   by fresh constants) — sound and complete;
-//! * a `forall` in *positive* polarity is replaced by the finite conjunction of
-//!   its instances over all ground terms of the bound sorts occurring in the
-//!   problem (several rounds, with a cap) — sound for `Unsat` answers but
-//!   incomplete, which is exactly the predictability gap the paper criticises.
+//! The solver never sees a `forall` (asserting one makes every check of an
+//! [`crate::IncrementalSolver`] answer Unknown). A session instead holds each
+//! [`is_guarded_forall`] hypothesis back and asserts its [`instantiate`]d
+//! instances over the ground terms of each query: sound for Unsat answers but
+//! incomplete, which is exactly the predictability gap the paper criticises.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::term::{Op, Sort, TermId, TermManager};
 
-/// Configuration of the instantiation engine.
-#[derive(Clone, Copy, Debug)]
-pub struct QuantConfig {
-    /// Number of instantiation rounds.
-    pub rounds: usize,
-    /// Maximum number of instances generated per `forall` occurrence per round.
-    pub max_instances_per_forall: usize,
-}
+/// The most instances one `forall` occurrence yields per query.
+pub const MAX_INSTANCES_PER_FORALL: usize = 2000;
 
-impl Default for QuantConfig {
-    fn default() -> Self {
-        QuantConfig {
-            rounds: 2,
-            max_instances_per_forall: 2000,
-        }
+/// Whether `t` has the shape of a quantified hypothesis, `∀x. body` or
+/// `guard ⇒ ∀x. body`: a test of the term's top, not a walk.
+pub fn is_guarded_forall(tm: &TermManager, t: TermId) -> bool {
+    let term = tm.term(t);
+    match term.op {
+        Op::Forall(_) => true,
+        Op::Implies => matches!(tm.term(term.args[1]).op, Op::Forall(_)),
+        _ => false,
     }
 }
 
-/// Eliminates quantifiers from the assertions by Skolemization and bounded
-/// ground instantiation.
+/// Instances of the [`is_guarded_forall`] `hypotheses` over the ground
+/// `Loc`, `Int` and `Real` terms of `roots` (the whole query), as
+/// `(hypothesis index, instance)` pairs in hypothesis order.
 ///
-/// Returns the new assertion list plus a flag that is true when the
-/// elimination was *approximate* (some positive `forall` was replaced by a
-/// finite instantiation, or a quantifier could not be handled): in that case a
-/// `Sat` answer on the result does not transfer back to the original formula,
-/// while `Unsat` does.
-pub fn eliminate_quantifiers(
+/// An instance is the hypothesis with its `forall` replaced by the body at
+/// one tuple of ground terms, at most [`MAX_INSTANCES_PER_FORALL`] tuples
+/// per hypothesis, so it follows from the hypothesis. A `forall` inside the
+/// body survives into the instance.
+pub fn instantiate(
     tm: &mut TermManager,
-    assertions: &[TermId],
-    config: QuantConfig,
-) -> (Vec<TermId>, bool) {
-    let mut current: Vec<TermId> = assertions.to_vec();
-    let mut approximate = false;
-    for _ in 0..config.rounds.max(1) {
-        if current.iter().all(|&a| !contains_forall(tm, a)) {
-            break;
-        }
-        let pool = ground_pool(tm, &current);
-        current = current
-            .iter()
-            .map(|&a| transform(tm, a, true, &pool, &config, &mut approximate))
-            .collect();
-    }
-    if current.iter().any(|&a| contains_forall(tm, a)) {
-        approximate = true;
-    }
-    (current, approximate)
-}
-
-/// Returns true if the term contains a `forall`.
-pub fn contains_forall(tm: &TermManager, t: TermId) -> bool {
-    tm.subterms(&[t])
-        .iter()
-        .any(|&s| matches!(tm.term(s).op, Op::Forall(_)))
-}
-
-fn ground_pool(tm: &TermManager, roots: &[TermId]) -> HashMap<Sort, Vec<TermId>> {
-    let mut pool: HashMap<Sort, Vec<TermId>> = HashMap::new();
-    // Names of variables bound anywhere — excluded from the pool, since they
-    // are not ground.
-    let mut bound_names: Vec<String> = Vec::new();
-    for t in tm.subterms(roots) {
-        if let Op::Forall(bound) = &tm.term(t).op {
-            bound_names.extend(bound.iter().map(|(n, _)| n.clone()));
-        }
-    }
-    for t in tm.subterms(roots) {
-        let term = tm.term(t);
-        // A pooled term must not mention any bound variable anywhere inside.
-        let mentions_bound = tm.subterms(&[t]).iter().any(|&s| match &tm.term(s).op {
-            Op::Var(n) => bound_names.contains(n),
-            _ => false,
-        });
-        let is_groundish = term.args.is_empty() || matches!(term.op, Op::Select | Op::App(_));
-        if !mentions_bound
-            && is_groundish
-            && matches!(term.sort, Sort::Loc | Sort::Int | Sort::Real)
+    hypotheses: &[TermId],
+    roots: &[TermId],
+) -> Vec<(usize, TermId)> {
+    let pool = ground_pool(tm, roots);
+    let mut out = Vec::new();
+    for (i, &h) in hypotheses.iter().enumerate() {
+        let (guard, quantified) = match tm.term(h).op {
+            Op::Implies => (Some(tm.term(h).args[0]), tm.term(h).args[1]),
+            _ => (None, h),
+        };
+        let Op::Forall(bound) = tm.term(quantified).op.clone() else {
+            panic!("instantiate takes is_guarded_forall hypotheses only");
+        };
+        let body = tm.term(quantified).args[0];
+        for subst in tuples(&bound, &pool)
+            .into_iter()
+            .take(MAX_INSTANCES_PER_FORALL)
         {
-            let v = pool.entry(term.sort.clone()).or_default();
-            if !v.contains(&t) {
-                v.push(t);
-            }
+            let instance = tm.substitute(body, &subst);
+            let instance = match guard {
+                Some(g) => tm.implies(g, instance),
+                None => instance,
+            };
+            out.push((i, instance));
+        }
+    }
+    out
+}
+
+/// The ground terms of `roots` by sort, each once, in the order of a
+/// depth-first walk: leaves, selects and applications that mention no
+/// variable a `forall` of `roots` binds.
+fn ground_pool(tm: &TermManager, roots: &[TermId]) -> HashMap<Sort, Vec<TermId>> {
+    let order = tm.subterms(roots);
+    let bound: Vec<&str> = order
+        .iter()
+        .filter_map(|&t| match &tm.term(t).op {
+            Op::Forall(vars) => Some(vars),
+            _ => None,
+        })
+        .flatten()
+        .map(|(name, _)| name.as_str())
+        .collect();
+    // A term's arguments are older than it, so ascending ids visit them first.
+    let mut by_id = order.clone();
+    by_id.sort_unstable();
+    let mut mentions_bound: HashSet<TermId> = HashSet::new();
+    for &t in &by_id {
+        let term = tm.term(t);
+        let mentions = match &term.op {
+            Op::Var(name) => bound.contains(&name.as_str()),
+            _ => term.args.iter().any(|a| mentions_bound.contains(a)),
+        };
+        if mentions {
+            mentions_bound.insert(t);
+        }
+    }
+    let mut pool: HashMap<Sort, Vec<TermId>> = HashMap::new();
+    for t in order {
+        let term = tm.term(t);
+        let groundish = term.args.is_empty() || matches!(term.op, Op::Select | Op::App(_));
+        if groundish
+            && matches!(term.sort, Sort::Loc | Sort::Int | Sort::Real)
+            && !mentions_bound.contains(&t)
+        {
+            pool.entry(term.sort.clone()).or_default().push(t);
         }
     }
     pool
 }
 
-fn transform(
-    tm: &mut TermManager,
-    t: TermId,
-    positive: bool,
-    pool: &HashMap<Sort, Vec<TermId>>,
-    config: &QuantConfig,
-    approximate: &mut bool,
-) -> TermId {
-    let term = tm.term(t).clone();
-    match &term.op {
-        Op::Forall(bound) => {
-            let body = term.args[0];
-            if positive {
-                // Instantiate over all tuples from the pool (bounded).
-                *approximate = true;
-                let mut instances = Vec::new();
-                let tuples = cartesian(tm, bound, pool);
-                for subst in tuples.into_iter().take(config.max_instances_per_forall) {
-                    let inst = tm.substitute(body, &subst);
-                    let inst = transform(tm, inst, positive, pool, config, approximate);
-                    instances.push(inst);
-                }
-                if instances.is_empty() {
-                    tm.tru()
-                } else {
-                    tm.and(instances)
-                }
-            } else {
-                // Skolemize: replace bound variables by fresh constants.
-                let mut subst = HashMap::new();
-                for (name, sort) in bound {
-                    let sk = tm.fresh_var(&format!("sk_{}", name), sort.clone());
-                    subst.insert(name.clone(), sk);
-                }
-                let inst = tm.substitute(body, &subst);
-                transform(tm, inst, positive, pool, config, approximate)
-            }
-        }
-        Op::Not => {
-            let inner = transform(tm, term.args[0], !positive, pool, config, approximate);
-            tm.not(inner)
-        }
-        Op::Implies => {
-            let lhs = transform(tm, term.args[0], !positive, pool, config, approximate);
-            let rhs = transform(tm, term.args[1], positive, pool, config, approximate);
-            tm.implies(lhs, rhs)
-        }
-        Op::And | Op::Or => {
-            let args: Vec<TermId> = term
-                .args
-                .iter()
-                .map(|&a| transform(tm, a, positive, pool, config, approximate))
-                .collect();
-            if term.op == Op::And {
-                tm.and(args)
-            } else {
-                tm.or(args)
-            }
-        }
-        Op::Iff | Op::Ite => {
-            // Mixed polarity below — only safe if quantifier-free below; the
-            // caller marks the run approximate if a quantifier survives.
-            t
-        }
-        _ => t,
-    }
-}
-
-fn cartesian(
-    tm: &TermManager,
+/// Every substitution of the bound variables by pool terms of their sorts.
+fn tuples(
     bound: &[(String, Sort)],
     pool: &HashMap<Sort, Vec<TermId>>,
 ) -> Vec<HashMap<String, TermId>> {
-    let _ = tm;
     let mut result: Vec<HashMap<String, TermId>> = vec![HashMap::new()];
     for (name, sort) in bound {
-        let candidates = pool.get(sort).cloned().unwrap_or_default();
+        let candidates = pool.get(sort).map(Vec::as_slice).unwrap_or_default();
         let mut next = Vec::new();
         for partial in &result {
-            for &c in &candidates {
+            for &c in candidates {
                 let mut m = partial.clone();
                 m.insert(name.clone(), c);
                 next.push(m);
@@ -198,57 +137,28 @@ fn cartesian(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sat::SatResult;
-    use crate::solver::{Solver, SolverConfig};
 
     #[test]
-    fn positive_forall_instantiation_proves() {
-        // forall x. p(x)   together with   not p(a)   is unsat.
+    fn guarded_forall_yields_one_guarded_instance_per_ground_term() {
+        // g ⇒ ∀i. p(i) over a query mentioning a and b: g ⇒ p(a), g ⇒ p(b);
+        // the bound variable itself is never an instance.
         let mut tm = TermManager::new();
-        let a = tm.var("a", Sort::Loc);
-        let bx = tm.var("x", Sort::Loc);
-        let px = tm.app("p", vec![bx], Sort::Bool);
-        let all = tm.forall(vec![("x".into(), Sort::Loc)], px);
-        let pa = tm.app("p", vec![a], Sort::Bool);
-        let npa = tm.not(pa);
-        let mut solver = Solver::with_config(SolverConfig::quantified());
-        assert_eq!(solver.check(&mut tm, &[all, npa]), SatResult::Unsat);
-    }
-
-    #[test]
-    fn negative_forall_skolemizes() {
-        // not (forall x. p(x))  alone is satisfiable.
-        let mut tm = TermManager::new();
-        let bx = tm.var("x", Sort::Loc);
-        let px = tm.app("p", vec![bx], Sort::Bool);
-        let all = tm.forall(vec![("x".into(), Sort::Loc)], px);
-        let nall = tm.not(all);
-        let mut solver = Solver::with_config(SolverConfig::quantified());
-        assert_eq!(solver.check(&mut tm, &[nall]), SatResult::Sat);
-    }
-
-    #[test]
-    fn frame_style_quantifier() {
-        // forall i. i != x -> f'(i) = f(i),  together with  y != x and
-        // f'(y) != f(y)  is unsat.
-        let mut tm = TermManager::new();
-        let x = tm.var("x", Sort::Loc);
-        let y = tm.var("y", Sort::Loc);
+        let g = tm.var("g", Sort::Bool);
+        let (a, b) = (tm.var("a", Sort::Loc), tm.var("b", Sort::Loc));
         let i = tm.var("i", Sort::Loc);
-        let fi = tm.app("f", vec![i], Sort::Int);
-        let fpi = tm.app("fp", vec![i], Sort::Int);
-        let ne = tm.neq(i, x);
-        let eq = tm.eq(fpi, fi);
-        let body = tm.implies(ne, eq);
-        let frame = tm.forall(vec![("i".into(), Sort::Loc)], body);
-        let fy = tm.app("f", vec![y], Sort::Int);
-        let fpy = tm.app("fp", vec![y], Sort::Int);
-        let ne_xy = tm.neq(y, x);
-        let ne_f = tm.neq(fpy, fy);
-        let mut solver = Solver::with_config(SolverConfig::quantified());
-        assert_eq!(
-            solver.check(&mut tm, &[frame, ne_xy, ne_f]),
-            SatResult::Unsat
-        );
+        let pi = tm.app("p", vec![i], Sort::Bool);
+        let all = tm.forall(vec![("i".into(), Sort::Loc)], pi);
+        let h = tm.implies(g, all);
+        let eq = tm.eq(a, b);
+        assert!(is_guarded_forall(&tm, h) && is_guarded_forall(&tm, all));
+        assert!(!is_guarded_forall(&tm, eq));
+        let got = instantiate(&mut tm, &[h], &[h, eq]);
+        let pa = tm.app("p", vec![a], Sort::Bool);
+        let pb = tm.app("p", vec![b], Sort::Bool);
+        let mut want = vec![(0, tm.implies(g, pa)), (0, tm.implies(g, pb))];
+        let mut got_sorted = got.clone();
+        got_sorted.sort();
+        want.sort();
+        assert_eq!(got_sorted, want);
     }
 }

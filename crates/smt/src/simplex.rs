@@ -144,8 +144,8 @@ pub enum PivotRule {
     /// heuristic phase is spent once per session, and a method-scope pop
     /// restores the count of the structure scope: in a structure pool each
     /// method gets `bland_after` heuristic pivots in all, and every later
-    /// simplex of that method starts in Bland mode. A one-shot solver
-    /// checks once, so there the phase is per query.
+    /// simplex of that method starts in Bland mode. A fresh solver checks
+    /// once, so there the phase is per query.
     Hybrid {
         /// Pivot count after which the instance switches to Bland's rule.
         bland_after: u64,

@@ -1,21 +1,14 @@
-//! The one-shot SMT solver facade: quantifier elimination as preprocessing,
-//! then one check of a fresh [`IncrementalSolver`].
+//! The solver's configuration and statistics.
 //!
-//! The crate has one DPLL(T) loop, the online loop of [`IncrementalSolver`]
-//! (theory checked at every propagation fixpoint, theory undo bound to the
-//! SAT trail). [`Solver`] only adds what a one-shot query needs on top of
-//! it: quantifier elimination for the quantified RQ3 encoding, dropping the
-//! quantified assertions instantiation could not eliminate, and reporting a
-//! Sat answer of an approximate elimination as Unknown. Because the lowering
-//! pass already instantiated all the set and array structure, termination is
+//! The crate has one DPLL(T) loop, the online loop of
+//! [`crate::IncrementalSolver`] (theory checked at every propagation
+//! fixpoint, theory undo bound to the SAT trail). [`SolverConfig`] tunes it,
+//! and [`SolverStats`] reports each of its checks. Because the lowering pass
+//! already instantiated all the set and array structure, termination is
 //! guaranteed for the decidable FWYB fragment.
 
-use crate::incremental::IncrementalSolver;
-use crate::model::Model;
-use crate::quant::{contains_forall, eliminate_quantifiers, QuantConfig};
-use crate::sat::{SatOptions, SatResult};
+use crate::sat::SatOptions;
 use crate::simplex::PivotRule;
-use crate::term::{TermId, TermManager};
 
 /// The solver's search heuristics: Luby restarts and LBD-based clause
 /// deletion in the SAT core ([`SatOptions::default`]) and hybrid simplex
@@ -46,14 +39,10 @@ impl SolverProfile {
 pub struct SolverConfig {
     /// Maximum number of theory rounds (see [`SolverStats::theory_rounds`]):
     /// the one hard stop of the DPLL(T) loop, answered with
-    /// [`SatResult::Unknown`] once exhausted. A round is one theory verdict
-    /// handed back to the SAT core: a theory conflict or a final check.
+    /// [`crate::SatResult::Unknown`] once exhausted. A round is one theory
+    /// verdict handed back to the SAT core: a theory conflict or a final
+    /// check.
     pub max_theory_rounds: usize,
-    /// Whether quantifiers are allowed (RQ3 quantified mode); if false, a
-    /// formula containing `forall` yields `Unknown`.
-    pub allow_quantifiers: bool,
-    /// Quantifier instantiation configuration (quantified mode only).
-    pub quant: QuantConfig,
     /// SAT-core options: restart policy and learned-clause database.
     pub sat: SatOptions,
     /// Simplex pivot rule used by the theory checker.
@@ -64,20 +53,8 @@ impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             max_theory_rounds: 200_000,
-            allow_quantifiers: false,
-            quant: QuantConfig::default(),
             sat: SatOptions::default(),
             pivot: PivotRule::hybrid(),
-        }
-    }
-}
-
-impl SolverConfig {
-    /// The configuration used for the quantified (Dafny-style) encoding.
-    pub fn quantified() -> SolverConfig {
-        SolverConfig {
-            allow_quantifiers: true,
-            ..SolverConfig::default()
         }
     }
 }
@@ -163,13 +140,9 @@ pub struct SolverStats {
     pub setup_time: std::time::Duration,
     /// Assertions answered from already-lowered session state (a warm solver
     /// pool's structure-scope prelude, or any re-asserted formula whose
-    /// lowering and CNF encoding were still live). A one-shot [`Solver`]
-    /// check starts from an empty session, so only an assertion repeated in
-    /// its input counts here. Merge: **sum**.
+    /// lowering and CNF encoding were still live). Merge: **sum**.
     pub prelude_reused: u64,
-    /// Assertions lowered and clause-converted fresh: for a one-shot
-    /// [`Solver`] check, its distinct assertions (one for
-    /// [`Solver::check_valid`]). Merge: **sum**.
+    /// Assertions lowered and clause-converted fresh. Merge: **sum**.
     pub prelude_lowered: u64,
     /// SAT-core restarts. Merge: **sum**.
     pub restarts: u64,
@@ -185,8 +158,7 @@ pub struct SolverStats {
     pub pivots: u64,
     /// Unsatisfiable cores extracted from the activation-literal assumption
     /// mechanism: one per Unsat check (summing over a run counts how many VCs
-    /// closed with a core). A one-shot [`Solver`] check assumes no activation
-    /// literal, so its core is empty. Merge: **sum**.
+    /// closed with a core). Merge: **sum**.
     pub unsat_cores: u64,
     /// Size of the largest extracted unsat core (number of assumption
     /// literals the refutation actually used; 0 when no core was extracted
@@ -228,106 +200,23 @@ impl SolverStats {
     }
 }
 
-/// The one-shot SMT solver facade (see the [module documentation](self)).
-///
-/// # Example
-/// ```
-/// use ids_smt::{TermManager, Sort, Solver, SatResult};
-/// let mut tm = TermManager::new();
-/// let x = tm.var("x", Sort::Loc);
-/// let y = tm.var("y", Sort::Loc);
-/// let f = tm.app("f", vec![x], Sort::Int);
-/// let g = tm.app("f", vec![y], Sort::Int);
-/// let eq_xy = tm.eq(x, y);
-/// let ne_fg = tm.neq(f, g);
-/// let mut solver = Solver::new();
-/// assert_eq!(solver.check(&mut tm, &[eq_xy, ne_fg]), SatResult::Unsat);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct Solver {
-    config: SolverConfig,
-    stats: SolverStats,
-    model: Option<Model>,
-}
-
-impl Solver {
-    /// Creates a solver with the default (decidable-mode) configuration.
-    pub fn new() -> Solver {
-        Solver::default()
-    }
-
-    /// Creates a solver with an explicit configuration.
-    pub fn with_config(config: SolverConfig) -> Solver {
-        Solver {
-            config,
-            ..Solver::default()
-        }
-    }
-
-    /// Statistics of the last `check` call.
-    pub fn stats(&self) -> SolverStats {
-        self.stats
-    }
-
-    /// The model of the last `check` call, if it returned [`SatResult::Sat`].
-    pub fn model(&self) -> Option<&Model> {
-        self.model.as_ref()
-    }
-
-    /// Checks satisfiability of the conjunction of `assertions`: quantifiers
-    /// are eliminated first (quantified mode only), then the assertions go
-    /// into a fresh [`IncrementalSolver`] at base scope for one check.
-    pub fn check(&mut self, tm: &mut TermManager, assertions: &[TermId]) -> SatResult {
-        self.stats = SolverStats::default();
-        self.model = None;
-
-        let mut assertions = assertions.to_vec();
-        let mut approximate = false;
-        if assertions.iter().any(|&a| contains_forall(tm, a)) {
-            if !self.config.allow_quantifiers {
-                return SatResult::Unknown;
-            }
-            let (out, approx) = eliminate_quantifiers(tm, &assertions, self.config.quant);
-            approximate = approx;
-            // If instantiation could not eliminate every quantifier we can
-            // still be sound for Unsat by dropping the remaining quantified
-            // assertions (weakening); a Sat answer is then reported as
-            // Unknown.
-            assertions = out
-                .into_iter()
-                .filter(|&a| !contains_forall(tm, a))
-                .collect();
-        }
-
-        let mut session = IncrementalSolver::with_config(self.config);
-        session.assert_all(tm, &assertions);
-        let result = session.check(tm);
-        self.stats = session.stats();
-        self.model = session.model().cloned();
-        match result {
-            // Positive-forall instantiation is incomplete: a model of the
-            // instances is not necessarily a model of the original formula.
-            SatResult::Sat if approximate => SatResult::Unknown,
-            other => other,
-        }
-    }
-
-    /// Convenience wrapper: checks whether `formula` is valid (its negation is
-    /// unsatisfiable).
-    pub fn check_valid(&mut self, tm: &mut TermManager, formula: TermId) -> SatResult {
-        let neg = tm.not(formula);
-        match self.check(tm, &[neg]) {
-            SatResult::Unsat => SatResult::Sat, // valid
-            SatResult::Sat => SatResult::Unsat, // counterexample exists
-            SatResult::Unknown => SatResult::Unknown,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::Sort;
+    use crate::incremental::IncrementalSolver;
+    use crate::sat::SatResult;
+    use crate::term::{Sort, TermId, TermManager};
+
+    /// A fresh solver holding `assertions` at base scope.
+    fn solver(
+        tm: &mut TermManager,
+        config: SolverConfig,
+        assertions: &[TermId],
+    ) -> IncrementalSolver {
+        let mut s = IncrementalSolver::with_config(config);
+        s.assert_all(tm, assertions);
+        s
+    }
 
     #[test]
     fn euf_arith_combination() {
@@ -343,8 +232,8 @@ mod tests {
         let a1 = tm.eq(nx, y);
         let a2 = tm.eq(len_y, three);
         let a3 = tm.eq(len_nx, four);
-        let mut s = Solver::new();
-        assert_eq!(s.check(&mut tm, &[a1, a2, a3]), SatResult::Unsat);
+        let mut s = solver(&mut tm, SolverConfig::default(), &[a1, a2, a3]);
+        assert_eq!(s.check(&mut tm), SatResult::Unsat);
     }
 
     #[test]
@@ -363,8 +252,8 @@ mod tests {
         let c1 = tm.implies(p, le0);
         let c2 = tm.implies(np, le1);
         let c3 = tm.ge(x, five);
-        let mut s = Solver::new();
-        assert_eq!(s.check(&mut tm, &[c1, c2, c3]), SatResult::Unsat);
+        let mut s = solver(&mut tm, SolverConfig::default(), &[c1, c2, c3]);
+        assert_eq!(s.check(&mut tm), SatResult::Unsat);
         let stats = s.stats();
         assert!(stats.theory_rounds > 0, "{:?}", stats);
         assert!(stats.sat_propagations > 0, "{:?}", stats);
@@ -421,8 +310,8 @@ mod tests {
             },
             ..SolverConfig::default()
         };
-        let mut s = Solver::with_config(config);
-        assert_eq!(s.check(&mut tm, &pigeonhole), SatResult::Unsat);
+        let mut s = solver(&mut tm, config, &pigeonhole);
+        assert_eq!(s.check(&mut tm), SatResult::Unsat);
         let stats = s.stats();
         assert!(stats.restarts > 0, "{:?}", stats);
         assert!(stats.learned_deleted > 0, "{:?}", stats);
@@ -436,8 +325,8 @@ mod tests {
         let one = tm.int(1);
         let last_plus = tm.add(xs[3], one);
         arith.push(tm.le(last_plus, xs[0]));
-        let mut s2 = Solver::new();
-        assert_eq!(s2.check(&mut tm, &arith), SatResult::Unsat);
+        let mut s2 = solver(&mut tm, SolverConfig::default(), &arith);
+        assert_eq!(s2.check(&mut tm), SatResult::Unsat);
         assert!(s2.stats().pivots > 0, "{:?}", s2.stats());
 
         // merge(): counters sum, max_lbd takes the maximum.
@@ -595,41 +484,11 @@ mod tests {
         let q = tm.var("q", Sort::Bool);
         let nq = tm.not(q);
         let f = tm.and2(p, nq);
-        let mut s = Solver::new();
-        assert_eq!(s.check(&mut tm, &[f]), SatResult::Sat);
+        let mut s = solver(&mut tm, SolverConfig::default(), &[f]);
+        assert_eq!(s.check(&mut tm), SatResult::Sat);
         let m = s.model().expect("model");
         assert_eq!(m.value_of(p), Some(true));
         assert_eq!(m.value_of(q), Some(false));
-    }
-
-    #[test]
-    fn check_valid_wrapper() {
-        // (x = y) -> (f(x) = f(y)) is valid.
-        let mut tm = TermManager::new();
-        let x = tm.var("x", Sort::Loc);
-        let y = tm.var("y", Sort::Loc);
-        let fx = tm.app("f", vec![x], Sort::Int);
-        let fy = tm.app("f", vec![y], Sort::Int);
-        let eq = tm.eq(x, y);
-        let eqf = tm.eq(fx, fy);
-        let imp = tm.implies(eq, eqf);
-        let mut s = Solver::new();
-        assert_eq!(s.check_valid(&mut tm, imp), SatResult::Sat);
-        // x = y -> x = z is not valid.
-        let z = tm.var("z", Sort::Loc);
-        let eq2 = tm.eq(x, z);
-        let imp2 = tm.implies(eq, eq2);
-        assert_eq!(s.check_valid(&mut tm, imp2), SatResult::Unsat);
-    }
-
-    #[test]
-    fn quantifier_rejected_in_decidable_mode() {
-        let mut tm = TermManager::new();
-        let x = tm.var("x", Sort::Loc);
-        let p = tm.app("p", vec![x], Sort::Bool);
-        let all = tm.forall(vec![("x".into(), Sort::Loc)], p);
-        let mut s = Solver::new();
-        assert_eq!(s.check(&mut tm, &[all]), SatResult::Unknown);
     }
 
     #[test]
@@ -658,10 +517,11 @@ mod tests {
         let c2 = tm.le(kz, ky);
         let claim = tm.and2(c1, c2);
         let nclaim = tm.not(claim);
-        let mut s = Solver::new();
-        assert_eq!(
-            s.check(&mut tm, &[h1, h2, h3, h4, h5, nclaim]),
-            SatResult::Unsat
+        let mut s = solver(
+            &mut tm,
+            SolverConfig::default(),
+            &[h1, h2, h3, h4, h5, nclaim],
         );
+        assert_eq!(s.check(&mut tm), SatResult::Unsat);
     }
 }

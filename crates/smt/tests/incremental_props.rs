@@ -3,14 +3,14 @@
 //! sets), a push/pop session must return exactly the verdicts of a reference
 //! decision procedure on the equivalent one-shot query — after any number of
 //! earlier checks and retractions have warmed the session's state. The
-//! reference is the textbook offline lazy loop ([`reference_check`]), not
-//! [`Solver`], which runs the same online loop as the session.
+//! reference is the textbook offline lazy loop ([`reference_check`]), not a
+//! fresh [`IncrementalSolver`], which runs the same online loop as the
+//! session.
 
 use ids_smt::sat::{ClauseDbOptions, SatOptions, SatSolver};
 use ids_smt::theory::{TheoryCheck, TheoryChecker};
 use ids_smt::{
-    cnf, lower, IncrementalSolver, PivotRule, SatResult, Solver, SolverConfig, Sort, TermId,
-    TermManager,
+    cnf, lower, IncrementalSolver, PivotRule, SatResult, SolverConfig, Sort, TermId, TermManager,
 };
 use proptest::prelude::*;
 
@@ -52,8 +52,8 @@ fn reference_check(tm: &mut TermManager, assertions: &[TermId]) -> SatResult {
     }
 }
 
-/// [`reference_check`] in validity terms, like [`Solver::check_valid`]:
-/// `Sat` means `formula` is valid.
+/// [`reference_check`] in validity terms, like
+/// [`IncrementalSolver::check_valid_scoped`]: `Sat` means `formula` is valid.
 fn reference_valid(tm: &mut TermManager, formula: TermId) -> SatResult {
     let negated = tm.not(formula);
     match reference_check(tm, &[negated]) {
@@ -349,20 +349,22 @@ proptest! {
         }
     }
 
-    /// The one-shot [`Solver`] wrapper agrees with the reference on random
+    /// A fresh solver's one check agrees with the reference on random
     /// conjunctions, as a satisfiability check and as a validity check of
     /// their implication shape, under every session configuration.
     #[test]
-    fn solver_wrapper_matches_reference(seed in 0u64..48) {
+    fn fresh_solver_matches_reference(seed in 0u64..48) {
         let mut rng = XorShift::new(seed.wrapping_add(211));
         let mut tm = TermManager::new();
         let universe = Universe::new(&mut tm);
-        let mut solver = Solver::with_config(session_config(seed));
+        let fresh = || IncrementalSolver::with_config(session_config(seed));
         for _ in 0..(1 + rng.below(3)) {
             let assertions: Vec<TermId> = (0..(1 + rng.below(4)))
                 .map(|_| random_formula(&mut rng, &mut tm, &universe, 2))
                 .collect();
-            let got = solver.check(&mut tm, &assertions);
+            let mut solver = fresh();
+            solver.assert_all(&mut tm, &assertions);
+            let got = solver.check(&mut tm);
             let want = reference_check(&mut tm, &assertions);
             prop_assert_eq!(got, want, "seed {} diverged on check", seed);
 
@@ -370,7 +372,7 @@ proptest! {
                 let ante = tm.and(assertions[1..].to_vec());
                 tm.implies(ante, assertions[0])
             };
-            let got = solver.check_valid(&mut tm, formula);
+            let got = fresh().check_valid_scoped(&mut tm, formula);
             let want = reference_valid(&mut tm, formula);
             prop_assert_eq!(got, want, "seed {} diverged on check_valid", seed);
         }

@@ -1,9 +1,9 @@
 //! Sat/unsat smoke tests for the linear-arithmetic core, both against the
-//! `Simplex` tableau directly and end-to-end through `Solver` (DPLL(T) with
-//! the simplex theory).
+//! `Simplex` tableau directly and end-to-end through `IncrementalSolver`
+//! (DPLL(T) with the simplex theory).
 
 use ids_smt::simplex::{ArithOutcome, LinExpr, Rel, Simplex};
-use ids_smt::{Rat, SatResult, Solver, Sort, TermManager};
+use ids_smt::{IncrementalSolver, Rat, SatResult, Sort, TermManager};
 
 /// Helper: builds `sum_i coeffs[i] * x_i + c`.
 fn linear(coeffs: &[(i64, usize)], c: i64) -> LinExpr {
@@ -120,7 +120,7 @@ fn equality_system_with_unique_solution() {
 }
 
 // ---------------------------------------------------------------------------
-// The same fragment end-to-end through Solver (lowering + CNF + DPLL(T))
+// The same fragment end-to-end (lowering + CNF + DPLL(T))
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -130,8 +130,9 @@ fn solver_unsat_increment_cycle() {
     let one = tm.int(1);
     let xp1 = tm.add(x, one);
     let lt = tm.lt(xp1, x);
-    let mut solver = Solver::new();
-    assert_eq!(solver.check(&mut tm, &[lt]), SatResult::Unsat);
+    let mut solver = IncrementalSolver::new();
+    solver.assert_all(&mut tm, &[lt]);
+    assert_eq!(solver.check(&mut tm), SatResult::Unsat);
 }
 
 #[test]
@@ -142,8 +143,9 @@ fn solver_sat_on_consistent_bounds() {
     let hi = tm.int(10);
     let ge = tm.ge(x, lo);
     let le = tm.le(x, hi);
-    let mut solver = Solver::new();
-    assert_eq!(solver.check(&mut tm, &[ge, le]), SatResult::Sat);
+    let mut solver = IncrementalSolver::new();
+    solver.assert_all(&mut tm, &[ge, le]);
+    assert_eq!(solver.check(&mut tm), SatResult::Sat);
 }
 
 #[test]
@@ -158,13 +160,15 @@ fn solver_combines_arithmetic_with_boolean_structure() {
     let ge = tm.ge(x, five);
     let disj = tm.or2(le, ge);
     let eq = tm.eq(x, three);
-    let mut solver = Solver::new();
-    assert_eq!(solver.check(&mut tm, &[disj, eq]), SatResult::Unsat);
+    let mut solver = IncrementalSolver::new();
+    solver.assert_all(&mut tm, &[disj, eq]);
+    assert_eq!(solver.check(&mut tm), SatResult::Unsat);
 
     // Relaxing to x = 5 flips it to sat.
     let eq5 = tm.eq(x, five);
-    let mut solver2 = Solver::new();
-    assert_eq!(solver2.check(&mut tm, &[disj, eq5]), SatResult::Sat);
+    let mut solver2 = IncrementalSolver::new();
+    solver2.assert_all(&mut tm, &[disj, eq5]);
+    assert_eq!(solver2.check(&mut tm), SatResult::Sat);
 }
 
 #[test]
@@ -177,6 +181,7 @@ fn solver_theory_combination_euf_plus_arith() {
     let fb = tm.app("f", vec![b], Sort::Int);
     let eq = tm.eq(a, b);
     let lt = tm.lt(fa, fb);
-    let mut solver = Solver::new();
-    assert_eq!(solver.check(&mut tm, &[eq, lt]), SatResult::Unsat);
+    let mut solver = IncrementalSolver::new();
+    solver.assert_all(&mut tm, &[eq, lt]);
+    assert_eq!(solver.check(&mut tm), SatResult::Unsat);
 }

@@ -217,17 +217,4 @@ mod tests {
         .unwrap();
         assert!(!report.outcome.is_verified());
     }
-
-    #[test]
-    fn singly_linked_list_impact_table_is_correct() {
-        let results =
-            ids_core::impact::check_impact_sets(&lists::singly_linked_list(), ids_vcgen_encoding());
-        for r in &results {
-            assert!(r.is_correct(), "impact set for '{}' rejected", r.field);
-        }
-    }
-
-    fn ids_vcgen_encoding() -> ids_vcgen::Encoding {
-        ids_vcgen::Encoding::Decidable
-    }
 }

@@ -75,7 +75,10 @@ pub fn scheduler_queue() -> IntrinsicDefinition {
             ("rank", &["x", "x.p"]),
             ("minkey", &["x", "x.p"]),
             ("maxkey", &["x", "x.p"]),
-            ("bst_root", &["x", "x.left", "x.right", "x.next", "x.prev"]),
+            (
+                "bst_root",
+                &["x", "x.p", "x.left", "x.right", "x.next", "x.prev"],
+            ),
         ],
     )
     .expect("scheduler queue secondary condition")

@@ -32,39 +32,14 @@ pub mod encode;
 pub mod engine;
 pub mod qfcheck;
 
+use std::collections::HashSet;
+
 use ids_ivl::Program;
-use ids_smt::{
-    structural_hashes, IncrementalSolver, SatResult, Solver, SolverConfig, SolverStats, TermId,
-    TermManager,
-};
+use ids_smt::quant::{instantiate, is_guarded_forall};
+use ids_smt::{structural_hashes, IncrementalSolver, SatResult, SolverStats, TermId, TermManager};
 
 pub use encode::sort_of_type;
 pub use qfcheck::{theory_profile, TheoryProfile};
-
-/// The solver configuration matching an encoding mode.
-pub fn solver_config(encoding: Encoding) -> SolverConfig {
-    match encoding {
-        Encoding::Decidable => SolverConfig::default(),
-        Encoding::Quantified => SolverConfig::quantified(),
-    }
-}
-
-/// Checks one VC formula for validity with a fresh solver.
-///
-/// This is the single-query building block the batch driver schedules across
-/// worker threads; [`VcGen::verify`] is the sequential loop over it. Returns
-/// the solver verdict ([`SatResult::Sat`] means *valid*, the semantics of
-/// [`ids_smt::Solver::check_valid`]) together with the solver statistics of
-/// the query.
-pub fn check_formula(
-    tm: &mut TermManager,
-    formula: TermId,
-    encoding: Encoding,
-) -> (SatResult, SolverStats) {
-    let mut solver = Solver::with_config(solver_config(encoding));
-    let result = solver.check_valid(tm, formula);
-    (result, solver.stats())
-}
 
 /// The hypothesis split of several methods of one data structure: a
 /// *structure-common prelude* every method starts with, identified across the
@@ -126,16 +101,16 @@ impl StructureVcs {
     }
 }
 
-/// The session-aware sibling of [`check_formula`]: one incremental solver
-/// shared across all VCs of a method — or, with the structure-scope entry
-/// points, across all methods of a structure.
+/// One incremental solver shared across all VCs of a method — or, with the
+/// structure-scope entry points, across all methods of a structure. Every VC
+/// of either encoding is checked through a session.
 ///
-/// In the per-method shape (PR 3), the session asserts the method's
-/// hypothesis list once — incrementally, as successive VCs bring more of the
-/// (monotone) prefix into scope — and checks each goal as `push; assert
-/// guard; assert ¬goal; check; pop`, so the heap axioms, local-condition
-/// definitions and typing hypotheses of the method are lowered and
-/// clause-converted exactly once instead of once per VC.
+/// In the per-method shape, the session asserts the method's hypothesis list
+/// once — incrementally, as successive VCs bring more of the (monotone)
+/// prefix into scope — and checks each goal as `push; assert guard; assert
+/// ¬goal; check; pop`, so the heap axioms, local-condition definitions and
+/// typing hypotheses of the method are lowered and clause-converted exactly
+/// once instead of once per VC.
 ///
 /// In the structure-pool shape, [`VcSession::assert_prelude`] first pins the
 /// structure-common hypothesis prelude (see [`StructureVcs`]) at structure
@@ -145,9 +120,20 @@ impl StructureVcs {
 /// and rolled back when the method ends, while the prelude's lowered state
 /// survives for the next method.
 ///
-/// Only the decidable encoding is supported (see [`VcSession::supports`]);
-/// each method's VCs must be checked in generation order (their hypothesis
+/// Under the quantified encoding, a call frame or the growth of `Alloc` is a
+/// guarded `forall` hypothesis ([`ids_smt::quant::is_guarded_forall`]),
+/// which the session holds back from the solver. Before each check it
+/// asserts the instances of the held-back hypotheses over the ground terms
+/// of that VC's query ([`ids_smt::quant::instantiate`]), each as a tracked
+/// assertion under its hypothesis's tag, in the open method scope: an
+/// instance follows from a hypothesis in scope for every later VC of the
+/// method, and the method's pop retracts it. A counterexample to a query
+/// with held-back hypotheses only refutes their instances, so it reads
+/// [`SatResult::Unknown`].
+///
+/// Each method's VCs must be checked in generation order (their hypothesis
 /// prefixes grow).
+#[derive(Default)]
 pub struct VcSession {
     solver: IncrementalSolver,
     /// How many leading hypotheses have been asserted so far (in the current
@@ -158,32 +144,19 @@ pub struct VcSession {
     /// Methods bracketed so far (structure pools credit the skipped prelude
     /// as reuse from the second method on).
     methods_begun: usize,
+    /// The held-back guarded `forall` hypotheses, with their tags: the
+    /// prelude's first, then the open method's.
+    held: Vec<(TermId, u32)>,
+    /// How many entries of `held` belong to the prelude.
+    prelude_held: usize,
+    /// The instances asserted in the open method.
+    instances: HashSet<TermId>,
 }
 
 impl VcSession {
-    /// True if the encoding can be discharged incrementally. The quantified
-    /// (Dafny-style) RQ3 encoding performs whole-query quantifier
-    /// instantiation and keeps using the fresh-solver path.
-    pub fn supports(encoding: Encoding) -> bool {
-        encoding == Encoding::Decidable
-    }
-
-    /// Creates a session for the decidable encoding.
-    ///
-    /// # Panics
-    /// Panics if the encoding is unsupported — gate on
-    /// [`VcSession::supports`] first.
-    pub fn new(encoding: Encoding) -> VcSession {
-        assert!(
-            VcSession::supports(encoding),
-            "incremental sessions require the decidable encoding"
-        );
-        VcSession {
-            solver: IncrementalSolver::with_config(solver_config(encoding)),
-            asserted: 0,
-            prelude: 0,
-            methods_begun: 0,
-        }
+    /// Creates a session, for VCs of either encoding.
+    pub fn new() -> VcSession {
+        VcSession::default()
     }
 
     /// Asserts the structure-common hypothesis prelude at structure scope
@@ -206,9 +179,8 @@ impl VcSession {
         );
         let mut obs_span = ids_obs::span("prelude");
         obs_span.note(|| format!("hypotheses={prelude_len}"));
-        for (i, &h) in hypotheses[..prelude_len].iter().enumerate() {
-            self.solver.assert_tracked(tm, h, i as u32);
-        }
+        self.assert_hypotheses(tm, &hypotheses[..prelude_len], 0);
+        self.prelude_held = self.held.len();
         self.prelude = prelude_len;
         self.asserted = prelude_len;
     }
@@ -231,17 +203,20 @@ impl VcSession {
         self.methods_begun += 1;
     }
 
-    /// Closes the current method's scope (see [`VcSession::begin_method`]).
+    /// Closes the current method's scope (see [`VcSession::begin_method`]),
+    /// with the method's held-back hypotheses and their instances.
     pub fn end_method(&mut self) {
         ids_obs::instant("method_scope_end");
         self.solver.pop_method_scope();
         self.asserted = self.prelude;
+        self.held.truncate(self.prelude_held);
+        self.instances.clear();
     }
 
     /// Checks one VC against the session state, under the full hypothesis
-    /// prefix `hypotheses[..vc.n_hyps]`. Returns the same validity-oriented
-    /// verdict as [`check_formula`] ([`SatResult::Sat`] means *valid*)
-    /// together with the per-query solver statistics.
+    /// prefix `hypotheses[..vc.n_hyps]`. Returns a validity-oriented verdict
+    /// ([`SatResult::Sat`] means *valid*) together with the per-query solver
+    /// statistics.
     ///
     /// The third return value reports which of the VC's `n_hyps` positional
     /// hypotheses the refutation used — `Some` (possibly empty: the goal
@@ -263,11 +238,14 @@ impl VcSession {
             self.asserted,
             vc.n_hyps
         );
-        for (i, &h) in hypotheses[self.asserted..vc.n_hyps].iter().enumerate() {
-            self.solver
-                .assert_tracked(tm, h, (self.asserted + i) as u32);
-        }
+        self.assert_hypotheses(tm, &hypotheses[self.asserted..vc.n_hyps], self.asserted);
         self.asserted = vc.n_hyps;
+        if !self.held.is_empty() {
+            // The query's ground terms: those of ¬goal are the goal's.
+            let mut query = hypotheses[..vc.n_hyps].to_vec();
+            query.extend([vc.guard, vc.goal]);
+            self.assert_instances(tm, &query);
+        }
         self.solver.push();
         self.solver.assert(tm, vc.guard);
         let neg_goal = tm.not(vc.goal);
@@ -278,10 +256,38 @@ impl VcSession {
         self.solver.pop();
         let verdict = match result {
             SatResult::Unsat => SatResult::Sat, // valid
+            // A model of the instances need not satisfy the quantifiers.
+            SatResult::Sat if !self.held.is_empty() => SatResult::Unknown,
             SatResult::Sat => SatResult::Unsat, // counterexample exists
             SatResult::Unknown => SatResult::Unknown,
         };
         (verdict, stats, core)
+    }
+
+    /// Asserts `hypotheses`, the session's hypotheses from position `first`
+    /// on, as tracked assertions tagged by position, holding back the
+    /// guarded `forall`s.
+    fn assert_hypotheses(&mut self, tm: &mut TermManager, hypotheses: &[TermId], first: usize) {
+        for (i, &h) in hypotheses.iter().enumerate() {
+            let tag = (first + i) as u32;
+            if is_guarded_forall(tm, h) {
+                self.held.push((h, tag));
+            } else {
+                self.solver.assert_tracked(tm, h, tag);
+            }
+        }
+    }
+
+    /// Asserts the instances of the held-back hypotheses over the ground
+    /// terms of `query` that the open method has not asserted yet, each
+    /// under its hypothesis's tag.
+    fn assert_instances(&mut self, tm: &mut TermManager, query: &[TermId]) {
+        let held: Vec<TermId> = self.held.iter().map(|&(h, _)| h).collect();
+        for (i, instance) in instantiate(tm, &held, query) {
+            if self.instances.insert(instance) {
+                self.solver.assert_tracked(tm, instance, self.held[i].1);
+            }
+        }
     }
 }
 
@@ -299,9 +305,9 @@ pub enum Encoding {
 
 /// One verification condition: a formula that must be *valid*.
 ///
-/// `formula` is the self-contained implication used by the fresh-solver path
-/// (and by content-addressed caching — it is the hashed artifact). The
-/// remaining fields expose the same VC *split* for incremental sessions:
+/// `formula` is the self-contained implication: content-addressed caching
+/// hashes it, and a [`VcSession`] checks the same VC through the *split* the
+/// remaining fields hold:
 /// `formula == (hypotheses[..n_hyps] ∧ guard) ⇒ goal`, where the hypothesis
 /// list lives in [`MethodVcs::hypotheses`] and is shared — as a growing
 /// prefix — by every VC of the method.
@@ -309,7 +315,7 @@ pub enum Encoding {
 pub struct Vc {
     /// Human-readable description (which assert, which line of the pipeline).
     pub description: String,
-    /// The formula to prove valid.
+    /// The formula to prove valid, as one implication (the hashed artifact).
     pub formula: TermId,
     /// How many leading entries of the method's hypothesis list are in scope.
     pub n_hyps: usize,
@@ -452,15 +458,14 @@ impl<'a> VcGen<'a> {
         engine::generate(tm, self.program, proc, self.encoding)
     }
 
-    /// Generates and discharges the VCs of a procedure with the SMT solver.
-    ///
-    /// Returns the outcome together with the number of solver calls. VCs are
-    /// checked in order; the first refuted/undecided VC stops the run.
+    /// Generates the VCs of a procedure and discharges them, in order,
+    /// through one [`VcSession`]; the first refuted/undecided VC stops the
+    /// run.
     pub fn verify(&self, tm: &mut TermManager, proc_name: &str) -> Result<VerifyOutcome, VcError> {
-        let vcs = self.vcs_for(tm, proc_name)?;
-        for vc in &vcs {
-            let (result, _) = check_formula(tm, vc.formula, self.encoding);
-            match result {
+        let method = self.method_vcs(tm, proc_name)?;
+        let mut session = VcSession::new();
+        for vc in &method.vcs {
+            match session.check_vc(tm, &method.hypotheses, vc).0 {
                 SatResult::Sat => {}
                 SatResult::Unsat => {
                     return Ok(VerifyOutcome::Refuted {
@@ -474,7 +479,9 @@ impl<'a> VcGen<'a> {
                 }
             }
         }
-        Ok(VerifyOutcome::Verified { vcs: vcs.len() })
+        Ok(VerifyOutcome::Verified {
+            vcs: method.vcs.len(),
+        })
     }
 }
 
@@ -482,6 +489,7 @@ impl<'a> VcGen<'a> {
 mod tests {
     use super::*;
     use ids_ivl::parse_program;
+    use ids_smt::Sort;
 
     fn verify_src(src: &str, proc: &str) -> VerifyOutcome {
         let program = parse_program(src).unwrap();
@@ -558,7 +566,8 @@ mod tests {
     fn session_verdicts_match_fresh_solver_per_vc() {
         // A method with branches, heap writes, set ghost state, a failing
         // assert in the middle and valid VCs after it: the incremental
-        // session must reproduce the fresh solver's verdict on every VC.
+        // session must reproduce, on every VC, the verdict of a fresh
+        // solver's check of the VC as one implication.
         let program = parse_program(
             r#"
             field key: Int;
@@ -585,10 +594,10 @@ mod tests {
             .method_vcs(&mut tm, "m")
             .unwrap();
         assert!(method.vcs.len() >= 4);
-        let mut session = VcSession::new(Encoding::Decidable);
+        let mut session = VcSession::new();
         let mut saw_refuted = false;
         for vc in &method.vcs {
-            let (fresh, _) = check_formula(&mut tm, vc.formula, Encoding::Decidable);
+            let fresh = IncrementalSolver::new().check_valid_scoped(&mut tm, vc.formula);
             let (inc, inc_stats, _) = session.check_vc(&mut tm, &method.hypotheses, vc);
             assert_eq!(inc, fresh, "verdict diverged on: {}", vc.description);
             assert!(inc_stats.sat_propagations > 0);
@@ -620,7 +629,7 @@ mod tests {
             .method_vcs(&mut tm, "m")
             .unwrap();
         assert_eq!(method.vcs.len(), 2);
-        let mut session = VcSession::new(Encoding::Decidable);
+        let mut session = VcSession::new();
 
         let vc = &method.vcs[0];
         let (verdict, stats, core) = session.check_vc(&mut tm, &method.hypotheses, vc);
@@ -705,7 +714,7 @@ mod tests {
         // Three methods of one "structure" — including one with a refuted VC
         // in the middle — checked through ONE structure-pool session over a
         // shared imported term manager: every verdict must match a fresh
-        // one-shot solver on the self-contained formula, and the prelude must
+        // solver's check of the self-contained formula, and the prelude must
         // be visibly reused from the second method on.
         let program = parse_program(
             r#"
@@ -782,7 +791,7 @@ mod tests {
             );
         }
 
-        let mut session = VcSession::new(Encoding::Decidable);
+        let mut session = VcSession::new();
         session.assert_prelude(&mut shared, &imported[0].0, group.prelude_len);
         let mut saw_refuted = false;
         let mut saw_reuse = false;
@@ -792,8 +801,8 @@ mod tests {
                 let (pool, stats, _) = session.check_vc(&mut shared, hyps, vc);
                 let (orig_tm, orig_mv) = &methods[mi];
                 let mut tm = orig_tm.clone();
-                let (fresh, _) =
-                    check_formula(&mut tm, orig_mv.vcs[vi].formula, Encoding::Decidable);
+                let fresh =
+                    IncrementalSolver::new().check_valid_scoped(&mut tm, orig_mv.vcs[vi].formula);
                 assert_eq!(pool, fresh, "verdict diverged on: {}", vc.description);
                 saw_refuted |= pool == SatResult::Unsat;
                 if mi > 0 && vi == 0 {
@@ -1033,6 +1042,125 @@ mod tests {
             .verify(&mut tm, "caller")
             .unwrap();
         assert!(out.is_verified(), "{:?}", out);
+    }
+
+    /// A VC of `goal` under the first `n_hyps` of `hypotheses`, unguarded.
+    fn vc_of(tm: &mut TermManager, hypotheses: &[TermId], n_hyps: usize, goal: TermId) -> Vc {
+        let guard = tm.tru();
+        let ante = tm.and(hypotheses[..n_hyps].to_vec());
+        Vc {
+            description: "goal".into(),
+            formula: tm.implies(ante, goal),
+            n_hyps,
+            guard,
+            goal,
+        }
+    }
+
+    #[test]
+    fn quantified_session_proves_goals_from_instances() {
+        // ∀x. p(x) proves p(a); the frame ∀i. i ≠ x ⇒ fp(i) = f(i) with
+        // y ≠ x proves fp(y) = f(y). Both are refuted by the instances alone,
+        // and the cores name the quantified hypothesis.
+        let mut tm = TermManager::new();
+        let a = tm.var("a", Sort::Loc);
+        let bx = tm.var("x", Sort::Loc);
+        let px = tm.app("p", vec![bx], Sort::Bool);
+        let all = tm.forall(vec![("x".into(), Sort::Loc)], px);
+        let pa = tm.app("p", vec![a], Sort::Bool);
+        let hyps = [all];
+        let vc = vc_of(&mut tm, &hyps, 1, pa);
+        let mut session = VcSession::new();
+        let (verdict, _, core) = session.check_vc(&mut tm, &hyps, &vc);
+        assert_eq!(verdict, SatResult::Sat);
+        assert_eq!(core, Some(vec![0]));
+
+        let (x, y, i) = (
+            tm.var("x0", Sort::Loc),
+            tm.var("y", Sort::Loc),
+            tm.var("i", Sort::Loc),
+        );
+        let fi = tm.app("f", vec![i], Sort::Int);
+        let fpi = tm.app("fp", vec![i], Sort::Int);
+        let ne = tm.neq(i, x);
+        let eq = tm.eq(fpi, fi);
+        let body = tm.implies(ne, eq);
+        let frame = tm.forall(vec![("i".into(), Sort::Loc)], body);
+        let ne_xy = tm.neq(y, x);
+        let fy = tm.app("f", vec![y], Sort::Int);
+        let fpy = tm.app("fp", vec![y], Sort::Int);
+        let goal = tm.eq(fpy, fy);
+        let hyps = [frame, ne_xy];
+        let vc = vc_of(&mut tm, &hyps, 2, goal);
+        let mut session = VcSession::new();
+        let (verdict, _, core) = session.check_vc(&mut tm, &hyps, &vc);
+        assert_eq!(verdict, SatResult::Sat);
+        assert_eq!(core, Some(vec![0, 1]));
+    }
+
+    #[test]
+    fn quantified_counterexamples_read_unknown() {
+        // ∀x. p(x) does not prove q(a): the instances have a model, which
+        // need not be a model of the quantified hypothesis, so the verdict is
+        // Unknown. Without a quantified hypothesis the same goal is refuted.
+        let mut tm = TermManager::new();
+        let a = tm.var("a", Sort::Loc);
+        let bx = tm.var("x", Sort::Loc);
+        let px = tm.app("p", vec![bx], Sort::Bool);
+        let all = tm.forall(vec![("x".into(), Sort::Loc)], px);
+        let qa = tm.app("q", vec![a], Sort::Bool);
+        let hyps = [all];
+        let mut session = VcSession::new();
+        let vc = vc_of(&mut tm, &hyps, 1, qa);
+        assert_eq!(session.check_vc(&mut tm, &hyps, &vc).0, SatResult::Unknown);
+        let mut session = VcSession::new();
+        let vc = vc_of(&mut tm, &hyps, 0, qa);
+        assert_eq!(session.check_vc(&mut tm, &hyps, &vc).0, SatResult::Unsat);
+    }
+
+    #[test]
+    fn quantified_hypotheses_and_instances_end_with_their_method() {
+        // Method A holds ∀i. p(i) and proves p(a), which asserts the
+        // instance p(a). Method B proves p(a) from nothing: if A's held-back
+        // hypothesis or its instance outlived A's scope, B would come out
+        // Valid.
+        let mut tm = TermManager::new();
+        let a = tm.var("a", Sort::Loc);
+        let bi = tm.var("i", Sort::Loc);
+        let pi = tm.app("p", vec![bi], Sort::Bool);
+        let all = tm.forall(vec![("i".into(), Sort::Loc)], pi);
+        let pa = tm.app("p", vec![a], Sort::Bool);
+        let hyps_a = [all];
+        let vc_a = vc_of(&mut tm, &hyps_a, 1, pa);
+        let vc_b = vc_of(&mut tm, &[], 0, pa);
+        let mut session = VcSession::new();
+        session.begin_method();
+        assert_eq!(session.check_vc(&mut tm, &hyps_a, &vc_a).0, SatResult::Sat);
+        session.end_method();
+        session.begin_method();
+        assert_eq!(session.check_vc(&mut tm, &[], &vc_b).0, SatResult::Unsat);
+        session.end_method();
+    }
+
+    #[test]
+    fn quantified_prelude_hypotheses_serve_every_method() {
+        // A prelude ∀i. q(i) proves q(a) in method A and again in method B:
+        // A's instance q(a) went with A's scope, so B must assert it anew.
+        let mut tm = TermManager::new();
+        let a = tm.var("a", Sort::Loc);
+        let bi = tm.var("i", Sort::Loc);
+        let qi = tm.app("q", vec![bi], Sort::Bool);
+        let all = tm.forall(vec![("i".into(), Sort::Loc)], qi);
+        let qa = tm.app("q", vec![a], Sort::Bool);
+        let hyps = [all];
+        let vc = vc_of(&mut tm, &hyps, 1, qa);
+        let mut session = VcSession::new();
+        session.assert_prelude(&mut tm, &hyps, 1);
+        for _ in 0..2 {
+            session.begin_method();
+            assert_eq!(session.check_vc(&mut tm, &hyps, &vc).0, SatResult::Sat);
+            session.end_method();
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! This example loads the benchmark suite's scheduler-queue definition (which
 //! composes the list and BST intrinsic definitions and verifies with *two*
-//! broken sets), checks its impact tables, and verifies its methods.
+//! broken sets), checks its impact tables, and verifies its methods. It exits
+//! 1 if an impact set is rejected or a method does not verify.
 //!
 //! Run with: `cargo run --example io_scheduler --release`
 
@@ -77,5 +78,9 @@ fn main() {
             r.num_vcs,
             r.duration.as_secs_f64()
         );
+    }
+    let all_correct = results.iter().all(|r| r.is_correct());
+    if !all_correct || !reports.iter().all(|r| r.outcome.is_verified()) {
+        std::process::exit(1);
     }
 }

@@ -3,6 +3,8 @@
 //! persisted cache discharges zero new SMT queries), and solver-statistics
 //! threading.
 
+mod common;
+
 use std::path::PathBuf;
 
 use intrinsic_verify::core::pipeline::{load_methods, verify_method_in, PipelineConfig};
@@ -117,11 +119,11 @@ fn vcs_of_one_unit_share_their_queue_time() {
 fn structure_pools_report_like_the_one_shot_pipeline_across_structures() {
     // One batch spanning several structure families plus a refuted method,
     // run through the driver's structure-scoped warm pools and, method by
-    // method, through the sequential pipeline, which checks every VC with a
-    // fresh one-shot solver. The *reports* must be identical: outcome kind
-    // and failing-VC description, VC counts. Only solver-internal
-    // statistics (conflicts, propagations, times, prelude reuse) may differ
-    // between the two searches.
+    // method, with every VC checked one-shot, by a fresh session of its own.
+    // The *reports* must be identical: outcome kind and failing-VC
+    // description, VC counts. Only solver-internal statistics (conflicts,
+    // propagations, times, prelude reuse) may differ between the two
+    // searches.
     use intrinsic_verify::structures::trees;
     let sll = lists::singly_linked_list();
     let circ = lists::circular_list();
@@ -164,13 +166,9 @@ fn structure_pools_report_like_the_one_shot_pipeline_across_structures() {
     let one_shot: Vec<_> = selections
         .iter()
         .flat_map(|sel| {
-            let merged = load_methods(sel.definition, sel.methods_src).unwrap();
             sel.methods
                 .iter()
-                .map(|m| {
-                    verify_method_in(sel.definition, &merged, m, PipelineConfig::default()).unwrap()
-                })
-                .collect::<Vec<_>>()
+                .map(|m| common::fresh_session_per_vc(sel.definition, sel.methods_src, m))
         })
         .collect();
     assert_eq!(batch.reports.len(), one_shot.len());

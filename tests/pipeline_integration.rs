@@ -6,7 +6,7 @@
 use intrinsic_verify::core::ids::IntrinsicDefinition;
 use intrinsic_verify::core::pipeline::{verify_method, PipelineConfig};
 use intrinsic_verify::core::{fwyb, ghost, impact, wellbehaved};
-use intrinsic_verify::smt::{SatResult, Solver, Sort, TermManager};
+use intrinsic_verify::smt::{IncrementalSolver, SatResult, Sort, TermManager};
 use intrinsic_verify::vcgen::{Encoding, VcGen};
 
 fn two_field_list() -> IntrinsicDefinition {
@@ -139,8 +139,9 @@ fn smt_backend_is_usable_directly() {
         let m = tm.member(y, s);
         tm.not(m)
     };
-    let mut solver = Solver::new();
-    assert_eq!(solver.check(&mut tm, &[in_s, eq, not_in]), SatResult::Unsat);
+    let mut solver = IncrementalSolver::new();
+    solver.assert_all(&mut tm, &[in_s, eq, not_in]);
+    assert_eq!(solver.check(&mut tm), SatResult::Unsat);
 
     let lx = tm.select(len, x);
     let one = tm.int(1);
@@ -149,17 +150,18 @@ fn smt_backend_is_usable_directly() {
     let two = tm.int(2);
     let bad = tm.eq(sel, two);
     let _ = lx;
-    let mut solver2 = Solver::new();
-    assert_eq!(solver2.check(&mut tm, &[bad]), SatResult::Unsat);
+    let mut solver2 = IncrementalSolver::new();
+    solver2.assert_all(&mut tm, &[bad]);
+    assert_eq!(solver2.check(&mut tm), SatResult::Unsat);
 }
 
-/// The one-shot solver is deterministic: two fresh `Solver`s on one
-/// quantified VC that needs a real search (SLL `delete_front`, VC 6) make the
-/// same search. Nothing the search depends on may follow a hash map's
-/// iteration order, which differs per map even within one process.
+/// The solver is deterministic: two fresh method sessions on one quantified
+/// VC that needs a real search (SLL `delete_front`, VC 6) make the same
+/// search. Nothing the search depends on may follow a hash map's iteration
+/// order, which differs per map even within one process.
 #[test]
 fn solver_searches_identically_on_a_quantified_vc() {
-    use intrinsic_verify::core::pipeline::{load_methods, prepare_method_in};
+    use intrinsic_verify::core::pipeline::{load_methods, prepare_method_in, MethodSession};
     use intrinsic_verify::structures::lists;
 
     let ids = lists::singly_linked_list();
@@ -170,7 +172,7 @@ fn solver_searches_identically_on_a_quantified_vc() {
     };
     let task = prepare_method_in(&ids, &merged, "delete_front", config).unwrap();
     let run = || {
-        let r = task.check_vc(6);
+        let r = MethodSession::new(&task).unwrap().check_vc(6);
         let s = r.stats;
         (
             r.verdict,

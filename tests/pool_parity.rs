@@ -1,14 +1,15 @@
-//! Property tests of the structure pool against the one-shot reference path.
+//! Property tests of the structure pool against a one-shot reference.
 //!
 //! On random subsets (and orders) of a structure's methods — including
 //! methods refuted at different VCs, so early-stop interleavings are
-//! exercised — the driver's structure pools must report what the sequential
-//! pipeline reports when it checks every VC with a fresh one-shot solver:
-//! outcome kind, failing-VC description and VC counts. The one-shot search
-//! is a different search (over the registry it makes about 37× the pool's
-//! decisions), so agreement is a real differential check.
+//! exercised — the driver's structure pools must report what a method
+//! reports when each of its VCs is checked by a fresh session of its own:
+//! outcome kind, failing-VC description and VC counts. The reference shares
+//! no prelude, no lowered facts and no learned clauses between VCs, so it
+//! searches differently, and agreement is a real differential check.
 
-use intrinsic_verify::core::pipeline::{load_methods, verify_method_in, PipelineConfig};
+mod common;
+
 use intrinsic_verify::core::IntrinsicDefinition;
 use intrinsic_verify::driver::{verify_selections, DriverConfig, Selection};
 use intrinsic_verify::vcgen::Encoding;
@@ -133,9 +134,8 @@ proptest! {
             "{:?}",
             batch.stats
         );
-        let merged = load_methods(&ids, METHODS_SRC).unwrap();
         for (name, report) in methods.iter().zip(&batch.reports) {
-            let one_shot = verify_method_in(&ids, &merged, name, PipelineConfig::default()).unwrap();
+            let one_shot = common::fresh_session_per_vc(&ids, METHODS_SRC, name);
             prop_assert_eq!(&report.method, name);
             prop_assert_eq!(
                 &report.outcome,
@@ -237,9 +237,8 @@ proptest! {
 /// Observability parity: arming tracing, a heartbeat observer AND the
 /// metrics histograms must not change a single report field — verdicts,
 /// per-VC rows (including the stable `vc_key`) and every driver counter are
-/// identical with the observer on and off, through the structure pools of the
-/// decidable encoding and through the one-shot solver the quantified encoding
-/// uses. Histograms are the one intentional difference: empty
+/// identical with the observer on and off, through the structure pools of
+/// both encodings. Histograms are the one intentional difference: empty
 /// when disarmed, populated when armed — they are normalized out of the
 /// identity comparison and pinned separately. (Verdict parity is what
 /// licenses leaving the instrumentation compiled into release builds.)

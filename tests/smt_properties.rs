@@ -9,8 +9,20 @@
 
 use std::collections::HashMap;
 
-use intrinsic_verify::smt::{SatResult, Solver, Sort, TermId, TermManager};
+use intrinsic_verify::smt::{IncrementalSolver, SatResult, Sort, TermId, TermManager};
 use proptest::prelude::*;
+
+/// Satisfiability of the conjunction of `assertions`, on a fresh solver.
+fn check(tm: &mut TermManager, assertions: &[TermId]) -> SatResult {
+    let mut solver = IncrementalSolver::new();
+    solver.assert_all(tm, assertions);
+    solver.check(tm)
+}
+
+/// Validity of `formula` (`Sat` means valid), on a fresh solver.
+fn check_valid(tm: &mut TermManager, formula: TermId) -> SatResult {
+    IncrementalSolver::new().check_valid_scoped(tm, formula)
+}
 
 // ---------------------------------------------------------------------------
 // Random propositional formulas vs. brute-force truth tables
@@ -99,13 +111,12 @@ proptest! {
         let mut tm = TermManager::new();
         let vars: Vec<TermId> = (0..4).map(|i| tm.var(&format!("p{}", i), Sort::Bool)).collect();
         let t = encode(&mut tm, &vars, &f);
-        let mut solver = Solver::new();
         let expected = if brute_force_satisfiable(&f, 4) {
             SatResult::Sat
         } else {
             SatResult::Unsat
         };
-        prop_assert_eq!(solver.check(&mut tm, &[t]), expected);
+        prop_assert_eq!(check(&mut tm, &[t]), expected);
     }
 
     /// Validity of a formula and unsatisfiability of its negation coincide.
@@ -118,8 +129,7 @@ proptest! {
             let assignment: Vec<bool> = (0..3).map(|i| mask & (1 << i) != 0).collect();
             eval(&f, &assignment)
         });
-        let mut solver = Solver::new();
-        let got = solver.check_valid(&mut tm, t);
+        let got = check_valid(&mut tm, t);
         prop_assert_eq!(got == SatResult::Sat, valid);
     }
 }
@@ -158,15 +168,13 @@ proptest! {
                 assertions.push(eq);
             }
         }
-        let mut solver = Solver::new();
-        prop_assert_eq!(solver.check(&mut tm, &assertions), SatResult::Sat);
+        prop_assert_eq!(check(&mut tm, &assertions), SatResult::Sat);
 
         // Now contradict the first variable.
         let wrong = tm.int((values[0] + 1) as i128);
         let bad = tm.eq(vars[0], wrong);
         assertions.push(bad);
-        let mut solver2 = Solver::new();
-        prop_assert_eq!(solver2.check(&mut tm, &assertions), SatResult::Unsat);
+        prop_assert_eq!(check(&mut tm, &assertions), SatResult::Unsat);
     }
 
     /// Transitivity chains x0 <= x1 <= ... <= xn together with xn < x0 are
@@ -182,8 +190,7 @@ proptest! {
         }
         let lt = tm.lt(vars[n - 1], vars[0]);
         assertions.push(lt);
-        let mut solver = Solver::new();
-        prop_assert_eq!(solver.check(&mut tm, &assertions), SatResult::Unsat);
+        prop_assert_eq!(check(&mut tm, &assertions), SatResult::Unsat);
     }
 }
 
@@ -218,8 +225,7 @@ proptest! {
         let ne = tm.neq(f0, f1);
         let mut bad = chain.clone();
         bad.push(ne);
-        let mut solver = Solver::new();
-        prop_assert_eq!(solver.check(&mut tm, &bad), SatResult::Unsat);
+        prop_assert_eq!(check(&mut tm, &bad), SatResult::Unsat);
 
         // Across the two classes nothing is forced: f(even) != f(odd) is fine.
         if n > 1 {
@@ -227,8 +233,7 @@ proptest! {
             let ne2 = tm.neq(f0, fo);
             let mut ok = chain;
             ok.push(ne2);
-            let mut solver2 = Solver::new();
-            prop_assert_eq!(solver2.check(&mut tm, &ok), SatResult::Sat);
+            prop_assert_eq!(check(&mut tm, &ok), SatResult::Sat);
         }
     }
 }
@@ -262,16 +267,14 @@ proptest! {
         let sel = tm.select(map, locs[qloc]);
         let good = tm.int(expected as i128);
         let eq_good = tm.eq(sel, good);
-        let mut solver = Solver::new();
         prop_assert_eq!(
-            solver.check(&mut tm, &[distinct, eq_good]),
+            check(&mut tm, &[distinct, eq_good]),
             SatResult::Sat
         );
         let bad = tm.int((expected + 1) as i128);
         let eq_bad = tm.eq(sel, bad);
-        let mut solver2 = Solver::new();
         prop_assert_eq!(
-            solver2.check(&mut tm, &[distinct, eq_bad]),
+            check(&mut tm, &[distinct, eq_bad]),
             SatResult::Unsat,
             "write set {:?}, query {} = {}", writes, qloc, qval
         );
@@ -354,8 +357,7 @@ proptest! {
         let vars: Vec<TermId> = (0..3).map(|i| tm.var(&format!("S{}", i), set_sort.clone())).collect();
         let (ea, eb) = (encode_set(&mut tm, &vars, &a), encode_set(&mut tm, &vars, &b));
         let eq = tm.eq(ea, eb);
-        let mut solver = Solver::new();
-        let verdict = solver.check_valid(&mut tm, eq);
+        let verdict = check_valid(&mut tm, eq);
         prop_assert_eq!(verdict == SatResult::Sat, equivalent, "a = {:?}, b = {:?}", a, b);
     }
 }
