@@ -73,15 +73,21 @@ pub fn expand_procedure(
     ids: &IntrinsicDefinition,
     proc: &Procedure,
 ) -> Result<Procedure, ExpandError> {
-    let mut p = proc.clone();
-    p.requires = p.requires.iter().map(|e| expand_expr(ids, e)).collect();
-    p.ensures = p.ensures.iter().map(|e| expand_expr(ids, e)).collect();
-    p.modifies = p.modifies.as_ref().map(|e| expand_expr(ids, e));
-    p.body = match &p.body {
-        Some(b) => Some(expand_block(ids, b)?),
-        None => None,
-    };
-    Ok(p)
+    let expand_all = |es: &[Expr]| es.iter().map(|e| expand_expr(ids, e)).collect();
+    Ok(Procedure {
+        name: proc.name.clone(),
+        params: proc.params.clone(),
+        returns: proc.returns.clone(),
+        requires: expand_all(&proc.requires),
+        ensures: expand_all(&proc.ensures),
+        modifies: proc.modifies.as_ref().map(|e| expand_expr(ids, e)),
+        decreases: proc.decreases.clone(),
+        body: proc
+            .body
+            .as_ref()
+            .map(|b| expand_block(ids, b))
+            .transpose()?,
+    })
 }
 
 fn expand_block(ids: &IntrinsicDefinition, block: &Block) -> Result<Block, ExpandError> {
@@ -129,24 +135,31 @@ pub fn expand_expr(ids: &IntrinsicDefinition, e: &Expr) -> Expr {
     }
 }
 
-/// Strips `old(..)` markers from impact-set terms: the broken-set update is
-/// emitted before the mutation, so pre-state values are read directly.
-fn strip_old(e: &Expr) -> Expr {
+/// Strips `old(..)` markers from an impact-set term, in place: the
+/// broken-set update is emitted before the mutation, so pre-state values are
+/// read directly.
+fn strip_old(e: &mut Expr) {
     match e {
-        Expr::Old(inner) => strip_old(inner),
-        Expr::Field(obj, f) => Expr::Field(Box::new(strip_old(obj)), f.clone()),
-        Expr::Binary(op, a, b) => Expr::Binary(*op, Box::new(strip_old(a)), Box::new(strip_old(b))),
-        Expr::Unary(op, a) => Expr::Unary(*op, Box::new(strip_old(a))),
-        _ => e.clone(),
+        Expr::Old(inner) => {
+            strip_old(inner);
+            let inner = std::mem::replace(&mut **inner, Expr::Nil);
+            *e = inner;
+        }
+        Expr::Field(a, _) | Expr::Unary(_, a) => strip_old(a),
+        Expr::Binary(_, a, b) => {
+            strip_old(a);
+            strip_old(b);
+        }
+        _ => {}
     }
 }
 
 /// `Br := union(Br, ite(t == nil, {}, {t}))` for one impact term.
-fn add_to_broken(br: &str, term: &Expr) -> Stmt {
+fn add_to_broken(br: &str, term: Expr) -> Stmt {
     let guarded = Expr::Ite(
         Box::new(Expr::bin(BinOp::Eq, term.clone(), Expr::Nil)),
         Box::new(Expr::EmptySet(Type::SetLoc)),
-        Box::new(Expr::Singleton(Box::new(term.clone()))),
+        Box::new(Expr::Singleton(Box::new(term))),
     );
     Stmt::Assign {
         lhs: Lhs::Var(br.to_string()),
@@ -244,12 +257,14 @@ fn expand_macro(
             };
             let value = expand_expr(ids, &args[2]);
             let mut stmts = Vec::new();
-            for term in ids.impact_at(&field, &obj) {
-                stmts.push(add_to_broken("Br", &strip_old(&term)));
+            for mut term in ids.impact_at(&field, &obj) {
+                strip_old(&mut term);
+                stmts.push(add_to_broken("Br", term));
             }
             if ids.secondary.is_some() {
-                for term in ids.impact2_at(&field, &obj) {
-                    stmts.push(add_to_broken("Br2", &strip_old(&term)));
+                for mut term in ids.impact2_at(&field, &obj) {
+                    strip_old(&mut term);
+                    stmts.push(add_to_broken("Br2", term));
                 }
             }
             stmts.push(Stmt::Assign {
@@ -271,9 +286,9 @@ fn expand_macro(
                 }
             };
             let mut stmts = vec![Stmt::Alloc { lhs: var.clone() }];
-            stmts.push(add_to_broken("Br", &Expr::var(&var)));
+            stmts.push(add_to_broken("Br", Expr::var(&var)));
             if ids.secondary.is_some() {
-                stmts.push(add_to_broken("Br2", &Expr::var(&var)));
+                stmts.push(add_to_broken("Br2", Expr::var(&var)));
             }
             Ok(stmts)
         }

@@ -31,6 +31,10 @@ use ids_smt::SolverStats;
 use ids_structures::{all_benchmarks, quick_benchmarks};
 use ids_vcgen::Encoding;
 
+/// Counts heap allocations for `--json`'s `stats`.
+#[global_allocator]
+static ALLOC: ids_obs::alloc::CountingAlloc = ids_obs::alloc::CountingAlloc;
+
 const USAGE: &str = "\
 ids-verify — parallel batch verification of intrinsically defined data structures
 
@@ -1061,6 +1065,8 @@ fn verdict_str(v: VcVerdict) -> &'static str {
 }
 
 fn to_json(batch: &BatchReport, config: &DriverConfig, command: &str) -> String {
+    // The process's totals so far, read before the JSON itself allocates.
+    let alloc = ids_obs::alloc::stats();
     let mut j = Json::new();
     j.begin_object();
     j.str_field("command", command);
@@ -1093,7 +1099,7 @@ fn to_json(batch: &BatchReport, config: &DriverConfig, command: &str) -> String 
         for vc in &r.vc_reports {
             j.begin_object();
             j.num_field("index", vc.vc_index as f64);
-            j.str_field("key", &format!("{:032x}", vc.vc_key));
+            j.hex_field("key", vc.vc_key);
             j.str_field("description", &vc.description);
             j.str_field("verdict", verdict_str(vc.verdict));
             j.bool_field("cached", vc.cached);
@@ -1140,6 +1146,9 @@ fn to_json(batch: &BatchReport, config: &DriverConfig, command: &str) -> String 
     j.num_field("skipped_vcs", batch.stats.skipped_vcs as f64);
     j.num_field("cancellations", batch.stats.cancellations as f64);
     j.num_field("wall_s", batch.stats.wall.as_secs_f64());
+    j.num_field("allocations", alloc.allocations as f64);
+    j.num_field("alloc_bytes", alloc.bytes as f64);
+    j.num_field("peak_live_bytes", alloc.peak_live_bytes as f64);
     j.key("solver");
     solver_json(&mut j, &batch.stats.solver);
     j.key("phases");

@@ -12,6 +12,12 @@ use std::fmt::Write as _;
 /// Escapes a string for inclusion in a JSON document (without the quotes).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends [`escape`]`(s)` to `out`.
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -25,7 +31,6 @@ pub fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// An append-only JSON document builder.
@@ -91,7 +96,9 @@ impl Json {
     /// Emits the key of a field; must be followed by exactly one value.
     pub fn key(&mut self, name: &str) {
         self.pre_value();
-        let _ = write!(self.buf, "\"{}\":", escape(name));
+        self.buf.push('"');
+        escape_into(&mut self.buf, name);
+        self.buf.push_str("\":");
         // The field's value follows directly, without a comma.
         if let Some(need) = self.need_comma.last_mut() {
             *need = false;
@@ -101,7 +108,9 @@ impl Json {
     /// Emits a string value.
     pub fn str_value(&mut self, v: &str) {
         self.pre_value();
-        let _ = write!(self.buf, "\"{}\"", escape(v));
+        self.buf.push('"');
+        escape_into(&mut self.buf, v);
+        self.buf.push('"');
     }
 
     /// Emits a numeric value (integers are printed without a fraction).
@@ -130,6 +139,14 @@ impl Json {
     pub fn num_field(&mut self, name: &str, v: f64) {
         self.key(name);
         self.num_value(v);
+    }
+
+    /// A field holding a `u128` as a string of 32 lower-case hex digits (a
+    /// VC key).
+    pub fn hex_field(&mut self, name: &str, v: u128) {
+        self.key(name);
+        self.pre_value();
+        let _ = write!(self.buf, "\"{:032x}\"", v);
     }
 
     /// Shorthand for a boolean field.

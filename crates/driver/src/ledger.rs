@@ -121,6 +121,9 @@ pub struct VcLedgerEntry {
 /// The phase names of [`VcLedgerEntry::phases`], in storage order.
 pub const PHASES: [&str; 5] = ["lower", "sat", "euf", "simplex", "overhead"];
 
+/// The `phases` object's field names, one per [`PHASES`] entry.
+const PHASE_FIELDS: [&str; PHASES.len()] = ["lower_s", "sat_s", "euf_s", "simplex_s", "overhead_s"];
+
 /// The counter names of [`VcLedgerEntry::solver`], in storage order.
 pub const SOLVER_COUNTERS: [&str; 10] = [
     "theory_rounds",
@@ -255,7 +258,7 @@ impl RunRecord {
         j.begin_array();
         for vc in &self.vcs {
             j.begin_object();
-            j.str_field("key", &format!("{:032x}", vc.key));
+            j.hex_field("key", vc.key);
             j.str_field("structure", &vc.structure);
             j.str_field("method", &vc.method);
             j.num_field("vc", vc.vc_index as f64);
@@ -266,8 +269,8 @@ impl RunRecord {
             j.num_field("solve_ms", ms3(vc.solve_ms));
             j.key("phases");
             j.begin_object();
-            for (name, s) in PHASES.iter().zip(vc.phases) {
-                j.num_field(&format!("{name}_s"), s6(s));
+            for (name, s) in PHASE_FIELDS.iter().zip(vc.phases) {
+                j.num_field(name, s6(s));
             }
             j.end_object();
             j.key("solver");
@@ -389,11 +392,8 @@ fn parse_vc(vc: &Value) -> Result<VcLedgerEntry, String> {
     };
     let mut phases = [0.0; PHASES.len()];
     if let Some(p) = vc.get("phases") {
-        for (slot, name) in phases.iter_mut().zip(PHASES) {
-            *slot = p
-                .get(&format!("{name}_s"))
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0);
+        for (slot, name) in phases.iter_mut().zip(PHASE_FIELDS) {
+            *slot = p.get(name).and_then(Value::as_f64).unwrap_or(0.0);
         }
     }
     let mut solver = [0u64; SOLVER_COUNTERS.len()];

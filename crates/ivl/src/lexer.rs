@@ -118,6 +118,19 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
+/// The operators of more than one character, each before its prefixes.
+const MULTI_CHAR: [(&str, Tok); 9] = [
+    ("<==>", Tok::Iff),
+    ("==>", Tok::Implies),
+    (":=", Tok::Assign),
+    ("==", Tok::EqEq),
+    ("!=", Tok::Neq),
+    ("<=", Tok::Le),
+    (">=", Tok::Ge),
+    ("&&", Tok::AndAnd),
+    ("||", Tok::OrOr),
+];
+
 /// Tokenizes the input. `//` line comments and `/* */` block comments are
 /// skipped.
 pub fn tokenize(src: &str) -> Result<Vec<SpannedTok>, LexError> {
@@ -172,38 +185,31 @@ pub fn tokenize(src: &str) -> Result<Vec<SpannedTok>, LexError> {
             while i < n && chars[i].is_ascii_digit() {
                 i += 1;
             }
-            let text: String = chars[start..i].iter().collect();
-            let value = text.parse::<i128>().map_err(|_| LexError {
-                message: format!("integer literal out of range: {}", text),
-                line,
-            })?;
+            let digits = &chars[start..i];
+            let value = digits
+                .iter()
+                .try_fold(0i128, |v, d| {
+                    v.checked_mul(10)?.checked_add(i128::from(d.to_digit(10)?))
+                })
+                .ok_or_else(|| LexError {
+                    message: format!(
+                        "integer literal out of range: {}",
+                        digits.iter().collect::<String>()
+                    ),
+                    line,
+                })?;
             out.push(SpannedTok {
                 tok: Tok::Int(value),
                 line,
             });
             continue;
         }
-        let two: String = chars[i..n.min(i + 2)].iter().collect();
-        let three: String = chars[i..n.min(i + 3)].iter().collect();
-        let four: String = chars[i..n.min(i + 4)].iter().collect();
-        let (tok, len) = if four == "<==>" {
-            (Tok::Iff, 4)
-        } else if three == "==>" {
-            (Tok::Implies, 3)
-        } else if two == ":=" {
-            (Tok::Assign, 2)
-        } else if two == "==" {
-            (Tok::EqEq, 2)
-        } else if two == "!=" {
-            (Tok::Neq, 2)
-        } else if two == "<=" {
-            (Tok::Le, 2)
-        } else if two == ">=" {
-            (Tok::Ge, 2)
-        } else if two == "&&" {
-            (Tok::AndAnd, 2)
-        } else if two == "||" {
-            (Tok::OrOr, 2)
+        let rest = &chars[i..];
+        let multi = MULTI_CHAR
+            .iter()
+            .find(|(op, _)| op.len() <= rest.len() && op.chars().zip(rest).all(|(a, &b)| a == b));
+        let (tok, len) = if let Some((op, tok)) = multi {
+            (tok.clone(), op.len())
         } else {
             let single = match c {
                 '(' => Tok::LParen,

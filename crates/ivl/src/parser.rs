@@ -87,8 +87,10 @@ impl Parser {
         self.toks[self.pos].line
     }
 
+    /// Consumes the current token, moving it out (the parser never goes
+    /// back), and returns it. The final `Eof` is never consumed.
     fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
+        let t = std::mem::replace(&mut self.toks[self.pos].tok, Tok::Eof);
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -126,11 +128,11 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
+        match self.peek() {
+            Tok::Ident(_) => match self.bump() {
+                Tok::Ident(s) => Ok(s),
+                _ => unreachable!("peeked an identifier"),
+            },
             other => self.err(format!("expected identifier, found '{}'", other)),
         }
     }
@@ -393,7 +395,7 @@ impl Parser {
         // Starts with an identifier: assignment, field assignment, allocation
         // or macro statement.
         let name = self.ident()?;
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Assign => {
                 self.bump();
                 if self.at_kw("new") {
@@ -589,8 +591,8 @@ impl Parser {
     }
 
     fn primary_expr(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
-            Tok::Int(n) => {
+        match self.peek() {
+            &Tok::Int(n) => {
                 self.bump();
                 Ok(Expr::IntLit(n))
             }
@@ -615,8 +617,8 @@ impl Parser {
                 }
                 Ok(set.unwrap_or(Expr::EmptySet(Type::SetLoc)))
             }
-            Tok::Ident(name) => {
-                self.bump();
+            Tok::Ident(_) => {
+                let name = self.ident()?;
                 match name.as_str() {
                     "true" => return Ok(Expr::BoolLit(true)),
                     "false" => return Ok(Expr::BoolLit(false)),

@@ -188,57 +188,81 @@ pub fn stmt_to_string(s: &Stmt, level: usize) -> String {
 
 /// Renders an expression.
 pub fn expr_to_string(e: &Expr) -> String {
+    let mut out = String::new();
+    write_expr(&mut out, e);
+    out
+}
+
+/// Appends the rendering of an expression ([`expr_to_string`]) to `out`.
+pub fn write_expr(out: &mut String, e: &Expr) {
     match e {
-        Expr::BoolLit(b) => b.to_string(),
-        Expr::IntLit(n) => n.to_string(),
-        Expr::RealLit(n, d) => format!("({} / {})", n, d),
-        Expr::Nil => "nil".into(),
-        Expr::EmptySet(Type::SetInt) => "emptyIntSet".into(),
-        Expr::EmptySet(_) => "{}".into(),
-        Expr::Var(v) => v.clone(),
-        Expr::Field(obj, f) => format!("{}.{}", expr_to_string(obj), f),
-        Expr::Old(inner) => format!("old({})", expr_to_string(inner)),
-        Expr::Unary(UnOp::Not, inner) => format!("!({})", expr_to_string(inner)),
-        Expr::Unary(UnOp::Neg, inner) => format!("-({})", expr_to_string(inner)),
+        Expr::BoolLit(b) => out.push_str(if *b { "true" } else { "false" }),
+        Expr::IntLit(n) => {
+            let _ = write!(out, "{}", n);
+        }
+        Expr::RealLit(n, d) => {
+            let _ = write!(out, "({} / {})", n, d);
+        }
+        Expr::Nil => out.push_str("nil"),
+        Expr::EmptySet(Type::SetInt) => out.push_str("emptyIntSet"),
+        Expr::EmptySet(_) => out.push_str("{}"),
+        Expr::Var(v) => out.push_str(v),
+        Expr::Field(obj, f) => {
+            write_expr(out, obj);
+            out.push('.');
+            out.push_str(f);
+        }
+        Expr::Old(inner) => write_call(out, "old", [&**inner]),
+        Expr::Unary(UnOp::Not, inner) => write_call(out, "!", [&**inner]),
+        Expr::Unary(UnOp::Neg, inner) => write_call(out, "-", [&**inner]),
         Expr::Binary(op, a, b) => {
-            let (sa, sb) = (expr_to_string(a), expr_to_string(b));
-            match op {
-                BinOp::Add => format!("({} + {})", sa, sb),
-                BinOp::Sub => format!("({} - {})", sa, sb),
-                BinOp::Div => format!("({} / {})", sa, sb),
-                BinOp::And => format!("({} && {})", sa, sb),
-                BinOp::Or => format!("({} || {})", sa, sb),
-                BinOp::Implies => format!("({} ==> {})", sa, sb),
-                BinOp::Iff => format!("({} <==> {})", sa, sb),
-                BinOp::Eq => format!("({} == {})", sa, sb),
-                BinOp::Ne => format!("({} != {})", sa, sb),
-                BinOp::Lt => format!("({} < {})", sa, sb),
-                BinOp::Le => format!("({} <= {})", sa, sb),
-                BinOp::Gt => format!("({} > {})", sa, sb),
-                BinOp::Ge => format!("({} >= {})", sa, sb),
-                BinOp::Union => format!("union({}, {})", sa, sb),
-                BinOp::Inter => format!("inter({}, {})", sa, sb),
-                BinOp::Diff => format!("diff({}, {})", sa, sb),
-                BinOp::Member => format!("({} in {})", sa, sb),
-                BinOp::Subset => format!("({} subset {})", sa, sb),
-            }
+            let infix = match op {
+                BinOp::Add => " + ",
+                BinOp::Sub => " - ",
+                BinOp::Div => " / ",
+                BinOp::And => " && ",
+                BinOp::Or => " || ",
+                BinOp::Implies => " ==> ",
+                BinOp::Iff => " <==> ",
+                BinOp::Eq => " == ",
+                BinOp::Ne => " != ",
+                BinOp::Lt => " < ",
+                BinOp::Le => " <= ",
+                BinOp::Gt => " > ",
+                BinOp::Ge => " >= ",
+                BinOp::Member => " in ",
+                BinOp::Subset => " subset ",
+                BinOp::Union => return write_call(out, "union", [&**a, &**b]),
+                BinOp::Inter => return write_call(out, "inter", [&**a, &**b]),
+                BinOp::Diff => return write_call(out, "diff", [&**a, &**b]),
+            };
+            out.push('(');
+            write_expr(out, a);
+            out.push_str(infix);
+            write_expr(out, b);
+            out.push(')');
         }
-        Expr::Ite(c, t, f) => format!(
-            "ite({}, {}, {})",
-            expr_to_string(c),
-            expr_to_string(t),
-            expr_to_string(f)
-        ),
-        Expr::Singleton(inner) => format!("{{{}}}", expr_to_string(inner)),
-        Expr::App(name, args) => {
-            let args = args
-                .iter()
-                .map(expr_to_string)
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("{}({})", name, args)
+        Expr::Ite(c, t, f) => write_call(out, "ite", [&**c, &**t, &**f]),
+        Expr::Singleton(inner) => {
+            out.push('{');
+            write_expr(out, inner);
+            out.push('}');
         }
+        Expr::App(name, args) => write_call(out, name, args),
     }
+}
+
+/// `name(a1, a2, ...)`.
+fn write_call<'e>(out: &mut String, name: &str, args: impl IntoIterator<Item = &'e Expr>) {
+    out.push_str(name);
+    out.push('(');
+    for (i, a) in args.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write_expr(out, a);
+    }
+    out.push(')');
 }
 
 #[cfg(test)]

@@ -32,8 +32,10 @@
 //! Instrumented code must not change behavior either way; the driver's parity
 //! tests pin byte-identical verdicts with the observer enabled vs disabled.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod alloc;
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

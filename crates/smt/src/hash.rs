@@ -16,8 +16,6 @@
 //! key — wide enough that accidental collisions across a realistic cache are
 //! not a concern.
 
-use std::fmt;
-
 use crate::term::{Op, Sort, TermId, TermManager};
 
 /// The digest of one node: two independently seeded FNV-1a 64-bit streams
@@ -54,22 +52,36 @@ impl Digest {
         self.write(&[0xff]);
     }
 
-    /// Writes the sort's printed form, terminated like a name, without
-    /// building the string.
+    /// Writes the sort's printed form (its `Display`), terminated like a
+    /// name.
     fn write_sort(&mut self, sort: &Sort) {
-        fmt::Write::write_fmt(self, format_args!("{}", sort)).expect("digest writes never fail");
+        self.write_sort_text(sort);
         self.write(&[0xff]);
+    }
+
+    fn write_sort_text(&mut self, sort: &Sort) {
+        match sort {
+            Sort::Bool => self.write(b"Bool"),
+            Sort::Int => self.write(b"Int"),
+            Sort::Real => self.write(b"Real"),
+            Sort::Loc => self.write(b"Loc"),
+            Sort::Set(elem) => {
+                self.write(b"(Set ");
+                self.write_sort_text(elem);
+                self.write(b")");
+            }
+            Sort::Array(from, to) => {
+                self.write(b"(Array ");
+                self.write_sort_text(from);
+                self.write(b" ");
+                self.write_sort_text(to);
+                self.write(b")");
+            }
+        }
     }
 
     fn finish(&self) -> u128 {
         (u128::from(self.hi) << 64) | u128::from(self.lo)
-    }
-}
-
-impl fmt::Write for Digest {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.write(s.as_bytes());
-        Ok(())
     }
 }
 
@@ -322,6 +334,23 @@ mod tests {
         let h1 = structural_hash(&tm, t);
         let h2 = structural_hash(&tm, t);
         assert_eq!(h1, h2);
+    }
+
+    #[test]
+    fn sorts_hash_as_their_printed_form() {
+        for sort in [
+            Sort::Bool,
+            Sort::Int,
+            Sort::Real,
+            Sort::Loc,
+            Sort::set_of(Sort::Int),
+            Sort::array_of(Sort::Loc, Sort::set_of(Sort::Loc)),
+        ] {
+            let (mut direct, mut printed) = (Digest::new(), Digest::new());
+            direct.write_sort(&sort);
+            printed.write_name(&sort.to_string());
+            assert_eq!(direct.finish(), printed.finish(), "{sort}");
+        }
     }
 
     #[test]

@@ -803,7 +803,7 @@ mod tests {
         let mut s = IncrementalSolver::new();
         s.push();
         for i in 0..3 {
-            let some_hole = tm.or(holes.iter().map(|hole| hole[i]).collect());
+            let some_hole = tm.or(holes.iter().map(|hole| hole[i]));
             s.assert(&mut tm, some_hole);
         }
         for hole in &holes {

@@ -185,7 +185,7 @@ impl Kind {
                 let na = tm.not(a[0]);
                 tm.implies(na, ne)
             }
-            Kind::Trichotomy => tm.or(a.to_vec()),
+            Kind::Trichotomy => tm.or(a.iter().copied()),
         }
     }
 }

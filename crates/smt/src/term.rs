@@ -6,7 +6,6 @@
 //! structural equality and sub-term sharing cheap — both matter because FWYB
 //! verification conditions share large sub-formulas across asserts.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::BuildHasher;
@@ -179,21 +178,73 @@ impl fmt::Display for TermId {
 pub struct TermManager {
     terms: Vec<Term>,
     // Each term is stored once, in `terms`. The interning index maps the
-    // structural hash of a term's `(op, args, sort)` to the newest term with
-    // that hash, and `older[id]` chains to the next older one (`NO_TERM`
-    // ends the chain); a lookup compares the candidates against `terms`, so
-    // a hit allocates nothing.
+    // hash of a term's head and arguments to the newest term with that hash,
+    // and `older[id]` chains to the next older one (`NO_TERM` ends the
+    // chain); a lookup compares the candidates' `(op, args, sort)` against
+    // `terms`, so a hit allocates nothing.
     // The sort is part of the interning key so that terms that agree on
     // operator and arguments but differ in sort stay distinct — most
     // importantly `Op::Var` constants, where the sort is the only thing
-    // distinguishing `x: Loc` from `x: Int`.
+    // distinguishing `x: Loc` from `x: Int`. It is compared, not hashed, so
+    // a lookup needs no owned sort.
     index: FxHashMap<u64, u32>,
     older: Vec<u32>,
     fresh_counter: u64,
+    // The flattening buffer of `and`/`or`, kept between calls.
+    flat: Vec<TermId>,
 }
 
 /// Ends a chain of [`TermManager`]'s interning index.
 const NO_TERM: u32 = u32::MAX;
+
+/// A term's head as the interning index sees it: an operator, or the name
+/// of a `Var`/`App` that is not owned yet. A name hashes and compares like
+/// the operator that would own it.
+#[derive(Clone, Copy, Hash)]
+enum Head<'a> {
+    Op(&'a Op),
+    Var(&'a str),
+    App(&'a str),
+}
+
+impl<'a> Head<'a> {
+    /// `Var`/`App` operators as names, so both spellings hash alike.
+    fn normal(self) -> Head<'a> {
+        match self {
+            Head::Op(Op::Var(n)) => Head::Var(n),
+            Head::Op(Op::App(n)) => Head::App(n),
+            h => h,
+        }
+    }
+
+    fn matches(self, op: &Op) -> bool {
+        match (self.normal(), op) {
+            (Head::Var(n), Op::Var(m)) | (Head::App(n), Op::App(m)) => n == m,
+            (Head::Op(a), b) => a == b,
+            _ => false,
+        }
+    }
+}
+
+/// Where [`TermManager::find`] would put a term it did not find: the
+/// index hash and the chain the new term heads.
+#[derive(Clone, Copy)]
+struct Slot {
+    hash: u64,
+    newest: u32,
+}
+
+/// A point [`TermManager::truncate_to`] rolls the manager back to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TermMark {
+    len: usize,
+    fresh_counter: u64,
+}
+
+/// True if `sort` is `Set(elem)`.
+fn is_set_of(sort: &Sort, elem: &Sort) -> bool {
+    matches!(sort, Sort::Set(e) if **e == *elem)
+}
 
 impl TermManager {
     /// Creates an empty term manager.
@@ -221,64 +272,126 @@ impl TermManager {
         &self.terms[id.0 as usize].sort
     }
 
-    /// Interns a term, reusing an existing identical term when possible.
-    pub fn mk(&mut self, op: Op, args: Vec<TermId>, sort: Sort) -> TermId {
-        self.intern(Cow::Owned(op), args, Cow::Owned(sort))
+    /// The current state, for [`TermManager::truncate_to`].
+    pub fn mark(&self) -> TermMark {
+        TermMark {
+            len: self.terms.len(),
+            fresh_counter: self.fresh_counter,
+        }
     }
 
-    /// The id of the term `(op, args, sort)`: the interned one, or the next
-    /// id for a new term, which takes `args` and `op` and `sort` (cloned
-    /// only when borrowed).
-    fn intern(&mut self, op: Cow<'_, Op>, args: Vec<TermId>, sort: Cow<'_, Sort>) -> TermId {
-        let hash = FxBuildHasher.hash_one((&*op, &args, &*sort));
+    /// Rolls the manager back to `mark`: drops every term created since,
+    /// with its interning-index entry, and restores the fresh-name counter,
+    /// so the manager then numbers terms and names exactly as it did at
+    /// the mark.
+    pub fn truncate_to(&mut self, mark: TermMark) {
+        // Newest first: each dropped term heads its chain when it goes.
+        for id in (mark.len..self.terms.len()).rev() {
+            let t = &self.terms[id];
+            let hash = FxBuildHasher.hash_one((Head::Op(&t.op).normal(), &t.args[..]));
+            match self.older[id] {
+                NO_TERM => self.index.remove(&hash),
+                older => self.index.insert(hash, older),
+            };
+        }
+        self.terms.truncate(mark.len);
+        self.older.truncate(mark.len);
+        self.fresh_counter = mark.fresh_counter;
+    }
+
+    /// Interns a term, reusing an existing identical term when possible.
+    pub fn mk(&mut self, op: Op, args: Vec<TermId>, sort: Sort) -> TermId {
+        match self.find(Head::Op(&op), &args, |s| *s == sort) {
+            Ok(id) => id,
+            Err(slot) => self.insert(slot, op, args, sort),
+        }
+    }
+
+    /// The interned term with this head, arguments and a sort `is_sort`
+    /// accepts, or the slot a new one would take.
+    fn find(
+        &self,
+        head: Head<'_>,
+        args: &[TermId],
+        is_sort: impl Fn(&Sort) -> bool,
+    ) -> Result<TermId, Slot> {
+        let hash = FxBuildHasher.hash_one((head.normal(), args));
         let newest = self.index.get(&hash).copied().unwrap_or(NO_TERM);
         let mut id = newest;
         while id != NO_TERM {
             let t = &self.terms[id as usize];
-            if t.op == *op && t.args == args && t.sort == *sort {
-                return TermId(id);
+            if t.args == args && head.matches(&t.op) && is_sort(&t.sort) {
+                return Ok(TermId(id));
             }
             id = self.older[id as usize];
         }
+        Err(Slot { hash, newest })
+    }
+
+    /// Adds a term [`TermManager::find`] did not find, at its slot.
+    fn insert(&mut self, slot: Slot, op: Op, args: Vec<TermId>, sort: Sort) -> TermId {
         let id = self.terms.len() as u32;
-        self.index.insert(hash, id);
-        self.older.push(newest);
-        self.terms.push(Term {
-            op: op.into_owned(),
-            args,
-            sort: sort.into_owned(),
-        });
+        self.index.insert(slot.hash, id);
+        self.older.push(slot.newest);
+        self.terms.push(Term { op, args, sort });
         TermId(id)
+    }
+
+    /// Interns `op(args)` of sort `sort`, cloning the three only for a new
+    /// term.
+    fn intern(&mut self, op: &Op, args: &[TermId], sort: &Sort) -> TermId {
+        match self.find(Head::Op(op), args, |s| s == sort) {
+            Ok(id) => id,
+            Err(slot) => self.insert(slot, op.clone(), args.to_vec(), sort.clone()),
+        }
+    }
+
+    /// Interns `op(args)` with the sort of the term `like`.
+    fn intern_sorted_as(&mut self, op: &Op, args: &[TermId], like: TermId) -> TermId {
+        let sort = self.sort(like);
+        match self.find(Head::Op(op), args, |s| s == sort) {
+            Ok(id) => id,
+            Err(slot) => {
+                let sort = sort.clone();
+                self.insert(slot, op.clone(), args.to_vec(), sort)
+            }
+        }
     }
 
     /// Returns a variable name guaranteed not to have been produced before by
     /// this method (used for Skolem witnesses and Tseitin-style fresh symbols).
-    pub fn fresh_name(&mut self, prefix: &str) -> String {
+    pub fn fresh_name(&mut self, prefix: impl fmt::Display) -> String {
         self.fresh_counter += 1;
         format!("{}!{}", prefix, self.fresh_counter)
     }
 
     /// Creates a fresh variable with the given prefix and sort.
-    pub fn fresh_var(&mut self, prefix: &str, sort: Sort) -> TermId {
+    pub fn fresh_var(&mut self, prefix: impl fmt::Display, sort: Sort) -> TermId {
         let name = self.fresh_name(prefix);
-        self.var(&name, sort)
+        match self.find(Head::Var(&name), &[], |s| *s == sort) {
+            Ok(id) => id,
+            Err(slot) => self.insert(slot, Op::Var(name), Vec::new(), sort),
+        }
     }
 
     // ---------------------------------------------------------------- core
 
     /// The constant `true`.
     pub fn tru(&mut self) -> TermId {
-        self.mk(Op::True, vec![], Sort::Bool)
+        self.intern(&Op::True, &[], &Sort::Bool)
     }
 
     /// The constant `false`.
     pub fn fls(&mut self) -> TermId {
-        self.mk(Op::False, vec![], Sort::Bool)
+        self.intern(&Op::False, &[], &Sort::Bool)
     }
 
     /// A named free constant of the given sort.
     pub fn var(&mut self, name: &str, sort: Sort) -> TermId {
-        self.mk(Op::Var(name.to_string()), vec![], sort)
+        match self.find(Head::Var(name), &[], |s| *s == sort) {
+            Ok(id) => id,
+            Err(slot) => self.insert(slot, Op::Var(name.to_string()), Vec::new(), sort),
+        }
     }
 
     /// Boolean negation, with double-negation and constant folding.
@@ -287,56 +400,62 @@ impl TermManager {
             Op::True => self.fls(),
             Op::False => self.tru(),
             Op::Not => self.term(t).args[0],
-            _ => self.mk(Op::Not, vec![t], Sort::Bool),
+            _ => self.intern(&Op::Not, &[t], &Sort::Bool),
         }
     }
 
     /// N-ary conjunction with flattening and unit/zero folding.
-    pub fn and(&mut self, ts: Vec<TermId>) -> TermId {
-        let mut flat = Vec::new();
-        for t in ts {
-            match self.term(t).op {
-                Op::True => {}
-                Op::False => return self.fls(),
-                Op::And => flat.extend(self.term(t).args.clone()),
-                _ => flat.push(t),
-            }
-        }
-        flat.dedup();
-        match flat.len() {
-            0 => self.tru(),
-            1 => flat[0],
-            _ => self.mk(Op::And, flat, Sort::Bool),
-        }
+    pub fn and(&mut self, ts: impl IntoIterator<Item = TermId>) -> TermId {
+        self.connective(Op::And, ts)
     }
 
     /// N-ary disjunction with flattening and unit/zero folding.
-    pub fn or(&mut self, ts: Vec<TermId>) -> TermId {
-        let mut flat = Vec::new();
+    pub fn or(&mut self, ts: impl IntoIterator<Item = TermId>) -> TermId {
+        self.connective(Op::Or, ts)
+    }
+
+    /// `and` (`op` = `And`) or `or` (`Or`): flattens nested `op`s into one
+    /// buffer, drops units, stops at a zero and dedups neighbours.
+    fn connective(&mut self, op: Op, ts: impl IntoIterator<Item = TermId>) -> TermId {
+        let (unit, zero) = match op {
+            Op::And => (Op::True, Op::False),
+            _ => (Op::False, Op::True),
+        };
+        let mut flat = std::mem::take(&mut self.flat);
+        flat.clear();
         for t in ts {
-            match self.term(t).op {
-                Op::False => {}
-                Op::True => return self.tru(),
-                Op::Or => flat.extend(self.term(t).args.clone()),
-                _ => flat.push(t),
+            let term = self.term(t);
+            if term.op == unit {
+                continue;
+            }
+            if term.op == zero {
+                self.flat = flat;
+                return self.intern(&zero, &[], &Sort::Bool);
+            }
+            if term.op == op {
+                flat.extend_from_slice(&term.args);
+            } else {
+                flat.push(t);
             }
         }
         flat.dedup();
-        match flat.len() {
-            0 => self.fls(),
+        let r = match flat.len() {
+            0 => self.intern(&unit, &[], &Sort::Bool),
             1 => flat[0],
-            _ => self.mk(Op::Or, flat, Sort::Bool),
-        }
+            _ => self.intern(&op, &flat, &Sort::Bool),
+        };
+        self.flat = flat;
+        r
     }
 
     /// Binary conjunction.
     pub fn and2(&mut self, a: TermId, b: TermId) -> TermId {
-        self.and(vec![a, b])
+        self.and([a, b])
     }
 
     /// Binary disjunction.
     pub fn or2(&mut self, a: TermId, b: TermId) -> TermId {
-        self.or(vec![a, b])
+        self.or([a, b])
     }
 
     /// Implication `a => b`.
@@ -350,7 +469,7 @@ impl TermManager {
         if self.term(b).op == Op::True {
             return self.tru();
         }
-        self.mk(Op::Implies, vec![a, b], Sort::Bool)
+        self.intern(&Op::Implies, &[a, b], &Sort::Bool)
     }
 
     /// Bi-implication `a <=> b`.
@@ -358,7 +477,7 @@ impl TermManager {
         if a == b {
             return self.tru();
         }
-        self.mk(Op::Iff, vec![a, b], Sort::Bool)
+        self.intern(&Op::Iff, &[a, b], &Sort::Bool)
     }
 
     /// If-then-else. For Boolean branches this is kept as `Ite` and handled by
@@ -373,9 +492,8 @@ impl TermManager {
         if t == e {
             return t;
         }
-        let sort = self.sort(t).clone();
-        debug_assert_eq!(&sort, self.sort(e), "ite branch sorts differ");
-        self.mk(Op::Ite, vec![c, t, e], sort)
+        debug_assert_eq!(self.sort(t), self.sort(e), "ite branch sorts differ");
+        self.intern_sorted_as(&Op::Ite, &[c, t, e], t)
     }
 
     /// Equality. Boolean equalities are turned into `Iff`.
@@ -392,7 +510,7 @@ impl TermManager {
         if let (Op::IntLit(x), Op::IntLit(y)) = (&self.term(a).op, &self.term(b).op) {
             return if x == y { self.tru() } else { self.fls() };
         }
-        self.mk(Op::Eq, vec![a, b], Sort::Bool)
+        self.intern(&Op::Eq, &[a, b], &Sort::Bool)
     }
 
     /// Disequality `a != b`.
@@ -413,12 +531,12 @@ impl TermManager {
 
     /// Integer literal.
     pub fn int(&mut self, n: i128) -> TermId {
-        self.mk(Op::IntLit(n), vec![], Sort::Int)
+        self.intern(&Op::IntLit(n), &[], &Sort::Int)
     }
 
     /// Rational literal.
     pub fn real(&mut self, r: Rat) -> TermId {
-        self.mk(Op::RealLit(r), vec![], Sort::Real)
+        self.intern(&Op::RealLit(r), &[], &Sort::Real)
     }
 
     fn numeric_sort(&self, ts: &[TermId]) -> Sort {
@@ -431,7 +549,8 @@ impl TermManager {
 
     /// Binary addition.
     pub fn add(&mut self, a: TermId, b: TermId) -> TermId {
-        self.add_many(vec![a, b])
+        let sort = self.numeric_sort(&[a, b]);
+        self.intern(&Op::Add, &[a, b], &sort)
     }
 
     /// N-ary addition.
@@ -446,13 +565,12 @@ impl TermManager {
     /// Binary subtraction.
     pub fn sub(&mut self, a: TermId, b: TermId) -> TermId {
         let sort = self.numeric_sort(&[a, b]);
-        self.mk(Op::Sub, vec![a, b], sort)
+        self.intern(&Op::Sub, &[a, b], &sort)
     }
 
     /// Numeric negation.
     pub fn neg(&mut self, a: TermId) -> TermId {
-        let sort = self.sort(a).clone();
-        self.mk(Op::Neg, vec![a], sort)
+        self.intern_sorted_as(&Op::Neg, &[a], a)
     }
 
     /// Multiplication of a term by a rational constant.
@@ -465,17 +583,17 @@ impl TermManager {
         } else {
             Sort::Real
         };
-        self.mk(Op::MulConst(k), vec![a], sort)
+        self.intern(&Op::MulConst(k), &[a], &sort)
     }
 
     /// `a <= b`.
     pub fn le(&mut self, a: TermId, b: TermId) -> TermId {
-        self.mk(Op::Le, vec![a, b], Sort::Bool)
+        self.intern(&Op::Le, &[a, b], &Sort::Bool)
     }
 
     /// `a < b`.
     pub fn lt(&mut self, a: TermId, b: TermId) -> TermId {
-        self.mk(Op::Lt, vec![a, b], Sort::Bool)
+        self.intern(&Op::Lt, &[a, b], &Sort::Bool)
     }
 
     /// `a >= b` (normalized to `b <= a`).
@@ -493,71 +611,90 @@ impl TermManager {
     /// Array read `a[i]`.
     pub fn select(&mut self, a: TermId, i: TermId) -> TermId {
         let sort = match self.sort(a) {
-            Sort::Array(_, to) => (**to).clone(),
+            Sort::Array(_, to) => &**to,
             s => panic!("select on non-array sort {}", s),
         };
-        self.mk(Op::Select, vec![a, i], sort)
+        match self.find(Head::Op(&Op::Select), &[a, i], |s| s == sort) {
+            Ok(id) => id,
+            Err(slot) => {
+                let sort = sort.clone();
+                self.insert(slot, Op::Select, vec![a, i], sort)
+            }
+        }
     }
 
     /// Array write `a[i := v]`.
     pub fn store(&mut self, a: TermId, i: TermId, v: TermId) -> TermId {
-        let sort = self.sort(a).clone();
-        self.mk(Op::Store, vec![a, i, v], sort)
+        self.intern_sorted_as(&Op::Store, &[a, i, v], a)
     }
 
     /// Pointwise frame update `ite(modset, m_new, m_old)` over whole maps.
     pub fn map_ite(&mut self, modset: TermId, m_new: TermId, m_old: TermId) -> TermId {
-        let sort = self.sort(m_old).clone();
-        self.mk(Op::MapIte, vec![modset, m_new, m_old], sort)
+        self.intern_sorted_as(&Op::MapIte, &[modset, m_new, m_old], m_old)
     }
 
     // --------------------------------------------------------------- sets
 
     /// The empty set of the given element sort.
     pub fn empty_set(&mut self, elem: Sort) -> TermId {
-        let sort = Sort::set_of(elem.clone());
-        self.mk(Op::EmptySet(elem), vec![], sort)
+        let op = Op::EmptySet(elem);
+        let Op::EmptySet(elem) = &op else {
+            unreachable!()
+        };
+        match self.find(Head::Op(&op), &[], |s| is_set_of(s, elem)) {
+            Ok(id) => id,
+            Err(slot) => {
+                let sort = Sort::set_of(elem.clone());
+                self.insert(slot, op, Vec::new(), sort)
+            }
+        }
     }
 
     /// The singleton set `{x}`.
     pub fn singleton(&mut self, x: TermId) -> TermId {
-        let sort = Sort::set_of(self.sort(x).clone());
-        self.mk(Op::Singleton, vec![x], sort)
+        let elem = self.sort(x);
+        match self.find(Head::Op(&Op::Singleton), &[x], |s| is_set_of(s, elem)) {
+            Ok(id) => id,
+            Err(slot) => {
+                let sort = Sort::set_of(elem.clone());
+                self.insert(slot, Op::Singleton, vec![x], sort)
+            }
+        }
     }
 
     /// Set union.
     pub fn union(&mut self, a: TermId, b: TermId) -> TermId {
-        let sort = self.sort(a).clone();
-        self.mk(Op::Union, vec![a, b], sort)
+        self.intern_sorted_as(&Op::Union, &[a, b], a)
     }
 
     /// Set intersection.
     pub fn inter(&mut self, a: TermId, b: TermId) -> TermId {
-        let sort = self.sort(a).clone();
-        self.mk(Op::Inter, vec![a, b], sort)
+        self.intern_sorted_as(&Op::Inter, &[a, b], a)
     }
 
     /// Set difference `a \ b`.
     pub fn diff(&mut self, a: TermId, b: TermId) -> TermId {
-        let sort = self.sort(a).clone();
-        self.mk(Op::Diff, vec![a, b], sort)
+        self.intern_sorted_as(&Op::Diff, &[a, b], a)
     }
 
     /// Set membership `x ∈ s`.
     pub fn member(&mut self, x: TermId, s: TermId) -> TermId {
-        self.mk(Op::Member, vec![x, s], Sort::Bool)
+        self.intern(&Op::Member, &[x, s], &Sort::Bool)
     }
 
     /// Subset `s ⊆ t`.
     pub fn subset(&mut self, s: TermId, t: TermId) -> TermId {
-        self.mk(Op::Subset, vec![s, t], Sort::Bool)
+        self.intern(&Op::Subset, &[s, t], &Sort::Bool)
     }
 
     // ---------------------------------------------------- applications etc.
 
     /// Application of the named uninterpreted function.
     pub fn app(&mut self, name: &str, args: Vec<TermId>, sort: Sort) -> TermId {
-        self.mk(Op::App(name.to_string()), args, sort)
+        match self.find(Head::App(name), &args, |s| *s == sort) {
+            Ok(id) => id,
+            Err(slot) => self.insert(slot, Op::App(name.to_string()), args, sort),
+        }
     }
 
     /// Universal quantification (quantified encoding mode only).
@@ -639,6 +776,7 @@ impl TermManager {
         memo: &mut HashMap<TermId, TermId>,
     ) -> Vec<TermId> {
         self.fresh_counter = self.fresh_counter.max(src.fresh_counter);
+        let mut args = Vec::new();
         // Iterative post-order over the source DAG (formulas can be deep).
         for &root in roots {
             let mut stack = vec![root];
@@ -658,8 +796,9 @@ impl TermManager {
                 if !ready {
                     continue;
                 }
-                let args: Vec<TermId> = term.args.iter().map(|a| memo[a]).collect();
-                let id = self.intern(Cow::Borrowed(&term.op), args, Cow::Borrowed(&term.sort));
+                args.clear();
+                args.extend(term.args.iter().map(|a| memo[a]));
+                let id = self.intern(&term.op, &args, &term.sort);
                 memo.insert(t, id);
                 stack.pop();
             }

@@ -39,12 +39,14 @@ pub fn default_value(tm: &mut TermManager, t: Type) -> TermId {
 /// generation reproducible run to run — which the driver's persistent VC cache
 /// relies on (the structural hash of a VC must not depend on the order fresh
 /// variables were numbered in).
+/// The names are borrowed from the program (or are the implicit `Alloc`,
+/// `Br` and `Br2`), so a copy of the state at a branch copies no name.
 #[derive(Clone, Debug, Default)]
-pub struct Env {
+pub struct Env<'a> {
     /// Program variables (including the implicit ghost sets `Br`, `Alloc`).
-    pub vars: BTreeMap<String, TermId>,
+    pub vars: BTreeMap<&'a str, TermId>,
     /// Field maps, keyed by field name.
-    pub fields: BTreeMap<String, TermId>,
+    pub fields: BTreeMap<&'a str, TermId>,
 }
 
 /// Encodes an expression in the given state.
@@ -85,7 +87,7 @@ fn enc(
         Expr::EmptySet(_) => Ok(tm.empty_set(Sort::Loc)),
         Expr::Var(name) => env
             .vars
-            .get(name)
+            .get(name.as_str())
             .copied()
             .ok_or_else(|| VcError::Encoding(format!("unbound variable '{}'", name))),
         Expr::Field(obj, field) => {
@@ -95,7 +97,7 @@ fn enc(
                 .ok_or_else(|| VcError::Encoding(format!("unknown field '{}'", field)))?;
             let map = env
                 .fields
-                .get(field)
+                .get(field.as_str())
                 .copied()
                 .ok_or_else(|| VcError::Encoding(format!("field map '{}' missing", field)))?;
             let sel = tm.select(map, o);
@@ -249,7 +251,7 @@ fn type_of(
         Expr::Nil => Some(Type::Loc),
         Expr::EmptySet(Type::SetInt) => Some(Type::SetInt),
         Expr::EmptySet(_) => None,
-        Expr::Var(name) => match tm.sort(*env.vars.get(name)?) {
+        Expr::Var(name) => match tm.sort(*env.vars.get(name.as_str())?) {
             Sort::Bool => Some(Type::Bool),
             Sort::Int => Some(Type::Int),
             Sort::Real => Some(Type::Real),
@@ -284,8 +286,10 @@ mod tests {
     use super::*;
     use ids_ivl::parse_expr;
 
-    fn setup() -> (TermManager, Program, Env) {
-        let program = ids_ivl::parse_program(
+    /// The program the tests encode against; the environment borrows its
+    /// field names.
+    static PROGRAM: std::sync::LazyLock<Program> = std::sync::LazyLock::new(|| {
+        ids_ivl::parse_program(
             r#"
             field next: Loc;
             field key: Int;
@@ -295,17 +299,21 @@ mod tests {
             procedure dummy(x: Loc);
             "#,
         )
-        .unwrap();
+        .unwrap()
+    });
+
+    fn setup() -> (TermManager, &'static Program, Env<'static>) {
+        let program = &*PROGRAM;
         let mut tm = TermManager::new();
         let mut env = Env::default();
         let x = tm.var("x", Sort::Loc);
-        env.vars.insert("x".into(), x);
+        env.vars.insert("x", x);
         let alloc = tm.var("Alloc", Sort::set_of(Sort::Loc));
-        env.vars.insert("Alloc".into(), alloc);
+        env.vars.insert("Alloc", alloc);
         for f in &program.fields {
             let sort = Sort::array_of(Sort::Loc, sort_of_type(f.ty));
             let m = tm.var(&format!("fld_{}", f.name), sort);
-            env.fields.insert(f.name.clone(), m);
+            env.fields.insert(&f.name, m);
         }
         (tm, program, env)
     }
@@ -315,7 +323,7 @@ mod tests {
         let (mut tm, program, env) = setup();
         let e = parse_expr("x.next.key").unwrap();
         let mut side = Vec::new();
-        let t = encode_expr(&mut tm, &program, &env, &env, &e, &mut side).unwrap();
+        let t = encode_expr(&mut tm, program, &env, &env, &e, &mut side).unwrap();
         assert_eq!(tm.sort(t), &Sort::Int);
         // The dereference of the Loc-valued field produced an allocation-set
         // side assumption.
@@ -327,7 +335,7 @@ mod tests {
         let (mut tm, program, env) = setup();
         let e = parse_expr("x.hslist == union({x}, x.next.hslist)").unwrap();
         let mut side = Vec::new();
-        let t = encode_expr(&mut tm, &program, &env, &env, &e, &mut side).unwrap();
+        let t = encode_expr(&mut tm, program, &env, &env, &e, &mut side).unwrap();
         assert_eq!(tm.sort(t), &Sort::Bool);
     }
 
@@ -336,7 +344,7 @@ mod tests {
         let (mut tm, program, env) = setup();
         let e = parse_expr("x.keys == {}").unwrap();
         let mut side = Vec::new();
-        let t = encode_expr(&mut tm, &program, &env, &env, &e, &mut side).unwrap();
+        let t = encode_expr(&mut tm, program, &env, &env, &e, &mut side).unwrap();
         // Both sides must have the Set<Int> sort under the hood.
         let term = tm.term(t).clone();
         let rhs = term.args[1];
@@ -350,9 +358,9 @@ mod tests {
         // are location sets.
         let (mut tm, program, mut env) = setup();
         let ks = tm.var("ks", Sort::set_of(Sort::Int));
-        env.vars.insert("ks".into(), ks);
+        env.vars.insert("ks", ks);
         let k = tm.var("k", Sort::Int);
-        env.vars.insert("k".into(), k);
+        env.vars.insert("k", k);
         let int_set = Sort::set_of(Sort::Int);
         let loc_set = Sort::set_of(Sort::Loc);
         for (src, empty_sort) in [
@@ -368,7 +376,7 @@ mod tests {
         ] {
             let e = parse_expr(src).unwrap();
             let mut side = Vec::new();
-            let t = encode_expr(&mut tm, &program, &env, &env, &e, &mut side).unwrap();
+            let t = encode_expr(&mut tm, program, &env, &env, &e, &mut side).unwrap();
             let args = tm.term(t).args.clone();
             assert!(
                 args.iter().all(|&a| tm.sort(a) == empty_sort),
@@ -385,7 +393,7 @@ mod tests {
         let (mut tm, program, env) = setup();
         let e = parse_expr("y.key").unwrap();
         let mut side = Vec::new();
-        assert!(encode_expr(&mut tm, &program, &env, &env, &e, &mut side).is_err());
+        assert!(encode_expr(&mut tm, program, &env, &env, &e, &mut side).is_err());
     }
 
     #[test]
@@ -393,8 +401,8 @@ mod tests {
         let (mut tm, program, env) = setup();
         let ok = parse_expr("(x.key + 1) / 2").unwrap();
         let mut side = Vec::new();
-        assert!(encode_expr(&mut tm, &program, &env, &env, &ok, &mut side).is_ok());
+        assert!(encode_expr(&mut tm, program, &env, &env, &ok, &mut side).is_ok());
         let bad = parse_expr("x.key / x.key").unwrap();
-        assert!(encode_expr(&mut tm, &program, &env, &env, &bad, &mut side).is_err());
+        assert!(encode_expr(&mut tm, program, &env, &env, &bad, &mut side).is_err());
     }
 }

@@ -1,6 +1,8 @@
 //! The VC generation engine: symbolic execution of FWYB-expanded procedures
 //! with loop cutting, call summarization and per-assert VC splitting.
 
+use std::fmt::Write;
+
 use ids_ivl::{Block, Expr, Lhs, Procedure, Program, Stmt, Type};
 use ids_smt::{Sort, TermId, TermManager};
 
@@ -9,29 +11,29 @@ use crate::{Encoding, MethodVcs, Vc, VcError};
 
 /// Generates the verification conditions of one procedure, together with the
 /// shared hypothesis list (see [`MethodVcs`]).
-pub fn generate(
+pub fn generate<'a>(
     tm: &mut TermManager,
-    program: &Program,
-    proc: &Procedure,
+    program: &'a Program,
+    proc: &'a Procedure,
     encoding: Encoding,
 ) -> Result<MethodVcs, VcError> {
     let mut ctx = Ctx {
         program,
+        proc,
         encoding,
         assumptions: Vec::new(),
         vcs: Vec::new(),
-        proc_name: proc.name.clone(),
     };
 
     // ------------------------------------------------------------ entry env
     let mut env = Env::default();
     let nil = tm.var("nil", Sort::Loc);
     let alloc = tm.fresh_var("Alloc", Sort::set_of(Sort::Loc));
-    env.vars.insert("Alloc".into(), alloc);
+    env.vars.insert("Alloc", alloc);
     env.vars
-        .insert("Br".into(), tm.fresh_var("Br", Sort::set_of(Sort::Loc)));
+        .insert("Br", tm.fresh_var("Br", Sort::set_of(Sort::Loc)));
     env.vars
-        .insert("Br2".into(), tm.fresh_var("Br2", Sort::set_of(Sort::Loc)));
+        .insert("Br2", tm.fresh_var("Br2", Sort::set_of(Sort::Loc)));
     let nil_unalloc = {
         let m = tm.member(nil, alloc);
         tm.not(m)
@@ -40,12 +42,12 @@ pub fn generate(
 
     for f in program.fields.iter() {
         let sort = Sort::array_of(Sort::Loc, sort_of_type(f.ty));
-        let map = tm.fresh_var(&format!("fld_{}", f.name), sort);
-        env.fields.insert(f.name.clone(), map);
+        let map = tm.fresh_var(format_args!("fld_{}", f.name), sort);
+        env.fields.insert(&f.name, map);
     }
     for p in proc.params.iter().chain(proc.returns.iter()) {
         let v = tm.fresh_var(&p.name, sort_of_type(p.ty));
-        env.vars.insert(p.name.clone(), v);
+        env.vars.insert(&p.name, v);
         if p.ty == Type::Loc {
             // Parameters point into the allocated heap (Appendix A.3).
             let is_nil = tm.eq(v, nil);
@@ -61,9 +63,9 @@ pub fn generate(
     // Locals are in scope for the whole body (Boogie-style flattened scope).
     let body = proc
         .body
-        .clone()
+        .as_ref()
         .ok_or_else(|| VcError::NoBody(proc.name.clone()))?;
-    declare_locals(tm, &mut env, &body);
+    declare_locals(tm, &mut env, body);
 
     let old_env = env.clone();
 
@@ -80,17 +82,15 @@ pub fn generate(
         // prelude: methods sharing leading requires conjuncts (`Br == {}`,
         // `x != nil`) now share them as positional hypotheses even when a
         // later conjunct diverges.
-        match &tm.term(t).op {
-            ids_smt::Op::And => {
-                let conjuncts = tm.term(t).args.clone();
-                ctx.assumptions.extend(conjuncts);
-            }
+        let term = tm.term(t);
+        match &term.op {
+            ids_smt::Op::And => ctx.assumptions.extend_from_slice(&term.args),
             _ => ctx.assumptions.push(t),
         }
     }
 
     // ----------------------------------------------------------------- body
-    let final_env = ctx.exec_block(tm, &body, env, tru, &old_env)?;
+    let final_env = ctx.exec_block(tm, body, env, tru, &old_env)?;
 
     // ------------------------------------------------------- postconditions
     ctx.check_ensures(tm, proc, &final_env, &old_env, tru, "at end of procedure")?;
@@ -101,12 +101,12 @@ pub fn generate(
     })
 }
 
-fn declare_locals(tm: &mut TermManager, env: &mut Env, block: &Block) {
+fn declare_locals<'a>(tm: &mut TermManager, env: &mut Env<'a>, block: &'a Block) {
     for s in &block.stmts {
         match s {
             Stmt::VarDecl { name, ty, .. } => {
                 let v = tm.fresh_var(name, sort_of_type(*ty));
-                env.vars.insert(name.clone(), v);
+                env.vars.insert(name, v);
             }
             Stmt::If {
                 then_branch,
@@ -124,10 +124,11 @@ fn declare_locals(tm: &mut TermManager, env: &mut Env, block: &Block) {
 
 struct Ctx<'a> {
     program: &'a Program,
+    /// The procedure whose VCs are generated.
+    proc: &'a Procedure,
     encoding: Encoding,
     assumptions: Vec<TermId>,
     vcs: Vec<Vc>,
-    proc_name: String,
 }
 
 impl<'a> Ctx<'a> {
@@ -138,9 +139,7 @@ impl<'a> Ctx<'a> {
 
     fn emit_vc(&mut self, tm: &mut TermManager, guard: TermId, fact: TermId, description: String) {
         let n_hyps = self.assumptions.len();
-        let mut antecedent = self.assumptions.clone();
-        antecedent.push(guard);
-        let ante = tm.and(antecedent);
+        let ante = tm.and(self.assumptions.iter().copied().chain([guard]));
         let formula = tm.implies(ante, fact);
         self.vcs.push(Vc {
             description,
@@ -151,6 +150,13 @@ impl<'a> Ctx<'a> {
         });
         // Once checked, the fact may be assumed for the rest of the procedure.
         self.assume_guarded(tm, guard, fact);
+    }
+
+    /// `"<procedure>::"` followed by `what`: the start of a VC description.
+    fn describe(&self, what: std::fmt::Arguments) -> String {
+        let mut d = String::new();
+        let _ = write!(d, "{}::{}", self.proc.name, what);
+        d
     }
 
     fn encode(
@@ -180,12 +186,8 @@ impl<'a> Ctx<'a> {
     ) -> Result<(), VcError> {
         for (i, e) in proc.ensures.iter().enumerate() {
             let t = self.encode(tm, env, old_env, guard, e)?;
-            self.emit_vc(
-                tm,
-                guard,
-                t,
-                format!("{}::ensures#{} {}", self.proc_name, i + 1, where_),
-            );
+            let description = self.describe(format_args!("ensures#{} {}", i + 1, where_));
+            self.emit_vc(tm, guard, t, description);
         }
         Ok(())
     }
@@ -193,11 +195,11 @@ impl<'a> Ctx<'a> {
     fn exec_block(
         &mut self,
         tm: &mut TermManager,
-        block: &Block,
-        mut env: Env,
+        block: &'a Block,
+        mut env: Env<'a>,
         guard: TermId,
-        old_env: &Env,
-    ) -> Result<Env, VcError> {
+        old_env: &Env<'a>,
+    ) -> Result<Env<'a>, VcError> {
         for s in &block.stmts {
             env = self.exec_stmt(tm, s, env, guard, old_env)?;
         }
@@ -207,17 +209,17 @@ impl<'a> Ctx<'a> {
     fn exec_stmt(
         &mut self,
         tm: &mut TermManager,
-        stmt: &Stmt,
-        mut env: Env,
+        stmt: &'a Stmt,
+        mut env: Env<'a>,
         guard: TermId,
-        old_env: &Env,
-    ) -> Result<Env, VcError> {
+        old_env: &Env<'a>,
+    ) -> Result<Env<'a>, VcError> {
         match stmt {
             Stmt::VarDecl { name, ty, init, .. } => {
                 if let Some(e) = init {
                     let e = empty_at(e, || *ty == Type::SetInt);
                     let t = self.encode(tm, &env, old_env, guard, e)?;
-                    env.vars.insert(name.clone(), t);
+                    env.vars.insert(name, t);
                 }
                 Ok(env)
             }
@@ -225,39 +227,35 @@ impl<'a> Ctx<'a> {
                 let rhs = empty_at(rhs, || match lhs {
                     Lhs::Var(v) => env
                         .vars
-                        .get(v)
+                        .get(v.as_str())
                         .is_some_and(|&t| matches!(tm.sort(t), Sort::Set(e) if **e == Sort::Int)),
                     Lhs::Field(_, f) => self.program.field(f).is_some_and(|d| d.ty == Type::SetInt),
                 });
                 let value = self.encode(tm, &env, old_env, guard, rhs)?;
                 match lhs {
-                    Lhs::Var(v) => {
-                        if !env.vars.contains_key(v) {
-                            return Err(VcError::Encoding(format!("unbound variable '{}'", v)));
-                        }
-                        env.vars.insert(v.clone(), value);
-                    }
+                    Lhs::Var(v) => match env.vars.get_mut(v.as_str()) {
+                        Some(slot) => *slot = value,
+                        None => return Err(VcError::Encoding(format!("unbound variable '{}'", v))),
+                    },
                     Lhs::Field(obj, field) => {
-                        let o = env.vars.get(obj).copied().ok_or_else(|| {
+                        let o = env.vars.get(obj.as_str()).copied().ok_or_else(|| {
                             VcError::Encoding(format!("unbound variable '{}'", obj))
                         })?;
-                        let map = env.fields.get(field).copied().ok_or_else(|| {
+                        let map = env.fields.get_mut(field.as_str()).ok_or_else(|| {
                             VcError::Encoding(format!("unknown field '{}'", field))
                         })?;
-                        let updated = tm.store(map, o, value);
-                        env.fields.insert(field.clone(), updated);
+                        *map = tm.store(*map, o, value);
                     }
                 }
                 Ok(env)
             }
             Stmt::Havoc { name } => {
-                let sort = env
+                let slot = env
                     .vars
-                    .get(name)
-                    .map(|&t| tm.sort(t).clone())
+                    .get_mut(name.as_str())
                     .ok_or_else(|| VcError::Encoding(format!("unbound variable '{}'", name)))?;
-                let fresh = tm.fresh_var(name, sort);
-                env.vars.insert(name.clone(), fresh);
+                let sort = tm.sort(*slot).clone();
+                *slot = tm.fresh_var(name, sort);
                 Ok(env)
             }
             Stmt::Assume(e) => {
@@ -267,22 +265,15 @@ impl<'a> Ctx<'a> {
             }
             Stmt::Assert(e) => {
                 let t = self.encode(tm, &env, old_env, guard, e)?;
-                self.emit_vc(
-                    tm,
-                    guard,
-                    t,
-                    format!(
-                        "{}::assert {}",
-                        self.proc_name,
-                        ids_ivl::printer::expr_to_string(e)
-                    ),
-                );
+                let mut description = self.describe(format_args!("assert "));
+                ids_ivl::printer::write_expr(&mut description, e);
+                self.emit_vc(tm, guard, t, description);
                 Ok(env)
             }
             Stmt::Alloc { lhs } => {
                 let alloc = env.vars["Alloc"];
                 let nil = tm.var("nil", Sort::Loc);
-                let fresh = tm.fresh_var(&format!("new_{}", lhs), Sort::Loc);
+                let fresh = tm.fresh_var(format_args!("new_{}", lhs), Sort::Loc);
                 let not_alloc = {
                     let m = tm.member(fresh, alloc);
                     tm.not(m)
@@ -291,16 +282,18 @@ impl<'a> Ctx<'a> {
                 self.assume_guarded(tm, guard, not_alloc);
                 self.assume_guarded(tm, guard, not_nil);
                 // Default-initialize every field of the fresh object.
-                for f in self.program.fields.clone() {
-                    let map = env.fields[&f.name];
+                for f in &self.program.fields {
+                    let map = env
+                        .fields
+                        .get_mut(f.name.as_str())
+                        .expect("every field has a map");
                     let dv = default_value(tm, f.ty);
-                    let updated = tm.store(map, fresh, dv);
-                    env.fields.insert(f.name.clone(), updated);
+                    *map = tm.store(*map, fresh, dv);
                 }
                 let single = tm.singleton(fresh);
                 let grown = tm.union(alloc, single);
-                env.vars.insert("Alloc".into(), grown);
-                env.vars.insert(lhs.clone(), fresh);
+                env.vars.insert("Alloc", grown);
+                env.vars.insert(lhs, fresh);
                 Ok(env)
             }
             Stmt::If {
@@ -314,8 +307,7 @@ impl<'a> Ctx<'a> {
                 let guard_else = tm.and2(guard, nc);
                 let env_then =
                     self.exec_block(tm, then_branch, env.clone(), guard_then, old_env)?;
-                let env_else =
-                    self.exec_block(tm, else_branch, env.clone(), guard_else, old_env)?;
+                let env_else = self.exec_block(tm, else_branch, env, guard_else, old_env)?;
                 Ok(merge_envs(tm, c, &env_then, &env_else))
             }
             Stmt::While {
@@ -327,27 +319,22 @@ impl<'a> Ctx<'a> {
                 // 1. Invariants hold on entry.
                 for (i, inv) in invariants.iter().enumerate() {
                     let t = self.encode(tm, &env, old_env, guard, inv)?;
-                    self.emit_vc(
-                        tm,
-                        guard,
-                        t,
-                        format!("{}::loop invariant #{} on entry", self.proc_name, i + 1),
-                    );
+                    let description =
+                        self.describe(format_args!("loop invariant #{} on entry", i + 1));
+                    self.emit_vc(tm, guard, t, description);
                 }
                 // 2. Havoc the loop targets (arbitrary iteration).
                 let targets = loop_targets(self.program, body);
-                for v in &targets.vars {
-                    if let Some(&old) = env.vars.get(v) {
-                        let sort = tm.sort(old).clone();
-                        let fresh = tm.fresh_var(&format!("loop_{}", v), sort);
-                        env.vars.insert(v.clone(), fresh);
+                for &v in &targets.vars {
+                    if let Some(slot) = env.vars.get_mut(v) {
+                        let sort = tm.sort(*slot).clone();
+                        *slot = tm.fresh_var(format_args!("loop_{}", v), sort);
                     }
                 }
-                for f in &targets.fields {
-                    if let Some(&old) = env.fields.get(f) {
-                        let sort = tm.sort(old).clone();
-                        let fresh = tm.fresh_var(&format!("loop_fld_{}", f), sort);
-                        env.fields.insert(f.clone(), fresh);
+                for &f in &targets.fields {
+                    if let Some(slot) = env.fields.get_mut(f) {
+                        let sort = tm.sort(*slot).clone();
+                        *slot = tm.fresh_var(format_args!("loop_fld_{}", f), sort);
                     }
                 }
                 // 3. Assume the invariants for the arbitrary iteration.
@@ -362,12 +349,9 @@ impl<'a> Ctx<'a> {
                 let body_env = self.exec_block(tm, body, env.clone(), guard_body, old_env)?;
                 for (i, inv) in invariants.iter().enumerate() {
                     let t = self.encode(tm, &body_env, old_env, guard_body, inv)?;
-                    self.emit_vc(
-                        tm,
-                        guard_body,
-                        t,
-                        format!("{}::loop invariant #{} preserved", self.proc_name, i + 1),
-                    );
+                    let description =
+                        self.describe(format_args!("loop invariant #{} preserved", i + 1));
+                    self.emit_vc(tm, guard_body, t, description);
                 }
                 // 5. Continue after the loop with the negated condition.
                 let nc = tm.not(c);
@@ -380,12 +364,7 @@ impl<'a> Ctx<'a> {
             Stmt::Return => {
                 // Check the postconditions and make the rest of this path
                 // unreachable.
-                let proc = self
-                    .program
-                    .procedure(&self.proc_name)
-                    .expect("current procedure")
-                    .clone();
-                self.check_ensures(tm, &proc, &env, old_env, guard, "at return")?;
+                self.check_ensures(tm, self.proc, &env, old_env, guard, "at return")?;
                 let f = tm.fls();
                 self.assume_guarded(tm, guard, f);
                 Ok(env)
@@ -398,18 +377,17 @@ impl<'a> Ctx<'a> {
     fn exec_call(
         &mut self,
         tm: &mut TermManager,
-        lhs: &[String],
+        lhs: &'a [String],
         callee_name: &str,
         args: &[Expr],
-        mut env: Env,
+        mut env: Env<'a>,
         guard: TermId,
-        old_env: &Env,
-    ) -> Result<Env, VcError> {
+        old_env: &Env<'a>,
+    ) -> Result<Env<'a>, VcError> {
         let callee = self
             .program
             .procedure(callee_name)
-            .ok_or_else(|| VcError::UnknownProcedure(callee_name.to_string()))?
-            .clone();
+            .ok_or_else(|| VcError::UnknownProcedure(callee_name.to_string()))?;
         if callee.params.len() != args.len() {
             return Err(VcError::Encoding(format!(
                 "call to '{}' with {} arguments, expected {}",
@@ -423,22 +401,14 @@ impl<'a> Ctx<'a> {
         for (param, arg) in callee.params.iter().zip(args.iter()) {
             let arg = empty_at(arg, || param.ty == Type::SetInt);
             let t = self.encode(tm, &env, old_env, guard, arg)?;
-            pre_env.vars.insert(param.name.clone(), t);
+            pre_env.vars.insert(&param.name, t);
         }
         // Check the callee's preconditions.
         for (i, r) in callee.requires.iter().enumerate() {
             let t = self.encode(tm, &pre_env, &pre_env, guard, r)?;
-            self.emit_vc(
-                tm,
-                guard,
-                t,
-                format!(
-                    "{}::call {} precondition #{}",
-                    self.proc_name,
-                    callee_name,
-                    i + 1
-                ),
-            );
+            let description =
+                self.describe(format_args!("call {} precondition #{}", callee_name, i + 1));
+            self.emit_vc(tm, guard, t, description);
         }
         // The modified heaplet, evaluated in the pre-call state.
         let modset = match &callee.modifies {
@@ -446,12 +416,11 @@ impl<'a> Ctx<'a> {
             None => tm.empty_set(Sort::Loc),
         };
         // Havoc the heap on the modified objects.
-        let field_names: Vec<String> = env.fields.keys().cloned().collect();
-        for f in field_names {
-            let old_map = env.fields[&f];
+        for (&f, map) in env.fields.iter_mut() {
+            let old_map = *map;
             let sort = tm.sort(old_map).clone();
-            let havoc = tm.fresh_var(&format!("call_{}_{}", callee_name, f), sort.clone());
-            let new_map = match self.encoding {
+            let havoc = tm.fresh_var(format_args!("call_{}_{}", callee_name, f), sort);
+            *map = match self.encoding {
                 Encoding::Decidable => tm.map_ite(modset, havoc, old_map),
                 Encoding::Quantified => {
                     // new_map is unconstrained except outside the mod set.
@@ -468,7 +437,6 @@ impl<'a> Ctx<'a> {
                     havoc
                 }
             };
-            env.fields.insert(f, new_map);
         }
         // The callee may allocate: the allocation set can only grow.
         let alloc_old = env.vars["Alloc"];
@@ -487,37 +455,31 @@ impl<'a> Ctx<'a> {
                 self.assume_guarded(tm, guard, frame);
             }
         }
-        env.vars.insert("Alloc".into(), alloc_new);
+        env.vars.insert("Alloc", alloc_new);
         // The broken sets are threaded through every call: havoc them and let
         // the callee's postcondition pin them down.
         for br in ["Br", "Br2"] {
             let fresh = tm.fresh_var(br, Sort::set_of(Sort::Loc));
-            env.vars.insert(br.to_string(), fresh);
+            env.vars.insert(br, fresh);
         }
         // Bind the call results.
         let mut post_env = env.clone();
-        for (param, arg_term) in callee.params.iter().zip(
-            callee
-                .params
-                .iter()
-                .map(|p| pre_env.vars[&p.name])
-                .collect::<Vec<_>>(),
-        ) {
-            post_env.vars.insert(param.name.clone(), arg_term);
+        for param in &callee.params {
+            post_env
+                .vars
+                .insert(&param.name, pre_env.vars[param.name.as_str()]);
         }
         for (i, ret) in callee.returns.iter().enumerate() {
-            let fresh = tm.fresh_var(&format!("ret_{}", ret.name), sort_of_type(ret.ty));
-            post_env.vars.insert(ret.name.clone(), fresh);
+            let fresh = tm.fresh_var(format_args!("ret_{}", ret.name), sort_of_type(ret.ty));
+            post_env.vars.insert(&ret.name, fresh);
             if let Some(target) = lhs.get(i) {
-                env.vars.insert(target.clone(), fresh);
+                env.vars.insert(target, fresh);
             }
         }
-        // `old()` in the callee's postcondition refers to the pre-call state.
-        let mut callee_old_env = pre_env.clone();
-        callee_old_env.fields = pre_env.fields.clone();
-        // Assume the callee's postconditions.
+        // Assume the callee's postconditions; `old()` in them refers to the
+        // pre-call state.
         for e in &callee.ensures {
-            let t = self.encode(tm, &post_env, &callee_old_env, guard, e)?;
+            let t = self.encode(tm, &post_env, &pre_env, guard, e)?;
             self.assume_guarded(tm, guard, t);
         }
         Ok(env)
@@ -527,12 +489,12 @@ impl<'a> Ctx<'a> {
 /// The assignment targets of a loop body (variables and field maps that must
 /// be havocked when cutting the loop).
 #[derive(Default)]
-struct LoopTargets {
-    vars: Vec<String>,
-    fields: Vec<String>,
+struct LoopTargets<'a> {
+    vars: Vec<&'a str>,
+    fields: Vec<&'a str>,
 }
 
-fn loop_targets(program: &Program, body: &Block) -> LoopTargets {
+fn loop_targets<'a>(program: &'a Program, body: &'a Block) -> LoopTargets<'a> {
     let mut t = LoopTargets::default();
     collect_targets(program, body, &mut t);
     t.vars.sort();
@@ -542,51 +504,51 @@ fn loop_targets(program: &Program, body: &Block) -> LoopTargets {
     t
 }
 
-fn collect_targets(program: &Program, block: &Block, out: &mut LoopTargets) {
+fn collect_targets<'a>(program: &'a Program, block: &'a Block, out: &mut LoopTargets<'a>) {
     for s in &block.stmts {
         match s {
             Stmt::Assign { lhs, .. } => match lhs {
-                Lhs::Var(v) => out.vars.push(v.clone()),
-                Lhs::Field(_, f) => out.fields.push(f.clone()),
+                Lhs::Var(v) => out.vars.push(v),
+                Lhs::Field(_, f) => out.fields.push(f),
             },
             Stmt::VarDecl { name, init, .. } if init.is_some() => {
-                out.vars.push(name.clone());
+                out.vars.push(name);
             }
-            Stmt::Havoc { name } => out.vars.push(name.clone()),
+            Stmt::Havoc { name } => out.vars.push(name),
             Stmt::Alloc { lhs } => {
-                out.vars.push(lhs.clone());
-                out.vars.push("Alloc".into());
+                out.vars.push(lhs);
+                out.vars.push("Alloc");
                 // Allocation writes default values into every field map.
                 for f in &program.fields {
-                    out.fields.push(f.name.clone());
+                    out.fields.push(&f.name);
                 }
             }
             Stmt::Call { lhs, .. } => {
-                out.vars.extend(lhs.iter().cloned());
-                out.vars.push("Alloc".into());
-                out.vars.push("Br".into());
-                out.vars.push("Br2".into());
+                out.vars.extend(lhs.iter().map(String::as_str));
+                out.vars.push("Alloc");
+                out.vars.push("Br");
+                out.vars.push("Br2");
                 for f in &program.fields {
-                    out.fields.push(f.name.clone());
+                    out.fields.push(&f.name);
                 }
             }
             Stmt::Macro { name, args } => {
                 // Conservative: macros that mutate state touch the broken set
                 // and (for Mut/NewObj) a field / fresh object.
-                out.vars.push("Br".into());
-                out.vars.push("Br2".into());
+                out.vars.push("Br");
+                out.vars.push("Br2");
                 if name == "Mut" {
                     if let Some(Expr::Var(f)) = args.get(1) {
-                        out.fields.push(f.clone());
+                        out.fields.push(f);
                     }
                 }
                 if name == "NewObj" {
                     if let Some(Expr::Var(v)) = args.first() {
-                        out.vars.push(v.clone());
+                        out.vars.push(v);
                     }
-                    out.vars.push("Alloc".into());
+                    out.vars.push("Alloc");
                     for f in &program.fields {
-                        out.fields.push(f.name.clone());
+                        out.fields.push(&f.name);
                     }
                 }
             }
@@ -604,25 +566,30 @@ fn collect_targets(program: &Program, block: &Block, out: &mut LoopTargets) {
     }
 }
 
-fn merge_envs(tm: &mut TermManager, cond: TermId, then_env: &Env, else_env: &Env) -> Env {
+fn merge_envs<'a>(
+    tm: &mut TermManager,
+    cond: TermId,
+    then_env: &Env<'a>,
+    else_env: &Env<'a>,
+) -> Env<'a> {
     let mut merged = Env::default();
-    for (k, &tv) in &then_env.vars {
+    for (&k, &tv) in &then_env.vars {
         let ev = else_env.vars.get(k).copied().unwrap_or(tv);
         merged
             .vars
-            .insert(k.clone(), if tv == ev { tv } else { tm.ite(cond, tv, ev) });
+            .insert(k, if tv == ev { tv } else { tm.ite(cond, tv, ev) });
     }
-    for (k, &ev) in &else_env.vars {
-        merged.vars.entry(k.clone()).or_insert(ev);
+    for (&k, &ev) in &else_env.vars {
+        merged.vars.entry(k).or_insert(ev);
     }
-    for (k, &tv) in &then_env.fields {
+    for (&k, &tv) in &then_env.fields {
         let ev = else_env.fields.get(k).copied().unwrap_or(tv);
         merged
             .fields
-            .insert(k.clone(), if tv == ev { tv } else { tm.ite(cond, tv, ev) });
+            .insert(k, if tv == ev { tv } else { tm.ite(cond, tv, ev) });
     }
-    for (k, &ev) in &else_env.fields {
-        merged.fields.entry(k.clone()).or_insert(ev);
+    for (&k, &ev) in &else_env.fields {
+        merged.fields.entry(k).or_insert(ev);
     }
     merged
 }
