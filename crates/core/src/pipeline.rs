@@ -16,7 +16,9 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use ids_ivl::{ast, parse_program, Program};
-use ids_smt::{structural_hashes, SatResult, SolverProfile, SolverStats, TermId, TermManager};
+use ids_smt::{
+    structural_hashes, SatResult, SolverProfile, SolverStats, TermId, TermManager, TermMark,
+};
 use ids_vcgen::{Encoding, StructureVcs, Vc, VcGen, VcSession, VerifyOutcome};
 
 use crate::fwyb::{expand_program, ExpandError};
@@ -482,7 +484,8 @@ pub struct StructureSession {
     tm: TermManager,
     session: VcSession,
     methods: Vec<ImportedMethod>,
-    open: Option<usize>,
+    /// The open method, with the term manager's state when it was opened.
+    open: Option<(usize, TermMark)>,
 }
 
 /// One task's hypotheses and VCs, re-expressed in the pool's shared manager.
@@ -566,14 +569,17 @@ impl StructureSession {
         assert!(self.open.is_none(), "a method is already open");
         assert!(method_idx < self.methods.len());
         self.session.begin_method();
-        self.open = Some(method_idx);
+        self.open = Some((method_idx, self.tm.mark()));
     }
 
     /// Closes the open method scope, rolling the pool back to its
-    /// structure-scope state.
+    /// structure-scope state: the solver, and the shared term manager with
+    /// the terms and fresh names the method's checks created, so a method's
+    /// search does not depend on which methods ran before it.
     pub fn end_method(&mut self) {
-        assert!(self.open.take().is_some(), "no method open");
+        let (_, mark) = self.open.take().expect("no method open");
         self.session.end_method();
+        self.tm.truncate_to(mark);
     }
 
     /// Discharges one VC of the open method.
@@ -581,7 +587,11 @@ impl StructureSession {
     /// # Panics
     /// Panics if no method is open, or on out-of-order VC indices.
     pub fn check_vc(&mut self, method_idx: usize, vc_index: usize) -> VcResult {
-        assert_eq!(self.open, Some(method_idx), "method not open");
+        assert_eq!(
+            self.open.map(|(m, _)| m),
+            Some(method_idx),
+            "method not open"
+        );
         let _obs = VcObsScope::open(&self.methods[method_idx].vcs[vc_index].description);
         let start = Instant::now();
         let method = &self.methods[method_idx];

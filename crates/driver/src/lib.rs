@@ -684,6 +684,10 @@ mod tests {
             "{:?}",
             batch.reports[1].solver
         );
+        // A fresh session per VC has no prelude, so it reuses none.
+        for r in &sequential {
+            assert_eq!(r.solver.prelude_reused, 0, "{}", r.method);
+        }
     }
 
     #[test]

@@ -192,8 +192,6 @@ pub struct IncrementalSolver {
     /// The solver as it was when the open method scope of a warm pool was
     /// pushed, if one is open; its pop restores it.
     method: Option<Box<IncrementalSolver>>,
-    /// Roots asserted so far, for the prelude-reuse counters.
-    asserted_roots: FxHashSet<TermId>,
     /// *Tracked* assertions ([`IncrementalSolver::assert_tracked`]), in
     /// assertion order: caller-chosen tag and the activation variable guarding
     /// the assertion's clauses. A check assumes all of them, and an Unsat
@@ -252,7 +250,6 @@ impl IncrementalSolver {
             stats: SolverStats::default(),
             model: None,
             method: None,
-            asserted_roots: FxHashSet::default(),
             tracked: Vec::new(),
             last_core: Vec::new(),
             pending_reused: 0,
@@ -364,14 +361,7 @@ impl IncrementalSolver {
             self.saw_quantifier = true;
             return;
         }
-        // Reuse accounting: a root asserted before (e.g. a structure-common
-        // hypothesis re-asserted by the next method of a warm pool) hits
-        // every lowering/CNF cache below and only costs a guarded clause.
-        if self.asserted_roots.insert(t) {
-            self.pending_lowered += 1;
-        } else {
-            self.pending_reused += 1;
-        }
+        self.pending_lowered += 1;
         let lower_start = std::time::Instant::now();
         let batch = {
             let _obs = ids_obs::span("lower");
@@ -420,11 +410,7 @@ impl IncrementalSolver {
             self.saw_quantifier = true;
             return;
         }
-        if self.asserted_roots.insert(t) {
-            self.pending_lowered += 1;
-        } else {
-            self.pending_reused += 1;
-        }
+        self.pending_lowered += 1;
         let lower_start = std::time::Instant::now();
         let batch = {
             let _obs = ids_obs::span("lower");
@@ -907,10 +893,11 @@ mod tests {
     }
 
     #[test]
-    fn method_scope_rollback_forgets_residue_reuse() {
-        // A residue hypothesis re-asserted by the next method counts as
-        // *lowered* again (its lowering state was rolled back); a
-        // structure-scope hypothesis re-asserted counts as *reused*.
+    fn prelude_reuse_counts_only_what_a_pool_credits() {
+        // Every assertion counts as lowered, a repeated one too (a guard, a
+        // negated goal or a repeated hypothesis is no prelude); only the
+        // prelude a pool answers from structure scope without asserting it,
+        // credited through `note_prelude_reuse`, counts as reused.
         let mut tm = TermManager::new();
         let x = tm.var("x", Sort::Int);
         let zero = tm.int(0);
@@ -921,21 +908,23 @@ mod tests {
         s.assert(&mut tm, ge0);
         assert_eq!(s.check(&mut tm), SatResult::Sat);
         assert_eq!(s.stats().prelude_lowered, 1);
+        assert_eq!(s.stats().prelude_reused, 0);
 
         s.push_method_scope();
-        s.assert(&mut tm, ge1); // fresh residue
-        s.assert(&mut tm, ge0); // structure-scope formula, reused
+        s.note_prelude_reuse(1); // the structure-scope `ge0`
+        s.assert(&mut tm, ge1);
+        s.assert(&mut tm, ge0); // asserted again: lowered, not reused
         assert_eq!(s.check(&mut tm), SatResult::Sat);
-        assert_eq!(s.stats().prelude_lowered, 1);
+        assert_eq!(s.stats().prelude_lowered, 2);
         assert_eq!(s.stats().prelude_reused, 1);
         s.pop_method_scope();
 
-        s.push_method_scope();
-        s.assert(&mut tm, ge1); // rolled back: lowered again
+        s.push();
+        s.assert(&mut tm, ge1);
         assert_eq!(s.check(&mut tm), SatResult::Sat);
         assert_eq!(s.stats().prelude_lowered, 1);
         assert_eq!(s.stats().prelude_reused, 0);
-        s.pop_method_scope();
+        s.pop();
     }
 
     #[test]

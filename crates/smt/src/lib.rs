@@ -81,7 +81,7 @@ pub use sat::{ClauseDbOptions, SatOptions, SatResult};
 pub use simplex::PivotRule;
 pub use smtlib::to_smtlib;
 pub use solver::{SolverConfig, SolverProfile, SolverStats};
-pub use term::{Op, Sort, Term, TermId, TermManager};
+pub use term::{Op, Sort, Term, TermId, TermManager, TermMark};
 
 /// Parses the zero-padded lowercase-hex `u64` emitted by the build script.
 /// (`u64::from_str_radix` is not yet usable in const items; this is the

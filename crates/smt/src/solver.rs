@@ -138,11 +138,12 @@ pub struct SolverStats {
     /// and building the check's live-atom table and watch lists. Merge:
     /// **sum**.
     pub setup_time: std::time::Duration,
-    /// Assertions answered from already-lowered session state (a warm solver
-    /// pool's structure-scope prelude, or any re-asserted formula whose
-    /// lowering and CNF encoding were still live). Merge: **sum**.
+    /// Prelude hypotheses a warm solver pool answered from its
+    /// structure-scope state instead of asserting them again
+    /// ([`crate::IncrementalSolver::note_prelude_reuse`]). Merge: **sum**.
     pub prelude_reused: u64,
-    /// Assertions lowered and clause-converted fresh. Merge: **sum**.
+    /// Assertions lowered and clause-converted (every `assert` and
+    /// `assert_tracked`). Merge: **sum**.
     pub prelude_lowered: u64,
     /// SAT-core restarts. Merge: **sum**.
     pub restarts: u64,

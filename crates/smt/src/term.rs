@@ -1114,6 +1114,42 @@ mod tests {
         }
     }
 
+    /// What `tm` does from here on: ids of a fixed mix of new and existing
+    /// terms and a fresh name.
+    fn continue_building(tm: &mut TermManager, x: TermId) -> (Vec<TermId>, String) {
+        let one = tm.int(1);
+        let s = tm.add(x, one);
+        let le = tm.le(s, x);
+        let w = tm.fresh_var("w", Sort::Int);
+        let again = tm.le(s, x);
+        let conj = tm.and2(le, again);
+        (vec![one, s, le, w, again, conj], tm.fresh_name("n"))
+    }
+
+    #[test]
+    fn truncate_to_restores_the_manager_at_the_mark() {
+        let mut tm = TermManager::new();
+        let x = tm.var("x", Sort::Int);
+        let _ = tm.fresh_var("v", Sort::Loc);
+        let mark = tm.mark();
+        let mut reference = tm.clone();
+        let expected = continue_building(&mut reference, x);
+
+        // Terms and names made after the mark, some sharing chains with
+        // older terms, are forgotten.
+        let y = tm.var("y", Sort::Int);
+        let two = tm.int(2);
+        let _ = tm.add(x, y);
+        let _ = tm.le(two, y);
+        let _ = continue_building(&mut tm, y);
+        tm.truncate_to(mark);
+        assert_eq!(tm.mark(), mark);
+        assert_eq!(continue_building(&mut tm, x), expected);
+        assert_eq!(tm.len(), reference.len());
+        // Terms from before the mark still intern to their ids.
+        assert_eq!(tm.var("x", Sort::Int), x);
+    }
+
     #[test]
     fn subterms_collects_all() {
         let mut tm = TermManager::new();

@@ -31,7 +31,10 @@ const METHODS: [&str; 4] = ["insert_front", "find", "set_key", "delete_front"];
 use VcVerdict::Valid;
 
 /// Recorded while axiom instances were still asserted as terms; their
-/// clausal form left every row unchanged.
+/// clausal form left every row unchanged. Rows `delete_front` 4–7 each
+/// gained one theory propagation when the pool began to roll its term
+/// manager back with each method scope: the terms the earlier methods'
+/// checks create no longer renumber the later methods' terms.
 #[rustfmt::skip]
 const PINNED: [Row; 23] = [
     ("insert_front", 0, Valid, [7, 0, 29, 0, 0, 18, 26, 1, 0]),
@@ -53,10 +56,10 @@ const PINNED: [Row; 23] = [
     ("delete_front", 1, Valid, [28, 0, 97, 0, 0, 132, 253, 3, 0]),
     ("delete_front", 2, Valid, [168, 2, 564, 2, 3, 904, 1502, 81, 20]),
     ("delete_front", 3, Valid, [366, 9, 1649, 5, 33, 1310, 2345, 430, 66]),
-    ("delete_front", 4, Valid, [137, 1, 999, 1, 11, 2763, 5915, 235, 30]),
-    ("delete_front", 5, Valid, [93, 0, 869, 0, 0, 2763, 5917, 234, 30]),
-    ("delete_front", 6, Valid, [204, 4, 1569, 4, 19, 2766, 5919, 454, 48]),
-    ("delete_front", 7, Valid, [162, 2, 1315, 2, 18, 2869, 6275, 377, 39]),
+    ("delete_front", 4, Valid, [137, 1, 999, 1, 11, 2763, 5915, 236, 30]),
+    ("delete_front", 5, Valid, [93, 0, 869, 0, 0, 2763, 5917, 235, 30]),
+    ("delete_front", 6, Valid, [204, 4, 1569, 4, 19, 2766, 5919, 455, 48]),
+    ("delete_front", 7, Valid, [162, 2, 1315, 2, 18, 2869, 6275, 378, 39]),
 ];
 
 /// Recorded before the online theory layer was split into its EUF,
@@ -135,7 +138,7 @@ fn ci_slice_search_is_pinned() {
     // The totals `ids-verify suite --jobs 1 --json` reports for the slice.
     assert_eq!(
         totals(&rows),
-        [3339, 54, 21291, 36, 188, 40166, 71290, 7750, 1234]
+        [3339, 54, 21291, 36, 188, 40166, 71290, 7754, 1234]
     );
 }
 
