@@ -185,19 +185,11 @@ pub fn tokenize(src: &str) -> Result<Vec<SpannedTok>, LexError> {
             while i < n && chars[i].is_ascii_digit() {
                 i += 1;
             }
-            let digits = &chars[start..i];
-            let value = digits
-                .iter()
-                .try_fold(0i128, |v, d| {
-                    v.checked_mul(10)?.checked_add(i128::from(d.to_digit(10)?))
-                })
-                .ok_or_else(|| LexError {
-                    message: format!(
-                        "integer literal out of range: {}",
-                        digits.iter().collect::<String>()
-                    ),
-                    line,
-                })?;
+            let text: String = chars[start..i].iter().collect();
+            let value = text.parse::<i128>().map_err(|_| LexError {
+                message: format!("integer literal out of range: {}", text),
+                line,
+            })?;
             out.push(SpannedTok {
                 tok: Tok::Int(value),
                 line,

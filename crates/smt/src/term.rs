@@ -241,6 +241,11 @@ pub struct TermMark {
     fresh_counter: u64,
 }
 
+/// The interning index's hash of a term with this head and arguments.
+fn index_hash(head: Head<'_>, args: &[TermId]) -> u64 {
+    FxBuildHasher.hash_one((head.normal(), args))
+}
+
 /// True if `sort` is `Set(elem)`.
 fn is_set_of(sort: &Sort, elem: &Sort) -> bool {
     matches!(sort, Sort::Set(e) if **e == *elem)
@@ -288,7 +293,7 @@ impl TermManager {
         // Newest first: each dropped term heads its chain when it goes.
         for id in (mark.len..self.terms.len()).rev() {
             let t = &self.terms[id];
-            let hash = FxBuildHasher.hash_one((Head::Op(&t.op).normal(), &t.args[..]));
+            let hash = index_hash(Head::Op(&t.op), &t.args);
             match self.older[id] {
                 NO_TERM => self.index.remove(&hash),
                 older => self.index.insert(hash, older),
@@ -315,7 +320,7 @@ impl TermManager {
         args: &[TermId],
         is_sort: impl Fn(&Sort) -> bool,
     ) -> Result<TermId, Slot> {
-        let hash = FxBuildHasher.hash_one((head.normal(), args));
+        let hash = index_hash(head, args);
         let newest = self.index.get(&hash).copied().unwrap_or(NO_TERM);
         let mut id = newest;
         while id != NO_TERM {
@@ -637,15 +642,13 @@ impl TermManager {
 
     /// The empty set of the given element sort.
     pub fn empty_set(&mut self, elem: Sort) -> TermId {
-        let op = Op::EmptySet(elem);
-        let Op::EmptySet(elem) = &op else {
-            unreachable!()
-        };
-        match self.find(Head::Op(&op), &[], |s| is_set_of(s, elem)) {
+        match self.find(Head::Op(&Op::EmptySet(elem.clone())), &[], |s| {
+            is_set_of(s, &elem)
+        }) {
             Ok(id) => id,
             Err(slot) => {
-                let sort = Sort::set_of(elem.clone());
-                self.insert(slot, op, Vec::new(), sort)
+                let op = Op::EmptySet(elem.clone());
+                self.insert(slot, op, Vec::new(), Sort::set_of(elem))
             }
         }
     }
