@@ -42,7 +42,7 @@ impl std::error::Error for TypeError {}
 pub fn check_program(program: &Program) -> Result<(), TypeError> {
     let mut field_names = HashMap::new();
     for f in &program.fields {
-        if field_names.insert(f.name.clone(), f.ty).is_some() {
+        if field_names.insert(f.name.as_str(), f.ty).is_some() {
             return Err(TypeError {
                 message: format!("duplicate field '{}'", f.name),
                 procedure: None,
@@ -60,7 +60,7 @@ pub fn check_program(program: &Program) -> Result<(), TypeError> {
 
 struct Ctx<'a> {
     program: &'a Program,
-    vars: HashMap<String, Type>,
+    vars: HashMap<&'a str, Type>,
 }
 
 impl<'a> Ctx<'a> {
@@ -83,13 +83,13 @@ impl<'a> Ctx<'a> {
     }
 }
 
-fn check_procedure(program: &Program, proc: &Procedure) -> Result<(), TypeError> {
+fn check_procedure<'a>(program: &'a Program, proc: &'a Procedure) -> Result<(), TypeError> {
     let mut ctx = Ctx {
         program,
         vars: HashMap::new(),
     };
     for p in proc.params.iter().chain(proc.returns.iter()) {
-        ctx.vars.insert(p.name.clone(), p.ty);
+        ctx.vars.insert(&p.name, p.ty);
     }
     for r in &proc.requires {
         expect_type(&mut ctx, r, Type::Bool)?;
@@ -115,11 +115,11 @@ fn check_procedure(program: &Program, proc: &Procedure) -> Result<(), TypeError>
     Ok(())
 }
 
-fn collect_locals(ctx: &mut Ctx<'_>, block: &Block) -> Result<(), TypeError> {
+fn collect_locals<'a>(ctx: &mut Ctx<'a>, block: &'a Block) -> Result<(), TypeError> {
     for s in &block.stmts {
         match s {
             Stmt::VarDecl { name, ty, .. } => {
-                ctx.vars.insert(name.clone(), *ty);
+                ctx.vars.insert(name, *ty);
             }
             Stmt::If {
                 then_branch,
@@ -215,7 +215,7 @@ fn check_stmt(ctx: &mut Ctx<'_>, stmt: &Stmt) -> Result<(), TypeError> {
         }
         Stmt::Call { lhs, proc, args } => {
             let callee = match ctx.program.procedure(proc) {
-                Some(p) => p.clone(),
+                Some(p) => p,
                 None => return ctx.err(format!("call to unknown procedure '{}'", proc)),
             };
             if callee.params.len() != args.len() {
@@ -266,7 +266,7 @@ fn check_stmt(ctx: &mut Ctx<'_>, stmt: &Stmt) -> Result<(), TypeError> {
                     }
                     expect_type(ctx, &args[0], Type::Loc)?;
                     let field = match &args[1] {
-                        Expr::Var(f) => f.clone(),
+                        Expr::Var(f) => f,
                         _ => return ctx.err("second argument of Mut must be a field name"),
                     };
                     let fty = match ctx.program.field(&field) {
