@@ -241,11 +241,6 @@ pub struct TermMark {
     fresh_counter: u64,
 }
 
-/// The interning index's hash of a term with this head and arguments.
-fn index_hash(head: Head<'_>, args: &[TermId]) -> u64 {
-    FxBuildHasher.hash_one((head.normal(), args))
-}
-
 /// True if `sort` is `Set(elem)`.
 fn is_set_of(sort: &Sort, elem: &Sort) -> bool {
     matches!(sort, Sort::Set(e) if **e == *elem)
@@ -290,14 +285,17 @@ impl TermManager {
     /// so the manager then numbers terms and names exactly as it did at
     /// the mark.
     pub fn truncate_to(&mut self, mark: TermMark) {
-        // Newest first: each dropped term heads its chain when it goes.
-        for id in (mark.len..self.terms.len()).rev() {
-            let t = &self.terms[id];
-            let hash = index_hash(Head::Op(&t.op), &t.args);
-            match self.older[id] {
-                NO_TERM => self.index.remove(&hash),
-                older => self.index.insert(hash, older),
-            };
+        if self.terms.len() > mark.len {
+            // Chains run newest first: each entry moves to its newest kept
+            // term. One sweep of the index costs less than rehashing every
+            // dropped term when a method created many.
+            let (older, kept) = (&self.older, mark.len as u32);
+            self.index.retain(|_, newest| {
+                while *newest != NO_TERM && *newest >= kept {
+                    *newest = older[*newest as usize];
+                }
+                *newest != NO_TERM
+            });
         }
         self.terms.truncate(mark.len);
         self.older.truncate(mark.len);
@@ -320,7 +318,7 @@ impl TermManager {
         args: &[TermId],
         is_sort: impl Fn(&Sort) -> bool,
     ) -> Result<TermId, Slot> {
-        let hash = index_hash(head, args);
+        let hash = FxBuildHasher.hash_one((head.normal(), args));
         let newest = self.index.get(&hash).copied().unwrap_or(NO_TERM);
         let mut id = newest;
         while id != NO_TERM {
@@ -1138,8 +1136,10 @@ mod tests {
         let mut reference = tm.clone();
         let expected = continue_building(&mut reference, x);
 
-        // Terms and names made after the mark, some sharing chains with
-        // older terms, are forgotten.
+        // Terms and names made after the mark are forgotten; `x: Loc`
+        // heads the index chain of the older `x: Int` (the sort is not
+        // hashed) until then.
+        let _ = tm.var("x", Sort::Loc);
         let y = tm.var("y", Sort::Int);
         let two = tm.int(2);
         let _ = tm.add(x, y);
