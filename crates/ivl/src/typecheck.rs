@@ -269,7 +269,7 @@ fn check_stmt(ctx: &mut Ctx<'_>, stmt: &Stmt) -> Result<(), TypeError> {
                         Expr::Var(f) => f,
                         _ => return ctx.err("second argument of Mut must be a field name"),
                     };
-                    let fty = match ctx.program.field(&field) {
+                    let fty = match ctx.program.field(field) {
                         Some(f) => f.ty,
                         None => return ctx.err(format!("unknown field '{}' in Mut", field)),
                     };
