@@ -11,8 +11,8 @@
 //! outside the declared impact set. The triple is quantifier-free and
 //! decidable; this module builds it as an IVL procedure and discharges it with
 //! the standard pipeline. The paper reports these checks take under 3 seconds
-//! per data structure — the `impact_times` bench harness reproduces that
-//! measurement.
+//! per data structure; `ids-verify impact` reproduces that measurement over
+//! the registry.
 
 use std::time::{Duration, Instant};
 

@@ -66,4 +66,3 @@ pub mod wellbehaved;
 
 pub use ids::IntrinsicDefinition;
 pub use pipeline::{verify_method, MethodReport, PipelineConfig};
-pub use report::Table2Row;

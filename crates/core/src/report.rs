@@ -1,52 +1,13 @@
 //! Table-2-shaped reporting of verification results.
 
 use std::fmt::Write as _;
-use std::time::Duration;
 
 use crate::pipeline::MethodReport;
 
-/// One row of the reproduction of Table 2.
-#[derive(Clone, Debug)]
-pub struct Table2Row {
-    /// Data structure name.
-    pub structure: String,
-    /// Local-condition size (number of conjuncts).
-    pub lc_size: usize,
-    /// Method name.
-    pub method: String,
-    /// Executable lines of code.
-    pub loc: usize,
-    /// Specification lines.
-    pub spec: usize,
-    /// Annotation (ghost code) lines.
-    pub annotations: usize,
-    /// Verification time.
-    pub time: Duration,
-    /// Whether the method verified.
-    pub verified: bool,
-    /// Number of VCs discharged.
-    pub vcs: usize,
-}
-
-impl From<&MethodReport> for Table2Row {
-    fn from(r: &MethodReport) -> Self {
-        Table2Row {
-            structure: r.structure.clone(),
-            lc_size: r.lc_size,
-            method: r.method.clone(),
-            loc: r.loc,
-            spec: r.spec,
-            annotations: r.annotations,
-            time: r.duration,
-            verified: r.outcome.is_verified(),
-            vcs: r.num_vcs,
-        }
-    }
-}
-
-/// Formats rows as an aligned text table in the layout of the paper's Table 2
-/// (data structure, LC size, method, LOC+Spec+Ann, verification time).
-pub fn format_table(rows: &[Table2Row]) -> String {
+/// Formats reports as an aligned text table in the layout of the paper's
+/// Table 2 (data structure, LC size, method, LOC+Spec+Ann, verification
+/// time).
+pub fn format_table(reports: &[MethodReport]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -54,7 +15,7 @@ pub fn format_table(rows: &[Table2Row]) -> String {
         "Data Structure", "LC", "Method", "LOC", "Spec", "Ann", "Time(s)", "VCs"
     );
     let _ = writeln!(out, "{}", "-".repeat(100));
-    for r in rows {
+    for r in reports {
         let _ = writeln!(
             out,
             "{:<28} {:>3}  {:<22} {:>4} {:>5} {:>4}  {:>9.3}  {:>4}  {}",
@@ -64,31 +25,13 @@ pub fn format_table(rows: &[Table2Row]) -> String {
             r.loc,
             r.spec,
             r.annotations,
-            r.time.as_secs_f64(),
-            r.vcs,
-            if r.verified { "verified" } else { "FAILED" }
-        );
-    }
-    out
-}
-
-/// Formats rows as machine-readable CSV.
-pub fn format_csv(rows: &[Table2Row]) -> String {
-    let mut out =
-        String::from("structure,lc_size,method,loc,spec,annotations,time_s,vcs,verified\n");
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{:.6},{},{}",
-            r.structure,
-            r.lc_size,
-            r.method,
-            r.loc,
-            r.spec,
-            r.annotations,
-            r.time.as_secs_f64(),
-            r.vcs,
-            r.verified
+            r.duration.as_secs_f64(),
+            r.num_vcs,
+            if r.outcome.is_verified() {
+                "verified"
+            } else {
+                "FAILED"
+            }
         );
     }
     out
@@ -97,39 +40,46 @@ pub fn format_csv(rows: &[Table2Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
-    fn row(structure: &str, method: &str) -> Table2Row {
-        Table2Row {
+    fn report(structure: &str, method: &str, verified: bool) -> MethodReport {
+        MethodReport {
             structure: structure.into(),
-            lc_size: 8,
             method: method.into(),
+            outcome: if verified {
+                ids_vcgen::VerifyOutcome::Verified { vcs: 7 }
+            } else {
+                ids_vcgen::VerifyOutcome::Refuted {
+                    failed: "ensures#0".into(),
+                }
+            },
+            num_vcs: 7,
+            duration: Duration::from_millis(1234),
             loc: 4,
             spec: 11,
             annotations: 10,
-            time: Duration::from_millis(1234),
-            verified: true,
-            vcs: 7,
+            lc_size: 8,
+            wellbehaved_violations: Vec::new(),
+            ghost_violations: Vec::new(),
+            solver: Default::default(),
+            cached_vcs: 0,
+            vc_reports: Vec::new(),
         }
     }
 
     #[test]
     fn table_formatting_contains_rows() {
-        let rows = vec![
-            row("Singly-Linked List", "Append"),
-            row("Sorted List", "Insert"),
+        let reports = vec![
+            report("Singly-Linked List", "Append", true),
+            report("Sorted List", "Insert", false),
         ];
-        let text = format_table(&rows);
-        assert!(text.contains("Singly-Linked List"));
-        assert!(text.contains("Insert"));
-        assert!(text.contains("verified"));
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let rows = vec![row("AVL Tree", "Balance")];
-        let csv = format_csv(&rows);
-        assert_eq!(csv.lines().count(), 2);
-        assert!(csv.starts_with("structure,"));
-        assert!(csv.contains("AVL Tree,8,Balance"));
+        let text = format_table(&reports);
+        let rows: Vec<&str> = text.lines().skip(2).collect();
+        assert_eq!(rows.len(), 2, "{}", text);
+        assert!(rows[0].starts_with("Singly-Linked List"), "{}", rows[0]);
+        assert!(rows[0].contains("Append"), "{}", rows[0]);
+        assert!(rows[0].contains("1.234"), "{}", rows[0]);
+        assert!(rows[0].ends_with("verified"), "{}", rows[0]);
+        assert!(rows[1].ends_with("FAILED"), "{}", rows[1]);
     }
 }

@@ -1,21 +1,25 @@
 //! `ids-verify` — command-line front end of the parallel batch verifier.
 //!
 //! ```text
-//! ids-verify suite  [--quick] [--jobs N] [--cache PATH] [--json] [--quantified]
+//! ids-verify suite  [--structure NAME] [--method NAME] [--jobs N]
+//!                   [--cache PATH] [--json] [--quantified]
 //! ids-verify verify <FILE> [--structure NAME] [--method NAME]
 //!                   [--jobs N] [--cache PATH] [--json] [--quantified]
+//! ids-verify impact [--structure NAME]
 //! ids-verify compare <BASE> <NEW> [--threshold-pct P] [--threshold-ms MS]
 //!                   [--advisory-timing] [--json]
 //! ids-verify history <LEDGER> [--structure NAME] [--method NAME]
 //! ```
 //!
 //! `suite` runs the Table-2 registry (optionally filtered by `--structure` /
-//! `--method`); `verify` runs one IVL file, either stand-alone or merged with
-//! a registry structure's definition. `compare` and `history` read run-ledger
-//! files (`--ledger`) for longitudinal performance analysis.
-//! Exit code 0 = everything verified, 1 = some method failed or was
-//! undecided (for `compare`: a regression or verdict change), 2 = usage or
-//! pipeline error.
+//! `--method`), and with `--quantified` the RQ3 encoding; `verify` runs one
+//! IVL file, either stand-alone or merged with a registry structure's
+//! definition; `impact` checks the registry's declared impact sets
+//! (Appendix C). `compare` and `history` read run-ledger files (`--ledger`)
+//! for longitudinal performance analysis.
+//! Exit code 0 = everything verified, 1 = some method (for `impact`: some
+//! impact set) failed or was undecided (for `compare`: a regression or
+//! verdict change), 2 = usage or pipeline error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -23,12 +27,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use ids_core::impact::check_impact_sets;
 use ids_core::pipeline::{ExpandedStructure, PipelineConfig, VcVerdict};
-use ids_core::report::{format_table, Table2Row};
+use ids_core::report::format_table;
 use ids_driver::json::Json;
 use ids_driver::{ledger, verify_selections, verify_tasks, BatchReport, DriverConfig, Selection};
 use ids_smt::SolverStats;
-use ids_structures::{all_benchmarks, quick_benchmarks};
+use ids_structures::{all_benchmarks, Benchmark};
 use ids_vcgen::Encoding;
 
 /// Counts heap allocations for `--json`'s `stats`.
@@ -41,6 +46,9 @@ ids-verify — parallel batch verification of intrinsically defined data structu
 USAGE:
     ids-verify suite  [OPTIONS]          verify the whole Table-2 registry
     ids-verify verify <FILE> [OPTIONS]   verify every procedure of an IVL file
+    ids-verify impact [--structure NAME] prove each registry structure's
+                                         declared impact sets correct
+                                         (exit 1 if one is not)
     ids-verify compare <BASE> <NEW>      join two run-ledger files per VC and
                                          report solve-time regressions with
                                          phase attribution (exit 1 on
@@ -91,9 +99,8 @@ OPTIONS:
                        (default 50)
     --advisory-timing  (compare) report timing regressions without failing;
                        only verdict changes exit nonzero (cross-machine CI)
-    --quick            (suite) only the quick benchmark subset
-    --structure NAME   (suite) only structures whose name contains NAME
-                       (substring match, case-insensitive);
+    --structure NAME   (suite, impact) only structures whose name contains
+                       NAME (substring match, case-insensitive);
                        (verify) merge the file with this registry structure's
                        definition; (history) filter rows by NAME
     --method NAME      only this method; repeatable; (history) filter rows
@@ -114,7 +121,6 @@ struct Options {
     threshold_pct: Option<f64>,
     threshold_ms: Option<f64>,
     advisory_timing: bool,
-    quick: bool,
     structure: Option<String>,
     methods: Vec<String>,
     positional: Vec<String>,
@@ -142,7 +148,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         threshold_pct: None,
         threshold_ms: None,
         advisory_timing: false,
-        quick: false,
         structure: None,
         methods: Vec::new(),
         positional: Vec::new(),
@@ -201,7 +206,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 );
             }
             "--advisory-timing" => o.advisory_timing = true,
-            "--quick" => o.quick = true,
             "--structure" => o.structure = Some(value_of("--structure")?),
             "--method" => o.methods.push(value_of("--method")?),
             "-h" | "--help" => return Err(String::new()),
@@ -490,6 +494,7 @@ fn main() -> ExitCode {
     match command.as_str() {
         "suite" => run_suite(&options),
         "verify" => run_verify(&options),
+        "impact" => run_impact(&options),
         "compare" => run_compare(&options),
         "history" => run_history(&options),
         "-h" | "--help" => {
@@ -503,24 +508,34 @@ fn main() -> ExitCode {
     }
 }
 
-fn run_suite(options: &Options) -> ExitCode {
+/// The registry structures a `suite` or `impact` run covers: those whose
+/// name contains `--structure`, if given. Positional arguments and a filter
+/// that matches nothing are usage errors.
+fn registry(command: &str, options: &Options) -> Result<Vec<Benchmark>, ExitCode> {
     if !options.positional.is_empty() {
-        eprintln!("error: 'suite' takes no positional arguments\n\n{}", USAGE);
-        return ExitCode::from(2);
+        eprintln!(
+            "error: '{}' takes no positional arguments\n\n{}",
+            command, USAGE
+        );
+        return Err(ExitCode::from(2));
     }
-    let mut benchmarks = if options.quick {
-        quick_benchmarks()
-    } else {
-        all_benchmarks()
-    };
+    let mut benchmarks = all_benchmarks();
     if let Some(wanted) = &options.structure {
         let needle = wanted.to_lowercase();
         benchmarks.retain(|b| b.name.to_lowercase().contains(&needle));
         if benchmarks.is_empty() {
             eprintln!("error: no registry structure matches '{}'", wanted);
-            return ExitCode::from(2);
+            return Err(ExitCode::from(2));
         }
     }
+    Ok(benchmarks)
+}
+
+fn run_suite(options: &Options) -> ExitCode {
+    let benchmarks = match registry("suite", options) {
+        Ok(b) => b,
+        Err(code) => return code,
+    };
     let mut selections: Vec<Selection> = benchmarks.iter().map(Selection::from_benchmark).collect();
     for sel in &mut selections {
         sel.methods.retain(|m| options.method_wanted(m));
@@ -667,6 +682,72 @@ fn run_verify(options: &Options) -> ExitCode {
     let trace_failure = write_trace(options);
     let code = emit(&batch, &config, "verify", options.json);
     trace_failure.unwrap_or(code)
+}
+
+/// `ids-verify impact`: proves each registry structure's declared impact sets
+/// correct (the Appendix C triples, decidable encoding). Prints one row per
+/// structure, then one line per set that was not proved; exits 1 if there is
+/// one.
+fn run_impact(options: &Options) -> ExitCode {
+    let benchmarks = match registry("impact", options) {
+        Ok(b) => b,
+        Err(code) => return code,
+    };
+    println!(
+        "{:<36} {:>5} {:>7} {:>9}",
+        "Data Structure", "sets", "proved", "time (s)"
+    );
+    println!("{}", "-".repeat(60));
+    let start = Instant::now();
+    let (mut sets, mut unproved) = (0, Vec::new());
+    for b in &benchmarks {
+        let checked = Instant::now();
+        let results = check_impact_sets(&b.definition, Encoding::Decidable);
+        let proved = results.iter().filter(|r| r.is_correct()).count();
+        println!(
+            "{:<36} {:>5} {:>7} {:>9.2}",
+            b.name,
+            results.len(),
+            format!("{}/{}", proved, results.len()),
+            checked.elapsed().as_secs_f64()
+        );
+        sets += results.len();
+        unproved.extend(
+            results
+                .into_iter()
+                .filter(|r| !r.is_correct())
+                .map(|r| (b.name, r)),
+        );
+    }
+    println!();
+    for (structure, r) in &unproved {
+        println!(
+            "{}: {} field `{}`{}",
+            match r.outcome {
+                ids_vcgen::VerifyOutcome::Unknown { .. } => "undecided",
+                _ => "refuted",
+            },
+            structure,
+            r.field,
+            if r.secondary {
+                " (secondary local condition)"
+            } else {
+                ""
+            },
+        );
+    }
+    println!(
+        "{} impact sets ({} proved, {} not proved) | wall {:.2}s",
+        sets,
+        sets - unproved.len(),
+        unproved.len(),
+        start.elapsed().as_secs_f64()
+    );
+    if unproved.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
+    }
 }
 
 /// Loads a ledger file for `compare`/`history`, with a uniform error shape.
@@ -946,8 +1027,7 @@ fn emit(batch: &BatchReport, config: &DriverConfig, command: &str, json: bool) -
     if json {
         println!("{}", to_json(batch, config, command));
     } else {
-        let rows: Vec<Table2Row> = batch.reports.iter().map(Table2Row::from).collect();
-        print!("{}", format_table(&rows));
+        print!("{}", format_table(&batch.reports));
         for e in &batch.errors {
             eprintln!("error: [{}::{}] {}", e.structure, e.method, e.message);
         }

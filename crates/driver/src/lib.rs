@@ -28,8 +28,8 @@
 //!    the reported outcome (kind and failing VC alike) is exactly what the
 //!    sequential pipeline reports, regardless of interleaving or cache state.
 //! 4. **Aggregate** — per-VC verdicts fold back into the existing
-//!    [`MethodReport`] / `Table2Row` reporting by scanning results in VC
-//!    order; only VCs past a method's first failure are skipped.
+//!    [`MethodReport`]s by scanning results in VC order; only VCs past a
+//!    method's first failure are skipped.
 //!
 //! The `ids-verify` binary is the command-line front end.
 //!
@@ -247,12 +247,6 @@ impl BatchReport {
     pub fn all_verified(&self) -> bool {
         self.errors.is_empty() && self.reports.iter().all(|r| r.outcome.is_verified())
     }
-}
-
-/// Verifies every method of every benchmark (the full Table-2 run).
-pub fn verify_suite(benchmarks: &[Benchmark], config: &DriverConfig) -> BatchReport {
-    let selections: Vec<Selection> = benchmarks.iter().map(Selection::from_benchmark).collect();
-    verify_selections(&selections, config)
 }
 
 /// Verifies the given selections through the parallel engine.

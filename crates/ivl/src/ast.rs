@@ -175,14 +175,6 @@ impl Expr {
     pub fn bin(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
         Expr::Binary(op, Box::new(lhs), Box::new(rhs))
     }
-
-    /// Convenience constructor for conjunction of many expressions.
-    pub fn and_all(exprs: Vec<Expr>) -> Expr {
-        exprs
-            .into_iter()
-            .reduce(|a, b| Expr::bin(BinOp::And, a, b))
-            .unwrap_or(Expr::BoolLit(true))
-    }
 }
 
 /// The left-hand side of an assignment.

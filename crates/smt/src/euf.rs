@@ -121,11 +121,6 @@ impl EufTemplate {
         }
     }
 
-    /// Number of nodes (distinct sub-terms) in the universe.
-    pub fn num_nodes(&self) -> usize {
-        self.terms.len()
-    }
-
     /// The node of a universe term.
     ///
     /// # Panics

@@ -79,7 +79,6 @@ pub use model::Model;
 pub use rational::Rat;
 pub use sat::{ClauseDbOptions, SatOptions, SatResult};
 pub use simplex::PivotRule;
-pub use smtlib::to_smtlib;
 pub use solver::{SolverConfig, SolverProfile, SolverStats};
 pub use term::{Op, Sort, Term, TermId, TermManager, TermMark};
 

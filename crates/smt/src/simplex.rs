@@ -64,14 +64,6 @@ impl LinExpr {
         }
     }
 
-    /// Adds another expression scaled by `k`.
-    pub fn add_scaled(&mut self, k: Rat, other: &LinExpr) {
-        self.constant += other.constant * k;
-        for (&v, &c) in &other.terms {
-            self.add_term(c * k, v);
-        }
-    }
-
     /// True if the expression has no variables.
     pub fn is_constant(&self) -> bool {
         self.terms.is_empty()

@@ -1,14 +1,7 @@
-//! SMT-LIB 2 rendering of terms and assertion sets.
-//!
-//! The paper cross-checks that the queries Boogie generates are quantifier
-//! free and fall in decidable theories; we reproduce that check by rendering
-//! every verification condition to SMT-LIB and scanning it (see
-//! `ids-vcgen::qfcheck`), and the rendering is also invaluable for debugging
-//! the pipeline.
+//! SMT-LIB 2 rendering of terms (a `Model` renders its atoms with it) and
+//! the quantifier-free check `IncrementalSolver` applies to each assertion.
 
-use std::collections::BTreeMap;
-
-use crate::term::{Op, Sort, TermId, TermManager};
+use crate::term::{Op, TermId, TermManager};
 
 /// Renders a single term to SMT-LIB 2 concrete syntax.
 pub fn term_to_smtlib(tm: &TermManager, t: TermId) -> String {
@@ -101,65 +94,6 @@ fn sanitize(name: &str) -> String {
     }
 }
 
-/// Renders a full `(set-logic …) … (check-sat)` script that asserts all roots.
-///
-/// Free constants and uninterpreted functions are declared; set sorts are
-/// declared as arrays to Bool for compatibility with common solvers.
-pub fn to_smtlib(tm: &TermManager, roots: &[TermId]) -> String {
-    let mut decls: BTreeMap<String, String> = BTreeMap::new();
-    for t in tm.subterms(roots) {
-        let term = tm.term(t);
-        match &term.op {
-            Op::Var(name) => {
-                decls.insert(
-                    sanitize(name),
-                    format!(
-                        "(declare-const {} {})",
-                        sanitize(name),
-                        sort_str(&term.sort)
-                    ),
-                );
-            }
-            Op::App(name) => {
-                let arg_sorts: Vec<String> =
-                    term.args.iter().map(|&a| sort_str(tm.sort(a))).collect();
-                decls.insert(
-                    sanitize(name),
-                    format!(
-                        "(declare-fun {} ({}) {})",
-                        sanitize(name),
-                        arg_sorts.join(" "),
-                        sort_str(&term.sort)
-                    ),
-                );
-            }
-            _ => {}
-        }
-    }
-    let mut out = String::new();
-    out.push_str("(set-logic ALL)\n(declare-sort Loc 0)\n");
-    for d in decls.values() {
-        out.push_str(d);
-        out.push('\n');
-    }
-    for &r in roots {
-        out.push_str(&format!("(assert {})\n", term_to_smtlib(tm, r)));
-    }
-    out.push_str("(check-sat)\n");
-    out
-}
-
-fn sort_str(s: &Sort) -> String {
-    match s {
-        Sort::Bool => "Bool".into(),
-        Sort::Int => "Int".into(),
-        Sort::Real => "Real".into(),
-        Sort::Loc => "Loc".into(),
-        Sort::Set(e) => format!("(Array {} Bool)", sort_str(e)),
-        Sort::Array(a, b) => format!("(Array {} {})", sort_str(a), sort_str(b)),
-    }
-}
-
 /// Returns true if the rendered assertions contain no quantifiers or lambda
 /// binders — the check the paper performs on Boogie's SMT output.
 pub fn is_quantifier_free(tm: &TermManager, roots: &[TermId]) -> bool {
@@ -171,19 +105,7 @@ pub fn is_quantifier_free(tm: &TermManager, roots: &[TermId]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn renders_script() {
-        let mut tm = TermManager::new();
-        let x = tm.var("x", Sort::Int);
-        let one = tm.int(1);
-        let s = tm.add(x, one);
-        let le = tm.le(s, x);
-        let script = to_smtlib(&tm, &[le]);
-        assert!(script.contains("(declare-const x Int)"));
-        assert!(script.contains("(assert (<= (+ x 1) x))"));
-        assert!(script.contains("(check-sat)"));
-    }
+    use crate::term::Sort;
 
     #[test]
     fn quantifier_detection() {

@@ -5,9 +5,10 @@
 //! Each module exposes an [`IntrinsicDefinition`] (ghost monadic maps, local
 //! condition, correlation formula, impact table) together with a file of
 //! annotated methods in IVL surface syntax. [`all_benchmarks`] returns the
-//! registry that the benchmark harness (`ids-bench`) iterates over to
-//! regenerate the paper's tables and figures, and [`buggy`] contains
-//! deliberately broken variants used by the negative tests.
+//! registry that `ids-verify suite` and `ids-verify impact` run to
+//! regenerate the paper's Table 2, RQ3 comparison and impact-set checks,
+//! and [`buggy`] contains deliberately broken variants used by the negative
+//! tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -88,19 +89,6 @@ pub fn all_benchmarks() -> Vec<Benchmark> {
             overlaid::scheduler_queue(),
             overlaid::SCHEDULER_QUEUE_METHODS,
         ),
-    ]
-}
-
-/// A fast subset of the registry (one small method per family) used by smoke
-/// tests and the quickstart example.
-pub fn quick_benchmarks() -> Vec<Benchmark> {
-    vec![
-        benchmark(
-            "Singly-Linked List",
-            lists::singly_linked_list(),
-            lists::SINGLY_LINKED_LIST_METHODS,
-        ),
-        benchmark("Binary Search Tree", trees::bst(), trees::BST_METHODS),
     ]
 }
 
