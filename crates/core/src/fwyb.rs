@@ -1,30 +1,41 @@
-//! Expansion of the fix-what-you-break macro statements and of local-condition
-//! applications.
+//! The fix-what-you-break macro statements and the local-condition
+//! applications, as VC generation instantiates them.
 //!
 //! The verification engineer writes benchmark methods against four macro
-//! statements (§4.1 of the paper); this module turns them into plain IVL so
-//! that `ids-vcgen` can generate verification conditions:
+//! statements (§4.1 of the paper). [`IntrinsicDefinition`] implements
+//! [`Definitions`], the hook through which `ids-vcgen` reads them: VC
+//! generation expands each macro statement into a few plain statements when
+//! it reaches it ([`Definitions::expand_macro`]):
 //!
 //! * `Mut(x, f, v)` — adds the impact set of `f` at `x` to the broken set(s),
 //!   then performs `x.f := v`. Impact terms are evaluated in the pre-mutation
-//!   state (the broken-set updates are emitted *before* the store, which is
-//!   equivalent because the broken set does not live in the heap) and are
-//!   added only when non-nil.
+//!   state (the broken-set updates come *before* the store, with `old(..)`
+//!   stripped, which is equivalent because the broken set does not live in
+//!   the heap) and are added only when non-nil.
 //! * `NewObj(x)` — `x := new();` followed by adding `x` to the broken set(s).
 //! * `AssertLCAndRemove(x)` — if `x != nil`: assert `LC(x)` and remove `x`
 //!   from the broken set. (`AssertLCAndRemove2` uses `LC2`/`Br2`.)
 //! * `InferLCOutsideBr(x)` — assert `x != nil && !(x in Br)`, then assume
 //!   `LC(x)`. (`InferLCOutsideBr2` uses `LC2`/`Br2`.)
 //!
-//! In addition, applications `LC(e)`, `LC2(e)` and `Phi(e, …)` occurring in
-//! contracts, invariants, asserts and assumes are replaced by the instantiated
-//! local condition / correlation formula of the active intrinsic definition.
+//! The applications `LC(e)`, `LC2(e)` and `Phi(e, …)` — in contracts,
+//! invariants, asserts, assumes and the expansions above — stand for the
+//! definition's local conditions and correlation formula. VC generation and
+//! its description printer instantiate them where they meet them, walking
+//! the one shared body with the parameter bound to the argument expression
+//! ([`ids_ivl::instance`]); no substituted copy is built. `LC2(e)`
+//! reads `true` for a definition without a secondary condition.
+//!
+//! [`check_program`] checks every macro use of a program before VC
+//! generation, so that a malformed one is reported for the whole structure.
 
-use ids_ivl::{BinOp, Block, Expr, Lhs, Procedure, Program, Stmt, Type};
+use std::sync::LazyLock;
+
+use ids_ivl::{BinOp, Block, Definition, Definitions, Expr, Lhs, Program, Stmt, Type, UnOp};
 
 use crate::ids::IntrinsicDefinition;
 
-/// Errors during macro expansion.
+/// Errors in a macro statement.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExpandError {
     /// A macro was called with the wrong shape of arguments.
@@ -49,94 +60,222 @@ impl std::fmt::Display for ExpandError {
 
 impl std::error::Error for ExpandError {}
 
-/// Expands every procedure of the program against the intrinsic definition,
-/// returning a macro-free program (prelude fields merged in).
-pub fn expand_program(
+impl Definitions for IntrinsicDefinition {
+    fn definition(&self, name: &str, arity: usize) -> Option<Definition<'_>> {
+        /// `LC` and `LC2` are written over `x`.
+        static LC_PARAMS: LazyLock<[String; 1]> = LazyLock::new(|| ["x".to_string()]);
+        static TRUE: Expr = Expr::BoolLit(true);
+        let lc = |body| {
+            Some(Definition {
+                params: &*LC_PARAMS,
+                body,
+            })
+        };
+        match name {
+            "LC" if arity == 1 => lc(&self.local_condition),
+            "LC2" if arity == 1 => lc(self
+                .secondary
+                .as_ref()
+                .map_or(&TRUE, |s| &s.local_condition)),
+            "Phi" => Some(Definition {
+                params: &self.correlation_params,
+                body: &self.correlation,
+            }),
+            _ => None,
+        }
+    }
+
+    fn expand_macro(&self, name: &str, args: &[Expr]) -> Option<Vec<Stmt>> {
+        expand_macro(self, name, args).ok()
+    }
+}
+
+/// Checks every macro statement of the program's procedures against the
+/// definition, in program order: the first malformed one is the error.
+pub fn check_program(ids: &IntrinsicDefinition, program: &Program) -> Result<(), ExpandError> {
+    program
+        .procedures
+        .iter()
+        .filter_map(|p| p.body.as_ref())
+        .try_for_each(|body| check_block(ids, &body.stmts))
+}
+
+fn check_block(ids: &IntrinsicDefinition, stmts: &[Stmt]) -> Result<(), ExpandError> {
+    for s in stmts {
+        match s {
+            Stmt::Macro { name, args } => {
+                parse_macro(ids, name, args)?;
+            }
+            Stmt::If {
+                then_branch,
+                else_branch,
+                ..
+            } => {
+                check_block(ids, &then_branch.stmts)?;
+                check_block(ids, &else_branch.stmts)?;
+            }
+            Stmt::While { body, .. } => check_block(ids, &body.stmts)?,
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+/// The plain statements of one macro statement, with `LC`/`LC2` left as
+/// applications.
+fn expand_macro(
     ids: &IntrinsicDefinition,
-    methods: &Program,
-) -> Result<Program, ExpandError> {
-    let mut out = ids.prelude();
-    // Keep any extra fields the method file declares (rare, but allowed).
-    for f in &methods.fields {
-        if out.field(&f.name).is_none() {
-            out.fields.push(f.clone());
-        }
-    }
-    for proc in &methods.procedures {
-        out.procedures.push(expand_procedure(ids, proc)?);
-    }
-    Ok(out)
+    name: &str,
+    args: &[Expr],
+) -> Result<Vec<Stmt>, ExpandError> {
+    Ok(parse_macro(ids, name, args)?.statements(ids))
 }
 
-/// Expands one procedure.
-pub fn expand_procedure(
+/// One well-formed macro use, borrowing its arguments.
+enum Macro<'e> {
+    Mut {
+        obj: &'e str,
+        field: &'e str,
+        value: &'e Expr,
+    },
+    NewObj(&'e str),
+    /// `AssertLCAndRemove`, or with `secondary` `AssertLCAndRemove2`.
+    AssertLCAndRemove {
+        target: &'e Expr,
+        secondary: bool,
+    },
+    /// `InferLCOutsideBr`, or with `secondary` `InferLCOutsideBr2`.
+    InferLCOutsideBr {
+        target: &'e Expr,
+        secondary: bool,
+    },
+}
+
+fn parse_macro<'e>(
     ids: &IntrinsicDefinition,
-    proc: &Procedure,
-) -> Result<Procedure, ExpandError> {
-    let expand_all = |es: &[Expr]| es.iter().map(|e| expand_expr(ids, e)).collect();
-    Ok(Procedure {
-        name: proc.name.clone(),
-        params: proc.params.clone(),
-        returns: proc.returns.clone(),
-        requires: expand_all(&proc.requires),
-        ensures: expand_all(&proc.ensures),
-        modifies: proc.modifies.as_ref().map(|e| expand_expr(ids, e)),
-        decreases: proc.decreases.clone(),
-        body: proc
-            .body
-            .as_ref()
-            .map(|b| expand_block(ids, b))
-            .transpose()?,
-    })
-}
-
-fn expand_block(ids: &IntrinsicDefinition, block: &Block) -> Result<Block, ExpandError> {
-    let mut stmts = Vec::new();
-    for s in &block.stmts {
-        stmts.extend(expand_stmt(ids, s)?);
+    name: &str,
+    args: &'e [Expr],
+) -> Result<Macro<'e>, ExpandError> {
+    let bad = |m: &str| Err(ExpandError::BadMacro(m.to_string()));
+    let var = |e: &'e Expr| match e {
+        Expr::Var(v) => Some(v.as_str()),
+        _ => None,
+    };
+    match name {
+        "Mut" => {
+            let [obj, field, value] = args else {
+                return bad("Mut(object, field, value)");
+            };
+            let Some(obj) = var(obj) else {
+                return bad("Mut target must be a variable");
+            };
+            let Some(field) = var(field) else {
+                return bad("Mut field must be a field name");
+            };
+            Ok(Macro::Mut { obj, field, value })
+        }
+        "NewObj" => match args {
+            [target] => var(target).map_or_else(
+                || bad("NewObj target must be a variable"),
+                |v| Ok(Macro::NewObj(v)),
+            ),
+            _ => bad("NewObj(variable)"),
+        },
+        "AssertLCAndRemove" | "AssertLCAndRemove2" | "InferLCOutsideBr" | "InferLCOutsideBr2" => {
+            let [target] = args else {
+                return bad(&format!("{}(object)", name));
+            };
+            let secondary = name.ends_with('2');
+            if secondary && ids.secondary.is_none() {
+                return Err(ExpandError::NoSecondary(name.to_string()));
+            }
+            Ok(if name.starts_with("Assert") {
+                Macro::AssertLCAndRemove { target, secondary }
+            } else {
+                Macro::InferLCOutsideBr { target, secondary }
+            })
+        }
+        other => Err(ExpandError::UnknownMacro(other.to_string())),
     }
-    Ok(Block { stmts })
 }
 
-/// Expands `LC(e)`, `LC2(e)` and `Phi(e, …)` applications inside an expression.
-pub fn expand_expr(ids: &IntrinsicDefinition, e: &Expr) -> Expr {
-    match e {
-        Expr::App(name, args) if name == "LC" && args.len() == 1 => {
-            let target = expand_expr(ids, &args[0]);
-            ids.lc_at(&target)
+impl Macro<'_> {
+    fn statements(&self, ids: &IntrinsicDefinition) -> Vec<Stmt> {
+        match *self {
+            Macro::Mut { obj, field, value } => {
+                let target = Expr::var(obj);
+                let impact = ids.impact_at(field, &target).into_iter().map(|t| ("Br", t));
+                let impact2 = ids
+                    .impact2_at(field, &target)
+                    .into_iter()
+                    .map(|t| ("Br2", t));
+                let mut stmts: Vec<Stmt> = impact
+                    .chain(impact2)
+                    .map(|(br, mut term)| {
+                        strip_old(&mut term);
+                        add_to_broken(br, term)
+                    })
+                    .collect();
+                stmts.push(Stmt::Assign {
+                    lhs: Lhs::Field(obj.to_string(), field.to_string()),
+                    rhs: value.clone(),
+                });
+                stmts
+            }
+            Macro::NewObj(var) => {
+                let mut stmts = vec![
+                    Stmt::Alloc {
+                        lhs: var.to_string(),
+                    },
+                    add_to_broken("Br", Expr::var(var)),
+                ];
+                if ids.secondary.is_some() {
+                    stmts.push(add_to_broken("Br2", Expr::var(var)));
+                }
+                stmts
+            }
+            Macro::AssertLCAndRemove { target, secondary } => {
+                let (lc, br) = condition(secondary);
+                let body = Block {
+                    stmts: vec![
+                        Stmt::Assert(Expr::App(lc.to_string(), vec![target.clone()])),
+                        remove_from_broken(br, target),
+                    ],
+                };
+                vec![Stmt::If {
+                    cond: Expr::bin(BinOp::Ne, target.clone(), Expr::Nil),
+                    then_branch: body,
+                    else_branch: Block::default(),
+                }]
+            }
+            Macro::InferLCOutsideBr { target, secondary } => {
+                let (lc, br) = condition(secondary);
+                let not_nil = Expr::bin(BinOp::Ne, target.clone(), Expr::Nil);
+                let not_in_br = Expr::Unary(
+                    UnOp::Not,
+                    Box::new(Expr::bin(BinOp::Member, target.clone(), Expr::var(br))),
+                );
+                vec![
+                    Stmt::Assert(Expr::bin(BinOp::And, not_nil, not_in_br)),
+                    Stmt::Assume(Expr::App(lc.to_string(), vec![target.clone()])),
+                ]
+            }
         }
-        Expr::App(name, args) if name == "LC2" && args.len() == 1 => {
-            let target = expand_expr(ids, &args[0]);
-            ids.lc2_at(&target).unwrap_or(Expr::BoolLit(true))
-        }
-        Expr::App(name, args) if name == "Phi" => {
-            let targets: Vec<Expr> = args.iter().map(|a| expand_expr(ids, a)).collect();
-            ids.correlation_at(&targets)
-        }
-        Expr::Field(obj, f) => Expr::Field(Box::new(expand_expr(ids, obj)), f.clone()),
-        Expr::Old(inner) => Expr::Old(Box::new(expand_expr(ids, inner))),
-        Expr::Unary(op, inner) => Expr::Unary(*op, Box::new(expand_expr(ids, inner))),
-        Expr::Binary(op, a, b) => Expr::Binary(
-            *op,
-            Box::new(expand_expr(ids, a)),
-            Box::new(expand_expr(ids, b)),
-        ),
-        Expr::Ite(c, t, f) => Expr::Ite(
-            Box::new(expand_expr(ids, c)),
-            Box::new(expand_expr(ids, t)),
-            Box::new(expand_expr(ids, f)),
-        ),
-        Expr::Singleton(inner) => Expr::Singleton(Box::new(expand_expr(ids, inner))),
-        Expr::App(name, args) => Expr::App(
-            name.clone(),
-            args.iter().map(|a| expand_expr(ids, a)).collect(),
-        ),
-        _ => e.clone(),
+    }
+}
+
+/// The local condition and broken set a macro works on: `LC`/`Br`, or for
+/// the `2` variants `LC2`/`Br2`.
+fn condition(secondary: bool) -> (&'static str, &'static str) {
+    if secondary {
+        ("LC2", "Br2")
+    } else {
+        ("LC", "Br")
     }
 }
 
 /// Strips `old(..)` markers from an impact-set term, in place: the
-/// broken-set update is emitted before the mutation, so pre-state values are
+/// broken-set update comes before the mutation, so pre-state values are
 /// read directly.
 fn strip_old(e: &mut Expr) {
     match e {
@@ -179,172 +318,11 @@ fn remove_from_broken(br: &str, term: &Expr) -> Stmt {
     }
 }
 
-fn expand_stmt(ids: &IntrinsicDefinition, stmt: &Stmt) -> Result<Vec<Stmt>, ExpandError> {
-    match stmt {
-        Stmt::Macro { name, args } => expand_macro(ids, name, args),
-        Stmt::Assert(e) => Ok(vec![Stmt::Assert(expand_expr(ids, e))]),
-        Stmt::Assume(e) => Ok(vec![Stmt::Assume(expand_expr(ids, e))]),
-        Stmt::Assign { lhs, rhs } => Ok(vec![Stmt::Assign {
-            lhs: lhs.clone(),
-            rhs: expand_expr(ids, rhs),
-        }]),
-        Stmt::VarDecl {
-            name,
-            ty,
-            ghost,
-            init,
-        } => Ok(vec![Stmt::VarDecl {
-            name: name.clone(),
-            ty: *ty,
-            ghost: *ghost,
-            init: init.as_ref().map(|e| expand_expr(ids, e)),
-        }]),
-        Stmt::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => Ok(vec![Stmt::If {
-            cond: expand_expr(ids, cond),
-            then_branch: expand_block(ids, then_branch)?,
-            else_branch: expand_block(ids, else_branch)?,
-        }]),
-        Stmt::While {
-            cond,
-            invariants,
-            decreases,
-            body,
-        } => Ok(vec![Stmt::While {
-            cond: expand_expr(ids, cond),
-            invariants: invariants.iter().map(|e| expand_expr(ids, e)).collect(),
-            decreases: decreases.as_ref().map(|e| expand_expr(ids, e)),
-            body: expand_block(ids, body)?,
-        }]),
-        Stmt::Call { lhs, proc, args } => Ok(vec![Stmt::Call {
-            lhs: lhs.clone(),
-            proc: proc.clone(),
-            args: args.iter().map(|e| expand_expr(ids, e)).collect(),
-        }]),
-        other => Ok(vec![other.clone()]),
-    }
-}
-
-fn expand_macro(
-    ids: &IntrinsicDefinition,
-    name: &str,
-    args: &[Expr],
-) -> Result<Vec<Stmt>, ExpandError> {
-    match name {
-        "Mut" => {
-            if args.len() != 3 {
-                return Err(ExpandError::BadMacro("Mut(object, field, value)".into()));
-            }
-            let obj = expand_expr(ids, &args[0]);
-            let obj_var = match &obj {
-                Expr::Var(v) => v.clone(),
-                _ => {
-                    return Err(ExpandError::BadMacro(
-                        "Mut target must be a variable".into(),
-                    ))
-                }
-            };
-            let field = match &args[1] {
-                Expr::Var(f) => f.clone(),
-                _ => {
-                    return Err(ExpandError::BadMacro(
-                        "Mut field must be a field name".into(),
-                    ))
-                }
-            };
-            let value = expand_expr(ids, &args[2]);
-            let mut stmts = Vec::new();
-            for mut term in ids.impact_at(&field, &obj) {
-                strip_old(&mut term);
-                stmts.push(add_to_broken("Br", term));
-            }
-            if ids.secondary.is_some() {
-                for mut term in ids.impact2_at(&field, &obj) {
-                    strip_old(&mut term);
-                    stmts.push(add_to_broken("Br2", term));
-                }
-            }
-            stmts.push(Stmt::Assign {
-                lhs: Lhs::Field(obj_var, field),
-                rhs: value,
-            });
-            Ok(stmts)
-        }
-        "NewObj" => {
-            if args.len() != 1 {
-                return Err(ExpandError::BadMacro("NewObj(variable)".into()));
-            }
-            let var = match &args[0] {
-                Expr::Var(v) => v.clone(),
-                _ => {
-                    return Err(ExpandError::BadMacro(
-                        "NewObj target must be a variable".into(),
-                    ))
-                }
-            };
-            let mut stmts = vec![Stmt::Alloc { lhs: var.clone() }];
-            stmts.push(add_to_broken("Br", Expr::var(&var)));
-            if ids.secondary.is_some() {
-                stmts.push(add_to_broken("Br2", Expr::var(&var)));
-            }
-            Ok(stmts)
-        }
-        "AssertLCAndRemove" | "AssertLCAndRemove2" => {
-            if args.len() != 1 {
-                return Err(ExpandError::BadMacro(format!("{}(object)", name)));
-            }
-            let secondary = name.ends_with('2');
-            let target = expand_expr(ids, &args[0]);
-            let lc = if secondary {
-                ids.lc2_at(&target)
-                    .ok_or_else(|| ExpandError::NoSecondary(name.to_string()))?
-            } else {
-                ids.lc_at(&target)
-            };
-            let br = if secondary { "Br2" } else { "Br" };
-            let body = Block {
-                stmts: vec![Stmt::Assert(lc), remove_from_broken(br, &target)],
-            };
-            Ok(vec![Stmt::If {
-                cond: Expr::bin(BinOp::Ne, target, Expr::Nil),
-                then_branch: body,
-                else_branch: Block::default(),
-            }])
-        }
-        "InferLCOutsideBr" | "InferLCOutsideBr2" => {
-            if args.len() != 1 {
-                return Err(ExpandError::BadMacro(format!("{}(object)", name)));
-            }
-            let secondary = name.ends_with('2');
-            let target = expand_expr(ids, &args[0]);
-            let lc = if secondary {
-                ids.lc2_at(&target)
-                    .ok_or_else(|| ExpandError::NoSecondary(name.to_string()))?
-            } else {
-                ids.lc_at(&target)
-            };
-            let br = if secondary { "Br2" } else { "Br" };
-            let not_nil = Expr::bin(BinOp::Ne, target.clone(), Expr::Nil);
-            let not_in_br = Expr::Unary(
-                ids_ivl::UnOp::Not,
-                Box::new(Expr::bin(BinOp::Member, target, Expr::var(br))),
-            );
-            Ok(vec![
-                Stmt::Assert(Expr::bin(BinOp::And, not_nil, not_in_br)),
-                Stmt::Assume(lc),
-            ])
-        }
-        other => Err(ExpandError::UnknownMacro(other.to_string())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ids_ivl::parse_program;
+    use ids_ivl::printer::{expr_to_string, write_expr_in};
 
     fn simple_ids() -> IntrinsicDefinition {
         IntrinsicDefinition::parse(
@@ -358,64 +336,52 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn mut_expands_to_broken_set_updates() {
-        let ids = simple_ids();
-        let program = parse_program(
-            r#"
-            procedure m(a: Loc, b: Loc) {
-              Mut(a, next, b);
-            }
-            "#,
-        )
-        .unwrap();
-        let expanded = expand_program(&ids, &program).unwrap();
-        let body = expanded.procedure("m").unwrap().body.clone().unwrap();
-        // Two impact terms + the store itself.
-        assert_eq!(body.stmts.len(), 3);
-        assert!(
-            matches!(&body.stmts[2], Stmt::Assign { lhs: Lhs::Field(o, f), .. } if o == "a" && f == "next")
-        );
-        // No macros remain.
-        assert!(!format!("{:?}", body).contains("Macro"));
+    fn args(src: &[&str]) -> Vec<Expr> {
+        src.iter()
+            .map(|a| ids_ivl::parse_expr(a).unwrap())
+            .collect()
     }
 
     #[test]
-    fn lc_applications_are_substituted() {
+    fn mut_expands_to_broken_set_updates() {
         let ids = simple_ids();
-        let program = parse_program(
-            r#"
-            procedure m(a: Loc)
-              requires LC(a);
-              ensures LC(a.next);
-            {
-              assert LC(a);
-            }
-            "#,
-        )
-        .unwrap();
-        let expanded = expand_program(&ids, &program).unwrap();
-        let proc = expanded.procedure("m").unwrap();
-        let req = ids_ivl::printer::expr_to_string(&proc.requires[0]);
-        assert!(req.contains("a.length"));
-        let ens = ids_ivl::printer::expr_to_string(&proc.ensures[0]);
-        assert!(ens.contains("a.next.length"));
+        let stmts = expand_macro(&ids, "Mut", &args(&["a", "next", "b"])).unwrap();
+        // Two impact terms + the store itself.
+        assert_eq!(stmts.len(), 3);
+        assert!(
+            matches!(&stmts[2], Stmt::Assign { lhs: Lhs::Field(o, f), .. } if o == "a" && f == "next")
+        );
+        // `old(a.next)` is read before the store, so without `old`.
+        let Stmt::Assign { rhs, .. } = &stmts[1] else {
+            panic!("{:?}", stmts[1]);
+        };
+        assert_eq!(
+            expr_to_string(rhs),
+            "union(Br, ite((a.next == nil), {}, {a.next}))"
+        );
+        // No macros remain.
+        assert!(!format!("{:?}", stmts).contains("Macro"));
+    }
+
+    #[test]
+    fn lc_applications_are_instantiated() {
+        let ids = simple_ids();
+        let print = |src: &str| {
+            let mut out = String::new();
+            write_expr_in(&mut out, &ids_ivl::parse_expr(src).unwrap(), &ids);
+            out
+        };
+        assert!(print("LC(a)").contains("a.length"));
+        assert!(print("LC(a.next)").contains("a.next.length"));
+        // Without a secondary condition `LC2` reads `true`.
+        assert_eq!(print("LC2(a) && Phi(a)"), "(true && true)");
     }
 
     #[test]
     fn assert_lc_and_remove_is_nil_guarded() {
         let ids = simple_ids();
-        let program = parse_program(
-            r#"
-            procedure m(a: Loc) {
-              AssertLCAndRemove(a);
-            }
-            "#,
-        )
-        .unwrap();
-        let expanded = expand_program(&ids, &program).unwrap();
-        let body = expanded.procedure("m").unwrap().body.clone().unwrap();
-        assert!(matches!(&body.stmts[0], Stmt::If { .. }));
+        let stmts = expand_macro(&ids, "AssertLCAndRemove", &args(&["a"])).unwrap();
+        assert!(matches!(&stmts[0], Stmt::If { .. }));
     }
 
     #[test]
@@ -423,7 +389,7 @@ mod tests {
         let ids = simple_ids();
         let program = parse_program("procedure m(a: Loc) { Frobnicate(a); }").unwrap();
         assert!(matches!(
-            expand_program(&ids, &program),
+            check_program(&ids, &program),
             Err(ExpandError::UnknownMacro(_))
         ));
     }
@@ -433,8 +399,77 @@ mod tests {
         let ids = simple_ids();
         let program = parse_program("procedure m(a: Loc) { AssertLCAndRemove2(a); }").unwrap();
         assert!(matches!(
-            expand_program(&ids, &program),
+            check_program(&ids, &program),
             Err(ExpandError::NoSecondary(_))
         ));
+    }
+
+    #[test]
+    fn a_macro_in_a_loop_is_havocked_like_its_expansion() {
+        // The loop cut havocs what the body writes, so a macro in a loop
+        // body must contribute exactly its expansion's targets: the written
+        // program and the one with each macro of the loop replaced by its
+        // statements generate the same terms and VCs.
+        let ids = simple_ids();
+        let mut written = ids.prelude();
+        written.extend(
+            parse_program(
+                r#"
+                procedure m(a: Loc, b: Loc, n: Int)
+                  requires Br == {} && a != nil;
+                {
+                  var i: Int := 0;
+                  var c: Loc;
+                  while (i < n)
+                    invariant i >= 0;
+                  {
+                    NewObj(c);
+                    Mut(a, next, b);
+                    AssertLCAndRemove(a);
+                    i := i + 1;
+                  }
+                  assert Br == {};
+                }
+                "#,
+            )
+            .unwrap(),
+        );
+        let mut expanded = written.clone();
+        let body = expanded.procedures[0].body.as_mut().unwrap();
+        let Some(Stmt::While {
+            body: loop_body, ..
+        }) = body.stmts.get_mut(2)
+        else {
+            panic!("{:?}", body.stmts);
+        };
+        loop_body.stmts = std::mem::take(&mut loop_body.stmts)
+            .into_iter()
+            .flat_map(|s| match s {
+                Stmt::Macro { name, args } => expand_macro(&ids, &name, &args).unwrap(),
+                other => vec![other],
+            })
+            .collect();
+        let generate = |program: &Program| {
+            let mut tm = ids_smt::TermManager::new();
+            let vcs = ids_vcgen::VcGen::with_definitions(program, &ids, Default::default())
+                .method_vcs(&mut tm, "m")
+                .unwrap();
+            (tm, vcs)
+        };
+        let (tm_written, written_vcs) = generate(&written);
+        let (tm_expanded, expanded_vcs) = generate(&expanded);
+        assert_eq!(tm_written.len(), tm_expanded.len());
+        for i in 0..tm_written.len() as u32 {
+            let id = ids_smt::TermId(i);
+            assert_eq!(tm_written.term(id), tm_expanded.term(id), "term {i}");
+        }
+        assert_eq!(written_vcs.hypotheses, expanded_vcs.hypotheses);
+        let shape = |vcs: &ids_vcgen::MethodVcs| -> Vec<_> {
+            vcs.vcs
+                .iter()
+                .map(|vc| (vc.description.clone(), vc.formula))
+                .collect()
+        };
+        assert_eq!(shape(&written_vcs), shape(&expanded_vcs));
     }
 }

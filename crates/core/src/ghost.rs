@@ -90,7 +90,7 @@ fn mentions_ghost(e: &Expr, gvars: &HashSet<String>, gfields: &HashSet<String>) 
     }
 }
 
-/// Checks ghost-code legality for the whole (pre-expansion) program.
+/// Checks ghost-code legality for the whole program as written.
 pub fn check_ghost_legality(program: &Program) -> Vec<GhostViolation> {
     let gfields = ghost_fields(program);
     let mut out = Vec::new();

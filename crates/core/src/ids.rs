@@ -167,27 +167,6 @@ impl IntrinsicDefinition {
         }
     }
 
-    /// The local condition instantiated at the given expression: `LC(target)`.
-    pub fn lc_at(&self, target: &Expr) -> Expr {
-        substitute_var(&self.local_condition, "x", target)
-    }
-
-    /// The secondary local condition instantiated at the given expression.
-    pub fn lc2_at(&self, target: &Expr) -> Option<Expr> {
-        self.secondary
-            .as_ref()
-            .map(|s| substitute_var(&s.local_condition, "x", target))
-    }
-
-    /// The correlation formula instantiated at the given entry points.
-    pub fn correlation_at(&self, targets: &[Expr]) -> Expr {
-        let mut e = self.correlation.clone();
-        for (param, target) in self.correlation_params.iter().zip(targets.iter()) {
-            e = substitute_var(&e, param, target);
-        }
-        e
-    }
-
     /// The number of conjuncts of the local condition (the "LC size" column of
     /// Table 2). Conjunctions are counted recursively through `&&` and the
     /// right-hand sides of implications.
@@ -239,7 +218,8 @@ impl IntrinsicDefinition {
 }
 
 /// Substitutes every free occurrence of the variable `name` in `e` by
-/// `replacement`.
+/// `replacement`. VC generation instantiates definitions without building
+/// this copy; it is the reference that instantiation is tested against.
 pub fn substitute_var(e: &Expr, name: &str, replacement: &Expr) -> Expr {
     match e {
         Expr::Var(v) if v == name => replacement.clone(),
@@ -315,20 +295,24 @@ mod tests {
         assert_eq!(ids.impact_sets.len(), 4);
     }
 
+    /// `src` printed with its applications instantiated against `ids`.
+    fn instantiated(ids: &IntrinsicDefinition, src: &str) -> String {
+        let mut out = String::new();
+        ids_ivl::printer::write_expr_in(&mut out, &parse_expr(src).unwrap(), ids);
+        out
+    }
+
     #[test]
     fn lc_instantiation_substitutes() {
-        let ids = sorted_list_lite();
-        let at_z = ids.lc_at(&Expr::var("z"));
-        let printed = ids_ivl::printer::expr_to_string(&at_z);
+        let printed = instantiated(&sorted_list_lite(), "LC(z)");
         assert!(printed.contains("z.next"));
         assert!(!printed.contains("x.next"));
     }
 
     #[test]
     fn correlation_instantiation() {
-        let ids = sorted_list_lite();
-        let phi = ids.correlation_at(&[Expr::var("head")]);
-        assert_eq!(ids_ivl::printer::expr_to_string(&phi), "(head.prev == nil)");
+        let printed = instantiated(&sorted_list_lite(), "Phi(head)");
+        assert_eq!(printed, "(head.prev == nil)");
     }
 
     #[test]

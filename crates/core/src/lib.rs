@@ -9,15 +9,18 @@
 //!   a declared *impact set* per field (Table 1 / Tables 3–4 of the paper);
 //! * [`impact`] — automatic checking that the declared impact sets are correct
 //!   (the Hoare triple of Appendix C), reduced to decidable VCs;
-//! * [`fwyb`] — expansion of the well-behaved-programming macro statements
-//!   (`Mut`, `NewObj`, `AssertLCAndRemove`, `InferLCOutsideBr`, and their
-//!   second-broken-set variants) into mutations plus broken-set updates, and
-//!   substitution of `LC(e)` / `Phi(e)` applications in specifications;
+//! * [`fwyb`] — the well-behaved-programming macro statements (`Mut`,
+//!   `NewObj`, `AssertLCAndRemove`, `InferLCOutsideBr`, and their
+//!   second-broken-set variants) and the `LC(e)` / `Phi(e)` applications,
+//!   given to VC generation through the [`ids_ivl::Definitions`] hook: a
+//!   macro expands into mutations plus broken-set updates where VC
+//!   generation reaches it, and an application is instantiated where it is
+//!   encoded;
 //! * [`wellbehaved`] — the syntactic discipline of Fig. 2: raw heap mutation,
 //!   allocation, or broken-set manipulation outside the macros is rejected;
 //! * [`ghost`] — legality of ghost code (ghost data never flows into user
 //!   data) and the projection that erases ghost code (Definition 3.3);
-//! * [`pipeline`] — the end-to-end verifier: expand, check, generate VCs with
+//! * [`pipeline`] — the end-to-end verifier: check, generate VCs with
 //!   `ids-vcgen`, discharge them with `ids-smt`, and report per-method
 //!   statistics in the shape of Table 2.
 //!

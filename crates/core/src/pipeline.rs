@@ -5,23 +5,24 @@
 //!   → parse, typecheck
 //!   → well-behavedness check (Fig. 2 discipline)
 //!   → ghost-code legality check
-//!   → macro expansion + LC substitution           (ids-core::fwyb)
-//!   → VC generation (decidable or quantified)     (ids-vcgen)
+//!   → macro-use check                             (ids-core::fwyb)
+//!   → VC generation (decidable or quantified),    (ids-vcgen)
+//!     instantiating LC/Phi and expanding the
+//!     FWYB macros where it meets them             (ids-core::fwyb hook)
 //!   → SMT solving                                 (ids-smt)
 //!   → per-method report (Table 2 row shape)
 //! ```
 
-use std::borrow::Cow;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use ids_ivl::{ast, parse_program, Program};
+use ids_ivl::{ast, parse_program, Definitions, Program};
 use ids_smt::{
     structural_hashes, SatResult, SolverProfile, SolverStats, TermId, TermManager, TermMark,
 };
 use ids_vcgen::{Encoding, StructureVcs, Vc, VcGen, VcSession, VerifyOutcome};
 
-use crate::fwyb::{expand_program, ExpandError};
+use crate::fwyb::{check_program, ExpandError};
 use crate::ghost::{check_ghost_legality, GhostViolation};
 use crate::ids::IntrinsicDefinition;
 use crate::wellbehaved::Violation;
@@ -46,7 +47,7 @@ pub enum PipelineError {
     Parse(ids_ivl::ParseError),
     /// Method file failed to typecheck against the definition's fields.
     Type(ids_ivl::TypeError),
-    /// Macro expansion failed.
+    /// A macro statement is malformed.
     Expand(ExpandError),
     /// VC generation failed.
     Vc(ids_vcgen::VcError),
@@ -105,7 +106,7 @@ pub struct MethodReport {
     pub outcome: VerifyOutcome,
     /// Number of verification conditions discharged.
     pub num_vcs: usize,
-    /// Wall-clock verification time (expansion + VC generation + solving).
+    /// Wall-clock verification time (macro check + VC generation + solving).
     pub duration: Duration,
     /// Lines of executable code (LOC column).
     pub loc: usize,
@@ -215,8 +216,8 @@ impl VcResult {
     }
 }
 
-/// A fully prepared unit of verification work: one method, expanded and
-/// lowered to its verification conditions, but with no solver run yet.
+/// A fully prepared unit of verification work: one method lowered to its
+/// verification conditions, but with no solver run yet.
 ///
 /// This is the decomposition point the batch driver (`ids-driver`) schedules
 /// on: each `(task, vc_index)` pair is an independent SMT query — the owned
@@ -241,9 +242,9 @@ pub struct MethodTask {
     /// The encoding the VCs were generated under.
     pub encoding: Encoding,
     /// Time spent generating the method's VCs. A method prepared alone
-    /// ([`prepare_method_in`]) also counts the FWYB expansion of its
-    /// program; methods prepared from one [`ExpandedStructure`] share that
-    /// expansion, which its `"expand"` trace span times.
+    /// ([`prepare_method_in`]) also counts the check of its program's macro
+    /// uses; methods prepared from one [`ExpandedStructure`] share that
+    /// check, which its `"check"` trace span times.
     pub prepare_time: Duration,
     /// Lines of executable code.
     pub loc: usize,
@@ -652,60 +653,67 @@ pub fn verify_method_in(
 }
 
 /// The once-per-structure half of preparing methods for verification: the
-/// merged program's FWYB expansion and ghost-legality check, which every
-/// method prepared from it shares. [`ExpandedStructure::prepare`] is the
+/// merged program's macro-use and ghost-legality checks, which every method
+/// prepared from it shares. [`ExpandedStructure::prepare`] is the
 /// once-per-method half: discipline checks and VC generation.
 ///
-/// Preparing a method here or alone ([`prepare_method_in`], the one-method
-/// case of this same path) yields the same task — VCs, hypotheses, keys and
-/// violations — or the same error.
+/// Nothing is expanded here: VC generation reads the program as written,
+/// instantiating the definition's `LC`, `LC2` and `Phi` where it encodes
+/// them and expanding each macro statement where it reaches it (the
+/// definition's [`Definitions`] hook). Preparing a method here or alone
+/// ([`prepare_method_in`], the one-method case of this same path) yields the
+/// same task — VCs, hypotheses, keys and violations — or the same error.
 pub struct ExpandedStructure<'a> {
     /// Reporting label of the prepared tasks.
     structure: String,
-    /// The program as written: methods are looked up, discipline-checked and
-    /// measured here.
+    /// The program as written: methods are looked up, discipline-checked,
+    /// measured and turned into VCs here.
     source: &'a Program,
-    /// What VC generation reads: the macro-free expansion of `source` (or
-    /// `source` itself for a plain program), or the error that stopped the
-    /// expansion, which every method then reports.
-    expanded: Result<Cow<'a, Program>, ExpandError>,
+    /// What the program's applications and macro statements stand for:
+    /// the intrinsic definition, or nothing for a plain program.
+    defs: &'a (dyn Definitions + Sync),
+    /// The first malformed macro use of `source`, which every method then
+    /// reports.
+    macros: Result<(), ExpandError>,
     /// Ghost-legality violations of every procedure of `source`.
     ghost_violations: Vec<GhostViolation>,
     /// Size of the local condition in conjuncts (0 for a plain program).
     lc_size: usize,
-    /// Time the FWYB expansion took (zero for a plain program).
-    expand_time: Duration,
+    /// Time the macro-use check took (zero for a plain program).
+    check_time: Duration,
 }
 
 impl<'a> ExpandedStructure<'a> {
-    /// Ghost-checks and expands a merged program ([`load_methods`]) against
-    /// its intrinsic definition.
-    pub fn new(ids: &IntrinsicDefinition, merged: &'a Program) -> ExpandedStructure<'a> {
-        let _obs = ids_obs::span_with("expand", || ids.name.clone());
+    /// Ghost-checks a merged program ([`load_methods`]) and checks its macro
+    /// uses against its intrinsic definition.
+    pub fn new(ids: &'a IntrinsicDefinition, merged: &'a Program) -> ExpandedStructure<'a> {
+        let _obs = ids_obs::span_with("check", || ids.name.clone());
         let ghost_violations = check_ghost_legality(merged);
         let start = Instant::now();
-        let expanded = expand_program(ids, merged).map(Cow::Owned);
+        let macros = check_program(ids, merged);
         ExpandedStructure {
             structure: ids.name.clone(),
             source: merged,
-            expanded,
+            defs: ids,
+            macros,
             ghost_violations,
             lc_size: ids.lc_size(),
-            expand_time: start.elapsed(),
+            check_time: start.elapsed(),
         }
     }
 
     /// A plain IVL program, with no intrinsic definition: the `ids-verify
-    /// verify <file>` path. FWYB macro statements are not expanded — a
-    /// program using them must be verified against a definition.
+    /// verify <file>` path. Applications are uninterpreted, and a program
+    /// using FWYB macro statements must be verified against a definition.
     pub fn plain(structure: &str, program: &'a Program) -> ExpandedStructure<'a> {
         ExpandedStructure {
             structure: structure.to_string(),
             source: program,
-            expanded: Ok(Cow::Borrowed(program)),
+            defs: &(),
+            macros: Ok(()),
             ghost_violations: check_ghost_legality(program),
             lc_size: 0,
-            expand_time: Duration::ZERO,
+            check_time: Duration::ZERO,
         }
     }
 
@@ -715,8 +723,8 @@ impl<'a> ExpandedStructure<'a> {
     /// discharged VC by VC, on any thread.
     ///
     /// Errors take precedence in this order: no such method, then (strict
-    /// mode) a well-behavedness violation, then the structure's expansion
-    /// error, then VC generation.
+    /// mode) a well-behavedness violation, then the structure's first
+    /// malformed macro use, then VC generation.
     pub fn prepare(
         &self,
         method: &str,
@@ -736,15 +744,13 @@ impl<'a> ExpandedStructure<'a> {
             .filter(|v| v.procedure == method)
             .cloned()
             .collect();
-        let expanded = self
-            .expanded
-            .as_ref()
-            .map_err(|e| PipelineError::Expand(e.clone()))?;
+        self.macros.clone().map_err(PipelineError::Expand)?;
 
         let _obs = ids_obs::span_with("prepare", || method.to_string());
         let start = Instant::now();
         let mut tm = TermManager::new();
-        let generated = VcGen::new(expanded, config.encoding).method_vcs(&mut tm, method)?;
+        let generated = VcGen::with_definitions(self.source, self.defs, config.encoding)
+            .method_vcs(&mut tm, method)?;
         let prepare_time = start.elapsed();
 
         Ok(MethodTask {
@@ -767,8 +773,8 @@ impl<'a> ExpandedStructure<'a> {
 }
 
 /// Prepares one method of an already-parsed program for verification: the
-/// one-method case of [`ExpandedStructure`], whose expansion the task's
-/// [`MethodTask::prepare_time`] then includes.
+/// one-method case of [`ExpandedStructure`], whose macro-use check the
+/// task's [`MethodTask::prepare_time`] then includes.
 pub fn prepare_method_in(
     ids: &IntrinsicDefinition,
     merged: &Program,
@@ -777,7 +783,7 @@ pub fn prepare_method_in(
 ) -> Result<MethodTask, PipelineError> {
     let structure = ExpandedStructure::new(ids, merged);
     let mut task = structure.prepare(method, config)?;
-    task.prepare_time += structure.expand_time;
+    task.prepare_time += structure.check_time;
     Ok(task)
 }
 

@@ -4,7 +4,7 @@
 //! and broken-set manipulation goes through the FWYB macros, and control flow
 //! never depends on the broken set. The soundness theorem (Theorem 3.8) only
 //! applies to well-behaved programs, so the pipeline checks the discipline
-//! before expanding macros and reports violations.
+//! before generating VCs and reports violations.
 
 use ids_ivl::{Block, Expr, Lhs, Procedure, Program, Stmt};
 
@@ -23,7 +23,7 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Checks every procedure of a (pre-expansion) program.
+/// Checks every procedure of a program as written.
 pub fn check_program(program: &Program) -> Vec<Violation> {
     let mut out = Vec::new();
     for proc in &program.procedures {

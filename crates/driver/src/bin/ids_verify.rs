@@ -1,15 +1,18 @@
 //! `ids-verify` — command-line front end of the parallel batch verifier.
 //!
 //! ```text
-//! ids-verify suite  [--structure NAME] [--method NAME] [--jobs N]
-//!                   [--cache PATH] [--json] [--quantified]
-//! ids-verify verify <FILE> [--structure NAME] [--method NAME]
-//!                   [--jobs N] [--cache PATH] [--json] [--quantified]
+//! ids-verify suite  [--structure NAME] [--method NAME] [RUN OPTIONS]
+//! ids-verify verify <FILE> [--structure NAME] [--method NAME] [RUN OPTIONS]
 //! ids-verify impact [--structure NAME]
 //! ids-verify compare <BASE> <NEW> [--threshold-pct P] [--threshold-ms MS]
 //!                   [--advisory-timing] [--json]
 //! ids-verify history <LEDGER> [--structure NAME] [--method NAME]
 //! ```
+//!
+//! The run options (`--jobs`, `--cache`, `--json`, `--quantified`,
+//! `--trace`, `--heartbeat`, `--ledger`, `--no-ledger`, `--recheck`,
+//! `--vc-timeout`) belong to `suite` and `verify`; a command given an option
+//! it does not read is a usage error.
 //!
 //! `suite` runs the Table-2 registry (optionally filtered by `--structure` /
 //! `--method`), and with `--quantified` the RQ3 encoding; `verify` runs one
@@ -19,11 +22,13 @@
 //! for longitudinal performance analysis.
 //! Exit code 0 = everything verified, 1 = some method (for `impact`: some
 //! impact set) failed or was undecided (for `compare`: a regression or
-//! verdict change), 2 = usage or pipeline error.
+//! verdict change), 2 = usage or pipeline error. With `--trace` or
+//! `--vc-timeout` armed, SIGINT and SIGTERM flush the partial trace and the
+//! in-flight dossiers and exit 130 and 143.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicI32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -59,7 +64,11 @@ USAGE:
     ids-verify history <LEDGER>          per-VC solve-time trajectory across
                                          every run recorded in a ledger file
 
-OPTIONS:
+OPTIONS of suite and verify:
+    --structure NAME   (suite) only structures whose name contains NAME
+                       (substring match, case-insensitive); (verify) merge
+                       the file with this registry structure's definition
+    --method NAME      only this method; repeatable
     --jobs N           worker threads (default: available parallelism)
     --cache PATH       persistent VC cache file (created if missing)
     --json             machine-readable JSON output
@@ -93,17 +102,23 @@ OPTIONS:
                        tick), dump a stuck-VC dossier to stderr (current
                        phase, heartbeat trail, histogram snapshot) — once
                        per VC
-    --threshold-pct P  (compare) noise gate: a solve-time delta counts only
-                       past P percent of the base time (default 25)
-    --threshold-ms MS  (compare) ...and past MS absolute milliseconds
-                       (default 50)
-    --advisory-timing  (compare) report timing regressions without failing;
-                       only verdict changes exit nonzero (cross-machine CI)
-    --structure NAME   (suite, impact) only structures whose name contains
-                       NAME (substring match, case-insensitive);
-                       (verify) merge the file with this registry structure's
-                       definition; (history) filter rows by NAME
-    --method NAME      only this method; repeatable; (history) filter rows
+
+OPTIONS of impact:
+    --structure NAME   only structures whose name contains NAME
+
+OPTIONS of compare:
+    --threshold-pct P  noise gate: a solve-time delta counts only past P
+                       percent of the base time (default 25)
+    --threshold-ms MS  ...and past MS absolute milliseconds (default 50)
+    --advisory-timing  report timing regressions without failing; only
+                       verdict changes exit nonzero (cross-machine CI)
+    --json             machine-readable JSON output
+
+OPTIONS of history:
+    --structure NAME   only rows whose text contains NAME
+    --method NAME      only rows of this method; repeatable
+
+A command given an option it does not read exits 2.
     -h, --help         this message
 ";
 
@@ -124,6 +139,8 @@ struct Options {
     structure: Option<String>,
     methods: Vec<String>,
     positional: Vec<String>,
+    /// The options given, as spelled, for [`check_options`].
+    given: Vec<String>,
 }
 
 impl Options {
@@ -151,9 +168,13 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         structure: None,
         methods: Vec::new(),
         positional: Vec::new(),
+        given: Vec::new(),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        if arg.starts_with("--") {
+            o.given.push(arg.clone());
+        }
         let mut value_of = |flag: &str| {
             it.next()
                 .cloned()
@@ -214,6 +235,48 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         }
     }
     Ok(o)
+}
+
+/// The options `command` reads, or `None` for an unknown command.
+fn options_of(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "suite" | "verify" => &[
+            "--jobs",
+            "--cache",
+            "--json",
+            "--quantified",
+            "--trace",
+            "--heartbeat",
+            "--ledger",
+            "--no-ledger",
+            "--recheck",
+            "--vc-timeout",
+            "--structure",
+            "--method",
+        ],
+        "impact" => &["--structure"],
+        "compare" => &[
+            "--threshold-pct",
+            "--threshold-ms",
+            "--advisory-timing",
+            "--json",
+        ],
+        "history" => &["--structure", "--method"],
+        _ => return None,
+    })
+}
+
+/// Rejects an option `command` does not read: silently ignoring it would
+/// give a script that asked for, say, `impact --json` the text table. An
+/// unknown command is left to the dispatch to report.
+fn check_options(command: &str, o: &Options) -> Result<(), String> {
+    let Some(reads) = options_of(command) else {
+        return Ok(());
+    };
+    match o.given.iter().find(|flag| !reads.contains(&flag.as_str())) {
+        Some(flag) => Err(format!("'{}' does not read the option {}", command, flag)),
+        None => Ok(()),
+    }
 }
 
 fn driver_config(o: &Options) -> DriverConfig {
@@ -329,38 +392,43 @@ const SUPERVISOR_TICK: Duration = Duration::from_millis(200);
 /// thread writes the final timeline at exit.
 static TRACE_WRITE: Mutex<()> = Mutex::new(());
 
-/// Set by the SIGINT handler; the supervisor thread turns it into a flush.
-static INTERRUPTED: AtomicBool = AtomicBool::new(false);
+/// The signal that interrupted the run (0 while none has): set by the
+/// SIGINT and SIGTERM handler, turned into a flush and an exit by the
+/// supervisor thread.
+static INTERRUPTED: AtomicI32 = AtomicI32::new(0);
 
 #[cfg(unix)]
-mod sigint {
+mod signals {
     // Minimal binding to libc's `signal` (libc is already linked via std);
-    // avoids depending on the `libc` crate for one constant and one call.
+    // avoids depending on the `libc` crate for two constants and one call.
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
     }
 
-    extern "C" fn on_sigint(_sig: i32) {
-        // Only async-signal-safe work here: set a flag, let the supervisor
-        // thread do the flushing and the exit.
-        super::INTERRUPTED.store(true, std::sync::atomic::Ordering::SeqCst);
+    extern "C" fn on_signal(sig: i32) {
+        // Only async-signal-safe work here: record the signal, let the
+        // supervisor thread do the flushing and the exit.
+        super::INTERRUPTED.store(sig, std::sync::atomic::Ordering::SeqCst);
     }
 
+    /// Routes SIGINT (Ctrl-C) and SIGTERM (`kill`, `timeout`) to the flush.
     pub fn install() {
         const SIGINT: i32 = 2;
+        const SIGTERM: i32 = 15;
         unsafe {
-            signal(SIGINT, on_sigint);
+            signal(SIGINT, on_signal);
+            signal(SIGTERM, on_signal);
         }
     }
 }
 
 #[cfg(not(unix))]
-mod sigint {
+mod signals {
     pub fn install() {}
 }
 
 /// Writes whatever the tracer has buffered so far without stopping it — used
-/// by the supervisor thread, the panic hook and the SIGINT path so that an
+/// by the supervisor thread, the panic hook and the signal path so that an
 /// interrupted run still leaves a loadable (partial) Perfetto timeline.
 fn flush_partial_trace(path: &std::path::Path) {
     let _guard = TRACE_WRITE.lock().unwrap_or_else(|e| e.into_inner());
@@ -392,10 +460,10 @@ fn dump_flight_dossiers(reason: &str) {
 }
 
 /// Spawns the supervisor thread (stuck-VC watchdog + interrupt flush +
-/// periodic partial-trace flush) and installs the panic hook and SIGINT
-/// handler. All three exist so that aborted runs still leave their
-/// observability artifacts behind; none of them is armed unless the run
-/// asked for --trace or --vc-timeout.
+/// periodic partial-trace flush) and installs the panic hook and the SIGINT
+/// and SIGTERM handler. All three exist so that aborted runs still leave
+/// their observability artifacts behind; none of them is armed unless the
+/// run asked for --trace or --vc-timeout.
 fn install_flush_guards(o: &Options) {
     let trace = o.trace.clone();
     let vc_timeout = o.vc_timeout;
@@ -416,7 +484,7 @@ fn install_flush_guards(o: &Options) {
         }));
     }
 
-    sigint::install();
+    signals::install();
     std::thread::Builder::new()
         .name("obs-supervisor".to_string())
         .spawn(move || {
@@ -424,14 +492,15 @@ fn install_flush_guards(o: &Options) {
             let mut last_trace_flush = Instant::now();
             loop {
                 std::thread::sleep(SUPERVISOR_TICK);
-                if INTERRUPTED.load(Ordering::SeqCst) {
+                let signal = INTERRUPTED.load(Ordering::SeqCst);
+                if signal != 0 {
                     dump_flight_dossiers("interrupted");
                     if let Some(path) = &trace {
                         flush_partial_trace(path);
                         eprintln!("trace: partial timeline flushed to {}", path.display());
                     }
-                    // 130 = 128 + SIGINT, the conventional Ctrl-C exit code.
-                    std::process::exit(130);
+                    // 128 + the signal: 130 for SIGINT, 143 for SIGTERM.
+                    std::process::exit(128 + signal);
                 }
                 if let Some(timeout) = vc_timeout {
                     for d in ids_obs::stuck_dossiers(timeout) {
@@ -491,6 +560,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Err(msg) = check_options(&command, &options) {
+        eprintln!("error: {}\n\n{}", msg, USAGE);
+        return ExitCode::from(2);
+    }
     match command.as_str() {
         "suite" => run_suite(&options),
         "verify" => run_verify(&options),

@@ -402,13 +402,17 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
+                    // Consume the run of plain characters up to the next
+                    // quote or escape. Both are ASCII, so the run ends on a
+                    // character boundary of the (valid UTF-8) input.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len]).map_err(|e| e.to_string())?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }

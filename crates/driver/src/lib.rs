@@ -7,11 +7,11 @@
 //!
 //! 1. **Decompose** — the front end works at three grains:
 //!    - *once per structure*: the methods file is parsed and typechecked
-//!      against the definition's fields, and the merged program is
-//!      FWYB-expanded and ghost-checked
-//!      ([`ExpandedStructure`]);
+//!      against the definition's fields, and the merged program's macro
+//!      uses and ghost code are checked ([`ExpandedStructure`]);
 //!    - *once per method*, in parallel: discipline checks and VC generation
-//!      from the structure's expansion, into a [`MethodTask`];
+//!      from the program as written, which instantiates the definition
+//!      where it uses it, into a [`MethodTask`];
 //!    - *once per VC*: nothing; every `(task, vc)` pair is an independent
 //!      SMT query.
 //! 2. **Memoize** — each VC is keyed by the stable structural hash of its
@@ -192,7 +192,7 @@ impl<'a> Selection<'a> {
     }
 }
 
-/// A non-verdict failure (parse/type/expansion error) of one batch unit.
+/// A non-verdict failure (parse, type or macro error) of one batch unit.
 #[derive(Clone, Debug)]
 pub struct BatchError {
     /// Structure the failure belongs to.
@@ -270,25 +270,25 @@ pub fn verify_selections(selections: &[Selection], config: &DriverConfig) -> Bat
 
     // ------------------------------------------------------- prepare stage
     // One job per (structure, method), in parallel: discipline checks and VC
-    // generation. The structure's FWYB expansion and ghost-legality check
-    // run once, in the first of its jobs to start; the last of its jobs to
-    // finish drops them, so expansions do not pile up across structures.
-    type Expansion<'a> = Arc<OnceLock<ExpandedStructure<'a>>>;
-    let prep_jobs: Vec<(&Selection, &ids_ivl::Program, Expansion, &str)> = loaded
+    // generation. The structure's macro-use and ghost-legality checks run
+    // once, in the first of its jobs to start; the last of its jobs to
+    // finish drops them.
+    type Shared<'a> = Arc<OnceLock<ExpandedStructure<'a>>>;
+    let prep_jobs: Vec<(&Selection, &ids_ivl::Program, Shared, &str)> = loaded
         .iter()
         .flat_map(|(sel, merged)| {
-            let expansion = Expansion::default();
+            let structure = Shared::default();
             sel.methods
                 .iter()
-                .map(move |m| (*sel, merged, expansion.clone(), m.as_str()))
+                .map(move |m| (*sel, merged, structure.clone(), m.as_str()))
         })
         .collect();
     let pipeline_config = config.pipeline_config();
     let prepared = pool::run(
         config.jobs,
         prep_jobs,
-        |(sel, merged, expansion, method)| {
-            expansion
+        |(sel, merged, structure, method)| {
+            structure
                 .get_or_init(|| ExpandedStructure::new(sel.definition, merged))
                 .prepare(method, pipeline_config)
                 .map_err(|e| BatchError {

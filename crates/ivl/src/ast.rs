@@ -4,8 +4,9 @@
 //! the paper, plus the ghost monadic maps `G` once an intrinsic definition has
 //! been attached) and a set of procedures with contracts. Statements include
 //! the FWYB *macro statements* of §4.1 of the paper; they are ordinary syntax
-//! here and are expanded into mutations plus broken-set updates by
-//! `ids-core::fwyb`.
+//! here, and VC generation expands each into mutations plus broken-set
+//! updates when it reaches it, through the [`crate::Definitions`] that
+//! `ids-core::fwyb` implements.
 
 use std::fmt;
 
@@ -253,7 +254,8 @@ pub enum Stmt {
     /// `return;`
     Return,
     /// A FWYB macro statement such as `Mut(x, next, y);` — kept abstract in
-    /// the AST and expanded by `ids-core::fwyb`.
+    /// the AST and expanded where VC generation reaches it
+    /// ([`crate::Definitions::expand_macro`]).
     Macro {
         /// Macro name (`Mut`, `NewObj`, `AssertLCAndRemove`, `InferLCOutsideBr`, …).
         name: String,

@@ -8,13 +8,16 @@
 //!
 //! * [`ast`] — programs, procedures, statements and expressions, including the
 //!   FWYB *macro statements* (`Mut`, `NewObj`, `AssertLCAndRemove`,
-//!   `InferLCOutsideBr`, …) that `ids-core` expands;
+//!   `InferLCOutsideBr`, …) that `ids-core` defines;
 //! * [`lexer`] / [`parser`] — a concrete surface syntax so the benchmark
 //!   programs of Table 2 can be written as readable text (embedded with
 //!   `include_str!`) rather than hand-built ASTs;
 //! * [`typecheck`] — scoping and sort checking, field declarations, ghost
 //!   annotations;
-//! * [`printer`] — pretty-printing back to surface syntax.
+//! * [`printer`] — pretty-printing back to surface syntax;
+//! * [`defs`] — the [`Definitions`] hook through which an intrinsic
+//!   definition gives `LC(e)`, `Phi(e)` and the FWYB macro statements their
+//!   meaning, instantiated where they are used.
 //!
 //! # Example
 //!
@@ -39,12 +42,14 @@
 #![warn(missing_docs)]
 
 pub mod ast;
+pub mod defs;
 pub mod lexer;
 pub mod parser;
 pub mod printer;
 pub mod typecheck;
 
 pub use ast::{BinOp, Block, Expr, FieldDecl, Lhs, Param, Procedure, Program, Stmt, Type, UnOp};
+pub use defs::{instance, resolve, Binding, Definition, Definitions, Instance};
 pub use parser::{parse_expr, parse_program, ParseError};
 pub use printer::program_to_string;
 pub use typecheck::{check_program, TypeError};

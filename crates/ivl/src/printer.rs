@@ -1,11 +1,14 @@
 //! Pretty-printer from the AST back to surface syntax.
 //!
-//! Used for debugging, for the documentation examples, and to display the
-//! FWYB-expanded programs that `ids-core` produces.
+//! Used for debugging, for the documentation examples, and for VC
+//! descriptions, where [`write_expr_in`] prints an application of a
+//! definition (`LC(e)`) as the definition's body instantiated at its
+//! arguments.
 
 use std::fmt::Write;
 
 use crate::ast::*;
+use crate::defs::{instance, Binding, Definitions, Instance};
 
 /// Renders a whole program.
 pub fn program_to_string(p: &Program) -> String {
@@ -195,6 +198,29 @@ pub fn expr_to_string(e: &Expr) -> String {
 
 /// Appends the rendering of an expression ([`expr_to_string`]) to `out`.
 pub fn write_expr(out: &mut String, e: &Expr) {
+    write_expr_in(out, e, &());
+}
+
+/// Appends the rendering of an expression to `out`, with every application
+/// of one of `defs`' definitions printed as the definition's body with its
+/// parameters bound to the arguments: the rendering of the substituted
+/// expression, without building it.
+pub fn write_expr_in(out: &mut String, e: &Expr, defs: &dyn Definitions) {
+    write(out, defs, e, None);
+}
+
+fn write<'e>(
+    out: &mut String,
+    defs: &'e dyn Definitions,
+    e: &'e Expr,
+    scope: Option<&Binding<'e>>,
+) {
+    match instance(defs, e, scope) {
+        Some(Instance::Arg(arg)) => return write(out, defs, arg, None),
+        Some(Instance::Body(body, binding)) => return write(out, defs, body, Some(&binding)),
+        None => {}
+    }
+    let sub = |out: &mut String, e: &'e Expr| write(out, defs, e, scope);
     match e {
         Expr::BoolLit(b) => out.push_str(if *b { "true" } else { "false" }),
         Expr::IntLit(n) => {
@@ -208,13 +234,13 @@ pub fn write_expr(out: &mut String, e: &Expr) {
         Expr::EmptySet(_) => out.push_str("{}"),
         Expr::Var(v) => out.push_str(v),
         Expr::Field(obj, f) => {
-            write_expr(out, obj);
+            sub(out, obj);
             out.push('.');
             out.push_str(f);
         }
-        Expr::Old(inner) => write_call(out, "old", [&**inner]),
-        Expr::Unary(UnOp::Not, inner) => write_call(out, "!", [&**inner]),
-        Expr::Unary(UnOp::Neg, inner) => write_call(out, "-", [&**inner]),
+        Expr::Old(inner) => write_call(out, "old", [&**inner], sub),
+        Expr::Unary(UnOp::Not, inner) => write_call(out, "!", [&**inner], sub),
+        Expr::Unary(UnOp::Neg, inner) => write_call(out, "-", [&**inner], sub),
         Expr::Binary(op, a, b) => {
             let infix = match op {
                 BinOp::Add => " + ",
@@ -232,35 +258,40 @@ pub fn write_expr(out: &mut String, e: &Expr) {
                 BinOp::Ge => " >= ",
                 BinOp::Member => " in ",
                 BinOp::Subset => " subset ",
-                BinOp::Union => return write_call(out, "union", [&**a, &**b]),
-                BinOp::Inter => return write_call(out, "inter", [&**a, &**b]),
-                BinOp::Diff => return write_call(out, "diff", [&**a, &**b]),
+                BinOp::Union => return write_call(out, "union", [&**a, &**b], sub),
+                BinOp::Inter => return write_call(out, "inter", [&**a, &**b], sub),
+                BinOp::Diff => return write_call(out, "diff", [&**a, &**b], sub),
             };
             out.push('(');
-            write_expr(out, a);
+            sub(out, a);
             out.push_str(infix);
-            write_expr(out, b);
+            sub(out, b);
             out.push(')');
         }
-        Expr::Ite(c, t, f) => write_call(out, "ite", [&**c, &**t, &**f]),
+        Expr::Ite(c, t, f) => write_call(out, "ite", [&**c, &**t, &**f], sub),
         Expr::Singleton(inner) => {
             out.push('{');
-            write_expr(out, inner);
+            sub(out, inner);
             out.push('}');
         }
-        Expr::App(name, args) => write_call(out, name, args),
+        Expr::App(name, args) => write_call(out, name, args, sub),
     }
 }
 
-/// `name(a1, a2, ...)`.
-fn write_call<'e>(out: &mut String, name: &str, args: impl IntoIterator<Item = &'e Expr>) {
+/// `name(a1, a2, ...)`, each argument written by `sub`.
+fn write_call<'e>(
+    out: &mut String,
+    name: &str,
+    args: impl IntoIterator<Item = &'e Expr>,
+    mut sub: impl FnMut(&mut String, &'e Expr),
+) {
     out.push_str(name);
     out.push('(');
     for (i, a) in args.into_iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        write_expr(out, a);
+        sub(out, a);
     }
     out.push(')');
 }

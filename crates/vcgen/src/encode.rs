@@ -2,7 +2,9 @@
 
 use std::collections::BTreeMap;
 
-use ids_ivl::{BinOp, Expr, Program, Type, UnOp};
+use ids_ivl::{
+    instance, resolve, BinOp, Binding, Definitions, Expr, Instance, Program, Type, UnOp,
+};
 use ids_smt::{Rat, Sort, TermId, TermManager};
 
 use crate::VcError;
@@ -49,7 +51,8 @@ pub struct Env<'a> {
     pub fields: BTreeMap<&'a str, TermId>,
 }
 
-/// Encodes an expression in the given state.
+/// Encodes an expression in the given state, with no definitions: every
+/// application is an uninterpreted predicate.
 ///
 /// `old_env` is the state `old(..)` refers to. Side assumptions produced by
 /// the allocation-set modelling of Appendix A.3 (dereferenced locations are
@@ -62,129 +65,280 @@ pub fn encode_expr(
     e: &Expr,
     side: &mut Vec<TermId>,
 ) -> Result<TermId, VcError> {
-    enc(tm, program, env, old_env, e, side)
+    encode_expr_in(tm, program, &(), env, old_env, e, side)
+}
+
+/// Encodes an expression in the given state (see [`encode_expr`]), with
+/// every application of one of `defs`' definitions instantiated where it
+/// occurs: the definition's body is encoded with each parameter standing for
+/// its argument expression, which is encoded again at each occurrence, in
+/// that occurrence's state (inside `old(..)` too). The visit order is that
+/// of the substituted expression, so the terms, their creation order and the
+/// side assumptions are those of encoding the substituted copy.
+pub fn encode_expr_in(
+    tm: &mut TermManager,
+    program: &Program,
+    defs: &dyn Definitions,
+    env: &Env,
+    old_env: &Env,
+    e: &Expr,
+    side: &mut Vec<TermId>,
+) -> Result<TermId, VcError> {
+    let encoder = Encoder {
+        program,
+        defs,
+        env,
+        old_env,
+    };
+    encoder.enc(tm, e, None, side)
 }
 
 fn err<T>(msg: impl Into<String>) -> Result<T, VcError> {
     Err(VcError::Encoding(msg.into()))
 }
 
-fn enc(
-    tm: &mut TermManager,
-    program: &Program,
-    env: &Env,
-    old_env: &Env,
-    e: &Expr,
-    side: &mut Vec<TermId>,
-) -> Result<TermId, VcError> {
-    match e {
-        Expr::BoolLit(true) => Ok(tm.tru()),
-        Expr::BoolLit(false) => Ok(tm.fls()),
-        Expr::IntLit(n) => Ok(tm.int(*n)),
-        Expr::RealLit(n, d) => Ok(tm.real(Rat::new(*n, *d))),
-        Expr::Nil => Ok(tm.var("nil", Sort::Loc)),
-        Expr::EmptySet(Type::SetInt) => Ok(tm.empty_set(Sort::Int)),
-        Expr::EmptySet(_) => Ok(tm.empty_set(Sort::Loc)),
-        Expr::Var(name) => env
-            .vars
-            .get(name.as_str())
-            .copied()
-            .ok_or_else(|| VcError::Encoding(format!("unbound variable '{}'", name))),
-        Expr::Field(obj, field) => {
-            let o = enc(tm, program, env, old_env, obj, side)?;
-            let decl = program
-                .field(field)
-                .ok_or_else(|| VcError::Encoding(format!("unknown field '{}'", field)))?;
-            let map = env
-                .fields
-                .get(field.as_str())
+/// What an expression is encoded against: the program's field
+/// declarations, the definitions its applications stand for, the state and
+/// the state `old(..)` refers to.
+#[derive(Clone, Copy)]
+struct Encoder<'c> {
+    program: &'c Program,
+    defs: &'c dyn Definitions,
+    env: &'c Env<'c>,
+    old_env: &'c Env<'c>,
+}
+
+/// Where an operand is encoded: under the binding of the definition body it
+/// sits in, or (`None`) in the program.
+type Scope<'e> = Option<&'e Binding<'e>>;
+
+impl<'c> Encoder<'c> {
+    /// The encoder of `old(..)`'s operand.
+    fn old(&self) -> Encoder<'c> {
+        Encoder {
+            env: self.old_env,
+            ..*self
+        }
+    }
+
+    fn enc<'e>(
+        &self,
+        tm: &mut TermManager,
+        e: &'e Expr,
+        scope: Scope<'e>,
+        side: &mut Vec<TermId>,
+    ) -> Result<TermId, VcError>
+    where
+        'c: 'e,
+    {
+        match instance(self.defs, e, scope) {
+            Some(Instance::Arg(arg)) => return self.enc(tm, arg, None, side),
+            Some(Instance::Body(body, binding)) => return self.enc(tm, body, Some(&binding), side),
+            None => {}
+        }
+        match e {
+            Expr::BoolLit(true) => Ok(tm.tru()),
+            Expr::BoolLit(false) => Ok(tm.fls()),
+            Expr::IntLit(n) => Ok(tm.int(*n)),
+            Expr::RealLit(n, d) => Ok(tm.real(Rat::new(*n, *d))),
+            Expr::Nil => Ok(tm.var("nil", Sort::Loc)),
+            Expr::EmptySet(Type::SetInt) => Ok(tm.empty_set(Sort::Int)),
+            Expr::EmptySet(_) => Ok(tm.empty_set(Sort::Loc)),
+            Expr::Var(name) => self
+                .env
+                .vars
+                .get(name.as_str())
                 .copied()
-                .ok_or_else(|| VcError::Encoding(format!("field map '{}' missing", field)))?;
-            let sel = tm.select(map, o);
-            // Appendix A.3: dereferenced location-valued (or set-of-location
-            // valued) fields stay inside the allocation set.
-            if let Some(&alloc) = env.vars.get("Alloc") {
-                match decl.ty {
-                    Type::Loc => {
-                        let nil = tm.var("nil", Sort::Loc);
-                        let is_nil = tm.eq(sel, nil);
-                        let in_alloc = tm.member(sel, alloc);
-                        let a = tm.or2(is_nil, in_alloc);
-                        side.push(a);
+                .ok_or_else(|| VcError::Encoding(format!("unbound variable '{}'", name))),
+            Expr::Field(obj, field) => {
+                let o = self.enc(tm, obj, scope, side)?;
+                let decl = self
+                    .program
+                    .field(field)
+                    .ok_or_else(|| VcError::Encoding(format!("unknown field '{}'", field)))?;
+                let map = self
+                    .env
+                    .fields
+                    .get(field.as_str())
+                    .copied()
+                    .ok_or_else(|| VcError::Encoding(format!("field map '{}' missing", field)))?;
+                let sel = tm.select(map, o);
+                // Appendix A.3: dereferenced location-valued (or
+                // set-of-location valued) fields stay inside the allocation
+                // set.
+                if let Some(&alloc) = self.env.vars.get("Alloc") {
+                    match decl.ty {
+                        Type::Loc => {
+                            let nil = tm.var("nil", Sort::Loc);
+                            let is_nil = tm.eq(sel, nil);
+                            let in_alloc = tm.member(sel, alloc);
+                            let a = tm.or2(is_nil, in_alloc);
+                            side.push(a);
+                        }
+                        Type::SetLoc => {
+                            let a = tm.subset(sel, alloc);
+                            side.push(a);
+                        }
+                        _ => {}
                     }
-                    Type::SetLoc => {
-                        let a = tm.subset(sel, alloc);
-                        side.push(a);
-                    }
-                    _ => {}
+                }
+                Ok(sel)
+            }
+            Expr::Old(inner) => self.old().enc(tm, inner, scope, side),
+            Expr::Unary(UnOp::Not, inner) => {
+                let i = self.enc(tm, inner, scope, side)?;
+                Ok(tm.not(i))
+            }
+            Expr::Unary(UnOp::Neg, inner) => {
+                let i = self.enc(tm, inner, scope, side)?;
+                Ok(tm.neg(i))
+            }
+            Expr::Binary(op, a, b) => {
+                // The polymorphic empty set `{}` adapts its element sort to
+                // the other operand, or, right of `in`, to the element.
+                let (ea, eb) = match op {
+                    BinOp::Member => (
+                        &**a,
+                        self.empty_at(b, scope, || self.type_of(tm, a, scope) == Some(Type::Int)),
+                    ),
+                    _ => self.coerce_empty(tm, a, b, scope),
+                };
+                let ta = self.enc(tm, ea, scope, side)?;
+                let tb = self.enc(tm, eb, scope, side)?;
+                match op {
+                    BinOp::Add => Ok(tm.add(ta, tb)),
+                    BinOp::Sub => Ok(tm.sub(ta, tb)),
+                    BinOp::Div => match resolve(self.defs, b, scope) {
+                        Expr::IntLit(n) if *n != 0 => Ok(tm.mul_const(Rat::new(1, *n), ta)),
+                        _ => err("division must be by a non-zero integer literal"),
+                    },
+                    BinOp::And => Ok(tm.and2(ta, tb)),
+                    BinOp::Or => Ok(tm.or2(ta, tb)),
+                    BinOp::Implies => Ok(tm.implies(ta, tb)),
+                    BinOp::Iff => Ok(tm.iff(ta, tb)),
+                    BinOp::Eq => Ok(tm.eq(ta, tb)),
+                    BinOp::Ne => Ok(tm.neq(ta, tb)),
+                    BinOp::Lt => Ok(tm.lt(ta, tb)),
+                    BinOp::Le => Ok(tm.le(ta, tb)),
+                    BinOp::Gt => Ok(tm.gt(ta, tb)),
+                    BinOp::Ge => Ok(tm.ge(ta, tb)),
+                    BinOp::Union => Ok(tm.union(ta, tb)),
+                    BinOp::Inter => Ok(tm.inter(ta, tb)),
+                    BinOp::Diff => Ok(tm.diff(ta, tb)),
+                    BinOp::Member => Ok(tm.member(ta, tb)),
+                    BinOp::Subset => Ok(tm.subset(ta, tb)),
                 }
             }
-            Ok(sel)
+            Expr::Ite(c, t, f) => {
+                let ec = self.enc(tm, c, scope, side)?;
+                let (t, f) = self.coerce_empty(tm, t, f, scope);
+                let et = self.enc(tm, t, scope, side)?;
+                let ef = self.enc(tm, f, scope, side)?;
+                Ok(tm.ite(ec, et, ef))
+            }
+            Expr::Singleton(inner) => {
+                let i = self.enc(tm, inner, scope, side)?;
+                Ok(tm.singleton(i))
+            }
+            Expr::App(name, args) => {
+                let mut ts = Vec::new();
+                for a in args {
+                    ts.push(self.enc(tm, a, scope, side)?);
+                }
+                Ok(tm.app(name, ts, Sort::Bool))
+            }
         }
-        Expr::Old(inner) => enc(tm, program, old_env, old_env, inner, side),
-        Expr::Unary(UnOp::Not, inner) => {
-            let i = enc(tm, program, env, old_env, inner, side)?;
-            Ok(tm.not(i))
+    }
+
+    /// If one of the two operands (or `ite` branches) stands for the
+    /// polymorphic empty-set literal and the other is a `Set<Int>`, the
+    /// empty set becomes [`EMPTY_INT_SET`]; otherwise the operands are
+    /// returned as they are. This keeps the SMT encoding well-sorted without
+    /// burdening the surface programs.
+    fn coerce_empty<'e>(
+        &self,
+        tm: &TermManager,
+        a: &'e Expr,
+        b: &'e Expr,
+        scope: Scope<'e>,
+    ) -> (&'e Expr, &'e Expr)
+    where
+        'c: 'e,
+    {
+        let int_set = |e| self.type_of(tm, e, scope) == Some(Type::SetInt);
+        (
+            self.empty_at(a, scope, || int_set(b)),
+            self.empty_at(b, scope, || int_set(a)),
+        )
+    }
+
+    /// `e` where `int_set` says a `Set<Int>` is expected: [`EMPTY_INT_SET`]
+    /// if `e` stands for the polymorphic `{}`, else `e` as it is.
+    fn empty_at<'e>(
+        &self,
+        e: &'e Expr,
+        scope: Scope<'e>,
+        int_set: impl FnOnce() -> bool,
+    ) -> &'e Expr
+    where
+        'c: 'e,
+    {
+        if is_empty_set(self.defs, e, scope) && int_set() {
+            &EMPTY_INT_SET
+        } else {
+            e
         }
-        Expr::Unary(UnOp::Neg, inner) => {
-            let i = enc(tm, program, env, old_env, inner, side)?;
-            Ok(tm.neg(i))
+    }
+
+    /// The IVL type of an expression, read off declared types — the
+    /// program's field types and the sorts of the environment's variables —
+    /// without encoding anything. `None` for the polymorphic `{}` (and for a
+    /// set operation on two of them), an unbound variable or an unknown
+    /// field.
+    fn type_of<'e>(&self, tm: &TermManager, e: &'e Expr, scope: Scope<'e>) -> Option<Type>
+    where
+        'c: 'e,
+    {
+        match instance(self.defs, e, scope) {
+            Some(Instance::Arg(arg)) => return self.type_of(tm, arg, None),
+            Some(Instance::Body(body, binding)) => return self.type_of(tm, body, Some(&binding)),
+            None => {}
         }
-        Expr::Binary(op, a, b) => {
-            // The polymorphic empty set `{}` adapts its element sort to the
-            // other operand, or, right of `in`, to the element.
-            let (ea, eb) = match op {
-                BinOp::Member => (
-                    &**a,
-                    empty_at(b, || {
-                        type_of(tm, program, env, old_env, a) == Some(Type::Int)
-                    }),
-                ),
-                _ => coerce_empty(tm, program, env, old_env, a, b),
-            };
-            let ta = enc(tm, program, env, old_env, ea, side)?;
-            let tb = enc(tm, program, env, old_env, eb, side)?;
-            match op {
-                BinOp::Add => Ok(tm.add(ta, tb)),
-                BinOp::Sub => Ok(tm.sub(ta, tb)),
-                BinOp::Div => match &**b {
-                    Expr::IntLit(n) if *n != 0 => Ok(tm.mul_const(Rat::new(1, *n), ta)),
-                    _ => err("division must be by a non-zero integer literal"),
+        let of = |e: &'e Expr| self.type_of(tm, e, scope);
+        match e {
+            Expr::BoolLit(_) | Expr::App(..) | Expr::Unary(UnOp::Not, _) => Some(Type::Bool),
+            Expr::IntLit(_) => Some(Type::Int),
+            Expr::RealLit(..) => Some(Type::Real),
+            Expr::Nil => Some(Type::Loc),
+            Expr::EmptySet(Type::SetInt) => Some(Type::SetInt),
+            Expr::EmptySet(_) => None,
+            Expr::Var(name) => match tm.sort(*self.env.vars.get(name.as_str())?) {
+                Sort::Bool => Some(Type::Bool),
+                Sort::Int => Some(Type::Int),
+                Sort::Real => Some(Type::Real),
+                Sort::Loc => Some(Type::Loc),
+                Sort::Set(elem) if **elem == Sort::Int => Some(Type::SetInt),
+                Sort::Set(_) => Some(Type::SetLoc),
+                Sort::Array(..) => None,
+            },
+            Expr::Field(_, field) => self.program.field(field).map(|f| f.ty),
+            Expr::Old(inner) => self.old().type_of(tm, inner, scope),
+            Expr::Unary(UnOp::Neg, inner) => of(inner),
+            Expr::Binary(op, a, b) => match op {
+                BinOp::Add | BinOp::Sub => match (of(a)?, of(b)?) {
+                    (Type::Int, Type::Int) => Some(Type::Int),
+                    _ => Some(Type::Real),
                 },
-                BinOp::And => Ok(tm.and2(ta, tb)),
-                BinOp::Or => Ok(tm.or2(ta, tb)),
-                BinOp::Implies => Ok(tm.implies(ta, tb)),
-                BinOp::Iff => Ok(tm.iff(ta, tb)),
-                BinOp::Eq => Ok(tm.eq(ta, tb)),
-                BinOp::Ne => Ok(tm.neq(ta, tb)),
-                BinOp::Lt => Ok(tm.lt(ta, tb)),
-                BinOp::Le => Ok(tm.le(ta, tb)),
-                BinOp::Gt => Ok(tm.gt(ta, tb)),
-                BinOp::Ge => Ok(tm.ge(ta, tb)),
-                BinOp::Union => Ok(tm.union(ta, tb)),
-                BinOp::Inter => Ok(tm.inter(ta, tb)),
-                BinOp::Diff => Ok(tm.diff(ta, tb)),
-                BinOp::Member => Ok(tm.member(ta, tb)),
-                BinOp::Subset => Ok(tm.subset(ta, tb)),
-            }
-        }
-        Expr::Ite(c, t, f) => {
-            let ec = enc(tm, program, env, old_env, c, side)?;
-            let (t, f) = coerce_empty(tm, program, env, old_env, t, f);
-            let et = enc(tm, program, env, old_env, t, side)?;
-            let ef = enc(tm, program, env, old_env, f, side)?;
-            Ok(tm.ite(ec, et, ef))
-        }
-        Expr::Singleton(inner) => {
-            let i = enc(tm, program, env, old_env, inner, side)?;
-            Ok(tm.singleton(i))
-        }
-        Expr::App(name, args) => {
-            let mut ts = Vec::new();
-            for a in args {
-                ts.push(enc(tm, program, env, old_env, a, side)?);
-            }
-            Ok(tm.app(name, ts, Sort::Bool))
+                BinOp::Div => Some(Type::Real),
+                BinOp::Union | BinOp::Inter | BinOp::Diff => of(a).or_else(|| of(b)),
+                _ => Some(Type::Bool),
+            },
+            Expr::Ite(_, t, f) => of(t).or_else(|| of(f)),
+            Expr::Singleton(inner) => match of(inner)? {
+                Type::Int => Some(Type::SetInt),
+                Type::Loc => Some(Type::SetLoc),
+                _ => None,
+            },
         }
     }
 }
@@ -193,91 +347,29 @@ fn enc(
 /// integer set.
 const EMPTY_INT_SET: Expr = Expr::EmptySet(Type::SetInt);
 
-/// If one of the two operands (or `ite` branches) is the polymorphic
-/// empty-set literal and the other is a `Set<Int>`, the empty set becomes
-/// [`EMPTY_INT_SET`]; otherwise the operands are returned as they are. This
-/// keeps the SMT encoding well-sorted without burdening the surface programs.
-fn coerce_empty<'e>(
-    tm: &TermManager,
-    program: &Program,
-    env: &Env,
-    old_env: &Env,
-    a: &'e Expr,
-    b: &'e Expr,
-) -> (&'e Expr, &'e Expr) {
-    let int_set = |e: &Expr| type_of(tm, program, env, old_env, e) == Some(Type::SetInt);
-    let ea = if matches!(a, Expr::EmptySet(_)) && int_set(b) {
-        &EMPTY_INT_SET
-    } else {
-        a
-    };
-    let eb = if matches!(b, Expr::EmptySet(_)) && int_set(a) {
-        &EMPTY_INT_SET
-    } else {
-        b
-    };
-    (ea, eb)
-}
-
 /// `e` where a value is expected that `int_set` says is a `Set<Int>` (an
-/// assignment's target, a declared variable, a parameter, the right of `in`
-/// on an integer): the polymorphic `{}` becomes [`EMPTY_INT_SET`] there,
-/// and any other expression is returned as it is. `int_set` is asked only
-/// about a `{}`.
-pub(crate) fn empty_at(e: &Expr, int_set: impl FnOnce() -> bool) -> &Expr {
-    if matches!(e, Expr::EmptySet(_)) && int_set() {
+/// assignment's target, a declared variable, a parameter): if `e` stands for
+/// the polymorphic `{}`, it becomes [`EMPTY_INT_SET`] there, and any other
+/// expression is returned as it is. `int_set` is asked only about a `{}`.
+pub(crate) fn empty_at<'e>(
+    defs: &'e dyn Definitions,
+    e: &'e Expr,
+    int_set: impl FnOnce() -> bool,
+) -> &'e Expr {
+    if is_empty_set(defs, e, None) && int_set() {
         &EMPTY_INT_SET
     } else {
         e
     }
 }
 
-/// The IVL type of an expression, read off declared types — the program's
-/// field types and the sorts of the environment's variables — without
-/// encoding anything. `None` for the polymorphic `{}` (and for a set
-/// operation on two of them), an unbound variable or an unknown field.
-fn type_of(
-    tm: &TermManager,
-    program: &Program,
-    env: &Env,
-    old_env: &Env,
-    e: &Expr,
-) -> Option<Type> {
-    let of = |e: &Expr| type_of(tm, program, env, old_env, e);
+/// Whether `e`, under `scope`, stands for the polymorphic `{}`. Only a
+/// variable or an application can stand for another node.
+fn is_empty_set<'e>(defs: &'e dyn Definitions, e: &'e Expr, scope: Scope<'e>) -> bool {
     match e {
-        Expr::BoolLit(_) | Expr::App(..) | Expr::Unary(UnOp::Not, _) => Some(Type::Bool),
-        Expr::IntLit(_) => Some(Type::Int),
-        Expr::RealLit(..) => Some(Type::Real),
-        Expr::Nil => Some(Type::Loc),
-        Expr::EmptySet(Type::SetInt) => Some(Type::SetInt),
-        Expr::EmptySet(_) => None,
-        Expr::Var(name) => match tm.sort(*env.vars.get(name.as_str())?) {
-            Sort::Bool => Some(Type::Bool),
-            Sort::Int => Some(Type::Int),
-            Sort::Real => Some(Type::Real),
-            Sort::Loc => Some(Type::Loc),
-            Sort::Set(elem) if **elem == Sort::Int => Some(Type::SetInt),
-            Sort::Set(_) => Some(Type::SetLoc),
-            Sort::Array(..) => None,
-        },
-        Expr::Field(_, field) => program.field(field).map(|f| f.ty),
-        Expr::Old(inner) => type_of(tm, program, old_env, old_env, inner),
-        Expr::Unary(UnOp::Neg, inner) => of(inner),
-        Expr::Binary(op, a, b) => match op {
-            BinOp::Add | BinOp::Sub => match (of(a)?, of(b)?) {
-                (Type::Int, Type::Int) => Some(Type::Int),
-                _ => Some(Type::Real),
-            },
-            BinOp::Div => Some(Type::Real),
-            BinOp::Union | BinOp::Inter | BinOp::Diff => of(a).or_else(|| of(b)),
-            _ => Some(Type::Bool),
-        },
-        Expr::Ite(_, t, f) => of(t).or_else(|| of(f)),
-        Expr::Singleton(inner) => match of(inner)? {
-            Type::Int => Some(Type::SetInt),
-            Type::Loc => Some(Type::SetLoc),
-            _ => None,
-        },
+        Expr::EmptySet(_) => true,
+        Expr::Var(_) | Expr::App(..) => matches!(resolve(defs, e, scope), Expr::EmptySet(_)),
+        _ => false,
     }
 }
 

@@ -1,24 +1,34 @@
-//! The VC generation engine: symbolic execution of FWYB-expanded procedures
-//! with loop cutting, call summarization and per-assert VC splitting.
+//! The VC generation engine: symbolic execution of procedures with loop
+//! cutting, call summarization and per-assert VC splitting.
+//!
+//! The engine reads the program as written. Applications of a definition
+//! (`LC(e)`, `Phi(e)`) are instantiated where they are encoded or printed,
+//! and a FWYB macro statement is expanded into its few plain statements
+//! ([`Definitions::expand_macro`]) when execution reaches it; no expanded
+//! copy of the program is built.
 
 use std::fmt::Write;
 
-use ids_ivl::{Block, Expr, Lhs, Procedure, Program, Stmt, Type};
+use ids_ivl::printer::write_expr_in;
+use ids_ivl::{Block, Definitions, Expr, Lhs, Procedure, Program, Stmt, Type};
 use ids_smt::{Sort, TermId, TermManager};
 
-use crate::encode::{default_value, empty_at, encode_expr, sort_of_type, Env};
+use crate::encode::{default_value, empty_at, encode_expr_in, sort_of_type, Env};
 use crate::{Encoding, MethodVcs, Vc, VcError};
 
 /// Generates the verification conditions of one procedure, together with the
-/// shared hypothesis list (see [`MethodVcs`]).
+/// shared hypothesis list (see [`MethodVcs`]), with the program's
+/// applications and macro statements standing for `defs`' definitions.
 pub fn generate<'a>(
     tm: &mut TermManager,
     program: &'a Program,
+    defs: &'a dyn Definitions,
     proc: &'a Procedure,
     encoding: Encoding,
 ) -> Result<MethodVcs, VcError> {
     let mut ctx = Ctx {
         program,
+        defs,
         proc,
         encoding,
         assumptions: Vec::new(),
@@ -73,7 +83,7 @@ pub fn generate<'a>(
     let tru = tm.tru();
     for r in &proc.requires {
         let mut side = Vec::new();
-        let t = encode_expr(tm, program, &env, &old_env, r, &mut side)?;
+        let t = encode_expr_in(tm, program, defs, &env, &old_env, r, &mut side)?;
         ctx.assumptions.extend(side);
         // Split top-level conjunctions into individual hypotheses. The VC
         // formulas are unchanged — the antecedent `and` flattens nested
@@ -90,7 +100,7 @@ pub fn generate<'a>(
     }
 
     // ----------------------------------------------------------------- body
-    let final_env = ctx.exec_block(tm, body, env, tru, &old_env)?;
+    let final_env = ctx.exec_block(tm, &body.stmts, env, tru, &old_env)?;
 
     // ------------------------------------------------------- postconditions
     ctx.check_ensures(tm, proc, &final_env, &old_env, tru, "at end of procedure")?;
@@ -124,6 +134,8 @@ fn declare_locals<'a>(tm: &mut TermManager, env: &mut Env<'a>, block: &'a Block)
 
 struct Ctx<'a> {
     program: &'a Program,
+    /// What the program's applications and macro statements stand for.
+    defs: &'a dyn Definitions,
     /// The procedure whose VCs are generated.
     proc: &'a Procedure,
     encoding: Encoding,
@@ -168,7 +180,7 @@ impl<'a> Ctx<'a> {
         e: &Expr,
     ) -> Result<TermId, VcError> {
         let mut side = Vec::new();
-        let t = encode_expr(tm, self.program, env, old_env, e, &mut side)?;
+        let t = encode_expr_in(tm, self.program, self.defs, env, old_env, e, &mut side)?;
         for s in side {
             self.assume_guarded(tm, guard, s);
         }
@@ -192,15 +204,18 @@ impl<'a> Ctx<'a> {
         Ok(())
     }
 
+    /// Executes statements in order. A statement need not be part of the
+    /// program (a macro's expansion is not): every variable it can write is
+    /// bound on entry, so the state borrows no name from it.
     fn exec_block(
         &mut self,
         tm: &mut TermManager,
-        block: &'a Block,
+        stmts: &[Stmt],
         mut env: Env<'a>,
         guard: TermId,
         old_env: &Env<'a>,
     ) -> Result<Env<'a>, VcError> {
-        for s in &block.stmts {
+        for s in stmts {
             env = self.exec_stmt(tm, s, env, guard, old_env)?;
         }
         Ok(env)
@@ -209,7 +224,7 @@ impl<'a> Ctx<'a> {
     fn exec_stmt(
         &mut self,
         tm: &mut TermManager,
-        stmt: &'a Stmt,
+        stmt: &Stmt,
         mut env: Env<'a>,
         guard: TermId,
         old_env: &Env<'a>,
@@ -217,14 +232,14 @@ impl<'a> Ctx<'a> {
         match stmt {
             Stmt::VarDecl { name, ty, init, .. } => {
                 if let Some(e) = init {
-                    let e = empty_at(e, || *ty == Type::SetInt);
+                    let e = empty_at(self.defs, e, || *ty == Type::SetInt);
                     let t = self.encode(tm, &env, old_env, guard, e)?;
-                    env.vars.insert(name, t);
+                    *var_slot(&mut env, name)? = t;
                 }
                 Ok(env)
             }
             Stmt::Assign { lhs, rhs } => {
-                let rhs = empty_at(rhs, || match lhs {
+                let rhs = empty_at(self.defs, rhs, || match lhs {
                     Lhs::Var(v) => env
                         .vars
                         .get(v.as_str())
@@ -233,10 +248,7 @@ impl<'a> Ctx<'a> {
                 });
                 let value = self.encode(tm, &env, old_env, guard, rhs)?;
                 match lhs {
-                    Lhs::Var(v) => match env.vars.get_mut(v.as_str()) {
-                        Some(slot) => *slot = value,
-                        None => return Err(VcError::Encoding(format!("unbound variable '{}'", v))),
-                    },
+                    Lhs::Var(v) => *var_slot(&mut env, v)? = value,
                     Lhs::Field(obj, field) => {
                         let o = env.vars.get(obj.as_str()).copied().ok_or_else(|| {
                             VcError::Encoding(format!("unbound variable '{}'", obj))
@@ -250,10 +262,7 @@ impl<'a> Ctx<'a> {
                 Ok(env)
             }
             Stmt::Havoc { name } => {
-                let slot = env
-                    .vars
-                    .get_mut(name.as_str())
-                    .ok_or_else(|| VcError::Encoding(format!("unbound variable '{}'", name)))?;
+                let slot = var_slot(&mut env, name)?;
                 let sort = tm.sort(*slot).clone();
                 *slot = tm.fresh_var(name, sort);
                 Ok(env)
@@ -266,7 +275,7 @@ impl<'a> Ctx<'a> {
             Stmt::Assert(e) => {
                 let t = self.encode(tm, &env, old_env, guard, e)?;
                 let mut description = self.describe(format_args!("assert "));
-                ids_ivl::printer::write_expr(&mut description, e);
+                write_expr_in(&mut description, e, self.defs);
                 self.emit_vc(tm, guard, t, description);
                 Ok(env)
             }
@@ -293,7 +302,7 @@ impl<'a> Ctx<'a> {
                 let single = tm.singleton(fresh);
                 let grown = tm.union(alloc, single);
                 env.vars.insert("Alloc", grown);
-                env.vars.insert(lhs, fresh);
+                *var_slot(&mut env, lhs)? = fresh;
                 Ok(env)
             }
             Stmt::If {
@@ -306,8 +315,8 @@ impl<'a> Ctx<'a> {
                 let nc = tm.not(c);
                 let guard_else = tm.and2(guard, nc);
                 let env_then =
-                    self.exec_block(tm, then_branch, env.clone(), guard_then, old_env)?;
-                let env_else = self.exec_block(tm, else_branch, env, guard_else, old_env)?;
+                    self.exec_block(tm, &then_branch.stmts, env.clone(), guard_then, old_env)?;
+                let env_else = self.exec_block(tm, &else_branch.stmts, env, guard_else, old_env)?;
                 Ok(merge_envs(tm, c, &env_then, &env_else))
             }
             Stmt::While {
@@ -324,7 +333,7 @@ impl<'a> Ctx<'a> {
                     self.emit_vc(tm, guard, t, description);
                 }
                 // 2. Havoc the loop targets (arbitrary iteration).
-                let targets = loop_targets(self.program, body);
+                let targets = self.loop_targets(&env, &body.stmts);
                 for &v in &targets.vars {
                     if let Some(slot) = env.vars.get_mut(v) {
                         let sort = tm.sort(*slot).clone();
@@ -346,7 +355,8 @@ impl<'a> Ctx<'a> {
                 //    the invariants. This path does not continue past the loop.
                 let c = self.encode(tm, &env, old_env, guard, cond)?;
                 let guard_body = tm.and2(guard, c);
-                let body_env = self.exec_block(tm, body, env.clone(), guard_body, old_env)?;
+                let body_env =
+                    self.exec_block(tm, &body.stmts, env.clone(), guard_body, old_env)?;
                 for (i, inv) in invariants.iter().enumerate() {
                     let t = self.encode(tm, &body_env, old_env, guard_body, inv)?;
                     let description =
@@ -369,7 +379,13 @@ impl<'a> Ctx<'a> {
                 self.assume_guarded(tm, guard, f);
                 Ok(env)
             }
-            Stmt::Macro { name, .. } => Err(VcError::UnexpandedMacro(name.clone())),
+            Stmt::Macro { name, args } => {
+                let stmts = self
+                    .defs
+                    .expand_macro(name, args)
+                    .ok_or_else(|| VcError::UnexpandedMacro(name.clone()))?;
+                self.exec_block(tm, &stmts, env, guard, old_env)
+            }
         }
     }
 
@@ -377,7 +393,7 @@ impl<'a> Ctx<'a> {
     fn exec_call(
         &mut self,
         tm: &mut TermManager,
-        lhs: &'a [String],
+        lhs: &[String],
         callee_name: &str,
         args: &[Expr],
         mut env: Env<'a>,
@@ -399,7 +415,7 @@ impl<'a> Ctx<'a> {
         // Bind actuals (evaluated in the caller's pre-call state).
         let mut pre_env = env.clone();
         for (param, arg) in callee.params.iter().zip(args.iter()) {
-            let arg = empty_at(arg, || param.ty == Type::SetInt);
+            let arg = empty_at(self.defs, arg, || param.ty == Type::SetInt);
             let t = self.encode(tm, &env, old_env, guard, arg)?;
             pre_env.vars.insert(&param.name, t);
         }
@@ -473,7 +489,7 @@ impl<'a> Ctx<'a> {
             let fresh = tm.fresh_var(format_args!("ret_{}", ret.name), sort_of_type(ret.ty));
             post_env.vars.insert(&ret.name, fresh);
             if let Some(target) = lhs.get(i) {
-                env.vars.insert(target, fresh);
+                *var_slot(&mut env, target)? = fresh;
             }
         }
         // Assume the callee's postconditions; `old()` in them refers to the
@@ -486,82 +502,101 @@ impl<'a> Ctx<'a> {
     }
 }
 
+/// The binding of a variable that a statement writes. Every variable a
+/// statement can write is bound on entry: the parameters and results, and
+/// every local ([`declare_locals`]).
+fn var_slot<'e>(env: &'e mut Env<'_>, name: &str) -> Result<&'e mut TermId, VcError> {
+    env.vars
+        .get_mut(name)
+        .ok_or_else(|| VcError::Encoding(format!("unbound variable '{}'", name)))
+}
+
 /// The assignment targets of a loop body (variables and field maps that must
-/// be havocked when cutting the loop).
+/// be havocked when cutting the loop), as keys of the state at the loop. A
+/// name that state does not bind is no target: nothing is havocked for it.
 #[derive(Default)]
 struct LoopTargets<'a> {
     vars: Vec<&'a str>,
     fields: Vec<&'a str>,
 }
 
-fn loop_targets<'a>(program: &'a Program, body: &'a Block) -> LoopTargets<'a> {
-    let mut t = LoopTargets::default();
-    collect_targets(program, body, &mut t);
-    t.vars.sort();
-    t.vars.dedup();
-    t.fields.sort();
-    t.fields.dedup();
-    t
+impl<'a> LoopTargets<'a> {
+    fn var(&mut self, env: &Env<'a>, name: &str) {
+        if let Some((&k, _)) = env.vars.get_key_value(name) {
+            self.vars.push(k);
+        }
+    }
+
+    fn field(&mut self, env: &Env<'a>, name: &str) {
+        if let Some((&k, _)) = env.fields.get_key_value(name) {
+            self.fields.push(k);
+        }
+    }
+
+    /// Allocation and calls write every field map.
+    fn all_fields(&mut self, env: &Env<'a>) {
+        self.fields.extend(env.fields.keys());
+    }
 }
 
-fn collect_targets<'a>(program: &'a Program, block: &'a Block, out: &mut LoopTargets<'a>) {
-    for s in &block.stmts {
-        match s {
-            Stmt::Assign { lhs, .. } => match lhs {
-                Lhs::Var(v) => out.vars.push(v),
-                Lhs::Field(_, f) => out.fields.push(f),
-            },
-            Stmt::VarDecl { name, init, .. } if init.is_some() => {
-                out.vars.push(name);
-            }
-            Stmt::Havoc { name } => out.vars.push(name),
-            Stmt::Alloc { lhs } => {
-                out.vars.push(lhs);
-                out.vars.push("Alloc");
-                // Allocation writes default values into every field map.
-                for f in &program.fields {
-                    out.fields.push(&f.name);
+impl<'a> Ctx<'a> {
+    /// The targets of a loop body; a macro statement's are those of its
+    /// expansion.
+    fn loop_targets(&self, env: &Env<'a>, body: &[Stmt]) -> LoopTargets<'a> {
+        let mut t = LoopTargets::default();
+        self.collect_targets(env, body, &mut t);
+        t.vars.sort();
+        t.vars.dedup();
+        t.fields.sort();
+        t.fields.dedup();
+        t
+    }
+
+    fn collect_targets(&self, env: &Env<'a>, stmts: &[Stmt], out: &mut LoopTargets<'a>) {
+        for s in stmts {
+            match s {
+                Stmt::Assign {
+                    lhs: Lhs::Var(name),
+                    ..
                 }
-            }
-            Stmt::Call { lhs, .. } => {
-                out.vars.extend(lhs.iter().map(String::as_str));
-                out.vars.push("Alloc");
-                out.vars.push("Br");
-                out.vars.push("Br2");
-                for f in &program.fields {
-                    out.fields.push(&f.name);
+                | Stmt::Havoc { name }
+                | Stmt::VarDecl {
+                    name,
+                    init: Some(_),
+                    ..
+                } => out.var(env, name),
+                Stmt::Assign {
+                    lhs: Lhs::Field(_, f),
+                    ..
+                } => out.field(env, f),
+                Stmt::Alloc { lhs } => {
+                    out.var(env, lhs);
+                    out.var(env, "Alloc");
+                    out.all_fields(env);
                 }
-            }
-            Stmt::Macro { name, args } => {
-                // Conservative: macros that mutate state touch the broken set
-                // and (for Mut/NewObj) a field / fresh object.
-                out.vars.push("Br");
-                out.vars.push("Br2");
-                if name == "Mut" {
-                    if let Some(Expr::Var(f)) = args.get(1) {
-                        out.fields.push(f);
+                Stmt::Call { lhs, .. } => {
+                    for v in lhs.iter().map(String::as_str).chain(["Alloc", "Br", "Br2"]) {
+                        out.var(env, v);
+                    }
+                    out.all_fields(env);
+                }
+                Stmt::Macro { name, args } => {
+                    // A macro that does not expand fails when the body runs.
+                    if let Some(expansion) = self.defs.expand_macro(name, args) {
+                        self.collect_targets(env, &expansion, out);
                     }
                 }
-                if name == "NewObj" {
-                    if let Some(Expr::Var(v)) = args.first() {
-                        out.vars.push(v);
-                    }
-                    out.vars.push("Alloc");
-                    for f in &program.fields {
-                        out.fields.push(&f.name);
-                    }
+                Stmt::If {
+                    then_branch,
+                    else_branch,
+                    ..
+                } => {
+                    self.collect_targets(env, &then_branch.stmts, out);
+                    self.collect_targets(env, &else_branch.stmts, out);
                 }
+                Stmt::While { body, .. } => self.collect_targets(env, &body.stmts, out),
+                _ => {}
             }
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                collect_targets(program, then_branch, out);
-                collect_targets(program, else_branch, out);
-            }
-            Stmt::While { body, .. } => collect_targets(program, body, out),
-            _ => {}
         }
     }
 }
@@ -615,7 +650,7 @@ mod tests {
         .unwrap();
         let mut tm = TermManager::new();
         let proc = program.procedure("m").unwrap();
-        let generated = generate(&mut tm, &program, proc, Encoding::Decidable).unwrap();
+        let generated = generate(&mut tm, &program, &(), proc, Encoding::Decidable).unwrap();
         assert_eq!(generated.vcs.len(), 3);
         // The hypothesis split reconstructs each VC formula exactly.
         for vc in &generated.vcs {
@@ -645,7 +680,7 @@ mod tests {
         .unwrap();
         let mut tm = TermManager::new();
         let proc = program.procedure("m").unwrap();
-        let err = generate(&mut tm, &program, proc, Encoding::Decidable).unwrap_err();
+        let err = generate(&mut tm, &program, &(), proc, Encoding::Decidable).unwrap_err();
         assert!(matches!(err, VcError::UnexpandedMacro(_)));
     }
 
@@ -668,13 +703,13 @@ mod tests {
         .unwrap();
         let mut tm = TermManager::new();
         let proc = program.procedure("m").unwrap();
-        let vcs = generate(&mut tm, &program, proc, Encoding::Decidable)
+        let vcs = generate(&mut tm, &program, &(), proc, Encoding::Decidable)
             .unwrap()
             .vcs;
         for vc in &vcs {
             assert!(ids_smt::smtlib::is_quantifier_free(&tm, &[vc.formula]));
         }
-        let vcs_q = generate(&mut tm, &program, proc, Encoding::Quantified)
+        let vcs_q = generate(&mut tm, &program, &(), proc, Encoding::Quantified)
             .unwrap()
             .vcs;
         let any_quantified = vcs_q

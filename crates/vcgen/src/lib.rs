@@ -1,8 +1,11 @@
 //! `ids-vcgen` — verification-condition generation for the IVL.
 //!
 //! This crate plays the role Boogie's VC generator plays in the paper: it
-//! turns an (FWYB-expanded) IVL procedure into a set of logical validity
-//! queries over the theories supported by [`ids_smt`].
+//! turns an IVL procedure into a set of logical validity queries over the
+//! theories supported by [`ids_smt`]. A program written against an intrinsic
+//! definition is read as written: `LC(e)` and `Phi(e)` are instantiated where
+//! they are encoded, and the FWYB macro statements expand where execution
+//! reaches them, through the [`Definitions`] hook ([`VcGen::with_definitions`]).
 //!
 //! The heap is modelled exactly as described in §3.7 / Appendix A.3 of the
 //! paper:
@@ -34,7 +37,7 @@ pub mod qfcheck;
 
 use std::collections::HashSet;
 
-use ids_ivl::Program;
+use ids_ivl::{Definitions, Program};
 use ids_smt::quant::{instantiate, is_guarded_forall};
 use ids_smt::{structural_hashes, IncrementalSolver, SatResult, SolverStats, TermId, TermManager};
 
@@ -348,7 +351,8 @@ pub enum VcError {
     UnknownProcedure(String),
     /// The procedure has no body (nothing to verify).
     NoBody(String),
-    /// A FWYB macro statement was not expanded before VC generation.
+    /// A FWYB macro statement has no expansion: the program was not given
+    /// the definitions it is written against, or the macro is malformed.
     UnexpandedMacro(String),
     /// An expression could not be encoded.
     Encoding(String),
@@ -360,7 +364,7 @@ impl std::fmt::Display for VcError {
             VcError::UnknownProcedure(p) => write!(f, "unknown procedure '{}'", p),
             VcError::NoBody(p) => write!(f, "procedure '{}' has no body", p),
             VcError::UnexpandedMacro(m) => {
-                write!(f, "macro '{}' must be expanded before VC generation", m)
+                write!(f, "macro '{}' has no expansion without its definitions", m)
             }
             VcError::Encoding(msg) => write!(f, "encoding error: {}", msg),
         }
@@ -421,13 +425,30 @@ impl VerifyOutcome {
 /// ```
 pub struct VcGen<'a> {
     program: &'a Program,
+    defs: &'a dyn Definitions,
     encoding: Encoding,
 }
 
 impl<'a> VcGen<'a> {
-    /// Creates a generator for the given program and encoding mode.
+    /// Creates a generator for the given plain program and encoding mode:
+    /// applications are uninterpreted and macro statements are errors.
     pub fn new(program: &'a Program, encoding: Encoding) -> VcGen<'a> {
-        VcGen { program, encoding }
+        VcGen::with_definitions(program, &(), encoding)
+    }
+
+    /// Creates a generator for a program whose applications and macro
+    /// statements stand for `defs`' definitions (an intrinsic definition's
+    /// `LC`, `LC2`, `Phi` and FWYB macros).
+    pub fn with_definitions(
+        program: &'a Program,
+        defs: &'a dyn Definitions,
+        encoding: Encoding,
+    ) -> VcGen<'a> {
+        VcGen {
+            program,
+            defs,
+            encoding,
+        }
     }
 
     /// The program this generator works on.
@@ -455,7 +476,7 @@ impl<'a> VcGen<'a> {
         if proc.body.is_none() {
             return Err(VcError::NoBody(proc_name.to_string()));
         }
-        engine::generate(tm, self.program, proc, self.encoding)
+        engine::generate(tm, self.program, self.defs, proc, self.encoding)
     }
 
     /// Generates the VCs of a procedure and discharges them, in order,

@@ -6,10 +6,10 @@
 //!
 //! Run with: `cargo run --example ghost_projection --release`
 
-use intrinsic_verify::core::fwyb::expand_program;
 use intrinsic_verify::core::ghost::{check_ghost_legality, project};
 use intrinsic_verify::core::pipeline::load_methods;
-use intrinsic_verify::ivl::program_to_string;
+use intrinsic_verify::ivl::printer::{procedure_to_string, write_expr_in};
+use intrinsic_verify::ivl::{parse_expr, program_to_string};
 use intrinsic_verify::structures::lists;
 
 fn main() {
@@ -25,15 +25,19 @@ fn main() {
         violations.len()
     );
 
-    println!("\n== the FWYB-expanded program for insert_front (what the verifier sees) ==\n");
-    let expanded = expand_program(&ids, &merged).expect("expansion");
-    let proc = expanded
+    println!("\n== insert_front as written (what the verifier reads) ==\n");
+    let proc = merged
         .procedure("insert_front")
         .expect("insert_front exists");
-    print!(
-        "{}",
-        intrinsic_verify::ivl::printer::procedure_to_string(proc)
-    );
+    print!("{}", procedure_to_string(proc));
+
+    // The verifier builds no expanded copy: it instantiates the local
+    // condition where it meets `LC(z)`, and expands each macro statement
+    // into its few statements when it reaches it.
+    println!("\n== LC(z), as the verifier instantiates it ==\n");
+    let mut instance = String::new();
+    write_expr_in(&mut instance, &parse_expr("LC(z)").expect("parses"), &ids);
+    println!("{}", instance);
 
     println!("\n== the projected user program (ghost code erased) ==\n");
     let user = project(&merged);

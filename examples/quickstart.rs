@@ -107,6 +107,7 @@ fn main() {
             report.num_vcs,
             report.duration.as_secs_f64()
         );
+        assert_eq!(report.outcome.is_verified(), method == "push");
     }
     println!("\nThe broken variant is rejected exactly at the AssertLCAndRemove that the");
     println!("forgotten repair invalidates — predictably, with no solver hints needed.");

@@ -50,9 +50,9 @@ fn print_broken(step: &str, heap: &Heap, lc: &Expr) {
 
 fn main() {
     let ids = list_definition();
-    // The local condition instantiated at the free variable `x`, the shape the
-    // runtime checker evaluates per object.
-    let lc = ids.lc_at(&Expr::var("x"));
+    // The local condition over its free variable `x`, the shape the runtime
+    // checker evaluates per object.
+    let lc = ids.local_condition.clone();
 
     // A well-formed three-element list [10, 20, 30].
     let (mut heap, head) = build_list(&[10, 20, 30]);

@@ -1,11 +1,11 @@
 //! Integration tests spanning the whole stack: IVL parsing → intrinsic
-//! definition + FWYB expansion (`ids-core`) → VC generation (`ids-vcgen`) →
+//! definition + FWYB macros (`ids-core`) → VC generation (`ids-vcgen`) →
 //! SMT solving (`ids-smt`), driven through the umbrella crate exactly as a
 //! downstream user would.
 
 use intrinsic_verify::core::ids::IntrinsicDefinition;
 use intrinsic_verify::core::pipeline::{verify_method, PipelineConfig};
-use intrinsic_verify::core::{fwyb, ghost, impact, wellbehaved};
+use intrinsic_verify::core::{ghost, impact, wellbehaved};
 use intrinsic_verify::smt::{IncrementalSolver, SatResult, Sort, TermManager};
 use intrinsic_verify::vcgen::{Encoding, VcGen};
 
@@ -76,9 +76,8 @@ fn pipeline_rejects_wrong_functional_spec() {
 fn quantified_encoding_is_supported_but_distinct() {
     let ids = two_field_list();
     let merged = intrinsic_verify::core::pipeline::load_methods(&ids, PUSH).unwrap();
-    let expanded = fwyb::expand_program(&ids, &merged).unwrap();
     let mut tm = TermManager::new();
-    let dec_vcs = VcGen::new(&expanded, Encoding::Decidable)
+    let dec_vcs = VcGen::with_definitions(&merged, &ids, Encoding::Decidable)
         .vcs_for(&mut tm, "push")
         .unwrap();
     let formulas: Vec<_> = dec_vcs.iter().map(|v| v.formula).collect();
