@@ -127,10 +127,7 @@ impl<'c> Encoder<'c> {
         e: &'e Expr,
         scope: Scope<'e>,
         side: &mut Vec<TermId>,
-    ) -> Result<TermId, VcError>
-    where
-        'c: 'e,
-    {
+    ) -> Result<TermId, VcError> {
         match instance(self.defs, e, scope) {
             Some(Instance::Arg(arg)) => return self.enc(tm, arg, None, side),
             Some(Instance::Body(body, binding)) => return self.enc(tm, body, Some(&binding), side),
@@ -261,10 +258,7 @@ impl<'c> Encoder<'c> {
         a: &'e Expr,
         b: &'e Expr,
         scope: Scope<'e>,
-    ) -> (&'e Expr, &'e Expr)
-    where
-        'c: 'e,
-    {
+    ) -> (&'e Expr, &'e Expr) {
         let int_set = |e| self.type_of(tm, e, scope) == Some(Type::SetInt);
         (
             self.empty_at(a, scope, || int_set(b)),
@@ -279,10 +273,7 @@ impl<'c> Encoder<'c> {
         e: &'e Expr,
         scope: Scope<'e>,
         int_set: impl FnOnce() -> bool,
-    ) -> &'e Expr
-    where
-        'c: 'e,
-    {
+    ) -> &'e Expr {
         if is_empty_set(self.defs, e, scope) && int_set() {
             &EMPTY_INT_SET
         } else {
@@ -295,10 +286,7 @@ impl<'c> Encoder<'c> {
     /// without encoding anything. `None` for the polymorphic `{}` (and for a
     /// set operation on two of them), an unbound variable or an unknown
     /// field.
-    fn type_of<'e>(&self, tm: &TermManager, e: &'e Expr, scope: Scope<'e>) -> Option<Type>
-    where
-        'c: 'e,
-    {
+    fn type_of<'e>(&self, tm: &TermManager, e: &'e Expr, scope: Scope<'e>) -> Option<Type> {
         match instance(self.defs, e, scope) {
             Some(Instance::Arg(arg)) => return self.type_of(tm, arg, None),
             Some(Instance::Body(body, binding)) => return self.type_of(tm, body, Some(&binding)),
