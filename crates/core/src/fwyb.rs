@@ -364,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    fn lc_applications_are_instantiated() {
+    fn lc_applications_are_substituted() {
         let ids = simple_ids();
         let print = |src: &str| {
             let mut out = String::new();

@@ -665,7 +665,8 @@ fn run_verify(options: &Options) -> ExitCode {
     };
 
     let batch = if let Some(wanted) = &options.structure {
-        // Merge the file with a registry definition; FWYB macros expand.
+        // Merge the file with a registry definition, which gives its FWYB
+        // macros and `LC`/`Phi` applications their meaning.
         // The name must match exactly one structure — verifying against a
         // silently guessed definition would produce meaningless verdicts.
         let registry = all_benchmarks();
