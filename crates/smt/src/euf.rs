@@ -20,10 +20,9 @@
 use crate::fxmap::FxHashMap;
 use crate::term::{Op, TermId, TermManager};
 
-/// Why two nodes were merged. Shared with the online theory layer's
-/// undo-trail EUF, which maintains the same proof-forest shape.
+/// Why two nodes were merged.
 #[derive(Clone, Debug)]
-pub(crate) enum Reason {
+enum Reason {
     /// An input equation with the given tag.
     Asserted(usize),
     /// Congruence of the two application terms (same operator, equal args).
@@ -43,23 +42,31 @@ pub enum EufOutcome {
 }
 
 /// A congruence-eligible application node of the universe.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct AppNode {
     /// Node index of the application term itself.
-    pub(crate) node: usize,
+    pub(crate) node: u32,
     /// Interned operator id (equal ids ⇔ equal operators).
     pub(crate) op: u32,
-    /// Node indices of the arguments.
-    pub(crate) args: Vec<usize>,
+    /// The template's `app_args[start..end]` are the argument nodes.
+    start: u32,
+    end: u32,
 }
+
+/// Marks a term with no node in [`EufTemplate`]'s dense index.
+const NO_NODE: u32 = u32::MAX;
 
 /// The immutable, shareable part of a congruence-closure run: the term
 /// universe with dense node numbering and the pre-extracted application nodes.
 #[derive(Clone, Debug, Default)]
 pub struct EufTemplate {
     pub(crate) terms: Vec<TermId>,
-    pub(crate) node_of_term: FxHashMap<TermId, usize>,
+    /// Per term id: its node, or [`NO_NODE`]. Dense, because the universe
+    /// holds most of the terms a session interns.
+    node_of_term: Vec<u32>,
     pub(crate) app_nodes: Vec<AppNode>,
+    /// The argument nodes of every application, one after the other.
+    app_args: Vec<u32>,
     /// Interned operators, kept so the template can be extended with new
     /// terms later (incremental sessions) without renumbering.
     op_ids: FxHashMap<Op, u32>,
@@ -85,19 +92,22 @@ impl EufTemplate {
         // into a known term: the template is closed under sub-terms, so a
         // known term has only known sub-terms, and the new terms come in the
         // same order.
-        let mut new_terms = Vec::new();
+        let first_new = self.terms.len();
         let mut stack: Vec<TermId> = universe.to_vec();
         while let Some(t) = stack.pop() {
-            if self.node_of_term.contains_key(&t) {
+            if self.try_node(t).is_some() {
                 continue;
             }
+            let slot = t.0 as usize;
+            if self.node_of_term.len() <= slot {
+                self.node_of_term.resize(slot + 1, NO_NODE);
+            }
+            self.node_of_term[slot] = self.terms.len() as u32;
             self.terms.push(t);
-            self.node_of_term.insert(t, self.terms.len() - 1);
-            new_terms.push(t);
             stack.extend(tm.term(t).args.iter().copied());
         }
-        for t in new_terms {
-            let term = tm.term(t);
+        for node in first_new..self.terms.len() {
+            let term = tm.term(self.terms[node]);
             if term.args.is_empty()
                 || matches!(
                     term.op,
@@ -115,9 +125,18 @@ impl EufTemplate {
                     op
                 }
             };
-            let node = self.node_of_term[&t];
-            let args = term.args.iter().map(|a| self.node_of_term[a]).collect();
-            self.app_nodes.push(AppNode { node, op, args });
+            let start = self.app_args.len() as u32;
+            for &a in &term.args {
+                self.app_args.push(self.node(a) as u32);
+            }
+            let end = self.app_args.len() as u32;
+            let node = node as u32;
+            self.app_nodes.push(AppNode {
+                node,
+                op,
+                start,
+                end,
+            });
         }
     }
 
@@ -126,10 +145,22 @@ impl EufTemplate {
     /// # Panics
     /// Panics if `t` is not in the universe.
     pub(crate) fn node(&self, t: TermId) -> usize {
-        *self
-            .node_of_term
-            .get(&t)
+        self.try_node(t)
             .unwrap_or_else(|| panic!("term {:?} not in EUF universe", t))
+    }
+
+    /// The node of `t`, or `None` if it is not in the universe.
+    pub(crate) fn try_node(&self, t: TermId) -> Option<usize> {
+        match self.node_of_term.get(t.0 as usize) {
+            Some(&n) if n != NO_NODE => Some(n as usize),
+            _ => None,
+        }
+    }
+
+    /// The argument nodes of application `ai`.
+    pub(crate) fn args(&self, ai: usize) -> &[u32] {
+        let app = &self.app_nodes[ai];
+        &self.app_args[app.start as usize..app.end as usize]
     }
 }
 
@@ -261,8 +292,8 @@ impl<'a> Euf<'a> {
                     // FNV-style signature hash over (op, canonical args).
                     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
                     h = (h ^ u64::from(app.op)).wrapping_mul(0x0000_0100_0000_01b3);
-                    for &arg in &app.args {
-                        let rep = find_in(parent, arg) as u64;
+                    for &arg in template.args(ai) {
+                        let rep = find_in(parent, arg as usize) as u64;
                         h = (h ^ rep).wrapping_mul(0x0000_0100_0000_01b3);
                     }
                     sigs.push((h, ai as u32));
@@ -276,12 +307,12 @@ impl<'a> Euf<'a> {
                 while i < sigs.len() && sigs[i].0 == h {
                     let ai = sigs[i].1 as usize;
                     i += 1;
-                    let node_i = self.template.app_nodes[ai].node;
+                    let node_i = self.template.app_nodes[ai].node as usize;
                     let mut merged_with: Option<usize> = None;
                     for &rep in &reps {
                         let aj = rep as usize;
                         if self.congruent_apps(ai, aj) {
-                            let node_j = self.template.app_nodes[aj].node;
+                            let node_j = self.template.app_nodes[aj].node as usize;
                             let (fi, fj) = (
                                 find_in(&mut self.parent, node_i),
                                 find_in(&mut self.parent, node_j),
@@ -330,25 +361,16 @@ impl<'a> Euf<'a> {
     /// True if the two application nodes (indices into the template's app-node
     /// list) have the same operator and pairwise congruent arguments.
     fn congruent_apps(&mut self, ai: usize, aj: usize) -> bool {
-        let (op_i, op_j) = (
-            self.template.app_nodes[ai].op,
-            self.template.app_nodes[aj].op,
-        );
-        if op_i != op_j
-            || self.template.app_nodes[ai].args.len() != self.template.app_nodes[aj].args.len()
-        {
+        let template: &EufTemplate = &self.template;
+        let (args_i, args_j) = (template.args(ai), template.args(aj));
+        if template.app_nodes[ai].op != template.app_nodes[aj].op || args_i.len() != args_j.len() {
             return false;
         }
-        for k in 0..self.template.app_nodes[ai].args.len() {
-            let (x, y) = (
-                self.template.app_nodes[ai].args[k],
-                self.template.app_nodes[aj].args[k],
-            );
-            if find_in(&mut self.parent, x) != find_in(&mut self.parent, y) {
-                return false;
-            }
-        }
-        true
+        let parent = &mut self.parent;
+        args_i
+            .iter()
+            .zip(args_j)
+            .all(|(&x, &y)| find_in(parent, x as usize) == find_in(parent, y as usize))
     }
 
     /// True if the two terms are currently in the same class. Intended for use
@@ -362,7 +384,7 @@ impl<'a> Euf<'a> {
     /// other indices from the same run), or `None` if `t` is not in the
     /// universe. Intended for use after a consistent [`Euf::check`].
     pub fn class_index(&mut self, t: TermId) -> Option<usize> {
-        let n = *self.template.node_of_term.get(&t)?;
+        let n = self.template.try_node(t)?;
         Some(self.find(n))
     }
 

@@ -123,14 +123,17 @@ use crate::term::{Op, Sort, TermId, TermManager};
 use crate::theory::TheoryChecker;
 
 /// Where an atom has been used so far: in a permanent assertion (or a derived
-/// fact), or only inside the listed push scopes.
-#[derive(Clone, Debug)]
+/// fact), or only inside push scopes.
+#[derive(Clone, Copy, Debug)]
 enum AtomScope {
     /// Mentioned by at least one permanent assertion — always live.
     Base,
-    /// Mentioned only by assertions of these scopes (by scope id); live while
-    /// any of them is still on the scope stack.
-    Scopes(Vec<u64>),
+    /// Mentioned only by assertions of push scopes, the outermost of which
+    /// (by scope id) is still open or was the last to be seen: the atom is
+    /// live while this scope is on the stack. An atom's scopes were all open
+    /// together when it was last marked, nested inside the outermost one,
+    /// so they are all popped once it is.
+    Scope(u64),
 }
 
 /// One entry of the push/pop stack.
@@ -515,24 +518,18 @@ impl IncrementalSolver {
         match self.atom_scope.get_mut(&t) {
             None => {
                 self.pending_atoms.push(t);
-                let scope = match scope_id {
-                    None => AtomScope::Base,
-                    Some(id) => AtomScope::Scopes(vec![id]),
-                };
+                let scope = scope_id.map_or(AtomScope::Base, AtomScope::Scope);
                 self.atom_scope.insert(t, scope);
             }
-            Some(AtomScope::Base) => {}
-            Some(AtomScope::Scopes(ids)) => match scope_id {
-                None => {
-                    self.atom_scope.insert(t, AtomScope::Base);
-                }
-                Some(id) => {
-                    // Popped ids can never become live again: prune them
-                    // here so a reused atom's list stays bounded by the
-                    // stack depth.
-                    ids.retain(|i| self.scopes.iter().any(|s| s.id == *i));
-                    if !ids.contains(&id) {
-                        ids.push(id);
+            Some(scope) => match (*scope, scope_id) {
+                (AtomScope::Base, _) => {}
+                (AtomScope::Scope(_), None) => *scope = AtomScope::Base,
+                // A popped scope can never become live again: the innermost
+                // open scope `id` takes its place. An open one stays, since
+                // `id` is nested inside it.
+                (AtomScope::Scope(outer), Some(id)) => {
+                    if !self.scopes.iter().any(|s| s.id == outer) {
+                        *scope = AtomScope::Scope(id);
                     }
                 }
             },
@@ -583,9 +580,7 @@ impl IncrementalSolver {
             .atoms()
             .filter(|(_, atom)| match atom_scope.get(atom) {
                 Some(AtomScope::Base) => true,
-                Some(AtomScope::Scopes(ids)) => {
-                    ids.iter().any(|id| scopes.iter().any(|s| s.id == *id))
-                }
+                Some(AtomScope::Scope(id)) => scopes.iter().any(|s| s.id == *id),
                 None => false,
             });
         let pivot = self.config.pivot;
@@ -819,6 +814,30 @@ mod tests {
         let mut s = IncrementalSolver::new();
         s.assert(&mut tm, all);
         assert_eq!(s.check(&mut tm), SatResult::Unknown);
+    }
+
+    /// The quantifier check is one counter read while the term manager
+    /// holds no `forall`; with one, a `forall` nested inside an assertion,
+    /// tracked or plain, still makes the check Unknown, and a
+    /// quantifier-free assertion next to it does not.
+    #[test]
+    fn nested_quantifier_degrades_to_unknown() {
+        let mut tm = TermManager::new();
+        let x = tm.var("x", Sort::Loc);
+        let p = tm.app("p", vec![x], Sort::Bool);
+        let q = tm.var("q", Sort::Bool);
+        let all = tm.forall(vec![("x".into(), Sort::Loc)], p);
+        let guarded = tm.implies(q, all);
+        let mut s = IncrementalSolver::new();
+        s.assert(&mut tm, q);
+        s.assert_tracked(&mut tm, p, 1);
+        assert_eq!(s.check(&mut tm), SatResult::Sat);
+        s.assert_tracked(&mut tm, guarded, 0);
+        assert_eq!(s.check(&mut tm), SatResult::Unknown);
+        let both = tm.and2(q, guarded);
+        let mut plain = IncrementalSolver::new();
+        plain.assert(&mut tm, both);
+        assert_eq!(plain.check(&mut tm), SatResult::Unknown);
     }
 
     #[test]

@@ -19,13 +19,13 @@ use crate::theory::{AtomKind, TheoryChecker};
 pub(super) struct Arith {
     pub(super) simplex: Simplex,
     /// Simplex variable per numeric leaf term.
-    var_of_term: FxHashMap<TermId, usize>,
+    var_of_term: FxHashMap<TermId, u32>,
     /// The simplex bounds of each arithmetic (atom, polarity), compiled at
     /// its first assertion and valid until [`Arith::reset`].
     bounds: FxHashMap<(TermId, bool), Compiled>,
     /// The simplex equality of each ordered pair of simplex variables that a
     /// shared equality joined, compiled and valid like `bounds`.
-    equalities: FxHashMap<(usize, usize), Compiled>,
+    equalities: FxHashMap<(u32, u32), Compiled>,
     pub(super) pivot: PivotRule,
 }
 
@@ -109,8 +109,8 @@ impl Arith {
         let [va, vb] = [a, b].map(|leaf| leaf_var(checker, simplex, var_of_term, leaf));
         let pair = (va.min(vb), va.max(vb));
         let equal = *equalities.entry(pair).or_insert_with(|| {
-            let mut expr = LinExpr::variable(pair.0);
-            expr.add_term(-Rat::ONE, pair.1);
+            let mut expr = LinExpr::variable(pair.0 as usize);
+            expr.add_term(-Rat::ONE, pair.1 as usize);
             simplex.compile(&expr, Rel::Eq)
         });
         simplex.assert_compiled(&equal, tag)
@@ -134,12 +134,13 @@ impl Arith {
 fn leaf_var(
     checker: &TheoryChecker,
     simplex: &mut Simplex,
-    var_of_term: &mut FxHashMap<TermId, usize>,
+    var_of_term: &mut FxHashMap<TermId, u32>,
     leaf: TermId,
-) -> usize {
-    *var_of_term
-        .entry(leaf)
-        .or_insert_with(|| simplex.new_var(*checker.leaf_is_int.get(&leaf).unwrap_or(&false)))
+) -> u32 {
+    *var_of_term.entry(leaf).or_insert_with(|| {
+        let is_int = *checker.leaf_is_int.get(&leaf).unwrap_or(&false);
+        simplex.new_var(is_int) as u32
+    })
 }
 
 /// Normalizes the arithmetic constraint of one (atom, polarity) into simplex
@@ -149,7 +150,7 @@ fn leaf_var(
 fn compile_bounds(
     checker: &TheoryChecker,
     simplex: &mut Simplex,
-    var_of_term: &mut FxHashMap<TermId, usize>,
+    var_of_term: &mut FxHashMap<TermId, u32>,
     (atom, positive): (TermId, bool),
 ) -> Compiled {
     // A negative inequality `¬(a ≤ b)` is `b − a < 0` (`¬(a < b)` is
@@ -172,11 +173,12 @@ fn compile_bounds(
         }
         _ => unreachable!("arithmetic entry without a linear form"),
     };
+    let form = &checker.forms[*form as usize];
     let sign = if positive { Rat::ONE } else { -Rat::ONE };
     let mut expr = LinExpr::constant(form.constant * sign);
     for &(leaf, coeff) in &form.terms {
         let v = leaf_var(checker, simplex, var_of_term, leaf);
-        expr.add_term(coeff * sign, v);
+        expr.add_term(coeff * sign, v as usize);
     }
     let rel = if rel == Rel::Lt && both_int {
         expr.constant += Rat::ONE;

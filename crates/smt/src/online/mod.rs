@@ -77,8 +77,8 @@ use euf::{EufAtom, EufState, Why};
 /// Simplex tags at or above this stand for shared equalities:
 /// `SHARED_BASE + k` is EUF's `shared[k]`, whose explanation (trail tags)
 /// replaces it in conflicts. Trail indices are far below this for any
-/// conceivable literal count.
-const SHARED_BASE: usize = usize::MAX / 2;
+/// conceivable literal count, and the simplex keeps its tags in `u32`s.
+const SHARED_BASE: usize = 1 << 31;
 
 /// How the layer reads one SAT variable during a check: the live theory
 /// atom it stands for, resolved once per check to the EUF nodes its
@@ -100,16 +100,16 @@ struct Entry {
     lit: Lit,
     atom: TermId,
     /// SAT-trail position the literal was read from.
-    sat_pos: usize,
+    sat_pos: u32,
     /// EUF undo-trail length before this literal's EUF assertion.
-    euf_mark: usize,
+    euf_mark: u32,
     /// Length of EUF's shared equalities before this literal's EUF
     /// assertion: the entry's shared equalities run from here to the next
     /// entry's start.
-    shared_start: usize,
+    shared_start: u32,
     /// Simplex bound-trail length before this literal's bound assertions
     /// (meaningful for the first `loaded` entries only).
-    simplex_mark: usize,
+    simplex_mark: u32,
     /// Whether the literal carries a simplex constraint. A linear form whose
     /// terms cancel (e.g. the negation of `x <= x`, i.e. `0 < 0`) has no leaf
     /// terms but still must be sent to the simplex, which refutes constant
@@ -123,7 +123,7 @@ struct Entry {
 struct Implied {
     lit: Lit,
     why: Why,
-    sync: u64,
+    sync: u32,
 }
 
 /// The online theory layer of one [`crate::IncrementalSolver`]: the atom
@@ -151,7 +151,7 @@ pub(crate) struct Theory {
     /// consistent sync, which the SAT core then has unassigned.
     reasons: Vec<Option<Implied>>,
     /// Syncs that handed back implications so far (stamps `reasons`).
-    syncs: u64,
+    syncs: u32,
 }
 
 /// One check's view of the layer, the SAT core's [`TheoryHook`]: it
@@ -240,11 +240,13 @@ impl Theory {
                 // Negative numeric equalities are covered by the trichotomy
                 // lemmas added during lowering.
                 Some(AtomKind::Eq { a, b, lin }) => {
-                    let nodes = (template.node(*a), template.node(*b));
+                    let nodes = (template.node(*a) as u32, template.node(*b) as u32);
                     (EufAtom::Eq(nodes.0, nodes.1), (lin.is_some(), false))
                 }
                 Some(AtomKind::Ineq { .. }) => (EufAtom::Arith, (true, true)),
-                Some(AtomKind::Pred) | None => (EufAtom::Pred(template.node(atom)), (false, false)),
+                Some(AtomKind::Pred) | None => {
+                    (EufAtom::Pred(template.node(atom) as u32), (false, false))
+                }
             };
             self.live[var as usize] = Some(LiveAtom { atom, euf, arith });
         }
@@ -288,7 +290,7 @@ impl Theory {
     ) -> (Result<(), Vec<Lit>>, u64) {
         let low = self.seen.min(low_water);
         self.seen = trail.len();
-        let keep = self.trail.partition_point(|e| e.sat_pos < low);
+        let keep = self.trail.partition_point(|e| (e.sat_pos as usize) < low);
         let is_live = |l: &Lit| matches!(self.live.get(l.var() as usize), Some(Some(_)));
         let first = match trail[low..].iter().position(is_live) {
             Some(i) => low + i,
@@ -308,9 +310,9 @@ impl Theory {
                 let entry = Entry {
                     lit,
                     atom: la.atom,
-                    sat_pos: pos,
+                    sat_pos: pos as u32,
                     euf_mark: self.euf.mark(),
-                    shared_start: self.euf.shared.len(),
+                    shared_start: self.euf.shared.len() as u32,
                     simplex_mark: 0,
                     has_arith: if lit.is_positive() {
                         la.arith.0
@@ -318,7 +320,8 @@ impl Theory {
                         la.arith.1
                     },
                 };
-                self.euf.assert(template, lit, la.euf, self.trail.len());
+                self.euf
+                    .assert(template, lit, la.euf, self.trail.len() as u32);
                 self.trail.push(entry);
             }
             let delta = (retracted + self.trail.len() - keep) as u64;
@@ -363,7 +366,7 @@ impl Theory {
         let unloaded = &self.trail[self.loaded..];
         if unloaded
             .first()
-            .is_none_or(|e| e.shared_start == self.euf.shared.len())
+            .is_none_or(|e| e.shared_start as usize == self.euf.shared.len())
             && !unloaded.iter().any(|e| e.has_arith)
         {
             // Nothing to assert: this only records the restore points.
@@ -403,7 +406,7 @@ impl Theory {
         let (checker, euf) = (&*checker, &*euf);
         for i in *loaded..trail.len() {
             let mark = arith.mark();
-            trail[i].simplex_mark = mark;
+            trail[i].simplex_mark = mark as u32;
             let e = &trail[i];
             let own = if e.has_arith {
                 arith.assert(checker, (e.atom, e.lit.is_positive()), i)
@@ -412,11 +415,12 @@ impl Theory {
             };
             let end = trail
                 .get(i + 1)
-                .map_or(euf.shared.len(), |n| n.shared_start);
+                .map_or(euf.shared.len(), |n| n.shared_start as usize);
             let asserted = own.and_then(|()| {
-                for k in e.shared_start..end {
+                for k in e.shared_start as usize..end {
                     let (a, b) = euf.shared[k];
-                    let leaves = (checker.template.terms[a], checker.template.terms[b]);
+                    let terms = &checker.template.terms;
+                    let leaves = (terms[a as usize], terms[b as usize]);
                     arith.assert_equal(checker, leaves, SHARED_BASE + k)?;
                     *shared += 1;
                 }
@@ -480,12 +484,12 @@ impl Theory {
         let Some(first) = self.trail.get(keep) else {
             return;
         };
-        self.euf.undo_to(first.euf_mark);
+        self.euf.undo_to(&self.checker.template, first.euf_mark);
         for e in &self.trail[keep..] {
             self.euf.on_trail[e.lit.var() as usize] = false;
         }
         if keep < self.loaded {
-            self.arith.undo_to(first.simplex_mark);
+            self.arith.undo_to(first.simplex_mark as usize);
             self.loaded = keep;
         }
         self.trail.truncate(keep);
@@ -642,9 +646,8 @@ impl TheoryHook for View<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::euf::SigKey;
+    use super::euf::{SigKey, SigTable};
     use super::*;
-    use crate::fxmap::FxHashMap;
     use crate::term::Sort;
 
     /// A check's verdict as the tests read it: a conflict as its trail
@@ -1215,9 +1218,15 @@ mod tests {
             assert_eq!(a.next, b.next, "class-member links");
             assert_eq!(a.on_trail, b.on_trail, "trail flags");
             assert_eq!(a.use_lists, b.use_lists, "use lists");
+            assert_eq!(a.use_lists_of(), b.use_lists_of(), "use-list contents");
             assert_eq!(a.sig_table, b.sig_table, "signature table");
             assert_eq!(a.diseqs, b.diseqs, "disequalities");
             assert_eq!(a.diseq_lists, b.diseq_lists, "disequality lists");
+            assert_eq!(
+                a.diseq_lists_of(),
+                b.diseq_lists_of(),
+                "disequality-list contents"
+            );
             assert_eq!(a.violations, b.violations, "violations");
             assert_eq!(a.eq_tags, b.eq_tags, "equation tags");
             assert_eq!(a.num_rep, b.num_rep, "numeric representatives");
@@ -1496,9 +1505,9 @@ mod tests {
         let (res, _) = sat.fixpoints(&mut theory, &tm);
         assert!(matches!(res, Verdict::Consistent), "{res:?}");
         let (euf, template) = (&theory.euf, &theory.checker.template);
-        let (n0, nka) = (template.node(zero), template.node(ka));
+        let (n0, nka) = (template.node(zero) as u32, template.node(ka) as u32);
         assert_eq!(euf.find(nka), n0, "the class of 0 absorbed key(a)'s");
-        assert_eq!(euf.num_rep[n0], Some(nka as u32));
+        assert_eq!(euf.num_rep[n0 as usize], nka);
         sat.push(eq_ab, true);
         sat.push(ge7, true);
         match sat.fixpoints(&mut theory, &tm).0 {
@@ -1593,50 +1602,42 @@ mod tests {
     /// application in the use lists of its arguments (in application order)
     /// and in the signature table under its signature, each numeric leaf
     /// its own class's representative, nothing shared, and only
-    /// `true ≠ false` asserted.
-    fn reference_base(checker: &TheoryChecker) -> EufState {
+    /// `true ≠ false` asserted. The lists are per node, as
+    /// [`EufState::use_lists_of`] and [`EufState::diseq_lists_of`] read
+    /// them.
+    fn reference_base(checker: &TheoryChecker) -> (EufState, Vec<Vec<u32>>, Vec<Vec<u32>>) {
         let template = &checker.template;
         let n = template.terms.len();
         let mut use_lists = vec![Vec::new(); n];
-        let mut sig_table = FxHashMap::default();
+        let mut sig_table = SigTable::default();
         for (ai, app) in template.app_nodes.iter().enumerate() {
-            for &arg in &app.args {
-                use_lists[arg].push(ai as u32);
+            for &arg in template.args(ai) {
+                use_lists[arg as usize].push(ai as u32);
             }
-            let mut key = [u32::MAX; 5];
-            key[0] = app.op;
-            for (slot, &arg) in key[1..].iter_mut().zip(&app.args) {
-                *slot = arg as u32;
-            }
-            let clash = sig_table.insert(SigKey::Inline(key), ai as u32);
+            let key = SigKey::new(app.op, template.args(ai).iter().copied());
+            let clash = sig_table.insert(key, ai as u32);
             assert_eq!(clash, None, "two applications share a signature");
         }
-        let node = |t: TermId| template.node_of_term[&t];
+        let node = |t: TermId| template.node(t) as u32;
         let (tru, fls) = (node(checker.tru), node(checker.fls));
         let mut diseq_lists = vec![Vec::new(); n];
-        diseq_lists[tru].push(0);
-        diseq_lists[fls].push(0);
+        diseq_lists[tru as usize].push(0);
+        diseq_lists[fls as usize].push(0);
+        let is_leaf = |i: usize| checker.leaf_is_int.contains_key(&template.terms[i]);
         let num_rep = (0..n)
-            .map(|i| {
-                checker
-                    .leaf_is_int
-                    .contains_key(&template.terms[i])
-                    .then_some(i as u32)
-            })
+            .map(|i| if is_leaf(i) { i as u32 } else { euf::NONE })
             .collect();
         let mut base = EufState::default();
-        base.parent = (0..n).collect();
+        base.parent = (0..n as u32).collect();
         base.size = vec![1; n];
         base.pf_parent = vec![None; n];
-        base.use_lists = use_lists;
         base.sig_table = sig_table;
-        base.diseqs = vec![(tru, fls, AXIOM_TAG)];
-        base.diseq_lists = diseq_lists;
+        base.diseqs = vec![(tru, fls, u32::MAX)];
         base.tru = tru;
         base.fls = fls;
-        base.next = (0..n).collect();
+        base.next = (0..n as u32).collect();
         base.num_rep = num_rep;
-        base
+        (base, use_lists, diseq_lists)
     }
 
     /// A registry grown in random batches of atoms, with syncs, backjumps
@@ -1657,7 +1658,7 @@ mod tests {
             learned = upto;
             growths += 1;
             let (grown, template) = (&theory.euf, &theory.checker.template);
-            let want = reference_base(&theory.checker);
+            let (want, use_lists, diseq_lists) = reference_base(&theory.checker);
             assert_eq!(grown.parent.len(), template.terms.len(), "nodes");
             assert_eq!(grown.apps, template.app_nodes.len(), "applications");
             assert_eq!(grown.parent, want.parent, "union-find links");
@@ -1665,10 +1666,10 @@ mod tests {
             assert_eq!(grown.next, want.next, "class-member links");
             assert!(grown.pf_parent.iter().all(Option::is_none), "proof forest");
             assert_eq!(grown.pf_parent.len(), want.pf_parent.len());
-            assert_eq!(grown.use_lists, want.use_lists, "use lists");
+            assert_eq!(grown.use_lists_of(), use_lists, "use lists");
             assert_eq!(grown.sig_table, want.sig_table, "signature table");
             assert_eq!(grown.diseqs, want.diseqs, "disequalities");
-            assert_eq!(grown.diseq_lists, want.diseq_lists, "disequality lists");
+            assert_eq!(grown.diseq_lists_of(), diseq_lists, "disequality lists");
             assert!(grown.violations.is_empty(), "violations");
             assert!(grown.eq_tags.is_empty(), "equation tags");
             assert_eq!(grown.num_rep, want.num_rep, "numeric representatives");
@@ -1688,6 +1689,32 @@ mod tests {
             growths >= 8 && checks >= 40,
             "{growths} growths, {checks} checks"
         );
+    }
+
+    /// The layer's per-node, per-variable and per-step records stay
+    /// compact: a field added later cannot double one of them unnoticed.
+    #[test]
+    fn records_stay_compact() {
+        use std::mem::size_of;
+        let sizes = [
+            ("EUF undo record", size_of::<euf::UndoOp>(), 16),
+            ("reason slot", size_of::<Option<Implied>>(), 24),
+            ("live-atom slot", size_of::<Option<LiveAtom>>(), 20),
+            ("trail entry", size_of::<Entry>(), 28),
+            (
+                "proof-forest edge",
+                size_of::<Option<(u32, euf::Reason)>>(),
+                16,
+            ),
+            ("atom kind", size_of::<AtomKind>(), 16),
+            ("compiled bound", size_of::<crate::simplex::Compiled>(), 16),
+        ];
+        for (what, size, bound) in sizes {
+            assert!(
+                size <= bound,
+                "{what} takes {size} bytes, more than {bound}"
+            );
+        }
     }
 
     /// The hybrid rule's heuristic phase is counted over the layer, not

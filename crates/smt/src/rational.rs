@@ -151,6 +151,12 @@ impl From<i64> for Rat {
 impl Add for Rat {
     type Output = Rat;
     fn add(self, rhs: Rat) -> Rat {
+        // Integers (the common case: coefficients and bounds of FWYB
+        // constraints) need no cross-multiplication and no gcd.
+        if self.den == 1 && rhs.den == 1 {
+            let num = self.num.checked_add(rhs.num).expect("rational overflow");
+            return Rat { num, den: 1 };
+        }
         let n = Rat::checked_mul_i(self.num, rhs.den)
             .checked_add(Rat::checked_mul_i(rhs.num, self.den))
             .expect("rational overflow");
@@ -184,6 +190,10 @@ impl Neg for Rat {
 impl Mul for Rat {
     type Output = Rat;
     fn mul(self, rhs: Rat) -> Rat {
+        if self.den == 1 && rhs.den == 1 {
+            let num = Rat::checked_mul_i(self.num, rhs.num);
+            return Rat { num, den: 1 };
+        }
         // Cross-reduce first to keep components small.
         let g1 = gcd(self.num, rhs.den).max(1);
         let g2 = gcd(rhs.num, self.den).max(1);
@@ -209,6 +219,9 @@ impl PartialOrd for Rat {
 
 impl Ord for Rat {
     fn cmp(&self, other: &Rat) -> Ordering {
+        if self.den == 1 && other.den == 1 {
+            return self.num.cmp(&other.num);
+        }
         let lhs = Rat::checked_mul_i(self.num, other.den);
         let rhs = Rat::checked_mul_i(other.num, self.den);
         lhs.cmp(&rhs)
@@ -379,6 +392,18 @@ mod tests {
         assert!(zero < eps);
         assert!(eps < one);
         assert_eq!(eps + eps, DeltaRat::new(Rat::ZERO, Rat::from_int(2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn integer_addition_overflow_panics() {
+        let _ = Rat::from_int(i128::MAX) + Rat::ONE;
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn integer_multiplication_overflow_panics() {
+        let _ = Rat::from_int(i128::MAX) * Rat::from_int(2);
     }
 
     #[test]

@@ -97,20 +97,30 @@ pub enum ArithOutcome {
 
 /// A constraint normalized into bounds on one variable by
 /// [`Simplex::compile`], ready to be asserted — and asserted again after a
-/// retraction — without normalizing it again.
+/// retraction — without normalizing it again. The bound values live in the
+/// simplex's value arena.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Compiled {
     /// A constraint without variables, and whether it holds.
     Constant(bool),
-    /// `lower <= var <= upper`; a missing side is unbounded.
-    Bounds {
-        var: usize,
-        upper: Option<DeltaRat>,
-        lower: Option<DeltaRat>,
-    },
+    /// `lower <= var <= upper`, as indices of the values; a side that is
+    /// [`NONE`] is unbounded.
+    Bounds { var: u32, upper: u32, lower: u32 },
 }
 
-const NO_TAG: usize = usize::MAX;
+/// The absent bound value, row or variable.
+const NONE: u32 = u32::MAX;
+
+/// The tag of a branch-and-bound cut, never reported in a conflict.
+const NO_TAG: u32 = u32::MAX;
+
+/// A caller's conflict tag as the simplex stores it.
+fn narrow(tag: usize) -> u32 {
+    match u32::try_from(tag) {
+        Ok(t) if t != NO_TAG => t,
+        _ => panic!("simplex tag {tag} out of range"),
+    }
+}
 
 /// How the simplex picks its pivots.
 ///
@@ -158,10 +168,54 @@ impl PivotRule {
     }
 }
 
-#[derive(Clone, Debug)]
+/// One bound of a variable: the index of its value in the value arena
+/// ([`NONE`] when unbounded) and its tag.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Bound {
-    value: DeltaRat,
-    tag: usize,
+    value: u32,
+    tag: u32,
+}
+
+impl Bound {
+    const NONE: Bound = Bound {
+        value: NONE,
+        tag: NO_TAG,
+    };
+}
+
+/// One tableau row, `basic = Σ coeffs[i]·vars[i]` over nonbasic variables,
+/// sorted by variable, with no zero coefficient.
+#[derive(Clone, Debug, Default)]
+struct Row {
+    vars: Vec<u32>,
+    coeffs: Vec<Rat>,
+}
+
+impl Row {
+    /// The coefficient of `x`, if the row mentions it.
+    fn coeff(&self, x: u32) -> Option<Rat> {
+        self.vars.binary_search(&x).ok().map(|i| self.coeffs[i])
+    }
+
+    fn entries(&self) -> impl Iterator<Item = (u32, Rat)> + '_ {
+        self.vars.iter().copied().zip(self.coeffs.iter().copied())
+    }
+
+    fn clear(&mut self) {
+        self.vars.clear();
+        self.coeffs.clear();
+    }
+
+    fn push(&mut self, x: u32, c: Rat) {
+        self.vars.push(x);
+        self.coeffs.push(c);
+    }
+}
+
+/// Removes row `r` from a column of the index.
+fn unlist(col: &mut Vec<u32>, r: u32) {
+    let i = col.iter().position(|&x| x == r).expect("row in its column");
+    col.swap_remove(i);
 }
 
 /// The basic variables that may violate a bound: a superset of the violated
@@ -187,14 +241,32 @@ impl Candidates {
 /// Variables are dense indices `0..num_vars`; the caller declares which are
 /// integer-sorted. Constraints are added with [`Simplex::add_constraint`] and
 /// the final consistency check is [`Simplex::check`].
+///
+/// The tableau keeps one sorted row per basic variable and a column index:
+/// per variable, the rows that mention it. A pivot or a change of a
+/// nonbasic value visits only the rows in the entering variable's column,
+/// and edits them in place.
 #[derive(Clone, Debug, Default)]
 pub struct Simplex {
     num_vars: usize,
     is_int: Vec<bool>,
-    // Tableau: basic variable index -> row (coeffs over nonbasic variables).
-    rows: FxHashMap<usize, FxHashMap<usize, Rat>>,
-    lower: Vec<Option<Bound>>,
-    upper: Vec<Option<Bound>>,
+    /// Tableau rows, by row id; a pivot hands a row to its entering
+    /// variable, so ids are stable.
+    rows: Vec<Row>,
+    /// Per row: its basic variable.
+    basic_of: Vec<u32>,
+    /// Per variable: its row if it is basic, else [`NONE`].
+    row_of: Vec<u32>,
+    /// Per variable: the rows that mention it (empty for a basic one), in
+    /// no particular order.
+    cols: Vec<Vec<u32>>,
+    /// Scratch row for [`Simplex::pivot`] (empty between calls).
+    scratch: Row,
+    /// Bound values: compiled constraints and branch-and-bound cuts refer
+    /// to them by index.
+    values: Vec<DeltaRat>,
+    lower: Vec<Bound>,
+    upper: Vec<Bound>,
     assignment: Vec<DeltaRat>,
     rule: PivotRule,
     /// Undo trail of bound tightenings: `(var, is_upper, previous bound)` per
@@ -205,7 +277,7 @@ pub struct Simplex {
     /// equivalent under pivoting to the original defining equations — is
     /// untouched. This is what makes basis-preserving warm restarts possible:
     /// retracted rounds only roll back bound changes, never the basis.
-    bound_trail: Vec<(usize, bool, Option<Bound>)>,
+    bound_trail: Vec<(u32, bool, Bound)>,
     /// Slack-variable reuse across warm-restart rounds, keyed by the sorted
     /// linear part of the defining expression (invariant under pivoting: the
     /// tableau always implies `s = linear part`, however the rows are
@@ -253,10 +325,12 @@ impl Simplex {
         let v = self.num_vars;
         self.num_vars += 1;
         self.is_int.push(is_int);
-        self.lower.push(None);
-        self.upper.push(None);
+        self.lower.push(Bound::NONE);
+        self.upper.push(Bound::NONE);
         self.assignment.push(DeltaRat::ZERO);
         self.candidates.member.push(false);
+        self.row_of.push(NONE);
+        self.cols.push(Vec::new());
         v
     }
 
@@ -291,11 +365,36 @@ impl Simplex {
         while self.bound_trail.len() > mark {
             let (x, is_upper, old) = self.bound_trail.pop().expect("trail above mark");
             if is_upper {
-                self.upper[x] = old;
+                self.upper[x as usize] = old;
             } else {
-                self.lower[x] = old;
+                self.lower[x as usize] = old;
             }
         }
+    }
+
+    /// Whether the column index lists exactly the rows that mention each
+    /// variable, each once, and every row is sorted, free of zeros and of
+    /// basic variables. The property tests check it after random steps.
+    #[doc(hidden)]
+    pub fn column_index_is_exact(&self) -> bool {
+        let mut want: Vec<Vec<u32>> = vec![Vec::new(); self.num_vars];
+        for (r, row) in self.rows.iter().enumerate() {
+            let sorted = row.vars.windows(2).all(|w| w[0] < w[1]);
+            let clean = row
+                .entries()
+                .all(|(x, c)| !c.is_zero() && self.row_of[x as usize] == NONE);
+            if !sorted || !clean || self.row_of[self.basic_of[r] as usize] != r as u32 {
+                return false;
+            }
+            for &x in &row.vars {
+                want[x as usize].push(r as u32);
+            }
+        }
+        self.cols.iter().zip(want).all(|(col, want)| {
+            let mut col = col.clone();
+            col.sort_unstable();
+            col == want
+        })
     }
 
     /// Adds the constraint `expr rel 0` tagged with `tag`: normalizes it into
@@ -303,7 +402,8 @@ impl Simplex {
     /// Returns `Err(conflict)` on an immediately detected conflict.
     ///
     /// # Panics
-    /// Panics if `rel` is [`Rel::Neq`] (the caller must case-split).
+    /// Panics if `rel` is [`Rel::Neq`] (the caller must case-split), or if
+    /// `tag` is not below `u32::MAX`.
     pub fn add_constraint(
         &mut self,
         expr: &LinExpr,
@@ -312,6 +412,12 @@ impl Simplex {
     ) -> Result<(), Vec<usize>> {
         let compiled = self.compile(expr, rel);
         self.assert_compiled(&compiled, tag)
+    }
+
+    /// Adds a bound value to the arena; returns its index.
+    fn value(&mut self, v: DeltaRat) -> u32 {
+        self.values.push(v);
+        self.values.len() as u32 - 1
     }
 
     /// Normalizes `expr rel 0` into bounds on a single variable:
@@ -341,15 +447,18 @@ impl Simplex {
             (self.slack_for(expr), Rat::ONE)
         };
         let bound = -expr.constant / scale;
-        let exact = Some(DeltaRat::from_rat(bound));
         let (upper, lower) = match (rel, scale.is_negative()) {
-            (Rel::Eq, _) => (exact, exact),
-            (Rel::Le, false) => (exact, None),
-            (Rel::Le, true) => (None, exact),
-            (Rel::Lt, false) => (Some(DeltaRat::new(bound, -Rat::ONE)), None),
-            (Rel::Lt, true) => (None, Some(DeltaRat::new(bound, Rat::ONE))),
+            (Rel::Eq, _) => {
+                let exact = self.value(DeltaRat::from_rat(bound));
+                (exact, exact)
+            }
+            (Rel::Le, false) => (self.value(DeltaRat::from_rat(bound)), NONE),
+            (Rel::Le, true) => (NONE, self.value(DeltaRat::from_rat(bound))),
+            (Rel::Lt, false) => (self.value(DeltaRat::new(bound, -Rat::ONE)), NONE),
+            (Rel::Lt, true) => (NONE, self.value(DeltaRat::new(bound, Rat::ONE))),
             (Rel::Neq, _) => unreachable!(),
         };
+        let var = var as u32;
         Compiled::Bounds { var, upper, lower }
     }
 
@@ -362,11 +471,12 @@ impl Simplex {
             Compiled::Constant(true) => Ok(()),
             Compiled::Constant(false) => Err(vec![tag]),
             Compiled::Bounds { var, upper, lower } => {
-                if let Some(u) = upper {
-                    self.assert_upper(var, u, tag)?;
+                let tag = narrow(tag);
+                if upper != NONE {
+                    self.assert_upper(var as usize, upper, tag)?;
                 }
-                if let Some(l) = lower {
-                    self.assert_lower(var, l, tag)?;
+                if lower != NONE {
+                    self.assert_lower(var as usize, lower, tag)?;
                 }
                 Ok(())
             }
@@ -389,84 +499,93 @@ impl Simplex {
             return s;
         }
         let s = self.new_var(false);
-        let row: FxHashMap<usize, Rat> = expr.terms.iter().map(|(&v, &c)| (v, c)).collect();
-        // Substitute any basic variables appearing in the new row.
-        let row = self.substitute_basics(row);
-        self.assignment[s] = self.row_value(&row);
-        self.rows.insert(s, row);
+        // The defining row, with every basic variable substituted by its
+        // row.
+        let mut sum: std::collections::BTreeMap<u32, Rat> = std::collections::BTreeMap::new();
+        for (&v, &c) in &expr.terms {
+            match self.row_of[v] {
+                NONE => *sum.entry(v as u32).or_insert(Rat::ZERO) += c,
+                r => {
+                    for (w, cw) in self.rows[r as usize].entries() {
+                        *sum.entry(w).or_insert(Rat::ZERO) += c * cw;
+                    }
+                }
+            }
+        }
+        let mut row = Row::default();
+        let mut value = DeltaRat::ZERO;
+        for (w, c) in sum.into_iter().filter(|(_, c)| !c.is_zero()) {
+            value = value + self.assignment[w as usize].scale(c);
+            row.push(w, c);
+        }
+        self.assignment[s] = value;
+        let r = self.rows.len() as u32;
+        for &w in &row.vars {
+            self.cols[w as usize].push(r);
+        }
+        self.rows.push(row);
+        self.basic_of.push(s as u32);
+        self.row_of[s] = r;
         if let (Some(k), Some(m)) = (key, self.slack_of.as_mut()) {
             m.insert(k, s);
         }
         s
     }
 
-    fn substitute_basics(&self, row: FxHashMap<usize, Rat>) -> FxHashMap<usize, Rat> {
-        let mut out: FxHashMap<usize, Rat> = FxHashMap::default();
-        for (v, c) in row {
-            if let Some(basic_row) = self.rows.get(&v) {
-                for (&w, &cw) in basic_row {
-                    let e = out.entry(w).or_insert(Rat::ZERO);
-                    *e += c * cw;
-                }
-            } else {
-                let e = out.entry(v).or_insert(Rat::ZERO);
-                *e += c;
-            }
-        }
-        out.retain(|_, c| !c.is_zero());
-        out
+    /// The value of a bound, if the bound is present.
+    fn bound(&self, b: Bound) -> Option<DeltaRat> {
+        (b.value != NONE).then(|| self.values[b.value as usize])
     }
 
-    fn row_value(&self, row: &FxHashMap<usize, Rat>) -> DeltaRat {
-        let mut val = DeltaRat::ZERO;
-        for (&v, &c) in row {
-            val = val + self.assignment[v].scale(c);
-        }
-        val
+    /// The value of the bound `x` violates: its lower bound when `below`,
+    /// else its upper bound.
+    fn violated_bound(&self, x: usize, below: bool) -> DeltaRat {
+        let b = if below { self.lower[x] } else { self.upper[x] };
+        self.bound(b).expect("a violated bound is present")
     }
 
-    fn assert_upper(&mut self, x: usize, c: DeltaRat, tag: usize) -> Result<(), Vec<usize>> {
-        if let Some(l) = &self.lower[x] {
-            if c < l.value {
-                return Err(vec![tag, l.tag]);
+    fn is_basic(&self, x: usize) -> bool {
+        self.row_of[x] != NONE
+    }
+
+    fn assert_upper(&mut self, x: usize, c: u32, tag: u32) -> Result<(), Vec<usize>> {
+        let value = self.values[c as usize];
+        if let Some(l) = self.bound(self.lower[x]) {
+            if value < l {
+                return Err(vec![tag as usize, self.lower[x].tag as usize]);
             }
         }
-        let tighter = match &self.upper[x] {
-            Some(u) => c < u.value,
-            None => true,
-        };
+        let tighter = self.bound(self.upper[x]).is_none_or(|u| value < u);
         if tighter {
-            self.bound_trail.push((x, true, self.upper[x].take()));
-            self.upper[x] = Some(Bound { value: c, tag });
-            if self.assignment[x] > c {
-                if self.rows.contains_key(&x) {
+            self.bound_trail.push((x as u32, true, self.upper[x]));
+            self.upper[x] = Bound { value: c, tag };
+            if self.assignment[x] > value {
+                if self.is_basic(x) {
                     self.candidates.insert(x);
                 } else {
-                    self.update_nonbasic(x, c);
+                    self.update_nonbasic(x, value);
                 }
             }
         }
         Ok(())
     }
 
-    fn assert_lower(&mut self, x: usize, c: DeltaRat, tag: usize) -> Result<(), Vec<usize>> {
-        if let Some(u) = &self.upper[x] {
-            if c > u.value {
-                return Err(vec![tag, u.tag]);
+    fn assert_lower(&mut self, x: usize, c: u32, tag: u32) -> Result<(), Vec<usize>> {
+        let value = self.values[c as usize];
+        if let Some(u) = self.bound(self.upper[x]) {
+            if value > u {
+                return Err(vec![tag as usize, self.upper[x].tag as usize]);
             }
         }
-        let tighter = match &self.lower[x] {
-            Some(l) => c > l.value,
-            None => true,
-        };
+        let tighter = self.bound(self.lower[x]).is_none_or(|l| value > l);
         if tighter {
-            self.bound_trail.push((x, false, self.lower[x].take()));
-            self.lower[x] = Some(Bound { value: c, tag });
-            if self.assignment[x] < c {
-                if self.rows.contains_key(&x) {
+            self.bound_trail.push((x as u32, false, self.lower[x]));
+            self.lower[x] = Bound { value: c, tag };
+            if self.assignment[x] < value {
+                if self.is_basic(x) {
                     self.candidates.insert(x);
                 } else {
-                    self.update_nonbasic(x, c);
+                    self.update_nonbasic(x, value);
                 }
             }
         }
@@ -476,11 +595,13 @@ impl Simplex {
     fn update_nonbasic(&mut self, x: usize, v: DeltaRat) {
         let delta = v - self.assignment[x];
         self.assignment[x] = v;
-        for (&b, row) in &self.rows {
-            if let Some(&c) = row.get(&x) {
-                self.assignment[b] = self.assignment[b] + delta.scale(c);
-                self.candidates.insert(b);
-            }
+        for &r in &self.cols[x] {
+            let b = self.basic_of[r as usize] as usize;
+            let c = self.rows[r as usize]
+                .coeff(x as u32)
+                .expect("column lists its rows");
+            self.assignment[b] = self.assignment[b] + delta.scale(c);
+            self.candidates.insert(b);
         }
     }
 
@@ -488,9 +609,9 @@ impl Simplex {
     /// lower bound, `Some(false)` above its upper bound.
     fn violation(&self, x: usize) -> Option<bool> {
         let value = self.assignment[x];
-        if self.lower[x].as_ref().is_some_and(|l| value < l.value) {
+        if self.bound(self.lower[x]).is_some_and(|l| value < l) {
             Some(true)
-        } else if self.upper[x].as_ref().is_some_and(|u| value > u.value) {
+        } else if self.bound(self.upper[x]).is_some_and(|u| value > u) {
             Some(false)
         } else {
             None
@@ -514,7 +635,7 @@ impl Simplex {
         let mut i = 0;
         while i < self.candidates.list.len() {
             let b = self.candidates.list[i];
-            if self.rows.contains_key(&b) && self.violation(b).is_some() {
+            if self.is_basic(b) && self.violation(b).is_some() {
                 i += 1;
             } else {
                 self.candidates.member[b] = false;
@@ -522,9 +643,9 @@ impl Simplex {
             }
         }
         debug_assert!(
-            self.rows
-                .keys()
-                .all(|&b| self.candidates.member[b] || self.violation(b).is_none()),
+            self.basic_of.iter().all(
+                |&b| self.candidates.member[b as usize] || self.violation(b as usize).is_none()
+            ),
             "a violated basic variable is missing from the candidate set"
         );
         if !heuristic {
@@ -537,10 +658,11 @@ impl Simplex {
         let mut best: Option<(usize, bool, f64)> = None;
         for &b in &self.candidates.list {
             let below = self.violation(b).expect("pruned to violated candidates");
+            let bound = approx(self.violated_bound(b, below));
             let amount = if below {
-                approx(self.lower[b].as_ref().unwrap().value) - approx(self.assignment[b])
+                bound - approx(self.assignment[b])
             } else {
-                approx(self.assignment[b]) - approx(self.upper[b].as_ref().unwrap().value)
+                approx(self.assignment[b]) - bound
             };
             let better = match best {
                 None => true,
@@ -555,16 +677,21 @@ impl Simplex {
 
     fn pivot_and_update(&mut self, xi: usize, xj: usize, v: DeltaRat) {
         self.pivots += 1;
-        let aij = self.rows[&xi][&xj];
+        let ri = self.row_of[xi];
+        let aij = self.rows[ri as usize]
+            .coeff(xj as u32)
+            .expect("entering variable in row");
         let theta = (v - self.assignment[xi]).scale(aij.recip());
         self.assignment[xi] = v;
         self.assignment[xj] = self.assignment[xj] + theta;
-        for (&b, row) in &self.rows {
-            if b != xi {
-                if let Some(&c) = row.get(&xj) {
-                    self.assignment[b] = self.assignment[b] + theta.scale(c);
-                    self.candidates.insert(b);
-                }
+        for &r in &self.cols[xj] {
+            if r != ri {
+                let b = self.basic_of[r as usize] as usize;
+                let c = self.rows[r as usize]
+                    .coeff(xj as u32)
+                    .expect("column lists its rows");
+                self.assignment[b] = self.assignment[b] + theta.scale(c);
+                self.candidates.insert(b);
             }
         }
         self.pivot(xi, xj);
@@ -573,32 +700,73 @@ impl Simplex {
 
     fn pivot(&mut self, xi: usize, xj: usize) {
         // xi is basic with row R: xi = sum_k a_k x_k  (xj among them).
-        let row = self.rows.remove(&xi).expect("pivot on basic var");
-        let aij = row[&xj];
-        // Solve for xj: xj = (1/aij) xi - sum_{k != j} (a_k/aij) x_k
-        let mut new_row: FxHashMap<usize, Rat> = FxHashMap::default();
-        new_row.insert(xi, aij.recip());
-        for (&k, &a) in &row {
-            if k != xj {
-                new_row.insert(k, -(a / aij));
-            }
+        let ri = self.row_of[xi];
+        let (xi32, xj32) = (xi as u32, xj as u32);
+        let mut row = std::mem::take(&mut self.rows[ri as usize]);
+        let aij = row.coeff(xj32).expect("pivot on basic var");
+        // Solve for xj: xj = (1/aij) xi - sum_{k != j} (a_k/aij) x_k, in
+        // place and in variable order.
+        let at = row
+            .vars
+            .binary_search(&xj32)
+            .expect("entering variable in row");
+        row.vars.remove(at);
+        row.coeffs.remove(at);
+        for c in &mut row.coeffs {
+            *c = -(*c / aij);
         }
-        // Substitute into all other rows.
-        let keys: Vec<usize> = self.rows.keys().copied().collect();
-        for b in keys {
-            let coeff = self.rows[&b].get(&xj).copied();
-            if let Some(c) = coeff {
-                let mut r = self.rows[&b].clone();
-                r.remove(&xj);
-                for (&k, &a) in &new_row {
-                    let e = r.entry(k).or_insert(Rat::ZERO);
-                    *e += c * a;
+        let at = row
+            .vars
+            .binary_search(&xi32)
+            .expect_err("a basic variable is in no row");
+        row.vars.insert(at, xi32);
+        row.coeffs.insert(at, aij.recip());
+        // The pivot row now mentions xi instead of xj.
+        let mut col = std::mem::take(&mut self.cols[xj]);
+        self.cols[xi].push(ri);
+        // Substitute into every other row that mentions xj.
+        let mut out = std::mem::take(&mut self.scratch);
+        for &r in col.iter().filter(|&&r| r != ri) {
+            let target = &self.rows[r as usize];
+            let c = target.coeff(xj32).expect("column lists its rows");
+            out.clear();
+            let (mut i, mut k) = (0, 0);
+            loop {
+                let a = target.vars.get(i).copied().unwrap_or(NONE);
+                let b = row.vars.get(k).copied().unwrap_or(NONE);
+                if a == NONE && b == NONE {
+                    break;
                 }
-                r.retain(|_, v| !v.is_zero());
-                self.rows.insert(b, r);
+                if a == xj32 {
+                    i += 1;
+                } else if a < b {
+                    out.push(a, target.coeffs[i]);
+                    i += 1;
+                } else if b < a {
+                    out.push(b, c * row.coeffs[k]);
+                    self.cols[b as usize].push(r);
+                    k += 1;
+                } else {
+                    let sum = target.coeffs[i] + c * row.coeffs[k];
+                    if sum.is_zero() {
+                        unlist(&mut self.cols[a as usize], r);
+                    } else {
+                        out.push(a, sum);
+                    }
+                    i += 1;
+                    k += 1;
+                }
             }
+            std::mem::swap(&mut self.rows[r as usize], &mut out);
         }
-        self.rows.insert(xj, new_row);
+        out.clear();
+        self.scratch = out;
+        col.clear();
+        self.cols[xj] = col;
+        self.rows[ri as usize] = row;
+        self.basic_of[ri as usize] = xj32;
+        self.row_of[xj] = ri;
+        self.row_of[xi] = NONE;
     }
 
     /// Runs the simplex algorithm, then branch-and-bound if integer variables
@@ -625,17 +793,8 @@ impl Simplex {
             let Some((xi, below)) = self.violated_basic(heuristic) else {
                 return Ok(());
             };
-            let row: Vec<(usize, Rat)> = {
-                let mut r: Vec<(usize, Rat)> =
-                    self.rows[&xi].iter().map(|(&k, &v)| (k, v)).collect();
-                r.sort_unstable_by_key(|&(k, _)| k);
-                r
-            };
-            let target = if below {
-                self.lower[xi].as_ref().unwrap().value
-            } else {
-                self.upper[xi].as_ref().unwrap().value
-            };
+            let row = &self.rows[self.row_of[xi] as usize];
+            let target = self.violated_bound(xi, below);
             // `xi` must move towards `target`; a nonbasic `xj` with
             // coefficient `a` can absorb that move iff it has slack in the
             // required direction.
@@ -647,15 +806,14 @@ impl Simplex {
                 }
             };
             let mut pivot_var: Option<(usize, Rat)> = None;
-            for &(xj, a) in &row {
+            for (xj, a) in row.entries() {
+                let xj = xj as usize;
                 let can = if needs_increase(a) {
-                    self.upper[xj]
-                        .as_ref()
-                        .is_none_or(|u| self.assignment[xj] < u.value)
+                    self.bound(self.upper[xj])
+                        .is_none_or(|u| self.assignment[xj] < u)
                 } else {
-                    self.lower[xj]
-                        .as_ref()
-                        .is_none_or(|l| self.assignment[xj] > l.value)
+                    self.bound(self.lower[xj])
+                        .is_none_or(|l| self.assignment[xj] > l)
                 };
                 if !can {
                     continue;
@@ -675,22 +833,22 @@ impl Simplex {
                 // Conflict: the violated bound of xi plus, per column, the
                 // bound that blocks the required movement.
                 let own = if below {
-                    self.lower[xi].as_ref().unwrap().tag
+                    self.lower[xi].tag
                 } else {
-                    self.upper[xi].as_ref().unwrap().tag
+                    self.upper[xi].tag
                 };
                 let mut tags = vec![own];
-                for &(xj, a) in &row {
+                for (xj, a) in row.entries() {
                     if needs_increase(a) {
-                        tags.push(self.upper[xj].as_ref().unwrap().tag);
+                        tags.push(self.upper[xj as usize].tag);
                     } else {
-                        tags.push(self.lower[xj].as_ref().unwrap().tag);
+                        tags.push(self.lower[xj as usize].tag);
                     }
                 }
                 tags.retain(|&t| t != NO_TAG);
                 tags.sort_unstable();
                 tags.dedup();
-                return Err(tags);
+                return Err(tags.into_iter().map(|t| t as usize).collect());
             };
             self.pivot_and_update(xi, xj, target);
             // Liveness for pivot blow-ups: the conflict-based cadence is
@@ -739,13 +897,15 @@ impl Simplex {
         let run_branch = |this: &mut Simplex, up: bool| -> ArithOutcome {
             let mut s = this.clone();
             let asserted = if up {
-                s.assert_lower(v, DeltaRat::from_rat(Rat::from_int(fl + 1)), NO_TAG)
+                let cut = s.value(DeltaRat::from_rat(Rat::from_int(fl + 1)));
+                s.assert_lower(v, cut, NO_TAG)
             } else {
-                s.assert_upper(v, DeltaRat::from_rat(Rat::from_int(fl)), NO_TAG)
+                let cut = s.value(DeltaRat::from_rat(Rat::from_int(fl)));
+                s.assert_upper(v, cut, NO_TAG)
             };
             let out = match asserted {
                 Err(mut tags) => {
-                    tags.retain(|&t| t != NO_TAG);
+                    tags.retain(|&t| t != NO_TAG as usize);
                     ArithOutcome::Conflict(tags)
                 }
                 Ok(()) => s.branch_and_bound(depth + 1),
@@ -764,7 +924,7 @@ impl Simplex {
             (ArithOutcome::Sat(a), _) | (_, ArithOutcome::Sat(a)) => ArithOutcome::Sat(a),
             (ArithOutcome::Conflict(mut t1), ArithOutcome::Conflict(t2)) => {
                 t1.extend(t2);
-                t1.retain(|&t| t != NO_TAG);
+                t1.retain(|&t| t != NO_TAG as usize);
                 t1.sort_unstable();
                 t1.dedup();
                 ArithOutcome::Conflict(t1)

@@ -95,11 +95,15 @@ fn sanitize(name: &str) -> String {
 }
 
 /// Returns true if the rendered assertions contain no quantifiers or lambda
-/// binders — the check the paper performs on Boogie's SMT output.
+/// binders — the check the paper performs on Boogie's SMT output. A manager
+/// that holds no `forall` ([`TermManager::has_quantifiers`]) answers at
+/// once; otherwise the roots are walked.
 pub fn is_quantifier_free(tm: &TermManager, roots: &[TermId]) -> bool {
-    tm.subterms(roots)
-        .iter()
-        .all(|&t| !matches!(tm.term(t).op, Op::Forall(_)))
+    !tm.has_quantifiers()
+        || tm
+            .subterms(roots)
+            .iter()
+            .all(|&t| !matches!(tm.term(t).op, Op::Forall(_)))
 }
 
 #[cfg(test)]

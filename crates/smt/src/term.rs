@@ -189,6 +189,9 @@ pub struct TermManager {
     // a lookup needs no owned sort.
     index: FxHashMap<u64, u32>,
     older: Vec<u32>,
+    /// How many of the terms are `forall`s, so that a manager without one
+    /// answers [`TermManager::has_quantifiers`] without a walk.
+    foralls: usize,
     fresh_counter: u64,
     // The flattening buffer of `and`/`or`, kept between calls.
     flat: Vec<TermId>,
@@ -272,6 +275,12 @@ impl TermManager {
         &self.terms[id.0 as usize].sort
     }
 
+    /// Whether the manager holds a `forall` term. Without one every term is
+    /// quantifier-free.
+    pub fn has_quantifiers(&self) -> bool {
+        self.foralls > 0
+    }
+
     /// The current state, for [`TermManager::truncate_to`].
     pub fn mark(&self) -> TermMark {
         TermMark {
@@ -296,6 +305,13 @@ impl TermManager {
                 }
                 *newest != NO_TERM
             });
+        }
+        if self.foralls > 0 {
+            let dropped = self.terms.get(mark.len..).unwrap_or(&[]);
+            self.foralls -= dropped
+                .iter()
+                .filter(|t| matches!(t.op, Op::Forall(_)))
+                .count();
         }
         self.terms.truncate(mark.len);
         self.older.truncate(mark.len);
@@ -336,6 +352,9 @@ impl TermManager {
         let id = self.terms.len() as u32;
         self.index.insert(slot.hash, id);
         self.older.push(slot.newest);
+        if let Op::Forall(_) = op {
+            self.foralls += 1;
+        }
         self.terms.push(Term { op, args, sort });
         TermId(id)
     }
@@ -1151,6 +1170,26 @@ mod tests {
         assert_eq!(tm.len(), reference.len());
         // Terms from before the mark still intern to their ids.
         assert_eq!(tm.var("x", Sort::Int), x);
+    }
+
+    #[test]
+    fn forall_count_follows_interning_and_truncation() {
+        let mut tm = TermManager::new();
+        let x = tm.var("x", Sort::Loc);
+        let p = tm.app("p", vec![x], Sort::Bool);
+        assert!(!tm.has_quantifiers());
+        let mark = tm.mark();
+        let all = tm.forall(vec![("x".into(), Sort::Loc)], p);
+        assert_eq!(tm.forall(vec![("x".into(), Sort::Loc)], p), all);
+        let not_all = tm.not(all);
+        assert!(tm.has_quantifiers());
+        tm.truncate_to(mark);
+        assert!(!tm.has_quantifiers());
+        // The truncated ids are reused by quantifier-free terms.
+        let q = tm.var("q", Sort::Bool);
+        let not_q = tm.not(q);
+        assert_eq!((q, not_q), (all, not_all));
+        assert!(!tm.has_quantifiers());
     }
 
     #[test]

@@ -59,21 +59,23 @@ impl LinForm {
     }
 }
 
-/// How one theory atom is handled by the checker.
-#[derive(Clone, Debug)]
+/// How one theory atom is handled by the checker. A linear form is kept out
+/// of line, in [`TheoryChecker::forms`], since only numeric atoms have one.
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum AtomKind {
-    /// Equality between two terms; `lin` is the linear form of `a − b` when
-    /// both sides are numeric (propagated to the simplex on positive
+    /// Equality between two terms; `lin` indexes the linear form of `a − b`
+    /// when both sides are numeric (propagated to the simplex on positive
     /// assertion).
     Eq {
         a: TermId,
         b: TermId,
-        lin: Option<LinForm>,
+        lin: Option<u32>,
     },
-    /// `a ≤ b` (`strict = false`) or `a < b` (`strict = true`); `lin` is the
-    /// linear form of `a − b`, `both_int` whether both sides are integers.
+    /// `a ≤ b` (`strict = false`) or `a < b` (`strict = true`); `lin`
+    /// indexes the linear form of `a − b`, `both_int` whether both sides
+    /// are integers.
     Ineq {
-        lin: LinForm,
+        lin: u32,
         strict: bool,
         both_int: bool,
     },
@@ -87,6 +89,8 @@ pub(crate) enum AtomKind {
 pub struct TheoryChecker {
     pub(crate) template: EufTemplate,
     pub(crate) kinds: FxHashMap<TermId, AtomKind>,
+    /// The linear forms the kinds index, in registration order.
+    pub(crate) forms: Vec<LinForm>,
     /// Whether each numeric leaf term is integer-sorted.
     pub(crate) leaf_is_int: FxHashMap<TermId, bool>,
     /// The Boolean constants, used to constrain predicate atoms.
@@ -103,6 +107,7 @@ impl TheoryChecker {
         let mut checker = TheoryChecker {
             template: EufTemplate::new(tm, &[tru, fls]),
             kinds: FxHashMap::default(),
+            forms: Vec::new(),
             leaf_is_int: FxHashMap::default(),
             tru,
             fls,
@@ -129,19 +134,20 @@ impl TheoryChecker {
         self.template.extend(tm, &fresh);
         for &atom in &fresh {
             let term = tm.term(atom);
+            let mut form = |a, b| {
+                self.forms
+                    .push(difference_form(tm, a, b, &mut self.leaf_is_int));
+                self.forms.len() as u32 - 1
+            };
             let kind = match term.op {
                 Op::Eq => {
                     let (a, b) = (term.args[0], term.args[1]);
-                    let lin = if tm.sort(a).is_numeric() {
-                        Some(difference_form(tm, a, b, &mut self.leaf_is_int))
-                    } else {
-                        None
-                    };
+                    let lin = tm.sort(a).is_numeric().then(|| form(a, b));
                     AtomKind::Eq { a, b, lin }
                 }
                 Op::Le | Op::Lt => {
                     let (a, b) = (term.args[0], term.args[1]);
-                    let lin = difference_form(tm, a, b, &mut self.leaf_is_int);
+                    let lin = form(a, b);
                     let both_int = tm.sort(a) == &Sort::Int && tm.sort(b) == &Sort::Int;
                     AtomKind::Ineq {
                         lin,
@@ -189,9 +195,9 @@ impl TheoryChecker {
                 Some(AtomKind::Eq { a, b, lin }) => {
                     if positive {
                         euf.assert_eq(*a, *b, idx);
-                        if let Some(form) = lin {
+                        if let Some(lin) = lin {
                             arith_lits.push(ArithLit {
-                                form: std::borrow::Cow::Borrowed(form),
+                                form: std::borrow::Cow::Borrowed(&self.forms[*lin as usize]),
                                 rel: Rel::Eq,
                                 both_int: false,
                                 tag: idx,
@@ -209,6 +215,7 @@ impl TheoryChecker {
                     both_int,
                 }) => {
                     // positive `a ≤ b` is `a − b ≤ 0`; its negation is `b < a`.
+                    let lin = &self.forms[*lin as usize];
                     let (form, rel) = if positive {
                         (
                             std::borrow::Cow::Borrowed(lin),

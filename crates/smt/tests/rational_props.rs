@@ -12,6 +12,16 @@ fn rat() -> impl Strategy<Value = Rat> {
     (-200i64..200, 1i64..40).prop_map(|(n, d)| Rat::new(n as i128, d as i128))
 }
 
+/// Rationals that are integers about half the time, so that both operands
+/// of a binary operation often take `Rat`'s integer fast paths, and mixed
+/// pairs take the general ones.
+fn often_integer() -> impl Strategy<Value = Rat> {
+    (-200i64..200, 1i64..40, 0u8..2).prop_map(|(n, d, whole)| {
+        let d = if whole == 0 { 1 } else { d };
+        Rat::new(n as i128, d as i128)
+    })
+}
+
 fn nonzero_rat() -> impl Strategy<Value = Rat> {
     (1i64..200, 1i64..40, 0u8..2).prop_map(|(n, d, sign)| {
         let n = if sign == 0 { n } else { -n };
@@ -20,6 +30,17 @@ fn nonzero_rat() -> impl Strategy<Value = Rat> {
 }
 
 proptest! {
+    /// `+`, `−`, `×` and the order agree with their cross-multiplication
+    /// definitions, whichever path (integer or general) the operands take.
+    #[test]
+    fn operations_match_cross_multiplication(a in often_integer(), b in often_integer()) {
+        let (an, ad, bn, bd) = (a.numer(), a.denom(), b.numer(), b.denom());
+        prop_assert_eq!(a + b, Rat::new(an * bd + bn * ad, ad * bd));
+        prop_assert_eq!(a - b, Rat::new(an * bd - bn * ad, ad * bd));
+        prop_assert_eq!(a * b, Rat::new(an * bn, ad * bd));
+        prop_assert_eq!(a.cmp(&b), (an * bd).cmp(&(bn * ad)));
+    }
+
     #[test]
     fn addition_commutes(a in rat(), b in rat()) {
         prop_assert_eq!(a + b, b + a);

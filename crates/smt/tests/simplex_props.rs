@@ -289,6 +289,60 @@ proptest! {
     }
 }
 
+proptest! {
+    /// The tableau's column index (per variable, the rows that mention it,
+    /// which pivots and nonbasic updates visit instead of every row) lists
+    /// exactly the rows' columns after every step of a random interleaving
+    /// of constraint additions (compile and assert), retractions to restore
+    /// points and checks, rational or with branch-and-bound, under Bland's
+    /// rule and the hybrid rule, with and without slack reuse.
+    #[test]
+    fn column_index_matches_the_rows(seed in 0u64..120) {
+        let mut rng = XorShift::new(seed);
+        let nv = 2 + rng.below(4) as usize;
+        let pool = shared_form_pool(&mut rng, nv);
+        let rules = [PivotRule::Bland, PivotRule::hybrid(), PivotRule::Hybrid { bland_after: 3 }];
+        for (rule, reuse) in rules.into_iter().flat_map(|r| [(r, false), (r, true)]) {
+            let mut s = Simplex::with_rule(rule);
+            if reuse {
+                s.enable_slack_reuse();
+            }
+            for _ in 0..nv {
+                s.new_var(rng.below(3) == 0);
+            }
+            let mut marks = Vec::new();
+            for op in 0..40 {
+                match rng.below(8) {
+                    0..=3 => {
+                        let i = rng.below(pool.len() as u64) as usize;
+                        let before = s.mark();
+                        if s.add_constraint(&pool[i].0, pool[i].1, i).is_err() {
+                            s.undo_to(before);
+                        }
+                    }
+                    4 => marks.push(s.mark()),
+                    5 => {
+                        if let Some(mark) = marks.pop() {
+                            s.undo_to(mark);
+                        }
+                    }
+                    6 => {
+                        let _ = s.check_rational();
+                    }
+                    _ => {
+                        let _ = s.check();
+                    }
+                }
+                prop_assert!(
+                    s.column_index_is_exact(),
+                    "seed {} op {} ({:?}, reuse {}): column index out of step",
+                    seed, op, rule, reuse
+                );
+            }
+        }
+    }
+}
+
 /// A degenerate, cycling-prone shape: many tied violations and zero-slack
 /// equalities, the classic fuel for heuristic-rule cycling. The hybrid rule
 /// gets an almost-exhausted budget, so it must engage the Bland fallback,
