@@ -128,11 +128,10 @@ use crate::theory::TheoryChecker;
 enum AtomScope {
     /// Mentioned by at least one permanent assertion — always live.
     Base,
-    /// Mentioned only by assertions of push scopes, the outermost of which
-    /// (by scope id) is still open or was the last to be seen: the atom is
-    /// live while this scope is on the stack. An atom's scopes were all open
-    /// together when it was last marked, nested inside the outermost one,
-    /// so they are all popped once it is.
+    /// Mentioned only by assertions of push scopes; this is the outermost
+    /// of them that was open when the atom was last marked (by scope id).
+    /// Those scopes were nested then, so they are all popped once this one
+    /// is: the atom is live exactly while this scope is on the stack.
     Scope(u64),
 }
 
